@@ -1,6 +1,6 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (§4), one bench per artifact. Absolute values are recorded in
-// EXPERIMENTS.md; run with:
+// evaluation (§4), one bench per artifact. The same artifacts as tables
+// are `go run ./cmd/ebbrt run <name>` (`ebbrt list` names them). Run with:
 //
 //	go test -bench=. -benchmem
 package ebbrt_test
@@ -107,8 +107,8 @@ func BenchmarkFigure3JemallocStyleAlloc(b *testing.B) {
 }
 
 // BenchmarkFigure3ContentionModel reports the modelled 24-core glibc
-// degradation factor (see EXPERIMENTS.md for why the model substitutes for
-// real 24-core hardware here).
+// degradation factor (internal/experiments/figure3.go says why the model
+// substitutes for real 24-core hardware here).
 func BenchmarkFigure3ContentionModel(b *testing.B) {
 	var rows []experiments.Figure3Row
 	for i := 0; i < b.N; i++ {

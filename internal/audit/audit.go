@@ -6,8 +6,8 @@
 //
 // Two sinks cover the two consumers: a bounded in-memory Ring that
 // chaos tests assert causal sequences against (expect.go's matcher
-// DSL), and a JSON-lines FileSink that CI runs upload as an artifact so
-// a failed run's fault timeline can be read without re-running it.
+// DSL), and a JSON-lines FileSink (`ebbrt run -events file`) so a run's
+// fault timeline can be read, diffed and hashed outside the process.
 //
 // Emission is nil-safe and cheap when disabled: a nil *Log ignores
 // Emit, and every hot-path call site guards with `if a := x.Audit; a !=
@@ -209,8 +209,8 @@ func (r *Ring) snapshotLocked(skip int) []Event {
 }
 
 // FileSink writes events as JSON lines - one object per event, in
-// emission order - the artifact format CI uploads next to the
-// BENCH_*.json reports.
+// emission order - the format `ebbrt run -events` writes and the
+// availability golden's audit_fnv64 hashes.
 type FileSink struct {
 	mu  sync.Mutex
 	w   *bufio.Writer
@@ -268,8 +268,8 @@ func (s *FileSink) Close() error {
 	return s.err
 }
 
-// ReadEvents parses a JSON-lines event stream back into events - the
-// round-trip benchguard uses to gate on a run's event log.
+// ReadEvents parses a JSON-lines event stream, as FileSink writes it,
+// back into events.
 func ReadEvents(r io.Reader) ([]Event, error) {
 	var out []Event
 	sc := bufio.NewScanner(r)

@@ -21,12 +21,6 @@ type BatchOptions struct {
 	// out as its own plain GET, the pre-batching behavior - which is the
 	// per-op ablation arm of the FrontendScaling experiment.
 	MaxBatch int
-	// FlushEndOfTurn delays the flush to a spawned event at the end of
-	// the current event-loop turn, so independent submissions arriving
-	// within one turn coalesce. The default (false) flushes when the
-	// outermost public call completes: only keys of one GetMulti share a
-	// round, and a bare Get is wire-identical to the per-op spine.
-	FlushEndOfTurn bool
 }
 
 // WithDefaults resolves unset fields.
@@ -107,7 +101,6 @@ type readQueue struct {
 	pending map[int][]pendingRead
 	order   []int // backends with queued reads, in first-enqueue order
 	depth   int   // open batch scopes
-	armed   bool  // an end-of-turn flush event is already spawned
 	stats   BatchStats
 }
 
@@ -123,7 +116,7 @@ func (r *clientRep) beginBatch() { r.queue.depth++ }
 
 func (r *clientRep) endBatch(c *event.Ctx) {
 	r.queue.depth--
-	if r.queue.depth == 0 && !r.queue.opt.FlushEndOfTurn {
+	if r.queue.depth == 0 {
 		r.flushReads(c)
 	}
 }
@@ -142,16 +135,6 @@ func (r *clientRep) submitRead(c *event.Ctx, backend int, key []byte, cb Callbac
 	q.pending[backend] = append(q.pending[backend], pendingRead{key: append([]byte(nil), key...), cb: cb})
 	if len(q.pending[backend]) >= q.opt.MaxBatch {
 		r.flushBackend(c, backend)
-		return
-	}
-	if q.opt.FlushEndOfTurn {
-		if !q.armed {
-			q.armed = true
-			r.mgr.Spawn(func(c *event.Ctx) {
-				q.armed = false
-				r.flushReads(c)
-			})
-		}
 		return
 	}
 	if q.depth == 0 {

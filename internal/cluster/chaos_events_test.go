@@ -32,7 +32,8 @@ func auditedCluster(backends, replicas int) (*Cluster, *Client, *HealthMonitor, 
 
 // killMarked / reviveMarked emit the chaos marker the fault injector
 // owes the log, then apply the fault. The marker is what lets tests
-// (and the benchguard gate) anchor detection-latency measurements.
+// (and the availability experiment's gate) anchor detection-latency
+// measurements.
 func killMarked(cl *Cluster, i int) {
 	cl.Audit.Emit(cl.Sys.K.Now(), int(cl.Backends[i].Node.Id), audit.NodeKilled, audit.Fields{"backend": i})
 	cl.Backends[i].Node.Kill()

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"encoding/binary"
+	"maps"
+	"slices"
 
 	"ebbrt/internal/apps/appnet"
 	"ebbrt/internal/apps/memcached"
@@ -62,9 +64,6 @@ type ClientOptions struct {
 	// the netstack RTO when frame loss (rather than node death) is
 	// expected, or retransmitted requests will be reported dead.
 	RequestTimeout sim.Time
-	// NoReadRepair disables the asynchronous re-set of a key onto
-	// replicas that missed it when a later replica served the read.
-	NoReadRepair bool
 	// HotKey configures the per-core hot-key read cache. When left
 	// disabled the client inherits the cluster's Options.HotKey; set
 	// HotKey.Disable to keep the cache off regardless.
@@ -609,7 +608,7 @@ func (cli *Client) getFrom(c *event.Ctx, key []byte, reps []int, i int, missed [
 					})
 				}
 			}
-			if len(missed) > 0 && !cli.opt.NoReadRepair {
+			if len(missed) > 0 {
 				cli.readRepair(c, key, missed, r)
 			}
 			if cb != nil {
@@ -1066,12 +1065,18 @@ func (cc *clientConn) transmit(c *event.Ctx, pkt []byte) {
 
 // fail reports every outstanding operation as a network error - NOT a
 // miss: the keys may well exist, the backend is just unreachable - and
-// retires the connection from its pool.
+// retires the connection from its pool. Operations fail in ascending
+// opaque order, which is issue order: each callback may fail over or
+// retry, so map iteration order here would leak into virtual time.
 func (cc *clientConn) fail(c *event.Ctx) {
 	cc.closed = true
 	cc.connected = false
 	cc.pendingTx = nil
-	for opaque, op := range cc.inflight {
+	for _, opaque := range slices.Sorted(maps.Keys(cc.inflight)) {
+		op, ok := cc.inflight[opaque]
+		if !ok {
+			continue // resolved by a callback earlier in this loop
+		}
 		delete(cc.inflight, opaque)
 		if op.timer != nil {
 			op.timer.Cancel()

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"ebbrt/internal/apps/memcached"
 	"ebbrt/internal/audit"
@@ -481,14 +483,15 @@ func (cl *Cluster) noteSet(key []byte) {
 
 // peekDeleted returns the recorded deletes falling inside the given
 // ranges, without consuming them - the scrub clears them only once it
-// has verifiably applied at the destination.
+// has verifiably applied at the destination. Sorted, because the
+// scrub sends them in this order.
 func (cl *Cluster) peekDeleted(ranges []MoveRange) [][]byte {
 	ho := cl.handoff
 	if ho == nil || len(ho.deleted) == 0 {
 		return nil
 	}
 	var out [][]byte
-	for k := range ho.deleted {
+	for _, k := range slices.Sorted(maps.Keys(ho.deleted)) {
 		h := ringHash([]byte(k))
 		for _, r := range ranges {
 			if r.Contains(h) {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"hash/fnv"
 
 	"ebbrt/internal/audit"
 	"ebbrt/internal/cluster"
@@ -47,8 +48,7 @@ type AvailabilityOptions struct {
 	// Audit, when non-nil, receives the run's typed event stream:
 	// chaos.kill/chaos.revive markers from the fault injector here plus
 	// everything the cluster's state machines emit (missed beats,
-	// evictions, restores, TCP transitions). Wire a FileSink to get a
-	// CI-greppable events.jsonl artifact.
+	// evictions, restores, TCP transitions).
 	Audit *audit.Log
 }
 
@@ -268,9 +268,63 @@ func FormatAvailability(r AvailabilityResult) string {
 	return out
 }
 
-func pct(a, b float64) float64 {
-	if b == 0 {
-		return 0
+func pct(a, b float64) float64 { return 100 * ratio(a, b) }
+
+// maxEvictMs is the ceiling for kill-to-eviction detection latency
+// (15ms measured: three missed 5ms beats).
+const maxEvictMs = 25.0
+
+// eventTally is the audit sink the availability Spec counts from; it
+// passes every event on to the caller's log (a nil one drops them).
+type eventTally struct {
+	events []audit.Event
+	next   *audit.Log
+}
+
+func (t *eventTally) Emit(e audit.Event) {
+	t.events = append(t.events, e)
+	t.next.Emit(e.Time, e.Node, e.Kind, e.Fields)
+}
+
+// specAvailability runs the audited failure: Full is the default kill
+// at 60ms of 160ms; Smoke kills at 40ms and revives at 70ms of 110ms so
+// the restore path runs too. The gated numbers are derived from the
+// event stream alone, so a silently suppressed stream fails here even
+// if throughput looks healthy, and audit_fnv64 - the FNV-1a hash of the
+// stream in the JSON-lines encoding -events writes - pins that the same
+// seed replays the same run, event for event.
+func specAvailability(s Scale, log *audit.Log) Report {
+	tally, hash := &eventTally{next: log}, fnv.New64a()
+	lines := audit.NewFileSink(hash)
+	opt := AvailabilityOptions{Audit: audit.NewLog(tally, lines)}
+	if s == Smoke {
+		opt.TargetRPS, opt.Duration = 25000, 110*sim.Millisecond
+		opt.KillAt, opt.ReviveAt = 40*sim.Millisecond, 70*sim.Millisecond
 	}
-	return 100 * a / b
+	res := Availability(opt)
+	rep := Report{Text: FormatAvailability(res)}
+	err := lines.Close() // flushes the last encoded lines into the hash
+	rep.require(err == nil, "event stream did not encode: %v", err)
+
+	x := audit.ExpectEvents(tally.events)
+	evictMs := -1.0
+	kill, haveKill := x.First(audit.On(audit.NodeKilled))
+	evict, haveEvict := x.First(audit.On(audit.HealthEvicted))
+	if haveKill && haveEvict {
+		evictMs = float64(evict.Time-kill.Time) / 1e6
+	}
+	restores := x.Count(audit.On(audit.HealthRestored))
+	rep.metric("total_events", len(tally.events))
+	rep.metric("kill_events", x.Count(audit.On(audit.NodeKilled)))
+	rep.metric("revive_events", x.Count(audit.On(audit.NodeRevived)))
+	rep.metric("eviction_events", x.Count(audit.On(audit.HealthEvicted)))
+	rep.metric("restore_events", restores)
+	rep.metric("missed_beat_events", x.Count(audit.On(audit.HealthMissedBeat)))
+	rep.metric("eviction_latency_ms", evictMs)
+	rep.metric("audit_fnv64", fmt.Sprintf("%016x", hash.Sum64()))
+	rep.metric("floor_eviction_latency_ms", maxEvictMs)
+	rep.require(haveEvict, "event stream recorded no eviction")
+	rep.require(restores > 0 || res.Opt.ReviveAt <= 0, "event stream recorded no restore after the revive")
+	rep.require(evictMs >= 0 && evictMs <= maxEvictMs, "eviction latency %.1fms outside [0, %.1fms]", evictMs, maxEvictMs)
+	return rep
 }

@@ -1,8 +1,16 @@
 // Package experiments contains one harness per measured result: the
 // tables and figures of the paper's evaluation (§4), and the
-// cluster-era experiments the repository has grown beyond them. The
-// cmd/ binaries and the repository's testing.B benchmarks are thin
-// wrappers over these functions.
+// cluster-era experiments the repository has grown beyond them.
+//
+// registry.go enumerates them, once: each is a Spec - a name, a Doc,
+// and a Run that takes a Scale (Smoke or Full, the only two parameter
+// presets) and returns a Report of text, ordered metrics, and the
+// conditions the run violated. An experiment's spec function sits in
+// its own file with the floors it checks as constants beside it.
+// cmd/ebbrt runs Specs by name; TestSpecs runs every one at smoke
+// scale and compares the metrics with the committed BENCH_<name>.json.
+// Neither names an experiment, so adding one is a function and a
+// registry entry.
 //
 // Paper reproductions: Table 1 (Ebb dispatch), Figure 3 (memory
 // allocation), Figures 4-6 (NetPIPE, memcached latency/throughput,

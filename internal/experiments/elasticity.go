@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"ebbrt/internal/audit"
 	"ebbrt/internal/cluster"
 	"ebbrt/internal/load"
 	"ebbrt/internal/sim"
@@ -295,4 +296,26 @@ func FormatElasticity(r ElasticityResult) string {
 	out += fmt.Sprintf("  totals: %d completed, %d misses, %d network errors, mean %.1fus p99 %.1fus\n",
 		r.Load.Completed, r.Load.Misses, r.Load.NetErrs, r.Load.Mean.Micros(), r.Load.P99.Micros())
 	return out
+}
+
+// elasticitySpec runs the streamed-vs-baseline comparison on the given
+// deployment. Full keeps the default schedule (join at 60ms,
+// decommission at 150ms of 240ms, 30k RPS); Smoke compresses it to a
+// join at 30ms and a decommission at 80ms of 120ms at half the load.
+func elasticitySpec(opt ElasticityOptions) func(Scale, *audit.Log) Report {
+	return func(s Scale, _ *audit.Log) Report {
+		opt := opt
+		if s == Smoke {
+			opt.TargetRPS, opt.Duration, opt.KeySpace = 15000, 120*sim.Millisecond, 2000
+			opt.JoinAt, opt.DecommissionAt = 30*sim.Millisecond, 80*sim.Millisecond
+		}
+		streamed, baseline := ElasticityCompare(opt)
+		text := FormatElasticity(streamed) + "\n" + FormatElasticity(baseline) + "\n" +
+			fmt.Sprintf("post-join hit rate:   %.4f streamed vs %.4f baseline\n", streamed.PostJoinHitRate, baseline.PostJoinHitRate) +
+			fmt.Sprintf("post-decomm hit rate: %.4f streamed vs %.4f baseline\n", streamed.PostDecommHitRate, baseline.PostDecommHitRate)
+		if streamed.RestoreRTime >= 0 {
+			text += fmt.Sprintf("time to restore R:    %.2fms streamed vs never (baseline)\n", float64(streamed.RestoreRTime)/1e6)
+		}
+		return Report{Text: text}
+	}
 }

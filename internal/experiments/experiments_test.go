@@ -16,7 +16,7 @@ func TestTable1Shape(t *testing.T) {
 		}
 		byName[r.Method] = r.Cycles
 	}
-	// Shape requirements (see EXPERIMENTS.md for the deviation notes):
+	// Shape requirements (`ebbrt list` quotes the paper's numbers):
 	// inlined dispatch is clearly cheapest; Ebb dispatch costs a small
 	// constant over a plain call - competitive with virtual dispatch in
 	// Go (the C++ system gets it under a non-inlined call; Go's bounds

@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 
 	"ebbrt/internal/apps/appnet"
 	"ebbrt/internal/apps/memcached"
 	"ebbrt/internal/apps/netpipe"
+	"ebbrt/internal/audit"
 	"ebbrt/internal/event"
 	"ebbrt/internal/load"
 	"ebbrt/internal/sim"
@@ -47,6 +49,26 @@ func FormatFigure4(series []Figure4Series) string {
 		}
 	}
 	return out
+}
+
+// specFigure4 regenerates the figure and appends the zero-copy ablation:
+// the EbbRT stack made to pay a per-byte copy at the application
+// boundary, which isolates the claim of paper §3.6.
+func specFigure4(s Scale, _ *audit.Log) Report {
+	reps := pick(s, 3, 10)
+	sizes := []int{64, 4096, 65536, 262144, 786432}
+	series, err := Figure4(nil, reps)
+	zero, errZero := netpipe.Run(testbed.EbbRT, sizes, reps)
+	copied, errCopied := netpipe.RunWithStack(testbed.EbbRT, sizes, reps, 0.12)
+	if err := errors.Join(err, errZero, errCopied); err != nil {
+		return Report{Failures: []string{err.Error()}}
+	}
+	text := FormatFigure4(series) + "\nZero-copy ablation: EbbRT vs EbbRT with forced per-byte copies\n" +
+		fmt.Sprintf("%-10s %14s %14s\n", "Size(B)", "ZeroCopy(Mbps)", "Copying(Mbps)")
+	for i, size := range sizes {
+		text += fmt.Sprintf("%-10d %14.0f %14.0f\n", size, zero[i].GoodputMbps, copied[i].GoodputMbps)
+	}
+	return Report{Text: text}
 }
 
 // MemcachedOptions tunes the Figure 5/6 sweeps. The zero value is the
@@ -131,6 +153,40 @@ func FormatMemcached(series []MemcachedSeries) string {
 		}
 	}
 	return out
+}
+
+// curve is one line of a memcached figure: a system, and for the
+// ablations the option that differs and the label that says so.
+type curve struct {
+	kind  testbed.ServerKind
+	label string
+	opt   MemcachedOptions
+}
+
+// memcachedSpec regenerates a Figure 5/6 plot of the given curves. Full
+// sweeps the figure's offered loads at the load generator's 250ms per
+// point; Smoke takes one mid-sweep load at 60ms.
+func memcachedSpec(cores int, curves ...curve) func(Scale, *audit.Log) Report {
+	return func(s Scale, _ *audit.Log) Report {
+		rates := pick(s, []float64{150000}, DefaultRatesSingleCore())
+		if cores >= 4 {
+			rates = pick(s, []float64{400000}, DefaultRatesFourCore())
+		}
+		var series []MemcachedSeries
+		for _, cv := range curves {
+			cv.opt.Cores, cv.opt.Duration = cores, pick(s, 60*sim.Millisecond, 0)
+			sr := MemcachedCurve(cv.kind, rates, cv.opt)
+			if cv.label != "" {
+				sr.System = cv.label
+			}
+			series = append(series, sr)
+		}
+		text := FormatMemcached(series) + "Throughput at 500us p99 SLA:\n"
+		for _, sr := range series {
+			text += fmt.Sprintf("  %-14s %12.0f RPS\n", sr.System, SLAThroughput(sr.Points, 500*sim.Microsecond))
+		}
+		return Report{Text: text}
+	}
 }
 
 // DefaultRatesSingleCore is the Figure 5 sweep (single-core servers).

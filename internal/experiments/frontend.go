@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ebbrt/internal/apps/appnet"
+	"ebbrt/internal/audit"
 	"ebbrt/internal/cluster"
 	"ebbrt/internal/load"
 	"ebbrt/internal/sim"
@@ -107,7 +108,7 @@ type FrontendScalingResult struct {
 	Ceiling []FrontendCeilingPoint
 	Rows    []FrontendScalingRow
 	// Ratio is the batched/per-op throughput ratio at N=1 - the
-	// ablation benchguard gates.
+	// ablation specFrontend gates.
 	Ratio float64
 	// ScaleOut is batched throughput at max N over batched throughput
 	// at N=1.
@@ -205,7 +206,37 @@ func FrontendScaling(opt FrontendScalingOptions) FrontendScalingResult {
 	return out
 }
 
-// FormatFrontendScaling renders the matrix for the command-line driver.
+// minFrontendRatio is the floor for batched over per-op achieved
+// throughput on one frontend (2.57x measured).
+const minFrontendRatio = 1.3
+
+// specFrontend runs the default matrix at both scales: N = 1, 2, 3 at
+// 40ms a point is already smoke-sized, and it is the one run in the
+// tree that boots extra frontends through Cluster.AddFrontend. The
+// gated numbers are the N=1 row's.
+func specFrontend(Scale, *audit.Log) Report {
+	res := FrontendScaling(FrontendScalingOptions{})
+	row := res.Rows[0]
+	rep := Report{Text: FormatFrontendScaling(res)}
+	rep.metric("frontends", row.Frontends)
+	rep.metric("backends", res.Opt.Backends)
+	rep.metric("multiget_keys_per_read", res.Opt.MultiGet)
+	rep.metric("offered_arrivals_per_sec", row.OfferedRPS)
+	rep.metric("per_op_rps", row.PerOp.AchievedRPS)
+	rep.metric("batched_rps", row.Batched.AchievedRPS)
+	rep.metric("batched_over_per_op", row.Ratio)
+	rep.metric("batched_rounds", row.Stats.Rounds)
+	rep.metric("multi_op_rounds", row.Stats.Batches)
+	rep.metric("quiet_misses", row.Stats.QuietMisses)
+	rep.metric("net_errs", res.NetErrs)
+	rep.metric("floor_batched_over_per_op", minFrontendRatio)
+	rep.require(row.Stats.Batches > 0, "batched arm formed no multi-op rounds")
+	rep.require(row.Ratio >= minFrontendRatio, "batched/per-op ratio %.2fx below floor %.2fx", row.Ratio, minFrontendRatio)
+	rep.require(res.NetErrs == 0, "%d failed client callbacks across the matrix", res.NetErrs)
+	return rep
+}
+
+// FormatFrontendScaling renders the matrix.
 func FormatFrontendScaling(r FrontendScalingResult) string {
 	o := r.Opt
 	out := fmt.Sprintf("FrontendScaling: %d backends x %d cores, frontends x%d cores, %.0f arrivals/s per frontend, multiget %d, max batch %d\n",

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"ebbrt/internal/audit"
 	"ebbrt/internal/cluster"
 	"ebbrt/internal/event"
 	"ebbrt/internal/load"
@@ -196,37 +197,7 @@ func hotKeyPoint(opt HotKeyOptions, backends int, cacheOpt cluster.HotKeyOptions
 
 	var events []load.ChaosEvent
 	if probeStats != nil && opt.RogueRPS > 0 {
-		// The rogue writer: an independent client Ebb (no cache) on the
-		// same frontend, overwriting the hottest keys behind the cached
-		// client's back. Its writes move the owners' CAS stamps, so every
-		// cached copy of a hot key goes stale until TTL expiry or sampled
-		// revalidation catches it - exactly the window the probe measures.
-		rogue := cluster.NewClientWithOptions(cl, front, cluster.ClientOptions{
-			RequestTimeout: opt.RequestTimeout,
-			HotKey:         cluster.HotKeyOptions{Disable: true},
-		})
-		work := load.NewWorkload(etc, opt.Seed)
-		rng := sim.NewRng(opt.Seed ^ 0x5bd1e995)
-		k := cl.Sys.K
-		mgrs := front.Runtime.Mgrs()
-		interval := sim.Time(1e9 / opt.RogueRPS)
-		end := sim.Time(0) // filled when the event fires (measurement start + duration)
-		var tick func()
-		tick = func() {
-			if end == 0 {
-				end = k.Now() + opt.Duration
-			}
-			if k.Now() >= end {
-				return
-			}
-			keyIdx := rng.Intn(opt.RogueKeys)
-			val := []byte(fmt.Sprintf("rogue-%d-%d", keyIdx, k.Now()))
-			mgrs[rng.Intn(len(mgrs))].Spawn(func(c *event.Ctx) {
-				rogue.Set(c, work.Keys[keyIdx], val, 0, nil)
-			})
-			k.After(interval, tick)
-		}
-		events = append(events, load.ChaosEvent{At: 0, Fn: tick})
+		events = append(events, rogueWriter(cl, etc, opt.Seed, opt.RogueRPS, opt.RogueKeys, opt.Duration, opt.RequestTimeout))
 	}
 
 	res := load.RunClusterLoad(front.Runtime, clusterKV{cli: cli}, load.ClusterLoadConfig{
@@ -241,6 +212,77 @@ func hotKeyPoint(opt HotKeyOptions, backends int, cacheOpt cluster.HotKeyOptions
 		*probeStats = cli.HotKeyStats()
 	}
 	return res
+}
+
+// rogueWriter returns the chaos event that, at measurement start, sets
+// an independent uncached client Ebb on the same frontend overwriting
+// the hottest keys at rps for the measured window. Its writes move the
+// owners' stamps behind the cached client's back, so every cached copy
+// of a hot key goes stale until TTL expiry or sampled revalidation
+// catches it - exactly the window the staleness probe measures.
+func rogueWriter(cl *cluster.Cluster, etc load.ETCConfig, seed uint64, rps float64, hottest int, window, timeout sim.Time) load.ChaosEvent {
+	front := cl.Sys.Frontend()
+	rogue := cluster.NewClientWithOptions(cl, front, cluster.ClientOptions{
+		RequestTimeout: timeout,
+		HotKey:         cluster.HotKeyOptions{Disable: true},
+	})
+	work := load.NewWorkload(etc, seed)
+	rng := sim.NewRng(seed ^ 0x5bd1e995)
+	k := cl.Sys.K
+	mgrs := front.Runtime.Mgrs()
+	interval := sim.Time(1e9 / rps)
+	end := sim.Time(0) // set when the event fires: measurement start + window
+	var tick func()
+	tick = func() {
+		if end == 0 {
+			end = k.Now() + window
+		}
+		if k.Now() >= end {
+			return
+		}
+		keyIdx := rng.Intn(hottest)
+		val := []byte(fmt.Sprintf("rogue-%d-%d", keyIdx, k.Now()))
+		mgrs[rng.Intn(len(mgrs))].Spawn(func(c *event.Ctx) {
+			rogue.Set(c, work.Keys[keyIdx], val, 0, nil)
+		})
+		k.After(interval, tick)
+	}
+	return load.ChaosEvent{At: 0, Fn: tick}
+}
+
+// minHotKeyImprovement is the floor for how much of the skewed tail the
+// cache recovers (1.8x measured at 8 backends).
+const minHotKeyImprovement = 1.3
+
+// specHotKey runs the sweep with promotion at 4 sketch hits (the
+// windows are short, so promotion must not eat most of the run): Full
+// at 1/2/4/8 backends, 60ms, 6000 keys; Smoke at 1 and 8 backends,
+// 40ms, 4000 keys.
+func specHotKey(s Scale, _ *audit.Log) Report {
+	opt := HotKeyOptions{Cache: cluster.HotKeyOptions{PromoteMin: 4}}
+	if s == Smoke {
+		opt.BackendCounts, opt.Duration, opt.KeySpace = []int{1, 8}, 40*sim.Millisecond, 4000
+	}
+	res := HotKey(opt)
+	tail := res.Rows[len(res.Rows)-1]
+	rep := Report{Text: FormatHotKey(res)}
+	rep.metric("hotkey_backends", tail.Backends)
+	rep.metric("hotkey_off_speedup", tail.OffSpeedup)
+	rep.metric("hotkey_on_speedup", tail.OnSpeedup)
+	rep.metric("hotkey_improvement", res.Improvement)
+	rep.metric("hotkey_cache_hit_rate", tail.Cache.HitRate())
+	rep.metric("hot_key_share_top10", res.HotShare)
+	rep.metric("max_stale_age_ms", float64(res.Probe.MaxStaleAge)/1e6)
+	rep.metric("ttl_ms", float64(res.TTL)/1e6)
+	rep.metric("ttl_bounded", res.TTLBounded)
+	rep.metric("floor_hotkey_improvement", minHotKeyImprovement)
+	rep.require(res.TTLBounded, "stale serve exceeded the TTL: max age %v > %v", res.Probe.MaxStaleAge, res.TTL)
+	rep.require(res.Probe.StaleServes > 0, "staleness probe never fired despite the rogue writer")
+	rep.require(res.Improvement >= minHotKeyImprovement, "hot-key improvement %.2fx at %d backends below floor %.2fx", res.Improvement, tail.Backends, minHotKeyImprovement)
+	rep.require(tail.OnSpeedup > tail.OffSpeedup, "cache-on speedup %.2fx not above cache-off %.2fx", tail.OnSpeedup, tail.OffSpeedup)
+	rep.require(tail.Cache.HitRate() >= 0.3, "cache hit rate %.2f below 0.3 under skew %.2f", tail.Cache.HitRate(), res.Opt.ZipfSkew)
+	rep.require(res.HotShare >= 0.3, "measured hot-key share %.2f below 0.3: workload not skewed as configured", res.HotShare)
+	return rep
 }
 
 // FormatHotKey renders the sweep as the cache-off vs cache-on scaling

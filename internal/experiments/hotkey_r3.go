@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 
+	"ebbrt/internal/audit"
 	"ebbrt/internal/cluster"
-	"ebbrt/internal/event"
 	"ebbrt/internal/load"
 	"ebbrt/internal/sim"
 )
@@ -174,37 +174,10 @@ func replicatedPoint(opt ReplicatedHotKeyOptions, cacheOpt cluster.HotKeyOptions
 
 	var events []load.ChaosEvent
 	if probeStats != nil && opt.RogueRPS > 0 {
-		// The rogue writer: an independent uncached client overwriting
-		// the hottest keys behind the cached client's back. Its writes are
-		// coordinator-stamped like any other, so every live owner's store
-		// moves to a strictly newer replica-wide stamp - the staleness the
-		// probe's all-owner peek measures against the TTL.
-		rogue := cluster.NewClientWithOptions(cl, front, cluster.ClientOptions{
-			RequestTimeout: opt.RequestTimeout,
-			HotKey:         cluster.HotKeyOptions{Disable: true},
-		})
-		work := load.NewWorkload(etc, opt.Seed)
-		rng := sim.NewRng(opt.Seed ^ 0x5bd1e995)
-		k := cl.Sys.K
-		mgrs := front.Runtime.Mgrs()
-		interval := sim.Time(1e9 / opt.RogueRPS)
-		end := sim.Time(0)
-		var tick func()
-		tick = func() {
-			if end == 0 {
-				end = k.Now() + opt.Duration
-			}
-			if k.Now() >= end {
-				return
-			}
-			keyIdx := rng.Intn(opt.RogueKeys)
-			val := []byte(fmt.Sprintf("rogue-%d-%d", keyIdx, k.Now()))
-			mgrs[rng.Intn(len(mgrs))].Spawn(func(c *event.Ctx) {
-				rogue.Set(c, work.Keys[keyIdx], val, 0, nil)
-			})
-			k.After(interval, tick)
-		}
-		events = append(events, load.ChaosEvent{At: 0, Fn: tick})
+		// The rogue's writes are coordinator-stamped like any other, so
+		// every live owner's store moves to a strictly newer replica-wide
+		// stamp - the staleness the probe's all-owner peek measures.
+		events = append(events, rogueWriter(cl, etc, opt.Seed, opt.RogueRPS, opt.RogueKeys, opt.Duration, opt.RequestTimeout))
 	}
 
 	res := load.RunClusterLoad(front.Runtime, clusterKV{cli: cli}, load.ClusterLoadConfig{
@@ -230,6 +203,50 @@ func replicatedPoint(opt ReplicatedHotKeyOptions, cacheOpt cluster.HotKeyOptions
 		maxShare = float64(maxReq) / float64(total)
 	}
 	return res, maxShare, cl.HotWriteStats(), res.Keys.TopShare
+}
+
+// minR3Improvement is the floor for the fixed configuration over the
+// unfixed baseline at 8 backends, R=3 (1.85x measured).
+const minR3Improvement = 1.5
+
+// specReplicatedHotKey runs the comparison with cache promotion at 4
+// sketch hits, as specHotKey does: Full at 60ms over 6000 keys, Smoke
+// at 40ms over 4000.
+func specReplicatedHotKey(s Scale, _ *audit.Log) Report {
+	opt := ReplicatedHotKeyOptions{Cache: cluster.HotKeyOptions{PromoteMin: 4}}
+	if s == Smoke {
+		opt.Duration, opt.KeySpace = 40*sim.Millisecond, 4000
+	}
+	res := ReplicatedHotKey(opt)
+	hw := res.HotWrite
+	rep := Report{Text: FormatReplicatedHotKey(res)}
+	rep.metric("backends", res.Opt.Backends)
+	rep.metric("replicas", res.Opt.Replicas)
+	rep.metric("baseline_rps", res.Off.AchievedRPS)
+	rep.metric("fixed_rps", res.On.AchievedRPS)
+	rep.metric("improvement", res.Improvement)
+	rep.metric("cache_hit_rate", res.Cache.HitRate())
+	rep.metric("spread_promoted_keys", hw.Promoted)
+	rep.metric("salted_writes", hw.SaltedWrites)
+	rep.metric("salted_targeted_reads", hw.SaltedReads)
+	rep.metric("salted_fanin_fallbacks", hw.SaltedFanIns)
+	rep.metric("baseline_hottest_node_share", res.OffMaxShare)
+	rep.metric("fixed_hottest_node_share", res.OnMaxShare)
+	rep.metric("max_stale_age_ms", float64(res.Cache.MaxStaleAge)/1e6)
+	rep.metric("ttl_ms", float64(res.TTL)/1e6)
+	rep.metric("ttl_bounded", res.TTLBounded)
+	rep.metric("floor_improvement", minR3Improvement)
+	rep.require(res.TTLBounded, "stale serve exceeded the TTL on some replica: max age %v > %v", res.Cache.MaxStaleAge, res.TTL)
+	rep.require(res.Cache.StaleServes > 0, "staleness probe never fired despite the rogue writer")
+	rep.require(res.Improvement >= minR3Improvement, "R=%d improvement %.2fx below floor %.2fx", res.Opt.Replicas, res.Improvement, minR3Improvement)
+	rep.require(res.Cache.HitRate() >= 0.3, "cache hit rate %.2f below 0.3 under skew %.2f", res.Cache.HitRate(), res.Opt.ZipfSkew)
+	rep.require(hw.Promoted > 0 && hw.SaltedWrites > 0, "write spreading never engaged: %d promoted, %d salted writes", hw.Promoted, hw.SaltedWrites)
+	rep.require(hw.SaltedReads > 0, "no reads went through the spread-key path")
+	// Targeted reads exist to keep spread reads at ~1x cost; if more than
+	// a quarter fall back to the K-way fan-in the optimization regressed.
+	rep.require(hw.SaltedFanIns*4 <= hw.SaltedReads, "fan-in fallbacks %d out of %d spread reads: targeted path not holding", hw.SaltedFanIns, hw.SaltedReads)
+	rep.require(res.OnMaxShare < res.OffMaxShare, "hottest-node share %.3f not below baseline %.3f: spreading had no balancing effect", res.OnMaxShare, res.OffMaxShare)
+	return rep
 }
 
 // FormatReplicatedHotKey renders the R>1 comparison.

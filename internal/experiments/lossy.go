@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ebbrt/internal/apps/appnet"
+	"ebbrt/internal/audit"
 	"ebbrt/internal/cluster"
 	"ebbrt/internal/gpos"
 	"ebbrt/internal/load"
@@ -213,6 +214,51 @@ func Lossy(opt LossyOptions) LossyResult {
 		out.Points = append(out.Points, p)
 	}
 	return out
+}
+
+// minLossyRatio is the floor for adaptive over fixed completed
+// throughput at 5% frame loss (5.5x measured).
+const minLossyRatio = 1.5
+
+// specLossy runs the sweep - Full at 1/5/10% loss on 4 backends, 20k
+// RPS, 100ms; Smoke at 5% alone on 2 backends, 10k RPS, 60ms - and
+// gates the 5% point. Client timeouts are off, so every condition here
+// is about the transport recovering on its own.
+func specLossy(s Scale, _ *audit.Log) Report {
+	var opt LossyOptions
+	if s == Smoke {
+		opt = LossyOptions{Backends: 2, Replicas: 2, TargetRPS: 10000, Duration: 60 * sim.Millisecond, LossRates: []float64{0.05}}
+	}
+	res := Lossy(opt)
+	rep := Report{Text: FormatLossy(res)}
+	var p LossyPoint
+	for _, pt := range res.Points {
+		if pt.LossRate == 0.05 {
+			p = pt
+		}
+	}
+	ad := p.Adaptive
+	rep.metric("loss_rate", p.LossRate)
+	rep.metric("adaptive_rps", ad.Load.AchievedRPS)
+	rep.metric("adaptive_p99_us", ad.Load.P99.Micros())
+	rep.metric("adaptive_retransmits", ad.Tcp.Retransmits)
+	rep.metric("adaptive_fast_retransmits", ad.Tcp.FastRetransmits)
+	rep.metric("adaptive_net_errs", ad.Load.NetErrs)
+	rep.metric("fixed_rps", p.Fixed.Load.AchievedRPS)
+	rep.metric("fixed_p99_us", p.Fixed.Load.P99.Micros())
+	rep.metric("dropped_frames", ad.DroppedFrames)
+	rep.metric("throughput_ratio", p.ThroughputRatio)
+	rep.metric("floor_throughput_ratio", minLossyRatio)
+	rep.require(ad.DroppedFrames > 0, "loss injection vacuous: the switch dropped nothing")
+	rep.require(ad.Tcp.Retransmits > 0, "no retransmissions despite 5%% frame loss")
+	rep.require(ad.Tcp.FastRetransmits > 0, "fast-retransmit path never exercised at 5%% loss")
+	rep.require(ad.Load.NetErrs == 0, "%d failed client callbacks under loss with adaptive RTO", ad.Load.NetErrs)
+	// A deadlocked connection pool would flatline the tail of the run.
+	rep.require(len(ad.Load.Timeline) > 0 && ad.Load.Timeline[len(ad.Load.Timeline)-1].Completed > 0,
+		"no completions in the final timeline bucket: flows stuck at window end")
+	rep.require(ad.Load.AchievedRPS >= 0.9*res.Opt.TargetRPS, "adaptive achieved %.0f RPS under 5%% loss, below 90%% of the %.0f offered", ad.Load.AchievedRPS, res.Opt.TargetRPS)
+	rep.require(p.ThroughputRatio >= minLossyRatio, "adaptive/fixed throughput ratio %.2fx below floor %.2fx", p.ThroughputRatio, minLossyRatio)
+	return rep
 }
 
 // FormatLossy renders the sweep as a comparison table.

@@ -284,7 +284,7 @@ func (rt *Runtime) gc() {
 	rt.charge(sim.Time(marked*14 + swept*6))
 }
 
-// Stats summarizes a run for EXPERIMENTS.md.
+// Stats summarizes a run's allocation, paging and collection counters.
 func (rt *Runtime) Stats() string {
 	return fmt.Sprintf("alloc=%dMB pages=%d faults=%d gcs=%d ticks=%d live=%d",
 		rt.totalAlloc>>20, rt.touchedPages, rt.Faults, rt.GCCount, rt.Ticks, rt.live)

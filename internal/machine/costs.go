@@ -8,8 +8,8 @@ import "ebbrt/internal/sim"
 // path above the device differs (and is charged by the respective runtime).
 //
 // Defaults are calibrated so the NetPIPE experiment lands near the paper's
-// absolute numbers (9.7 us one-way for 64 B under EbbRT); see EXPERIMENTS.md
-// for calibration notes.
+// absolute numbers (9.7 us one-way for 64 B under EbbRT); `ebbrt run figure4`
+// prints what they yield beside the paper's.
 type CostModel struct {
 	// VirtioKick is the guest-side cost to notify the host of a transmit
 	// (MMIO exit).

@@ -871,36 +871,41 @@ func (p *TcpPcb) processData(c *event.Ctx, hdr TcpHeader, payload *iobuf.IOBuf) 
 // beyond stashed segments that started elsewhere, so matching only the
 // exact rcvNxt key would strand them in the map forever (a leak) - and
 // a segment the stream has partially overtaken still carries new bytes,
-// so it is trimmed and delivered rather than dropped.
+// so it is trimmed and delivered rather than dropped. Reached segments
+// are taken lowest start first: when retransmission with a different
+// segmentation leaves overlapping entries, the order decides how each
+// is trimmed and how many deliveries result, so map iteration order
+// must not pick it.
 func (p *TcpPcb) drainReassembly(c *event.Ctx) {
 	for {
-		delivered := false
-		for seq, next := range p.ooo {
-			if !seqLEQ(seq, p.rcvNxt) {
-				continue // still a hole in front of this segment
+		var seq uint32
+		found := false
+		for s := range p.ooo {
+			if seqLEQ(s, p.rcvNxt) && (!found || seqLT(s, seq)) {
+				seq, found = s, true
 			}
-			delete(p.ooo, seq)
-			overlap := p.rcvNxt - seq
-			if overlap >= next.seqLen {
-				continue // fully covered by what was already delivered
-			}
-			if overlap > 0 {
-				dataLen := int(next.seqLen)
-				if next.fin {
-					dataLen--
-				}
-				adv := int(overlap)
-				if adv > dataLen {
-					adv = dataLen
-				}
-				chainAdvance(next.payload, adv)
-			}
-			p.deliver(c, next.payload, next.fin, next.seqLen-overlap)
-			delivered = true
 		}
-		if !delivered {
-			return // only stale entries were purged; rcvNxt is final
+		if !found {
+			return // whatever remains still has a hole in front of it
 		}
+		next := p.ooo[seq]
+		delete(p.ooo, seq)
+		overlap := p.rcvNxt - seq
+		if overlap >= next.seqLen {
+			continue // fully covered by what was already delivered
+		}
+		if overlap > 0 {
+			dataLen := int(next.seqLen)
+			if next.fin {
+				dataLen--
+			}
+			adv := int(overlap)
+			if adv > dataLen {
+				adv = dataLen
+			}
+			chainAdvance(next.payload, adv)
+		}
+		p.deliver(c, next.payload, next.fin, next.seqLen-overlap)
 	}
 }
 

@@ -2,6 +2,7 @@ package netstack
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"ebbrt/internal/event"
@@ -352,28 +353,39 @@ func TestTcpRetransmitCarriesCurrentAck(t *testing.T) {
 // TestTcpReassemblyPurgesOverlappedSegments is the regression test for
 // the out-of-order map leak: stashed segments at or below rcvNxt after
 // a larger in-order delivery must be purged (fully covered) or trimmed
-// and delivered (partially covered), never stranded in the map.
+// and delivered (partially covered), never stranded in the map. When
+// two stashed segments overlap and the stream reaches both at once, the
+// lower start is delivered first - which one goes first decides how the
+// other is trimmed, so the delivery sizes are pinned too (map iteration
+// order used to pick, hence the repetitions).
 func TestTcpReassemblyPurgesOverlappedSegments(t *testing.T) {
 	// One byte per position so delivery order and trimming are checked
 	// byte-exactly. Ranges are [start, end) offsets into this stream.
 	stream := []byte("0123456789abcdefghijklmnop")
 	type rng struct{ start, end int }
 	cases := []struct {
-		name string
-		ooo  []rng // stashed first, in order
-		fill rng   // the in-order delivery that lands at or past them
-		want int   // total delivered prefix length afterward
+		name   string
+		ooo    []rng // stashed first, in order
+		fill   rng   // the in-order delivery that lands at or past them
+		want   int   // total delivered prefix length afterward
+		chunks []int // size of each delivery to the application
 	}{
-		{"fully covered ooo purged", []rng{{10, 15}}, rng{0, 15}, 15},
-		{"partially covered ooo trimmed", []rng{{8, 16}}, rng{0, 12}, 16},
-		{"multiple stale purged", []rng{{10, 14}, {14, 18}, {5, 9}}, rng{0, 18}, 18},
-		{"trim chains into drain", []rng{{6, 10}, {10, 14}}, rng{0, 8}, 14},
+		{"fully covered ooo purged", []rng{{10, 15}}, rng{0, 15}, 15, []int{15}},
+		{"partially covered ooo trimmed", []rng{{8, 16}}, rng{0, 12}, 16, []int{12, 4}},
+		{"multiple stale purged", []rng{{10, 14}, {14, 18}, {5, 9}}, rng{0, 18}, 18, []int{18}},
+		{"trim chains into drain", []rng{{6, 10}, {10, 14}}, rng{0, 8}, 14, []int{8, 2, 4}},
+		{"overlapping pair reached at once", []rng{{6, 16}, {4, 10}}, rng{0, 8}, 16, []int{8, 2, 6}},
 	}
-	for _, tc := range cases {
+	for _, tc := range slices.Repeat(cases, 8) {
 		t.Run(tc.name, func(t *testing.T) {
 			n := newTestNet(t, 1, 1)
 			var rx []byte
-			p := establishTcp(t, n, ConnHandler{}, ConnHandler{}, &rx)
+			var chunks []int
+			p := establishTcp(t, n, ConnHandler{}, ConnHandler{
+				OnReceive: func(c *event.Ctx, pcb *TcpPcb, buf *iobuf.IOBuf) {
+					chunks = append(chunks, buf.ComputeChainDataLength())
+				},
+			}, &rx)
 			n.k.RunUntil(100 * sim.Millisecond)
 			if p.server == nil || p.server.State() != "Established" {
 				t.Fatal("not established")
@@ -407,6 +419,9 @@ func TestTcpReassemblyPurgesOverlappedSegments(t *testing.T) {
 			}
 			if len(p.server.ooo) != 0 {
 				t.Fatalf("%d segments stranded in the reassembly map", len(p.server.ooo))
+			}
+			if !slices.Equal(chunks, tc.chunks) {
+				t.Fatalf("delivery sizes %v, want %v", chunks, tc.chunks)
 			}
 		})
 	}
