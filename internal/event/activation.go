@@ -1,11 +1,14 @@
 package event
 
-// Event activations: each executing event runs on a goroutine so it can
-// suspend mid-execution (the paper's save/restore of stack and register
-// state). Determinism is preserved because the kernel goroutine and the
-// activation goroutine run strictly alternately - the kernel always waits
-// on act.state while the activation runs, so exactly one goroutine is ever
-// active.
+import (
+	"fmt"
+	"iter"
+	"runtime/debug"
+)
+
+// Each executing event runs on an iter.Pull coroutine so it can suspend
+// mid-execution (the paper's save/restore of stack and register state). Only
+// one side of next()/yield() ever runs: the simulation stays deterministic.
 
 type actState int
 
@@ -15,10 +18,10 @@ const (
 )
 
 type activation struct {
-	in     chan Handler
-	state  chan actState
-	resume chan struct{}
-	ctx    *Ctx
+	next  func() (actState, bool) // runs fn, or continues it, until it ends or blocks
+	yield func(actState) bool
+	fn    Handler
+	ctx   *Ctx
 }
 
 func (m *Manager) getActivation() *activation {
@@ -27,27 +30,23 @@ func (m *Manager) getActivation() *activation {
 		m.pool = m.pool[:n-1]
 		return act
 	}
-	act := &activation{
-		in:     make(chan Handler),
-		state:  make(chan actState),
-		resume: make(chan struct{}),
-	}
-	go act.loop()
+	act := &activation{}
+	act.next, _ = iter.Pull(func(yield func(actState) bool) {
+		act.yield = yield
+		for ok := true; ok; ok = yield(actDone) {
+			act.call()
+		}
+	})
 	return act
 }
 
-func (m *Manager) putActivation(act *activation) {
-	act.ctx = nil
-	if len(m.pool) < 64 {
-		m.pool = append(m.pool, act)
-	} else {
-		close(act.in) // let the goroutine exit
-	}
-}
-
-func (a *activation) loop() {
-	for fn := range a.in {
-		fn(a.ctx)
-		a.state <- actDone
-	}
+// call runs the handler. A panic in it resurfaces from next() in whoever
+// drives the kernel, its frames gone by then, so the stack is attached here.
+func (a *activation) call() {
+	defer func() {
+		if r := recover(); r != nil {
+			panic(fmt.Sprintf("event: handler panicked: %v\n%s", r, debug.Stack()))
+		}
+	}()
+	a.fn(a.ctx)
 }

@@ -14,8 +14,14 @@
 // Handlers account for the virtual CPU time they consume via Ctx.Charge;
 // the core is busy for that long before the loop continues. The paper's
 // save/restore event mechanism (used to give blocking semantics on top of
-// events) is implemented with parked goroutines that the deterministic
-// simulation kernel resumes one at a time.
+// events) is a coroutine per activation: every handler runs on a pooled
+// iter.Pull coroutine that the loop switches to and that switches back when
+// the handler returns or calls Ctx.Block - a direct hand-off between two
+// goroutines, ~100 host ns each way, with no channel and no pass through
+// the Go scheduler. There is no second, inline path for handlers that run
+// to completion: Go cannot move a running call onto a goroutine at the
+// moment it first blocks, so callers would have to say in advance which
+// handlers may block.
 package event
 
 import (
@@ -79,9 +85,14 @@ type Manager struct {
 	handlers map[int]Handler
 	nextVec  int
 
-	synth      []synthItem
+	synth     []synthItem // the queue is synth[synthHead:]
+	synthHead int
+	// idle is replaced, never edited, by Add/RemoveIdleHandler, so a pass
+	// in progress keeps iterating the list it started with.
 	idle       []*IdleHandler
 	timerReady []Handler
+	processFn  func()  // m.process, made once instead of per event
+	idlePass   Handler // likewise the handler that runs one idle pass
 
 	pool []*activation
 
@@ -105,6 +116,17 @@ func NewManager(core *machine.Core, costs Costs) *Manager {
 		costs:    costs,
 		handlers: map[int]Handler{},
 		nextVec:  vecFirstAllocatable,
+	}
+	m.processFn = m.process
+	m.idlePass = func(c *Ctx) {
+		for _, ih := range m.idle {
+			if !ih.removed {
+				ih.fn(c)
+			}
+		}
+		if c.charge < m.costs.IdlePoll {
+			c.charge = m.costs.IdlePoll
+		}
 	}
 	m.handlers[VecIPI] = func(*Ctx) {}
 	m.handlers[VecTimer] = func(c *Ctx) {
@@ -157,7 +179,7 @@ func (m *Manager) After(d sim.Time, fn Handler) *sim.Event {
 // when the core would otherwise halt - the polling building block.
 func (m *Manager) AddIdleHandler(fn Handler) *IdleHandler {
 	ih := &IdleHandler{fn: fn}
-	m.idle = append(m.idle, ih)
+	m.idle = append(m.idle[:len(m.idle):len(m.idle)], ih)
 	m.kick()
 	return ih
 }
@@ -167,7 +189,7 @@ func (m *Manager) RemoveIdleHandler(ih *IdleHandler) {
 	ih.removed = true
 	for i, cur := range m.idle {
 		if cur == ih {
-			m.idle = append(m.idle[:i], m.idle[i+1:]...)
+			m.idle = append(m.idle[:i:i], m.idle[i+1:]...)
 			return
 		}
 	}
@@ -201,46 +223,46 @@ func (m *Manager) runHandler(vec int, base sim.Time) {
 	m.exec(h, base+m.costs.EventDispatch)
 }
 
-// exec runs fn on an activation goroutine, then schedules the next loop
-// step after the charged time. If fn blocks, the loop continues at the
-// charge accumulated so far and the activation resumes later.
+// exec runs fn as an event on a pooled activation.
 func (m *Manager) exec(fn Handler, base sim.Time) {
-	m.Dispatched++
 	act := m.getActivation()
-	ctx := &Ctx{m: m, act: act, charge: base}
-	act.ctx = ctx
-	act.in <- fn
-	m.awaitActivation(act)
+	act.fn = fn
+	// Allocated per event, not embedded in the pooled activation:
+	// continuations that outlive their event (EthArpSend after an ARP miss,
+	// hosted.FileSystem.call) still Charge the Ctx they captured. A dead
+	// Ctx absorbs that; a recycled one would bill whichever event holds
+	// the activation by then (ROADMAP item 6).
+	act.ctx = &Ctx{m: m, act: act, charge: base}
+	m.switchTo(act)
 }
 
 // resumeActivation continues a previously blocked activation as an event.
 func (m *Manager) resumeActivation(act *activation) {
-	m.Dispatched++
-	ctx := act.ctx
-	ctx.charge = m.costs.EventDispatch + m.costs.ContextSave
-	act.resume <- struct{}{}
-	m.awaitActivation(act)
+	act.ctx.charge = m.costs.EventDispatch + m.costs.ContextSave
+	m.switchTo(act)
 }
 
-// awaitActivation waits for the activation to finish or block, then
-// schedules the next loop step at the event's completion time.
-func (m *Manager) awaitActivation(act *activation) {
-	st := <-act.state
+// switchTo runs the activation until its handler finishes or blocks, then
+// schedules the next loop step after what the event has charged so far (a
+// blocked activation resumes later as an event of its own).
+func (m *Manager) switchTo(act *activation) {
+	m.Dispatched++
+	st, _ := act.next()
 	ctx := act.ctx
-	switch st {
-	case actDone:
-		m.putActivation(act)
-	case actBlocked:
+	if st == actBlocked {
 		ctx.charge += m.costs.ContextSave
+	} else {
+		act.fn, act.ctx = nil, nil
+		m.pool = append(m.pool, act)
 	}
-	m.k.After(ctx.charge, m.process)
+	m.k.Post(ctx.charge, m.processFn)
 }
 
 // process is the event loop: it runs each time the core finishes an event.
 func (m *Manager) process() {
 	// (1) pending hardware interrupts get priority.
 	if m.core.HasPending() {
-		p := m.core.TakePending()
+		p := m.core.TakePending() // ours until the next TakePending
 		vec := p[0]
 		for _, rest := range p[1:] {
 			m.core.RaiseIRQ(rest) // re-latch the remainder in order
@@ -249,9 +271,15 @@ func (m *Manager) process() {
 		return
 	}
 	// (2) one synthetic event (spawn or blocked-context resumption).
-	if len(m.synth) > 0 {
-		item := m.synth[0]
-		m.synth = m.synth[1:]
+	if m.synthHead < len(m.synth) {
+		item := m.synth[m.synthHead]
+		if m.synthHead++; 2*m.synthHead >= len(m.synth) {
+			// Half or more is popped prefix (all of it, when the queue
+			// drains): move the rest down and keep the backing array.
+			n := copy(m.synth, m.synth[m.synthHead:])
+			clear(m.synth[n:])
+			m.synth, m.synthHead = m.synth[:n], 0
+		}
 		if item.act != nil {
 			m.resumeActivation(item.act)
 		} else {
@@ -261,17 +289,7 @@ func (m *Manager) process() {
 	}
 	// (3) all idle handlers, as one pass.
 	if len(m.idle) > 0 {
-		snapshot := append([]*IdleHandler(nil), m.idle...)
-		m.exec(func(c *Ctx) {
-			for _, ih := range snapshot {
-				if !ih.removed {
-					ih.fn(c)
-				}
-			}
-			if c.charge < m.costs.IdlePoll {
-				c.charge = m.costs.IdlePoll
-			}
-		}, 0)
+		m.exec(m.idlePass, 0)
 		return
 	}
 	// (4) nothing to do: enable interrupts and halt.
@@ -326,6 +344,5 @@ func (c *Ctx) Block(register func(resume func())) {
 		c.m.synth = append(c.m.synth, synthItem{act: act})
 		c.m.kick()
 	})
-	act.state <- actBlocked
-	<-act.resume
+	act.yield(actBlocked)
 }

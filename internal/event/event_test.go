@@ -1,6 +1,7 @@
 package event
 
 import (
+	"sort"
 	"testing"
 
 	"ebbrt/internal/future"
@@ -43,6 +44,34 @@ func TestSpawnFIFO(t *testing.T) {
 		if v != i {
 			t.Fatalf("order = %v", order)
 		}
+	}
+}
+
+// The queue keeps its backing array by moving the unpopped part down; order
+// must survive that while handlers keep spawning into a queue that never
+// drains.
+func TestSpawnFIFOWhileQueueStaysBusy(t *testing.T) {
+	k, _, mgrs := newTestEnv(1)
+	m := mgrs[0]
+	var order []int
+	next := 0
+	var spawn func()
+	spawn = func() {
+		id := next
+		next++
+		m.Spawn(func(*Ctx) {
+			order = append(order, id)
+			for i := 0; i < 2 && next < 3000; i++ {
+				spawn()
+			}
+		})
+	}
+	for i := 0; i < 5; i++ {
+		spawn()
+	}
+	k.Run()
+	if len(order) != 3000 || !sort.IntsAreSorted(order) {
+		t.Fatalf("%d events ran, in order: %v", len(order), sort.IntsAreSorted(order))
 	}
 }
 

@@ -245,7 +245,7 @@ func rogueWriter(cl *cluster.Cluster, etc load.ETCConfig, seed uint64, rps float
 		mgrs[rng.Intn(len(mgrs))].Spawn(func(c *event.Ctx) {
 			rogue.Set(c, work.Keys[keyIdx], val, 0, nil)
 		})
-		k.After(interval, tick)
+		k.Post(interval, tick)
 	}
 	return load.ChaosEvent{At: 0, Fn: tick}
 }

@@ -133,7 +133,7 @@ func textSession() string {
 		conn.Send(c, iobuf.Wrap([]byte(steps[step])))
 		// Give the exchange a round trip, then advance, so each step's
 		// responses land in its own slot.
-		k.After(2*sim.Millisecond, func() {
+		k.Post(2*sim.Millisecond, func() {
 			step++
 			gen.Spawn(sendNext)
 		})

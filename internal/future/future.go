@@ -90,41 +90,49 @@ func (p Promise[T]) Future() Future[T] { return Future[T]{st: p.st} }
 func (p Promise[T]) SetValue(v T) { p.st.fulfill(Result[T]{val: v}) }
 
 // SetError fulfills the future with an error.
-func (p Promise[T]) SetError(err error) {
-	if err == nil {
-		err = errors.New("future: SetError with nil error")
-	}
-	var zero T
-	p.st.fulfill(Result[T]{val: zero, err: err})
-}
+func (p Promise[T]) SetError(err error) { p.st.fulfill(Fail[T](err).res) }
 
-// Future is the consuming side of an asynchronously produced value.
-type Future[T any] struct{ st *state[T] }
+// Future is the consuming side of an asynchronously produced value. One
+// that was born fulfilled (Ready, Fail, or a chain step applied to such a
+// future) has no shared state: st is nil and the value carries its result
+// itself, so the synchronous path allocates nothing. The zero Future is
+// Ready of T's zero value.
+type Future[T any] struct {
+	st  *state[T]
+	res Result[T] // meaningful only while st is nil
+}
 
 // Ready returns an already-fulfilled future; Then callbacks on it run
 // synchronously, the fast path the paper highlights for cached ARP entries.
-func Ready[T any](v T) Future[T] {
-	p := NewPromise[T]()
-	p.SetValue(v)
-	return p.Future()
-}
+func Ready[T any](v T) Future[T] { return Future[T]{res: Result[T]{val: v}} }
 
 // Fail returns an already-failed future.
 func Fail[T any](err error) Future[T] {
-	p := NewPromise[T]()
-	p.SetError(err)
-	return p.Future()
+	if err == nil {
+		err = errors.New("future: failed with a nil error")
+	}
+	return Future[T]{res: Result[T]{err: err}}
+}
+
+// resultOf is the Result of a chained function's return.
+func resultOf[T any](v T, err error) Result[T] {
+	if err != nil {
+		return Result[T]{err: err}
+	}
+	return Result[T]{val: v}
 }
 
 // Done reports whether the future has been fulfilled.
 func (f Future[T]) Done() bool {
-	f.st.mu.Lock()
-	defer f.st.mu.Unlock()
-	return f.st.done
+	_, done := f.Poll()
+	return done
 }
 
 // Poll returns the result if fulfilled. The boolean reports readiness.
 func (f Future[T]) Poll() (Result[T], bool) {
+	if f.st == nil {
+		return f.res, true
+	}
 	f.st.mu.Lock()
 	defer f.st.mu.Unlock()
 	return f.st.res, f.st.done
@@ -134,7 +142,13 @@ func (f Future[T]) Poll() (Result[T], bool) {
 // already has). Callbacks run on the fulfilling goroutine, matching the
 // event-driven execution model: continuation code runs on the event that
 // produced the value.
-func (f Future[T]) OnDone(cb func(Result[T])) { f.st.onDone(cb) }
+func (f Future[T]) OnDone(cb func(Result[T])) {
+	if f.st == nil {
+		cb(f.res)
+		return
+	}
+	f.st.onDone(cb)
+}
 
 // Blocker abstracts the event-manager facility for suspending the current
 // event (paper §3.2 save/restore). register is called with a resume
@@ -164,15 +178,11 @@ func (f Future[T]) Block(b Blocker) (T, error) {
 // fn's own result. fn receives the Result and may inspect the error -
 // use this form to *handle* errors. Most code wants ThenOK.
 func Then[T, U any](f Future[T], fn func(Result[T]) (U, error)) Future[U] {
+	if f.st == nil {
+		return Future[U]{res: resultOf(fn(f.res))}
+	}
 	p := NewPromise[U]()
-	f.OnDone(func(r Result[T]) {
-		v, err := fn(r)
-		if err != nil {
-			p.SetError(err)
-		} else {
-			p.SetValue(v)
-		}
-	})
+	f.OnDone(func(r Result[T]) { p.st.fulfill(resultOf(fn(r))) })
 	return p.Future()
 }
 
@@ -180,6 +190,9 @@ func Then[T, U any](f Future[T], fn func(Result[T]) (U, error)) Future[U] {
 // returned future untouched. This reproduces the paper's exception-like
 // flow where only the final Then must handle errors.
 func ThenOK[T, U any](f Future[T], fn func(T) (U, error)) Future[U] {
+	if f.st == nil && f.res.err == nil {
+		return Future[U]{res: resultOf(fn(f.res.val))}
+	}
 	return Then(f, func(r Result[T]) (U, error) {
 		v, err := r.Get()
 		if err != nil {
@@ -193,21 +206,16 @@ func ThenOK[T, U any](f Future[T], fn func(T) (U, error)) Future[U] {
 // ThenFlat chains a future-returning function, flattening the result
 // (monadic bind). Upstream errors propagate without invoking fn.
 func ThenFlat[T, U any](f Future[T], fn func(T) Future[U]) Future[U] {
+	if f.st == nil && f.res.err == nil {
+		return fn(f.res.val)
+	}
 	p := NewPromise[U]()
 	f.OnDone(func(r Result[T]) {
-		v, err := r.Get()
-		if err != nil {
-			p.SetError(err)
+		if r.err != nil {
+			p.SetError(r.err)
 			return
 		}
-		fn(v).OnDone(func(ru Result[U]) {
-			u, err := ru.Get()
-			if err != nil {
-				p.SetError(err)
-			} else {
-				p.SetValue(u)
-			}
-		})
+		fn(r.val).OnDone(p.st.fulfill)
 	})
 	return p.Future()
 }
@@ -215,12 +223,11 @@ func ThenFlat[T, U any](f Future[T], fn func(T) Future[U]) Future[U] {
 // WhenAll returns a future that fulfills with all values once every input
 // fulfills, or fails with the first error encountered.
 func WhenAll[T any](fs []Future[T]) Future[[]T] {
-	p := NewPromise[[]T]()
 	n := len(fs)
 	if n == 0 {
-		p.SetValue(nil)
-		return p.Future()
+		return Ready[[]T](nil)
 	}
+	p := NewPromise[[]T]()
 	var mu sync.Mutex
 	vals := make([]T, n)
 	remaining := n

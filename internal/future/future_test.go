@@ -2,6 +2,8 @@ package future
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -204,5 +206,94 @@ func TestConcurrentOnDone(t *testing.T) {
 	defer mu.Unlock()
 	if count != 50 {
 		t.Fatalf("count = %d", count)
+	}
+}
+
+// A future born fulfilled carries its result in the value; one fulfilled
+// through a promise carries it in shared state. Nothing a consumer can do
+// may tell them apart.
+func TestInlineAndPromiseBackedFuturesAgree(t *testing.T) {
+	boom := errors.New("boom")
+	viaPromise := func(v int, err error) Future[int] {
+		p := NewPromise[int]()
+		if err != nil {
+			p.SetError(err)
+		} else {
+			p.SetValue(v)
+		}
+		return p.Future()
+	}
+	// observe drives every consuming operation and renders what each saw.
+	observe := func(f Future[int]) string {
+		var out []string
+		add := func(op string, err error, saw ...any) { out = append(out, fmt.Sprint(op, ": ", saw, " err=", err)) }
+		polled := func(g Future[int]) (int, bool, error) { r, ok := g.Poll(); return r.val, ok, r.err }
+
+		add("Done", nil, f.Done())
+		v, ok, err := polled(f)
+		add("Poll", err, v, ok)
+		f.OnDone(func(r Result[int]) { add("OnDone, called before it returned", r.err, r.val) })
+		v, err = f.Block(nil) // a fulfilled future never touches its Blocker
+		add("Block", err, v)
+
+		sawErr := false
+		rs, ok := Then(f, func(r Result[int]) (string, error) { sawErr = r.err != nil; return "then", r.err }).Poll()
+		add("Then", rs.err, rs.val, ok, sawErr)
+		ran := false
+		v, ok, err = polled(ThenOK(f, func(v int) (int, error) { ran = true; return v + 1, nil }))
+		add("ThenOK", err, v, ok, ran)
+		v, ok, err = polled(ThenOK(f, func(v int) (int, error) { return v, boom }))
+		add("ThenOK failing", err, v, ok)
+
+		pending := NewPromise[int]()
+		for _, inner := range []Future[int]{Ready(7), viaPromise(7, nil), Fail[int](boom), pending.Future()} {
+			v, ok, err = polled(ThenFlat(f, func(int) Future[int] { return inner }))
+			add("ThenFlat", err, v, ok)
+		}
+		flat := ThenFlat(f, func(int) Future[int] { return pending.Future() })
+		pending.SetValue(9)
+		v, ok, err = polled(flat)
+		add("ThenFlat once its inner future fulfils", err, v, ok)
+
+		all, ok := WhenAll([]Future[int]{Ready(1), f, viaPromise(3, nil)}).Poll()
+		add("WhenAll", all.err, all.val, ok)
+		return strings.Join(out, "\n")
+	}
+	for _, tc := range []struct {
+		name   string
+		inline Future[int]
+		val    int
+		err    error
+	}{
+		{"value", Ready(41), 41, nil},
+		{"zero value", Future[int]{}, 0, nil},
+		{"error", Fail[int](boom), 0, boom},
+	} {
+		got, want := observe(tc.inline), observe(viaPromise(tc.val, tc.err))
+		if got != want {
+			t.Errorf("%s: inline future observed\n%s\npromise-backed\n%s", tc.name, got, want)
+		}
+		if tc.err != nil && !strings.Contains(got, "ThenOK: [0 true false] err=boom") {
+			t.Errorf("%s: ThenOK ran its function or lost the error:\n%s", tc.name, got)
+		}
+	}
+	if _, err := Fail[int](nil).Block(nil); err == nil {
+		t.Error("Fail(nil) produced a future without an error")
+	}
+	if _, err := ReadyUnit().Block(nil); err != nil {
+		t.Errorf("ReadyUnit: %v", err)
+	}
+}
+
+// The cached-ARP shape of Figure 2: a chain step on a ready future runs
+// synchronously and allocates nothing.
+func TestReadyChainAllocatesNothing(t *testing.T) {
+	double := func(v int) (int, error) { return 2 * v, nil }
+	var sink Future[int]
+	allocs := testing.AllocsPerRun(100, func() {
+		sink = ThenOK(ThenOK(Ready(21), double), double)
+	})
+	if v, _ := sink.Block(nil); allocs != 0 || v != 84 {
+		t.Fatalf("ThenOK(ThenOK(Ready(21), f), f) = %d with %v allocations, want 84 with 0", v, allocs)
 	}
 }

@@ -236,7 +236,7 @@ func RunClusterLoadMulti(rts []appnet.Runtime, kvs []KVClient, cfg ClusterLoadCo
 	}
 	for _, ev := range cfg.Events {
 		ev := ev
-		k.At(m.measStart+ev.At, ev.Fn)
+		k.PostAt(m.measStart+ev.At, ev.Fn)
 	}
 
 	for _, src := range m.sources {
@@ -270,7 +270,7 @@ func RunClusterLoadMulti(rts []appnet.Runtime, kvs []KVClient, cfg ClusterLoadCo
 // spreading submissions round-robin across that source's cores.
 func (m *clusterLoad) scheduleNextArrival(k *sim.Kernel, src *loadSource) {
 	gap := src.arrRng.Exp(1e9 / src.rate)
-	k.After(sim.Time(gap), func() {
+	k.Post(sim.Time(gap), func() {
 		if k.Now() >= m.measEnd {
 			return
 		}

@@ -307,7 +307,7 @@ func RunMutilateSharded(client appnet.Runtime, shards []Shard, route func(key []
 // shard's pool.
 func (m *mutilate) scheduleNextArrival(k *sim.Kernel) {
 	gap := m.arrRng.Exp(1e9 / m.cfg.TargetRPS) // ns between arrivals
-	k.After(sim.Time(gap), func() {
+	k.Post(sim.Time(gap), func() {
 		if k.Now() >= m.measEnd {
 			return
 		}

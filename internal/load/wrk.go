@@ -122,7 +122,7 @@ func RunWrk(client appnet.Runtime, dial func(c *event.Ctx, cb appnet.Callbacks, 
 
 func (w *wrk) scheduleNextArrival(k *sim.Kernel) {
 	gap := w.rng.Exp(1e9 / w.cfg.TargetRPS)
-	k.After(sim.Time(gap), func() {
+	k.Post(sim.Time(gap), func() {
 		if k.Now() >= w.measEnd {
 			return
 		}

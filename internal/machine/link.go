@@ -57,7 +57,7 @@ func (l *Link) send(f Frame, fromA bool) {
 	}
 	txDone := start + l.serialization(f.Len())
 	*busy = txDone
-	l.K.At(txDone+l.Propagation, func() { dst.Send(f) })
+	l.K.PostAt(txDone+l.Propagation, func() { dst.Send(f) })
 }
 
 // linkEnd is the Port a NIC transmits into.
@@ -136,7 +136,7 @@ func (s *Switch) deliver(f Frame, out *switchPort) {
 	}
 	done := start + sim.Time(float64(f.Len()*8)/s.BitsPerSecond*1e9)
 	out.busyUntil = done
-	s.K.At(done, func() { out.nic.Deliver(f) })
+	s.K.PostAt(done, func() { out.nic.Deliver(f) })
 }
 
 type switchPort struct {

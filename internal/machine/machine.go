@@ -112,6 +112,7 @@ type Core struct {
 
 	dispatcher  func(vec int)
 	pending     []int
+	taken       []int // the slice TakePending last handed out, reused by the next call
 	intsEnabled bool
 	halted      bool
 }
@@ -154,10 +155,13 @@ func (c *Core) Halted() bool { return c.halted }
 // HasPending reports whether latched vectors await collection.
 func (c *Core) HasPending() bool { return len(c.pending) > 0 }
 
-// TakePending returns and clears all latched vectors in arrival order.
+// TakePending returns and clears all latched vectors in arrival order. The
+// returned slice is the caller's until the next TakePending: the core
+// alternates between two backing arrays instead of allocating one per
+// interrupt window.
 func (c *Core) TakePending() []int {
 	p := c.pending
-	c.pending = nil
+	c.pending, c.taken = c.taken[:0], p
 	return p
 }
 

@@ -160,7 +160,7 @@ func (n *NIC) Transmit(f Frame, extraDelay sim.Time) {
 	if n.M.Cfg.Virtualized {
 		d += costs.VirtioKick + costs.VhostPerPacket
 	}
-	n.M.K.After(d, func() { n.peer.Send(f) })
+	n.M.K.Post(d, func() { n.peer.Send(f) })
 }
 
 // TxCPUCost reports the CPU time the transmitting core spends in the device
@@ -189,14 +189,14 @@ func (n *NIC) Deliver(f Frame) {
 	if n.M.Cfg.Virtualized {
 		d += costs.VhostPerPacket
 	}
-	n.M.K.After(d, func() {
+	n.M.K.Post(d, func() {
 		n.RxFrames.Inc()
 		n.RxBytes.AddN(uint64(f.Len()))
 		q := n.Queues[int(f.Hash)%len(n.Queues)]
 		q.ring = append(q.ring, f)
 		if q.irqEnabled && q.core != nil {
 			if n.M.Cfg.Virtualized {
-				n.M.K.After(costs.IRQInject, func() { q.core.RaiseIRQ(q.vector) })
+				n.M.K.Post(costs.IRQInject, func() { q.core.RaiseIRQ(q.vector) })
 			} else {
 				q.core.RaiseIRQ(q.vector)
 			}

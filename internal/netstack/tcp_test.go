@@ -2,6 +2,8 @@ package netstack
 
 import (
 	"bytes"
+	"runtime"
+	"strings"
 	"testing"
 
 	"ebbrt/internal/event"
@@ -373,5 +375,63 @@ func TestTcpRetransmitBackoffResets(t *testing.T) {
 	}
 	if p.client.rtoBackoff != 0 {
 		t.Fatalf("backoff %d after recovery, want 0", p.client.rtoBackoff)
+	}
+}
+
+// futureAllocs counts the objects allocated so far, per the heap profile, by
+// code in package future itself (the innermost frame of the allocating stack).
+func futureAllocs() (n int64) {
+	runtime.GC() // the profile publishes allocations two collections late
+	runtime.GC()
+	records := make([]runtime.MemProfileRecord, 4096)
+	got, ok := runtime.MemProfile(records, true)
+	for !ok {
+		records = make([]runtime.MemProfileRecord, 2*got)
+		got, ok = runtime.MemProfile(records, true)
+	}
+	for _, r := range records[:got] {
+		site, _ := runtime.CallersFrames(r.Stack()).Next()
+		if strings.HasPrefix(site.Function, "ebbrt/internal/future.") {
+			n += r.AllocObjects
+		}
+	}
+	return n
+}
+
+// Figure 2's fast path: with the next hop's MAC in the ARP cache, a segment
+// goes from TcpPcb.Send to the NIC synchronously through EthArpSend's
+// ThenOK, and the futures on the way are values, not heap state. The ARP
+// miss during the handshake shows the counter does see the slow path.
+func TestTcpSendWithCachedArpAllocatesNoFutureState(t *testing.T) {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1 // record every allocation
+
+	n := newTestNet(t, 1, 1)
+	before := futureAllocs()
+	var rx []byte
+	p := establishTcp(t, n, ConnHandler{}, ConnHandler{}, &rx)
+	n.k.RunFor(10 * sim.Millisecond)
+	if p.client == nil || p.client.State() != "Established" {
+		t.Fatal("handshake did not complete")
+	}
+	handshake := futureAllocs()
+	if handshake == before {
+		t.Fatal("the handshake's ARP miss allocated no future state: the counter is blind")
+	}
+
+	const sends = 64
+	n.spawnA(func(c *event.Ctx) {
+		for i := 0; i < sends; i++ {
+			if err := p.client.Send(c, iobuf.FromBytes([]byte("figure 2"))); err != nil {
+				t.Errorf("send %d: %v", i, err)
+			}
+		}
+	})
+	n.k.RunFor(10 * sim.Millisecond)
+	if len(rx) != sends*len("figure 2") {
+		t.Fatalf("server received %d bytes", len(rx))
+	}
+	if extra := futureAllocs() - handshake; extra != 0 {
+		t.Fatalf("%d segments and their ACKs over a cached ARP entry allocated %d objects in package future", sends, extra)
 	}
 }

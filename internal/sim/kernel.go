@@ -6,11 +6,19 @@
 // kernel so that results are exactly reproducible run-to-run. Virtual time
 // is measured in nanoseconds and stored as an int64, which covers simulations
 // of roughly 292 years - far beyond anything the harnesses schedule.
+//
+// Two calls schedule work. Post/PostAt are the default: fire and forget,
+// nothing to hold, and nothing allocated per event - the callback lives in
+// the queue entry itself. At/After return an *Event and exist for the few
+// callers that keep it so they can Cancel (timers that are re-armed or
+// usually never fire). Both kinds share one queue and one total order, so a
+// call site may move between them without changing when anything fires.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"math"
+	"slices"
 	"time"
 )
 
@@ -38,12 +46,12 @@ func (t Time) Micros() float64 { return float64(t) / 1e3 }
 // String renders the time with microsecond precision.
 func (t Time) String() string { return fmt.Sprintf("%.3fus", t.Micros()) }
 
-// Event is a scheduled callback. It may be cancelled before it fires.
+// Event is the handle At and After return: a scheduled callback that may be
+// cancelled before it fires. A handle is never reused for another callback,
+// so one kept past its firing stays inert.
 type Event struct {
 	at       Time
-	seq      uint64
-	fn       func()
-	heapIdx  int
+	k        *Kernel
 	canceled bool
 	fired    bool
 }
@@ -59,7 +67,26 @@ func (e *Event) Cancel() bool {
 		return false
 	}
 	e.canceled = true
+	k := e.k
+	k.pending--
+	if dead := len(k.queue) - k.pending; dead > k.pending && dead > 32 {
+		k.sweep()
+	}
 	return true
+}
+
+// entry is one scheduled callback in the queue. ev is nil for Post/PostAt,
+// which hand out no handle and so have nothing that could be cancelled.
+type entry struct {
+	at  Time
+	seq uint64
+	fn  func()
+	ev  *Event
+}
+
+// before is the queue's total order: (time, scheduling sequence).
+func (a *entry) before(b *entry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
 // Kernel is a single-threaded discrete-event executor. Events scheduled for
@@ -67,9 +94,13 @@ func (e *Event) Cancel() bool {
 // deterministic. Kernel is not safe for concurrent use; the event package
 // layers deterministic coroutine blocking on top of it.
 type Kernel struct {
-	now   Time
-	seq   uint64
-	queue eventHeap
+	now Time
+	seq uint64
+	// queue is a 4-ary min-heap ordered by entry.before: half the levels of
+	// a binary heap, and a node's four children share a cache line or two.
+	queue []entry
+	// pending counts queued entries that have not been cancelled.
+	pending int
 	// fired counts events executed; useful for debugging runaway loops.
 	fired uint64
 }
@@ -81,56 +112,129 @@ func NewKernel() *Kernel { return &Kernel{} }
 func (k *Kernel) Now() Time { return k.now }
 
 // Pending reports the number of events that are scheduled and not cancelled.
-func (k *Kernel) Pending() int {
-	n := 0
-	for _, e := range k.queue {
-		if !e.canceled {
-			n++
-		}
-	}
-	return n
-}
+func (k *Kernel) Pending() int { return k.pending }
 
 // Fired reports how many events have executed since the kernel was created.
 func (k *Kernel) Fired() uint64 { return k.fired }
 
-// At schedules fn to run at virtual time t. Scheduling in the past is a
+// PostAt schedules fn to run at virtual time t. Scheduling in the past is a
 // programming error and panics: it would silently reorder causality.
+func (k *Kernel) PostAt(t Time, fn func()) { k.schedule(t, fn, nil) }
+
+// Post schedules fn to run d nanoseconds of virtual time from now.
+// Negative delays are clamped to zero.
+func (k *Kernel) Post(d Time, fn func()) { k.schedule(k.now+max(d, 0), fn, nil) }
+
+// At is PostAt for callers that keep the returned handle to Cancel it.
 func (k *Kernel) At(t Time, fn func()) *Event {
-	if t < k.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
-	}
-	e := &Event{at: t, seq: k.seq, fn: fn}
-	k.seq++
-	heap.Push(&k.queue, e)
+	e := &Event{at: t, k: k}
+	k.schedule(t, fn, e)
 	return e
 }
 
-// After schedules fn to run d nanoseconds of virtual time from now.
-// Negative delays are clamped to zero.
-func (k *Kernel) After(d Time, fn func()) *Event {
-	if d < 0 {
-		d = 0
+// After is Post for callers that keep the returned handle to Cancel it.
+func (k *Kernel) After(d Time, fn func()) *Event { return k.At(k.now+max(d, 0), fn) }
+
+// schedule sifts a new entry up from the bottom of the heap.
+func (k *Kernel) schedule(t Time, fn func(), ev *Event) {
+	if t < k.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
 	}
-	return k.At(k.now+d, fn)
+	en := entry{at: t, seq: k.seq, fn: fn, ev: ev}
+	k.seq++
+	k.pending++
+	q := append(k.queue, en)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !en.before(&q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = en
+	k.queue = q
 }
 
-// Step executes the earliest pending event, advancing virtual time to its
-// timestamp. It reports false when no events remain.
-func (k *Kernel) Step() bool {
+// pop removes the earliest entry, sifting the last one down from the root.
+func (k *Kernel) pop() entry {
+	q := k.queue
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = entry{} // drop the callback reference
+	k.queue = q[:n]
+	if n > 0 {
+		k.siftDown(0, last)
+	}
+	return top
+}
+
+// siftDown places en at hole i or below it, moving smaller children up.
+func (k *Kernel) siftDown(i int, en entry) {
+	q := k.queue
+	for {
+		child := 4*i + 1
+		if child >= len(q) {
+			break
+		}
+		least, end := child, min(child+4, len(q))
+		for c := child + 1; c < end; c++ {
+			if q[c].before(&q[least]) {
+				least = c
+			}
+		}
+		if !q[least].before(&en) {
+			break
+		}
+		q[i] = q[least]
+		i = least
+	}
+	q[i] = en
+}
+
+// sweep discards every cancelled entry and rebuilds the heap. Cancel calls
+// it once cancelled entries outnumber live ones: a timer that is re-armed
+// per packet (TCP's RTO) would otherwise leave the queue holding a
+// timeout's worth of dead entries for every live one to sift through. The
+// order is total, so the rebuilt heap pops in the same sequence.
+func (k *Kernel) sweep() {
+	k.queue = slices.DeleteFunc(k.queue, func(en entry) bool { return en.ev != nil && en.ev.canceled })
+	for i := (len(k.queue)+2)/4 - 1; i >= 0; i-- { // from the last node that has a child
+		k.siftDown(i, k.queue[i])
+	}
+}
+
+// fireNext executes the earliest pending event if it is due at or before
+// limit, advancing virtual time to its timestamp, and reports whether it
+// did. Cancelled entries reaching the head are discarded on the way.
+func (k *Kernel) fireNext(limit Time) bool {
 	for len(k.queue) > 0 {
-		e := heap.Pop(&k.queue).(*Event)
-		if e.canceled {
+		head := &k.queue[0]
+		if head.ev != nil && head.ev.canceled {
+			k.pop()
 			continue
 		}
-		k.now = e.at
-		e.fired = true
+		if head.at > limit {
+			return false
+		}
+		en := k.pop()
+		if en.ev != nil {
+			en.ev.fired = true
+		}
+		k.pending--
+		k.now = en.at
 		k.fired++
-		e.fn()
+		en.fn()
 		return true
 	}
 	return false
 }
+
+// Step executes the earliest pending event, advancing virtual time to its
+// timestamp. It reports false when no events remain.
+func (k *Kernel) Step() bool { return k.fireNext(math.MaxInt64) }
 
 // Run executes events until none remain.
 func (k *Kernel) Run() {
@@ -141,12 +245,7 @@ func (k *Kernel) Run() {
 // RunUntil executes events with timestamps <= t, then advances the clock to
 // exactly t (even if the queue drained earlier).
 func (k *Kernel) RunUntil(t Time) {
-	for len(k.queue) > 0 {
-		e := k.peek()
-		if e == nil || e.at > t {
-			break
-		}
-		k.Step()
+	for k.fireNext(t) {
 	}
 	if k.now < t {
 		k.now = t
@@ -155,48 +254,3 @@ func (k *Kernel) RunUntil(t Time) {
 
 // RunFor executes events for d nanoseconds of virtual time from now.
 func (k *Kernel) RunFor(d Time) { k.RunUntil(k.now + d) }
-
-func (k *Kernel) peek() *Event {
-	for len(k.queue) > 0 {
-		e := k.queue[0]
-		if e.canceled {
-			heap.Pop(&k.queue)
-			continue
-		}
-		return e
-	}
-	return nil
-}
-
-// eventHeap orders events by (time, sequence).
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].heapIdx = i
-	h[j].heapIdx = j
-}
-
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.heapIdx = len(*h)
-	*h = append(*h, e)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
-}

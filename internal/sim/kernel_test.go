@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"math"
+	"slices"
+	"sort"
 	"testing"
-	"testing/quick"
 	"time"
 )
 
@@ -132,27 +134,115 @@ func TestDurationConversions(t *testing.T) {
 	}
 }
 
-// Property: for any batch of non-negative delays, events fire in
-// non-decreasing time order and the count matches.
-func TestKernelOrderProperty(t *testing.T) {
-	prop := func(delays []uint16) bool {
+// A handle kept past its firing must stay inert however the kernel reuses
+// storage afterwards: bench/engine.go cancels its previous arrival event,
+// which has usually fired, at the start of every phase.
+func TestStaleHandleCancelsNothing(t *testing.T) {
+	k := NewKernel()
+	stale := k.After(1, func() {})
+	k.Run()
+	const n = 1000
+	fired := 0
+	for i := 0; i < n; i++ {
+		k.Post(Time(i%7), func() { fired++ })
+		if i%3 == 0 {
+			k.Step() // queue slots are vacated and refilled while the handle is held
+		}
+	}
+	if stale.Cancel() {
+		t.Fatal("Cancel of a fired handle returned true")
+	}
+	if got := k.Pending() + fired; got != n {
+		t.Fatalf("after the stale Cancel %d posted events are fired or pending, want %d", got, n)
+	}
+	k.Run()
+	if fired != n {
+		t.Fatalf("%d of %d posted events fired", fired, n)
+	}
+}
+
+// Property: under random interleavings of At, After, Post, PostAt, Cancel,
+// Step and RunUntil the kernel fires exactly what a stable sort on
+// (time, scheduling order) of the live events says it should - handle and
+// no-handle events in one FIFO at the same instant - with Fired and Pending
+// exact throughout, and cancelled entries never piling up in the queue.
+func TestKernelMatchesSortedReference(t *testing.T) {
+	type ref struct {
+		at              Time
+		id              int
+		h               *Event
+		fired, canceled bool
+	}
+	for seed := uint64(1); seed <= 40; seed++ {
+		rng := NewRng(seed)
+		cancelWeight := int(seed % 5) // from all no-handle to mostly scheduled-then-cancelled
 		k := NewKernel()
-		var fired []Time
-		for _, d := range delays {
-			k.After(Time(d), func() { fired = append(fired, k.Now()) })
-		}
-		k.Run()
-		if len(fired) != len(delays) {
-			return false
-		}
-		for i := 1; i < len(fired); i++ {
-			if fired[i] < fired[i-1] {
-				return false
+		var all, handles []*ref
+		var got, want []int
+		expect := func(limit Time, atMost int) { // what should fire now, in order
+			var due []*ref
+			for _, r := range all {
+				if !r.fired && !r.canceled && r.at <= limit {
+					due = append(due, r)
+				}
+			}
+			sort.SliceStable(due, func(i, j int) bool { return due[i].at < due[j].at })
+			for _, r := range due[:min(atMost, len(due))] {
+				r.fired = true
+				want = append(want, r.id)
 			}
 		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
+		for op := 0; op < 2000; op++ {
+			id := len(all)
+			fn := func() { got = append(got, id) }
+			d := Time(rng.Intn(50)) * Time(1+cancelWeight*8) // few distinct instants, so ties are common
+			// Weights: 2 post, 1 step, 1 run, cancelWeight handles
+			// scheduled, twice that recent handles cancelled.
+			switch c := rng.Intn(4 + 3*cancelWeight); {
+			case c == 0:
+				k.Post(d, fn)
+				all = append(all, &ref{at: k.Now() + d, id: id})
+			case c == 1:
+				k.PostAt(k.Now()+d, fn)
+				all = append(all, &ref{at: k.Now() + d, id: id})
+			case c == 2:
+				expect(math.MaxInt64, 1)
+				k.Step()
+			case c == 3:
+				expect(k.Now()+d/32, len(all))
+				k.RunUntil(k.Now() + d/32)
+			case c%6 == 0:
+				all = append(all, &ref{at: k.Now() + d, id: id, h: k.After(d, fn)})
+				handles = append(handles, all[id])
+			case c%6 == 1:
+				all = append(all, &ref{at: k.Now() + d, id: id, h: k.At(k.Now()+d, fn)})
+				handles = append(handles, all[id])
+			case len(handles) > 0:
+				r := handles[len(handles)-1-rng.Intn(min(len(handles), 48))]
+				live := !r.fired && !r.canceled
+				if r.h.Cancel() != live {
+					t.Fatalf("seed %d op %d: Cancel = %v, want %v", seed, op, !live, live)
+				}
+				r.canceled = true
+				if dead := len(k.queue) - k.Pending(); live && dead > k.Pending() && dead > 32 {
+					t.Fatalf("seed %d op %d: Cancel left %d cancelled entries queued beside %d live", seed, op, dead, k.Pending())
+				}
+			}
+			pending := 0
+			for _, r := range all {
+				if !r.fired && !r.canceled {
+					pending++
+				}
+			}
+			if k.Pending() != pending || k.Fired() != uint64(len(want)) {
+				t.Fatalf("seed %d op %d: Pending %d Fired %d, want %d and %d",
+					seed, op, k.Pending(), k.Fired(), pending, len(want))
+			}
+		}
+		expect(math.MaxInt64, len(all))
+		k.Run()
+		if !slices.Equal(got, want) {
+			t.Fatalf("seed %d: fired %v\nwant %v", seed, got, want)
+		}
 	}
 }
