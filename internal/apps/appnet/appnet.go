@@ -25,7 +25,10 @@ import (
 // Conn is one TCP connection as seen by an application.
 type Conn interface {
 	// Send queues payload for transmission. It always accepts the data;
-	// the implementation is responsible for windowing/buffering.
+	// the implementation is responsible for windowing/buffering. The
+	// chain is moved to the connection and its bytes may be borrowed, not
+	// copied, until the peer acknowledges them: the caller does not write
+	// to them again.
 	Send(c *event.Ctx, payload *iobuf.IOBuf)
 	// Close initiates an orderly shutdown.
 	Close(c *event.Ctx)
@@ -87,7 +90,7 @@ func (n *Native) Kernel() *sim.Kernel { return n.Stack.M.K }
 // Listen implements Runtime.
 func (n *Native) Listen(port uint16, accept func(conn Conn) Callbacks) error {
 	_, err := n.Itf.ListenTcp(port, func(c *event.Ctx, pcb *netstack.TcpPcb) netstack.ConnHandler {
-		conn := &nativeConn{pcb: pcb}
+		conn := &nativeConn{SendBuffer{Pcb: pcb}}
 		cb := accept(conn)
 		return conn.handler(cb)
 	})
@@ -98,11 +101,7 @@ func (n *Native) Listen(port uint16, accept func(conn Conn) Callbacks) error {
 func (n *Native) Dial(c *event.Ctx, ip netstack.Ipv4Addr, port uint16, cb Callbacks, onConnect func(c *event.Ctx, conn Conn)) {
 	conn := &nativeConn{}
 	h := conn.handler(cb)
-	inner := h.OnConnected
 	h.OnConnected = func(c *event.Ctx, pcb *netstack.TcpPcb) {
-		if inner != nil {
-			inner(c, pcb)
-		}
 		if onConnect != nil {
 			onConnect(c, conn)
 		}
@@ -114,110 +113,118 @@ func (n *Native) Dial(c *event.Ctx, ip netstack.Ipv4Addr, port uint16, cb Callba
 		}
 		return
 	}
-	conn.pcb = pcb
+	conn.Pcb = pcb
 }
 
-// nativeConn implements the application-side send buffering the paper
-// describes: the app hands data to Send; whatever fits the remote window
-// goes out immediately, the rest is held and drained on acknowledgment.
-type nativeConn struct {
-	pcb     *netstack.TcpPcb
-	pending [][]byte
-	closed  bool
-	// closeRequested defers FIN until the send buffer drains.
+// SendBuffer is the send half of a connection over a TcpPcb, the
+// application-side buffering the paper describes and both runtimes use:
+// whatever fits the remote window goes out immediately, the rest is held
+// - the chains themselves, cut at the window - and drained as the peer
+// acknowledges. Close defers the FIN until the buffer has drained.
+type SendBuffer struct {
+	Pcb            *netstack.TcpPcb
+	Closed         bool
+	pending        []*iobuf.IOBuf
 	closeRequested bool
 }
 
 // Core implements Conn.
-func (nc *nativeConn) Core() int {
-	if nc.pcb == nil {
+func (b *SendBuffer) Core() int {
+	if b.Pcb == nil {
 		return 0
 	}
-	return nc.pcb.Core()
+	return b.Pcb.Core()
 }
 
-func (nc *nativeConn) handler(cb Callbacks) netstack.ConnHandler {
+// Send implements Conn.
+func (b *SendBuffer) Send(c *event.Ctx, payload *iobuf.IOBuf) {
+	if b.Closed || b.Pcb == nil {
+		return
+	}
+	if len(b.pending) == 0 && payload.ComputeChainDataLength() <= b.Pcb.SendWindowRemaining() {
+		if err := b.Pcb.Send(c, payload); err == nil {
+			return
+		}
+	}
+	b.pending = append(b.pending, payload)
+	b.drain(c)
+}
+
+// drain pushes buffered data as the window allows.
+func (b *SendBuffer) drain(c *event.Ctx) {
+	if b.Closed || b.Pcb == nil {
+		return
+	}
+	for len(b.pending) > 0 {
+		head := b.pending[0]
+		w := b.Pcb.SendWindowRemaining()
+		if w == 0 {
+			return
+		}
+		rest := head.Split(w)
+		if err := b.Pcb.Send(c, head); err != nil {
+			head.AppendChain(rest)
+			return
+		}
+		if rest == nil {
+			b.pending = b.pending[1:]
+		} else {
+			b.pending[0] = rest
+		}
+	}
+	if b.closeRequested {
+		b.closeRequested = false
+		b.Pcb.Close(c)
+	}
+}
+
+// Close implements Conn.
+func (b *SendBuffer) Close(c *event.Ctx) {
+	if b.Closed || b.Pcb == nil {
+		return
+	}
+	if len(b.pending) > 0 {
+		b.closeRequested = true
+		return
+	}
+	b.Pcb.Close(c)
+}
+
+// Handler wires the buffer to its PCB's events on behalf of conn, the
+// connection embedding it; onReceive is the runtime's receive path.
+func (b *SendBuffer) Handler(conn Conn, cb Callbacks, onReceive func(c *event.Ctx, payload *iobuf.IOBuf)) netstack.ConnHandler {
 	return netstack.ConnHandler{
 		OnReceive: func(c *event.Ctx, pcb *netstack.TcpPcb, payload *iobuf.IOBuf) {
-			if cb.OnData != nil {
-				cb.OnData(c, nc, payload)
-			}
+			onReceive(c, payload)
 		},
 		OnAcked: func(c *event.Ctx, pcb *netstack.TcpPcb, nBytes int) {
-			nc.drain(c)
+			b.drain(c)
 		},
 		OnWindowOpen: func(c *event.Ctx, pcb *netstack.TcpPcb) {
-			nc.drain(c)
+			b.drain(c)
 		},
 		OnRemoteClosed: func(c *event.Ctx, pcb *netstack.TcpPcb) {
 			// The peer finished sending; once our buffered data drains,
 			// complete the shutdown so both sides observe OnClose.
-			nc.Close(c)
+			conn.Close(c)
 		},
 		OnClosed: func(c *event.Ctx, pcb *netstack.TcpPcb, err error) {
-			nc.closed = true
+			b.Closed = true
 			if cb.OnClose != nil {
-				cb.OnClose(c, nc, err)
+				cb.OnClose(c, conn, err)
 			}
 		},
 	}
 }
 
-// Send implements Conn.
-func (nc *nativeConn) Send(c *event.Ctx, payload *iobuf.IOBuf) {
-	if nc.closed || nc.pcb == nil {
-		return
-	}
-	if len(nc.pending) == 0 {
-		n := payload.ComputeChainDataLength()
-		if w := nc.pcb.SendWindowRemaining(); n <= w {
-			if err := nc.pcb.Send(c, payload); err == nil {
-				return
-			}
-		}
-	}
-	nc.pending = append(nc.pending, payload.CopyOut())
-	nc.drain(c)
-}
+// nativeConn has nothing between the application and the stack but the
+// send buffer: OnData runs from the driver, on the bytes it filled.
+type nativeConn struct{ SendBuffer }
 
-// drain pushes buffered data as the window allows.
-func (nc *nativeConn) drain(c *event.Ctx) {
-	if nc.closed || nc.pcb == nil {
-		return
-	}
-	for len(nc.pending) > 0 {
-		head := nc.pending[0]
-		w := nc.pcb.SendWindowRemaining()
-		if w == 0 {
-			return
+func (nc *nativeConn) handler(cb Callbacks) netstack.ConnHandler {
+	return nc.Handler(nc, cb, func(c *event.Ctx, payload *iobuf.IOBuf) {
+		if cb.OnData != nil {
+			cb.OnData(c, nc, payload)
 		}
-		n := len(head)
-		if n > w {
-			n = w
-		}
-		if err := nc.pcb.Send(c, iobuf.Wrap(head[:n])); err != nil {
-			return
-		}
-		if n == len(head) {
-			nc.pending = nc.pending[1:]
-		} else {
-			nc.pending[0] = head[n:]
-		}
-	}
-	if nc.closeRequested && len(nc.pending) == 0 {
-		nc.closeRequested = false
-		nc.pcb.Close(c)
-	}
-}
-
-// Close implements Conn; it defers FIN until buffered data drains.
-func (nc *nativeConn) Close(c *event.Ctx) {
-	if nc.closed || nc.pcb == nil {
-		return
-	}
-	if len(nc.pending) > 0 {
-		nc.closeRequested = true
-		return
-	}
-	nc.pcb.Close(c)
+	})
 }

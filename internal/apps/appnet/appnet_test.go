@@ -85,16 +85,24 @@ func TestCloseAfterBufferedSendDelivers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The buffered chain is held as it is, not flattened: three elements,
+	// two of them longer than the window, cut wherever the window falls.
 	msg := make([]byte, 200_000)
+	for i := range msg {
+		msg[i] = byte(i * 11)
+	}
+	chain := iobuf.Wrap(msg[:70_000])
+	chain.AppendChain(iobuf.Wrap(msg[70_000:70_001]))
+	chain.AppendChain(iobuf.Wrap(msg[70_001:]))
 	pair.Client.Mgrs()[0].Spawn(func(c *event.Ctx) {
 		pair.Client.Dial(c, testbed.ServerIP, 7, appnet.Callbacks{},
 			func(c *event.Ctx, conn appnet.Conn) {
-				conn.Send(c, iobuf.Wrap(msg))
+				conn.Send(c, chain)
 				conn.Close(c) // must defer FIN until the buffer drains
 			})
 	})
 	pair.K.RunUntil(5 * sim.Second)
-	if len(received) != len(msg) {
+	if !bytes.Equal(received, msg) {
 		t.Fatalf("received %d of %d after close-behind-send", len(received), len(msg))
 	}
 	if !serverClosed {

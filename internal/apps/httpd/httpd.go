@@ -90,7 +90,7 @@ type httpConn struct {
 }
 
 func (hc *httpConn) onData(c *event.Ctx, conn appnet.Conn, payload *iobuf.IOBuf) {
-	hc.rx = append(hc.rx, payload.CopyOut()...)
+	hc.rx = payload.AppendTo(hc.rx)
 	var resp []byte
 	for {
 		idx := bytes.Index(hc.rx, []byte("\r\n\r\n"))

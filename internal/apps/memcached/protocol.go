@@ -92,6 +92,17 @@ func ParseHeader(b []byte) (Header, error) {
 	return h, nil
 }
 
+// Reserve is the size a partially received packet will reach, for sizing
+// a reassembly buffer once: 0 until NextFrame has seen the header. The
+// peer announced the body length, so it is capped at stock memcached's
+// item limit.
+func (h Header) Reserve() int {
+	if h.Magic == 0 {
+		return 0
+	}
+	return HeaderLen + min(int(h.BodyLen), MaxTextValue)
+}
+
 // WriteHeader encodes h into b (at least HeaderLen bytes).
 func WriteHeader(b []byte, h Header) {
 	b[0] = h.Magic

@@ -55,6 +55,20 @@ func feed(c *event.Ctx, srv *Server, chunks ...[]byte) (*serverConn, *fakeConn) 
 	return sc, fc
 }
 
+// feedChain delivers the chunks to a fresh server connection as one
+// multi-element chain: what a GPOS read() hands up after several segments
+// coalesced in the socket buffer.
+func feedChain(c *event.Ctx, srv *Server, chunks ...[]byte) (*serverConn, *fakeConn) {
+	sc := &serverConn{srv: srv}
+	fc := &fakeConn{}
+	chain := iobuf.Wrap(chunks[0])
+	for _, chunk := range chunks[1:] {
+		chain.AppendChain(iobuf.Wrap(chunk))
+	}
+	sc.onData(c, fc, chain)
+	return sc, fc
+}
+
 func parseResponses(t *testing.T, raw []byte) ([]Header, [][]byte) {
 	t.Helper()
 	var hdrs []Header
@@ -283,40 +297,56 @@ func TestQuietSetIsApplied(t *testing.T) {
 func TestMultiRequestFrameSplitAtEveryOffset(t *testing.T) {
 	// A pipelined frame of mixed loud/quiet requests must produce
 	// byte-identical output no matter where the stream is split in two.
+	// One value is long enough to leave by reference (borrowMin), in the
+	// middle of the batch, so the sweep covers the lent path too.
 	key := []byte("pipeline-key")
+	long := bytes.Repeat([]byte("lent "), borrowMin)
 	frame := BuildSet(key, []byte("value-1"), 5, 1)
 	frame = append(frame, buildOp(OpGetQ, []byte("no-such-key"), 2)...) // silent miss
 	frame = append(frame, BuildGet(key, 3)...)
+	frame = append(frame, BuildGet([]byte("long"), 7)...)
 	frame = append(frame, buildSetQ(key, []byte("value-2"), 4)...) // silent success
 	frame = append(frame, BuildGet(key, 5)...)
 	frame = append(frame, buildOp(OpNoop, nil, 6)...)
+	newServer := func() *Server {
+		srv := NewServer(NewRCUStore(), 1)
+		srv.Store.Set("long", &Entry{Value: long})
+		return srv
+	}
 
 	// Reference: the whole frame in one delivery.
 	var want []byte
 	protoHarness(t, func(c *event.Ctx) {
-		srv := NewServer(NewRCUStore(), 1)
-		_, fc := feed(c, srv, frame)
+		_, fc := feed(c, newServer(), frame)
 		want = append([]byte(nil), fc.out...)
 	})
 	hdrs, bodies := parseResponses(t, want)
-	if len(hdrs) != 4 {
-		t.Fatalf("reference run: %d responses, want 4", len(hdrs))
+	if len(hdrs) != 5 {
+		t.Fatalf("reference run: %d responses, want 5", len(hdrs))
 	}
-	if string(bodies[1][GetResponseExtrasLen:]) != "value-1" || string(bodies[2][GetResponseExtrasLen:]) != "value-2" {
+	if string(bodies[1][GetResponseExtrasLen:]) != "value-1" || !bytes.Equal(bodies[2][GetResponseExtrasLen:], long) ||
+		string(bodies[3][GetResponseExtrasLen:]) != "value-2" {
 		t.Fatalf("reference run bodies wrong")
 	}
 
+	// Each cut arrives both ways: as two deliveries, and as one delivery
+	// of a two-element chain.
 	for cut := 1; cut < len(frame); cut++ {
-		protoHarness(t, func(c *event.Ctx) {
-			srv := NewServer(NewRCUStore(), 1)
-			_, fc := feed(c, srv, frame[:cut], frame[cut:])
-			if !bytes.Equal(fc.out, want) {
-				t.Fatalf("cut=%d: output diverged (%d bytes vs %d)", cut, len(fc.out), len(want))
-			}
-			if srv.Requests != 6 {
-				t.Fatalf("cut=%d: served %d requests, want 6", cut, srv.Requests)
-			}
-		})
+		for name, deliver := range map[string]func(*event.Ctx, *Server, ...[]byte) (*serverConn, *fakeConn){"flat": feed, "chain": feedChain} {
+			protoHarness(t, func(c *event.Ctx) {
+				srv := newServer()
+				_, fc := deliver(c, srv, frame[:cut], frame[cut:])
+				if !bytes.Equal(fc.out, want) {
+					t.Fatalf("cut=%d %s: output diverged (%d bytes vs %d)", cut, name, len(fc.out), len(want))
+				}
+				if srv.Requests != 7 {
+					t.Fatalf("cut=%d %s: served %d requests, want 7", cut, name, srv.Requests)
+				}
+			})
+		}
+	}
+	if !bytes.Equal(long, bytes.Repeat([]byte("lent "), borrowMin)) {
+		t.Fatal("serving the long value wrote to it")
 	}
 }
 

@@ -255,8 +255,8 @@ func TestTextOversizedValueSwallowedWithoutBuffering(t *testing.T) {
 				n = len(chunk)
 			}
 			sc.onData(c, fc, iobuf.Wrap(chunk[:n]))
-			if len(sc.rx) > 4096 {
-				t.Fatalf("parser buffered %d bytes of a refused value", len(sc.rx))
+			if sc.rx.Len() > 4096 {
+				t.Fatalf("parser buffered %d bytes of a refused value", sc.rx.Len())
 			}
 			sent += n
 		}
@@ -336,14 +336,18 @@ func TestTextSplitAtEveryOffset(t *testing.T) {
 			t.Fatalf("reference output unexpected: %q", want)
 		}
 
+		// Each cut arrives both ways: as two deliveries, and as one
+		// delivery of a two-element chain.
 		for cut := 1; cut < len(frame); cut++ {
-			srv := NewServer(NewRCUStore(), 1)
-			_, fc := feed(c, srv, frame[:cut], frame[cut:])
-			if !bytes.Equal(fc.out, want) {
-				t.Fatalf("cut=%d: output diverged:\n got %q\nwant %q", cut, fc.out, want)
-			}
-			if srv.Requests != wantReqs {
-				t.Fatalf("cut=%d: served %d requests, want %d", cut, srv.Requests, wantReqs)
+			for name, deliver := range map[string]func(*event.Ctx, *Server, ...[]byte) (*serverConn, *fakeConn){"flat": feed, "chain": feedChain} {
+				srv := NewServer(NewRCUStore(), 1)
+				_, fc := deliver(c, srv, frame[:cut], frame[cut:])
+				if !bytes.Equal(fc.out, want) {
+					t.Fatalf("cut=%d %s: output diverged:\n got %q\nwant %q", cut, name, fc.out, want)
+				}
+				if srv.Requests != wantReqs {
+					t.Fatalf("cut=%d %s: served %d requests, want %d", cut, name, srv.Requests, wantReqs)
+				}
 			}
 		}
 	})

@@ -1,0 +1,159 @@
+package memcached
+
+import (
+	"bytes"
+	"runtime"
+	"testing"
+
+	"ebbrt/internal/apps/appnet"
+	"ebbrt/internal/event"
+	"ebbrt/internal/iobuf"
+	"ebbrt/internal/machine"
+	"ebbrt/internal/sim"
+	"ebbrt/internal/testbed"
+)
+
+// bulkPair is a live server holding one 32KiB value under "bulk" and a
+// connected client that collects what it is sent.
+type bulkPair struct {
+	*testbed.Pair
+	value []byte
+	conn  appnet.Conn
+	rx    []byte
+}
+
+func newBulkPair(t *testing.T) *bulkPair {
+	t.Helper()
+	bp := &bulkPair{Pair: testbed.NewPair(testbed.EbbRT, 1, 2), value: make([]byte, 32<<10)}
+	for i := range bp.value {
+		bp.value[i] = byte(i * 7)
+	}
+	srv := NewServer(NewRCUStore(), 1)
+	srv.Store.Set("bulk", &Entry{Value: bp.value})
+	if err := srv.Serve(bp.Server); err != nil {
+		t.Fatal(err)
+	}
+	bp.rx = make([]byte, 0, 2*len(bp.value))
+	bp.Client.Mgrs()[0].Spawn(func(c *event.Ctx) {
+		bp.Client.Dial(c, testbed.ServerIP, Port, appnet.Callbacks{
+			OnData: func(c *event.Ctx, conn appnet.Conn, payload *iobuf.IOBuf) {
+				bp.rx = payload.AppendTo(bp.rx)
+			},
+		}, func(c *event.Ctx, conn appnet.Conn) { bp.conn = conn })
+	})
+	bp.K.RunFor(10 * sim.Millisecond)
+	if bp.conn == nil {
+		t.Fatal("client did not connect")
+	}
+	return bp
+}
+
+// get fetches the value once and checks the answer byte for byte.
+func (bp *bulkPair) get(t *testing.T, wait sim.Time) {
+	t.Helper()
+	bp.rx = bp.rx[:0]
+	bp.Client.Mgrs()[0].Spawn(func(c *event.Ctx) {
+		bp.conn.Send(c, iobuf.Wrap(BuildGet([]byte("bulk"), 1)))
+	})
+	bp.K.RunFor(wait)
+	hdrs, bodies := parseResponses(t, bp.rx)
+	if len(hdrs) != 1 || hdrs[0].Status != StatusOK || !bytes.Equal(bodies[0][GetResponseExtrasLen:], bp.value) {
+		t.Fatalf("GET of the bulk value: %d responses in %d bytes", len(hdrs), len(bp.rx))
+	}
+}
+
+// The ownership rule end to end: a GET of a long stored value goes out as
+// views of the store's own bytes - first transmission and retransmission
+// alike - and serving it, losing it and resending it never writes to them.
+func TestGetLendsStoredValueOverLossyLink(t *testing.T) {
+	bp := newBulkPair(t)
+	orig := append([]byte(nil), bp.value...)
+	at := map[*byte]int{}
+	for i := range bp.value {
+		at[&bp.value[i]] = i
+	}
+	sent := map[int]int{} // value offset -> frames that carried it by reference
+	dropped := 0
+	bp.Link.DropFn = func(idx uint64, f machine.Frame) bool {
+		lent := false
+		for e := f.Buf.Next(); e != f.Buf; e = e.Next() {
+			off, ok := at[&e.Data()[0]]
+			if !ok {
+				continue
+			}
+			if !bytes.Equal(e.Data(), orig[off:off+e.Length()]) {
+				t.Errorf("frame %d carries the wrong bytes for value offset %d", idx, off)
+			}
+			sent[off]++
+			lent = true
+		}
+		if lent && idx%5 == 0 {
+			dropped++
+			return true
+		}
+		return false
+	}
+	bp.get(t, 2*sim.Second)
+	if len(sent) < len(bp.value)/1460 {
+		t.Fatalf("%d segments carried the value by reference, want one per MSS", len(sent))
+	}
+	resent := 0
+	for _, n := range sent {
+		if n > 1 {
+			resent++
+		}
+	}
+	if dropped == 0 || resent == 0 {
+		t.Fatalf("dropped %d frames, %d offsets seen twice: the retransmission path did not run", dropped, resent)
+	}
+	if !bytes.Equal(bp.value, orig) {
+		t.Fatal("the stored value changed while it was lent out")
+	}
+}
+
+// One physical copy per direction: a warm 32KiB GET allocates the NIC's
+// receive copy plus descriptors and headers, under twice the value's size
+// (every layer used to copy it, about six times over).
+func TestBulkGetByteBudget(t *testing.T) {
+	bp := newBulkPair(t)
+	bp.get(t, 10*sim.Millisecond) // warm: ARP, windows, buffers at their size
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	bp.get(t, 10*sim.Millisecond)
+	runtime.ReadMemStats(&m1)
+	if got, limit := m1.TotalAlloc-m0.TotalAlloc, uint64(2*len(bp.value)); got >= limit {
+		t.Fatalf("one %d-byte GET allocated %d bytes, want under %d", len(bp.value), got, limit)
+	} else {
+		t.Logf("one %d-byte GET allocated %d bytes (%.2fx)", len(bp.value), got, float64(got)/float64(len(bp.value)))
+	}
+}
+
+// A 32KiB SET arrives as two dozen segments. The partial request is
+// accumulated into a buffer reserved once from the announced length and
+// kept by the connection, so a warm SET allocates the request itself, the
+// NIC's receive copy and the stored value - just under four times the
+// value once the allocator has rounded each up - and not the re-copy of
+// the whole tail on every segment (over eight times).
+func TestBulkSetByteBudget(t *testing.T) {
+	bp := newBulkPair(t)
+	set := func() uint64 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		bp.rx = bp.rx[:0]
+		bp.Client.Mgrs()[0].Spawn(func(c *event.Ctx) {
+			bp.conn.Send(c, iobuf.Wrap(BuildSet([]byte("bulk2"), bp.value, 0, 2)))
+		})
+		bp.K.RunFor(10 * sim.Millisecond)
+		runtime.ReadMemStats(&m1)
+		if hdrs, _ := parseResponses(t, bp.rx); len(hdrs) != 1 || hdrs[0].Status != StatusOK {
+			t.Fatalf("SET of the bulk value: %d responses", len(hdrs))
+		}
+		return m1.TotalAlloc - m0.TotalAlloc
+	}
+	set() // warm: the connection's reassembly buffer is at its size
+	if got, limit := set(), uint64(5*len(bp.value)); got >= limit {
+		t.Fatalf("one %d-byte SET allocated %d bytes, want under %d", len(bp.value), got, limit)
+	} else {
+		t.Logf("one %d-byte SET allocated %d bytes (%.2fx)", len(bp.value), got, float64(got)/float64(len(bp.value)))
+	}
+}

@@ -1022,7 +1022,7 @@ type clientConn struct {
 	pendingTx  [][]byte
 	inflight   map[uint32]inflightOp
 	nextOpaque uint32
-	rx         []byte
+	rx         iobuf.Stream
 }
 
 func (cc *clientConn) send(c *event.Ctx, build func(opaque uint32) []byte, cb Callback) {
@@ -1104,16 +1104,12 @@ func (cc *clientConn) abort(c *event.Ctx) {
 // can never recover: the connection is torn down and every outstanding
 // operation fails, rather than wedging silently.
 func (cc *clientConn) onData(c *event.Ctx, payload *iobuf.IOBuf) {
-	data := payload.CopyOut()
-	if len(cc.rx) > 0 {
-		cc.rx = append(cc.rx, data...)
-		data = cc.rx
-	}
+	data := cc.rx.Take(payload)
 	consumed := 0
 	for {
 		hdr, body, n, err := memcached.NextFrame(data[consumed:], memcached.MagicResponse)
 		if err != nil {
-			cc.rx = nil
+			cc.rx = iobuf.Stream{}
 			if cc.conn != nil {
 				cc.conn.Close(c)
 			}
@@ -1121,7 +1117,8 @@ func (cc *clientConn) onData(c *event.Ctx, payload *iobuf.IOBuf) {
 			return
 		}
 		if n == 0 {
-			break
+			cc.rx.Keep(data, consumed, hdr.Reserve())
+			return
 		}
 		consumed += n
 		op, ok := cc.inflight[hdr.Opaque]
@@ -1146,10 +1143,5 @@ func (cc *clientConn) onData(c *event.Ctx, payload *iobuf.IOBuf) {
 			resp.Value = append([]byte(nil), body[hdr.ExtrasLen:]...)
 		}
 		op.cb(c, resp)
-	}
-	if consumed < len(data) {
-		cc.rx = append(cc.rx[:0], data[consumed:]...)
-	} else {
-		cc.rx = cc.rx[:0]
 	}
 }

@@ -124,8 +124,8 @@ func TestClientConnDesyncFailsOutstanding(t *testing.T) {
 		if !cc.closed || !nc.closed {
 			t.Errorf("connection not torn down: cc.closed=%v conn.closed=%v", cc.closed, nc.closed)
 		}
-		if len(cc.rx) != 0 {
-			t.Errorf("rx buffer retained %d bytes after desync", len(cc.rx))
+		if cc.rx.Len() != 0 {
+			t.Errorf("rx buffer retained %d bytes after desync", cc.rx.Len())
 		}
 		done = true
 	})

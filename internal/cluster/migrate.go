@@ -548,7 +548,7 @@ func fencedPipeline(c *event.Ctx, rt appnet.Runtime, ip netstack.Ipv4Addr,
 	var rx []byte
 	rt.Dial(c, ip, memcached.Port, appnet.Callbacks{
 		OnData: func(c *event.Ctx, conn appnet.Conn, payload *iobuf.IOBuf) {
-			rx = append(rx, payload.CopyOut()...)
+			rx = payload.AppendTo(rx)
 			consumed := 0
 			for {
 				hdr, _, n, err := memcached.NextFrame(rx[consumed:], memcached.MagicResponse)

@@ -153,7 +153,7 @@ func (rt *Runtime) lockCost() sim.Time {
 // Listen implements appnet.Runtime.
 func (rt *Runtime) Listen(port uint16, accept func(conn appnet.Conn) appnet.Callbacks) error {
 	_, err := rt.Itf.ListenTcp(port, func(c *event.Ctx, pcb *netstack.TcpPcb) netstack.ConnHandler {
-		sock := &socket{rt: rt, pcb: pcb}
+		sock := &socket{rt: rt, SendBuffer: appnet.SendBuffer{Pcb: pcb}}
 		cb := accept(sock)
 		return sock.handler(cb)
 	})
@@ -177,60 +177,35 @@ func (rt *Runtime) Dial(c *event.Ctx, ip netstack.Ipv4Addr, port uint16, cb appn
 		}
 		return
 	}
-	sock.pcb = pcb
+	sock.Pcb = pcb
 }
 
 // socket is a kernel socket: buffered both directions, with the app on the
 // far side of syscalls and a scheduler wakeup.
 type socket struct {
-	rt  *Runtime
-	pcb *netstack.TcpPcb
+	rt *Runtime
 
 	// Receive side: kernel socket buffer awaiting the task's read().
-	rxPending   [][]byte
+	rxPending   *iobuf.IOBuf
 	wakePending bool
 
-	// Send side: kernel send buffer beyond the remote window.
-	txPending [][]byte
-
-	closed         bool
-	closeRequested bool
-}
-
-// Core implements appnet.Conn.
-func (s *socket) Core() int {
-	if s.pcb == nil {
-		return 0
-	}
-	return s.pcb.Core()
+	// Send side: the kernel send buffer, holding the copies write() made.
+	appnet.SendBuffer
 }
 
 func (s *socket) handler(cb appnet.Callbacks) netstack.ConnHandler {
-	return netstack.ConnHandler{
-		OnReceive: func(c *event.Ctx, pcb *netstack.TcpPcb, payload *iobuf.IOBuf) {
-			// Softirq context: kernel-side processing and copy into the
-			// socket buffer.
-			data := payload.CopyOut()
-			c.Charge(s.rt.Cfg.SoftirqPerPacket + s.rt.lockCost())
-			s.rxPending = append(s.rxPending, data)
-			s.scheduleWake(c, cb)
-		},
-		OnAcked: func(c *event.Ctx, pcb *netstack.TcpPcb, n int) {
-			s.drainTx(c)
-		},
-		OnWindowOpen: func(c *event.Ctx, pcb *netstack.TcpPcb) {
-			s.drainTx(c)
-		},
-		OnRemoteClosed: func(c *event.Ctx, pcb *netstack.TcpPcb) {
-			s.Close(c)
-		},
-		OnClosed: func(c *event.Ctx, pcb *netstack.TcpPcb, err error) {
-			s.closed = true
-			if cb.OnClose != nil {
-				cb.OnClose(c, s, err)
-			}
-		},
-	}
+	return s.Handler(s, cb, func(c *event.Ctx, payload *iobuf.IOBuf) {
+		// Softirq context: kernel-side processing and copy into the
+		// socket buffer.
+		data := iobuf.Wrap(payload.CopyOut())
+		c.Charge(s.rt.Cfg.SoftirqPerPacket + s.rt.lockCost())
+		if s.rxPending == nil {
+			s.rxPending = data
+		} else {
+			s.rxPending.AppendChain(data)
+		}
+		s.scheduleWake(c, cb)
+	})
 }
 
 // scheduleWake models the softirq -> task wakeup -> read() path.
@@ -249,83 +224,38 @@ func (s *socket) scheduleWake(c *event.Ctx, cb appnet.Callbacks) {
 	}
 	mgr.After(delay, func(c2 *event.Ctx) {
 		s.wakePending = false
-		if s.closed {
+		if s.Closed {
 			return
 		}
 		pending := s.rxPending
 		s.rxPending = nil
 		total := 0
-		for _, b := range pending {
-			total += len(b)
+		if pending != nil {
+			total = pending.ComputeChainDataLength()
 		}
 		// Context switch to the task, read() syscall, copy to userspace.
 		c2.Charge(s.rt.Cfg.CtxSwitch + s.rt.Cfg.Syscall + s.rt.copyCost(total))
-		if cb.OnData == nil || total == 0 {
-			return
+		if cb.OnData != nil && total > 0 {
+			cb.OnData(c2, s, pending)
 		}
-		var head *iobuf.IOBuf
-		for _, b := range pending {
-			if head == nil {
-				head = iobuf.Wrap(b)
-			} else {
-				head.AppendChain(iobuf.Wrap(b))
-			}
-		}
-		cb.OnData(c2, s, head)
 	})
 }
 
 // Send implements appnet.Conn: write() syscall semantics.
 func (s *socket) Send(c *event.Ctx, payload *iobuf.IOBuf) {
-	if s.closed || s.pcb == nil {
+	if s.Closed || s.Pcb == nil {
 		return
 	}
-	n := payload.ComputeChainDataLength()
 	// write(): syscall plus copy into the kernel send buffer.
-	c.Charge(s.rt.Cfg.Syscall + s.rt.copyCost(n) + s.rt.lockCost())
-	s.txPending = append(s.txPending, payload.CopyOut())
-	s.drainTx(c)
-}
-
-// drainTx pushes kernel-buffered data as the window allows.
-func (s *socket) drainTx(c *event.Ctx) {
-	if s.closed || s.pcb == nil {
-		return
-	}
-	for len(s.txPending) > 0 {
-		head := s.txPending[0]
-		w := s.pcb.SendWindowRemaining()
-		if w == 0 {
-			return
-		}
-		n := len(head)
-		if n > w {
-			n = w
-		}
-		if err := s.pcb.Send(c, iobuf.Wrap(head[:n])); err != nil {
-			return
-		}
-		if n == len(head) {
-			s.txPending = s.txPending[1:]
-		} else {
-			s.txPending[0] = head[n:]
-		}
-	}
-	if s.closeRequested && len(s.txPending) == 0 {
-		s.closeRequested = false
-		s.pcb.Close(c)
-	}
+	c.Charge(s.rt.Cfg.Syscall + s.rt.copyCost(payload.ComputeChainDataLength()) + s.rt.lockCost())
+	s.SendBuffer.Send(c, iobuf.Wrap(payload.CopyOut()))
 }
 
 // Close implements appnet.Conn.
 func (s *socket) Close(c *event.Ctx) {
-	if s.closed || s.pcb == nil {
+	if s.Closed || s.Pcb == nil {
 		return
 	}
 	c.Charge(s.rt.Cfg.Syscall)
-	if len(s.txPending) > 0 {
-		s.closeRequested = true
-		return
-	}
-	s.pcb.Close(c)
+	s.SendBuffer.Close(c)
 }

@@ -26,11 +26,6 @@ import (
 	"ebbrt/internal/sim"
 )
 
-// iobufChain aliases the IOBuf type for brevity in callback signatures.
-type iobufChain = iobuf.IOBuf
-
-func wrapBytes(b []byte) *iobufChain { return iobuf.Wrap(b) }
-
 // NodeId identifies a node within an application deployment. Node 0 is
 // always the hosted frontend.
 type NodeId int
@@ -247,8 +242,8 @@ func newMessenger(n *Node) *Messenger {
 		var buf []byte
 		var from NodeId = -1
 		return appnet.Callbacks{
-			OnData: func(c *event.Ctx, conn appnet.Conn, payload *iobufChain) {
-				buf = append(buf, payload.CopyOut()...)
+			OnData: func(c *event.Ctx, conn appnet.Conn, payload *iobuf.IOBuf) {
+				buf = payload.AppendTo(buf)
 				buf = m.process(c, &from, conn, buf)
 			},
 		}
@@ -289,8 +284,8 @@ func (m *Messenger) Send(c *event.Ctx, dst NodeId, ebb core.Id, payload []byte) 
 	var rxbuf []byte
 	from := dst
 	m.node.Runtime.Dial(c, dstNode.IP(), messengerPort, appnet.Callbacks{
-		OnData: func(c *event.Ctx, conn appnet.Conn, payload *iobufChain) {
-			rxbuf = append(rxbuf, payload.CopyOut()...)
+		OnData: func(c *event.Ctx, conn appnet.Conn, payload *iobuf.IOBuf) {
+			rxbuf = payload.AppendTo(rxbuf)
 			rxbuf = m.process(c, &from, conn, rxbuf)
 		},
 		OnClose: func(c *event.Ctx, conn appnet.Conn, err error) {
@@ -362,11 +357,11 @@ func (m *Messenger) process(c *event.Ctx, from *NodeId, conn appnet.Conn, buf []
 	return buf
 }
 
-func wrapMsg(src NodeId, ebb core.Id, payload []byte) *iobufChain {
+func wrapMsg(src NodeId, ebb core.Id, payload []byte) *iobuf.IOBuf {
 	b := make([]byte, msgHeaderLen+len(payload))
 	binary.BigEndian.PutUint32(b[0:4], uint32(src))
 	binary.BigEndian.PutUint32(b[4:8], uint32(ebb))
 	binary.BigEndian.PutUint32(b[8:12], uint32(len(payload)))
 	copy(b[msgHeaderLen:], payload)
-	return wrapBytes(b)
+	return iobuf.Wrap(b)
 }

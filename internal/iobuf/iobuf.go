@@ -5,8 +5,17 @@
 // IOBufs carry packet data from the device driver through the network stack
 // to the application without copying: the stack adjusts the view (Advance,
 // Retreat, TrimEnd) to strip or expose headers in place, and transmit paths
-// hand chains of IOBufs to the device. Ownership is unique - a buffer is
-// moved, never shared - mirroring the C++ unique_ptr discipline.
+// hand chains of IOBufs to the device.
+//
+// Ownership has two halves. A descriptor (one IOBuf element) is uniquely
+// owned - it is moved, never shared, mirroring the C++ unique_ptr
+// discipline - so only its owner adjusts the view or relinks it. The
+// backing bytes may be shared: Split and Wrap make further descriptors over
+// the same bytes, and the garbage collector keeps them alive for whoever
+// still looks. What makes that safe is a rule, not a refcount: bytes handed
+// to a send path (TcpPcb.Send, appnet.Conn.Send) are immutable from then on.
+// The sender may keep reading them - a stored value goes out to any number
+// of readers - but a caller that wants to write again allocates afresh.
 package iobuf
 
 import (
@@ -160,16 +169,56 @@ func (b *IOBuf) ComputeChainDataLength() int {
 	return total
 }
 
-// CopyOut copies the whole chain's data into a single contiguous slice.
-// This is the explicit copy used only at simulation boundaries (and by the
-// forced-copy ablation); the fast path never calls it.
-func (b *IOBuf) CopyOut() []byte {
-	out := make([]byte, 0, b.ComputeChainDataLength())
-	out = append(out, b.Data()...)
-	for cur := b.next; cur != b; cur = cur.next {
-		out = append(out, cur.Data()...)
+// Split cuts the chain after its first n bytes (n > 0) and returns the
+// rest as a chain of its own, or nil when the chain holds no more than n:
+// how a send path segments a message without touching its bytes.
+// Descriptors are moved; when the cut falls inside an element the rest
+// starts with one new descriptor over the same backing bytes, and the cut
+// element gives up its tailroom so that neither side can grow into the
+// other.
+func (b *IOBuf) Split(n int) *IOBuf {
+	if n <= 0 {
+		panic(fmt.Sprintf("iobuf: Split(%d)", n))
 	}
-	return out
+	cur := b
+	for n >= cur.length {
+		n -= cur.length
+		if cur = cur.next; cur == b {
+			return nil
+		}
+	}
+	rest := cur
+	if n > 0 {
+		rest = Wrap(cur.Data()[n:])
+		cur.buf = cur.buf[:cur.off+n]
+		cur.length = n
+		rest.next, rest.prev = cur.next, cur
+		cur.next.prev = rest
+		cur.next = rest
+	}
+	tail, cut := b.prev, rest.prev
+	cut.next, b.prev = b, cut
+	tail.next, rest.prev = rest, tail
+	return rest
+}
+
+// AppendTo appends the whole chain's data to dst and returns the extended
+// slice: the way a stream parser accumulates a record that spans
+// deliveries.
+func (b *IOBuf) AppendTo(dst []byte) []byte {
+	dst = append(dst, b.Data()...)
+	for cur := b.next; cur != b; cur = cur.next {
+		dst = append(dst, cur.Data()...)
+	}
+	return dst
+}
+
+// CopyOut copies the whole chain's data into a single fresh slice. The
+// native data path does not call it (copyout_test.go at the repository
+// root lists the callers): it is for models that charge for a copy - the
+// GPOS socket buffers - and for cold paths that want one flat packet.
+func (b *IOBuf) CopyOut() []byte {
+	return b.AppendTo(make([]byte, 0, b.ComputeChainDataLength()))
 }
 
 // ForEach invokes fn on every element of the chain in order.
@@ -235,7 +284,8 @@ func (p *DataPointer) ReadByte() (byte, error) {
 }
 
 // ReadBytes consumes n bytes. When the range lies within one element the
-// returned slice aliases the buffer (zero-copy); otherwise it is assembled.
+// returned slice aliases the buffer (zero-copy); otherwise it is assembled
+// element by element. A chain shorter than n leaves the cursor where it was.
 func (p *DataPointer) ReadBytes(n int) ([]byte, error) {
 	for !p.done && p.pos >= p.cur.Length() && n > 0 {
 		if !p.advanceElement() {
@@ -250,15 +300,19 @@ func (p *DataPointer) ReadBytes(n int) ([]byte, error) {
 		p.pos += n
 		return out, nil
 	}
-	out := make([]byte, n)
-	for i := 0; i < n; i++ {
-		c, err := p.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = c
+	if p.Remaining() < n {
+		return nil, fmt.Errorf("iobuf: read past end of chain")
 	}
-	return out, nil
+	out := make([]byte, 0, n)
+	for {
+		avail := p.cur.Data()[p.pos:]
+		if len(avail) >= n-len(out) {
+			p.pos += n - len(out)
+			return append(out, avail[:n-len(out)]...), nil
+		}
+		out = append(out, avail...)
+		p.advanceElement()
+	}
 }
 
 // Skip consumes n bytes without returning them.

@@ -252,3 +252,123 @@ func TestChainSplitProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// chainOf cuts data into a chain with an element boundary at each offset
+// in cuts (ascending, inside data), sharing data's backing bytes.
+func chainOf(data []byte, cuts ...int) *IOBuf {
+	var head *IOBuf
+	from := 0
+	for _, to := range append(cuts, len(data)) {
+		e := Wrap(data[from:to])
+		if head == nil {
+			head = e
+		} else {
+			head.AppendChain(e)
+		}
+		from = to
+	}
+	return head
+}
+
+// A 24-byte header read through the cursor comes out whole wherever the
+// element boundary falls, and a read past the end fails without consuming.
+func TestReadBytesAcrossEverySplitOfAHeader(t *testing.T) {
+	hdr := []byte("0123456789abcdefghijklmn")
+	for cut := 0; cut <= len(hdr); cut++ {
+		for _, second := range []int{cut, min(cut+5, len(hdr))} {
+			p := chainOf(hdr, cut, second).Reader()
+			if _, err := p.ReadBytes(len(hdr) + 1); err == nil {
+				t.Fatalf("cut %d/%d: read past the end succeeded", cut, second)
+			}
+			magic, err := p.ReadBytes(2)
+			if err != nil || string(magic) != "01" {
+				t.Fatalf("cut %d/%d: first two bytes %q, %v", cut, second, magic, err)
+			}
+			rest, err := p.ReadBytes(len(hdr) - 2)
+			if err != nil || !bytes.Equal(rest, hdr[2:]) || p.Remaining() != 0 {
+				t.Fatalf("cut %d/%d: rest %q, %v, %d remaining", cut, second, rest, err, p.Remaining())
+			}
+		}
+	}
+}
+
+// Split at every offset of every two-cut shape of a buffer: both halves
+// carry the right bytes, no byte is copied, and neither half can grow or
+// retreat into the other.
+func TestSplitEveryOffset(t *testing.T) {
+	data := []byte("the quick brown fox jumps")
+	for a := 0; a <= len(data); a++ {
+		for b := a; b <= len(data); b += 3 {
+			for n := 1; n <= len(data)+1; n++ {
+				head := chainOf(data, a, b)
+				rest := head.Split(n)
+				if got := head.CopyOut(); !bytes.Equal(got, data[:min(n, len(data))]) {
+					t.Fatalf("cuts %d,%d split %d: head %q", a, b, n, got)
+				}
+				if n >= len(data) {
+					if rest != nil {
+						t.Fatalf("cuts %d,%d split %d: rest %q, want nil", a, b, n, rest.CopyOut())
+					}
+					continue
+				}
+				if got := rest.CopyOut(); !bytes.Equal(got, data[n:]) {
+					t.Fatalf("cuts %d,%d split %d: rest %q", a, b, n, got)
+				}
+				if &rest.Data()[0] != &data[n] {
+					t.Fatalf("cuts %d,%d split %d: the rest was copied", a, b, n)
+				}
+				if head.Prev().Tailroom() != 0 || rest.Headroom() != 0 {
+					t.Fatalf("cuts %d,%d split %d: the halves can reach each other's bytes", a, b, n)
+				}
+				// The rings are closed: walking either returns to its head.
+				if head.CountChainElements()+rest.CountChainElements() > 4 {
+					t.Fatalf("cuts %d,%d split %d: %d+%d elements", a, b, n, head.CountChainElements(), rest.CountChainElements())
+				}
+			}
+		}
+	}
+}
+
+// Stream hands a parser the delivery itself when it can, the accumulated
+// bytes when it must, and never re-copies what it already holds.
+func TestStream(t *testing.T) {
+	var s Stream
+	one := []byte("abcdef")
+	data := s.Take(Wrap(one))
+	if &data[0] != &one[0] {
+		t.Fatal("a single-element delivery with nothing pending was copied")
+	}
+	s.Keep(data, 4, 0) // "ef" is a partial record
+	if s.Len() != 2 || one[4] != 'e' {
+		t.Fatalf("pending %d bytes", s.Len())
+	}
+	data = s.Take(chainOf([]byte("ghij"), 1))
+	if string(data) != "efghij" {
+		t.Fatalf("second take %q", data)
+	}
+	held := &data[0]
+	s.Keep(data, 0, 64) // nothing parsed, the record will be 64 bytes
+	data = s.Take(Wrap([]byte("kl")))
+	if string(data) != "efghijkl" || cap(data) < 64 {
+		t.Fatalf("third take %q cap %d", data, cap(data))
+	}
+	reserved := &data[0]
+	if reserved == held {
+		t.Fatal("Keep did not reserve")
+	}
+	s.Keep(data, 0, 64)
+	if data = s.Take(Wrap([]byte("m"))); &data[0] != reserved {
+		t.Fatal("an unparsed tail was copied again")
+	}
+	s.Keep(data, 3, 0)
+	if data = s.Take(Wrap(nil)); string(data) != "hijklm" {
+		t.Fatalf("after consuming three: %q", data)
+	}
+	s.Keep(data, len(data), 0)
+	if s.Len() != 0 {
+		t.Fatalf("%d bytes pending after everything was consumed", s.Len())
+	}
+	if data = s.Take(Wrap(one)); &data[0] != &one[0] {
+		t.Fatal("back to empty, but the delivery was copied")
+	}
+}

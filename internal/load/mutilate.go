@@ -170,7 +170,7 @@ type mconn struct {
 	inflight    map[uint32]sim.Time // opaque -> arrival time
 	nextOpaque  uint32
 	outstanding int
-	rx          []byte
+	rx          iobuf.Stream
 	connected   bool
 
 	// Text-protocol state (mutilate_text.go): the protocol has no opaque,
@@ -358,18 +358,9 @@ func (mc *mconn) pump(c *event.Ctx) {
 
 // onData parses responses and records latency.
 func (mc *mconn) onData(c *event.Ctx, payload *iobuf.IOBuf) {
-	data := payload.CopyOut()
-	if len(mc.rx) > 0 {
-		mc.rx = append(mc.rx, data...)
-		data = mc.rx
-	}
+	data := mc.rx.Take(payload)
 	if mc.m.cfg.TextProtocol {
-		consumed := mc.decodeText(c, data)
-		if consumed < len(data) {
-			mc.rx = append(mc.rx[:0], data[consumed:]...)
-		} else {
-			mc.rx = mc.rx[:0]
-		}
+		mc.rx.Keep(data, mc.decodeText(c, data), 0)
 		mc.pump(c)
 		return
 	}
@@ -380,12 +371,13 @@ func (mc *mconn) onData(c *event.Ctx, payload *iobuf.IOBuf) {
 			// Desynced response stream: retire the connection (its
 			// in-flight requests are lost; the run continues on the
 			// remaining pool).
-			mc.rx = nil
+			mc.rx = iobuf.Stream{}
 			mc.connected = false
 			mc.conn.Close(c)
 			return
 		}
 		if n == 0 {
+			mc.rx.Keep(data, consumed, hdr.Reserve())
 			break
 		}
 		consumed += n
@@ -401,11 +393,6 @@ func (mc *mconn) onData(c *event.Ctx, payload *iobuf.IOBuf) {
 			mc.m.completed++
 			mc.m.perShard[mc.shard]++
 		}
-	}
-	if consumed < len(data) {
-		mc.rx = append(mc.rx[:0], data[consumed:]...)
-	} else {
-		mc.rx = mc.rx[:0]
 	}
 	mc.pump(c)
 }

@@ -145,12 +145,12 @@ func (wc *wconn) pump(c *event.Ctx) {
 		arrival := wc.queue[0]
 		wc.queue = wc.queue[1:]
 		wc.inflight = append(wc.inflight, arrival)
-		wc.conn.Send(c, iobuf.Wrap(append([]byte(nil), httpd.Request...)))
+		wc.conn.Send(c, iobuf.Wrap(httpd.Request))
 	}
 }
 
 func (wc *wconn) onData(c *event.Ctx, payload *iobuf.IOBuf) {
-	wc.rx = append(wc.rx, payload.CopyOut()...)
+	wc.rx = payload.AppendTo(wc.rx)
 	for len(wc.rx) >= len(httpd.Response) {
 		if !bytes.HasPrefix(wc.rx, httpd.Response[:17]) {
 			// Desynchronized: drop connection state.

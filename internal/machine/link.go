@@ -106,16 +106,14 @@ func (s *Switch) forward(f Frame, from *switchPort) {
 	if s.DropFn != nil && s.DropFn(idx, f) {
 		return
 	}
-	// Learn the source address.
-	var src MAC
-	r := f.Buf.Reader()
-	if err := r.Skip(6); err == nil {
-		if b, err := r.ReadBytes(6); err == nil {
-			copy(src[:], b)
-			s.table[src] = from
-		}
+	// Learn the source address. Both addresses sit in the head element; a
+	// runt frame teaches nothing and floods.
+	var dst, src MAC
+	if b := f.Buf.Data(); len(b) >= 12 {
+		copy(dst[:], b[:6])
+		copy(src[:], b[6:12])
+		s.table[src] = from
 	}
-	dst := f.DstMAC()
 	if out, ok := s.table[dst]; ok && !dst.IsBroadcast() {
 		s.deliver(f, out)
 		return

@@ -21,23 +21,14 @@ func (m MAC) String() string {
 // IsBroadcast reports whether the address is the broadcast address.
 func (m MAC) IsBroadcast() bool { return m == Broadcast }
 
-// Frame is one Ethernet frame in flight: the packet bytes (starting at the
-// Ethernet header) plus the flow hash the sending NIC computed for
-// receive-side scaling, standing in for the hardware Toeplitz hash.
+// Frame is one Ethernet frame in flight: the packet bytes (the Ethernet
+// header whole in the head element, payload chained behind it) plus the
+// flow hash the sending NIC computed for receive-side scaling, standing in
+// for the hardware Toeplitz hash. The chain borrows the sender's bytes;
+// nothing between Transmit and Deliver writes to it.
 type Frame struct {
 	Buf  *iobuf.IOBuf
 	Hash uint32
-}
-
-// DstMAC reads the destination address from the frame header.
-func (f Frame) DstMAC() MAC {
-	var m MAC
-	b, err := f.Buf.Reader().ReadBytes(6)
-	if err != nil {
-		return m
-	}
-	copy(m[:], b)
-	return m
 }
 
 // Len reports the frame's total byte length.
@@ -176,14 +167,18 @@ func (n *NIC) TxCPUCost() sim.Time {
 // The hypervisor charges vhost processing plus the reception copy, selects
 // a receive queue by flow hash, and injects an interrupt if the queue is
 // unmasked. The frame is physically copied into fresh guest memory - the
-// hypervisor copy both systems pay (paper §4.1.3) - so the receiver's view
-// manipulation never aliases the sender's retransmission buffers.
+// hypervisor copy both systems pay (paper §4.1.3, charged as RxCopy) and
+// the one physical copy a direction makes. It gives the receiver
+// descriptors and bytes of its own: the chain it read from is the
+// sender's, borrowed from the application and the retransmission tracker.
 func (n *NIC) Deliver(f Frame) {
 	if n.down {
 		n.DroppedFrames.Inc()
 		return
 	}
-	f = Frame{Buf: iobuf.FromBytes(f.Buf.CopyOut()), Hash: f.Hash}
+	guest := iobuf.New(f.Len())
+	f.Buf.ForEach(func(e *iobuf.IOBuf) { copy(guest.Append(e.Length()), e.Data()) })
+	f.Buf = guest
 	costs := &n.M.Cfg.Costs
 	d := costs.RxCopy(f.Len())
 	if n.M.Cfg.Virtualized {

@@ -192,9 +192,13 @@ func writeTcp(b []byte, h TcpHeader) {
 	binary.BigEndian.PutUint16(b[18:20], 0) // urgent
 }
 
-// payloadView strips n header bytes from the front of a chain head and
-// returns the same chain, now viewing only payload.
-func payloadView(buf *iobuf.IOBuf, n int) *iobuf.IOBuf {
-	buf.Advance(n)
-	return buf
+// newPacket allocates the head element of an outgoing packet: an empty
+// view with tailroom for n bytes of IP and transport header, behind the
+// headroom EthArpSend exposes for the Ethernet header. Payload is chained
+// after it, not copied into it.
+func newPacket(n int) *iobuf.IOBuf {
+	b := iobuf.New(EthHeaderLen + n)
+	b.Append(EthHeaderLen)
+	b.Advance(EthHeaderLen)
+	return b
 }

@@ -33,17 +33,14 @@ func (itf *Interface) receiveIcmp(c *event.Ctx, hdr Ipv4Header, buf *iobuf.IOBuf
 	}
 	switch data[0] {
 	case icmpEchoRequest:
-		// Echo back: same identifier/sequence/payload, type 0.
-		reply := append([]byte(nil), data...)
-		reply[0] = icmpEchoReply
-		reply[2], reply[3] = 0, 0
-		ck := Checksum(reply, 0)
-		binary.BigEndian.PutUint16(reply[2:4], ck)
-		itf.sendIcmp(c, hdr.Src, reply)
+		// Echo back: same identifier/sequence/payload, type 0. data is
+		// already this handler's own copy, so it becomes the reply.
+		data[0] = icmpEchoReply
+		data[2], data[3] = 0, 0
+		ck := Checksum(data, 0)
+		binary.BigEndian.PutUint16(data[2:4], ck)
+		itf.sendIcmp(c, hdr.Src, data)
 	case icmpEchoReply:
-		if len(data) < icmpHeaderLen {
-			return
-		}
 		id := binary.BigEndian.Uint16(data[4:6])
 		seq := binary.BigEndian.Uint16(data[6:8])
 		key := uint32(id)<<16 | uint32(seq)
@@ -55,13 +52,12 @@ func (itf *Interface) receiveIcmp(c *event.Ctx, hdr Ipv4Header, buf *iobuf.IOBuf
 }
 
 func (itf *Interface) sendIcmp(c *event.Ctx, dst Ipv4Addr, icmp []byte) {
-	total := Ipv4HeaderLen + len(icmp)
-	buf := iobuf.New(total)
+	buf := newPacket(Ipv4HeaderLen)
 	writeIpv4(buf.Append(Ipv4HeaderLen), Ipv4Header{
-		TotalLen: uint16(total), TTL: 64, Proto: ProtoICMP,
+		TotalLen: uint16(Ipv4HeaderLen + len(icmp)), TTL: 64, Proto: ProtoICMP,
 		Src: itf.Addr, Dst: dst,
 	})
-	copy(buf.Append(len(icmp)), icmp)
+	buf.AppendChain(iobuf.Wrap(icmp))
 	_ = itf.EthArpSend(c, EtherTypeIPv4, dst, buf, FlowHash(itf.Addr, 0, dst, 0))
 }
 

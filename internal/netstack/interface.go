@@ -90,21 +90,23 @@ func (d *queueDriver) drain(c *event.Ctx) int {
 	return n
 }
 
-// receive demultiplexes one frame, synchronously, on the queue's core.
+// receive demultiplexes one frame, synchronously, on the queue's core. A
+// received frame is a single element (NIC.Deliver copied it whole), so
+// each layer strips its header with Advance and the application gets a
+// view of that one buffer.
 func (itf *Interface) receive(c *event.Ctx, buf *iobuf.IOBuf) {
 	c.Charge(itf.St.Cfg.PerPacketCPU)
 	if f := itf.St.Cfg.ForceCopyPerByte; f > 0 {
 		c.Charge(sim.Time(f * float64(buf.ComputeChainDataLength())))
 	}
-	data := buf.Data()
-	eth, err := parseEth(data)
+	eth, err := parseEth(buf.Data())
 	if err != nil {
 		return // malformed: drop
 	}
 	if eth.Dst != itf.NIC.Mac && !eth.Dst.IsBroadcast() {
 		return // not for us
 	}
-	payloadView(buf, EthHeaderLen)
+	buf.Advance(EthHeaderLen)
 	switch eth.Type {
 	case EtherTypeARP:
 		itf.receiveArp(c, buf)
@@ -122,11 +124,10 @@ func (itf *Interface) receiveIpv4(c *event.Ctx, buf *iobuf.IOBuf) {
 		return
 	}
 	// Trim link-layer padding: the IP total length is authoritative.
-	if total := int(hdr.TotalLen); total < buf.ComputeChainDataLength() {
-		excess := buf.ComputeChainDataLength() - total
-		trimChainEnd(buf, excess)
+	if total := int(hdr.TotalLen); total < buf.Length() {
+		buf.TrimEnd(buf.Length() - total)
 	}
-	payloadView(buf, Ipv4HeaderLen)
+	buf.Advance(Ipv4HeaderLen)
 	switch hdr.Proto {
 	case ProtoUDP:
 		itf.udp.receive(c, hdr, buf)
@@ -134,19 +135,6 @@ func (itf *Interface) receiveIpv4(c *event.Ctx, buf *iobuf.IOBuf) {
 		itf.tcp.receive(c, hdr, buf)
 	case ProtoICMP:
 		itf.receiveIcmp(c, hdr, buf)
-	}
-}
-
-// trimChainEnd removes n bytes from the tail of a chain.
-func trimChainEnd(buf *iobuf.IOBuf, n int) {
-	for n > 0 {
-		tail := buf.Prev()
-		if tail.Length() >= n {
-			tail.TrimEnd(n)
-			return
-		}
-		n -= tail.Length()
-		tail.TrimEnd(tail.Length())
 	}
 }
 
@@ -162,8 +150,9 @@ func (itf *Interface) Route(dst Ipv4Addr) (Ipv4Addr, error) {
 
 // EthArpSend routes an IP packet, resolves the next-hop MAC (possibly
 // asynchronously via ARP), prepends the Ethernet header, and transmits.
-// This is the code path of the paper's Figure 2, expressed with the same
-// monadic-future structure.
+// The header goes into the headroom of buf's head element (newPacket
+// leaves it). This is the code path of the paper's Figure 2, expressed
+// with the same monadic-future structure.
 func (itf *Interface) EthArpSend(c *event.Ctx, proto uint16, dst Ipv4Addr, buf *iobuf.IOBuf, flowHash uint32) future.Future[future.Unit] {
 	localDst, err := itf.Route(dst)
 	if err != nil {
@@ -176,10 +165,9 @@ func (itf *Interface) EthArpSend(c *event.Ctx, proto uint16, dst Ipv4Addr, buf *
 		fmac = itf.arpFind(c, localDst)
 	}
 	return future.ThenOK(fmac, func(mac EthAddr) (future.Unit, error) {
-		hdrBuf := iobuf.New(EthHeaderLen)
-		writeEth(hdrBuf.Append(EthHeaderLen), EthHeader{Dst: mac, Src: itf.NIC.Mac, Type: proto})
-		hdrBuf.AppendChain(buf)
-		itf.transmit(c, hdrBuf, flowHash)
+		buf.Retreat(EthHeaderLen)
+		writeEth(buf.Data(), EthHeader{Dst: mac, Src: itf.NIC.Mac, Type: proto})
+		itf.transmit(c, buf, flowHash)
 		return future.Unit{}, nil
 	})
 }

@@ -119,16 +119,18 @@ func newTcpLayer() *tcpLayer {
 }
 
 // segment is one in-flight (sent, unacknowledged) transmit segment. The
-// tracker keeps the payload bytes, not the built frame: retransmissions
-// rebuild the header so they carry the connection's *current* ack and
-// window (a replayed frame would re-advertise receive state from when
-// the segment was first sent). sentAt and rexmit feed the RTT
+// tracker copies nothing: it holds the frame as first transmitted, whose
+// elements after the header are views of the bytes the application handed
+// to Send (immutable from then on). A retransmission puts new descriptors
+// over those bytes (the first frame may still be on the wire) behind a
+// rebuilt header (a replayed one would re-advertise the ack and window
+// from when the segment was first sent). sentAt and rexmit feed the RTT
 // estimator: only segments transmitted exactly once yield samples
 // (Karn's rule), taken from their last transmission time.
 type segment struct {
 	seq    uint32
 	flags  byte
-	data   []byte // payload copy (nil for bare SYN/FIN)
+	frame  *iobuf.IOBuf
 	seqLen uint32 // sequence space consumed (payload + SYN/FIN)
 	sentAt sim.Time
 	rexmit bool
@@ -308,7 +310,9 @@ func (itf *Interface) ConnectTcp(c *event.Ctx, dst Ipv4Addr, dstPort uint16, h C
 // Send transmits payload on an established connection, segmenting at MSS.
 // It fails if the payload exceeds the remote window: the application is
 // responsible for checking SendWindowRemaining and buffering excess
-// (paper §3.6) - the stack never queues application data.
+// (paper §3.6) - the stack never queues application data. The chain is
+// moved, not copied: Send takes the descriptors, frames and the in-flight
+// tracker borrow the bytes, and the caller must not write to them again.
 func (p *TcpPcb) Send(c *event.Ctx, payload *iobuf.IOBuf) error {
 	if p.state != tcpEstablished && p.state != tcpCloseWait {
 		return fmt.Errorf("netstack: send in state %v", p.state)
@@ -317,21 +321,15 @@ func (p *TcpPcb) Send(c *event.Ctx, payload *iobuf.IOBuf) error {
 	if n > p.SendWindowRemaining() {
 		return fmt.Errorf("netstack: send of %d bytes exceeds remote window %d", n, p.SendWindowRemaining())
 	}
-	// Segment the chain at MSS boundaries. Data is gathered through the
-	// chain without restructuring it (scatter/gather).
-	mss := p.itf.St.Cfg.MSS
-	reader := payload.Reader()
-	for n > 0 {
-		seg := n
-		if seg > mss {
-			seg = mss
-		}
-		data, err := reader.ReadBytes(seg)
-		if err != nil {
-			return fmt.Errorf("netstack: payload chain shorter than declared: %w", err)
-		}
-		p.sendSegment(c, tcpACK|tcpPSH, data)
-		n -= seg
+	if n == 0 {
+		return nil
+	}
+	// Cut the chain into one view per MSS; each goes out behind its own
+	// header (scatter/gather).
+	for payload != nil {
+		rest := payload.Split(p.itf.St.Cfg.MSS)
+		p.sendSegment(c, tcpACK|tcpPSH, payload)
+		payload = rest
 	}
 	return nil
 }
@@ -360,28 +358,22 @@ func (p *TcpPcb) Abort(c *event.Ctx) {
 	p.teardown(c, fmt.Errorf("netstack: connection aborted"))
 }
 
-// sendSegment builds and transmits one segment carrying data (may be nil),
-// consuming sequence space and arming retransmission. The in-flight
-// tracker keeps its own copy of the payload: the frame's bytes are
-// consumed by delivery, and the caller may reuse its buffer.
-func (p *TcpPcb) sendSegment(c *event.Ctx, flags byte, data []byte) {
+// sendSegment builds and transmits one segment carrying payload (may be
+// nil), consuming sequence space and arming retransmission.
+func (p *TcpPcb) sendSegment(c *event.Ctx, flags byte, payload *iobuf.IOBuf) {
 	seq := p.sndNxt
 	var seqLen uint32
-	if data != nil {
-		seqLen += uint32(len(data))
+	if payload != nil {
+		seqLen = uint32(payload.ComputeChainDataLength())
 	}
 	if flags&tcpSYN != 0 || flags&tcpFIN != 0 {
 		seqLen++
 	}
-	frame := p.buildFrame(seq, p.rcvNxt, flags, data)
+	frame := p.buildFrame(seq, p.rcvNxt, flags, payload)
 	p.sndNxt += seqLen
 	if seqLen > 0 {
-		var keep []byte
-		if len(data) > 0 {
-			keep = append([]byte(nil), data...)
-		}
 		p.inflight = append(p.inflight, segment{
-			seq: seq, flags: flags, data: keep, seqLen: seqLen, sentAt: c.Now(),
+			seq: seq, flags: flags, frame: frame, seqLen: seqLen, sentAt: c.Now(),
 		})
 		p.armRTO()
 	}
@@ -391,14 +383,18 @@ func (p *TcpPcb) sendSegment(c *event.Ctx, flags byte, data []byte) {
 
 // sendRawSegment transmits a segment without consuming sequence space
 // (pure ACKs, RSTs, retransmissions use buildFrame directly).
-func (p *TcpPcb) sendRawSegment(c *event.Ctx, seq, ack uint32, flags byte, data []byte) {
-	p.transmitFrame(c, p.buildFrame(seq, ack, flags, data))
+func (p *TcpPcb) sendRawSegment(c *event.Ctx, seq, ack uint32, flags byte, payload *iobuf.IOBuf) {
+	p.transmitFrame(c, p.buildFrame(seq, ack, flags, payload))
 }
 
-// buildFrame assembles ip+tcp headers plus payload into one IOBuf.
-func (p *TcpPcb) buildFrame(seq, ack uint32, flags byte, data []byte) *iobuf.IOBuf {
-	total := Ipv4HeaderLen + TcpHeaderLen + len(data)
-	buf := iobuf.New(total)
+// buildFrame writes the ip+tcp headers into a fresh head element and
+// chains payload (may be nil) behind it.
+func (p *TcpPcb) buildFrame(seq, ack uint32, flags byte, payload *iobuf.IOBuf) *iobuf.IOBuf {
+	total := Ipv4HeaderLen + TcpHeaderLen
+	if payload != nil {
+		total += payload.ComputeChainDataLength()
+	}
+	buf := newPacket(Ipv4HeaderLen + TcpHeaderLen)
 	writeIpv4(buf.Append(Ipv4HeaderLen), Ipv4Header{
 		TotalLen: uint16(total),
 		TTL:      64,
@@ -415,9 +411,7 @@ func (p *TcpPcb) buildFrame(seq, ack uint32, flags byte, data []byte) *iobuf.IOB
 		Flags:   flags,
 		Window:  uint16(p.rcvWnd),
 	})
-	if len(data) > 0 {
-		copy(buf.Append(len(data)), data)
-	}
+	buf.AppendChain(payload)
 	return buf
 }
 
@@ -526,7 +520,15 @@ func (p *TcpPcb) retransmitSegment(c *event.Ctx, seg *segment) {
 	p.Retransmits++
 	p.itf.tcp.stats.Retransmits++
 	p.auditRecovery(c.Now(), audit.TCPRetransmit)
-	p.transmitFrame(c, p.buildFrame(seg.seq, p.rcvNxt, seg.flags, seg.data))
+	var payload *iobuf.IOBuf
+	for e := seg.frame.Next(); e != seg.frame; e = e.Next() {
+		if payload == nil {
+			payload = iobuf.Wrap(e.Data())
+		} else {
+			payload.AppendChain(iobuf.Wrap(e.Data()))
+		}
+	}
+	p.transmitFrame(c, p.buildFrame(seg.seq, p.rcvNxt, seg.flags, payload))
 	p.needAck = false
 }
 
@@ -567,7 +569,7 @@ func (p *TcpPcb) armPersist() {
 		// Probe with one already-acknowledged byte (seq sndNxt-1): the
 		// peer discards it as a duplicate and re-ACKs with its current
 		// window.
-		p.sendRawSegment(c, p.sndNxt-1, p.rcvNxt, tcpACK, []byte{0})
+		p.sendRawSegment(c, p.sndNxt-1, p.rcvNxt, tcpACK, iobuf.Wrap([]byte{0}))
 		p.armPersist()
 	})
 }
@@ -597,7 +599,7 @@ func (t *tcpLayer) receive(c *event.Ctx, ip Ipv4Header, buf *iobuf.IOBuf) {
 	if err != nil {
 		return
 	}
-	payloadView(buf, hdr.DataOff)
+	buf.Advance(hdr.DataOff)
 
 	key := tcpKey{rip: ip.Src, rport: hdr.SrcPort, lport: hdr.DstPort}
 	if pcb, ok := t.conns.Get(key); ok {
@@ -847,11 +849,7 @@ func (p *TcpPcb) processData(c *event.Ctx, hdr TcpHeader, payload *iobuf.IOBuf) 
 			p.needAck = true // pure duplicate: re-ACK
 			return
 		}
-		advance := int(dup)
-		if advance > payload.ComputeChainDataLength() {
-			advance = payload.ComputeChainDataLength()
-		}
-		chainAdvance(payload, advance)
+		payload.Advance(min(int(dup), payload.Length()))
 		seq += dup
 	}
 	if seq != p.rcvNxt {
@@ -899,33 +897,9 @@ func (p *TcpPcb) drainReassembly(c *event.Ctx) {
 			if next.fin {
 				dataLen--
 			}
-			adv := int(overlap)
-			if adv > dataLen {
-				adv = dataLen
-			}
-			chainAdvance(next.payload, adv)
+			next.payload.Advance(min(int(overlap), dataLen))
 		}
 		p.deliver(c, next.payload, next.fin, next.seqLen-overlap)
-	}
-}
-
-// chainAdvance advances a view across chain elements.
-func chainAdvance(buf *iobuf.IOBuf, n int) {
-	cur := buf
-	for n > 0 {
-		step := cur.Length()
-		if step > n {
-			step = n
-		}
-		cur.Advance(step)
-		n -= step
-		if n == 0 {
-			break
-		}
-		cur = cur.Next()
-		if cur == buf {
-			break
-		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package netstack
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"ebbrt/internal/event"
@@ -60,9 +59,9 @@ func (u *udpLayer) receive(c *event.Ctx, ip Ipv4Header, buf *iobuf.IOBuf) {
 	if !ok {
 		return // no listener: drop (ICMP port-unreachable omitted)
 	}
-	payloadView(buf, UdpHeaderLen)
-	if want := int(hdr.Length) - UdpHeaderLen; want >= 0 && want < buf.ComputeChainDataLength() {
-		trimChainEnd(buf, buf.ComputeChainDataLength()-want)
+	buf.Advance(UdpHeaderLen)
+	if want := int(hdr.Length) - UdpHeaderLen; want >= 0 && want < buf.Length() {
+		buf.TrimEnd(buf.Length() - want)
 	}
 	c.Charge(u.itf.St.Cfg.AppDeliverCPU)
 	h(c, ip.Src, hdr.SrcPort, buf)
@@ -71,7 +70,7 @@ func (u *udpLayer) receive(c *event.Ctx, ip Ipv4Header, buf *iobuf.IOBuf) {
 // SendUdp transmits payload as one datagram. The payload chain is consumed.
 func (itf *Interface) SendUdp(c *event.Ctx, srcPort uint16, dst Ipv4Addr, dstPort uint16, payload *iobuf.IOBuf) future.Future[future.Unit] {
 	payloadLen := payload.ComputeChainDataLength()
-	hdr := iobuf.New(Ipv4HeaderLen + UdpHeaderLen)
+	hdr := newPacket(Ipv4HeaderLen + UdpHeaderLen)
 	ipb := hdr.Append(Ipv4HeaderLen)
 	udpb := hdr.Append(UdpHeaderLen)
 	writeIpv4(ipb, Ipv4Header{
@@ -86,6 +85,3 @@ func (itf *Interface) SendUdp(c *event.Ctx, srcPort uint16, dst Ipv4Addr, dstPor
 	hash := FlowHash(itf.Addr, srcPort, dst, dstPort)
 	return itf.EthArpSend(c, EtherTypeIPv4, dst, hdr, hash)
 }
-
-// putUint16 is a tiny helper for tests building raw packets.
-func putUint16(b []byte, v uint16) { binary.BigEndian.PutUint16(b, v) }
