@@ -14,7 +14,8 @@ import (
 )
 
 // bulkPair is a live server holding one 32KiB value under "bulk" and a
-// connected client that collects what it is sent.
+// 100-byte one under "small", and a connected client that collects what it
+// is sent.
 type bulkPair struct {
 	*testbed.Pair
 	value []byte
@@ -30,6 +31,7 @@ func newBulkPair(t *testing.T) *bulkPair {
 	}
 	srv := NewServer(NewRCUStore(), 1)
 	srv.Store.Set("bulk", &Entry{Value: bp.value})
+	srv.Store.Set("small", &Entry{Value: bp.value[:100]})
 	if err := srv.Serve(bp.Server); err != nil {
 		t.Fatal(err)
 	}
@@ -126,6 +128,37 @@ func TestBulkGetByteBudget(t *testing.T) {
 	} else {
 		t.Logf("one %d-byte GET allocated %d bytes (%.2fx)", len(bp.value), got, float64(got)/float64(len(bp.value)))
 	}
+}
+
+// The object count of the paper's short path, held in tier-1: one warm
+// 100-byte binary GET, end to end - request frame, response frame and the
+// ACK, two event loops, both stacks, the server - allocates 23 objects
+// (49 at the parent commit, before frames flew on pooled records and timers
+// were pooled), the test's own request included (closure, packet bytes,
+// descriptor). What is left is ROADMAP item 9: a Ctx per dispatch, the
+// guest buffer per received frame, descriptors. The limit is the measured
+// count plus 2, so one closure per frame or per timer coming back fails
+// here, not only in the benchmark.
+func TestSmallGetObjectBudget(t *testing.T) {
+	const limit = 23 + 2
+	bp := newBulkPair(t)
+	get := func() {
+		bp.rx = bp.rx[:0]
+		bp.Client.Mgrs()[0].Spawn(func(c *event.Ctx) {
+			bp.conn.Send(c, iobuf.Wrap(BuildGet([]byte("small"), 1)))
+		})
+		bp.K.RunFor(sim.Millisecond)
+	}
+	get() // warm: pools, rings and queues at their size
+	got := testing.AllocsPerRun(200, get)
+	if hdrs, bodies := parseResponses(t, bp.rx); len(hdrs) != 1 || hdrs[0].Status != StatusOK ||
+		!bytes.Equal(bodies[0][GetResponseExtrasLen:], bp.value[:100]) {
+		t.Fatalf("GET of the small value: %d responses in %d bytes", len(hdrs), len(bp.rx))
+	}
+	if got > limit {
+		t.Fatalf("one 100-byte GET allocated %.0f objects, want at most %d", got, limit)
+	}
+	t.Logf("one 100-byte GET allocated %.0f objects (limit %d)", got, limit)
 }
 
 // A 32KiB SET arrives as two dozen segments. The partial request is

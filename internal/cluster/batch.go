@@ -218,9 +218,7 @@ func (rr *readRound) resolve(c *event.Ctx, r Response) {
 			continue // answered (hit) or already failed
 		}
 		delete(rr.cc.inflight, opaque)
-		if op.timer != nil {
-			op.timer.Cancel()
-		}
+		op.timer.Cancel()
 		rr.stats.QuietMisses++
 		if op.cb != nil {
 			op.cb(c, Response{Status: memcached.StatusKeyNotFound})

@@ -1008,7 +1008,7 @@ func (r *clientRep) dial(c *event.Ctx, backend int) *clientConn {
 // arrives in time.
 type inflightOp struct {
 	cb    Callback
-	timer *sim.Event
+	timer event.Timer
 }
 
 // clientConn multiplexes requests over one TCP connection, matching
@@ -1078,9 +1078,7 @@ func (cc *clientConn) fail(c *event.Ctx) {
 			continue // resolved by a callback earlier in this loop
 		}
 		delete(cc.inflight, opaque)
-		if op.timer != nil {
-			op.timer.Cancel()
-		}
+		op.timer.Cancel()
 		if op.cb != nil {
 			op.cb(c, Response{Status: StatusNetworkError})
 		}
@@ -1126,9 +1124,7 @@ func (cc *clientConn) onData(c *event.Ctx, payload *iobuf.IOBuf) {
 			continue // timed out; the caller has already failed over
 		}
 		delete(cc.inflight, hdr.Opaque)
-		if op.timer != nil {
-			op.timer.Cancel()
-		}
+		op.timer.Cancel()
 		if op.cb == nil {
 			continue
 		}

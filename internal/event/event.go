@@ -22,6 +22,16 @@
 // to completion: Go cannot move a running call onto a goroutine at the
 // moment it first blocks, so callers would have to say in advance which
 // handlers may block.
+//
+// Timers (Manager.After) are one-shot and pooled: a timer record owns one
+// re-armable sim.Event and goes back to its Manager's free list when it
+// fires or is cancelled, so arming allocates nothing once the pool holds
+// the most timers ever pending at once. The Timer handle is a value - the
+// record plus the generation it was issued under - and the generation
+// moves on every fire and cancel, so a handle kept past either cancels
+// nothing, even after the record has been issued again. The pool is per
+// Manager, never per package: experiments run many kernels in parallel,
+// and a record is bound to its Manager's kernel and core.
 package event
 
 import (
@@ -94,7 +104,8 @@ type Manager struct {
 	processFn  func()  // m.process, made once instead of per event
 	idlePass   Handler // likewise the handler that runs one idle pass
 
-	pool []*activation
+	pool   []*activation
+	timers []*timerRec // free timer records
 
 	// Dispatched counts handler invocations, for tests and stats.
 	Dispatched uint64
@@ -167,12 +178,61 @@ func (m *Manager) Spawn(fn Handler) {
 	m.kick()
 }
 
-// After schedules fn to run as a timer event after d of virtual time.
-func (m *Manager) After(d sim.Time, fn Handler) *sim.Event {
-	return m.k.After(d, func() {
-		m.timerReady = append(m.timerReady, fn)
-		m.core.RaiseIRQ(VecTimer)
-	})
+// timerRec is one pooled timer record: pending from After until it fires or
+// is cancelled, on m.timers otherwise.
+type timerRec struct {
+	m   *Manager
+	ev  *sim.Event // runs fire
+	fn  Handler
+	gen uint64 // how many times the record has been issued and finished
+}
+
+// Timer is a handle to one timer started by After. The zero Timer is inert.
+type Timer struct {
+	rec *timerRec
+	gen uint64
+}
+
+// After schedules fn to run once, as a timer event, after d of virtual time.
+func (m *Manager) After(d sim.Time, fn Handler) Timer {
+	var t *timerRec
+	if n := len(m.timers); n > 0 {
+		t, m.timers = m.timers[n-1], m.timers[:n-1]
+	} else {
+		t = &timerRec{m: m}
+		t.ev = m.k.NewEvent(t.fire)
+	}
+	t.fn = fn
+	t.ev.Reset(d)
+	return Timer{t, t.gen}
+}
+
+// Cancel stops the timer and reports whether it did. Once the timer's time
+// has come its handler is latched behind VecTimer and runs whenever the
+// core gets to it: Cancel then returns false, as for a cancelled timer.
+func (t Timer) Cancel() bool {
+	rec := t.rec
+	if rec == nil || rec.gen != t.gen {
+		return false
+	}
+	rec.ev.Cancel()
+	rec.release()
+	return true
+}
+
+// release frees the record; the handle to its current issue goes stale.
+func (t *timerRec) release() {
+	t.fn = nil
+	t.gen++
+	t.m.timers = append(t.m.timers, t)
+}
+
+// fire is the kernel event: latch the handler and raise the timer vector.
+func (t *timerRec) fire() {
+	m, fn := t.m, t.fn
+	t.release()
+	m.timerReady = append(m.timerReady, fn)
+	m.core.RaiseIRQ(VecTimer)
 }
 
 // AddIdleHandler installs fn to be invoked on every pass of the event loop

@@ -218,6 +218,61 @@ func TestTimerCancel(t *testing.T) {
 	k.Run()
 }
 
+// A handle kept past its timer's fire or cancel returns false and cancels
+// nothing, even once the pooled record behind it has been issued to another
+// After; the zero Timer is inert.
+func TestStaleTimerHandleCancelsNothing(t *testing.T) {
+	k, _, mgrs := newTestEnv(1)
+	m := mgrs[0]
+	if (Timer{}).Cancel() {
+		t.Fatal("zero Timer cancelled something")
+	}
+	fired := 0
+	count := func(*Ctx) { fired++ }
+
+	firedHandle := m.After(sim.Microsecond, count)
+	k.Run()
+	cancelledHandle := m.After(sim.Microsecond, func(*Ctx) { t.Error("cancelled timer fired") })
+	if !cancelledHandle.Cancel() {
+		t.Fatal("Cancel of a pending timer returned false")
+	}
+	if len(m.timers) != 1 {
+		t.Fatalf("pool holds %d records after one timer at a time, want 1", len(m.timers))
+	}
+	// The one pooled record now serves a third timer.
+	live := m.After(sim.Microsecond, count)
+	if live.rec != firedHandle.rec || live.rec != cancelledHandle.rec {
+		t.Fatal("the pooled record was not re-issued; the test proves nothing")
+	}
+	if firedHandle.Cancel() || cancelledHandle.Cancel() {
+		t.Fatal("a stale handle's Cancel returned true")
+	}
+	k.Run()
+	if fired != 2 {
+		t.Fatalf("%d timers fired, want 2: a stale handle cancelled the record's new timer", fired)
+	}
+	if live.Cancel() {
+		t.Fatal("Cancel after fire returned true")
+	}
+}
+
+// Arming and firing a timer whose handler is already bound allocates only
+// what dispatching its event does (the Ctx and VecTimer's ready list):
+// no handle, no closure, no kernel event.
+func TestTimerArmAllocatesNothing(t *testing.T) {
+	k, _, mgrs := newTestEnv(1)
+	m := mgrs[0]
+	h := func(*Ctx) {}
+	m.After(sim.Microsecond, h)
+	k.Run()
+	if n := testing.AllocsPerRun(100, func() { m.After(sim.Microsecond, h).Cancel() }); n != 0 {
+		t.Fatalf("After+Cancel allocated %.0f objects, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { m.After(sim.Microsecond, h); k.Run() }); n > 2 {
+		t.Fatalf("After+fire allocated %.0f objects, want at most 2", n)
+	}
+}
+
 func TestBlockAndResume(t *testing.T) {
 	k, _, mgrs := newTestEnv(1)
 	m := mgrs[0]

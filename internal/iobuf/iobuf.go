@@ -42,6 +42,27 @@ func New(capacity int) *IOBuf {
 	return b
 }
 
+// headerRoom is the storage NewHeader allocates inline: with the descriptor
+// it fills one 128-byte object, the bytes a descriptor and a separate 49-
+// to 64-byte backing array cost as two.
+const headerRoom = 72
+
+// NewHeader is New for a packet's protocol headers: a capacity that would
+// cost 128 bytes either way (Ethernet + IP + TCP does) is one allocation,
+// descriptor and storage together.
+func NewHeader(capacity int) *IOBuf {
+	if capacity <= 48 || capacity > headerRoom {
+		return New(capacity)
+	}
+	h := &struct {
+		IOBuf
+		room [headerRoom]byte
+	}{}
+	h.buf = h.room[:capacity]
+	h.next, h.prev = &h.IOBuf, &h.IOBuf
+	return &h.IOBuf
+}
+
 // FromBytes copies data into a fresh buffer whose view covers it entirely.
 func FromBytes(data []byte) *IOBuf {
 	b := New(len(data))

@@ -18,7 +18,7 @@ type Link struct {
 	// retransmission tests. Deterministic by construction.
 	DropFn func(index uint64, f Frame) bool
 
-	a, b       Port
+	a, b       *NIC
 	aBusyUntil sim.Time // a -> b direction
 	bBusyUntil sim.Time // b -> a direction
 	frameIndex uint64
@@ -27,8 +27,7 @@ type Link struct {
 // NewLink creates a 10GbE-like link between two NICs and attaches both.
 func NewLink(k *sim.Kernel, a, b *NIC) *Link {
 	l := &Link{K: k, BitsPerSecond: 10e9, Propagation: 300 * sim.Nanosecond}
-	l.a = PortOf(a)
-	l.b = PortOf(b)
+	l.a, l.b = a, b
 	a.Attach(linkEnd{l, true})
 	b.Attach(linkEnd{l, false})
 	return l
@@ -38,10 +37,11 @@ func (l *Link) serialization(bytes int) sim.Time {
 	return sim.Time(float64(bytes*8) / l.BitsPerSecond * 1e9)
 }
 
-func (l *Link) send(f Frame, fromA bool) {
+func (l *Link) send(fl *flight, fromA bool) {
 	idx := l.frameIndex
 	l.frameIndex++
-	if l.DropFn != nil && l.DropFn(idx, f) {
+	if l.DropFn != nil && l.DropFn(idx, fl.f) {
+		fl.release()
 		return
 	}
 	now := l.K.Now()
@@ -55,9 +55,10 @@ func (l *Link) send(f Frame, fromA bool) {
 	if *busy > start {
 		start = *busy
 	}
-	txDone := start + l.serialization(f.Len())
+	txDone := start + l.serialization(fl.size)
 	*busy = txDone
-	l.K.PostAt(txDone+l.Propagation, func() { dst.Send(f) })
+	fl.dst, fl.stage = dst, stageWire
+	l.K.PostAt(txDone+l.Propagation, fl.run)
 }
 
 // linkEnd is the Port a NIC transmits into.
@@ -66,7 +67,7 @@ type linkEnd struct {
 	fromA bool
 }
 
-func (e linkEnd) Send(f Frame) { e.l.send(f, e.fromA) }
+func (e linkEnd) carry(fl *flight) { e.l.send(fl, e.fromA) }
 
 // Switch is a learning Ethernet switch with per-output-port serialization.
 // Multi-node deployments (hosted frontend plus native backends, paper §2.1)
@@ -100,41 +101,53 @@ func (s *Switch) Connect(n *NIC) {
 	n.Attach(p)
 }
 
-func (s *Switch) forward(f Frame, from *switchPort) {
+func (s *Switch) forward(fl *flight, from *switchPort) {
 	idx := s.frameIndex
 	s.frameIndex++
-	if s.DropFn != nil && s.DropFn(idx, f) {
+	if s.DropFn != nil && s.DropFn(idx, fl.f) {
+		fl.release()
 		return
 	}
 	// Learn the source address. Both addresses sit in the head element; a
 	// runt frame teaches nothing and floods.
 	var dst, src MAC
-	if b := f.Buf.Data(); len(b) >= 12 {
+	if b := fl.f.Buf.Data(); len(b) >= 12 {
 		copy(dst[:], b[:6])
 		copy(src[:], b[6:12])
 		s.table[src] = from
 	}
 	if out, ok := s.table[dst]; ok && !dst.IsBroadcast() {
-		s.deliver(f, out)
+		s.deliver(fl, out)
 		return
 	}
-	// Flood: broadcast or unknown destination.
+	// Flood: broadcast or unknown destination. Every copy flies on a
+	// record of its own, from the sender's pool like the first.
+	copies := 0
 	for _, p := range s.ports {
-		if p != from {
-			s.deliver(f, p)
+		if p == from {
+			continue
 		}
+		c := fl
+		if copies++; copies > 1 {
+			c = fl.owner.newFlight(fl.f, fl.size)
+		}
+		s.deliver(c, p)
+	}
+	if copies == 0 {
+		fl.release()
 	}
 }
 
-func (s *Switch) deliver(f Frame, out *switchPort) {
+func (s *Switch) deliver(fl *flight, out *switchPort) {
 	now := s.K.Now()
 	start := now + s.Latency
 	if out.busyUntil > start {
 		start = out.busyUntil
 	}
-	done := start + sim.Time(float64(f.Len()*8)/s.BitsPerSecond*1e9)
+	done := start + sim.Time(float64(fl.size*8)/s.BitsPerSecond*1e9)
 	out.busyUntil = done
-	s.K.PostAt(done, func() { out.nic.Deliver(f) })
+	fl.dst, fl.stage = out.nic, stageWire
+	s.K.PostAt(done, fl.run)
 }
 
 type switchPort struct {
@@ -143,4 +156,4 @@ type switchPort struct {
 	busyUntil sim.Time
 }
 
-func (p *switchPort) Send(f Frame) { p.sw.forward(f, p) }
+func (p *switchPort) carry(fl *flight) { p.sw.forward(fl, p) }

@@ -8,7 +8,9 @@
 // runtime logic above it - event loops, drivers, network stack - is real
 // code; only the silicon and the hypervisor's packet path are cost models.
 // All behaviour is deterministic: the machine schedules everything on a
-// sim.Kernel.
+// sim.Kernel. A frame rides one pooled record (type flight) from Transmit
+// to the receiver's interrupt, so no hop allocates; a record returns to the
+// pool of the NIC that made it.
 package machine
 
 import (

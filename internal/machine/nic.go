@@ -34,37 +34,107 @@ type Frame struct {
 // Len reports the frame's total byte length.
 func (f Frame) Len() int { return f.Buf.ComputeChainDataLength() }
 
-// Port is anywhere a NIC can hand a frame: the far NIC of a point-to-point
+// Port is anywhere a NIC can hand a frame: one end of a point-to-point
 // link, or a switch port.
 type Port interface {
-	// Send transmits the frame; delivery latency is the port's concern.
-	Send(f Frame)
+	// carry takes over the flight; delivery latency and the record's
+	// release on a drop are the port's concern.
+	carry(fl *flight)
+}
+
+// flight is one frame between Transmit and the receiver's interrupt. The
+// same record is posted to the kernel at each hop - device path, wire, rx
+// copy, IRQ injection - through run, bound once when the record is made,
+// so a hop allocates nothing. A record returns to the pool of the NIC that
+// made it when the frame is queued or dropped, on whichever machine: pools
+// belong to a NIC (never to the package: kernels run in parallel) and grow
+// to the most frames that NIC has had in flight at once.
+type flight struct {
+	owner *NIC
+	run   func() // fl.step
+	f     Frame
+	size  int // f.Len(), walked once
+	stage flightStage
+	dst   *NIC     // set by the port that carries the frame
+	q     *RxQueue // set once the frame is in a receive ring
+}
+
+// flightStage says what a flight's pending kernel event does when it fires.
+type flightStage uint8
+
+const (
+	stageDevice flightStage = iota // left the sender's device path: onto the port
+	stageWire                      // crossed the link or switch: arrive at dst
+	stageRxCopy                    // copied into guest memory: ring insert
+	stageIRQ                       // interrupt injected: raise it
+)
+
+func (fl *flight) step() {
+	switch fl.stage {
+	case stageDevice:
+		fl.owner.peer.carry(fl)
+	case stageWire:
+		fl.dst.arrive(fl)
+	case stageRxCopy:
+		fl.dst.enqueue(fl)
+	case stageIRQ:
+		q := fl.q
+		fl.release() // first: the handler may transmit
+		q.raise()
+	}
+}
+
+// release returns the record to its pool.
+func (fl *flight) release() {
+	fl.f, fl.dst, fl.q = Frame{}, nil, nil
+	fl.owner.free = append(fl.owner.free, fl)
+}
+
+// newFlight takes a record from the NIC's pool for frame f of size bytes.
+func (n *NIC) newFlight(f Frame, size int) *flight {
+	var fl *flight
+	if last := len(n.free) - 1; last >= 0 {
+		fl, n.free = n.free[last], n.free[:last]
+	} else {
+		fl = &flight{owner: n}
+		fl.run = fl.step
+	}
+	fl.f, fl.size = f, size
+	return fl
 }
 
 // RxQueue is one NIC receive queue. The driver (EbbRT's virtio-net
 // equivalent, or the GPOS model) pops frames from it, and may mask its
 // interrupt to poll instead - the adaptive strategy of paper §3.2.
 type RxQueue struct {
-	nic        *NIC
-	idx        int
-	ring       []Frame
+	ring       []Frame // the queue is ring[head:]
+	head       int
 	irqEnabled bool
 	vector     int
 	core       *Core
 }
 
 // Len reports queued frames.
-func (q *RxQueue) Len() int { return len(q.ring) }
+func (q *RxQueue) Len() int { return len(q.ring) - q.head }
 
 // Pop removes and returns the oldest frame; ok is false when empty.
 func (q *RxQueue) Pop() (Frame, bool) {
-	if len(q.ring) == 0 {
+	if q.head == len(q.ring) {
 		return Frame{}, false
 	}
-	f := q.ring[0]
-	q.ring = q.ring[1:]
+	f := q.ring[q.head]
+	if q.head++; 2*q.head >= len(q.ring) {
+		// Half or more is popped prefix (all of it, on a drain): move the
+		// rest down, keeping the array and no popped frame's buffer.
+		n := copy(q.ring, q.ring[q.head:])
+		clear(q.ring[n:])
+		q.ring, q.head = q.ring[:n], 0
+	}
 	return f, true
 }
+
+// raise delivers the queue's interrupt to the core it is bound to.
+func (q *RxQueue) raise() { q.core.RaiseIRQ(q.vector) }
 
 // SetIRQ binds the queue to an interrupt vector on a core. Drivers allocate
 // the vector from their event manager and program it here.
@@ -78,8 +148,8 @@ func (q *RxQueue) SetIRQ(core *Core, vector int) {
 // are already queued, the interrupt fires immediately so none are stranded.
 func (q *RxQueue) EnableIRQ() {
 	q.irqEnabled = true
-	if len(q.ring) > 0 && q.core != nil {
-		q.core.RaiseIRQ(q.vector)
+	if q.Len() > 0 && q.core != nil {
+		q.raise()
 	}
 }
 
@@ -98,6 +168,7 @@ type NIC struct {
 	Queues []*RxQueue
 	peer   Port
 	down   bool
+	free   []*flight // pooled records of frames this NIC put in flight
 
 	// Stats
 	TxFrames, RxFrames sim.Counter
@@ -111,7 +182,7 @@ type NIC struct {
 func NewNIC(m *Machine, mac MAC) *NIC {
 	n := &NIC{M: m, Mac: mac}
 	for i := 0; i < m.Cfg.NICQueues; i++ {
-		n.Queues = append(n.Queues, &RxQueue{nic: n, idx: i})
+		n.Queues = append(n.Queues, &RxQueue{})
 	}
 	m.NICs = append(m.NICs, n)
 	return n
@@ -144,14 +215,16 @@ func (n *NIC) Transmit(f Frame, extraDelay sim.Time) {
 		n.DroppedFrames.Inc()
 		return
 	}
+	fl := n.newFlight(f, f.Len())
 	n.TxFrames.Inc()
-	n.TxBytes.AddN(uint64(f.Len()))
+	n.TxBytes.AddN(uint64(fl.size))
 	costs := &n.M.Cfg.Costs
 	d := extraDelay + costs.NICLatency
 	if n.M.Cfg.Virtualized {
 		d += costs.VirtioKick + costs.VhostPerPacket
 	}
-	n.M.K.Post(d, func() { n.peer.Send(f) })
+	fl.stage = stageDevice
+	n.M.K.Post(d, fl.run)
 }
 
 // TxCPUCost reports the CPU time the transmitting core spends in the device
@@ -163,46 +236,51 @@ func (n *NIC) TxCPUCost() sim.Time {
 	return 200 * sim.Nanosecond
 }
 
-// Deliver is called by the attached port when a frame arrives at this NIC.
-// The hypervisor charges vhost processing plus the reception copy, selects
-// a receive queue by flow hash, and injects an interrupt if the queue is
-// unmasked. The frame is physically copied into fresh guest memory - the
-// hypervisor copy both systems pay (paper §4.1.3, charged as RxCopy) and
-// the one physical copy a direction makes. It gives the receiver
-// descriptors and bytes of its own: the chain it read from is the
+// Deliver hands the NIC a frame as if its port had: the way in for frames
+// that no NIC transmitted (tests injecting traffic).
+func (n *NIC) Deliver(f Frame) { n.arrive(n.newFlight(f, f.Len())) }
+
+// arrive is called when a frame reaches this NIC off its port. The
+// hypervisor charges vhost processing plus the reception copy; enqueue
+// then selects a receive queue by flow hash and injects an interrupt if
+// the queue is unmasked. The frame is physically copied into fresh guest
+// memory - the hypervisor copy both systems pay (paper §4.1.3, charged as
+// RxCopy) and the one physical copy a direction makes. It gives the
+// receiver descriptors and bytes of its own: the chain it read from is the
 // sender's, borrowed from the application and the retransmission tracker.
-func (n *NIC) Deliver(f Frame) {
+func (n *NIC) arrive(fl *flight) {
 	if n.down {
 		n.DroppedFrames.Inc()
+		fl.release()
 		return
 	}
-	guest := iobuf.New(f.Len())
-	f.Buf.ForEach(func(e *iobuf.IOBuf) { copy(guest.Append(e.Length()), e.Data()) })
-	f.Buf = guest
+	guest := iobuf.New(fl.size)
+	fl.f.Buf.ForEach(func(e *iobuf.IOBuf) { copy(guest.Append(e.Length()), e.Data()) })
+	fl.f.Buf = guest
 	costs := &n.M.Cfg.Costs
-	d := costs.RxCopy(f.Len())
+	d := costs.RxCopy(fl.size)
 	if n.M.Cfg.Virtualized {
 		d += costs.VhostPerPacket
 	}
-	n.M.K.Post(d, func() {
-		n.RxFrames.Inc()
-		n.RxBytes.AddN(uint64(f.Len()))
-		q := n.Queues[int(f.Hash)%len(n.Queues)]
-		q.ring = append(q.ring, f)
-		if q.irqEnabled && q.core != nil {
-			if n.M.Cfg.Virtualized {
-				n.M.K.Post(costs.IRQInject, func() { q.core.RaiseIRQ(q.vector) })
-			} else {
-				q.core.RaiseIRQ(q.vector)
-			}
-		}
-	})
+	fl.dst, fl.stage = n, stageRxCopy
+	n.M.K.Post(d, fl.run)
 }
 
-// nicPort adapts a NIC as the receiving end of a Port.
-type nicPort struct{ n *NIC }
-
-func (p nicPort) Send(f Frame) { p.n.Deliver(f) }
-
-// PortOf returns a Port that delivers into the NIC, for wiring links.
-func PortOf(n *NIC) Port { return nicPort{n} }
+// enqueue puts the copied frame in its receive ring; the flight ends here
+// unless an interrupt is to be injected first.
+func (n *NIC) enqueue(fl *flight) {
+	n.RxFrames.Inc()
+	n.RxBytes.AddN(uint64(fl.size))
+	q := n.Queues[int(fl.f.Hash)%len(n.Queues)]
+	q.ring = append(q.ring, fl.f)
+	irq := q.irqEnabled && q.core != nil
+	if irq && n.M.Cfg.Virtualized {
+		fl.q, fl.stage = q, stageIRQ
+		n.M.K.Post(n.M.Cfg.Costs.IRQInject, fl.run)
+		return
+	}
+	fl.release()
+	if irq {
+		q.raise()
+	}
+}

@@ -26,8 +26,9 @@ func newArpCache() *arpCache {
 }
 
 // arpFind resolves ip to a MAC address. Cached entries fulfill the future
-// synchronously (the fast path the paper notes); otherwise an ARP request
-// goes out and the future fulfills on reply or fails on timeout.
+// synchronously (the fast path the paper notes, which EthArpSend takes
+// without coming here); otherwise an ARP request goes out and the future
+// fulfills on reply or fails on timeout.
 func (itf *Interface) arpFind(c *event.Ctx, ip Ipv4Addr) future.Future[EthAddr] {
 	if mac, ok := itf.arp.entries[ip]; ok {
 		return future.Ready(mac)

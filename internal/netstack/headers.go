@@ -197,7 +197,7 @@ func writeTcp(b []byte, h TcpHeader) {
 // headroom EthArpSend exposes for the Ethernet header. Payload is chained
 // after it, not copied into it.
 func newPacket(n int) *iobuf.IOBuf {
-	b := iobuf.New(EthHeaderLen + n)
+	b := iobuf.NewHeader(EthHeaderLen + n)
 	b.Append(EthHeaderLen)
 	b.Advance(EthHeaderLen)
 	return b

@@ -148,28 +148,36 @@ func (itf *Interface) Route(dst Ipv4Addr) (Ipv4Addr, error) {
 	return Ipv4Addr{}, fmt.Errorf("netstack: no route to %v (off subnet, no gateway)", dst)
 }
 
-// EthArpSend routes an IP packet, resolves the next-hop MAC (possibly
-// asynchronously via ARP), prepends the Ethernet header, and transmits.
-// The header goes into the headroom of buf's head element (newPacket
-// leaves it). This is the code path of the paper's Figure 2, expressed
-// with the same monadic-future structure.
+// EthArpSend routes an IP packet, resolves the next-hop MAC, prepends the
+// Ethernet header (into the headroom newPacket leaves in buf's head
+// element) and transmits. With the MAC known - broadcast, or cached, as
+// for every packet of an established flow - the frame leaves at once and
+// nothing is allocated; only an ARP miss builds the future chain of the
+// paper's Figure 2 and sends on the reply.
 func (itf *Interface) EthArpSend(c *event.Ctx, proto uint16, dst Ipv4Addr, buf *iobuf.IOBuf, flowHash uint32) future.Future[future.Unit] {
 	localDst, err := itf.Route(dst)
 	if err != nil {
 		return future.Fail[future.Unit](err)
 	}
-	var fmac future.Future[EthAddr]
-	if localDst.IsBroadcast() {
-		fmac = future.Ready(machine.Broadcast)
-	} else {
-		fmac = itf.arpFind(c, localDst)
+	mac, known := machine.Broadcast, localDst.IsBroadcast()
+	if !known {
+		mac, known = itf.arp.entries[localDst]
 	}
-	return future.ThenOK(fmac, func(mac EthAddr) (future.Unit, error) {
-		buf.Retreat(EthHeaderLen)
-		writeEth(buf.Data(), EthHeader{Dst: mac, Src: itf.NIC.Mac, Type: proto})
-		itf.transmit(c, buf, flowHash)
+	if known {
+		itf.ethSend(c, proto, mac, buf, flowHash)
+		return future.Ready(future.Unit{})
+	}
+	return future.ThenOK(itf.arpFind(c, localDst), func(mac EthAddr) (future.Unit, error) {
+		itf.ethSend(c, proto, mac, buf, flowHash)
 		return future.Unit{}, nil
 	})
+}
+
+// ethSend prepends the Ethernet header and transmits.
+func (itf *Interface) ethSend(c *event.Ctx, proto uint16, mac EthAddr, buf *iobuf.IOBuf, flowHash uint32) {
+	buf.Retreat(EthHeaderLen)
+	writeEth(buf.Data(), EthHeader{Dst: mac, Src: itf.NIC.Mac, Type: proto})
+	itf.transmit(c, buf, flowHash)
 }
 
 // transmit charges the device-path CPU cost and hands the frame chain to

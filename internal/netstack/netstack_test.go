@@ -438,14 +438,14 @@ func TestAdaptivePollingEngages(t *testing.T) {
 	})
 	// Inject frames directly into B's NIC faster than the per-packet
 	// service time, so the drain batch exceeds the polling threshold.
-	port := machine.PortOf(n.itfB.NIC)
+	nic := n.itfB.NIC
 	const frames = 200
 	for i := 0; i < frames; i++ {
 		f := machine.Frame{
 			Buf: rawUdpFrame(EthAddr{0, 0, 0, 0, 0, 1}, EthAddr{0, 0, 0, 0, 0, 2},
 				IP(10, 0, 0, 1), IP(10, 0, 0, 2), 5000, 9, make([]byte, 32)),
 		}
-		n.k.At(sim.Time(1000+i*100), func() { port.Send(f) })
+		n.k.At(sim.Time(1000+i*100), func() { nic.Deliver(f) })
 	}
 	n.k.RunUntil(100 * sim.Millisecond)
 	if received != frames {

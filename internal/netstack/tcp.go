@@ -90,6 +90,7 @@ type tcpLayer struct {
 	nextPort  uint16
 	isn       uint32
 	ackQueue  []*TcpPcb // connections owing an ACK after the current drain batch
+	ackSpare  []*TcpPcb // the array flushAcks walked last, reused by the batch after next
 	stats     TcpStats
 }
 
@@ -150,7 +151,8 @@ type TcpPcb struct {
 	sndUna, sndNxt uint32
 	sndWnd         uint32
 	inflight       []segment
-	rtoEvent       *sim.Event
+	rtoTimer       event.Timer   // zero when no timer is armed or latched
+	onRTO          event.Handler // p.rtoExpired, bound at the first arm
 	rtoBackoff     int
 	rexmitSince    sim.Time // start of the current retransmission episode (0 = none)
 
@@ -169,7 +171,8 @@ type TcpPcb struct {
 	// ACK would deadlock the sender forever. The persist timer probes
 	// with one already-acked byte to force a fresh ACK (and window) out
 	// of the peer.
-	persistEvent   *sim.Event
+	persistTimer   event.Timer
+	onPersist      event.Handler // p.persistExpired, bound at the first arm
 	persistBackoff int
 
 	// Receive state.
@@ -483,30 +486,36 @@ func (p *TcpPcb) CurrentRTO() sim.Time {
 	return p.itf.St.Cfg.RTO
 }
 
-// armRTO starts the retransmission timer if not running.
+// armRTO starts the retransmission timer if not running, once per segment
+// and without allocating: the handler is bound once, the timer is pooled.
 func (p *TcpPcb) armRTO() {
-	if p.rtoEvent != nil {
+	if p.rtoTimer != (event.Timer{}) {
 		return
 	}
-	mgr := p.itf.St.Mgrs[p.core]
-	p.rtoEvent = mgr.After(p.rtoInterval(), func(c *event.Ctx) {
-		p.rtoEvent = nil
-		if len(p.inflight) == 0 {
-			return
-		}
-		now := c.Now()
-		if p.rexmitSince == 0 {
-			p.rexmitSince = now
-		} else if now-p.rexmitSince > p.itf.St.Cfg.MaxRetransmitTime {
-			p.teardown(c, fmt.Errorf("netstack: too many retransmissions"))
-			return
-		}
-		p.rtoBackoff++
-		// Retransmit the earliest unacked segment (go-back-one; the
-		// simulated links do not reorder).
-		p.retransmitSegment(c, &p.inflight[0])
-		p.armRTO()
-	})
+	if p.onRTO == nil {
+		p.onRTO = p.rtoExpired
+	}
+	p.rtoTimer = p.itf.St.Mgrs[p.core].After(p.rtoInterval(), p.onRTO)
+}
+
+// rtoExpired is the retransmission timeout's handler.
+func (p *TcpPcb) rtoExpired(c *event.Ctx) {
+	p.rtoTimer = event.Timer{}
+	if len(p.inflight) == 0 {
+		return
+	}
+	now := c.Now()
+	if p.rexmitSince == 0 {
+		p.rexmitSince = now
+	} else if now-p.rexmitSince > p.itf.St.Cfg.MaxRetransmitTime {
+		p.teardown(c, fmt.Errorf("netstack: too many retransmissions"))
+		return
+	}
+	p.rtoBackoff++
+	// Retransmit the earliest unacked segment (go-back-one; the
+	// simulated links do not reorder).
+	p.retransmitSegment(c, &p.inflight[0])
+	p.armRTO()
 }
 
 // retransmitSegment rebuilds and resends one in-flight segment. The
@@ -532,11 +541,12 @@ func (p *TcpPcb) retransmitSegment(c *event.Ctx, seg *segment) {
 	p.needAck = false
 }
 
+// cancelRTO stops the retransmission timer - unless its time has come and
+// only its handler is still to run: that handler then clears rtoTimer and
+// orphans any timer armed in between (ROADMAP item 6c).
 func (p *TcpPcb) cancelRTO() {
-	if p.rtoEvent != nil {
-		p.rtoEvent.Cancel()
-		p.rtoEvent = nil
-	}
+	p.rtoTimer.Cancel()
+	p.rtoTimer = event.Timer{}
 }
 
 // armPersist starts the zero-window probe timer if not running. Probes
@@ -544,7 +554,7 @@ func (p *TcpPcb) cancelRTO() {
 // until an ACK reopens the window (or the connection dies): without
 // them, a lost window-update ACK leaves both sides waiting forever.
 func (p *TcpPcb) armPersist() {
-	if p.persistEvent != nil {
+	if p.persistTimer != (event.Timer{}) {
 		return
 	}
 	cfg := &p.itf.St.Cfg
@@ -556,30 +566,33 @@ func (p *TcpPcb) armPersist() {
 	if iv <<= shift; iv > cfg.RTOMax || iv <= 0 {
 		iv = cfg.RTOMax
 	}
-	mgr := p.itf.St.Mgrs[p.core]
-	p.persistEvent = mgr.After(iv, func(c *event.Ctx) {
-		p.persistEvent = nil
-		if p.state == tcpClosed || p.sndWnd != 0 {
-			return
-		}
-		p.persistBackoff++
-		p.PersistProbes++
-		p.itf.tcp.stats.PersistProbes++
-		p.auditRecovery(c.Now(), audit.TCPPersistProbe)
-		// Probe with one already-acknowledged byte (seq sndNxt-1): the
-		// peer discards it as a duplicate and re-ACKs with its current
-		// window.
-		p.sendRawSegment(c, p.sndNxt-1, p.rcvNxt, tcpACK, iobuf.Wrap([]byte{0}))
-		p.armPersist()
-	})
+	if p.onPersist == nil {
+		p.onPersist = p.persistExpired
+	}
+	p.persistTimer = p.itf.St.Mgrs[p.core].After(iv, p.onPersist)
+}
+
+// persistExpired sends one zero-window probe and re-arms.
+func (p *TcpPcb) persistExpired(c *event.Ctx) {
+	p.persistTimer = event.Timer{}
+	if p.state == tcpClosed || p.sndWnd != 0 {
+		return
+	}
+	p.persistBackoff++
+	p.PersistProbes++
+	p.itf.tcp.stats.PersistProbes++
+	p.auditRecovery(c.Now(), audit.TCPPersistProbe)
+	// Probe with one already-acknowledged byte (seq sndNxt-1): the
+	// peer discards it as a duplicate and re-ACKs with its current
+	// window.
+	p.sendRawSegment(c, p.sndNxt-1, p.rcvNxt, tcpACK, iobuf.Wrap([]byte{0}))
+	p.armPersist()
 }
 
 func (p *TcpPcb) cancelPersist() {
 	p.persistBackoff = 0
-	if p.persistEvent != nil {
-		p.persistEvent.Cancel()
-		p.persistEvent = nil
-	}
+	p.persistTimer.Cancel()
+	p.persistTimer = event.Timer{}
 }
 
 func (p *TcpPcb) teardown(c *event.Ctx, err error) {
@@ -604,11 +617,7 @@ func (t *tcpLayer) receive(c *event.Ctx, ip Ipv4Header, buf *iobuf.IOBuf) {
 	key := tcpKey{rip: ip.Src, rport: hdr.SrcPort, lport: hdr.DstPort}
 	if pcb, ok := t.conns.Get(key); ok {
 		if pcb.core != c.Core().ID {
-			// Steer to the owning core (should be rare with symmetric RSS).
-			t.itf.St.Mgrs[pcb.core].Spawn(func(c2 *event.Ctx) {
-				pcb.input(c2, hdr, buf)
-				pcb.flushAck(c2)
-			})
+			pcb.steer(hdr, buf)
 			return
 		}
 		pcb.input(c, hdr, buf)
@@ -627,6 +636,16 @@ func (t *tcpLayer) receive(c *event.Ctx, ip Ipv4Header, buf *iobuf.IOBuf) {
 	}
 }
 
+// steer hands a segment to the owning core (rare with symmetric RSS). It
+// is a function of its own so that the closure captures a copy of hdr made
+// here, and receive's hdr stays off the heap on every other segment.
+func (p *TcpPcb) steer(hdr TcpHeader, buf *iobuf.IOBuf) {
+	p.itf.St.Mgrs[p.core].Spawn(func(c *event.Ctx) {
+		p.input(c, hdr, buf)
+		p.flushAck(c)
+	})
+}
+
 // queueAck defers the connection's ACK until the driver finishes the
 // current receive batch, coalescing ACKs across segments that arrived
 // together (a software analogue of interrupt-batch acknowledgment).
@@ -637,14 +656,16 @@ func (t *tcpLayer) queueAck(pcb *TcpPcb) {
 	}
 }
 
-// flushAcks sends coalesced ACKs at the end of a receive batch.
+// flushAcks sends coalesced ACKs at the end of a receive batch. The queue
+// alternates between two backing arrays, as Core.TakePending does.
 func (t *tcpLayer) flushAcks(c *event.Ctx) {
 	q := t.ackQueue
-	t.ackQueue = nil
+	t.ackQueue, t.ackSpare = t.ackSpare[:0], q
 	for _, pcb := range q {
 		pcb.queuedAck = false
 		pcb.flushAck(c)
 	}
+	clear(q) // hold no connection past its batch
 }
 
 func (p *TcpPcb) flushAck(c *event.Ctx) {

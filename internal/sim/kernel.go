@@ -7,12 +7,17 @@
 // is measured in nanoseconds and stored as an int64, which covers simulations
 // of roughly 292 years - far beyond anything the harnesses schedule.
 //
-// Two calls schedule work. Post/PostAt are the default: fire and forget,
+// Three calls schedule work. Post/PostAt are the default: fire and forget,
 // nothing to hold, and nothing allocated per event - the callback lives in
-// the queue entry itself. At/After return an *Event and exist for the few
-// callers that keep it so they can Cancel (timers that are re-armed or
-// usually never fire). Both kinds share one queue and one total order, so a
-// call site may move between them without changing when anything fires.
+// the queue entry itself, and a caller with state to carry binds one func
+// to a record it recycles (machine's frame flights). NewEvent makes an
+// *Event its owner keeps and re-arms with Reset/ResetAt, each arming
+// replacing the last and allocating nothing: the timer that is set per
+// packet and usually cancelled (event.Manager.After pools them). At/After
+// are NewEvent plus one arming, for a caller that wants a one-shot handle
+// to Cancel (tests, bench/). All share one queue and one total order, and
+// every arming takes the next sequence number, so a call site may move
+// between them without changing when anything fires.
 package sim
 
 import (
@@ -46,27 +51,41 @@ func (t Time) Micros() float64 { return float64(t) / 1e3 }
 // String renders the time with microsecond precision.
 func (t Time) String() string { return fmt.Sprintf("%.3fus", t.Micros()) }
 
-// Event is the handle At and After return: a scheduled callback that may be
-// cancelled before it fires. A handle is never reused for another callback,
-// so one kept past its firing stays inert.
+// Event is one callback that can be armed, cancelled and armed again, with
+// at most one firing pending. It is bound to its callback for life, so a
+// handle kept past its firing stays inert until its owner arms it again.
 type Event struct {
-	at       Time
-	k        *Kernel
-	canceled bool
-	fired    bool
+	k  *Kernel
+	fn func()
+	// seq is the sequence number of the queue entry that will fire the
+	// event, unarmed when none will. Cancelling or re-arming leaves the old
+	// entry queued; it is dead because its seq no longer matches.
+	seq uint64
 }
 
-// At reports the virtual time the event is scheduled to fire.
-func (e *Event) At() Time { return e.at }
+const unarmed = math.MaxUint64
 
-// Cancel prevents the event from firing. Cancelling an event that has
-// already fired or been cancelled is a no-op. Cancel reports whether the
-// event was still pending.
+// NewEvent returns an unarmed event that runs fn each time it fires.
+func (k *Kernel) NewEvent(fn func()) *Event { return &Event{k: k, fn: fn, seq: unarmed} }
+
+// ResetAt arms the event to fire at virtual time t, in place of any firing
+// still pending. Like PostAt it panics on a time in the past.
+func (e *Event) ResetAt(t Time) {
+	e.Cancel()
+	e.seq = e.k.seq
+	e.k.schedule(t, e.fn, e)
+}
+
+// Reset is ResetAt d from now. Negative delays are clamped to zero.
+func (e *Event) Reset(d Time) { e.ResetAt(e.k.now + max(d, 0)) }
+
+// Cancel prevents the pending firing, if there is one, and reports whether
+// there was.
 func (e *Event) Cancel() bool {
-	if e.canceled || e.fired {
+	if e.seq == unarmed {
 		return false
 	}
-	e.canceled = true
+	e.seq = unarmed
 	k := e.k
 	k.pending--
 	if dead := len(k.queue) - k.pending; dead > k.pending && dead > 32 {
@@ -76,7 +95,8 @@ func (e *Event) Cancel() bool {
 }
 
 // entry is one scheduled callback in the queue. ev is nil for Post/PostAt,
-// which hand out no handle and so have nothing that could be cancelled.
+// which have nothing that could be cancelled; otherwise the entry is live
+// only while ev.seq == seq.
 type entry struct {
 	at  Time
 	seq uint64
@@ -99,7 +119,7 @@ type Kernel struct {
 	// queue is a 4-ary min-heap ordered by entry.before: half the levels of
 	// a binary heap, and a node's four children share a cache line or two.
 	queue []entry
-	// pending counts queued entries that have not been cancelled.
+	// pending counts queued entries that are live (not cancelled or re-armed).
 	pending int
 	// fired counts events executed; useful for debugging runaway loops.
 	fired uint64
@@ -125,14 +145,14 @@ func (k *Kernel) PostAt(t Time, fn func()) { k.schedule(t, fn, nil) }
 // Negative delays are clamped to zero.
 func (k *Kernel) Post(d Time, fn func()) { k.schedule(k.now+max(d, 0), fn, nil) }
 
-// At is PostAt for callers that keep the returned handle to Cancel it.
+// At is PostAt returning a one-shot handle: a new Event, armed once.
 func (k *Kernel) At(t Time, fn func()) *Event {
-	e := &Event{at: t, k: k}
+	e := &Event{k: k, fn: fn, seq: k.seq}
 	k.schedule(t, fn, e)
 	return e
 }
 
-// After is Post for callers that keep the returned handle to Cancel it.
+// After is Post returning a one-shot handle: a new Event armed once.
 func (k *Kernel) After(d Time, fn func()) *Event { return k.At(k.now+max(d, 0), fn) }
 
 // schedule sifts a new entry up from the bottom of the heap.
@@ -194,13 +214,13 @@ func (k *Kernel) siftDown(i int, en entry) {
 	q[i] = en
 }
 
-// sweep discards every cancelled entry and rebuilds the heap. Cancel calls
-// it once cancelled entries outnumber live ones: a timer that is re-armed
-// per packet (TCP's RTO) would otherwise leave the queue holding a
-// timeout's worth of dead entries for every live one to sift through. The
-// order is total, so the rebuilt heap pops in the same sequence.
+// sweep discards every dead entry and rebuilds the heap. Cancel calls it
+// once dead entries outnumber live ones: a timer that is re-armed per
+// packet (TCP's RTO) would otherwise leave the queue holding a timeout's
+// worth of dead entries for every live one to sift through. The order is
+// total, so the rebuilt heap pops in the same sequence.
 func (k *Kernel) sweep() {
-	k.queue = slices.DeleteFunc(k.queue, func(en entry) bool { return en.ev != nil && en.ev.canceled })
+	k.queue = slices.DeleteFunc(k.queue, func(en entry) bool { return en.ev != nil && en.ev.seq != en.seq })
 	for i := (len(k.queue)+2)/4 - 1; i >= 0; i-- { // from the last node that has a child
 		k.siftDown(i, k.queue[i])
 	}
@@ -208,11 +228,11 @@ func (k *Kernel) sweep() {
 
 // fireNext executes the earliest pending event if it is due at or before
 // limit, advancing virtual time to its timestamp, and reports whether it
-// did. Cancelled entries reaching the head are discarded on the way.
+// did. Dead entries reaching the head are discarded on the way.
 func (k *Kernel) fireNext(limit Time) bool {
 	for len(k.queue) > 0 {
 		head := &k.queue[0]
-		if head.ev != nil && head.ev.canceled {
+		if head.ev != nil && head.ev.seq != head.seq {
 			k.pop()
 			continue
 		}
@@ -221,7 +241,7 @@ func (k *Kernel) fireNext(limit Time) bool {
 		}
 		en := k.pop()
 		if en.ev != nil {
-			en.ev.fired = true
+			en.ev.seq = unarmed
 		}
 		k.pending--
 		k.now = en.at

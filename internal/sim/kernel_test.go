@@ -162,22 +162,29 @@ func TestStaleHandleCancelsNothing(t *testing.T) {
 }
 
 // Property: under random interleavings of At, After, Post, PostAt, Cancel,
-// Step and RunUntil the kernel fires exactly what a stable sort on
-// (time, scheduling order) of the live events says it should - handle and
-// no-handle events in one FIFO at the same instant - with Fired and Pending
-// exact throughout, and cancelled entries never piling up in the queue.
+// NewEvent, Reset, ResetAt, Step and RunUntil the kernel fires exactly what
+// a stable sort on (time, scheduling order) of the live events says it
+// should - handle and no-handle events in one FIFO at the same instant, a
+// re-armed event once, at its newest time and in the order of its newest
+// arming - with Fired and Pending exact throughout, and dead entries never
+// piling up in the queue.
 func TestKernelMatchesSortedReference(t *testing.T) {
-	type ref struct {
+	type ref struct { // one arming
 		at              Time
 		id              int
 		h               *Event
 		fired, canceled bool
+	}
+	type owned struct { // one NewEvent and its latest arming
+		ev  *Event
+		cur *ref
 	}
 	for seed := uint64(1); seed <= 40; seed++ {
 		rng := NewRng(seed)
 		cancelWeight := int(seed % 5) // from all no-handle to mostly scheduled-then-cancelled
 		k := NewKernel()
 		var all, handles []*ref
+		var owners []*owned
 		var got, want []int
 		expect := func(limit Time, atMost int) { // what should fire now, in order
 			var due []*ref
@@ -192,13 +199,19 @@ func TestKernelMatchesSortedReference(t *testing.T) {
 				want = append(want, r.id)
 			}
 		}
+		checkSwept := func(op int, what string) {
+			if dead := len(k.queue) - k.Pending(); dead > k.Pending() && dead > 32 {
+				t.Fatalf("seed %d op %d: %s left %d dead entries queued beside %d live", seed, op, what, dead, k.Pending())
+			}
+		}
 		for op := 0; op < 2000; op++ {
 			id := len(all)
 			fn := func() { got = append(got, id) }
 			d := Time(rng.Intn(50)) * Time(1+cancelWeight*8) // few distinct instants, so ties are common
-			// Weights: 2 post, 1 step, 1 run, cancelWeight handles
-			// scheduled, twice that recent handles cancelled.
-			switch c := rng.Intn(4 + 3*cancelWeight); {
+			// Weights: 2 post, 1 step, 1 run, 1 owned event (re-)armed, 1
+			// owned event cancelled, cancelWeight handles scheduled, twice
+			// that recent handles cancelled.
+			switch c := rng.Intn(6 + 3*cancelWeight); {
 			case c == 0:
 				k.Post(d, fn)
 				all = append(all, &ref{at: k.Now() + d, id: id})
@@ -211,6 +224,40 @@ func TestKernelMatchesSortedReference(t *testing.T) {
 			case c == 3:
 				expect(k.Now()+d/32, len(all))
 				k.RunUntil(k.Now() + d/32)
+			case c == 4:
+				var o *owned
+				if i := rng.Intn(8); i < len(owners) {
+					o = owners[i]
+				} else {
+					o = &owned{}
+					o.ev = k.NewEvent(func() { got = append(got, o.cur.id) })
+					owners = append(owners, o)
+				}
+				live := o.cur != nil && !o.cur.fired && !o.cur.canceled
+				if live {
+					o.cur.canceled = true // superseded
+				}
+				o.cur = &ref{at: k.Now() + d, id: id}
+				all = append(all, o.cur)
+				if id%2 == 0 {
+					o.ev.Reset(d)
+				} else {
+					o.ev.ResetAt(k.Now() + d)
+				}
+				if live {
+					checkSwept(op, "Reset")
+				}
+			case c == 5 && len(owners) > 0:
+				o := owners[rng.Intn(len(owners))]
+				live := o.cur != nil && !o.cur.fired && !o.cur.canceled
+				if o.ev.Cancel() != live {
+					t.Fatalf("seed %d op %d: Cancel of an owned event = %v, want %v", seed, op, !live, live)
+				}
+				if live {
+					o.cur.canceled = true
+					checkSwept(op, "Cancel")
+				}
+			case c < 6: // c == 5 before any owned event exists
 			case c%6 == 0:
 				all = append(all, &ref{at: k.Now() + d, id: id, h: k.After(d, fn)})
 				handles = append(handles, all[id])
@@ -224,8 +271,8 @@ func TestKernelMatchesSortedReference(t *testing.T) {
 					t.Fatalf("seed %d op %d: Cancel = %v, want %v", seed, op, !live, live)
 				}
 				r.canceled = true
-				if dead := len(k.queue) - k.Pending(); live && dead > k.Pending() && dead > 32 {
-					t.Fatalf("seed %d op %d: Cancel left %d cancelled entries queued beside %d live", seed, op, dead, k.Pending())
+				if live {
+					checkSwept(op, "Cancel")
 				}
 			}
 			pending := 0
@@ -244,5 +291,25 @@ func TestKernelMatchesSortedReference(t *testing.T) {
 		if !slices.Equal(got, want) {
 			t.Fatalf("seed %d: fired %v\nwant %v", seed, got, want)
 		}
+	}
+}
+
+// Arming an owned event allocates nothing, however often: the callback
+// rides in the queue entry and the Event is the caller's.
+func TestResetAllocatesNothing(t *testing.T) {
+	k := NewKernel()
+	e := k.NewEvent(func() {})
+	for i := 0; i < 100; i++ { // grow the queue once
+		e.Reset(Time(i))
+	}
+	k.Run()
+	if n := testing.AllocsPerRun(100, func() {
+		e.Reset(5)
+		e.Reset(3)
+		k.Run()
+		e.Reset(1)
+		e.Cancel()
+	}); n != 0 {
+		t.Fatalf("Reset/Cancel/fire allocated %.0f objects per run, want 0", n)
 	}
 }
