@@ -38,7 +38,9 @@ type Conn interface {
 
 // Callbacks are the application's connection event handlers.
 type Callbacks struct {
-	// OnData delivers received payload.
+	// OnData delivers received payload, lent for the call (a handler that
+	// blocks has not ended its call) as netstack.ConnHandler.OnReceive's
+	// is: to keep it or send it on, Retain it or copy.
 	OnData func(c *event.Ctx, conn Conn, payload *iobuf.IOBuf)
 	// OnClose fires at full teardown; err non-nil on abnormal close.
 	OnClose func(c *event.Ctx, conn Conn, err error)

@@ -100,9 +100,10 @@ type Manager struct {
 	// idle is replaced, never edited, by Add/RemoveIdleHandler, so a pass
 	// in progress keeps iterating the list it started with.
 	idle       []*IdleHandler
-	timerReady []Handler
-	processFn  func()  // m.process, made once instead of per event
-	idlePass   Handler // likewise the handler that runs one idle pass
+	timerReady []Handler // latched by fire, run by the next VecTimer batch
+	timerSpare []Handler // the emptied array of the batch that finished last
+	processFn  func()    // m.process, made once instead of per event
+	idlePass   Handler   // likewise the handler that runs one idle pass
 
 	pool   []*activation
 	timers []*timerRec // free timer records
@@ -141,11 +142,21 @@ func NewManager(core *machine.Core, costs Costs) *Manager {
 	}
 	m.handlers[VecIPI] = func(*Ctx) {}
 	m.handlers[VecTimer] = func(c *Ctx) {
+		// The batch keeps its array until its last handler has returned -
+		// one of them may block, and a later batch run meanwhile - and
+		// then leaves it, emptied, for fire to start the next list in.
+		// Timers that latched together raised the vector once each: the
+		// first batch ran them all, the others find no list.
 		ready := m.timerReady
+		if ready == nil {
+			return
+		}
 		m.timerReady = nil
 		for _, fn := range ready {
 			fn(c)
 		}
+		clear(ready)
+		m.timerSpare = ready[:0]
 	}
 	core.SetDispatcher(m.onIRQ)
 	core.EnableInterrupts()
@@ -231,6 +242,9 @@ func (t *timerRec) release() {
 func (t *timerRec) fire() {
 	m, fn := t.m, t.fn
 	t.release()
+	if m.timerReady == nil {
+		m.timerReady, m.timerSpare = m.timerSpare, nil
+	}
 	m.timerReady = append(m.timerReady, fn)
 	m.core.RaiseIRQ(VecTimer)
 }

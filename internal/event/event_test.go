@@ -2,6 +2,7 @@ package event
 
 import (
 	"sort"
+	"strings"
 	"testing"
 
 	"ebbrt/internal/future"
@@ -257,8 +258,8 @@ func TestStaleTimerHandleCancelsNothing(t *testing.T) {
 }
 
 // Arming and firing a timer whose handler is already bound allocates only
-// what dispatching its event does (the Ctx and VecTimer's ready list):
-// no handle, no closure, no kernel event.
+// what dispatching its event does (the Ctx): no handle, no closure, no
+// kernel event, and no ready list - VecTimer's batch hands its array back.
 func TestTimerArmAllocatesNothing(t *testing.T) {
 	k, _, mgrs := newTestEnv(1)
 	m := mgrs[0]
@@ -268,8 +269,68 @@ func TestTimerArmAllocatesNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { m.After(sim.Microsecond, h).Cancel() }); n != 0 {
 		t.Fatalf("After+Cancel allocated %.0f objects, want 0", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { m.After(sim.Microsecond, h); k.Run() }); n > 2 {
-		t.Fatalf("After+fire allocated %.0f objects, want at most 2", n)
+	if n := testing.AllocsPerRun(100, func() { m.After(sim.Microsecond, h); k.Run() }); n != 1 {
+		t.Fatalf("After+fire allocated %.0f objects, want 1 (the Ctx)", n)
+	}
+}
+
+// Timers that come due while the core is busy latch together and raise
+// the timer vector once each: the first batch runs them all and the second
+// finds nothing - and must not cost the list its array.
+func TestTimersLatchedTogetherKeepTheirList(t *testing.T) {
+	k, _, mgrs := newTestEnv(1)
+	m := mgrs[0]
+	fired := 0
+	h := func(*Ctx) { fired++ }
+	busy := func(c *Ctx) { c.Charge(5 * sim.Microsecond) }
+	step := func() {
+		m.Spawn(busy)
+		m.After(sim.Microsecond, h)
+		m.After(sim.Microsecond, h)
+		k.Run()
+	}
+	step()
+	before := m.Dispatched
+	step()
+	events := m.Dispatched - before
+	if fired != 4 || events != 4 {
+		t.Fatalf("%d timers fired in %d events a step, want 2 in 4 (wake-up, busy, batch, empty batch)", fired/2, events)
+	}
+	if n := testing.AllocsPerRun(100, step); n != float64(events) {
+		t.Fatalf("a step allocated %.0f objects over %d events, want one Ctx each", n, events)
+	}
+}
+
+// A timer handler may block in the middle of its batch. The batch resumes
+// where it stopped, with its own list: batches that run meanwhile neither
+// reorder it nor empty it, and every handler runs once.
+func TestTimerBatchBlockedMidwayKeepsItsList(t *testing.T) {
+	k, _, mgrs := newTestEnv(1)
+	m := mgrs[0]
+	p := future.NewPromise[int]()
+	var order []string
+	note := func(s string) Handler { return func(*Ctx) { order = append(order, s) } }
+	m.After(10*sim.Microsecond, func(c *Ctx) {
+		order = append(order, "a-blocks")
+		if _, err := p.Future().Block(c); err != nil {
+			t.Errorf("Block: %v", err)
+		}
+		order = append(order, "a-resumes")
+	})
+	m.After(10*sim.Microsecond, note("b"))
+	m.After(10*sim.Microsecond, note("c"))
+	// The core is busy when the three come due, so they latch as one batch.
+	k.At(8*sim.Microsecond, func() { m.Spawn(func(c *Ctx) { c.Charge(5 * sim.Microsecond) }) })
+	for round := 0; round < 3; round++ { // batches that start and finish while a is blocked
+		at := sim.Time(20+10*round) * sim.Microsecond
+		m.After(at, note("d"))
+		m.After(at, note("e"))
+	}
+	m.After(60*sim.Microsecond, func(*Ctx) { p.SetValue(1) })
+	k.Run()
+	want := "a-blocks d e d e d e a-resumes b c"
+	if got := strings.Join(order, " "); got != want {
+		t.Fatalf("timer handlers ran as %q, want %q", got, want)
 	}
 }
 

@@ -7,7 +7,7 @@
 // Retreat, TrimEnd) to strip or expose headers in place, and transmit paths
 // hand chains of IOBufs to the device.
 //
-// Ownership has two halves. A descriptor (one IOBuf element) is uniquely
+// Ownership has three parts. A descriptor (one IOBuf element) is uniquely
 // owned - it is moved, never shared, mirroring the C++ unique_ptr
 // discipline - so only its owner adjusts the view or relinks it. The
 // backing bytes may be shared: Split and Wrap make further descriptors over
@@ -16,52 +16,57 @@
 // to a send path (TcpPcb.Send, appnet.Conn.Send) are immutable from then on.
 // The sender may keep reading them - a stored value goes out to any number
 // of readers - but a caller that wants to write again allocates afresh.
+//
+// The third part is the per-packet memory of the data path: a NIC's receive
+// buffers and an interface's transmit header elements are made by a Pool
+// and counted. Get hands an element to its first holder, Retain adds one,
+// Free drops one, and the last Free sends descriptor and bytes back to the
+// pool to be handed out again. Free is optional - an element nobody frees
+// is ordinary garbage and the pool forgets it - so the only bug is an early
+// Free: reading or writing a pool-born element, or any view of its bytes,
+// after one's own hold is gone. Views made by Split or Wrap over pooled
+// bytes are not holders and do not keep those bytes alive; whoever needs
+// them past the last Free retains the element itself or copies. On
+// elements no pool made, Retain and Free do nothing. Building with
+// -tags iobufdebug makes the rule mechanical: the last Free overwrites the
+// bytes with 0xDB and Get checks that they still are, so a use after free
+// breaks a byte-exact test and a write after free panics.
 package iobuf
 
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 )
 
 // IOBuf is one element of a circular doubly-linked chain. The zero value is
-// not usable; construct with New, FromBytes, or Wrap.
+// not usable; construct with New, FromBytes, Wrap, or a Pool. The view is
+// held narrow (off and holders in 32 bits) so that a descriptor stays in
+// the 64-byte size class with the pool's two fields aboard.
 type IOBuf struct {
-	buf    []byte // backing storage (capacity)
-	off    int    // start of the view within buf
-	length int    // length of the view
-	next   *IOBuf
-	prev   *IOBuf
+	buf     []byte // backing storage (capacity)
+	length  int    // length of the view
+	next    *IOBuf
+	prev    *IOBuf
+	pool    *Pool // that made the element, or nil
+	off     int32 // start of the view within buf
+	holders int32 // of a pool-born element; it is on pool.free at 0
 }
 
-// New allocates a buffer with the given capacity and an empty view starting
-// at offset 0. Use Append to extend the view as data is produced.
-func New(capacity int) *IOBuf {
-	b := &IOBuf{buf: make([]byte, capacity)}
+// element makes a singleton over buf with an empty view at offset 0.
+func element(buf []byte) *IOBuf {
+	if len(buf) > math.MaxInt32 {
+		panic(fmt.Sprintf("iobuf: %d-byte buffer", len(buf)))
+	}
+	b := &IOBuf{buf: buf}
 	b.next = b
 	b.prev = b
 	return b
 }
 
-// headerRoom is the storage NewHeader allocates inline: with the descriptor
-// it fills one 128-byte object, the bytes a descriptor and a separate 49-
-// to 64-byte backing array cost as two.
-const headerRoom = 72
-
-// NewHeader is New for a packet's protocol headers: a capacity that would
-// cost 128 bytes either way (Ethernet + IP + TCP does) is one allocation,
-// descriptor and storage together.
-func NewHeader(capacity int) *IOBuf {
-	if capacity <= 48 || capacity > headerRoom {
-		return New(capacity)
-	}
-	h := &struct {
-		IOBuf
-		room [headerRoom]byte
-	}{}
-	h.buf = h.room[:capacity]
-	h.next, h.prev = &h.IOBuf, &h.IOBuf
-	return &h.IOBuf
-}
+// New allocates a buffer with the given capacity and an empty view starting
+// at offset 0. Use Append to extend the view as data is produced.
+func New(capacity int) *IOBuf { return element(make([]byte, capacity)) }
 
 // FromBytes copies data into a fresh buffer whose view covers it entirely.
 func FromBytes(data []byte) *IOBuf {
@@ -73,15 +78,14 @@ func FromBytes(data []byte) *IOBuf {
 
 // Wrap takes ownership of data without copying; the view covers all of it.
 func Wrap(data []byte) *IOBuf {
-	b := &IOBuf{buf: data, length: len(data)}
-	b.next = b
-	b.prev = b
+	b := element(data)
+	b.length = len(data)
 	return b
 }
 
 // Data returns the current view. The slice aliases the buffer; the network
 // stack and applications read and write through it zero-copy.
-func (b *IOBuf) Data() []byte { return b.buf[b.off : b.off+b.length] }
+func (b *IOBuf) Data() []byte { return b.buf[b.off : int(b.off)+b.length] }
 
 // Length reports the view length of this element only.
 func (b *IOBuf) Length() int { return b.length }
@@ -90,10 +94,10 @@ func (b *IOBuf) Length() int { return b.length }
 func (b *IOBuf) Capacity() int { return len(b.buf) }
 
 // Headroom reports bytes available before the view, for prepending headers.
-func (b *IOBuf) Headroom() int { return b.off }
+func (b *IOBuf) Headroom() int { return int(b.off) }
 
 // Tailroom reports bytes available after the view, for appending data.
-func (b *IOBuf) Tailroom() int { return len(b.buf) - b.off - b.length }
+func (b *IOBuf) Tailroom() int { return len(b.buf) - int(b.off) - b.length }
 
 // Advance moves the view start forward n bytes, shrinking the view; used to
 // strip a header that has been consumed. It panics if n exceeds the view.
@@ -101,17 +105,17 @@ func (b *IOBuf) Advance(n int) {
 	if n < 0 || n > b.length {
 		panic(fmt.Sprintf("iobuf: Advance(%d) with view %d", n, b.length))
 	}
-	b.off += n
+	b.off += int32(n)
 	b.length -= n
 }
 
 // Retreat moves the view start backward n bytes, exposing headroom; used to
 // prepend a header in place. It panics if n exceeds the headroom.
 func (b *IOBuf) Retreat(n int) {
-	if n < 0 || n > b.off {
+	if n < 0 || n > int(b.off) {
 		panic(fmt.Sprintf("iobuf: Retreat(%d) with headroom %d", n, b.off))
 	}
-	b.off -= n
+	b.off -= int32(n)
 	b.length += n
 }
 
@@ -121,7 +125,7 @@ func (b *IOBuf) Append(n int) []byte {
 	if n < 0 || n > b.Tailroom() {
 		panic(fmt.Sprintf("iobuf: Append(%d) with tailroom %d", n, b.Tailroom()))
 	}
-	start := b.off + b.length
+	start := int(b.off) + b.length
 	b.length += n
 	return b.buf[start : start+n]
 }
@@ -211,7 +215,7 @@ func (b *IOBuf) Split(n int) *IOBuf {
 	rest := cur
 	if n > 0 {
 		rest = Wrap(cur.Data()[n:])
-		cur.buf = cur.buf[:cur.off+n]
+		cur.buf = cur.buf[:int(cur.off)+n]
 		cur.length = n
 		rest.next, rest.prev = cur.next, cur
 		cur.next.prev = rest

@@ -372,24 +372,3 @@ func TestStream(t *testing.T) {
 		t.Fatal("back to empty, but the delivery was copied")
 	}
 }
-
-// NewHeader behaves as New at every capacity, and where the two would cost
-// the same bytes it is one allocation instead of two.
-func TestNewHeader(t *testing.T) {
-	for _, capacity := range []int{0, 34, 48, 49, 54, headerRoom, headerRoom + 1, 200} {
-		b := NewHeader(capacity)
-		if b.Capacity() != capacity || b.Length() != 0 || b.Tailroom() != capacity || b.IsChained() || b.Prev() != b {
-			t.Fatalf("NewHeader(%d): capacity %d, length %d, tailroom %d", capacity, b.Capacity(), b.Length(), b.Tailroom())
-		}
-		for i, p := 0, b.Append(capacity); i < len(p); i++ {
-			if p[i] != 0 {
-				t.Fatalf("NewHeader(%d): storage not zeroed", capacity)
-			}
-		}
-	}
-	var sink *IOBuf
-	if n := testing.AllocsPerRun(100, func() { sink = NewHeader(14 + 20 + 20) }); n != 1 {
-		t.Fatalf("an Ethernet+IP+TCP header element took %.0f allocations, want 1", n)
-	}
-	_ = sink
-}

@@ -1,0 +1,134 @@
+package iobuf
+
+import (
+	"runtime"
+	"testing"
+	"unsafe"
+	"weak"
+)
+
+// Get hands out an empty element of the pool's class with one holder; each
+// Retain needs its own Free; the last Free, whoever makes it, recycles the
+// element - unlinked, view reset, cut buffer restored - and the next Get
+// hands out that same element.
+func TestPoolRecyclesOnLastFree(t *testing.T) {
+	p := NewPool(64)
+	b := p.Get(40)
+	if b.Capacity() != 64 || b.Length() != 0 || b.Headroom() != 0 || b.IsChained() {
+		t.Fatalf("Get(40): capacity %d, length %d, headroom %d", b.Capacity(), b.Length(), b.Headroom())
+	}
+	copy(b.Append(40), "0123456789012345678901234567890123456789")
+	b.Advance(14)
+	tail := chainOf([]byte("payload-bytes"), 7)
+	b.AppendChain(tail)
+	if rest := b.Split(20); rest == nil || b.Capacity() == 64 {
+		t.Fatal("the split did not cut inside the pooled element")
+	}
+	b.Retain()
+	b.Free()
+	if p.Outstanding() != 1 || len(p.free) != 0 {
+		t.Fatalf("after one of two holders let go: %d out, %d free", p.Outstanding(), len(p.free))
+	}
+	if string(b.Data()) != "45678901234567890123" {
+		t.Fatalf("a held element changed under its holder: %q", b.Data())
+	}
+	b.Free()
+	if p.Outstanding() != 0 || len(p.free) != 1 {
+		t.Fatalf("after the last holder let go: %d out, %d free", p.Outstanding(), len(p.free))
+	}
+	if again := p.Get(64); again != b {
+		t.Fatal("the freed element was not the next one handed out")
+	}
+	if b.Capacity() != 64 || b.Length() != 0 || b.Headroom() != 0 || b.Tailroom() != 64 || b.IsChained() || b.Prev() != b {
+		t.Fatalf("recycled element: capacity %d, length %d, headroom %d", b.Capacity(), b.Length(), b.Headroom())
+	}
+	if p.Outstanding() != 1 {
+		t.Fatalf("%d out after the second Get", p.Outstanding())
+	}
+}
+
+// The last Free takes the element out of its chain and leaves the rest a
+// chain: a frame's payload views outlive its recycled header.
+func TestFreeUnlinksFromChain(t *testing.T) {
+	p := NewPool(16)
+	head := p.Get(16)
+	head.Append(4)
+	rest := chainOf([]byte("abcdef"), 2, 4)
+	head.AppendChain(rest)
+	head.Free()
+	if rest.CountChainElements() != 3 || rest.Prev().Next() != rest || string(rest.CopyOut()) != "abcdef" {
+		t.Fatalf("the chain behind a freed head has %d elements and reads %q", rest.CountChainElements(), rest.CopyOut())
+	}
+}
+
+func TestFreeBelowZeroPanics(t *testing.T) {
+	p := NewPool(16)
+	b := p.Get(1)
+	b.Free()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second Free of a once-held element did not panic")
+		}
+	}()
+	b.Free()
+}
+
+// Elements no pool made - New, Wrap, the rest of a Split, and a Get above
+// the pool's class - have no holders to count: Retain and Free do nothing,
+// any number of times.
+func TestFreeOfPlainElementsIsNoOp(t *testing.T) {
+	p := NewPool(16)
+	big := p.Get(17)
+	if big.Capacity() != 17 || big.Length() != 0 || p.Outstanding() != 0 {
+		t.Fatalf("oversize Get: capacity %d, %d out", big.Capacity(), p.Outstanding())
+	}
+	pooled := p.Get(16)
+	pooled.Append(16)
+	view := pooled.Split(8)
+	for _, b := range []*IOBuf{big, New(8), Wrap([]byte("abc")), view} {
+		b.Append(b.Tailroom())
+		want := string(b.Data())
+		b.Retain()
+		b.Free()
+		b.Free()
+		b.Free()
+		if string(b.Data()) != want || len(p.free) != 0 {
+			t.Fatalf("Free touched a plain element (%q, %d in the pool)", b.Data(), len(p.free))
+		}
+	}
+}
+
+// Free is optional: the pool keeps no reference to an element it handed
+// out, so one that is dropped without a Free is collected.
+func TestNeverFreedElementIsCollected(t *testing.T) {
+	p := NewPool(32)
+	p.Get(32).Free() // the free list has had a slot in use
+	dropped := weak.Make(p.Get(32))
+	runtime.GC()
+	if dropped.Value() != nil {
+		t.Fatal("an element dropped without Free is still reachable")
+	}
+	if p.Outstanding() != 1 {
+		t.Fatalf("%d out; a dropped element stays counted", p.Outstanding())
+	}
+}
+
+// Wrap and Split stay in the 64-byte size class with the pool's fields in
+// the descriptor, and a warm pool allocates nothing.
+func TestDescriptorSizeAndWarmPool(t *testing.T) {
+	if size := unsafe.Sizeof(IOBuf{}); size > 64 {
+		t.Fatalf("an IOBuf descriptor is %d bytes, want at most 64", size)
+	}
+	p := NewPool(1536)
+	cycle := func() {
+		a, b := p.Get(1500), p.Get(54)
+		a.Retain()
+		a.Free()
+		b.Free()
+		a.Free()
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("Get/Retain/Free on a warm pool allocated %.0f objects, want 0", n)
+	}
+}

@@ -10,7 +10,8 @@ type Stream struct{ tail []byte }
 // Take returns the bytes to parse for this delivery: the payload's own
 // view when no partial record is pending and the payload is one element,
 // otherwise the pending bytes with the payload appended. The slice is
-// valid until the next Take.
+// valid until the next Take, and no longer than the payload itself: a
+// receive handler parses it, and calls Keep, before it returns.
 func (s *Stream) Take(payload *IOBuf) []byte {
 	if len(s.tail) == 0 && !payload.IsChained() {
 		return payload.Data()

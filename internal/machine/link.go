@@ -41,7 +41,7 @@ func (l *Link) send(fl *flight, fromA bool) {
 	idx := l.frameIndex
 	l.frameIndex++
 	if l.DropFn != nil && l.DropFn(idx, fl.f) {
-		fl.release()
+		fl.drop()
 		return
 	}
 	now := l.K.Now()
@@ -105,7 +105,7 @@ func (s *Switch) forward(fl *flight, from *switchPort) {
 	idx := s.frameIndex
 	s.frameIndex++
 	if s.DropFn != nil && s.DropFn(idx, fl.f) {
-		fl.release()
+		fl.drop()
 		return
 	}
 	// Learn the source address. Both addresses sit in the head element; a
@@ -121,7 +121,8 @@ func (s *Switch) forward(fl *flight, from *switchPort) {
 		return
 	}
 	// Flood: broadcast or unknown destination. Every copy flies on a
-	// record of its own, from the sender's pool like the first.
+	// record of its own, from the sender's pool like the first, and holds
+	// the head.
 	copies := 0
 	for _, p := range s.ports {
 		if p == from {
@@ -129,12 +130,13 @@ func (s *Switch) forward(fl *flight, from *switchPort) {
 		}
 		c := fl
 		if copies++; copies > 1 {
+			fl.f.Buf.Retain()
 			c = fl.owner.newFlight(fl.f, fl.size)
 		}
 		s.deliver(c, p)
 	}
 	if copies == 0 {
-		fl.release()
+		fl.drop()
 	}
 }
 

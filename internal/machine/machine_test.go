@@ -84,7 +84,12 @@ func TestCycles(t *testing.T) {
 }
 
 func frameOf(src, dst MAC, payload int, hash uint32) Frame {
-	b := iobuf.New(14 + payload)
+	return frameIn(iobuf.New(14+payload), src, dst, payload, hash)
+}
+
+// frameIn writes the frame into b, an empty element - a pool's, in the
+// tests that follow a sender's head element home.
+func frameIn(b *iobuf.IOBuf, src, dst MAC, payload int, hash uint32) Frame {
 	hdr := b.Append(14 + payload)
 	copy(hdr[0:6], dst[:])
 	copy(hdr[6:12], src[:])
@@ -316,16 +321,19 @@ func TestVirtualizationCostsAffectLatency(t *testing.T) {
 }
 
 // irqDrains binds every NIC's first queue to its machine's core 0 with a
-// dispatcher that pops whatever is queued, standing in for a driver.
+// dispatcher that pops and frees whatever is queued, standing in for a
+// driver.
 func irqDrains(nics ...*NIC) {
 	for _, n := range nics {
 		q, core := n.Queues[0], n.M.Cores[0]
 		q.SetIRQ(core, 60)
 		core.SetDispatcher(func(int) {
 			for {
-				if _, ok := q.Pop(); !ok {
+				f, ok := q.Pop()
+				if !ok {
 					break
 				}
+				f.Buf.Free()
 			}
 			core.Halt()
 		})
@@ -334,12 +342,12 @@ func irqDrains(nics ...*NIC) {
 	}
 }
 
-// A frame crosses Transmit -> port -> rx copy -> IRQ on one pooled record:
-// with the pool warm the only objects a hop allocates are the receiver's
-// guest buffer (descriptor + bytes), once per delivered copy - through a
-// link, through a switch, and through a switch flood.
-func TestFrameFlightAllocatesOnlyTheGuestBuffer(t *testing.T) {
-	const guestBuffer = 2 // iobuf.New: descriptor and backing array
+// A frame crosses Transmit -> port -> rx copy -> IRQ on one pooled record
+// and is copied into one recycled receive buffer: with the pools warm a hop
+// allocates nothing - through a link, through a switch, and through a
+// switch flood - and when the frame has been popped and freed the sender's
+// head element and every receive buffer are home.
+func TestFrameFlightAllocatesNothing(t *testing.T) {
 	k := sim.NewKernel()
 	la, lb := NewNIC(testMachine(k, 1), MAC{1}), NewNIC(testMachine(k, 1), MAC{2})
 	NewLink(k, la, lb)
@@ -350,36 +358,95 @@ func TestFrameFlightAllocatesOnlyTheGuestBuffer(t *testing.T) {
 		sw.Connect(nics[i])
 	}
 	irqDrains(la, lb, nics[0], nics[1], nics[2])
-	unicast := frameOf(MAC{1}, MAC{2}, 100, 0)
-	flood := frameOf(MAC{1}, Broadcast, 100, 0)
 	nics[1].Transmit(frameOf(MAC{2}, MAC{1}, 100, 0), 0) // the switch learns MAC 2
 	k.Run()
 
+	heads := iobuf.NewPool(128)
 	for _, tc := range []struct {
 		name   string
 		from   *NIC
-		f      Frame
+		dst    MAC
 		copies int
 	}{
-		{"link", la, unicast, 1},
-		{"switch unicast", nics[0], unicast, 1},
-		{"switch flood", nics[0], flood, 2},
+		{"link", la, MAC{2}, 1},
+		{"switch unicast", nics[0], MAC{2}, 1},
+		{"switch flood", nics[0], Broadcast, 2},
 	} {
 		send := func() {
-			tc.from.Transmit(tc.f, 0)
+			tc.from.Transmit(frameIn(heads.Get(114), MAC{1}, tc.dst, 100, 0), 0)
 			k.Run()
 		}
-		send() // warm the pool and the rings
-		if got := testing.AllocsPerRun(100, send); got != float64(tc.copies*guestBuffer) {
-			t.Errorf("%s: %.0f objects per frame, want %d (the guest buffer of each of %d copies)",
-				tc.name, got, tc.copies*guestBuffer, tc.copies)
+		send() // warm the pools and the rings
+		if got := testing.AllocsPerRun(100, send); got != 0 {
+			t.Errorf("%s: %.0f objects per frame, want 0", tc.name, got)
 		}
 		if len(tc.from.free) != tc.copies {
 			t.Errorf("%s: sender's pool holds %d records, want %d", tc.name, len(tc.from.free), tc.copies)
 		}
+		if heads.Outstanding() != 0 {
+			t.Errorf("%s: %d head elements did not come home", tc.name, heads.Outstanding())
+		}
+	}
+	for _, n := range []*NIC{la, lb, nics[0], nics[1], nics[2]} {
+		if n.RxBuffersOut() != 0 {
+			t.Errorf("NIC %v: %d receive buffers out after every frame was freed", n.Mac, n.RxBuffersOut())
+		}
 	}
 	if rx := nics[1].RxFrames.N + nics[2].RxFrames.N; rx == 0 || lb.RxFrames.N == 0 {
 		t.Fatal("nothing was delivered; the counts above prove nothing")
+	}
+}
+
+// Every way a frame can fail to arrive ends the flight's hold on its head
+// element, and a frame left in a ring stays counted until it is popped and
+// freed.
+func TestDroppedFramesFreeTheirHead(t *testing.T) {
+	k := sim.NewKernel()
+	na, nb := NewNIC(testMachine(k, 1), MAC{1}), NewNIC(testMachine(k, 1), MAC{2})
+	l := NewLink(k, na, nb)
+	sw := NewSwitch(k)
+	lone := NewNIC(testMachine(k, 1), MAC{3})
+	sw.Connect(lone)
+	heads := iobuf.NewPool(128)
+	send := func(from *NIC) {
+		from.Transmit(frameIn(heads.Get(114), MAC{1}, MAC{2}, 100, 0), 0)
+		k.Run()
+	}
+	check := func(what string) {
+		t.Helper()
+		if heads.Outstanding() != 0 {
+			t.Fatalf("%s: the head element did not come home", what)
+		}
+	}
+	na.SetUp(false)
+	send(na)
+	check("transmit on a down NIC")
+	na.SetUp(true)
+	nb.SetUp(false)
+	send(na)
+	check("arrival at a down NIC")
+	nb.SetUp(true)
+	l.DropFn = func(uint64, Frame) bool { return true }
+	send(na)
+	check("link DropFn")
+	l.DropFn = nil
+	send(lone)
+	check("flood with no other port")
+	sw.DropFn = func(uint64, Frame) bool { return true }
+	send(lone)
+	check("switch DropFn")
+	if nb.RxBuffersOut() != 0 {
+		t.Fatalf("%d receive buffers out before anything was delivered", nb.RxBuffersOut())
+	}
+	send(na)
+	check("delivery")
+	if nb.RxBuffersOut() != 1 || nb.Queues[0].Len() != 1 {
+		t.Fatalf("%d receive buffers out with %d frames queued, want 1 and 1", nb.RxBuffersOut(), nb.Queues[0].Len())
+	}
+	f, _ := nb.Queues[0].Pop()
+	f.Buf.Free()
+	if nb.RxBuffersOut() != 0 {
+		t.Fatal("the popped frame's buffer did not come home")
 	}
 }
 

@@ -25,7 +25,8 @@ func (m MAC) IsBroadcast() bool { return m == Broadcast }
 // header whole in the head element, payload chained behind it) plus the
 // flow hash the sending NIC computed for receive-side scaling, standing in
 // for the hardware Toeplitz hash. The chain borrows the sender's bytes;
-// nothing between Transmit and Deliver writes to it.
+// nothing between Transmit and Deliver writes to it. Who holds and who frees
+// a pooled head or receive buffer: docs/ARCHITECTURE.md, Buffer ownership.
 type Frame struct {
 	Buf  *iobuf.IOBuf
 	Hash uint32
@@ -82,6 +83,12 @@ func (fl *flight) step() {
 		fl.release() // first: the handler may transmit
 		q.raise()
 	}
+}
+
+// drop ends a flight whose frame goes nowhere.
+func (fl *flight) drop() {
+	fl.f.Buf.Free()
+	fl.release()
 }
 
 // release returns the record to its pool.
@@ -168,7 +175,8 @@ type NIC struct {
 	Queues []*RxQueue
 	peer   Port
 	down   bool
-	free   []*flight // pooled records of frames this NIC put in flight
+	free   []*flight   // pooled records of frames this NIC put in flight
+	rxPool *iobuf.Pool // guest buffers of frames this NIC received
 
 	// Stats
 	TxFrames, RxFrames sim.Counter
@@ -178,9 +186,13 @@ type NIC struct {
 	DroppedFrames sim.Counter
 }
 
+// rxBufferSize is the one class of receive buffer: an MTU-sized frame with
+// room to spare.
+const rxBufferSize = 1536
+
 // NewNIC attaches a NIC with the configured number of receive queues.
 func NewNIC(m *Machine, mac MAC) *NIC {
-	n := &NIC{M: m, Mac: mac}
+	n := &NIC{M: m, Mac: mac, rxPool: iobuf.NewPool(rxBufferSize)}
 	for i := 0; i < m.Cfg.NICQueues; i++ {
 		n.Queues = append(n.Queues, &RxQueue{})
 	}
@@ -199,6 +211,9 @@ func (n *NIC) Attach(p Port) { n.peer = p }
 // outage survives it.
 func (n *NIC) SetUp(up bool) { n.down = !up }
 
+// RxBuffersOut reports the receive buffers filled and not yet freed.
+func (n *NIC) RxBuffersOut() int { return n.rxPool.Outstanding() }
+
 // Up reports whether the NIC is passing frames.
 func (n *NIC) Up() bool { return !n.down }
 
@@ -213,6 +228,7 @@ func (n *NIC) Transmit(f Frame, extraDelay sim.Time) {
 	}
 	if n.down {
 		n.DroppedFrames.Inc()
+		f.Buf.Free()
 		return
 	}
 	fl := n.newFlight(f, f.Len())
@@ -243,19 +259,20 @@ func (n *NIC) Deliver(f Frame) { n.arrive(n.newFlight(f, f.Len())) }
 // arrive is called when a frame reaches this NIC off its port. The
 // hypervisor charges vhost processing plus the reception copy; enqueue
 // then selects a receive queue by flow hash and injects an interrupt if
-// the queue is unmasked. The frame is physically copied into fresh guest
-// memory - the hypervisor copy both systems pay (paper §4.1.3, charged as
-// RxCopy) and the one physical copy a direction makes. It gives the
-// receiver descriptors and bytes of its own: the chain it read from is the
-// sender's, borrowed from the application and the retransmission tracker.
+// the queue is unmasked. The frame is physically copied into guest memory -
+// the hypervisor copy both systems pay (paper §4.1.3, charged as RxCopy)
+// and the one physical copy a direction makes - into one recycled MTU
+// buffer of this NIC's. The chain it read from is the sender's, borrowed
+// from the application and the retransmission tracker.
 func (n *NIC) arrive(fl *flight) {
 	if n.down {
 		n.DroppedFrames.Inc()
-		fl.release()
+		fl.drop()
 		return
 	}
-	guest := iobuf.New(fl.size)
+	guest := n.rxPool.Get(fl.size)
 	fl.f.Buf.ForEach(func(e *iobuf.IOBuf) { copy(guest.Append(e.Length()), e.Data()) })
+	fl.f.Buf.Free()
 	fl.f.Buf = guest
 	costs := &n.M.Cfg.Costs
 	d := costs.RxCopy(fl.size)

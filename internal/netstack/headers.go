@@ -192,12 +192,16 @@ func writeTcp(b []byte, h TcpHeader) {
 	binary.BigEndian.PutUint16(b[18:20], 0) // urgent
 }
 
-// newPacket allocates the head element of an outgoing packet: an empty
-// view with tailroom for n bytes of IP and transport header, behind the
-// headroom EthArpSend exposes for the Ethernet header. Payload is chained
-// after it, not copied into it.
-func newPacket(n int) *iobuf.IOBuf {
-	b := iobuf.NewHeader(EthHeaderLen + n)
+// headerClass is the capacity of an interface's pooled head elements: the
+// longest header stack the interface writes.
+const headerClass = EthHeaderLen + Ipv4HeaderLen + TcpHeaderLen
+
+// newPacket takes the head element of an outgoing packet from the
+// interface's pool: an empty view with tailroom for n bytes of IP and
+// transport header, behind the headroom EthArpSend exposes for the
+// Ethernet header. Payload is chained after it, not copied into it.
+func (itf *Interface) newPacket(n int) *iobuf.IOBuf {
+	b := itf.hdrPool.Get(EthHeaderLen + n)
 	b.Append(EthHeaderLen)
 	b.Advance(EthHeaderLen)
 	return b

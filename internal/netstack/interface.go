@@ -23,6 +23,7 @@ type Interface struct {
 	tcp     *tcpLayer
 	pings   map[uint32]*pingState
 	drivers []*queueDriver
+	hdrPool *iobuf.Pool // head elements of transmitted packets (newPacket)
 
 	// RxPackets counts frames delivered to the stack (all queues).
 	RxPackets uint64
@@ -72,7 +73,9 @@ func (d *queueDriver) poll(c *event.Ctx) {
 }
 
 // drain processes all currently queued frames to completion, then flushes
-// the ACKs coalesced across the batch.
+// the ACKs coalesced across the batch. The stack, a popped buffer's one
+// holder, lets go when receive returns; whatever keeps it longer (steer,
+// the ooo stash) Retains it.
 func (d *queueDriver) drain(c *event.Ctx) int {
 	n := 0
 	for {
@@ -83,6 +86,7 @@ func (d *queueDriver) drain(c *event.Ctx) int {
 		n++
 		d.itf.RxPackets++
 		d.itf.receive(c, f.Buf)
+		f.Buf.Free()
 	}
 	if n > 0 {
 		d.itf.tcp.flushAcks(c)

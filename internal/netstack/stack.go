@@ -3,6 +3,7 @@ package netstack
 import (
 	"ebbrt/internal/audit"
 	"ebbrt/internal/event"
+	"ebbrt/internal/iobuf"
 	"ebbrt/internal/machine"
 	"ebbrt/internal/sim"
 )
@@ -126,6 +127,8 @@ func (s *Stack) AddInterface(nic *machine.NIC, addr, mask Ipv4Addr) *Interface {
 		arp:  newArpCache(),
 		udp:  newUdpLayer(),
 		tcp:  newTcpLayer(),
+
+		hdrPool: iobuf.NewPool(headerClass),
 	}
 	itf.tcp.itf = itf
 	itf.udp.itf = itf

@@ -56,7 +56,11 @@ type ConnHandler struct {
 	// OnConnected fires when the handshake completes.
 	OnConnected func(c *event.Ctx, pcb *TcpPcb)
 	// OnReceive delivers in-order payload directly from the driver, as an
-	// IOBuf view with no stack-side buffering or copying.
+	// IOBuf view with no stack-side buffering or copying. The payload is
+	// lent for the call (a handler that blocks has not ended its call): it
+	// is a view of a receive buffer the stack recycles once the call has
+	// returned, so a handler that keeps the bytes or sends them on Retains
+	// the element (and Frees it when done) or copies.
 	OnReceive func(c *event.Ctx, pcb *TcpPcb, payload *iobuf.IOBuf)
 	// OnAcked reports n bytes newly acknowledged by the peer - the signal
 	// applications use to manage their own send buffering.
@@ -89,8 +93,9 @@ type tcpLayer struct {
 	conns     *rcu.Table[tcpKey, *TcpPcb]
 	nextPort  uint16
 	isn       uint32
-	ackQueue  []*TcpPcb // connections owing an ACK after the current drain batch
-	ackSpare  []*TcpPcb // the array flushAcks walked last, reused by the batch after next
+	ackQueue  []*TcpPcb  // connections owing an ACK after the current drain batch
+	ackSpare  []*TcpPcb  // the array flushAcks walked last, reused by the batch after next
+	steerFree []*steered // hand-off records not in use
 	stats     TcpStats
 }
 
@@ -122,12 +127,14 @@ func newTcpLayer() *tcpLayer {
 // segment is one in-flight (sent, unacknowledged) transmit segment. The
 // tracker copies nothing: it holds the frame as first transmitted, whose
 // elements after the header are views of the bytes the application handed
-// to Send (immutable from then on). A retransmission puts new descriptors
-// over those bytes (the first frame may still be on the wire) behind a
-// rebuilt header (a replayed one would re-advertise the ack and window
-// from when the segment was first sent). sentAt and rexmit feed the RTT
-// estimator: only segments transmitted exactly once yield samples
-// (Karn's rule), taken from their last transmission time.
+// to Send (immutable from then on), and Retains its pooled head element
+// until the segment is acknowledged or the connection torn down. A
+// retransmission puts new descriptors over those bytes (the first frame
+// may still be on the wire) behind a rebuilt header (a replayed one would
+// re-advertise the ack and window from when the segment was first sent).
+// sentAt and rexmit feed the RTT estimator: only segments transmitted
+// exactly once yield samples (Karn's rule), taken from their last
+// transmission time.
 type segment struct {
 	seq    uint32
 	flags  byte
@@ -375,6 +382,7 @@ func (p *TcpPcb) sendSegment(c *event.Ctx, flags byte, payload *iobuf.IOBuf) {
 	frame := p.buildFrame(seq, p.rcvNxt, flags, payload)
 	p.sndNxt += seqLen
 	if seqLen > 0 {
+		frame.Retain()
 		p.inflight = append(p.inflight, segment{
 			seq: seq, flags: flags, frame: frame, seqLen: seqLen, sentAt: c.Now(),
 		})
@@ -390,14 +398,14 @@ func (p *TcpPcb) sendRawSegment(c *event.Ctx, seq, ack uint32, flags byte, paylo
 	p.transmitFrame(c, p.buildFrame(seq, ack, flags, payload))
 }
 
-// buildFrame writes the ip+tcp headers into a fresh head element and
-// chains payload (may be nil) behind it.
+// buildFrame writes the ip+tcp headers into a head element from the
+// interface's pool and chains payload (may be nil) behind it.
 func (p *TcpPcb) buildFrame(seq, ack uint32, flags byte, payload *iobuf.IOBuf) *iobuf.IOBuf {
 	total := Ipv4HeaderLen + TcpHeaderLen
 	if payload != nil {
 		total += payload.ComputeChainDataLength()
 	}
-	buf := newPacket(Ipv4HeaderLen + TcpHeaderLen)
+	buf := p.itf.newPacket(Ipv4HeaderLen + TcpHeaderLen)
 	writeIpv4(buf.Append(Ipv4HeaderLen), Ipv4Header{
 		TotalLen: uint16(total),
 		TTL:      64,
@@ -598,6 +606,14 @@ func (p *TcpPcb) cancelPersist() {
 func (p *TcpPcb) teardown(c *event.Ctx, err error) {
 	p.cancelRTO()
 	p.cancelPersist()
+	for i := range p.inflight {
+		p.inflight[i].frame.Free()
+	}
+	p.inflight = nil
+	for _, s := range p.ooo {
+		s.payload.Free()
+	}
+	clear(p.ooo)
 	wasClosed := p.state == tcpClosed
 	p.setState(c, tcpClosed)
 	p.itf.tcp.conns.Delete(p.key)
@@ -636,14 +652,39 @@ func (t *tcpLayer) receive(c *event.Ctx, ip Ipv4Header, buf *iobuf.IOBuf) {
 	}
 }
 
-// steer hands a segment to the owning core (rare with symmetric RSS). It
-// is a function of its own so that the closure captures a copy of hdr made
-// here, and receive's hdr stays off the heap on every other segment.
+// steered is one segment on its way from the core whose queue received it
+// to the core that owns its connection, a pooled record as machine.flight
+// is: run is bound once, so a hand-off allocates nothing.
+type steered struct {
+	run event.Handler // s.input
+	pcb *TcpPcb
+	hdr TcpHeader
+	buf *iobuf.IOBuf
+}
+
+// steer hands a segment to the owning core (a client's RSS queue is rarely
+// its connection's core).
 func (p *TcpPcb) steer(hdr TcpHeader, buf *iobuf.IOBuf) {
-	p.itf.St.Mgrs[p.core].Spawn(func(c *event.Ctx) {
-		p.input(c, hdr, buf)
-		p.flushAck(c)
-	})
+	t := p.itf.tcp
+	var s *steered
+	if last := len(t.steerFree) - 1; last >= 0 {
+		s, t.steerFree = t.steerFree[last], t.steerFree[:last]
+	} else {
+		s = &steered{}
+		s.run = s.input
+	}
+	buf.Retain()
+	s.pcb, s.hdr, s.buf = p, hdr, buf
+	p.itf.St.Mgrs[p.core].Spawn(s.run)
+}
+
+func (s *steered) input(c *event.Ctx) {
+	s.pcb.input(c, s.hdr, s.buf)
+	s.buf.Free()
+	s.pcb.flushAck(c)
+	t := s.pcb.itf.tcp
+	s.pcb, s.buf = nil, nil
+	t.steerFree = append(t.steerFree, s)
 }
 
 // queueAck defers the connection's ACK until the driver finishes the
@@ -789,7 +830,11 @@ func (p *TcpPcb) processAck(c *event.Ctx, hdr TcpHeader, plen int) {
 			if !seg.rexmit && seg.sentAt > sampleFrom {
 				sampleFrom = seg.sentAt
 			}
+			seg.frame.Free()
 		}
+		// Hold no acknowledged segment - its frame, and through it the
+		// application's bytes - in the array's spare capacity.
+		clear(p.inflight[len(keep):])
 		p.inflight = keep
 		if sampleFrom >= 0 {
 			p.sampleRTT(c.Now() - sampleFrom)
@@ -876,6 +921,7 @@ func (p *TcpPcb) processData(c *event.Ctx, hdr TcpHeader, payload *iobuf.IOBuf) 
 	if seq != p.rcvNxt {
 		// Out of order: stash for reassembly and duplicate-ACK.
 		if _, dup := p.ooo[seq]; !dup {
+			payload.Retain()
 			p.ooo[seq] = oooSegment{payload: payload, fin: fin, seqLen: seqLen - (seq - hdr.Seq)}
 		}
 		p.needAck = true
@@ -911,6 +957,7 @@ func (p *TcpPcb) drainReassembly(c *event.Ctx) {
 		delete(p.ooo, seq)
 		overlap := p.rcvNxt - seq
 		if overlap >= next.seqLen {
+			next.payload.Free()
 			continue // fully covered by what was already delivered
 		}
 		if overlap > 0 {
@@ -921,6 +968,7 @@ func (p *TcpPcb) drainReassembly(c *event.Ctx) {
 			next.payload.Advance(min(int(overlap), dataLen))
 		}
 		p.deliver(c, next.payload, next.fin, next.seqLen-overlap)
+		next.payload.Free()
 	}
 }
 

@@ -391,6 +391,7 @@ func TestTcpReassemblyPurgesOverlappedSegments(t *testing.T) {
 				t.Fatal("not established")
 			}
 			base := p.server.rcvNxt
+			rxPool := iobuf.NewPool(len(stream))
 			inject := func(c *event.Ctx, r rng) {
 				hdr := TcpHeader{
 					SrcPort: p.server.key.rport,
@@ -401,7 +402,11 @@ func TestTcpReassemblyPurgesOverlappedSegments(t *testing.T) {
 					Flags:   tcpACK | tcpPSH,
 					Window:  65535,
 				}
-				p.server.input(c, hdr, iobuf.FromBytes(stream[r.start:r.end]))
+				// As the driver does: a pooled buffer, lent for the call.
+				buf := rxPool.Get(r.end - r.start)
+				copy(buf.Append(r.end-r.start), stream[r.start:r.end])
+				p.server.input(c, hdr, buf)
+				buf.Free()
 			}
 			n.b.Mgrs[p.server.core].Spawn(func(c *event.Ctx) {
 				for _, r := range tc.ooo {
@@ -422,6 +427,9 @@ func TestTcpReassemblyPurgesOverlappedSegments(t *testing.T) {
 			}
 			if !slices.Equal(chunks, tc.chunks) {
 				t.Fatalf("delivery sizes %v, want %v", chunks, tc.chunks)
+			}
+			if rxPool.Outstanding() != 0 {
+				t.Fatalf("%d receive buffers were stashed and never freed", rxPool.Outstanding())
 			}
 		})
 	}

@@ -10,7 +10,8 @@ import (
 
 // UdpHandler receives one datagram's payload, synchronously from the
 // driver. An overwhelmed application simply drops - the stack provides no
-// buffering (paper §3.6).
+// buffering (paper §3.6). The payload is lent for the call, as
+// ConnHandler.OnReceive's is: to keep it or send it on, Retain it or copy.
 type UdpHandler func(c *event.Ctx, src Ipv4Addr, srcPort uint16, payload *iobuf.IOBuf)
 
 // udpLayer is an interface's UDP port table.
@@ -70,7 +71,7 @@ func (u *udpLayer) receive(c *event.Ctx, ip Ipv4Header, buf *iobuf.IOBuf) {
 // SendUdp transmits payload as one datagram. The payload chain is consumed.
 func (itf *Interface) SendUdp(c *event.Ctx, srcPort uint16, dst Ipv4Addr, dstPort uint16, payload *iobuf.IOBuf) future.Future[future.Unit] {
 	payloadLen := payload.ComputeChainDataLength()
-	hdr := newPacket(Ipv4HeaderLen + UdpHeaderLen)
+	hdr := itf.newPacket(Ipv4HeaderLen + UdpHeaderLen)
 	ipb := hdr.Append(Ipv4HeaderLen)
 	udpb := hdr.Append(UdpHeaderLen)
 	writeIpv4(ipb, Ipv4Header{
