@@ -258,7 +258,7 @@ func FormatAvailability(r AvailabilityResult) string {
 	out += fmt.Sprintf("  recovered: %8.0f RPS  hit rate %.4f  (%.0f%% of pre-kill)\n",
 		r.RecoveredRPS, r.RecoveredHitRate, pct(r.RecoveredRPS, r.PreKillRPS))
 	out += fmt.Sprintf("  totals: %d completed, %d misses, %d network errors, mean %.1fus p99 %.1fus\n",
-		r.Load.Completed, r.Load.Misses, r.Load.NetErrs, r.Load.Mean.Micros(), r.Load.P99.Micros())
+		r.Load.Samples, r.Load.Misses, r.Load.NetErrs, r.Load.Mean.Micros(), r.Load.P99.Micros())
 	out += fmt.Sprintf("  %-8s %10s %8s %8s %8s\n", "t(ms)", "RPS", "hits", "misses", "netErrs")
 	for _, b := range r.Load.Timeline {
 		rps := float64(b.Completed) / (float64(r.Load.BucketWidth) / 1e9)

@@ -294,7 +294,7 @@ func FormatElasticity(r ElasticityResult) string {
 	out += fmt.Sprintf("  replicas: min %d live of R=%d intended; fully replicated: %v\n",
 		r.MinLiveReplicas, r.Opt.Replicas, r.FullyReplicated)
 	out += fmt.Sprintf("  totals: %d completed, %d misses, %d network errors, mean %.1fus p99 %.1fus\n",
-		r.Load.Completed, r.Load.Misses, r.Load.NetErrs, r.Load.Mean.Micros(), r.Load.P99.Micros())
+		r.Load.Samples, r.Load.Misses, r.Load.NetErrs, r.Load.Mean.Micros(), r.Load.P99.Micros())
 	return out
 }
 

@@ -67,20 +67,6 @@ func TestFigure3Shape(t *testing.T) {
 	t.Logf("\n%s", FormatFigure3(rows))
 }
 
-func TestFigure3RealModeRuns(t *testing.T) {
-	// The real-goroutine mode must function on any host (absolute values
-	// are only meaningful with enough CPUs; here we check it runs and
-	// produces positive numbers).
-	rows := Figure3Real([]int{1, 2}, 5_000)
-	for _, r := range rows {
-		for name, v := range r.Cycles {
-			if v <= 0 {
-				t.Fatalf("%s at %d cores: non-positive %v", name, r.Cores, v)
-			}
-		}
-	}
-}
-
 func TestFigure4Shape(t *testing.T) {
 	series, err := Figure4([]int{64, 65536}, 4)
 	if err != nil {

@@ -2,10 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
-	"ebbrt/internal/mem"
 	"ebbrt/internal/sim"
 )
 
@@ -21,10 +18,10 @@ type Figure3Row struct {
 var AllocatorNames = []string{"EbbRT", "glibc", "jemalloc"}
 
 // Figure 3 contention model. The paper's experiment needs 24 physical
-// cores; this reproduction host may have as few as one, so the default
-// harness runs a deterministic queueing model over the allocators'
-// synchronization structure (the real-goroutine mode remains available as
-// Figure3Real for multi-core hosts):
+// cores; this reproduction host may have as few as one, so the harness
+// runs a deterministic queueing model over the allocators'
+// synchronization structure (package mem holds the allocators
+// themselves):
 //
 //   - EbbRT: per-core free lists, no shared resource on the fast path -
 //     constant per-operation cost (the slab's rare node refill amortizes
@@ -101,83 +98,6 @@ func glibcModel(n, measurements int) float64 {
 	// performed measurements*10 pairs.
 	meanNsPerPair := float64(sum) / 10.0 / float64(n) / (float64(measurements) * 10)
 	return meanNsPerPair * 10 * PaperGHz
-}
-
-// Figure3Real runs the allocators under real goroutine parallelism -
-// meaningful only on hosts with at least as many CPUs as the largest core
-// count requested. The allocator implementations themselves (package mem)
-// are the real data structures either way.
-func Figure3Real(coreCounts []int, measurementsPerCore int) []Figure3Row {
-	if len(coreCounts) == 0 {
-		coreCounts = []int{1, 2, 4, 8, 12, 24}
-	}
-	if measurementsPerCore <= 0 {
-		measurementsPerCore = 200_000
-	}
-	var rows []Figure3Row
-	for _, n := range coreCounts {
-		row := Figure3Row{Cores: n, Cycles: map[string]float64{}}
-		for _, name := range AllocatorNames {
-			alloc := makeAllocator(name, n)
-			row.Cycles[name] = runAllocBench(alloc, n, measurementsPerCore)
-		}
-		rows = append(rows, row)
-	}
-	return rows
-}
-
-func makeAllocator(name string, cores int) mem.Allocator {
-	switch name {
-	case "EbbRT":
-		pages := mem.NewPageAllocator(2, 512<<20)
-		coreNode := func(c int) int { return c * 2 / cores }
-		return &mem.EbbRTAllocator{M: mem.NewMalloc(pages, cores, coreNode)}
-	case "glibc":
-		return mem.NewGlibcStyle()
-	case "jemalloc":
-		return mem.NewJemallocStyle(cores)
-	}
-	panic("unknown allocator " + name)
-}
-
-// runAllocBench returns the mean cycles per measurement (ten alloc/free
-// pairs) across all cores.
-func runAllocBench(alloc mem.Allocator, cores, measurements int) float64 {
-	// Warm the per-core caches.
-	var warm sync.WaitGroup
-	for c := 0; c < cores; c++ {
-		warm.Add(1)
-		go func(core int) {
-			defer warm.Done()
-			for i := 0; i < 1000; i++ {
-				alloc.AllocFree(core)
-			}
-		}(c)
-	}
-	warm.Wait()
-
-	totals := make([]time.Duration, cores)
-	var wg sync.WaitGroup
-	for c := 0; c < cores; c++ {
-		wg.Add(1)
-		go func(core int) {
-			defer wg.Done()
-			start := time.Now()
-			for m := 0; m < measurements; m++ {
-				for i := 0; i < 10; i++ {
-					alloc.AllocFree(core)
-				}
-			}
-			totals[core] = time.Since(start)
-		}(c)
-	}
-	wg.Wait()
-	var sum float64
-	for _, d := range totals {
-		sum += float64(d.Nanoseconds())
-	}
-	meanNsPerMeasurement := sum / float64(cores) / float64(measurements)
-	return meanNsPerMeasurement * PaperGHz
 }
 
 // FormatFigure3 renders the series like the paper's axes.

@@ -3,9 +3,11 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"ebbrt/internal/apps/appnet"
 	"ebbrt/internal/apps/httpd"
+	"ebbrt/internal/audit"
 	"ebbrt/internal/event"
 	"ebbrt/internal/jsvm"
 	"ebbrt/internal/load"
@@ -54,7 +56,7 @@ func FormatFigure7(rows []Figure7Row) string {
 // Table2Row is one system's webserver latency row.
 type Table2Row struct {
 	System string
-	Result load.WrkResult
+	Result load.Summary
 }
 
 // Table2 reproduces the node.js webserver latency measurement: the static
@@ -86,4 +88,18 @@ func FormatTable2(rows []Table2Row) string {
 			r.System, r.Result.Mean.Micros(), r.Result.P99.Micros())
 	}
 	return out
+}
+
+// specTable2 prints the table under wrk's closed loop and reports each
+// row as metrics.
+func specTable2(Scale, *audit.Log) Report {
+	rows := Table2(0)
+	rep := Report{Text: FormatTable2(rows)}
+	for _, r := range rows {
+		sys := strings.ToLower(r.System)
+		rep.metric(sys+"_mean_us", r.Result.Mean.Micros())
+		rep.metric(sys+"_p99_us", r.Result.P99.Micros())
+		rep.metric(sys+"_samples", r.Result.Samples)
+	}
+	return rep
 }

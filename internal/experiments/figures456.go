@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"strings"
 
 	"ebbrt/internal/apps/appnet"
 	"ebbrt/internal/apps/memcached"
@@ -77,7 +78,6 @@ type MemcachedOptions struct {
 	Cores          int
 	Store          string // "rcu" (default) or "locked" ablation
 	DisablePolling bool   // ablation: leave the driver interrupt-driven
-	Connections    int
 	Duration       sim.Time
 }
 
@@ -118,9 +118,6 @@ func memcachedPoint(kind testbed.ServerKind, rate float64, opt MemcachedOptions)
 		panic(err)
 	}
 	cfg := load.DefaultMutilate(rate)
-	if opt.Connections > 0 {
-		cfg.Connections = opt.Connections
-	}
 	if opt.Duration > 0 {
 		cfg.Duration = opt.Duration
 	}
@@ -165,8 +162,9 @@ type curve struct {
 
 // memcachedSpec regenerates a Figure 5/6 plot of the given curves. Full
 // sweeps the figure's offered loads at the load generator's 250ms per
-// point; Smoke takes one mid-sweep load at 60ms.
-func memcachedSpec(cores int, curves ...curve) func(Scale, *audit.Log) Report {
+// point; Smoke takes one mid-sweep load at 60ms. A gated plot also
+// reports every printed number as a metric.
+func memcachedSpec(cores int, gated bool, curves ...curve) func(Scale, *audit.Log) Report {
 	return func(s Scale, _ *audit.Log) Report {
 		rates := pick(s, []float64{150000}, DefaultRatesSingleCore())
 		if cores >= 4 {
@@ -181,11 +179,23 @@ func memcachedSpec(cores int, curves ...curve) func(Scale, *audit.Log) Report {
 			}
 			series = append(series, sr)
 		}
-		text := FormatMemcached(series) + "Throughput at 500us p99 SLA:\n"
+		rep := Report{Text: FormatMemcached(series) + "Throughput at 500us p99 SLA:\n"}
 		for _, sr := range series {
-			text += fmt.Sprintf("  %-14s %12.0f RPS\n", sr.System, SLAThroughput(sr.Points, 500*sim.Microsecond))
+			sla := SLAThroughput(sr.Points, 500*sim.Microsecond)
+			rep.Text += fmt.Sprintf("  %-14s %12.0f RPS\n", sr.System, sla)
+			if !gated {
+				continue
+			}
+			sys := strings.ToLower(strings.ReplaceAll(sr.System, " ", "_"))
+			for _, p := range sr.Points {
+				at := fmt.Sprintf("%s_%.0f", sys, p.TargetRPS)
+				rep.metric(at+"_achieved_rps", p.AchievedRPS)
+				rep.metric(at+"_mean_us", p.Mean.Micros())
+				rep.metric(at+"_p99_us", p.P99.Micros())
+			}
+			rep.metric(sys+"_sla_rps", sla)
 		}
-		return Report{Text: text}
+		return rep
 	}
 }
 

@@ -96,23 +96,18 @@ var Specs = []Spec{
 		}},
 	{"figure3", "Figure 3: cycles per ten 8B alloc/free pairs vs cores, queueing model (paper: EbbRT linear to 24 cores; glibc 3.8x EbbRT at 24; jemalloc linear, 42% slower)",
 		func(Scale, *audit.Log) Report { return Report{Text: FormatFigure3(Figure3(nil, 0))} }},
-	{"figure3_real", "Figure 3 on real goroutines against the real allocators; meaningful only on a many-core host",
-		func(s Scale, _ *audit.Log) Report {
-			return Report{Text: FormatFigure3(Figure3Real(pick(s, []int{1, 2}, nil), pick(s, 5000, 0)))}
-		}},
 	{"figure4", "Figure 4: NetPIPE goodput vs message size, then the zero-copy ablation (paper: 64B one-way 9.7us EbbRT vs 15.9us Linux; 4Gbps at 64kB vs 384kB)", specFigure4},
 	{"figure5", "Figure 5: memcached latency vs throughput, one core, ETC workload (paper @500us p99 SLA: EbbRT +58% vs Linux VM, +11.7% vs native)",
-		memcachedSpec(1, curve{kind: testbed.EbbRT}, curve{kind: testbed.LinuxVM}, curve{kind: testbed.LinuxNative}, curve{kind: testbed.OSv})},
+		memcachedSpec(1, true, curve{kind: testbed.EbbRT}, curve{kind: testbed.LinuxVM}, curve{kind: testbed.LinuxNative}, curve{kind: testbed.OSv})},
 	{"figure5_nopolling", "ablation of Figure 5: EbbRT with and without the driver's adaptive polling",
-		memcachedSpec(1, curve{kind: testbed.EbbRT}, curve{kind: testbed.EbbRT, label: "EbbRT no-poll", opt: MemcachedOptions{DisablePolling: true}})},
+		memcachedSpec(1, false, curve{kind: testbed.EbbRT}, curve{kind: testbed.EbbRT, label: "EbbRT no-poll", opt: MemcachedOptions{DisablePolling: true}})},
 	{"figure6", "Figure 6: memcached latency vs throughput, four cores (paper @500us p99 SLA: EbbRT +58% vs Linux VM, -5% vs native)",
-		memcachedSpec(4, curve{kind: testbed.EbbRT}, curve{kind: testbed.LinuxVM}, curve{kind: testbed.LinuxNative})},
+		memcachedSpec(4, false, curve{kind: testbed.EbbRT}, curve{kind: testbed.LinuxVM}, curve{kind: testbed.LinuxNative})},
 	{"figure6_locked", "ablation of Figure 6: EbbRT over the RCU store and over a single-lock store",
-		memcachedSpec(4, curve{kind: testbed.EbbRT}, curve{kind: testbed.EbbRT, label: "EbbRT locked", opt: MemcachedOptions{Store: "locked"}})},
+		memcachedSpec(4, false, curve{kind: testbed.EbbRT}, curve{kind: testbed.EbbRT, label: "EbbRT locked", opt: MemcachedOptions{Store: "locked"}})},
 	{"figure7", "Figure 7: V8 suite scores normalized to Linux (paper: EbbRT wins all; overall +4.09%; Splay +13.9%)",
 		func(Scale, *audit.Log) Report { return Report{Text: FormatFigure7(Figure7())} }},
-	{"table2", "Table 2: node.js webserver latency under closed-loop wrk load (paper: EbbRT 90.54/123.00us, Linux 112.83/199.00us mean/p99)",
-		func(Scale, *audit.Log) Report { return Report{Text: FormatTable2(Table2(0))} }},
+	{"table2", "Table 2: node.js webserver latency under closed-loop wrk load (paper: EbbRT 90.54/123.00us, Linux 112.83/199.00us mean/p99)", specTable2},
 	{"scaling", "client-Ebb demo, then aggregate throughput vs backend count under sharded ETC load", specScaling},
 	{"availability", "a backend killed (smoke: and revived) under R=2 load: detection latency, throughput and hit rate through the failure, audited", specAvailability},
 	{"elasticity", "a backend joins and another is drained mid-run, streamed migration vs the miss-faulting baseline", elasticitySpec(ElasticityOptions{})},

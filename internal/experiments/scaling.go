@@ -12,31 +12,9 @@ import (
 	"ebbrt/internal/sim"
 )
 
-// ScalingOptions tunes the cluster-scaling sweep. The zero value is the
-// experiment's default configuration.
-type ScalingOptions struct {
-	// CoresPerBackend sizes each native backend (default 1).
-	CoresPerBackend int
-	// ConnsPerBackend sizes the per-backend connection pool (default 8).
-	ConnsPerBackend int
-	// Duration is the measured window per point (default 150 ms).
-	Duration sim.Time
-}
-
-// withDefaults fills unset options with the experiments' shared
-// defaults.
-func (opt ScalingOptions) withDefaults() ScalingOptions {
-	if opt.CoresPerBackend <= 0 {
-		opt.CoresPerBackend = 1
-	}
-	if opt.ConnsPerBackend <= 0 {
-		opt.ConnsPerBackend = 8
-	}
-	if opt.Duration <= 0 {
-		opt.Duration = 150 * sim.Millisecond
-	}
-	return opt
-}
+// connsPerBackend sizes the load generator's pool per single-core
+// backend in the sharded experiments.
+const connsPerBackend = 8
 
 // ScalingRow is one point of the cluster-scaling curve.
 type ScalingRow struct {
@@ -52,25 +30,24 @@ type ScalingRow struct {
 // the multi-backend extension of the paper's Figure 5 methodology: the
 // keyspace shards across native nodes by consistent hashing and the load
 // generator (a separate machine on the same switch, like the paper's
-// mutilate host) drives each shard over its own connection pool.
-func ClusterScaling(backendCounts []int, perBackendRPS float64, opt ScalingOptions) []ScalingRow {
-	opt = opt.withDefaults()
+// mutilate host) drives each shard over its own connection pool. Each
+// point measures for duration.
+func ClusterScaling(backendCounts []int, perBackendRPS float64, duration sim.Time) []ScalingRow {
 	var rows []ScalingRow
 	for _, n := range backendCounts {
-		rows = append(rows, scalingPoint(n, perBackendRPS, opt))
+		rows = append(rows, scalingPoint(n, perBackendRPS, duration))
 	}
 	return rows
 }
 
-// newShardedTarget boots a fresh cluster of the given size plus a
+// newShardedTarget boots a fresh cluster of single-core backends plus a
 // dedicated load-generator node, and wires one load.Shard per backend -
 // the common target every sharded load experiment drives.
-func newShardedTarget(backends int, opt ScalingOptions) (*cluster.Cluster, appnet.Runtime, []load.Shard) {
-	cl := cluster.New(backends, opt.CoresPerBackend)
+func newShardedTarget(backends int) (*cluster.Cluster, appnet.Runtime, []load.Shard) {
+	cl := cluster.New(backends, 1)
 	// The load generator must never be the bottleneck: give it more
 	// cores than the backends have in total.
-	genCores := 2*backends*opt.CoresPerBackend + 2
-	gen := cl.AddLoadGenerator(genCores)
+	gen := cl.AddLoadGenerator(2*backends + 2)
 
 	shards := make([]load.Shard, backends)
 	for i, b := range cl.Backends {
@@ -85,11 +62,11 @@ func newShardedTarget(backends int, opt ScalingOptions) (*cluster.Cluster, appne
 	return cl, gen.Runtime, shards
 }
 
-func scalingPoint(backends int, perBackendRPS float64, opt ScalingOptions) ScalingRow {
-	cl, gen, shards := newShardedTarget(backends, opt)
+func scalingPoint(backends int, perBackendRPS float64, duration sim.Time) ScalingRow {
+	cl, gen, shards := newShardedTarget(backends)
 	cfg := load.DefaultMutilate(perBackendRPS * float64(backends))
-	cfg.Connections = opt.ConnsPerBackend
-	cfg.Duration = opt.Duration
+	cfg.Connections = connsPerBackend
+	cfg.Duration = duration
 	res := load.RunMutilateSharded(gen, shards, cl.Ring.Lookup, cfg)
 	return ScalingRow{Backends: backends, OfferedRPS: cfg.TargetRPS, Result: res}
 }
@@ -125,7 +102,7 @@ const minScaling4 = 3.0
 // at 300k RPS per backend.
 func specScaling(s Scale, _ *audit.Log) Report {
 	rows := ClusterScaling(pick(s, []int{1, 4}, []int{1, 2, 4, 8}), pick(s, 200000.0, 300000),
-		ScalingOptions{Duration: pick(s, 40*sim.Millisecond, 0)})
+		pick(s, 40*sim.Millisecond, 150*sim.Millisecond))
 	rep := Report{Text: clusterDemo() + FormatScaling(rows)}
 	var one, four load.MutilateResult
 	for _, r := range rows {

@@ -45,24 +45,24 @@ func (r TextVsBinaryRow) Ratio() float64 {
 // TextVsBinary sweeps backend counts, measuring each point under the
 // binary and then the text protocol against a fresh cluster each run
 // (so neither run sees the other's store mutations or queue state).
-func TextVsBinary(backendCounts []int, perBackendRPS float64, opt ScalingOptions) []TextVsBinaryRow {
-	opt = opt.withDefaults()
+// Each run measures for duration.
+func TextVsBinary(backendCounts []int, perBackendRPS float64, duration sim.Time) []TextVsBinaryRow {
 	var rows []TextVsBinaryRow
 	for _, n := range backendCounts {
-		rows = append(rows, textVsBinaryPoint(n, perBackendRPS, opt))
+		rows = append(rows, textVsBinaryPoint(n, perBackendRPS, duration))
 	}
 	return rows
 }
 
-func textVsBinaryPoint(backends int, perBackendRPS float64, opt ScalingOptions) TextVsBinaryRow {
+func textVsBinaryPoint(backends int, perBackendRPS float64, duration sim.Time) TextVsBinaryRow {
 	cfg := load.DefaultMutilate(perBackendRPS * float64(backends))
-	cfg.Connections = opt.ConnsPerBackend
-	cfg.Duration = opt.Duration
+	cfg.Connections = connsPerBackend
+	cfg.Duration = duration
 
-	cl, gen, shards := newShardedTarget(backends, opt)
+	cl, gen, shards := newShardedTarget(backends)
 	bin := load.RunMutilateSharded(gen, shards, cl.Ring.Lookup, cfg)
 
-	cl, gen, shards = newShardedTarget(backends, opt)
+	cl, gen, shards = newShardedTarget(backends)
 	txt := load.RunMutilateText(gen, shards, cl.Ring.Lookup, cfg)
 
 	return TextVsBinaryRow{
@@ -90,8 +90,17 @@ func FormatTextVsBinary(rows []TextVsBinaryRow) string {
 // backends, 20k RPS per backend, 60ms.
 func specTextProto(s Scale, _ *audit.Log) Report {
 	rows := TextVsBinary(pick(s, []int{1, 2}, []int{1, 2, 4}), pick(s, 20000.0, 200000),
-		ScalingOptions{Duration: pick(s, 60*sim.Millisecond, 120*sim.Millisecond)})
-	return Report{Text: textSession() + FormatTextVsBinary(rows)}
+		pick(s, 60*sim.Millisecond, 120*sim.Millisecond))
+	rep := Report{Text: textSession() + FormatTextVsBinary(rows)}
+	for _, r := range rows {
+		at := fmt.Sprintf("_%d_backends", r.Backends)
+		rep.metric("binary_rps"+at, r.Binary.AchievedRPS)
+		rep.metric("text_rps"+at, r.Text.AchievedRPS)
+		rep.metric("text_over_binary"+at, r.Ratio())
+		rep.metric("binary_p99_us"+at, r.Binary.P99.Micros())
+		rep.metric("text_p99_us"+at, r.Text.P99.Micros())
+	}
+	return rep
 }
 
 // textSession drives a scripted ASCII session against one backend of a

@@ -18,10 +18,7 @@ import (
 // per-byte tokenization cost must not halve throughput), and both
 // protocols serve ~all of the offered load at this modest rate.
 func TestTextVsBinaryThroughputParity(t *testing.T) {
-	rows := TextVsBinary([]int{2}, 30000, ScalingOptions{
-		ConnsPerBackend: 4,
-		Duration:        60 * sim.Millisecond,
-	})
+	rows := TextVsBinary([]int{2}, 30000, 60*sim.Millisecond)
 	r := rows[0]
 	if r.Binary.AchievedRPS < 0.9*r.OfferedRPS {
 		t.Fatalf("binary run underachieved: %.0f of %.0f offered", r.Binary.AchievedRPS, r.OfferedRPS)
@@ -87,7 +84,7 @@ func TestTextSessionAgainstCluster(t *testing.T) {
 // routes and completes operations across all shards of a cluster, like
 // the binary one does.
 func TestRunMutilateTextDrivesEveryShard(t *testing.T) {
-	cl, gen, shards := newShardedTarget(2, ScalingOptions{CoresPerBackend: 1, ConnsPerBackend: 2})
+	cl, gen, shards := newShardedTarget(2)
 	cfg := load.DefaultMutilate(8000)
 	cfg.Connections = 2
 	cfg.Duration = 40 * sim.Millisecond

@@ -26,10 +26,9 @@ type KVClient interface {
 	Set(c *event.Ctx, key, value []byte, done func(c *event.Ctx, o OpOutcome))
 }
 
-// KVBatchClient is a KVClient that can read several keys as one batch.
-// When ClusterLoadConfig.MultiGet > 1 and the client implements it,
-// read arrivals are issued through GetMulti; outs is index-aligned with
-// keys.
+// KVBatchClient is a KVClient that can read several keys as one batch,
+// which ClusterLoadConfig.MultiGet > 1 requires; outs is index-aligned
+// with keys.
 type KVBatchClient interface {
 	KVClient
 	GetMulti(c *event.Ctx, keys [][]byte, done func(c *event.Ctx, outs []OpOutcome))
@@ -58,13 +57,9 @@ type ClusterLoadConfig struct {
 	ETC ETCConfig
 	// Events are faults injected at fixed offsets into the measurement.
 	Events []ChaosEvent
-	// StatsTopK is how many keys the per-key frequency summary keeps
-	// (default DefaultStatsTopK).
-	StatsTopK int
 	// MultiGet, when > 1, turns each read arrival into a batch of that
 	// many keys (the first from NextOp, the rest drawn from the same
-	// popularity distribution), issued through KVBatchClient.GetMulti
-	// when the client supports it and as independent Gets otherwise.
+	// popularity distribution), issued through KVBatchClient.GetMulti.
 	// Every key scores as one operation, so throughput stays comparable
 	// with single-key runs.
 	MultiGet int
@@ -83,16 +78,14 @@ type LoadBucket struct {
 	NetErrs uint64
 }
 
-// ClusterLoadResult is one measured run through the client Ebb.
+// ClusterLoadResult is one measured run through the client Ebb. Its
+// Samples are the successful operations; Hits, Misses and NetErrs total
+// the timeline.
 type ClusterLoadResult struct {
-	TargetRPS   float64
-	AchievedRPS float64
-	Mean        sim.Time
-	P99         sim.Time
-	Completed   uint64
-	Hits        uint64
-	Misses      uint64
-	NetErrs     uint64
+	Summary
+	Hits    uint64
+	Misses  uint64
+	NetErrs uint64
 	// Timeline is the per-bucket completion record, for locating a
 	// failure window inside the run.
 	Timeline []LoadBucket
@@ -101,15 +94,9 @@ type ClusterLoadResult struct {
 	// MeasuredFrom is the absolute virtual time measurement started,
 	// for correlating external events (evictions) with the timeline.
 	MeasuredFrom sim.Time
-	// Populated counts keys successfully written during prepopulation.
-	Populated int
 	// Keys is the measured window's per-key frequency summary (the
 	// offered hot-key share).
 	Keys KeyStats
-	// PerSource is each load source's completed-operation count (one
-	// entry per frontend in a RunClusterLoadMulti run; a single entry
-	// for RunClusterLoad).
-	PerSource []uint64
 }
 
 // WindowStats aggregates the timeline buckets fully inside [from, to)
@@ -136,32 +123,6 @@ func (r ClusterLoadResult) WindowStats(from, to sim.Time) (rps, hitRate float64)
 		hitRate = float64(hits) / float64(hits+misses)
 	}
 	return rps, hitRate
-}
-
-// loadSource is one frontend's arrival process: its own client, cores,
-// and RNG, offering an equal slice of the target rate.
-type loadSource struct {
-	kv        KVClient
-	mgrs      []*event.Manager
-	arrRng    *sim.Rng
-	rate      float64
-	completed uint64
-}
-
-// clusterLoad is one running generator.
-type clusterLoad struct {
-	cfg       ClusterLoadConfig
-	work      *Workload
-	sources   []*loadSource
-	rec       *sim.Recorder
-	keyFreq   *keyCounter
-	measStart sim.Time
-	measEnd   sim.Time
-	timeline  []LoadBucket
-	completed uint64
-	hits      uint64
-	misses    uint64
-	netErrs   uint64
 }
 
 // RunClusterLoad drives the ETC workload through a replicated cluster
@@ -191,170 +152,113 @@ func RunClusterLoadMulti(rts []appnet.Runtime, kvs []KVClient, cfg ClusterLoadCo
 	if cfg.Bucket <= 0 {
 		cfg.Bucket = cfg.Duration / 50
 	}
-	m := &clusterLoad{
-		cfg:  cfg,
-		work: NewWorkload(cfg.ETC, cfg.Seed),
-		rec:  sim.NewRecorder(int(cfg.TargetRPS * float64(cfg.Duration) / 1e9)),
-	}
-	for i := range rts {
-		m.sources = append(m.sources, &loadSource{
-			kv:     kvs[i],
-			mgrs:   rts[i].Mgrs(),
-			arrRng: sim.NewRng(cfg.Seed ^ 0x9e3779b9 ^ uint64(i)*0xbf58476d1ce4e5b9),
-			rate:   cfg.TargetRPS / float64(len(rts)),
-		})
-	}
-	m.keyFreq = newKeyCounter(len(m.work.Keys))
+	work := NewWorkload(cfg.ETC, cfg.Seed)
 	k := rts[0].Kernel()
 
 	// Prepopulate through the first client: every key lands on its full
 	// replica set via acknowledged quorum writes, so reads during later
 	// faults have live replicas to fail over to.
 	populated := 0
-	pop := m.sources[0]
-	for i := range m.work.Keys {
-		i := i
-		pop.mgrs[i%len(pop.mgrs)].Spawn(func(c *event.Ctx) {
-			pop.kv.Set(c, m.work.Keys[i], m.work.Values[i], func(c *event.Ctx, o OpOutcome) {
+	mgrs := rts[0].Mgrs()
+	for i := range work.Keys {
+		mgrs[i%len(mgrs)].Spawn(func(c *event.Ctx) {
+			kvs[0].Set(c, work.Keys[i], work.Values[i], func(_ *event.Ctx, o OpOutcome) {
 				if o.OK {
 					populated++
 				}
 			})
 		})
 	}
-	popDeadline := k.Now() + 2*sim.Second
-	for populated < len(m.work.Keys) && k.Now() < popDeadline {
-		k.RunFor(1 * sim.Millisecond)
+	for deadline := k.Now() + 2*sim.Second; populated < len(work.Keys) && k.Now() < deadline; {
+		k.RunFor(sim.Millisecond)
 	}
 
-	m.measStart = k.Now() + cfg.Warmup
-	m.measEnd = m.measStart + cfg.Duration
-	nBuckets := int((cfg.Duration + cfg.Bucket - 1) / cfg.Bucket)
-	m.timeline = make([]LoadBucket, nBuckets)
-	for i := range m.timeline {
-		m.timeline[i].Start = sim.Time(i) * cfg.Bucket
+	e := newEngine(k, cfg.TargetRPS, k.Now()+cfg.Warmup, cfg.Duration, len(work.Keys))
+	l := &clusterLoad{e: e, bucket: cfg.Bucket, timeline: make([]LoadBucket, (cfg.Duration+cfg.Bucket-1)/cfg.Bucket)}
+	for i := range l.timeline {
+		l.timeline[i].Start = sim.Time(i) * cfg.Bucket
 	}
 	for _, ev := range cfg.Events {
-		ev := ev
-		k.PostAt(m.measStart+ev.At, ev.Fn)
+		k.PostAt(e.start+ev.At, ev.Fn)
 	}
-
-	for _, src := range m.sources {
-		m.scheduleNextArrival(k, src)
-	}
-	k.RunUntil(m.measEnd + 20*sim.Millisecond)
-
-	perSource := make([]uint64, len(m.sources))
-	for i, src := range m.sources {
-		perSource[i] = src.completed
-	}
-	return ClusterLoadResult{
-		TargetRPS:    cfg.TargetRPS,
-		AchievedRPS:  float64(m.completed) / (float64(cfg.Duration) / 1e9),
-		Mean:         m.rec.Mean(),
-		P99:          m.rec.Percentile(99),
-		Completed:    m.completed,
-		Hits:         m.hits,
-		Misses:       m.misses,
-		NetErrs:      m.netErrs,
-		Timeline:     m.timeline,
-		BucketWidth:  cfg.Bucket,
-		MeasuredFrom: m.measStart,
-		Populated:    populated,
-		Keys:         m.keyFreq.stats(cfg.StatsTopK),
-		PerSource:    perSource,
-	}
-}
-
-// scheduleNextArrival generates one source's open-loop Poisson process,
-// spreading submissions round-robin across that source's cores.
-func (m *clusterLoad) scheduleNextArrival(k *sim.Kernel, src *loadSource) {
-	gap := src.arrRng.Exp(1e9 / src.rate)
-	k.Post(sim.Time(gap), func() {
-		if k.Now() >= m.measEnd {
-			return
-		}
-		keyIdx, isGet := m.work.NextOp()
-		arrival := k.Now()
-		if arrival >= m.measStart {
-			m.keyFreq.note(keyIdx)
-		}
-		mgr := src.mgrs[int(arrival/sim.Microsecond)%len(src.mgrs)]
-		if isGet && m.cfg.MultiGet > 1 {
-			idxs := make([]int, m.cfg.MultiGet)
-			idxs[0] = keyIdx
-			for j := 1; j < len(idxs); j++ {
-				idxs[j] = m.work.NextKey()
-				if arrival >= m.measStart {
-					m.keyFreq.note(idxs[j])
+	// One source per frontend, each from its own cores through its own
+	// client, spreading submissions across those cores by arrival time.
+	for i, kv := range kvs {
+		mgrs := rts[i].Mgrs()
+		rng := sim.NewRng(cfg.Seed ^ 0x9e3779b9 ^ uint64(i)*0xbf58476d1ce4e5b9)
+		e.arrivals(rng, cfg.TargetRPS/float64(len(rts)), func(at sim.Time) {
+			key, isGet := work.NextOp()
+			e.note(at, key)
+			mgr := mgrs[int(at/sim.Microsecond)%len(mgrs)]
+			if isGet && cfg.MultiGet > 1 {
+				keys := make([][]byte, cfg.MultiGet)
+				keys[0] = work.Keys[key]
+				for j := 1; j < len(keys); j++ {
+					idx := work.NextKey()
+					e.note(at, idx)
+					keys[j] = work.Keys[idx]
 				}
+				mgr.Spawn(func(c *event.Ctx) {
+					kv.(KVBatchClient).GetMulti(c, keys, func(c *event.Ctx, outs []OpOutcome) {
+						for _, o := range outs {
+							l.record(at, c.Now(), true, o)
+						}
+					})
+				})
+				return
 			}
-			mgr.Spawn(func(c *event.Ctx) { m.submitMulti(c, src, arrival, idxs) })
-		} else {
 			mgr.Spawn(func(c *event.Ctx) {
-				done := func(c *event.Ctx, o OpOutcome) { m.record(c, src, arrival, isGet, o) }
+				done := func(c *event.Ctx, o OpOutcome) { l.record(at, c.Now(), isGet, o) }
 				if isGet {
-					src.kv.Get(c, m.work.Keys[keyIdx], done)
+					kv.Get(c, work.Keys[key], done)
 				} else {
-					src.kv.Set(c, m.work.Keys[keyIdx], m.work.newValue(), done)
+					kv.Set(c, work.Keys[key], work.newValue(), done)
 				}
 			})
-		}
-		m.scheduleNextArrival(k, src)
-	})
-}
-
-// submitMulti issues one multiget arrival: through the client's batched
-// GetMulti when it has one, as independent Gets otherwise (the per-op
-// baseline pays one round per key either way). Each key scores as its
-// own operation.
-func (m *clusterLoad) submitMulti(c *event.Ctx, src *loadSource, arrival sim.Time, idxs []int) {
-	keys := make([][]byte, len(idxs))
-	for j, idx := range idxs {
-		keys[j] = m.work.Keys[idx]
-	}
-	if bkv, ok := src.kv.(KVBatchClient); ok {
-		bkv.GetMulti(c, keys, func(c *event.Ctx, outs []OpOutcome) {
-			for _, o := range outs {
-				m.record(c, src, arrival, true, o)
-			}
-		})
-		return
-	}
-	for _, key := range keys {
-		src.kv.Get(c, key, func(c *event.Ctx, o OpOutcome) {
-			m.record(c, src, arrival, true, o)
 		})
 	}
+	e.run()
+
+	res := ClusterLoadResult{
+		Summary:      e.summary(),
+		Timeline:     l.timeline,
+		BucketWidth:  cfg.Bucket,
+		MeasuredFrom: e.start,
+		Keys:         e.keys.stats(DefaultStatsTopK),
+	}
+	for _, b := range l.timeline {
+		res.Hits += b.Hits
+		res.Misses += b.Misses
+		res.NetErrs += b.NetErrs
+	}
+	return res
 }
 
-// record scores one completion into the timeline bucket it finished in.
-func (m *clusterLoad) record(c *event.Ctx, src *loadSource, arrival sim.Time, isGet bool, o OpOutcome) {
-	now := c.Now()
-	if arrival < m.measStart || now > m.measEnd {
+// clusterLoad scores a run's completions into its timeline.
+type clusterLoad struct {
+	e        *engine
+	bucket   sim.Time
+	timeline []LoadBucket
+}
+
+// record scores one completion into the bucket it finished in; the last
+// bucket is closed on the right, so a completion at the window's end
+// counts like the engine says it does.
+func (l *clusterLoad) record(at, now sim.Time, isGet bool, o OpOutcome) {
+	if !l.e.measured(at, now) {
 		return
 	}
-	idx := int((now - m.measStart) / m.cfg.Bucket)
-	if idx < 0 || idx >= len(m.timeline) {
-		return
-	}
-	b := &m.timeline[idx]
+	b := &l.timeline[min(int((now-l.e.start)/l.bucket), len(l.timeline)-1)]
 	switch {
 	case o.NetErr:
-		m.netErrs++
 		b.NetErrs++
-		return
 	case isGet && o.Miss:
-		m.misses++
 		b.Misses++
-		return
+	default:
+		b.Completed++
+		if isGet {
+			b.Hits++
+		}
+		l.e.rec.Add(now - at)
 	}
-	m.completed++
-	b.Completed++
-	src.completed++
-	if isGet {
-		m.hits++
-		b.Hits++
-	}
-	m.rec.Add(now - arrival)
 }

@@ -51,9 +51,6 @@ func (kc *keyCounter) note(keyIdx int) {
 
 // stats summarizes the top k keys by count.
 func (kc *keyCounter) stats(k int) KeyStats {
-	if k <= 0 {
-		k = DefaultStatsTopK
-	}
 	idx := make([]int, 0, len(kc.counts))
 	for i, n := range kc.counts {
 		if n > 0 {

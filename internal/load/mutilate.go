@@ -1,23 +1,10 @@
-// Package load implements the evaluation's load generators: a
-// mutilate-style memcached client generating the Facebook ETC workload
-// (paper §4.2) - over the binary protocol (RunMutilate,
-// RunMutilateSharded) or the ASCII text protocol (RunMutilateText) -
-// a replicated-cluster client-Ebb runner with a failure timeline
-// (RunClusterLoad), and a wrk-style HTTP client (paper §4.3, Table 2).
-//
-// All are open-loop: requests arrive by a Poisson process at a target
-// rate regardless of completions, so server queueing shows up as latency -
-// the methodology behind the paper's latency-vs-throughput curves.
 package load
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"ebbrt/internal/apps/appnet"
 	"ebbrt/internal/apps/memcached"
-	"ebbrt/internal/event"
-	"ebbrt/internal/iobuf"
 	"ebbrt/internal/sim"
 )
 
@@ -77,6 +64,8 @@ func NewWorkload(cfg ETCConfig, seed uint64) *Workload {
 	return w
 }
 
+// newValue draws a SET's value from the same stream as NextOp, so where
+// a generator calls it is part of the op sequence.
 func (w *Workload) newValue() []byte {
 	vlen := int(w.rng.Exp(w.cfg.ValueMean)) + 1
 	if vlen > w.cfg.ValueMax {
@@ -98,30 +87,25 @@ func (w *Workload) NextOp() (int, bool) {
 // how a multiget arrival picks its remaining keys.
 func (w *Workload) NextKey() int { return w.zipf.Next() }
 
+// mutilateDepth is the pipeline depth of the paper's mutilate setup.
+const mutilateDepth = 4
+
 // MutilateConfig drives one load point.
 type MutilateConfig struct {
+	// Connections is the pool size per shard.
 	Connections int
-	Pipeline    int
 	TargetRPS   float64
 	Warmup      sim.Time
 	Duration    sim.Time
 	Seed        uint64
 	ETC         ETCConfig
-	// TextProtocol switches the generator from the binary protocol to
-	// the ASCII text protocol (RunMutilateText): requests are command
-	// lines, responses are matched in connection FIFO order rather than
-	// by opaque.
-	TextProtocol bool
-	// StatsTopK is how many keys the per-key frequency summary keeps
-	// (default DefaultStatsTopK).
-	StatsTopK int
 }
 
-// DefaultMutilate mirrors the paper's setup: pipeline depth 4 over TCP.
+// DefaultMutilate mirrors the paper's setup: 16 connections, each
+// pipelining mutilateDepth requests over TCP.
 func DefaultMutilate(targetRPS float64) MutilateConfig {
 	return MutilateConfig{
 		Connections: 16,
-		Pipeline:    4,
 		TargetRPS:   targetRPS,
 		Warmup:      30 * sim.Millisecond,
 		Duration:    250 * sim.Millisecond,
@@ -132,56 +116,15 @@ func DefaultMutilate(targetRPS float64) MutilateConfig {
 
 // MutilateResult is one point of a Figure 5/6 curve.
 type MutilateResult struct {
-	TargetRPS   float64
-	AchievedRPS float64
-	Mean        sim.Time
-	P99         sim.Time
-	Samples     int
+	Summary
 	// Keys is the measured window's per-key frequency summary: the
-	// direct view of the workload's Zipf skew (hot-key share) that
-	// experiments previously had to infer from shard imbalance.
+	// direct view of the workload's Zipf skew (hot-key share).
 	Keys KeyStats
 	// PerShard breaks the aggregate down by backend: each shard's
 	// measured completions and RPS, exposing exactly which shard the
 	// skewed tail concentrates on.
 	PerShard []ShardLoad
 }
-
-// String renders the point like the paper's axes.
-func (r MutilateResult) String() string {
-	return fmt.Sprintf("target=%.0f achieved=%.0f mean=%.1fus p99=%.1fus n=%d",
-		r.TargetRPS, r.AchievedRPS, r.Mean.Micros(), r.P99.Micros(), r.Samples)
-}
-
-// pendingReq is a generated request waiting for or in flight to the server.
-type pendingReq struct {
-	arrival sim.Time
-	keyIdx  int
-	isGet   bool
-}
-
-// mconn is one load-generator connection.
-type mconn struct {
-	m           *mutilate
-	conn        appnet.Conn
-	mgr         *event.Manager
-	shard       int
-	queue       []pendingReq
-	inflight    map[uint32]sim.Time // opaque -> arrival time
-	nextOpaque  uint32
-	outstanding int
-	rx          iobuf.Stream
-	connected   bool
-
-	// Text-protocol state (mutilate_text.go): the protocol has no opaque,
-	// so responses complete the oldest outstanding op on the connection.
-	textFifo []textPending
-	tpSkip   int // bytes of a VALUE data block (+CRLF) still to skip
-}
-
-// Dial connects one client connection to a target (injected to avoid
-// coupling the load generator to the testbed or cluster packages).
-type Dial func(c *event.Ctx, cb appnet.Callbacks, onConnect func(*event.Ctx, appnet.Conn))
 
 // Shard is one sharded-workload target: how to reach it and the server
 // whose store should be prepopulated with the shard's keys.
@@ -190,209 +133,93 @@ type Shard struct {
 	Srv  *memcached.Server
 }
 
-// mutilate is the running load generator.
-type mutilate struct {
-	cfg       MutilateConfig
-	work      *Workload
-	client    appnet.Runtime
-	shards    [][]*mconn // per shard, its connection pool
-	route     []int      // key index -> shard
-	rrNext    []int      // per-shard round-robin cursor
-	rec       *sim.Recorder
-	completed uint64
-	perShard  []uint64 // measured completions per shard
-	keyFreq   *keyCounter
-	measStart sim.Time
-	measEnd   sim.Time
-	arrRng    *sim.Rng
-}
-
 // RunMutilate drives one load point against a single memcached server
 // already listening on the server runtime.
 func RunMutilate(client appnet.Runtime, dial Dial, srv *memcached.Server, cfg MutilateConfig) MutilateResult {
 	return RunMutilateSharded(client, []Shard{{Dial: dial, Srv: srv}}, nil, cfg)
 }
 
-// RunMutilateSharded drives one load point against a sharded cluster:
-// each sampled key routes (via route, over the pre-generated key set) to
-// one shard, which receives it on that shard's private connection pool.
-// cfg.Connections is the pool size per shard, so client-side parallelism
-// scales with the backend count as it does when mutilate agents are
-// added per server. route may be nil when there is exactly one shard.
-// Each shard's store is prepopulated with only the keys it owns.
+// RunMutilateSharded drives one load point against a sharded cluster
+// over the binary protocol: each sampled key routes (via route, over the
+// pre-generated key set) to one shard, which receives it on that shard's
+// private connection pool. cfg.Connections is the pool size per shard,
+// so client-side parallelism scales with the backend count as it does
+// when mutilate agents are added per server. route may be nil when there
+// is exactly one shard. Each shard's store is prepopulated with only the
+// keys it owns.
 func RunMutilateSharded(client appnet.Runtime, shards []Shard, route func(key []byte) int, cfg MutilateConfig) MutilateResult {
+	return runMutilate(client, shards, route, cfg, func(w *Workload) codec {
+		return &binaryCodec{work: w, inflight: map[uint32]sim.Time{}}
+	})
+}
+
+func runMutilate(client appnet.Runtime, shards []Shard, route func(key []byte) int, cfg MutilateConfig, newCodec func(*Workload) codec) MutilateResult {
 	work := NewWorkload(cfg.ETC, cfg.Seed)
-	m := &mutilate{
-		cfg:      cfg,
-		work:     work,
-		client:   client,
-		route:    make([]int, len(work.Keys)),
-		rrNext:   make([]int, len(shards)),
-		rec:      sim.NewRecorder(int(cfg.TargetRPS * float64(cfg.Duration) / 1e9)),
-		perShard: make([]uint64, len(shards)),
-		keyFreq:  newKeyCounter(len(work.Keys)),
-		arrRng:   sim.NewRng(cfg.Seed ^ 0x9e3779b9),
-	}
 	// Route the keyspace once, prepopulating each shard with its share.
-	perShard := make([][][]byte, len(shards))
-	perShardVals := make([][][]byte, len(shards))
+	owner := make([]int, len(work.Keys))
+	keys := make([][][]byte, len(shards))
+	vals := make([][][]byte, len(shards))
 	for i, key := range work.Keys {
-		s := 0
 		if route != nil {
-			s = route(key)
+			owner[i] = route(key)
 		}
-		m.route[i] = s
-		perShard[s] = append(perShard[s], key)
-		perShardVals[s] = append(perShardVals[s], work.Values[i])
+		keys[owner[i]] = append(keys[owner[i]], key)
+		vals[owner[i]] = append(vals[owner[i]], work.Values[i])
 	}
+	dials := make([]Dial, len(shards))
 	for s, sh := range shards {
-		sh.Srv.Prepopulate(perShard[s], perShardVals[s])
+		sh.Srv.Prepopulate(keys[s], vals[s])
+		dials[s] = sh.Dial
 	}
 
 	k := client.Kernel()
-	mgrs := client.Mgrs()
-
-	// Open each shard's pool, spreading connections round-robin across
-	// client cores.
-	m.shards = make([][]*mconn, len(shards))
-	nextCore := 0
-	for s, sh := range shards {
-		dial := sh.Dial
-		for i := 0; i < cfg.Connections; i++ {
-			mc := &mconn{m: m, mgr: mgrs[nextCore%len(mgrs)], shard: s, inflight: map[uint32]sim.Time{}}
-			nextCore++
-			m.shards[s] = append(m.shards[s], mc)
-			mc.mgr.Spawn(func(c *event.Ctx) {
-				dial(c, appnet.Callbacks{
-					OnData: func(c *event.Ctx, conn appnet.Conn, payload *iobuf.IOBuf) {
-						mc.onData(c, payload)
-					},
-				}, func(c *event.Ctx, conn appnet.Conn) {
-					mc.conn = conn
-					mc.connected = true
-				})
-			})
-		}
-	}
-
-	// Let handshakes finish, then start the arrival process.
-	setup := 5 * sim.Millisecond
-	m.measStart = setup + cfg.Warmup
-	m.measEnd = m.measStart + cfg.Duration
+	e := newEngine(k, cfg.TargetRPS, setup+cfg.Warmup, cfg.Duration, len(work.Keys))
+	p := dialPool(e, client, dials, cfg.Connections, mutilateDepth, func() codec { return newCodec(work) })
 	k.RunUntil(setup)
-	m.scheduleNextArrival(k)
-	k.RunUntil(m.measEnd + 20*sim.Millisecond)
+	e.arrivals(sim.NewRng(cfg.Seed^0x9e3779b9), cfg.TargetRPS, func(at sim.Time) {
+		key, isGet := work.NextOp()
+		e.note(at, key)
+		p.submit(owner[key], op{at: at, key: key, isGet: isGet})
+	})
+	e.run()
 
-	res := MutilateResult{
-		TargetRPS:   cfg.TargetRPS,
-		AchievedRPS: float64(m.completed) / (float64(cfg.Duration) / 1e9),
-		Mean:        m.rec.Mean(),
-		P99:         m.rec.Percentile(99),
-		Samples:     m.rec.Count(),
-		Keys:        m.keyFreq.stats(cfg.StatsTopK),
-		PerShard:    make([]ShardLoad, len(shards)),
-	}
-	for s, n := range m.perShard {
-		res.PerShard[s] = ShardLoad{
-			Shard:     s,
-			Completed: n,
-			RPS:       float64(n) / (float64(cfg.Duration) / 1e9),
-		}
+	res := MutilateResult{Summary: e.summary(), Keys: e.keys.stats(DefaultStatsTopK)}
+	for s, n := range p.perShard {
+		res.PerShard = append(res.PerShard, ShardLoad{Shard: s, Completed: n, RPS: float64(n) / (float64(cfg.Duration) / 1e9)})
 	}
 	return res
 }
 
-// scheduleNextArrival generates the open-loop Poisson arrivals. Each
-// arrival routes to its key's shard and round-robins within that
-// shard's pool.
-func (m *mutilate) scheduleNextArrival(k *sim.Kernel) {
-	gap := m.arrRng.Exp(1e9 / m.cfg.TargetRPS) // ns between arrivals
-	k.Post(sim.Time(gap), func() {
-		if k.Now() >= m.measEnd {
-			return
-		}
-		keyIdx, isGet := m.work.NextOp()
-		if k.Now() >= m.measStart {
-			m.keyFreq.note(keyIdx)
-		}
-		pool := m.shards[m.route[keyIdx]]
-		mc := pool[m.rrNext[m.route[keyIdx]]%len(pool)]
-		m.rrNext[m.route[keyIdx]]++
-		req := pendingReq{arrival: k.Now(), keyIdx: keyIdx, isGet: isGet}
-		mc.mgr.Spawn(func(c *event.Ctx) { mc.submit(c, req) })
-		m.scheduleNextArrival(k)
-	})
+// binaryCodec speaks the memcached binary protocol and matches each
+// response to its request by opaque. A SET's value is drawn when the
+// request leaves the queue.
+type binaryCodec struct {
+	work     *Workload
+	opaque   uint32
+	inflight map[uint32]sim.Time // opaque -> arrival
 }
 
-// submit queues a request and pumps the pipeline.
-func (mc *mconn) submit(c *event.Ctx, req pendingReq) {
-	mc.queue = append(mc.queue, req)
-	mc.pump(c)
+func (b *binaryCodec) encode(o op) []byte {
+	opaque := b.opaque
+	b.opaque++
+	b.inflight[opaque] = o.at
+	if o.isGet {
+		return memcached.BuildGet(b.work.Keys[o.key], opaque)
+	}
+	return memcached.BuildSet(b.work.Keys[o.key], b.work.newValue(), 0, opaque)
 }
 
-// pump sends queued requests up to the pipeline limit.
-func (mc *mconn) pump(c *event.Ctx) {
-	if !mc.connected {
-		return
-	}
-	for mc.outstanding < mc.m.cfg.Pipeline && len(mc.queue) > 0 {
-		req := mc.queue[0]
-		mc.queue = mc.queue[1:]
-		var packet []byte
-		if mc.m.cfg.TextProtocol {
-			packet = mc.encodeText(req)
-		} else {
-			opaque := mc.nextOpaque
-			mc.nextOpaque++
-			if req.isGet {
-				packet = memcached.BuildGet(mc.m.work.Keys[req.keyIdx], opaque)
-			} else {
-				packet = memcached.BuildSet(mc.m.work.Keys[req.keyIdx], mc.m.work.newValue(), 0, opaque)
-			}
-			mc.inflight[opaque] = req.arrival
-		}
-		mc.outstanding++
-		mc.conn.Send(c, iobuf.Wrap(packet))
-	}
-}
-
-// onData parses responses and records latency.
-func (mc *mconn) onData(c *event.Ctx, payload *iobuf.IOBuf) {
-	data := mc.rx.Take(payload)
-	if mc.m.cfg.TextProtocol {
-		mc.rx.Keep(data, mc.decodeText(c, data), 0)
-		mc.pump(c)
-		return
-	}
+func (b *binaryCodec) decode(data []byte, done func(at sim.Time)) (int, int, error) {
 	consumed := 0
 	for {
 		hdr, _, n, err := memcached.NextFrame(data[consumed:], memcached.MagicResponse)
-		if err != nil {
-			// Desynced response stream: retire the connection (its
-			// in-flight requests are lost; the run continues on the
-			// remaining pool).
-			mc.rx = iobuf.Stream{}
-			mc.connected = false
-			mc.conn.Close(c)
-			return
-		}
-		if n == 0 {
-			mc.rx.Keep(data, consumed, hdr.Reserve())
-			break
+		if err != nil || n == 0 {
+			return consumed, hdr.Reserve(), err
 		}
 		consumed += n
-		arrival, ok := mc.inflight[hdr.Opaque]
-		if !ok {
-			continue
-		}
-		delete(mc.inflight, hdr.Opaque)
-		mc.outstanding--
-		now := c.Now()
-		if arrival >= mc.m.measStart && now <= mc.m.measEnd {
-			mc.m.rec.Add(now - arrival)
-			mc.m.completed++
-			mc.m.perShard[mc.shard]++
+		if at, ok := b.inflight[hdr.Opaque]; ok {
+			delete(b.inflight, hdr.Opaque)
+			done(at)
 		}
 	}
-	mc.pump(c)
 }

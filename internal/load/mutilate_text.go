@@ -5,95 +5,69 @@ import (
 	"strconv"
 
 	"ebbrt/internal/apps/appnet"
-	"ebbrt/internal/event"
 	"ebbrt/internal/sim"
 )
 
-// Text-mode mutilate: the same open-loop ETC load shaped as ASCII text
-// protocol commands ("get <key>", "set <key> 0 0 <bytes>"), the way a
-// stock text-mode client or load generator would drive the cluster. The
-// text protocol carries no opaque, so each connection matches responses
-// to requests in FIFO order - one "VALUE...END" or bare "END" unit per
-// get, one status line per (loud) set.
-
 // RunMutilateText drives one load point against a sharded cluster over
-// the ASCII text protocol - the same sharding, arrival process, and
-// measurement as RunMutilateSharded, so a run pair isolates the wire
+// the ASCII text protocol ("get <key>", "set <key> 0 0 <bytes>"), the way
+// a stock text-mode client would - the same sharding, arrival process,
+// and measurement as RunMutilateSharded, so a run pair isolates the wire
 // protocol as the only variable (the TextVsBinary experiment).
 func RunMutilateText(client appnet.Runtime, shards []Shard, route func(key []byte) int, cfg MutilateConfig) MutilateResult {
-	cfg.TextProtocol = true
-	return RunMutilateSharded(client, shards, route, cfg)
+	return runMutilate(client, shards, route, cfg, func(w *Workload) codec { return &textCodec{work: w} })
 }
 
-// textPending is one outstanding text-protocol request.
-type textPending struct {
-	arrival sim.Time
-	isGet   bool
+// textCodec speaks the text protocol. It carries no opaque, so responses
+// complete requests in FIFO order: one "VALUE...END" or bare "END" unit
+// per get, one status line per (loud) set.
+type textCodec struct {
+	work *Workload
+	fifo []op
+	skip int // bytes of a VALUE data block (+CRLF) still to skip
 }
 
-// encodeText builds the command bytes for req and appends it to the
-// connection's FIFO.
-func (mc *mconn) encodeText(req pendingReq) []byte {
-	key := mc.m.work.Keys[req.keyIdx]
-	var b []byte
-	if req.isGet {
-		b = make([]byte, 0, 4+len(key)+2)
-		b = append(b, "get "...)
-		b = append(b, key...)
-		b = append(b, '\r', '\n')
-	} else {
-		value := mc.m.work.newValue()
-		b = make([]byte, 0, len(key)+len(value)+24)
-		b = append(b, "set "...)
-		b = append(b, key...)
-		b = append(b, " 0 0 "...)
-		b = strconv.AppendInt(b, int64(len(value)), 10)
-		b = append(b, '\r', '\n')
-		b = append(b, value...)
-		b = append(b, '\r', '\n')
+func (t *textCodec) encode(o op) []byte {
+	t.fifo = append(t.fifo, o)
+	key := t.work.Keys[o.key]
+	if o.isGet {
+		b := append(make([]byte, 0, 4+len(key)+2), "get "...)
+		return append(append(b, key...), '\r', '\n')
 	}
-	mc.textFifo = append(mc.textFifo, textPending{arrival: req.arrival, isGet: req.isGet})
+	value := t.work.newValue()
+	b := append(make([]byte, 0, len(key)+len(value)+24), "set "...)
+	b = append(append(b, key...), " 0 0 "...)
+	b = strconv.AppendInt(b, int64(len(value)), 10)
+	b = append(append(append(b, '\r', '\n'), value...), '\r', '\n')
 	return b
 }
 
-// decodeText consumes complete response units from data, completing
-// FIFO-head requests as their terminating line arrives. It returns the
-// number of bytes consumed; the caller retains the tail.
-func (mc *mconn) decodeText(c *event.Ctx, data []byte) int {
+func (t *textCodec) decode(data []byte, done func(at sim.Time)) (int, int, error) {
 	consumed := 0
 	for {
 		// Mid data block: skip the announced VALUE payload (+CRLF).
-		if mc.tpSkip > 0 {
-			n := len(data) - consumed
-			if n > mc.tpSkip {
-				n = mc.tpSkip
-			}
-			consumed += n
-			mc.tpSkip -= n
-			if mc.tpSkip > 0 {
-				return consumed
-			}
+		n := min(len(data)-consumed, t.skip)
+		consumed += n
+		t.skip -= n
+		if t.skip > 0 {
+			return consumed, 0, nil
 		}
 		idx := bytes.IndexByte(data[consumed:], '\n')
 		if idx < 0 {
-			return consumed
+			return consumed, 0, nil
 		}
-		line := data[consumed : consumed+idx]
+		line := bytes.TrimSuffix(data[consumed:consumed+idx], []byte("\r"))
 		consumed += idx + 1
-		if len(line) > 0 && line[len(line)-1] == '\r' {
-			line = line[:len(line)-1]
-		}
-		if len(mc.textFifo) == 0 {
+		if len(t.fifo) == 0 {
 			continue // stray line with nothing outstanding; drop it
 		}
-		head := mc.textFifo[0]
+		head := t.fifo[0]
 		if head.isGet && bytes.HasPrefix(line, []byte("VALUE ")) {
 			// VALUE <key> <flags> <bytes>[ <cas>]: skip the data block and
 			// keep reading the same response unit (more VALUEs or END).
 			toks := bytes.Fields(line)
 			if len(toks) >= 4 {
 				if n, err := strconv.Atoi(string(toks[3])); err == nil && n >= 0 {
-					mc.tpSkip = n + 2
+					t.skip = n + 2
 					continue
 				}
 			}
@@ -102,13 +76,7 @@ func (mc *mconn) decodeText(c *event.Ctx, data []byte) int {
 		}
 		// Any other line terminates the unit: END for gets, STORED (or an
 		// error line) for sets.
-		mc.textFifo = mc.textFifo[1:]
-		mc.outstanding--
-		now := c.Now()
-		if head.arrival >= mc.m.measStart && now <= mc.m.measEnd {
-			mc.m.rec.Add(now - head.arrival)
-			mc.m.completed++
-			mc.m.perShard[mc.shard]++
-		}
+		t.fifo = t.fifo[1:]
+		done(head.at)
 	}
 }

@@ -10,7 +10,7 @@ import (
 	"ebbrt/internal/testbed"
 )
 
-func runWrkPoint(t *testing.T, kind testbed.ServerKind, rps float64) WrkResult {
+func runWrkPoint(t *testing.T, kind testbed.ServerKind, rps float64) Summary {
 	t.Helper()
 	pair := testbed.NewPair(kind, 1, 4)
 	srv := httpd.NewServer()
