@@ -1,6 +1,8 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation (§4), one bench per artifact. The same artifacts as tables
-// are `go run ./cmd/ebbrt run <name>` (`ebbrt list` names them). Run with:
+// Host-clock benchmarks of the mechanisms behind the paper's evaluation
+// (§4): Ebb dispatch, the allocators, NetPIPE, memcached and the V8
+// suite. The tables and figures themselves, with the paper's numbers and
+// the conditions they must meet, are `go run ./cmd/ebbrt run <name>`
+// (`ebbrt list` names them). Run with:
 //
 //	go test -bench=. -benchmem
 package ebbrt_test
@@ -13,7 +15,6 @@ import (
 	"ebbrt/internal/apps/netpipe"
 	"ebbrt/internal/core"
 	"ebbrt/internal/event"
-	"ebbrt/internal/experiments"
 	"ebbrt/internal/jsvm"
 	"ebbrt/internal/load"
 	"ebbrt/internal/mem"
@@ -106,17 +107,6 @@ func BenchmarkFigure3JemallocStyleAlloc(b *testing.B) {
 	benchAllocator(b, mem.NewJemallocStyle(1))
 }
 
-// BenchmarkFigure3ContentionModel reports the modelled 24-core glibc
-// degradation factor (internal/experiments/figure3.go says why the model
-// substitutes for real 24-core hardware here).
-func BenchmarkFigure3ContentionModel(b *testing.B) {
-	var rows []experiments.Figure3Row
-	for i := 0; i < b.N; i++ {
-		rows = experiments.Figure3([]int{1, 24}, 2000)
-	}
-	b.ReportMetric(rows[1].Cycles["glibc"]/rows[1].Cycles["EbbRT"], "glibc-vs-ebbrt-24c")
-}
-
 // ---- Figure 4: NetPIPE ---------------------------------------------------
 
 func benchNetpipe(b *testing.B, kind testbed.ServerKind, size int) {
@@ -179,25 +169,4 @@ func BenchmarkFigure7SuiteLinux(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		jsvm.RunSuite(jsvm.LinuxEnv())
 	}
-}
-
-func BenchmarkFigure7Overall(b *testing.B) {
-	var rows []experiments.Figure7Row
-	for i := 0; i < b.N; i++ {
-		rows = experiments.Figure7()
-	}
-	b.ReportMetric(rows[len(rows)-1].EbbRTScore, "overall-score")
-}
-
-// ---- Table 2: webserver ----------------------------------------------------
-
-func BenchmarkTable2Webserver(b *testing.B) {
-	var rows []experiments.Table2Row
-	for i := 0; i < b.N; i++ {
-		rows = experiments.Table2(0)
-	}
-	b.ReportMetric(rows[0].Result.Mean.Micros(), "ebbrt-mean-us")
-	b.ReportMetric(rows[0].Result.P99.Micros(), "ebbrt-p99-us")
-	b.ReportMetric(rows[1].Result.Mean.Micros(), "linux-mean-us")
-	b.ReportMetric(rows[1].Result.P99.Micros(), "linux-p99-us")
 }

@@ -2,7 +2,8 @@
 //
 // It serves the static 148-byte response on an EbbRT backend, measures
 // latency with the wrk-style closed-loop client, and prints Table 2's
-// comparison against the Linux baseline.
+// comparison against the Linux baseline - the registry's table2
+// experiment, which is also `go run ./cmd/ebbrt run table2`.
 //
 //	go run ./examples/webserver
 package main
@@ -14,10 +15,10 @@ import (
 )
 
 func main() {
-	fmt.Println("node.js webserver, static 148-byte response, wrk closed loop:")
-	for _, row := range experiments.Table2(0) {
-		fmt.Printf("  %-12s mean=%7.2fus  p99=%7.2fus  (%.0f req/s)\n",
-			row.System, row.Result.Mean.Micros(), row.Result.P99.Micros(), row.Result.AchievedRPS)
+	for _, s := range experiments.Specs {
+		if s.Name == "table2" {
+			fmt.Println(s.Doc)
+			fmt.Print(s.Run(experiments.Full, nil).Text)
+		}
 	}
-	fmt.Println("\npaper reports: EbbRT 90.54/123.00us, Linux 112.83/199.00us")
 }

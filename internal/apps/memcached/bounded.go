@@ -2,6 +2,8 @@ package memcached
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 
 	"ebbrt/internal/mem"
@@ -418,14 +420,11 @@ func (s *BoundedStore) Len() int {
 	return len(s.m)
 }
 
-// Scan implements Store: snapshot under the lock, fn unlocked so it may
-// mutate the store.
+// Scan implements Store: snapshot under the lock, visited in key order,
+// fn unlocked so it may mutate the store.
 func (s *BoundedStore) Scan(fn func(key string, e *Entry) bool) {
 	s.mu.Lock()
-	snap := make([]storePair, 0, len(s.m))
-	for k, it := range s.m {
-		snap = append(snap, storePair{k: k, v: it.e})
-	}
+	snap := sortedSnapshot(s.m, func(it *boundedItem) *Entry { return it.e })
 	s.mu.Unlock()
 	for _, kv := range snap {
 		if !fn(kv.k, kv.v) {
@@ -434,15 +433,11 @@ func (s *BoundedStore) Scan(fn func(key string, e *Entry) bool) {
 	}
 }
 
-// Keys implements Store.
+// Keys implements Store, in key order.
 func (s *BoundedStore) Keys() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	keys := make([]string, 0, len(s.m))
-	for k := range s.m {
-		keys = append(keys, k)
-	}
-	return keys
+	return slices.Sorted(maps.Keys(s.m))
 }
 
 // OpCost implements Store: one lock like the stock cache_lock, plus the

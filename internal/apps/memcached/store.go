@@ -1,6 +1,9 @@
 package memcached
 
 import (
+	"maps"
+	"slices"
+	"strings"
 	"sync"
 
 	"ebbrt/internal/rcu"
@@ -52,9 +55,10 @@ type Store interface {
 	// when Scan is called: concurrent Sets and Deletes affect neither the
 	// visited set nor its values, and fn may itself mutate the store. A
 	// false return stops the scan. This is what the migrator iterates to
-	// stream a key range to a new owner.
+	// stream a key range to a new owner. The order is deterministic: key
+	// order for the map-backed stores, table order for the RCU store.
 	Scan(fn func(key string, e *Entry) bool)
-	// Keys returns the keys of a point-in-time snapshot.
+	// Keys returns the keys of a point-in-time snapshot, in Scan's order.
 	Keys() []string
 	// OpCost reports the extra virtual CPU charged per operation when
 	// invoked with the given number of actively serving cores (models
@@ -188,14 +192,11 @@ func (s *LockedStore) Len() int {
 	return len(s.m)
 }
 
-// Scan implements Store: the snapshot is copied out under the lock, then
-// fn runs unlocked so it may mutate the store.
+// Scan implements Store: the snapshot is copied out under the lock and
+// visited in key order, with fn unlocked so it may mutate the store.
 func (s *LockedStore) Scan(fn func(key string, e *Entry) bool) {
 	s.mu.Lock()
-	snap := make([]storePair, 0, len(s.m))
-	for k, v := range s.m {
-		snap = append(snap, storePair{k: k, v: v})
-	}
+	snap := sortedSnapshot(s.m, func(e *Entry) *Entry { return e })
 	s.mu.Unlock()
 	for _, kv := range snap {
 		if !fn(kv.k, kv.v) {
@@ -204,15 +205,23 @@ func (s *LockedStore) Scan(fn func(key string, e *Entry) bool) {
 	}
 }
 
-// Keys implements Store.
+// Keys implements Store, in key order.
 func (s *LockedStore) Keys() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	keys := make([]string, 0, len(s.m))
-	for k := range s.m {
-		keys = append(keys, k)
+	return slices.Sorted(maps.Keys(s.m))
+}
+
+// sortedSnapshot copies a map-backed store's pairs out in key order, so
+// a scan - a flush's deletions, a migration stream's chunks - never
+// depends on Go's randomised map iteration.
+func sortedSnapshot[V any](m map[string]V, entry func(V) *Entry) []storePair {
+	snap := make([]storePair, 0, len(m))
+	for k, v := range m {
+		snap = append(snap, storePair{k: k, v: entry(v)})
 	}
-	return keys
+	slices.SortFunc(snap, func(a, b storePair) int { return strings.Compare(a.k, b.k) })
+	return snap
 }
 
 // OpCost implements Store: an uncontended atomic plus contention that

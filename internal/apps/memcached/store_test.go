@@ -2,6 +2,7 @@ package memcached
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -99,6 +100,33 @@ func TestKeysSnapshot(t *testing.T) {
 				if !want[k] {
 					t.Errorf("Keys returned unexpected %q", k)
 				}
+			}
+		})
+	}
+}
+
+// TestMapStoresIterateInKeyOrder: the map-backed stores return Keys and
+// visit Scan in sorted key order, so a flush's deletions and a migration
+// stream's chunking never follow Go's randomised map iteration.
+func TestMapStoresIterateInKeyOrder(t *testing.T) {
+	for name, s := range map[string]Store{
+		"locked":  NewLockedStore(),
+		"bounded": NewBoundedStore(boundedTestBudget, EvictLRU, nil),
+	} {
+		t.Run(name, func(t *testing.T) {
+			for i := 0; i < 300; i++ {
+				s.Set(fmt.Sprintf("k-%d", (i*7919)%300), &Entry{Value: []byte("v")})
+			}
+			if keys := s.Keys(); len(keys) != 300 || !slices.IsSorted(keys) {
+				t.Errorf("Keys: %d keys, sorted %v", len(keys), slices.IsSorted(keys))
+			}
+			var scanned []string
+			s.Scan(func(key string, _ *Entry) bool {
+				scanned = append(scanned, key)
+				return true
+			})
+			if len(scanned) != 300 || !slices.IsSorted(scanned) {
+				t.Errorf("Scan: %d keys, sorted %v", len(scanned), slices.IsSorted(scanned))
 			}
 		})
 	}

@@ -151,10 +151,13 @@ func Attach[T any](d *Domain, id Id, miss func(core int) *T) Ref[T] {
 func (r Ref[T]) Id() Id { return r.id }
 
 // Get dereferences the Ebb on the given core: the common case is a table
-// load and one conditional branch (small enough for the compiler to inline
-// into the call site, the property Table 1 depends on); a miss invokes the
-// type-specific fault handler, installs the new representative, and
-// retries the fast path. Hosted domains always take the slower path.
+// load and one conditional branch; a miss invokes the type-specific fault
+// handler, installs the new representative, and retries the fast path.
+// Hosted domains always take the slower path. Get is not inlined:
+// `go build -gcflags=-m=2` reports cost 89 against the inliner's budget
+// of 80, so every call site pays a call, which is why Table 1's Inline
+// Ebb row sits near Virtual rather than near Inline. ROADMAP item 10(b)
+// is the fix and the check that holds it.
 func (r Ref[T]) Get(core int) *T {
 	// A nil reps slice (hosted domain) has length zero, so one bounds
 	// comparison covers both the domain-kind test and the index check.

@@ -1,93 +1,38 @@
 package experiments
 
-import (
-	"testing"
-
-	"ebbrt/internal/sim"
-)
+import "testing"
 
 // TestElasticityStreamedBeatsBaseline is the acceptance check for the
 // migration engine: over an identical workload and schedule, streaming
-// the joining backend's key share must keep the post-join hit rate
-// strictly above the miss-faulting baseline, and a streamed (live)
-// decommission must leave every key fully replicated where the baseline
-// eviction abandons the victim's share.
+// the joining backend's key share keeps the post-join hit rate strictly
+// above the miss-faulting baseline (which must show its cliff, so the
+// comparison is not vacuous), and a streamed decommission leaves every
+// key fully replicated where the baseline eviction abandons the
+// victim's share.
 func TestElasticityStreamedBeatsBaseline(t *testing.T) {
-	streamed, baseline := ElasticityCompare(ElasticityOptions{})
-	t.Logf("\n%s\n%s", FormatElasticity(streamed), FormatElasticity(baseline))
-
-	// The join actually moved data, promptly.
-	if streamed.JoinStreamTime < 0 || streamed.JoinMoved == 0 {
-		t.Fatal("streamed join did not run a migration")
-	}
-	if streamed.JoinStreamTime > 50*sim.Millisecond {
-		t.Errorf("join share took %v to stream", streamed.JoinStreamTime)
-	}
-
-	// Hit rate through the join: streamed strictly above baseline, and
-	// the comparison must not be vacuous - the baseline has to show the
-	// miss-faulting cliff the migration removes.
-	if streamed.PostJoinHitRate <= baseline.PostJoinHitRate {
-		t.Errorf("post-join hit rate: streamed %.4f <= baseline %.4f",
-			streamed.PostJoinHitRate, baseline.PostJoinHitRate)
-	}
-	if baseline.PostJoinHitRate > 0.995 {
-		t.Errorf("baseline post-join hit rate %.4f shows no miss-faulting cliff - comparison vacuous",
-			baseline.PostJoinHitRate)
-	}
-	if streamed.PostJoinHitRate < 0.99 {
-		t.Errorf("streamed post-join hit rate %.4f: migration did not keep the cache warm",
-			streamed.PostJoinHitRate)
-	}
-
-	// Decommission: the drain restores full replication; the baseline
-	// eviction leaves the victim's keys with no live home.
-	if streamed.RestoreRTime < 0 {
-		t.Fatal("streamed decommission never completed")
-	}
-	if !streamed.FullyReplicated {
-		t.Errorf("streamed run not fully replicated: min %d live replicas of R=%d",
-			streamed.MinLiveReplicas, streamed.Opt.Replicas)
-	}
-	if baseline.FullyReplicated {
-		t.Error("baseline eviction reports full replication - replica census broken")
-	}
-	if streamed.PostDecommHitRate <= baseline.PostDecommHitRate {
-		t.Errorf("post-decommission hit rate: streamed %.4f <= baseline %.4f",
-			streamed.PostDecommHitRate, baseline.PostDecommHitRate)
-	}
-
-	// Throughput sanity: the cluster was healthy before any transition.
-	if streamed.PreJoinRPS < 0.8*streamed.Opt.TargetRPS {
-		t.Fatalf("pre-join throughput %.0f below 80%% of offered %.0f", streamed.PreJoinRPS, streamed.Opt.TargetRPS)
-	}
+	t.Parallel()
+	requireHeld(t, "elasticity",
+		"pre-join throughput",
+		"streamed join did not run a migration",
+		"join share took",
+		"post-join hit rate: streamed",
+		"shows no miss-faulting cliff",
+		"did not keep the cache warm",
+		"streamed decommission never completed",
+		"not fully replicated",
+		"baseline eviction reports full replication",
+		"post-decommission hit rate")
 }
 
 // TestElasticityRestoresRAfterPermanentLoss: with R=2 and the
 // decommissioned backend killed first, re-replication from surviving
-// replicas returns every key to R live replicas - the ROADMAP follow-on
-// from the fault-tolerance PR - and the run records a restore-R time.
+// replicas returns every key to exactly R live replicas within 100ms,
+// and the kill window surfaces as failovers, never as misses.
 func TestElasticityRestoresRAfterPermanentLoss(t *testing.T) {
-	res := Elasticity(ElasticityOptions{
-		Backends:               4,
-		Replicas:               2,
-		KillBeforeDecommission: true,
-		Stream:                 true,
-	})
-	t.Logf("\n%s", FormatElasticity(res))
-
-	if res.RestoreRTime < 0 {
-		t.Fatal("re-replication never completed")
-	}
-	if res.RestoreRTime > 100*sim.Millisecond {
-		t.Errorf("restore-R took %v", res.RestoreRTime)
-	}
-	if !res.FullyReplicated || res.MinLiveReplicas != 2 {
-		t.Errorf("replica count not restored: min %d live replicas, want 2", res.MinLiveReplicas)
-	}
-	// With R=2 every read has a live replica throughout: the kill window
-	// surfaces as failovers, never as misses.
-	if res.Load.Misses != 0 {
-		t.Errorf("%d false misses across join + permanent loss", res.Load.Misses)
-	}
+	t.Parallel()
+	requireHeld(t, "elasticity_killfirst",
+		"streamed decommission never completed",
+		"restore-R took",
+		"live replicas after re-replication",
+		"false misses across join + permanent loss")
 }

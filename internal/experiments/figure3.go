@@ -3,19 +3,9 @@ package experiments
 import (
 	"fmt"
 
+	"ebbrt/internal/audit"
 	"ebbrt/internal/sim"
 )
-
-// Figure3Row is one point of the allocator-scalability figure: mean cycles
-// to allocate and free an 8 B object ten times, per core, at a given core
-// count.
-type Figure3Row struct {
-	Cores  int
-	Cycles map[string]float64
-}
-
-// AllocatorNames lists the Figure 3 contenders in legend order.
-var AllocatorNames = []string{"EbbRT", "glibc", "jemalloc"}
 
 // Figure 3 contention model. The paper's experiment needs 24 physical
 // cores; this reproduction host may have as few as one, so the harness
@@ -43,27 +33,25 @@ const (
 	glibcHoldNs    = 4.5
 )
 
-// Figure3 reproduces the allocator scalability figure with the queueing
-// model described above.
-func Figure3(coreCounts []int, measurementsPerCore int) []Figure3Row {
-	if len(coreCounts) == 0 {
-		coreCounts = []int{1, 2, 4, 8, 12, 24}
+// specFigure3 reproduces the allocator scalability figure: mean cycles
+// per core to allocate and free an 8 B object ten times, at each core
+// count, from the queueing model above (2000 measurements per core; the
+// model converges quickly). The conditions are the paper's shape: EbbRT
+// flat, jemalloc flat at roughly 1.42x EbbRT, glibc degrading
+// monotonically to roughly 3.8x EbbRT at 24 cores.
+func specFigure3(Scale, *audit.Log) Report {
+	ebbrt, jemalloc := ebbrtPairNs*10*paperGHz, jemallocPairNs*10*paperGHz
+	rep := Report{Text: fmt.Sprintf("%-6s %10s %10s %10s\n", "Cores", "EbbRT", "glibc", "jemalloc")}
+	prev := 0.0
+	for _, n := range []int{1, 2, 4, 8, 12, 24} {
+		glibc := glibcModel(n, 2000)
+		rep.Text += fmt.Sprintf("%-6d %10.0f %10.0f %10.0f\n", n, ebbrt, glibc, jemalloc)
+		rep.require(glibc >= prev, "glibc latency not monotone in cores: %.0f at %d cores after %.0f", glibc, n, prev)
+		prev = glibc
 	}
-	if measurementsPerCore <= 0 {
-		measurementsPerCore = 2000 // the queueing model converges quickly
-	}
-	var rows []Figure3Row
-	for _, n := range coreCounts {
-		rows = append(rows, Figure3Row{
-			Cores: n,
-			Cycles: map[string]float64{
-				"EbbRT":    ebbrtPairNs * 10 * PaperGHz,
-				"jemalloc": jemallocPairNs * 10 * PaperGHz,
-				"glibc":    glibcModel(n, measurementsPerCore),
-			},
-		})
-	}
-	return rows
+	rep.require(jemalloc/ebbrt >= 1.2 && jemalloc/ebbrt <= 1.7, "jemalloc/EbbRT ratio %.2f outside [1.2, 1.7] (paper ~1.42)", jemalloc/ebbrt)
+	rep.require(prev/ebbrt >= 3.0 && prev/ebbrt <= 5.0, "glibc/EbbRT at 24 cores = %.2f outside [3.0, 5.0] (paper 3.8)", prev/ebbrt)
+	return rep
 }
 
 // glibcModel simulates n cores contending for the single arena lock and
@@ -97,22 +85,5 @@ func glibcModel(n, measurements int) float64 {
 	// sum is in tenths of nanoseconds across n cores, each of which
 	// performed measurements*10 pairs.
 	meanNsPerPair := float64(sum) / 10.0 / float64(n) / (float64(measurements) * 10)
-	return meanNsPerPair * 10 * PaperGHz
-}
-
-// FormatFigure3 renders the series like the paper's axes.
-func FormatFigure3(rows []Figure3Row) string {
-	out := fmt.Sprintf("%-6s", "Cores")
-	for _, n := range AllocatorNames {
-		out += fmt.Sprintf(" %10s", n)
-	}
-	out += "\n"
-	for _, r := range rows {
-		out += fmt.Sprintf("%-6d", r.Cores)
-		for _, n := range AllocatorNames {
-			out += fmt.Sprintf(" %10.0f", r.Cycles[n])
-		}
-		out += "\n"
-	}
-	return out
+	return meanNsPerPair * 10 * paperGHz
 }

@@ -16,30 +16,6 @@ import (
 // backend in the sharded experiments.
 const connsPerBackend = 8
 
-// ScalingRow is one point of the cluster-scaling curve.
-type ScalingRow struct {
-	Backends int
-	// OfferedRPS is the aggregate open-loop arrival rate for this point
-	// (perBackendRPS x Backends).
-	OfferedRPS float64
-	Result     load.MutilateResult
-}
-
-// ClusterScaling sweeps backend counts under the ETC workload, offering
-// perBackendRPS per backend, and reports aggregate achieved throughput -
-// the multi-backend extension of the paper's Figure 5 methodology: the
-// keyspace shards across native nodes by consistent hashing and the load
-// generator (a separate machine on the same switch, like the paper's
-// mutilate host) drives each shard over its own connection pool. Each
-// point measures for duration.
-func ClusterScaling(backendCounts []int, perBackendRPS float64, duration sim.Time) []ScalingRow {
-	var rows []ScalingRow
-	for _, n := range backendCounts {
-		rows = append(rows, scalingPoint(n, perBackendRPS, duration))
-	}
-	return rows
-}
-
 // newShardedTarget boots a fresh cluster of single-core backends plus a
 // dedicated load-generator node, and wires one load.Shard per backend -
 // the common target every sharded load experiment drives.
@@ -62,57 +38,41 @@ func newShardedTarget(backends int) (*cluster.Cluster, appnet.Runtime, []load.Sh
 	return cl, gen.Runtime, shards
 }
 
-func scalingPoint(backends int, perBackendRPS float64, duration sim.Time) ScalingRow {
-	cl, gen, shards := newShardedTarget(backends)
-	cfg := load.DefaultMutilate(perBackendRPS * float64(backends))
-	cfg.Connections = connsPerBackend
-	cfg.Duration = duration
-	res := load.RunMutilateSharded(gen, shards, cl.Ring.Lookup, cfg)
-	return ScalingRow{Backends: backends, OfferedRPS: cfg.TargetRPS, Result: res}
-}
-
-// FormatScaling renders the scaling curve with per-row speedup over the
-// first row.
-func FormatScaling(rows []ScalingRow) string {
-	out := fmt.Sprintf("%-9s %12s %12s %10s %10s %8s\n",
-		"Backends", "Offered", "Achieved", "Mean", "p99", "Speedup")
-	if len(rows) == 0 {
-		return out
-	}
-	base := rows[0].Result.AchievedRPS
-	for _, r := range rows {
-		speedup := 0.0
-		if base > 0 {
-			speedup = r.Result.AchievedRPS / base
-		}
-		out += fmt.Sprintf("%-9d %12.0f %12.0f %8.1fus %8.1fus %7.2fx\n",
-			r.Backends, r.OfferedRPS, r.Result.AchievedRPS,
-			r.Result.Mean.Micros(), r.Result.P99.Micros(), speedup)
-	}
-	return out
-}
-
 // minScaling4 is the floor for 4-backend over 1-backend achieved
 // throughput (3.9x measured; the shortfall from 4x is Zipf skew
 // concentrating hot keys on one shard).
 const minScaling4 = 3.0
 
-// specScaling prints the client-Ebb demo and the scaling curve. Smoke
-// is the 1-vs-4 comparison the floor guards; Full is the 1/2/4/8 sweep
-// at 300k RPS per backend.
+// specScaling prints the client-Ebb demo, then sweeps backend counts
+// under the ETC workload, offering the same load per backend, and
+// reports aggregate achieved throughput - the multi-backend extension
+// of the paper's Figure 5 methodology: the keyspace shards across
+// native nodes by consistent hashing and the load generator (a separate
+// machine on the same switch, like the paper's mutilate host) drives
+// each shard over its own connection pool. Smoke is the 1-vs-4
+// comparison the floor guards at 200k RPS per backend for 40ms; Full is
+// the 1/2/4/8 sweep at 300k RPS per backend for 150ms.
 func specScaling(s Scale, _ *audit.Log) Report {
-	rows := ClusterScaling(pick(s, []int{1, 4}, []int{1, 2, 4, 8}), pick(s, 200000.0, 300000),
-		pick(s, 40*sim.Millisecond, 150*sim.Millisecond))
-	rep := Report{Text: clusterDemo() + FormatScaling(rows)}
+	perBackend := pick(s, 200000.0, 300000)
+	text := fmt.Sprintf("%-9s %12s %12s %10s %10s %8s\n",
+		"Backends", "Offered", "Achieved", "Mean", "p99", "Speedup")
 	var one, four load.MutilateResult
-	for _, r := range rows {
-		switch r.Backends {
+	for _, n := range pick(s, []int{1, 4}, []int{1, 2, 4, 8}) {
+		cl, gen, shards := newShardedTarget(n)
+		cfg := load.DefaultMutilate(perBackend * float64(n))
+		cfg.Connections = connsPerBackend
+		cfg.Duration = pick(s, 40*sim.Millisecond, 150*sim.Millisecond)
+		res := load.RunMutilateSharded(gen, shards, cl.Ring.Lookup, cfg)
+		switch n {
 		case 1:
-			one = r.Result
+			one = res
 		case 4:
-			four = r.Result
+			four = res
 		}
+		text += fmt.Sprintf("%-9d %12.0f %12.0f %8.1fus %8.1fus %7.2fx\n",
+			n, cfg.TargetRPS, res.AchievedRPS, res.Mean.Micros(), res.P99.Micros(), ratio(res.AchievedRPS, one.AchievedRPS))
 	}
+	rep := Report{Text: clusterDemo() + text}
 	speedup := ratio(four.AchievedRPS, one.AchievedRPS)
 	rep.metric("scaling_speedup_4_backends", speedup)
 	rep.metric("floor_scaling_4_backends", minScaling4)

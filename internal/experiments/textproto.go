@@ -13,7 +13,7 @@ import (
 	"ebbrt/internal/sim"
 )
 
-// TextVsBinary: the same sharded cluster and ETC load driven twice, once
+// Text vs binary: the same sharded cluster and ETC load driven twice, once
 // over the binary protocol and once over the ASCII text protocol. The
 // two runs differ only in the wire format - the arrival process, key
 // routing, connection pools, and backends are identical - so the gap
@@ -24,82 +24,43 @@ import (
 // experiment's question is what that compatibility costs at cluster
 // scale.
 
-// TextVsBinaryRow is one backend-count point measured under both
-// protocols.
-type TextVsBinaryRow struct {
-	Backends int
-	// OfferedRPS is the aggregate open-loop arrival rate for each run.
-	OfferedRPS float64
-	Binary     load.MutilateResult
-	Text       load.MutilateResult
-}
-
-// Ratio is text achieved throughput over binary achieved throughput.
-func (r TextVsBinaryRow) Ratio() float64 {
-	if r.Binary.AchievedRPS == 0 {
-		return 0
-	}
-	return r.Text.AchievedRPS / r.Binary.AchievedRPS
-}
-
-// TextVsBinary sweeps backend counts, measuring each point under the
-// binary and then the text protocol against a fresh cluster each run
-// (so neither run sees the other's store mutations or queue state).
-// Each run measures for duration.
-func TextVsBinary(backendCounts []int, perBackendRPS float64, duration sim.Time) []TextVsBinaryRow {
-	var rows []TextVsBinaryRow
-	for _, n := range backendCounts {
-		rows = append(rows, textVsBinaryPoint(n, perBackendRPS, duration))
-	}
-	return rows
-}
-
-func textVsBinaryPoint(backends int, perBackendRPS float64, duration sim.Time) TextVsBinaryRow {
-	cfg := load.DefaultMutilate(perBackendRPS * float64(backends))
-	cfg.Connections = connsPerBackend
-	cfg.Duration = duration
-
-	cl, gen, shards := newShardedTarget(backends)
-	bin := load.RunMutilateSharded(gen, shards, cl.Ring.Lookup, cfg)
-
-	cl, gen, shards = newShardedTarget(backends)
-	txt := load.RunMutilateText(gen, shards, cl.Ring.Lookup, cfg)
-
-	return TextVsBinaryRow{
-		Backends:   backends,
-		OfferedRPS: cfg.TargetRPS,
-		Binary:     bin,
-		Text:       txt,
-	}
-}
-
-// FormatTextVsBinary renders the comparison, one backend count per row.
-func FormatTextVsBinary(rows []TextVsBinaryRow) string {
-	out := fmt.Sprintf("%-9s %10s %12s %12s %9s %10s %10s\n",
-		"Backends", "Offered", "Binary", "Text", "Text/Bin", "Bin p99", "Text p99")
-	for _, r := range rows {
-		out += fmt.Sprintf("%-9d %10.0f %12.0f %12.0f %8.2fx %8.1fus %8.1fus\n",
-			r.Backends, r.OfferedRPS, r.Binary.AchievedRPS, r.Text.AchievedRPS,
-			r.Ratio(), r.Binary.P99.Micros(), r.Text.P99.Micros())
-	}
-	return out
-}
-
-// specTextProto prints the scripted session, then the comparison: Full
-// at 1/2/4 backends, 200k RPS per backend, 120ms; Smoke at 1/2
-// backends, 20k RPS per backend, 60ms.
+// specTextProto prints a scripted ASCII session, then drives the same
+// sharded cluster and ETC load twice per backend count - once over the
+// binary protocol and once over text, each against a fresh cluster so
+// neither run sees the other's store mutations or queue state. Full
+// runs 1/2/4 backends at 200k RPS per backend for 120ms; Smoke 1/2
+// backends at 20k RPS per backend for 60ms. Both protocols must serve
+// at least 90 % of the offered load, and text must keep at least half of
+// binary's throughput: the per-byte tokenization cost must not halve it.
 func specTextProto(s Scale, _ *audit.Log) Report {
-	rows := TextVsBinary(pick(s, []int{1, 2}, []int{1, 2, 4}), pick(s, 20000.0, 200000),
-		pick(s, 60*sim.Millisecond, 120*sim.Millisecond))
-	rep := Report{Text: textSession() + FormatTextVsBinary(rows)}
-	for _, r := range rows {
-		at := fmt.Sprintf("_%d_backends", r.Backends)
-		rep.metric("binary_rps"+at, r.Binary.AchievedRPS)
-		rep.metric("text_rps"+at, r.Text.AchievedRPS)
-		rep.metric("text_over_binary"+at, r.Ratio())
-		rep.metric("binary_p99_us"+at, r.Binary.P99.Micros())
-		rep.metric("text_p99_us"+at, r.Text.P99.Micros())
+	perBackend := pick(s, 20000.0, 200000)
+	text := fmt.Sprintf("%-9s %10s %12s %12s %9s %10s %10s\n",
+		"Backends", "Offered", "Binary", "Text", "Text/Bin", "Bin p99", "Text p99")
+	var rep Report
+	for _, n := range pick(s, []int{1, 2}, []int{1, 2, 4}) {
+		cfg := load.DefaultMutilate(perBackend * float64(n))
+		cfg.Connections = connsPerBackend
+		cfg.Duration = pick(s, 60*sim.Millisecond, 120*sim.Millisecond)
+		cl, gen, shards := newShardedTarget(n)
+		bin := load.RunMutilateSharded(gen, shards, cl.Ring.Lookup, cfg)
+		cl, gen, shards = newShardedTarget(n)
+		txt := load.RunMutilateText(gen, shards, cl.Ring.Lookup, cfg)
+		r := ratio(txt.AchievedRPS, bin.AchievedRPS)
+		text += fmt.Sprintf("%-9d %10.0f %12.0f %12.0f %8.2fx %8.1fus %8.1fus\n",
+			n, cfg.TargetRPS, bin.AchievedRPS, txt.AchievedRPS, r, bin.P99.Micros(), txt.P99.Micros())
+		at := fmt.Sprintf("_%d_backends", n)
+		rep.metric("binary_rps"+at, bin.AchievedRPS)
+		rep.metric("text_rps"+at, txt.AchievedRPS)
+		rep.metric("text_over_binary"+at, r)
+		rep.metric("binary_p99_us"+at, bin.P99.Micros())
+		rep.metric("text_p99_us"+at, txt.P99.Micros())
+		rep.require(bin.Samples > 0 && bin.AchievedRPS >= 0.9*cfg.TargetRPS,
+			"%d backends: binary achieved %.0f of %.0f offered with %d samples", n, bin.AchievedRPS, cfg.TargetRPS, bin.Samples)
+		rep.require(txt.Samples > 0 && txt.AchievedRPS >= 0.9*cfg.TargetRPS,
+			"%d backends: text achieved %.0f of %.0f offered with %d samples", n, txt.AchievedRPS, cfg.TargetRPS, txt.Samples)
+		rep.require(r >= 0.5, "%d backends: text throughput %.2fx of binary, want >= 0.5x", n, r)
 	}
+	rep.Text = textSession() + text
 	return rep
 }
 

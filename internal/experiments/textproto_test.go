@@ -13,25 +13,13 @@ import (
 )
 
 // TestTextVsBinaryThroughputParity pins the acceptance bound for the
-// text path: at equal offered load against identical clusters, the
-// ASCII protocol's achieved throughput stays within 2x of binary (the
-// per-byte tokenization cost must not halve throughput), and both
-// protocols serve ~all of the offered load at this modest rate.
+// text path: at equal offered load against identical clusters, both
+// protocols serve at least 90 % of the offered load with samples
+// recorded, and text keeps at least half of binary's throughput (the
+// per-byte tokenization cost must not halve it), at every backend count.
 func TestTextVsBinaryThroughputParity(t *testing.T) {
-	rows := TextVsBinary([]int{2}, 30000, 60*sim.Millisecond)
-	r := rows[0]
-	if r.Binary.AchievedRPS < 0.9*r.OfferedRPS {
-		t.Fatalf("binary run underachieved: %.0f of %.0f offered", r.Binary.AchievedRPS, r.OfferedRPS)
-	}
-	if r.Text.AchievedRPS < 0.9*r.OfferedRPS {
-		t.Fatalf("text run underachieved: %.0f of %.0f offered", r.Text.AchievedRPS, r.OfferedRPS)
-	}
-	if ratio := r.Ratio(); ratio < 0.5 {
-		t.Fatalf("text throughput %.2fx of binary, want >= 0.5x", ratio)
-	}
-	if r.Text.Samples == 0 || r.Binary.Samples == 0 {
-		t.Fatal("a run recorded no latency samples")
-	}
+	t.Parallel()
+	requireHeld(t, "textproto", "binary achieved", "text achieved", "text throughput")
 }
 
 // TestTextSessionAgainstCluster is the acceptance criterion's session

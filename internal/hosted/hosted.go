@@ -4,7 +4,7 @@
 // sharing one Ebb namespace and communicating over the local network.
 //
 // The hosted frontend provides what the native nodes deliberately omit:
-// id allocation, naming (the GlobalIdMap), and legacy-interface offload
+// id allocation and legacy-interface offload
 // (the FileSystem Ebb ships calls to the frontend, whose representative
 // serves an in-memory filesystem standing in for the Linux one the paper
 // offloads to). "The most maintainable software is that which was not

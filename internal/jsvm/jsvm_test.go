@@ -2,6 +2,7 @@ package jsvm
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"ebbrt/internal/sim"
@@ -109,8 +110,12 @@ func TestHighWaterFaultModel(t *testing.T) {
 	}
 }
 
+// ebbrtSuite is one run of the suite under EbbRT, shared by the tests
+// below so the package runs the suite three times, not four.
+var ebbrtSuite = sync.OnceValue(func() []Score { return RunSuite(EbbRTEnv()) })
+
 func TestSuiteDeterministic(t *testing.T) {
-	a := RunSuite(EbbRTEnv())
+	a := ebbrtSuite()
 	b := RunSuite(EbbRTEnv())
 	for i := range a {
 		if a[i].Elapsed != b[i].Elapsed {
@@ -120,7 +125,7 @@ func TestSuiteDeterministic(t *testing.T) {
 }
 
 func TestSuiteShapeMatchesPaper(t *testing.T) {
-	ebb := RunSuite(EbbRTEnv())
+	ebb := ebbrtSuite()
 	lin := RunSuite(LinuxEnv())
 	if len(ebb) != 8 {
 		t.Fatalf("suite has %d benchmarks", len(ebb))
