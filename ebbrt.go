@@ -54,7 +54,8 @@ type (
 
 	// EventManager is the per-core non-preemptive event loop.
 	EventManager = event.Manager
-	// EventCtx is the executing event's context (charging, blocking).
+	// EventCtx is the executing event's context (charging, blocking),
+	// valid only during its event.
 	EventCtx = event.Ctx
 	// IdleHandler is a registered polling callback.
 	IdleHandler = event.IdleHandler

@@ -38,11 +38,14 @@ func main() {
 	backend2.Spawn(func(c *ebbrt.EventCtx) {
 		var poll func(c *ebbrt.EventCtx)
 		poll = func(c *ebbrt.EventCtx) {
+			// The reply is handled by a later event, when c is no longer
+			// valid: keep its manager, not c.
+			mgr := c.Manager()
 			fs.Read(c, backend2, "/var/run/backend1").OnDone(func(r ebbrt.Result[[]byte]) {
 				data, err := r.Get()
 				if err != nil {
 					// Not there yet: retry shortly.
-					c.Manager().After(1_000_000, poll)
+					mgr.After(1_000_000, poll)
 					return
 				}
 				fmt.Printf("  backend2 read: %q\n", data)

@@ -163,7 +163,7 @@ func (b *SendBuffer) drain(c *event.Ctx) {
 		if w == 0 {
 			return
 		}
-		rest := head.Split(w)
+		rest := head.Split(w, nil)
 		if err := b.Pcb.Send(c, head); err != nil {
 			head.AppendChain(rest)
 			return

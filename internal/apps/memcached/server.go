@@ -297,7 +297,7 @@ type lentValue struct {
 func lendValues(resp []byte, lent []lentValue) *iobuf.IOBuf {
 	chain := iobuf.Wrap(resp)
 	for i := len(lent) - 1; i >= 0; i-- {
-		rest := chain.Split(lent[i].at)
+		rest := chain.Split(lent[i].at, nil)
 		chain.AppendChain(iobuf.Wrap(lent[i].value))
 		chain.AppendChain(rest)
 	}

@@ -17,11 +17,16 @@ const (
 	actBlocked
 )
 
+// An activation's coroutine is never stopped, so while the activation sits
+// in its Manager's pool the parked goroutine is a root for the collector:
+// nothing reachable from a pooled activation may lead back to the Manager,
+// or a dropped kernel and everything on it would live forever. own is
+// cleared when its event ends for that reason.
 type activation struct {
-	next  func() (actState, bool) // runs fn, or continues it, until it ends or blocks
+	next  func() (actState, bool) // runs ctx.fn, or continues it, until it ends or blocks
 	yield func(actState) bool
-	fn    Handler
-	ctx   *Ctx
+	ctx   *Ctx // the running event's: &own, or under iobufdebug one of its own
+	own   Ctx
 }
 
 func (m *Manager) getActivation() *activation {
@@ -48,5 +53,5 @@ func (a *activation) call() {
 			panic(fmt.Sprintf("event: handler panicked: %v\n%s", r, debug.Stack()))
 		}
 	}()
-	a.fn(a.ctx)
+	a.ctx.fn(a.ctx)
 }

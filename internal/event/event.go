@@ -24,18 +24,22 @@
 // handlers may block.
 //
 // Timers (Manager.After) are one-shot and pooled: a timer record owns one
-// re-armable sim.Event and goes back to its Manager's free list when it
-// fires or is cancelled, so arming allocates nothing once the pool holds
-// the most timers ever pending at once. The Timer handle is a value - the
-// record plus the generation it was issued under - and the generation
-// moves on every fire and cancel, so a handle kept past either cancels
-// nothing, even after the record has been issued again. The pool is per
-// Manager, never per package: experiments run many kernels in parallel,
-// and a record is bound to its Manager's kernel and core.
+// re-armable sim.Event and goes back to its Manager's free list when its
+// handler starts or it is cancelled, so arming allocates nothing once the
+// pool holds the most timers ever pending at once. A timer whose time has
+// come is latched behind VecTimer until the core gets to it, and can still
+// be cancelled there. The Timer handle is a value - the record plus the
+// generation it was issued under - and the generation moves on every run
+// and cancel, so a handle kept past either cancels nothing, even after the
+// record has been issued again. The pool is per Manager, never per
+// package: experiments run many kernels in parallel, and a record is bound
+// to its Manager's kernel and core.
 package event
 
 import (
 	"fmt"
+	"reflect"
+	"runtime"
 
 	"ebbrt/internal/machine"
 	"ebbrt/internal/sim"
@@ -100,10 +104,10 @@ type Manager struct {
 	// idle is replaced, never edited, by Add/RemoveIdleHandler, so a pass
 	// in progress keeps iterating the list it started with.
 	idle       []*IdleHandler
-	timerReady []Handler // latched by fire, run by the next VecTimer batch
-	timerSpare []Handler // the emptied array of the batch that finished last
-	processFn  func()    // m.process, made once instead of per event
-	idlePass   Handler   // likewise the handler that runs one idle pass
+	timerReady []Timer // latched by fire, run by the next VecTimer batch
+	timerSpare []Timer // the emptied array of the batch that finished last
+	processFn  func()  // m.process, made once instead of per event
+	idlePass   Handler // likewise the handler that runs one idle pass
 
 	pool   []*activation
 	timers []*timerRec // free timer records
@@ -146,14 +150,17 @@ func NewManager(core *machine.Core, costs Costs) *Manager {
 		// one of them may block, and a later batch run meanwhile - and
 		// then leaves it, emptied, for fire to start the next list in.
 		// Timers that latched together raised the vector once each: the
-		// first batch ran them all, the others find no list.
+		// first batch ran them all, the others find no list. A timer
+		// cancelled while latched is skipped.
 		ready := m.timerReady
 		if ready == nil {
 			return
 		}
 		m.timerReady = nil
-		for _, fn := range ready {
-			fn(c)
+		for _, t := range ready {
+			if fn := t.take(); fn != nil {
+				fn(c)
+			}
 		}
 		clear(ready)
 		m.timerSpare = ready[:0]
@@ -189,8 +196,9 @@ func (m *Manager) Spawn(fn Handler) {
 	m.kick()
 }
 
-// timerRec is one pooled timer record: pending from After until it fires or
-// is cancelled, on m.timers otherwise.
+// timerRec is one pooled timer record: issued from After until its handler
+// starts or it is cancelled - pending in the kernel, then latched on
+// m.timerReady - and on m.timers otherwise.
 type timerRec struct {
 	m   *Manager
 	ev  *sim.Event // runs fire
@@ -218,17 +226,29 @@ func (m *Manager) After(d sim.Time, fn Handler) Timer {
 	return Timer{t, t.gen}
 }
 
-// Cancel stops the timer and reports whether it did. Once the timer's time
-// has come its handler is latched behind VecTimer and runs whenever the
-// core gets to it: Cancel then returns false, as for a cancelled timer.
+// Cancel stops the timer and reports whether it did: it does until the
+// handler starts, also once the timer's time has come and the handler waits,
+// latched behind VecTimer, for the core - the batch then skips it. After
+// the handler has started, or a second time, Cancel returns false.
 func (t Timer) Cancel() bool {
 	rec := t.rec
 	if rec == nil || rec.gen != t.gen {
 		return false
 	}
-	rec.ev.Cancel()
+	rec.ev.Cancel() // a no-op once latched
 	rec.release()
 	return true
+}
+
+// take starts a latched timer's run: it returns the handler and frees the
+// record, or returns nil if the timer was cancelled since it latched.
+func (t Timer) take() Handler {
+	if t.rec.gen != t.gen {
+		return nil
+	}
+	fn := t.rec.fn
+	t.rec.release()
+	return fn
 }
 
 // release frees the record; the handle to its current issue goes stale.
@@ -238,14 +258,13 @@ func (t *timerRec) release() {
 	t.m.timers = append(t.m.timers, t)
 }
 
-// fire is the kernel event: latch the handler and raise the timer vector.
+// fire is the kernel event: latch the timer and raise the timer vector.
 func (t *timerRec) fire() {
-	m, fn := t.m, t.fn
-	t.release()
+	m := t.m
 	if m.timerReady == nil {
 		m.timerReady, m.timerSpare = m.timerSpare, nil
 	}
-	m.timerReady = append(m.timerReady, fn)
+	m.timerReady = append(m.timerReady, Timer{t, t.gen})
 	m.core.RaiseIRQ(VecTimer)
 }
 
@@ -297,16 +316,22 @@ func (m *Manager) runHandler(vec int, base sim.Time) {
 	m.exec(h, base+m.costs.EventDispatch)
 }
 
-// exec runs fn as an event on a pooled activation.
+// exec runs fn as an event on a pooled activation. The event's Ctx is the
+// one embedded in the activation, so dispatch allocates nothing. That is
+// sound because a Ctx is valid only during its event: nothing charges one
+// later - a continuation that outlives its event gets the Ctx of the event
+// that runs it (EthArpSend after an ARP miss re-enters through Spawn). A
+// Ctx kept past its event would bill whichever event holds the activation
+// next; under iobufdebug each event gets a fresh Ctx instead, so such a
+// use finds its own finished and panics.
 func (m *Manager) exec(fn Handler, base sim.Time) {
 	act := m.getActivation()
-	act.fn = fn
-	// Allocated per event, not embedded in the pooled activation:
-	// continuations that outlive their event (EthArpSend after an ARP miss,
-	// hosted.FileSystem.call) still Charge the Ctx they captured. A dead
-	// Ctx absorbs that; a recycled one would bill whichever event holds
-	// the activation by then (ROADMAP item 6).
-	act.ctx = &Ctx{m: m, act: act, charge: base}
+	c := &act.own
+	if CheckedCtx {
+		c = new(Ctx)
+	}
+	*c = Ctx{m: m, act: act, fn: fn, charge: base}
+	act.ctx = c
 	m.switchTo(act)
 }
 
@@ -322,14 +347,17 @@ func (m *Manager) resumeActivation(act *activation) {
 func (m *Manager) switchTo(act *activation) {
 	m.Dispatched++
 	st, _ := act.next()
-	ctx := act.ctx
+	c := act.ctx
 	if st == actBlocked {
-		ctx.charge += m.costs.ContextSave
-	} else {
-		act.fn, act.ctx = nil, nil
-		m.pool = append(m.pool, act)
+		c.charge += m.costs.ContextSave
+		m.k.Post(c.charge, m.processFn)
+		return
 	}
-	m.k.Post(ctx.charge, m.processFn)
+	charge := c.charge
+	c.end()
+	act.ctx = nil
+	m.pool = append(m.pool, act)
+	m.k.Post(charge, m.processFn)
 }
 
 // process is the event loop: it runs each time the core finishes an event.
@@ -372,35 +400,75 @@ func (m *Manager) process() {
 }
 
 // Ctx is the context of the currently executing event. It provides virtual
-// CPU accounting and the save/restore blocking facility. A Ctx is only
-// valid during its event's execution.
+// CPU accounting and the save/restore blocking facility. A Ctx is valid
+// only during its event - a handler that blocks is still in its event when
+// it resumes - and is reused for a later event once its own has ended.
+// Code that runs after the event that started it, such as a future's
+// continuation, uses the Ctx of the event that runs it: one it is handed,
+// or one it gets by re-entering the loop through Manager.Spawn (keep the
+// Manager, not the Ctx). Under iobufdebug any use of a Ctx whose event
+// has ended panics.
 type Ctx struct {
 	m      *Manager
 	act    *activation
+	fn     Handler
 	charge sim.Time
 }
 
+// end closes the Ctx when its event finishes, leaving nothing reachable
+// from it (see activation) - but, under iobufdebug, the handler, so that a
+// later use can name it.
+func (c *Ctx) end() {
+	if CheckedCtx {
+		c.m, c.act = nil, nil
+		return
+	}
+	*c = Ctx{}
+}
+
+// live panics, under iobufdebug, if c's event has ended: what is charged to
+// it then is lost, or billed to an unrelated event.
+func (c *Ctx) live() {
+	if CheckedCtx && c.m == nil {
+		panic(fmt.Sprintf("event: Ctx of %s used after its event ended",
+			runtime.FuncForPC(reflect.ValueOf(c.fn).Pointer()).Name()))
+	}
+}
+
 // Manager returns the event manager for the executing core.
-func (c *Ctx) Manager() *Manager { return c.m }
+func (c *Ctx) Manager() *Manager {
+	c.live()
+	return c.m
+}
 
 // Core returns the executing core.
-func (c *Ctx) Core() *machine.Core { return c.m.core }
+func (c *Ctx) Core() *machine.Core {
+	c.live()
+	return c.m.core
+}
 
 // Now reports the virtual time at which the current event was dispatched.
-func (c *Ctx) Now() sim.Time { return c.m.k.Now() }
+func (c *Ctx) Now() sim.Time {
+	c.live()
+	return c.m.k.Now()
+}
 
 // Charge accounts d of CPU time to the current event.
 func (c *Ctx) Charge(d sim.Time) {
+	c.live()
 	if d > 0 {
 		c.charge += d
 	}
 }
 
 // ChargeCycles accounts n CPU cycles at the core's clock rate.
-func (c *Ctx) ChargeCycles(n float64) { c.Charge(c.m.core.Cycles(n)) }
+func (c *Ctx) ChargeCycles(n float64) { c.Charge(c.Core().Cycles(n)) }
 
 // Charged reports the total accounted so far (for tests).
-func (c *Ctx) Charged() sim.Time { return c.charge }
+func (c *Ctx) Charged() sim.Time {
+	c.live()
+	return c.charge
+}
 
 // Block suspends the current event (the paper's "save event state"),
 // letting the core process other events. register receives a resume
@@ -408,6 +476,7 @@ func (c *Ctx) Charged() sim.Time { return c.charge }
 // Block satisfies future.Blocker, so f.Block(ctx) awaits a future with
 // blocking semantics.
 func (c *Ctx) Block(register func(resume func())) {
+	c.live()
 	act := c.act
 	resumed := false
 	register(func() {

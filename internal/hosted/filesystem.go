@@ -16,6 +16,12 @@ import (
 // hosted process provides). As the paper notes, this implementation is
 // deliberately naive - every access pays a round trip; caching on local
 // representatives is the natural extension.
+//
+// A call's future is fulfilled by the event that receives the reply, after
+// the calling event has ended, so a continuation must not use the caller's
+// Ctx: one that calls again, or does anything else that takes a Ctx,
+// re-enters through Node.Spawn - or the caller blocks on the future
+// instead.
 type FileSystem struct {
 	id  core.Id
 	sys *System

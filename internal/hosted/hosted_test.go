@@ -1,11 +1,13 @@
 package hosted
 
 import (
+	"bytes"
 	"testing"
 
 	"ebbrt/internal/core"
 	"ebbrt/internal/event"
 	"ebbrt/internal/future"
+	"ebbrt/internal/machine"
 	"ebbrt/internal/sim"
 )
 
@@ -178,14 +180,17 @@ func TestFileSystemOffload(t *testing.T) {
 				t.Errorf("write: %v", err)
 				return
 			}
-			fs.Read(c, native, "/etc/config").OnDone(func(r future.Result[[]byte]) {
-				readBack, readErr = r.Get()
-			})
-			fs.Stat(c, native, "/etc/config").OnDone(func(r future.Result[uint64]) {
-				size, _ = r.Get()
-			})
-			fs.List(c, native).OnDone(func(r future.Result[[]string]) {
-				names, _ = r.Get()
+			// The event that wrote has ended: the next calls re-enter.
+			native.Spawn(func(c *event.Ctx) {
+				fs.Read(c, native, "/etc/config").OnDone(func(r future.Result[[]byte]) {
+					readBack, readErr = r.Get()
+				})
+				fs.Stat(c, native, "/etc/config").OnDone(func(r future.Result[uint64]) {
+					size, _ = r.Get()
+				})
+				fs.List(c, native).OnDone(func(r future.Result[[]string]) {
+					names, _ = r.Get()
+				})
 			})
 		})
 	})
@@ -201,6 +206,58 @@ func TestFileSystemOffload(t *testing.T) {
 	}
 	if len(names) != 1 || names[0] != "/etc/config" {
 		t.Fatalf("list %v", names)
+	}
+}
+
+// A FileSystem call made from a continuation - the read that follows a
+// write once the write is answered - runs in an event of its own, entered
+// through Spawn: the request is billed to that event and leaves at its
+// offset. (The event that made the first call has ended by then; under
+// iobufdebug, using its Ctx panics.) A second read from a plain event
+// measures the device path from an event's offset to the switch.
+func TestFileSystemContinuationBillsItsOwnEvent(t *testing.T) {
+	sys := NewSystem()
+	native := sys.AddNativeNode(1)
+	fs := NewFileSystem(sys)
+	mac := native.Machine.NICs[0].Mac
+	var sent []sim.Time
+	sys.Switch.DropFn = func(_ uint64, f machine.Frame) bool {
+		if b := f.Buf.Data(); len(b) >= 12 && bytes.Equal(b[6:12], mac[:]) {
+			sent = append(sent, sys.K.Now())
+		}
+		return false
+	}
+	departure := func(offset sim.Time) sim.Time {
+		for _, at := range sent {
+			if at >= offset {
+				return at - offset
+			}
+		}
+		return -1
+	}
+	var readAt, refAt sim.Time
+	var got []byte
+	native.Spawn(func(c *event.Ctx) {
+		fs.Write(c, native, "/a", []byte("x")).OnDone(func(future.Result[future.Unit]) {
+			native.Spawn(func(c *event.Ctx) {
+				c.Charge(20 * sim.Microsecond)
+				fs.Read(c, native, "/a").OnDone(func(r future.Result[[]byte]) { got, _ = r.Get() })
+				readAt = c.Now() + c.Charged()
+			})
+		})
+	})
+	sys.K.RunUntil(sim.Second)
+	native.Spawn(func(c *event.Ctx) {
+		c.Charge(20 * sim.Microsecond)
+		fs.Read(c, native, "/a")
+		refAt = c.Now() + c.Charged()
+	})
+	sys.K.RunUntil(2 * sim.Second)
+	if string(got) != "x" || readAt == 0 || refAt == 0 {
+		t.Fatalf("read %q, sent at offsets %v and %v", got, readAt, refAt)
+	}
+	if path, ref := departure(readAt), departure(refAt); path != ref || ref <= 0 {
+		t.Fatalf("the read left %v after its event's offset, a plain call's %v after", path, ref)
 	}
 }
 

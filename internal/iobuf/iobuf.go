@@ -10,27 +10,37 @@
 // Ownership has three parts. A descriptor (one IOBuf element) is uniquely
 // owned - it is moved, never shared, mirroring the C++ unique_ptr
 // discipline - so only its owner adjusts the view or relinks it. The
-// backing bytes may be shared: Split and Wrap make further descriptors over
-// the same bytes, and the garbage collector keeps them alive for whoever
-// still looks. What makes that safe is a rule, not a refcount: bytes handed
-// to a send path (TcpPcb.Send, appnet.Conn.Send) are immutable from then on.
-// The sender may keep reading them - a stored value goes out to any number
-// of readers - but a caller that wants to write again allocates afresh.
+// backing bytes may be shared: Split, Wrap and Pool.View make further
+// descriptors over the same bytes. What makes that safe is a rule, not a
+// refcount: bytes handed to a send path (TcpPcb.Send, appnet.Conn.Send) are
+// immutable from then on. The sender may keep reading them - a stored value
+// goes out to any number of readers - but a caller that wants to write
+// again allocates afresh.
 //
-// The third part is the per-packet memory of the data path: a NIC's receive
-// buffers and an interface's transmit header elements are made by a Pool
-// and counted. Get hands an element to its first holder, Retain adds one,
-// Free drops one, and the last Free sends descriptor and bytes back to the
-// pool to be handed out again. Free is optional - an element nobody frees
-// is ordinary garbage and the pool forgets it - so the only bug is an early
-// Free: reading or writing a pool-born element, or any view of its bytes,
-// after one's own hold is gone. Views made by Split or Wrap over pooled
-// bytes are not holders and do not keep those bytes alive; whoever needs
-// them past the last Free retains the element itself or copies. On
-// elements no pool made, Retain and Free do nothing. Building with
-// -tags iobufdebug makes the rule mechanical: the last Free overwrites the
-// bytes with 0xDB and Get checks that they still are, so a use after free
-// breaks a byte-exact test and a write after free panics.
+// The third part is the per-packet memory of the data path, made by a Pool
+// and counted:
+//
+//	element          made by                    its bytes
+//	receive buffer   the NIC's Pool, Get        the element's, recycled with it
+//	header element   the interface's Pool, Get  the element's, recycled with it
+//	view descriptor  the interface's Pool, View lent by someone else, left alone
+//
+// Get or View hands an element to its first holder, Retain adds one and
+// Free drops one - on every element of the chain - and an element's last
+// Free sends it back to its pool to be handed out again: a view descriptor
+// alone, letting go of the bytes it was lent, any other element with its
+// bytes. Free is optional - an element nobody frees is ordinary garbage and
+// the pool forgets it - so the only bug is an early Free: reading or
+// writing a pool-born element after one's own hold is gone, or the bytes of
+// one that owns them, through any view. A view is not a holder of the
+// bytes it covers: whoever needs pooled bytes past the last Free retains
+// the element that owns them, or copies. Elements no pool made - New,
+// Wrap, the cut of a Split without a pool - have no holders, and Retain
+// and Free pass them by. Building with -tags iobufdebug makes the rule
+// mechanical: the last Free overwrites the bytes an element owns with 0xDB
+// and Get checks that they still are, so a use after free breaks a
+// byte-exact test and a write after free panics; the bytes a view
+// descriptor was lent are never touched.
 package iobuf
 
 import (
@@ -198,10 +208,10 @@ func (b *IOBuf) ComputeChainDataLength() int {
 // rest as a chain of its own, or nil when the chain holds no more than n:
 // how a send path segments a message without touching its bytes.
 // Descriptors are moved; when the cut falls inside an element the rest
-// starts with one new descriptor over the same backing bytes, and the cut
-// element gives up its tailroom so that neither side can grow into the
-// other.
-func (b *IOBuf) Split(n int) *IOBuf {
+// starts with one new descriptor over the same backing bytes - from views,
+// or a plain one if views is nil - and the cut element gives up its
+// tailroom so that neither side can grow into the other.
+func (b *IOBuf) Split(n int, views *Pool) *IOBuf {
 	if n <= 0 {
 		panic(fmt.Sprintf("iobuf: Split(%d)", n))
 	}
@@ -214,7 +224,7 @@ func (b *IOBuf) Split(n int) *IOBuf {
 	}
 	rest := cur
 	if n > 0 {
-		rest = Wrap(cur.Data()[n:])
+		rest = views.View(cur.Data()[n:])
 		cur.buf = cur.buf[:int(cur.off)+n]
 		cur.length = n
 		rest.next, rest.prev = cur.next, cur

@@ -301,7 +301,7 @@ func TestSplitEveryOffset(t *testing.T) {
 		for b := a; b <= len(data); b += 3 {
 			for n := 1; n <= len(data)+1; n++ {
 				head := chainOf(data, a, b)
-				rest := head.Split(n)
+				rest := head.Split(n, nil)
 				if got := head.CopyOut(); !bytes.Equal(got, data[:min(n, len(data))]) {
 					t.Fatalf("cuts %d,%d split %d: head %q", a, b, n, got)
 				}

@@ -8,22 +8,20 @@ import "fmt"
 // kernels run in parallel. It holds only the elements that are back, so it
 // grows to the most its user ever had out at once and an element that is
 // never freed is the collector's.
+//
+// A pool of class 0 makes view descriptors: elements that own no bytes and
+// are handed out by View over someone else's.
 type Pool struct {
 	class int      // capacity of every element the pool makes
 	free  []*IOBuf // elements with no holder
-	out   int      // handed out by Get and not yet back
+	out   int      // handed out and not yet back
 }
 
 // NewPool makes an empty pool of elements with the given capacity.
 func NewPool(class int) *Pool { return &Pool{class: class} }
 
-// Get returns an element with an empty view at offset 0, capacity at least
-// n and one holder, the caller. Its bytes are not zeroed. A request above
-// the pool's class is served by New: a plain element, which Free ignores.
-func (p *Pool) Get(n int) *IOBuf {
-	if n > p.class {
-		return New(n)
-	}
+// take hands out an element with one holder, recycled if one is back.
+func (p *Pool) take() *IOBuf {
 	var b *IOBuf
 	if last := len(p.free) - 1; last >= 0 {
 		b, p.free[last], p.free = p.free[last], nil, p.free[:last]
@@ -39,23 +37,68 @@ func (p *Pool) Get(n int) *IOBuf {
 	return b
 }
 
+// Get returns an element with an empty view at offset 0, capacity at least
+// n and one holder, the caller. Its bytes are not zeroed. A request above
+// the pool's class is served by New: a plain element, which Free ignores.
+func (p *Pool) Get(n int) *IOBuf {
+	if n > p.class {
+		return New(n)
+	}
+	return p.take()
+}
+
+// View returns a descriptor from a pool of class 0 whose view covers data,
+// with one holder, the caller. The descriptor does not own data: its last
+// Free returns the descriptor alone and lets go of data, which is neither
+// recycled, reset nor poisoned, so it may be bytes lent by anyone - a
+// stored value, an application's message, another element's buffer. On a
+// nil pool View is Wrap.
+func (p *Pool) View(data []byte) *IOBuf {
+	if p == nil {
+		return Wrap(data)
+	}
+	if p.class != 0 {
+		panic(fmt.Sprintf("iobuf: View from a pool of class %d", p.class))
+	}
+	b := p.take()
+	b.buf, b.length = data, len(data)
+	return b
+}
+
 // Outstanding reports the elements handed out and not yet back: those
 // still held, and those dropped without a Free.
 func (p *Pool) Outstanding() int { return p.out }
 
-// Retain adds a holder to a pool-born element, for a structure that keeps
-// the element past the call it was lent for.
+// Retain adds a holder to every pool-born element of the chain, for a
+// structure that keeps the chain past the call it was lent for.
 func (b *IOBuf) Retain() {
-	if b.pool != nil {
-		b.holders++
+	for e := b; ; {
+		if e.pool != nil {
+			e.holders++
+		}
+		if e = e.next; e == b {
+			return
+		}
 	}
 }
 
-// Free drops one holder of a pool-born element. The last one unlinks the
-// element from its chain, resets its view and returns it, descriptor and
-// bytes, to its pool; from then on nothing may read or write it, its bytes
-// or a view of them. Freeing more often than the element was held panics.
+// Free drops one holder of every pool-born element of the chain. An
+// element's last one unlinks it from the chain, resets its view and
+// returns it to its pool - a view descriptor alone, any other element with
+// its bytes; from then on nothing may read or write the element, nor the
+// bytes or a view of the bytes of one that owned them. Freeing more often
+// than an element was held panics.
 func (b *IOBuf) Free() {
+	for e := b.next; e != b; {
+		next := e.next
+		e.drop()
+		e = next
+	}
+	b.drop()
+}
+
+// drop lets go of one holder of this element only.
+func (b *IOBuf) drop() {
 	p := b.pool
 	if p == nil {
 		return
@@ -67,11 +110,15 @@ func (b *IOBuf) Free() {
 		panic(fmt.Sprintf("iobuf: Free of an element with no holder (%d)", b.holders))
 	}
 	b.Unlink()
-	b.buf = b.buf[:cap(b.buf)] // a Split may have cut it
-	b.off, b.length = 0, 0
-	if debugFree {
-		poison(b.buf)
+	if p.class == 0 {
+		b.buf = nil // a view's bytes are not the pool's
+	} else {
+		b.buf = b.buf[:cap(b.buf)] // a Split may have cut it
+		if debugFree {
+			poison(b.buf)
+		}
 	}
+	b.off, b.length = 0, 0
 	p.free = append(p.free, b)
 	p.out--
 }

@@ -21,7 +21,7 @@ func TestPoolRecyclesOnLastFree(t *testing.T) {
 	b.Advance(14)
 	tail := chainOf([]byte("payload-bytes"), 7)
 	b.AppendChain(tail)
-	if rest := b.Split(20); rest == nil || b.Capacity() == 64 {
+	if rest := b.Split(20, nil); rest == nil || b.Capacity() == 64 {
 		t.Fatal("the split did not cut inside the pooled element")
 	}
 	b.Retain()
@@ -84,7 +84,7 @@ func TestFreeOfPlainElementsIsNoOp(t *testing.T) {
 	}
 	pooled := p.Get(16)
 	pooled.Append(16)
-	view := pooled.Split(8)
+	view := pooled.Split(8, nil)
 	for _, b := range []*IOBuf{big, New(8), Wrap([]byte("abc")), view} {
 		b.Append(b.Tailroom())
 		want := string(b.Data())
@@ -95,6 +95,69 @@ func TestFreeOfPlainElementsIsNoOp(t *testing.T) {
 		if string(b.Data()) != want || len(p.free) != 0 {
 			t.Fatalf("Free touched a plain element (%q, %d in the pool)", b.Data(), len(p.free))
 		}
+	}
+}
+
+// A view descriptor owns no bytes: View lends it data, holders count as
+// for any pooled element, and the last Free returns the descriptor alone -
+// the lent bytes keep their contents and the descriptor lets go of them.
+// On a nil pool View is Wrap.
+func TestViewDescriptorReturnsWithoutItsBytes(t *testing.T) {
+	views := NewPool(0)
+	lent := []byte("a stored value, lent")
+	v := views.View(lent[2:8])
+	if string(v.Data()) != "stored" || views.Outstanding() != 1 {
+		t.Fatalf("View: %q, %d out", v.Data(), views.Outstanding())
+	}
+	v.Retain()
+	v.Free()
+	if string(v.Data()) != "stored" || views.Outstanding() != 1 {
+		t.Fatalf("after one of two holders let go: %q, %d out", v.Data(), views.Outstanding())
+	}
+	v.Free()
+	if string(lent) != "a stored value, lent" || views.Outstanding() != 0 || len(views.free) != 1 {
+		t.Fatalf("after the last Free: lent bytes %q, %d out, %d free", lent, views.Outstanding(), len(views.free))
+	}
+	if v.Capacity() != 0 || v.Length() != 0 {
+		t.Fatalf("a freed view still covers %d bytes of %d", v.Length(), v.Capacity())
+	}
+	if again := views.View(lent[:1]); again != v || string(again.Data()) != "a" {
+		t.Fatal("the freed descriptor was not the next one handed out")
+	}
+	plain := (*Pool)(nil).View(lent)
+	plain.Free()
+	if string(plain.Data()) != string(lent) {
+		t.Fatal("a View from no pool is not a plain Wrap")
+	}
+}
+
+// Retain and Free act on every element of a chain: each pool-born element
+// gains and loses a holder, whichever pool made it, and a plain one is left
+// alone. The frame a stack sends - a head element, a view Split cut, the
+// application's own descriptor - comes home whole at its last Free.
+func TestFreeWalksTheChain(t *testing.T) {
+	heads, views := NewPool(16), NewPool(0)
+	msg := []byte("headerpayload-bytes")
+	frame := heads.Get(16)
+	copy(frame.Append(6), msg)
+	payload := chainOf(msg[6:], 7)
+	if rest := payload.Split(3, views); rest == nil || rest.Next() == rest {
+		t.Fatal("the split did not cut inside the first element")
+	} else {
+		frame.AppendChain(rest)
+	}
+	frame.Retain()
+	frame.Free()
+	if heads.Outstanding() != 1 || views.Outstanding() != 1 || frame.CountChainElements() != 3 {
+		t.Fatalf("after one of two holders let go: %d heads, %d views out, %d elements", heads.Outstanding(), views.Outstanding(), frame.CountChainElements())
+	}
+	plain := frame.Prev()
+	frame.Free()
+	if heads.Outstanding() != 0 || views.Outstanding() != 0 {
+		t.Fatalf("after the last Free: %d heads, %d views out", heads.Outstanding(), views.Outstanding())
+	}
+	if plain.IsChained() || string(plain.Data()) != "-bytes" || string(payload.Data()) != "pay" {
+		t.Fatalf("the application's descriptors changed: %q, %q", plain.Data(), payload.Data())
 	}
 }
 
@@ -114,21 +177,27 @@ func TestNeverFreedElementIsCollected(t *testing.T) {
 }
 
 // Wrap and Split stay in the 64-byte size class with the pool's fields in
-// the descriptor, and a warm pool allocates nothing.
+// the descriptor, and a warm pool allocates nothing - views and cuts
+// included.
 func TestDescriptorSizeAndWarmPool(t *testing.T) {
 	if size := unsafe.Sizeof(IOBuf{}); size > 64 {
 		t.Fatalf("an IOBuf descriptor is %d bytes, want at most 64", size)
 	}
-	p := NewPool(1536)
+	p, views := NewPool(1536), NewPool(0)
+	lent := make([]byte, 3000)
 	cycle := func() {
 		a, b := p.Get(1500), p.Get(54)
+		b.AppendChain(views.View(lent))
 		a.Retain()
 		a.Free()
 		b.Free()
 		a.Free()
+		v := views.View(lent)
+		v.Split(1460, views).Free()
+		v.Free()
 	}
 	cycle()
 	if n := testing.AllocsPerRun(100, cycle); n != 0 {
-		t.Fatalf("Get/Retain/Free on a warm pool allocated %.0f objects, want 0", n)
+		t.Fatalf("Get/View/Split/Retain/Free on warm pools allocated %.0f objects, want 0", n)
 	}
 }

@@ -122,7 +122,7 @@ func (s *Switch) forward(fl *flight, from *switchPort) {
 	}
 	// Flood: broadcast or unknown destination. Every copy flies on a
 	// record of its own, from the sender's pool like the first, and holds
-	// the head.
+	// the chain.
 	copies := 0
 	for _, p := range s.ports {
 		if p == from {

@@ -96,6 +96,17 @@ func frameIn(b *iobuf.IOBuf, src, dst MAC, payload int, hash uint32) Frame {
 	return Frame{Buf: b, Hash: hash}
 }
 
+// pooledFrame is a 114-byte frame as a stack sends one: a head element from
+// heads, and behind it a view descriptor from views over bytes it does not
+// own.
+func pooledFrame(heads, views *iobuf.Pool, src, dst MAC) Frame {
+	f := frameIn(heads.Get(114), src, dst, 50, 0)
+	f.Buf.AppendChain(views.View(lentBytes[:]))
+	return f
+}
+
+var lentBytes [50]byte
+
 func TestLinkDelivery(t *testing.T) {
 	k := sim.NewKernel()
 	ma := testMachine(k, 1)
@@ -346,7 +357,7 @@ func irqDrains(nics ...*NIC) {
 // and is copied into one recycled receive buffer: with the pools warm a hop
 // allocates nothing - through a link, through a switch, and through a
 // switch flood - and when the frame has been popped and freed the sender's
-// head element and every receive buffer are home.
+// head element and view descriptor and every receive buffer are home.
 func TestFrameFlightAllocatesNothing(t *testing.T) {
 	k := sim.NewKernel()
 	la, lb := NewNIC(testMachine(k, 1), MAC{1}), NewNIC(testMachine(k, 1), MAC{2})
@@ -361,7 +372,7 @@ func TestFrameFlightAllocatesNothing(t *testing.T) {
 	nics[1].Transmit(frameOf(MAC{2}, MAC{1}, 100, 0), 0) // the switch learns MAC 2
 	k.Run()
 
-	heads := iobuf.NewPool(128)
+	heads, views := iobuf.NewPool(128), iobuf.NewPool(0)
 	for _, tc := range []struct {
 		name   string
 		from   *NIC
@@ -373,7 +384,7 @@ func TestFrameFlightAllocatesNothing(t *testing.T) {
 		{"switch flood", nics[0], Broadcast, 2},
 	} {
 		send := func() {
-			tc.from.Transmit(frameIn(heads.Get(114), MAC{1}, tc.dst, 100, 0), 0)
+			tc.from.Transmit(pooledFrame(heads, views, MAC{1}, tc.dst), 0)
 			k.Run()
 		}
 		send() // warm the pools and the rings
@@ -383,8 +394,8 @@ func TestFrameFlightAllocatesNothing(t *testing.T) {
 		if len(tc.from.free) != tc.copies {
 			t.Errorf("%s: sender's pool holds %d records, want %d", tc.name, len(tc.from.free), tc.copies)
 		}
-		if heads.Outstanding() != 0 {
-			t.Errorf("%s: %d head elements did not come home", tc.name, heads.Outstanding())
+		if heads.Outstanding() != 0 || views.Outstanding() != 0 {
+			t.Errorf("%s: %d head elements and %d view descriptors did not come home", tc.name, heads.Outstanding(), views.Outstanding())
 		}
 	}
 	for _, n := range []*NIC{la, lb, nics[0], nics[1], nics[2]} {
@@ -398,8 +409,8 @@ func TestFrameFlightAllocatesNothing(t *testing.T) {
 }
 
 // Every way a frame can fail to arrive ends the flight's hold on its head
-// element, and a frame left in a ring stays counted until it is popped and
-// freed.
+// element and the view descriptor behind it, and a frame left in a ring
+// stays counted until it is popped and freed.
 func TestDroppedFramesFreeTheirHead(t *testing.T) {
 	k := sim.NewKernel()
 	na, nb := NewNIC(testMachine(k, 1), MAC{1}), NewNIC(testMachine(k, 1), MAC{2})
@@ -407,15 +418,15 @@ func TestDroppedFramesFreeTheirHead(t *testing.T) {
 	sw := NewSwitch(k)
 	lone := NewNIC(testMachine(k, 1), MAC{3})
 	sw.Connect(lone)
-	heads := iobuf.NewPool(128)
+	heads, views := iobuf.NewPool(128), iobuf.NewPool(0)
 	send := func(from *NIC) {
-		from.Transmit(frameIn(heads.Get(114), MAC{1}, MAC{2}, 100, 0), 0)
+		from.Transmit(pooledFrame(heads, views, MAC{1}, MAC{2}), 0)
 		k.Run()
 	}
 	check := func(what string) {
 		t.Helper()
-		if heads.Outstanding() != 0 {
-			t.Fatalf("%s: the head element did not come home", what)
+		if heads.Outstanding() != 0 || views.Outstanding() != 0 {
+			t.Fatalf("%s: the head element or the view descriptor did not come home", what)
 		}
 	}
 	na.SetUp(false)

@@ -25,8 +25,10 @@ func (m MAC) IsBroadcast() bool { return m == Broadcast }
 // header whole in the head element, payload chained behind it) plus the
 // flow hash the sending NIC computed for receive-side scaling, standing in
 // for the hardware Toeplitz hash. The chain borrows the sender's bytes;
-// nothing between Transmit and Deliver writes to it. Who holds and who frees
-// a pooled head or receive buffer: docs/ARCHITECTURE.md, Buffer ownership.
+// nothing between Transmit and Deliver writes to it. The flight holds one
+// holder of each pool-born element of the chain - head element, view
+// descriptors - and frees the chain wherever it stops being read. Who holds
+// and who frees what: docs/ARCHITECTURE.md, Buffer ownership.
 type Frame struct {
 	Buf  *iobuf.IOBuf
 	Hash uint32
@@ -263,7 +265,8 @@ func (n *NIC) Deliver(f Frame) { n.arrive(n.newFlight(f, f.Len())) }
 // the hypervisor copy both systems pay (paper §4.1.3, charged as RxCopy)
 // and the one physical copy a direction makes - into one recycled MTU
 // buffer of this NIC's. The chain it read from is the sender's, borrowed
-// from the application and the retransmission tracker.
+// from the application and the retransmission tracker; the flight lets go
+// of it here.
 func (n *NIC) arrive(fl *flight) {
 	if n.down {
 		n.DroppedFrames.Inc()

@@ -155,7 +155,7 @@ type dhcpClient struct {
 }
 
 func (d *dhcpClient) send(c *event.Ctx, p dhcpPacket) {
-	buf := iobuf.Wrap(marshalDhcp(p))
+	buf := d.itf.views.View(marshalDhcp(p))
 	_ = d.itf.SendUdp(c, dhcpClientPort, IP(255, 255, 255, 255), dhcpServerPort, buf)
 }
 
@@ -236,6 +236,6 @@ func (s *DhcpServer) receive(c *event.Ctx, src Ipv4Addr, srcPort uint16, payload
 	default:
 		return
 	}
-	buf := iobuf.Wrap(marshalDhcp(reply))
+	buf := s.itf.views.View(marshalDhcp(reply))
 	_ = s.itf.SendUdp(c, dhcpServerPort, IP(255, 255, 255, 255), dhcpClientPort, buf)
 }

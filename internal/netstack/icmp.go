@@ -57,7 +57,7 @@ func (itf *Interface) sendIcmp(c *event.Ctx, dst Ipv4Addr, icmp []byte) {
 		TotalLen: uint16(Ipv4HeaderLen + len(icmp)), TTL: 64, Proto: ProtoICMP,
 		Src: itf.Addr, Dst: dst,
 	})
-	buf.AppendChain(iobuf.Wrap(icmp))
+	buf.AppendChain(itf.views.View(icmp))
 	_ = itf.EthArpSend(c, EtherTypeIPv4, dst, buf, FlowHash(itf.Addr, 0, dst, 0))
 }
 

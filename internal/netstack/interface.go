@@ -24,6 +24,7 @@ type Interface struct {
 	pings   map[uint32]*pingState
 	drivers []*queueDriver
 	hdrPool *iobuf.Pool // head elements of transmitted packets (newPacket)
+	views   *iobuf.Pool // view descriptors of transmitted payload bytes
 
 	// RxPackets counts frames delivered to the stack (all queues).
 	RxPackets uint64
@@ -157,10 +158,15 @@ func (itf *Interface) Route(dst Ipv4Addr) (Ipv4Addr, error) {
 // element) and transmits. With the MAC known - broadcast, or cached, as
 // for every packet of an established flow - the frame leaves at once and
 // nothing is allocated; only an ARP miss builds the future chain of the
-// paper's Figure 2 and sends on the reply.
+// paper's Figure 2 and sends on the reply. That continuation runs after
+// the sending event has ended, so it re-enters the sending core's loop
+// through Spawn: the transmit is charged to, and leaves at the offset of,
+// an event of its own. A packet that cannot leave - no route, no ARP
+// answer - is freed.
 func (itf *Interface) EthArpSend(c *event.Ctx, proto uint16, dst Ipv4Addr, buf *iobuf.IOBuf, flowHash uint32) future.Future[future.Unit] {
 	localDst, err := itf.Route(dst)
 	if err != nil {
+		buf.Free()
 		return future.Fail[future.Unit](err)
 	}
 	mac, known := machine.Broadcast, localDst.IsBroadcast()
@@ -171,8 +177,14 @@ func (itf *Interface) EthArpSend(c *event.Ctx, proto uint16, dst Ipv4Addr, buf *
 		itf.ethSend(c, proto, mac, buf, flowHash)
 		return future.Ready(future.Unit{})
 	}
-	return future.ThenOK(itf.arpFind(c, localDst), func(mac EthAddr) (future.Unit, error) {
-		itf.ethSend(c, proto, mac, buf, flowHash)
+	mgr := c.Manager()
+	return future.Then(itf.arpFind(c, localDst), func(r future.Result[EthAddr]) (future.Unit, error) {
+		mac, err := r.Get()
+		if err != nil {
+			buf.Free()
+			return future.Unit{}, err
+		}
+		mgr.Spawn(func(c *event.Ctx) { itf.ethSend(c, proto, mac, buf, flowHash) })
 		return future.Unit{}, nil
 	})
 }

@@ -98,6 +98,56 @@ func TestArpTimeout(t *testing.T) {
 	}
 }
 
+// A send that misses the ARP cache goes out, once the reply has resolved
+// the address, from an event of its own that re-enters the sending core
+// through Spawn: the transmit is billed to that event and the frame leaves
+// at its offset, not at an offset read from the event that made the send,
+// which has long ended (its 20us are its own). A probe spawned when the
+// send's future resolves runs right after that event, so it starts at the
+// offset; a second send, with the MAC cached, measures the device path from
+// an event's offset to the wire. A packet whose ARP goes unanswered is
+// freed.
+func TestArpMissSendBillsTheEventThatRunsIt(t *testing.T) {
+	n := newTestNet(t, 1, 1)
+	var sent []sim.Time
+	n.link.DropFn = func(_ uint64, f machine.Frame) bool {
+		if eth, err := parseEth(f.Buf.Data()); err == nil && eth.Src == n.itfA.NIC.Mac && eth.Type == EtherTypeIPv4 {
+			sent = append(sent, n.k.Now())
+		}
+		return false
+	}
+	mgr := n.a.Mgrs[0]
+	var probeAt, refAt sim.Time
+	n.spawnA(func(c *event.Ctx) {
+		f := n.itfA.SendUdp(c, 9, IP(10, 0, 0, 2), 9, iobuf.Wrap([]byte("after the miss")))
+		c.Charge(20 * sim.Microsecond)
+		f.OnDone(func(future.Result[future.Unit]) {
+			mgr.Spawn(func(c *event.Ctx) { probeAt = c.Now() })
+		})
+	})
+	n.k.Run()
+	n.spawnA(func(c *event.Ctx) {
+		c.Charge(20 * sim.Microsecond)
+		_ = n.itfA.SendUdp(c, 9, IP(10, 0, 0, 2), 9, iobuf.Wrap([]byte("MAC cached")))
+		refAt = c.Now() + c.Charged()
+	})
+	n.k.Run()
+	if len(sent) != 2 || probeAt == 0 {
+		t.Fatalf("%d datagrams sent, probe at %v", len(sent), probeAt)
+	}
+	if path, ref := sent[0]-probeAt, sent[1]-refAt; path != ref {
+		t.Fatalf("the resolved send left %v after its event's offset, a cached one %v after", path, ref)
+	}
+
+	n.spawnA(func(c *event.Ctx) {
+		_ = n.itfA.SendUdp(c, 9, IP(10, 0, 0, 99), 9, n.itfA.views.View([]byte("to no one")))
+	})
+	n.k.Run()
+	if h, v := n.itfA.hdrPool.Outstanding(), n.itfA.views.Outstanding(); h != 0 || v != 0 {
+		t.Fatalf("after an unanswered ARP %d head elements and %d view descriptors are out", h, v)
+	}
+}
+
 func TestUdpEcho(t *testing.T) {
 	n := newTestNet(t, 1, 1)
 	const port = 7777

@@ -13,13 +13,16 @@ import (
 )
 
 // streamEnd is one end of a connection that sends out, as fast as the
-// peer's window allows, and collects what it receives.
+// peer's window allows, and collects what it receives. own is every
+// descriptor it handed to Send: the rest of a frame's payload elements are
+// the stack's.
 type streamEnd struct {
 	t    *testing.T
 	pcb  *TcpPcb
 	out  []byte
 	sent int
 	in   []byte
+	own  map[*iobuf.IOBuf]bool
 }
 
 func (e *streamEnd) handler() ConnHandler {
@@ -41,7 +44,9 @@ func (e *streamEnd) push(c *event.Ctx) {
 		if w == 0 {
 			return
 		}
-		if err := e.pcb.Send(c, iobuf.Wrap(e.out[e.sent:e.sent+w])); err != nil {
+		chunk := iobuf.Wrap(e.out[e.sent : e.sent+w])
+		e.own[chunk] = true
+		if err := e.pcb.Send(c, chunk); err != nil {
 			e.t.Errorf("send: %v", err)
 			return
 		}
@@ -51,42 +56,54 @@ func (e *streamEnd) push(c *event.Ctx) {
 
 // stream starts sending n more bytes.
 func (e *streamEnd) stream(mgr *event.Manager, n int, salt byte) {
-	e.out, e.sent = make([]byte, n), 0
+	e.out, e.sent, e.own = make([]byte, n), 0, map[*iobuf.IOBuf]bool{}
 	for i := range e.out {
 		e.out[i] = byte(i*7) ^ salt
 	}
 	mgr.Spawn(e.push)
 }
 
-// checkHome compares what an interface's two pools have out with what its
-// live structures hold: a head element per unacknowledged segment, a
-// receive buffer per frame in a ring and per segment stashed out of order.
-// Call it when nothing is on the wire or between cores.
-func checkHome(t *testing.T, what string, itf *Interface, pcbs ...*TcpPcb) (heads, rx int) {
+// checkHome compares what an interface's three pools have out with what
+// its live structures hold: a head element per unacknowledged segment, a
+// view descriptor per payload element of one that the stack cut rather than
+// the sender made, a receive buffer per frame in a ring and per segment
+// stashed out of order. Call it when nothing is on the wire or between
+// cores, with the ends whose connections are the interface's.
+func checkHome(t *testing.T, what string, itf *Interface, ends ...*streamEnd) (heads, views, rx int) {
 	t.Helper()
 	for _, q := range itf.NIC.Queues {
 		rx += q.Len()
 	}
-	for _, p := range pcbs {
-		heads += len(p.inflight)
-		rx += len(p.ooo)
+	for _, e := range ends {
+		for _, seg := range e.pcb.inflight {
+			heads++
+			for d := seg.frame.Next(); d != seg.frame; d = d.Next() {
+				if !e.own[d] {
+					views++
+				}
+			}
+		}
+		rx += len(e.pcb.ooo)
 	}
 	if got := itf.hdrPool.Outstanding(); got != heads {
 		t.Fatalf("%s: %v has %d head elements out, its connections hold %d", what, itf.Addr, got, heads)
 	}
+	if got := itf.views.Outstanding(); got != views {
+		t.Fatalf("%s: %v has %d view descriptors out, its connections hold %d", what, itf.Addr, got, views)
+	}
 	if got := itf.NIC.RxBuffersOut(); got != rx {
 		t.Fatalf("%s: %v has %d receive buffers out, its rings and connections hold %d", what, itf.Addr, got, rx)
 	}
-	return heads, rx
+	return heads, views, rx
 }
 
 // Every pooled element comes home. 256KiB each way over a link that drops
-// a fifth of the data frames exercises the RTO, fast retransmit, the
-// out-of-order stash, duplicate segments and the cross-core hand-off; then
-// a NIC goes down mid-stream, and a connection is torn down with data in
-// flight and segments stashed. After each, the pools have out exactly what
-// the connections hold, which is nothing once the stream is acknowledged
-// or both ends are closed.
+// a fifth of the data frames exercises the RTO, fast retransmit (both put
+// new view descriptors over the payload), the out-of-order stash, duplicate
+// segments and the cross-core hand-off; then a NIC goes down mid-stream,
+// and a connection is torn down with data in flight and segments stashed.
+// After each, the pools have out exactly what the connections hold, which
+// is nothing once the stream is acknowledged or both ends are closed.
 func TestPooledBuffersComeHome(t *testing.T) {
 	n := newTestNet(t, 2, 2)
 	a, b := &streamEnd{t: t}, &streamEnd{t: t}
@@ -122,8 +139,8 @@ func TestPooledBuffersComeHome(t *testing.T) {
 		t.Fatal("no segment crossed cores; the hand-off was not exercised")
 	}
 	for _, itf := range []*Interface{n.itfA, n.itfB} {
-		if heads, rx := checkHome(t, "after the lossy streams", itf, p.client, p.server); heads != 0 || rx != 0 {
-			t.Fatalf("%d segments in flight and %d buffers stashed after everything was acknowledged", heads, rx)
+		if heads, views, rx := checkHome(t, "after the lossy streams", itf, a, b); heads != 0 || views != 0 || rx != 0 {
+			t.Fatalf("%d segments and %d views in flight and %d buffers stashed after everything was acknowledged", heads, views, rx)
 		}
 	}
 
@@ -135,17 +152,17 @@ func TestPooledBuffersComeHome(t *testing.T) {
 	n.k.RunFor(100 * sim.Microsecond)
 	n.itfB.NIC.SetUp(false)
 	n.k.RunFor(50 * sim.Millisecond)
-	if heads, _ := checkHome(t, "peer down", n.itfA, p.client); heads == 0 || len(b.in) == 0 || len(b.in) == len(a.out) {
-		t.Fatalf("the outage did not fall mid-stream: %d segments in flight, %d bytes through", heads, len(b.in))
+	if heads, views, _ := checkHome(t, "peer down", n.itfA, a); heads == 0 || views == 0 || len(b.in) == 0 || len(b.in) == len(a.out) {
+		t.Fatalf("the outage did not fall mid-stream: %d segments and %d views in flight, %d bytes through", heads, views, len(b.in))
 	}
-	checkHome(t, "down", n.itfB, p.server)
+	checkHome(t, "down", n.itfB, b)
 	n.itfB.NIC.SetUp(true)
 	n.k.RunFor(200 * sim.Second)
 	if !bytes.Equal(b.in, a.out) {
 		t.Fatalf("after the outage b has %d of %d bytes", len(b.in), len(a.out))
 	}
-	checkHome(t, "after the outage", n.itfA, p.client)
-	checkHome(t, "after the outage", n.itfB, p.server)
+	checkHome(t, "after the outage", n.itfA, a)
+	checkHome(t, "after the outage", n.itfB, b)
 
 	// Teardown with data in flight and segments stashed: the first segment
 	// of a window never arrives, the client aborts, its RST closes the peer.
@@ -163,10 +180,10 @@ func TestPooledBuffersComeHome(t *testing.T) {
 	b.in = b.in[:0]
 	a.stream(n.a.Mgrs[p.client.Core()], 32<<10, 0xaa)
 	n.k.RunFor(500 * sim.Microsecond)
-	heads, _ := checkHome(t, "before the abort", n.itfA, p.client)
-	_, stashed := checkHome(t, "before the abort", n.itfB, p.server)
-	if heads == 0 || stashed == 0 || len(b.in) != 0 {
-		t.Fatalf("before the abort: %d segments in flight, %d stashed, %d bytes delivered", heads, stashed, len(b.in))
+	heads, views, _ := checkHome(t, "before the abort", n.itfA, a)
+	_, _, stashed := checkHome(t, "before the abort", n.itfB, b)
+	if heads == 0 || views == 0 || stashed == 0 || len(b.in) != 0 {
+		t.Fatalf("before the abort: %d segments and %d views in flight, %d stashed, %d bytes delivered", heads, views, stashed, len(b.in))
 	}
 	n.a.Mgrs[p.client.Core()].Spawn(p.client.Abort)
 	n.k.RunFor(10 * sim.Millisecond)
@@ -174,15 +191,16 @@ func TestPooledBuffersComeHome(t *testing.T) {
 		t.Fatalf("after the abort the ends are %s and %s", p.client.State(), p.server.State())
 	}
 	for _, itf := range []*Interface{n.itfA, n.itfB} {
-		if heads, rx := checkHome(t, "after both ends closed", itf, p.client, p.server); heads != 0 || rx != 0 {
-			t.Fatalf("closed connections hold %d segments and %d buffers", heads, rx)
+		if heads, views, rx := checkHome(t, "after both ends closed", itf, a, b); heads != 0 || views != 0 || rx != 0 {
+			t.Fatalf("closed connections hold %d segments, %d views and %d buffers", heads, views, rx)
 		}
 	}
 }
 
-// Through a switch, a broadcast floods: one head element flies to every
-// other port and comes home once, each receiver's copy is freed by its own
-// stack, whether the datagram had a taker there or not.
+// Through a switch, a broadcast floods: one head element and the view
+// descriptor behind it fly to every other port and come home once, each
+// receiver's copy is freed by its own stack, whether the datagram had a
+// taker there or not.
 func TestPooledBuffersComeHomeThroughFlood(t *testing.T) {
 	k := sim.NewKernel()
 	sw := machine.NewSwitch(k)
@@ -206,7 +224,7 @@ func TestPooledBuffersComeHomeThroughFlood(t *testing.T) {
 	const rounds = 10
 	for i := 0; i < rounds; i++ {
 		itfs[0].St.Mgrs[0].Spawn(func(c *event.Ctx) {
-			_ = itfs[0].SendUdp(c, port, IP(255, 255, 255, 255), port, iobuf.Wrap([]byte("to everyone")))
+			_ = itfs[0].SendUdp(c, port, IP(255, 255, 255, 255), port, itfs[0].views.View([]byte("to everyone")))
 		})
 	}
 	k.Run()
@@ -219,9 +237,9 @@ func TestPooledBuffersComeHomeThroughFlood(t *testing.T) {
 }
 
 // The path of a pure ACK - Transmit, link, receive copy, interrupt, the
-// receiving stack's input - allocates nothing once the pools are warm but
-// the Ctx of each event it runs as.
-func TestPureAckAllocatesOnlyItsEvents(t *testing.T) {
+// receiving stack's input, and the events it runs as - allocates nothing
+// once the pools are warm (under iobufdebug, a Ctx per event).
+func TestPureAckAllocatesNothing(t *testing.T) {
 	n := newTestNet(t, 1, 1)
 	p := establishTcp(t, n, ConnHandler{}, ConnHandler{}, nil)
 	n.k.RunFor(10 * sim.Millisecond)
@@ -240,8 +258,12 @@ func TestPureAckAllocatesOnlyItsEvents(t *testing.T) {
 	if n.itfB.RxPackets != frames+1 || events == 0 {
 		t.Fatalf("one step delivered %d frames in %d events", n.itfB.RxPackets-frames, events)
 	}
-	if got := testing.AllocsPerRun(100, step); got != float64(events) {
-		t.Fatalf("a pure ACK allocated %.0f objects over %d events, want one Ctx each", got, events)
+	want := 0.0
+	if event.CheckedCtx {
+		want = float64(events)
+	}
+	if got := testing.AllocsPerRun(100, step); got != want {
+		t.Fatalf("a pure ACK allocated %.0f objects over %d events, want %.0f", got, events, want)
 	}
 }
 

@@ -127,10 +127,11 @@ func newTcpLayer() *tcpLayer {
 // segment is one in-flight (sent, unacknowledged) transmit segment. The
 // tracker copies nothing: it holds the frame as first transmitted, whose
 // elements after the header are views of the bytes the application handed
-// to Send (immutable from then on), and Retains its pooled head element
-// until the segment is acknowledged or the connection torn down. A
-// retransmission puts new descriptors over those bytes (the first frame
-// may still be on the wire) behind a rebuilt header (a replayed one would
+// to Send (immutable from then on), and Retains its pooled elements - the
+// header, and the view descriptor Split cut - until the segment is
+// acknowledged or the connection torn down. A retransmission puts new
+// descriptors from the same pool over those bytes (the first frame may
+// still be on the wire) behind a rebuilt header (a replayed one would
 // re-advertise the ack and window from when the segment was first sent).
 // sentAt and rexmit feed the RTT estimator: only segments transmitted
 // exactly once yield samples (Karn's rule), taken from their last
@@ -321,8 +322,9 @@ func (itf *Interface) ConnectTcp(c *event.Ctx, dst Ipv4Addr, dstPort uint16, h C
 // It fails if the payload exceeds the remote window: the application is
 // responsible for checking SendWindowRemaining and buffering excess
 // (paper §3.6) - the stack never queues application data. The chain is
-// moved, not copied: Send takes the descriptors, frames and the in-flight
-// tracker borrow the bytes, and the caller must not write to them again.
+// moved, not copied: Send takes the descriptors, with one holder of any
+// pool-born element among them, frames and the in-flight tracker borrow
+// the bytes, and the caller must not write to them again.
 func (p *TcpPcb) Send(c *event.Ctx, payload *iobuf.IOBuf) error {
 	if p.state != tcpEstablished && p.state != tcpCloseWait {
 		return fmt.Errorf("netstack: send in state %v", p.state)
@@ -334,10 +336,11 @@ func (p *TcpPcb) Send(c *event.Ctx, payload *iobuf.IOBuf) error {
 	if n == 0 {
 		return nil
 	}
-	// Cut the chain into one view per MSS; each goes out behind its own
-	// header (scatter/gather).
+	// Cut the chain into one view per MSS, each cut a descriptor from the
+	// interface's pool; each goes out behind its own header
+	// (scatter/gather).
 	for payload != nil {
-		rest := payload.Split(p.itf.St.Cfg.MSS)
+		rest := payload.Split(p.itf.St.Cfg.MSS, p.itf.views)
 		p.sendSegment(c, tcpACK|tcpPSH, payload)
 		payload = rest
 	}
@@ -539,19 +542,19 @@ func (p *TcpPcb) retransmitSegment(c *event.Ctx, seg *segment) {
 	p.auditRecovery(c.Now(), audit.TCPRetransmit)
 	var payload *iobuf.IOBuf
 	for e := seg.frame.Next(); e != seg.frame; e = e.Next() {
-		if payload == nil {
-			payload = iobuf.Wrap(e.Data())
+		if v := p.itf.views.View(e.Data()); payload == nil {
+			payload = v
 		} else {
-			payload.AppendChain(iobuf.Wrap(e.Data()))
+			payload.AppendChain(v)
 		}
 	}
 	p.transmitFrame(c, p.buildFrame(seg.seq, p.rcvNxt, seg.flags, payload))
 	p.needAck = false
 }
 
-// cancelRTO stops the retransmission timer - unless its time has come and
-// only its handler is still to run: that handler then clears rtoTimer and
-// orphans any timer armed in between (ROADMAP item 6c).
+// cancelRTO stops the retransmission timer, also one whose time has come
+// and whose handler waits, latched, for the core: an ACK that races the
+// timeout leaves one timer, the one its armRTO starts.
 func (p *TcpPcb) cancelRTO() {
 	p.rtoTimer.Cancel()
 	p.rtoTimer = event.Timer{}
@@ -593,9 +596,12 @@ func (p *TcpPcb) persistExpired(c *event.Ctx) {
 	// Probe with one already-acknowledged byte (seq sndNxt-1): the
 	// peer discards it as a duplicate and re-ACKs with its current
 	// window.
-	p.sendRawSegment(c, p.sndNxt-1, p.rcvNxt, tcpACK, iobuf.Wrap([]byte{0}))
+	p.sendRawSegment(c, p.sndNxt-1, p.rcvNxt, tcpACK, p.itf.views.View(probeByte))
 	p.armPersist()
 }
+
+// probeByte is what every persist probe carries; nothing writes to it.
+var probeByte = []byte{0}
 
 func (p *TcpPcb) cancelPersist() {
 	p.persistBackoff = 0

@@ -35,16 +35,16 @@ func TestArmRTOAllocatesNothing(t *testing.T) {
 	}
 }
 
-// Characterises a defect, so that the PR that fixes it flips this test
-// knowingly (ROADMAP item 6c). A timer whose time has come is latched
-// behind VecTimer and can no longer be cancelled. If the core was busy at
-// that instant and an interrupt latched earlier handles an ACK first,
-// processAck's cancelRTO cancels nothing and its armRTO starts a second
-// timer; the latched handler then runs anyway, clears rtoTimer - orphaning
-// that second timer - retransmits, and arms a third. From then on the
-// connection has two live RTO timers: the retransmission that backoff puts
-// two timeouts away arrives after one.
-func TestRTOCancelledAfterLatchStillRuns(t *testing.T) {
+// An ACK that races a latched RTO leaves one timer, not two. A timer whose
+// time has come while the core was busy is latched behind VecTimer; an
+// interrupt latched earlier handles an ACK first. processAck's cancelRTO
+// must cancel the latched timer, so that its armRTO starts the only one:
+// when a latched timer could not be cancelled, its handler ran anyway,
+// cleared rtoTimer - orphaning the timer armRTO had just started -
+// retransmitted and armed a third, and from then on the connection had two
+// live RTO timers, the retransmission backoff puts two timeouts away
+// arriving after one.
+func TestRTOCancelledAfterLatchLeavesNoOrphan(t *testing.T) {
 	n := newTestNet(t, 1, 1)
 	p := establishTcp(t, n, ConnHandler{}, ConnHandler{}, nil)
 	n.k.RunFor(sim.Second)
@@ -53,15 +53,15 @@ func TestRTOCancelledAfterLatchStillRuns(t *testing.T) {
 	}
 	pcb, mgr := p.client, n.a.Mgrs[0]
 	n.link.DropFn = func(uint64, machine.Frame) bool { return true } // the segment stays in flight
+	var expiry, rto sim.Time
 	// What processAck does for an ACK that leaves data outstanding.
 	ackVec := mgr.AllocateVector(func(*event.Ctx) {
-		if pcb.rtoTimer.Cancel() {
-			t.Error("the latched timer was still cancellable; the scenario did not form")
+		if n.k.Now() <= expiry || pcb.Retransmits != 0 {
+			t.Errorf("the ACK ran at %v, %d retransmits; want after the expiry at %v, before the timer's handler", n.k.Now(), pcb.Retransmits, expiry)
 		}
 		pcb.cancelRTO()
 		pcb.armRTO()
 	})
-	var expiry, rto sim.Time
 	n.spawnA(func(c *event.Ctx) {
 		rto = pcb.rtoInterval()
 		expiry = c.Now() + rto
@@ -78,13 +78,22 @@ func TestRTOCancelledAfterLatchStillRuns(t *testing.T) {
 		t.Fatalf("after the send: %d retransmits, expiry %v, now %v", pcb.Retransmits, expiry, n.k.Now())
 	}
 	n.k.RunUntil(expiry + rto/2)
-	if pcb.Retransmits != 1 {
-		t.Fatalf("the latched RTO handler ran %d times after cancelRTO, want 1 (it is past cancelling)", pcb.Retransmits)
+	if pcb.Retransmits != 0 {
+		t.Fatalf("the latched RTO handler ran after cancelRTO: %d retransmits", pcb.Retransmits)
 	}
-	// One timer would fire next at expiry+2*rto (backoff). The orphan,
-	// armed before the backoff, fires at expiry+rto.
+	// The one timer, armed by the ACK just before expiry, fires at about
+	// expiry+rto; backoff puts the next at about expiry+3*rto. An orphan would
+	// have retransmitted in between.
 	n.k.RunUntil(expiry + rto + rto/2)
+	if pcb.Retransmits != 1 {
+		t.Fatalf("%d retransmits by 1.5 timeouts after the expiry, want exactly 1", pcb.Retransmits)
+	}
+	n.k.RunUntil(expiry + 2*rto + rto/2)
+	if pcb.Retransmits != 1 {
+		t.Fatalf("%d retransmits by 2.5 timeouts after the expiry, want still 1: a second RTO timer is live", pcb.Retransmits)
+	}
+	n.k.RunUntil(expiry + 3*rto + rto/2)
 	if pcb.Retransmits != 2 {
-		t.Fatalf("%d retransmits by 1.5 timeouts after the first, want 2: the orphaned second timer (item 6c) is gone - if that is the fix, expect 1 here", pcb.Retransmits)
+		t.Fatalf("%d retransmits by 3.5 timeouts after the expiry, want 2", pcb.Retransmits)
 	}
 }
