@@ -26,9 +26,11 @@ import (
 type Conn interface {
 	// Send queues payload for transmission. It always accepts the data;
 	// the implementation is responsible for windowing/buffering. The
-	// chain is moved to the connection and its bytes may be borrowed, not
-	// copied, until the peer acknowledges them: the caller does not write
-	// to them again.
+	// chain is moved to the connection, with one holder of each pool-born
+	// element, and its bytes may be borrowed, not copied, until the peer
+	// acknowledges them: the caller does not write to them again. An
+	// application builds what it sends in the pools PoolsOf reports, and
+	// the connection frees them when it is done.
 	Send(c *event.Ctx, payload *iobuf.IOBuf)
 	// Close initiates an orderly shutdown.
 	Close(c *event.Ctx)
@@ -44,6 +46,22 @@ type Callbacks struct {
 	OnData func(c *event.Ctx, conn Conn, payload *iobuf.IOBuf)
 	// OnClose fires at full teardown; err non-nil on abnormal close.
 	OnClose func(c *event.Ctx, conn Conn, err error)
+}
+
+// PoolsOf reports the pools of the interface under conn that an
+// application writes what it sends into: payload elements of class MSS,
+// for frames, and view descriptors, for bytes it lends (a stored value).
+// Both runtimes' connections have them once connected. A connection
+// without them - not yet connected, or a stand-in made by a harness -
+// gives nil pools, whose Get is New and View is Wrap, so an application
+// writes the same code either way.
+func PoolsOf(conn Conn) (payload, views *iobuf.Pool) {
+	if p, ok := conn.(interface {
+		Pools() (payload, views *iobuf.Pool)
+	}); ok {
+		return p.Pools()
+	}
+	return nil, nil
 }
 
 // Runtime abstracts "an OS this app runs on" for servers and clients.
@@ -121,8 +139,10 @@ func (n *Native) Dial(c *event.Ctx, ip netstack.Ipv4Addr, port uint16, cb Callba
 // SendBuffer is the send half of a connection over a TcpPcb, the
 // application-side buffering the paper describes and both runtimes use:
 // whatever fits the remote window goes out immediately, the rest is held
-// - the chains themselves, cut at the window - and drained as the peer
-// acknowledges. Close defers the FIN until the buffer has drained.
+// - the chains themselves, cut at the window with a descriptor from the
+// interface's views pool - and drained as the peer acknowledges. Close
+// defers the FIN until the buffer has drained; what a closed connection
+// still holds is freed.
 type SendBuffer struct {
 	Pcb            *netstack.TcpPcb
 	Closed         bool
@@ -138,9 +158,19 @@ func (b *SendBuffer) Core() int {
 	return b.Pcb.Core()
 }
 
+// Pools reports the connection's interface pools (see PoolsOf), nil
+// before it is connected.
+func (b *SendBuffer) Pools() (payload, views *iobuf.Pool) {
+	if b.Pcb == nil {
+		return nil, nil
+	}
+	return b.Pcb.Pools()
+}
+
 // Send implements Conn.
 func (b *SendBuffer) Send(c *event.Ctx, payload *iobuf.IOBuf) {
 	if b.Closed || b.Pcb == nil {
+		payload.Free()
 		return
 	}
 	if len(b.pending) == 0 && payload.ComputeChainDataLength() <= b.Pcb.SendWindowRemaining() {
@@ -163,7 +193,8 @@ func (b *SendBuffer) drain(c *event.Ctx) {
 		if w == 0 {
 			return
 		}
-		rest := head.Split(w, nil)
+		_, views := b.Pcb.Pools()
+		rest := head.Split(w, views)
 		if err := b.Pcb.Send(c, head); err != nil {
 			head.AppendChain(rest)
 			return
@@ -212,6 +243,10 @@ func (b *SendBuffer) Handler(conn Conn, cb Callbacks, onReceive func(c *event.Ct
 		},
 		OnClosed: func(c *event.Ctx, pcb *netstack.TcpPcb, err error) {
 			b.Closed = true
+			for _, p := range b.pending {
+				p.Free()
+			}
+			b.pending = nil
 			if cb.OnClose != nil {
 				cb.OnClose(c, conn, err)
 			}

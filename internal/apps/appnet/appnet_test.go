@@ -7,6 +7,7 @@ import (
 	"ebbrt/internal/apps/appnet"
 	"ebbrt/internal/event"
 	"ebbrt/internal/iobuf"
+	"ebbrt/internal/machine"
 	"ebbrt/internal/sim"
 	"ebbrt/internal/testbed"
 )
@@ -182,5 +183,66 @@ func TestGPOSDeliveryIsDeferredAndBatched(t *testing.T) {
 	ebbRTT := ebbDone - ebbStart
 	if gposRTT <= ebbRTT/2 {
 		t.Fatalf("GPOS one-way %v implausibly fast vs EbbRT RTT %v", gposRTT, ebbRTT)
+	}
+}
+
+// A response written into payload elements is cut inside them twice over:
+// by the send buffer at the window's edge and by the stack at every MSS.
+// The link loses the second data segment once, so the first is
+// acknowledged - and its pieces freed - before the second is
+// retransmitted from the same elements: the bytes arrive exact (under
+// iobufdebug an element recycled early reads 0xDB), and every element and
+// view comes home once the peer has them all.
+func TestPooledResponseCutAndRetransmitted(t *testing.T) {
+	pair := testbed.NewPair(testbed.EbbRT, 1, 1)
+	resp := make([]byte, 70_000) // past the 65,535-byte window
+	for i := range resp {
+		resp[i] = byte(i*7 + i>>8)
+	}
+	const fill = 1000 // neither a multiple nor a divisor of the MSS
+	var payload, views *iobuf.Pool
+	if err := pair.Server.Listen(7, func(conn appnet.Conn) appnet.Callbacks {
+		payload, views = appnet.PoolsOf(conn)
+		return appnet.Callbacks{OnData: func(c *event.Ctx, conn appnet.Conn, _ *iobuf.IOBuf) {
+			var chain *iobuf.IOBuf
+			for rest := resp; len(rest) > 0; {
+				e := payload.Get(fill)
+				rest = rest[copy(e.Append(min(fill, len(rest))), rest):]
+				if chain == nil {
+					chain = e
+				} else {
+					chain.AppendChain(e)
+				}
+			}
+			conn.Send(c, chain)
+		}}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	dataSegments, dropped := 0, false
+	pair.Link.DropFn = func(_ uint64, f machine.Frame) bool {
+		// Data from the server (its MAC ends in 2), more than the 54 bytes
+		// of headers: the response.
+		if f.Buf.ComputeChainDataLength() <= 54 || f.Buf.Data()[11] != 2 {
+			return false
+		}
+		if dataSegments++; dataSegments == 2 && !dropped {
+			dropped = true
+			return true
+		}
+		return false
+	}
+	var got []byte
+	pair.Client.Mgrs()[0].Spawn(func(c *event.Ctx) {
+		pair.Client.Dial(c, testbed.ServerIP, 7, appnet.Callbacks{
+			OnData: func(c *event.Ctx, conn appnet.Conn, p *iobuf.IOBuf) { got = p.AppendTo(got) },
+		}, func(c *event.Ctx, conn appnet.Conn) { conn.Send(c, iobuf.FromBytes([]byte("go"))) })
+	})
+	pair.K.RunUntil(2 * sim.Second)
+	if !dropped || !bytes.Equal(got, resp) {
+		t.Fatalf("dropped %v; received %d of %d bytes, exact %v", dropped, len(got), len(resp), bytes.Equal(got, resp))
+	}
+	if payload.Outstanding() != 0 || views.Outstanding() != 0 {
+		t.Fatalf("%d payload elements and %d views out after the response was acknowledged", payload.Outstanding(), views.Outstanding())
 	}
 }

@@ -116,15 +116,54 @@ func WriteHeader(b []byte, h Header) {
 	binary.BigEndian.PutUint64(b[16:24], h.CAS)
 }
 
+// Request is one binary-protocol request before its opaque is known: Len
+// sizes its frame and Put writes it, so that a client can write the frame
+// straight into the memory it sends from. Build writes it into a fresh
+// slice. Extras are set by the constructors below.
+type Request struct {
+	Opcode     byte
+	Key, Value []byte
+	CAS        uint64 // a version stamp on SET and ADD, else 0
+	extras     [CounterExtrasLen]byte
+	nExtras    byte
+}
+
+func (r *Request) extra32(v uint32) {
+	binary.BigEndian.PutUint32(r.extras[r.nExtras:], v)
+	r.nExtras += 4
+}
+
+func (r *Request) extra64(v uint64) {
+	binary.BigEndian.PutUint64(r.extras[r.nExtras:], v)
+	r.nExtras += 8
+}
+
+// Len is the size of the request's frame.
+func (r *Request) Len() int { return HeaderLen + int(r.nExtras) + len(r.Key) + len(r.Value) }
+
+// Put writes the request's frame, with the given opaque, into b (at least
+// Len bytes).
+func (r *Request) Put(b []byte, opaque uint32) {
+	WriteHeader(b, Header{
+		Magic: MagicRequest, Opcode: r.Opcode,
+		KeyLen: uint16(len(r.Key)), ExtrasLen: r.nExtras,
+		BodyLen: uint32(r.Len() - HeaderLen), Opaque: opaque, CAS: r.CAS,
+	})
+	n := HeaderLen + copy(b[HeaderLen:], r.extras[:r.nExtras])
+	n += copy(b[n:], r.Key)
+	copy(b[n:], r.Value)
+}
+
+// Build encodes the request into a fresh slice.
+func (r Request) Build(opaque uint32) []byte {
+	b := make([]byte, r.Len())
+	r.Put(b, opaque)
+	return b
+}
+
 // BuildGet encodes a GET request.
 func BuildGet(key []byte, opaque uint32) []byte {
-	b := make([]byte, HeaderLen+len(key))
-	WriteHeader(b, Header{
-		Magic: MagicRequest, Opcode: OpGet,
-		KeyLen: uint16(len(key)), BodyLen: uint32(len(key)), Opaque: opaque,
-	})
-	copy(b[HeaderLen:], key)
-	return b
+	return Request{Opcode: OpGet, Key: key}.Build(opaque)
 }
 
 // BuildGetQ encodes a quiet GET. The server suppresses the miss
@@ -133,13 +172,7 @@ func BuildGet(key []byte, opaque uint32) []byte {
 // absence of a member's response once the fence answers (docs/PROTOCOL.md
 // "Multiget rounds").
 func BuildGetQ(key []byte, opaque uint32) []byte {
-	b := make([]byte, HeaderLen+len(key))
-	WriteHeader(b, Header{
-		Magic: MagicRequest, Opcode: OpGetQ,
-		KeyLen: uint16(len(key)), BodyLen: uint32(len(key)), Opaque: opaque,
-	})
-	copy(b[HeaderLen:], key)
-	return b
+	return Request{Opcode: OpGetQ, Key: key}.Build(opaque)
 }
 
 // BuildSet encodes a SET request with flags and zero expiry.
@@ -155,18 +188,7 @@ func BuildSet(key, value []byte, flags uint32, opaque uint32) []byte {
 // so replicas of one key converge on the same {value, stamp} no matter
 // the delivery order. stamp 0 is a plain SET (server-minted CAS).
 func BuildSetStamped(key, value []byte, flags uint32, opaque uint32, stamp uint64) []byte {
-	body := 8 + len(key) + len(value)
-	b := make([]byte, HeaderLen+body)
-	WriteHeader(b, Header{
-		Magic: MagicRequest, Opcode: OpSet,
-		KeyLen: uint16(len(key)), ExtrasLen: 8,
-		BodyLen: uint32(body), Opaque: opaque, CAS: stamp,
-	})
-	binary.BigEndian.PutUint32(b[HeaderLen:], flags)
-	binary.BigEndian.PutUint32(b[HeaderLen+4:], 0)
-	copy(b[HeaderLen+8:], key)
-	copy(b[HeaderLen+8+len(key):], value)
-	return b
+	return storeRequest(OpSet, key, value, flags, stamp).Build(opaque)
 }
 
 // BuildAdd encodes an ADD (store-if-absent) request; quiet selects the
@@ -183,33 +205,30 @@ func BuildAdd(key, value []byte, flags uint32, opaque uint32, quiet bool) []byte
 // transferred entry arrives at its new owner with the stamp the
 // surviving replicas hold - re-minting would silently diverge them.
 func BuildAddStamped(key, value []byte, flags uint32, opaque uint32, quiet bool, stamp uint64) []byte {
-	body := 8 + len(key) + len(value)
-	b := make([]byte, HeaderLen+body)
-	op := byte(OpAdd)
+	return storeRequest(addOpcode(quiet), key, value, flags, stamp).Build(opaque)
+}
+
+// storeRequest is a SET or ADD with the stock extras: flags, and an
+// exptime of 0.
+func storeRequest(op byte, key, value []byte, flags uint32, stamp uint64) Request {
+	r := Request{Opcode: op, Key: key, Value: value, CAS: stamp}
+	r.extra32(flags)
+	r.extra32(0)
+	return r
+}
+
+func addOpcode(quiet bool) byte {
 	if quiet {
-		op = OpAddQ
+		return OpAddQ
 	}
-	WriteHeader(b, Header{
-		Magic: MagicRequest, Opcode: op,
-		KeyLen: uint16(len(key)), ExtrasLen: 8,
-		BodyLen: uint32(body), Opaque: opaque, CAS: stamp,
-	})
-	binary.BigEndian.PutUint32(b[HeaderLen:], flags)
-	binary.BigEndian.PutUint32(b[HeaderLen+4:], 0)
-	copy(b[HeaderLen+8:], key)
-	copy(b[HeaderLen+8+len(key):], value)
-	return b
+	return OpAdd
 }
 
 // BuildNoop encodes a NOOP request. A noop at the tail of a quiet
 // pipeline acts as a fence: its response confirms every earlier request
 // on the connection has been processed (TCP ordering plus the server's
 // in-order handling).
-func BuildNoop(opaque uint32) []byte {
-	b := make([]byte, HeaderLen)
-	WriteHeader(b, Header{Magic: MagicRequest, Opcode: OpNoop, Opaque: opaque})
-	return b
-}
+func BuildNoop(opaque uint32) []byte { return Request{Opcode: OpNoop}.Build(opaque) }
 
 // BuildStat encodes a STAT request. An empty key requests the general
 // statistics; "items" and "slabs" select those groups. The server
@@ -217,24 +236,12 @@ func BuildNoop(opaque uint32) []byte {
 // field, value in the value field) terminated by an empty-key,
 // empty-value packet.
 func BuildStat(key []byte, opaque uint32) []byte {
-	b := make([]byte, HeaderLen+len(key))
-	WriteHeader(b, Header{
-		Magic: MagicRequest, Opcode: OpStat,
-		KeyLen: uint16(len(key)), BodyLen: uint32(len(key)), Opaque: opaque,
-	})
-	copy(b[HeaderLen:], key)
-	return b
+	return Request{Opcode: OpStat, Key: key}.Build(opaque)
 }
 
 // BuildDelete encodes a DELETE request.
 func BuildDelete(key []byte, opaque uint32) []byte {
-	b := make([]byte, HeaderLen+len(key))
-	WriteHeader(b, Header{
-		Magic: MagicRequest, Opcode: OpDelete,
-		KeyLen: uint16(len(key)), BodyLen: uint32(len(key)), Opaque: opaque,
-	})
-	copy(b[HeaderLen:], key)
-	return b
+	return Request{Opcode: OpDelete, Key: key}.Build(opaque)
 }
 
 // GetResponseExtrasLen is the extras block carried on GET responses:
@@ -255,22 +262,23 @@ const GetResponseExtrasLen = 12
 // deadline; re-encoding as whole seconds would shift it.
 const SetAbsExpiryExtrasLen = 12
 
-// BuildSetAbsExpiry is BuildSetStamped carrying an absolute virtual
+// SetAbsExpiryRequest is a stamped SET carrying an absolute virtual
 // expiry verbatim (the internal dialect above). Read-repair uses it to
 // copy an entry to a stale replica without disturbing its deadline.
+func SetAbsExpiryRequest(key, value []byte, flags uint32, stamp uint64, expires int64) Request {
+	return absRequest(OpSet, key, value, flags, stamp, expires)
+}
+
+func absRequest(op byte, key, value []byte, flags uint32, stamp uint64, expires int64) Request {
+	r := Request{Opcode: op, Key: key, Value: value, CAS: stamp}
+	r.extra32(flags)
+	r.extra64(uint64(expires))
+	return r
+}
+
+// BuildSetAbsExpiry encodes a SetAbsExpiryRequest.
 func BuildSetAbsExpiry(key, value []byte, flags uint32, opaque uint32, stamp uint64, expires int64) []byte {
-	body := SetAbsExpiryExtrasLen + len(key) + len(value)
-	b := make([]byte, HeaderLen+body)
-	WriteHeader(b, Header{
-		Magic: MagicRequest, Opcode: OpSet,
-		KeyLen: uint16(len(key)), ExtrasLen: SetAbsExpiryExtrasLen,
-		BodyLen: uint32(body), Opaque: opaque, CAS: stamp,
-	})
-	binary.BigEndian.PutUint32(b[HeaderLen:], flags)
-	binary.BigEndian.PutUint64(b[HeaderLen+4:], uint64(expires))
-	copy(b[HeaderLen+SetAbsExpiryExtrasLen:], key)
-	copy(b[HeaderLen+SetAbsExpiryExtrasLen+len(key):], value)
-	return b
+	return SetAbsExpiryRequest(key, value, flags, stamp, expires).Build(opaque)
 }
 
 // BuildAddStampedAbs is BuildAddStamped carrying an absolute virtual
@@ -278,22 +286,7 @@ func BuildSetAbsExpiry(key, value []byte, flags uint32, opaque uint32, stamp uin
 // arrives at its new owner with both the stamp and the deadline the
 // surviving replicas hold.
 func BuildAddStampedAbs(key, value []byte, flags uint32, opaque uint32, quiet bool, stamp uint64, expires int64) []byte {
-	body := SetAbsExpiryExtrasLen + len(key) + len(value)
-	b := make([]byte, HeaderLen+body)
-	op := byte(OpAdd)
-	if quiet {
-		op = OpAddQ
-	}
-	WriteHeader(b, Header{
-		Magic: MagicRequest, Opcode: op,
-		KeyLen: uint16(len(key)), ExtrasLen: SetAbsExpiryExtrasLen,
-		BodyLen: uint32(body), Opaque: opaque, CAS: stamp,
-	})
-	binary.BigEndian.PutUint32(b[HeaderLen:], flags)
-	binary.BigEndian.PutUint64(b[HeaderLen+4:], uint64(expires))
-	copy(b[HeaderLen+SetAbsExpiryExtrasLen:], key)
-	copy(b[HeaderLen+SetAbsExpiryExtrasLen+len(key):], value)
-	return b
+	return absRequest(addOpcode(quiet), key, value, flags, stamp, expires).Build(opaque)
 }
 
 // CounterExtrasLen is the extras block on INCREMENT/DECREMENT requests:
@@ -308,36 +301,21 @@ const CounterNoCreate = 0xffffffff
 // exptime CounterNoCreate makes a miss an error instead of seeding the
 // counter with initial.
 func BuildCounter(key []byte, delta, initial uint64, exptime uint32, incr bool, opaque uint32) []byte {
-	body := CounterExtrasLen + len(key)
-	b := make([]byte, HeaderLen+body)
-	op := byte(OpDecrement)
+	r := Request{Opcode: OpDecrement, Key: key}
 	if incr {
-		op = OpIncrement
+		r.Opcode = OpIncrement
 	}
-	WriteHeader(b, Header{
-		Magic: MagicRequest, Opcode: op,
-		KeyLen: uint16(len(key)), ExtrasLen: CounterExtrasLen,
-		BodyLen: uint32(body), Opaque: opaque,
-	})
-	binary.BigEndian.PutUint64(b[HeaderLen:], delta)
-	binary.BigEndian.PutUint64(b[HeaderLen+8:], initial)
-	binary.BigEndian.PutUint32(b[HeaderLen+16:], exptime)
-	copy(b[HeaderLen+CounterExtrasLen:], key)
-	return b
+	r.extra64(delta)
+	r.extra64(initial)
+	r.extra32(exptime)
+	return r.Build(opaque)
 }
 
 // BuildTouch encodes a TOUCH request (4-byte exptime extras).
 func BuildTouch(key []byte, exptime uint32, opaque uint32) []byte {
-	body := 4 + len(key)
-	b := make([]byte, HeaderLen+body)
-	WriteHeader(b, Header{
-		Magic: MagicRequest, Opcode: OpTouch,
-		KeyLen: uint16(len(key)), ExtrasLen: 4,
-		BodyLen: uint32(body), Opaque: opaque,
-	})
-	binary.BigEndian.PutUint32(b[HeaderLen:], exptime)
-	copy(b[HeaderLen+4:], key)
-	return b
+	r := Request{Opcode: OpTouch, Key: key}
+	r.extra32(exptime)
+	return r.Build(opaque)
 }
 
 // NextFrame splits one complete packet off the head of a byte stream.

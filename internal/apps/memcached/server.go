@@ -180,6 +180,7 @@ func NewServer(store Store, cores int) *Server {
 func (s *Server) Serve(rt appnet.Runtime) error {
 	return rt.Listen(Port, func(conn appnet.Conn) appnet.Callbacks {
 		sc := &serverConn{srv: s}
+		sc.resp.Pool, sc.resp.views = appnet.PoolsOf(conn)
 		s.stats.currConns++
 		s.stats.totalConns++
 		return appnet.Callbacks{
@@ -217,6 +218,7 @@ const (
 type serverConn struct {
 	srv     *Server
 	rx      iobuf.Stream
+	resp    response
 	mode    byte
 	text    textSession
 	counted bool // curr_connections already decremented for this conn
@@ -249,13 +251,14 @@ func (sc *serverConn) onData(c *event.Ctx, conn appnet.Conn, payload *iobuf.IOBu
 	// One coalesced response per delivery batch: responses to pipelined
 	// requests aggregate into a single send, as the event-driven server
 	// naturally does when multiple requests arrive in one interrupt.
-	var resp []byte
-	var lent []lentValue
 	consumed := 0
 	for {
 		hdr, body, n, err := NextFrame(data[consumed:], MagicRequest)
 		if err != nil {
 			// Protocol error: drop the connection.
+			if out := sc.resp.Take(); out != nil {
+				out.Free()
+			}
 			sc.mode = modeClosed
 			conn.Close(c)
 			return
@@ -265,43 +268,76 @@ func (sc *serverConn) onData(c *event.Ctx, conn appnet.Conn, payload *iobuf.IOBu
 			sc.rx.Keep(data, consumed, hdr.Reserve())
 			break
 		}
-		resp = sc.srv.handle(c, hdr, body, resp, &lent)
+		sc.srv.handle(c, hdr, body, &sc.resp)
 		consumed += n
 	}
-	if len(resp) > 0 {
-		conn.Send(c, lendValues(resp, lent))
+	if out := sc.resp.Take(); out != nil {
+		conn.Send(c, out)
 	}
 }
 
-// borrowMin is the shortest stored value a GET response lends to the
-// send path instead of copying it behind its header. A lent value costs
-// three descriptors (the run before it, the value, the run after); a
-// copied one costs its bytes. Measured with bench/run.sh -seed 1
-// -seconds 4: 256 saves mc1_etc and cl_mget 4% of their bytes for 1.1%
-// and 1.7% more objects and no wall time; 4096 changes neither (their
-// values stop at 1KiB) and costs cl_write 1.3% more bytes for 0.1% fewer
-// objects.
+// borrowMin is the shortest value a response lends to the send path
+// instead of copying it behind its header. A lent value costs a view
+// descriptor and starts a fresh element for the frame after it; a copied
+// one costs its bytes. Measured with bench/run.sh -seed 1 -seconds 4: 256
+// saves mc1_etc and cl_mget 4% of their bytes for 1.1% and 1.7% more
+// objects and no wall time; 4096 changes neither (their values stop at
+// 1KiB) and costs cl_write 1.3% more bytes for 0.1% fewer objects. It is
+// below the MSS, so an inline frame always fits one payload element.
 const borrowMin = 1024
 
-// lentValue marks where in a batch's flat response a stored value goes
-// out by reference: after resp[:at], which ends with its header.
-type lentValue struct {
-	at    int
-	value []byte
+// response is a batch's responses as the server writes them: frames in
+// payload elements from the connection's interface, each frame whole in
+// one element, and each lent value a view descriptor between them. The
+// stack frees both once the peer has acknowledged them.
+type response struct {
+	iobuf.Frames
+	views *iobuf.Pool
 }
 
-// lendValues turns a batch's response into the chain to send: resp cut at
-// each mark (back to front, so the earlier offsets stay true) with a view
-// of the stored value linked in. Entry.Value is never written once stored,
-// so the view holds for as long as the stack may retransmit it.
-func lendValues(resp []byte, lent []lentValue) *iobuf.IOBuf {
-	chain := iobuf.Wrap(resp)
-	for i := len(lent) - 1; i >= 0; i-- {
-		rest := chain.Split(lent[i].at, nil)
-		chain.AppendChain(iobuf.Wrap(lent[i].value))
-		chain.AppendChain(rest)
+// add writes one response frame. A value of borrowMin bytes or more - only
+// a GET's stored value is that long, and Entry.Value is never written once
+// stored - is lent rather than copied: the frame's header announces it and
+// a view of it follows, holding it for as long as the stack may
+// retransmit it.
+func (r *response) add(req Header, status uint16, extras, value []byte, cas uint64) {
+	lend := len(value) >= borrowMin
+	inline := value
+	if lend {
+		inline = nil
 	}
-	return chain
+	f := r.Next(HeaderLen + len(extras) + len(inline))
+	WriteHeader(f, Header{
+		Magic:     MagicResponse,
+		Opcode:    req.Opcode,
+		ExtrasLen: byte(len(extras)),
+		Status:    status,
+		BodyLen:   uint32(len(extras) + len(value)),
+		Opaque:    req.Opaque,
+		CAS:       cas,
+	})
+	copy(f[HeaderLen:], extras)
+	copy(f[HeaderLen+len(extras):], inline)
+	if lend {
+		r.Link(r.views.View(value))
+	}
+}
+
+// addStat writes one binary STAT response frame: the statistic's name
+// travels in the key field and its value in the value field, no extras. An
+// empty name/value pair is the sequence terminator.
+func (r *response) addStat(req Header, name, value string) {
+	f := r.Next(HeaderLen + len(name) + len(value))
+	WriteHeader(f, Header{
+		Magic:   MagicResponse,
+		Opcode:  req.Opcode,
+		KeyLen:  uint16(len(name)),
+		Status:  StatusOK,
+		BodyLen: uint32(len(name) + len(value)),
+		Opaque:  req.Opaque,
+	})
+	copy(f[HeaderLen:], name)
+	copy(f[HeaderLen+len(name):], value)
 }
 
 // onTextData runs the text-protocol state machine over the coalesced
@@ -314,7 +350,7 @@ func (sc *serverConn) onTextData(c *event.Ctx, conn appnet.Conn, data []byte) {
 	}
 	sc.rx.Keep(data, consumed, 0)
 	if len(resp) > 0 {
-		conn.Send(c, iobuf.Wrap(resp))
+		conn.Send(c, sc.resp.views.View(resp))
 	}
 	if quit {
 		sc.mode = modeClosed
@@ -336,10 +372,8 @@ func storeExpiry(hdr Header, body []byte, now sim.Time) sim.Time {
 	return 0
 }
 
-// handle executes one request, appending any response bytes to resp. A
-// GET of a long value appends only its header and extras and records the
-// value in lent.
-func (s *Server) handle(c *event.Ctx, hdr Header, body []byte, resp []byte, lent *[]lentValue) []byte {
+// handle executes one request, writing any response to r.
+func (s *Server) handle(c *event.Ctx, hdr Header, body []byte, r *response) {
 	s.Requests++
 	c.Charge(s.RequestCPU + s.Store.OpCost(s.Cores))
 	now := c.Now()
@@ -352,23 +386,15 @@ func (s *Server) handle(c *event.Ctx, hdr Header, body []byte, resp []byte, lent
 		e, ok := s.getForRead(key, now)
 		if !ok {
 			if hdr.Opcode == OpGetQ {
-				return resp // quiet get suppresses misses
+				return // quiet get suppresses misses
 			}
-			return appendResponse(resp, hdr, StatusKeyNotFound, nil, nil)
+			r.add(hdr, StatusKeyNotFound, nil, nil, 0)
+			return
 		}
 		var extras [GetResponseExtrasLen]byte
 		binary.BigEndian.PutUint32(extras[:4], e.Flags)
 		binary.BigEndian.PutUint64(extras[4:], uint64(int64(e.Expires)))
-		if len(e.Value) < borrowMin {
-			return appendResponseCAS(resp, hdr, StatusOK, extras[:], e.Value, e.CAS)
-		}
-		// The header announces the whole body; the value follows by
-		// reference.
-		off := len(resp)
-		resp = appendResponseCAS(resp, hdr, StatusOK, extras[:], nil, e.CAS)
-		binary.BigEndian.PutUint32(resp[off+8:], uint32(len(extras)+len(e.Value)))
-		*lent = append(*lent, lentValue{at: len(resp), value: e.Value})
-		return resp
+		r.add(hdr, StatusOK, extras[:], e.Value, e.CAS)
 
 	case OpSet, OpSetQ:
 		s.stats.cmdSet++
@@ -392,27 +418,30 @@ func (s *Server) handle(c *event.Ctx, hdr Header, body []byte, resp []byte, lent
 			if cur, ok := s.Store.Get(key); ok && cur.CAS >= hdr.CAS {
 				win = cur.CAS
 			} else if !s.Store.Set(key, &Entry{Value: value, Flags: flags, CAS: hdr.CAS, Expires: expires, StoredAt: now}) {
-				return appendResponse(resp, hdr, StatusOutOfMemory, nil, nil)
+				r.add(hdr, StatusOutOfMemory, nil, nil, 0)
+				return
 			} else {
 				s.stats.totalItems++
 			}
 			if hdr.Opcode == OpSetQ {
-				return resp
+				return
 			}
-			return appendResponseCAS(resp, hdr, StatusOK, nil, nil, win)
+			r.add(hdr, StatusOK, nil, nil, win)
+			return
 		}
 		cur, _ := s.Store.Get(key)
 		cas := s.mintCAS(cur)
 		if !s.Store.Set(key, &Entry{Value: value, Flags: flags, CAS: cas, Expires: expires, StoredAt: now}) {
-			return appendResponse(resp, hdr, StatusOutOfMemory, nil, nil)
+			r.add(hdr, StatusOutOfMemory, nil, nil, 0)
+			return
 		}
 		s.stats.totalItems++
 		if hdr.Opcode == OpSetQ {
-			return resp
+			return
 		}
 		// As in stock memcached, a successful store echoes the entry's
 		// newly stamped CAS in the response header.
-		return appendResponseCAS(resp, hdr, StatusOK, nil, nil, cas)
+		r.add(hdr, StatusOK, nil, nil, cas)
 
 	case OpAdd, OpAddQ:
 		s.stats.cmdSet++
@@ -438,13 +467,14 @@ func (s *Server) handle(c *event.Ctx, hdr Header, body []byte, resp []byte, lent
 			// Losing the race to an existing entry is an error response
 			// even for the quiet opcode, as in stock memcached; quiet
 			// suppresses only successes.
-			return appendResponse(resp, hdr, StatusKeyExists, nil, nil)
+			r.add(hdr, StatusKeyExists, nil, nil, 0)
+			return
 		}
 		s.stats.totalItems++
 		if hdr.Opcode == OpAddQ {
-			return resp
+			return
 		}
-		return appendResponseCAS(resp, hdr, StatusOK, nil, nil, cas)
+		r.add(hdr, StatusOK, nil, nil, cas)
 
 	case OpAppend, OpPrepend:
 		s.stats.cmdSet++
@@ -453,37 +483,43 @@ func (s *Server) handle(c *event.Ctx, hdr Header, body []byte, resp []byte, lent
 		if !ok {
 			// Stock memcached answers NOT_STORED when there is nothing to
 			// concatenate onto.
-			return appendResponse(resp, hdr, StatusNotStored, nil, nil)
+			r.add(hdr, StatusNotStored, nil, nil, 0)
+			return
 		}
 		if e == nil {
-			return appendResponse(resp, hdr, StatusOutOfMemory, nil, nil)
+			r.add(hdr, StatusOutOfMemory, nil, nil, 0)
+			return
 		}
-		return appendResponseCAS(resp, hdr, StatusOK, nil, nil, cas)
+		r.add(hdr, StatusOK, nil, nil, cas)
 
 	case OpIncrement, OpDecrement:
 		if hdr.ExtrasLen < CounterExtrasLen {
-			return appendResponse(resp, hdr, StatusUnknownCmd, nil, nil)
+			r.add(hdr, StatusUnknownCmd, nil, nil, 0)
+			return
 		}
 		delta := binary.BigEndian.Uint64(body[:8])
 		initial := binary.BigEndian.Uint64(body[8:16])
 		exptime := binary.BigEndian.Uint32(body[16:20])
 		newVal, cas, status := s.applyDelta(key, delta, initial, exptime, hdr.Opcode == OpIncrement, now)
 		if status != StatusOK {
-			return appendResponse(resp, hdr, uint16(status), nil, nil)
+			r.add(hdr, uint16(status), nil, nil, 0)
+			return
 		}
 		var out [8]byte
 		binary.BigEndian.PutUint64(out[:], newVal)
-		return appendResponseCAS(resp, hdr, StatusOK, nil, out[:], cas)
+		r.add(hdr, StatusOK, nil, out[:], cas)
 
 	case OpTouch:
 		if hdr.ExtrasLen < 4 {
-			return appendResponse(resp, hdr, StatusUnknownCmd, nil, nil)
+			r.add(hdr, StatusUnknownCmd, nil, nil, 0)
+			return
 		}
 		exptime := int64(binary.BigEndian.Uint32(body[:4]))
 		if !s.applyTouch(key, AbsoluteExpiry(exptime, now), now) {
-			return appendResponse(resp, hdr, StatusKeyNotFound, nil, nil)
+			r.add(hdr, StatusKeyNotFound, nil, nil, 0)
+			return
 		}
-		return appendResponse(resp, hdr, StatusOK, nil, nil)
+		r.add(hdr, StatusOK, nil, nil, 0)
 
 	case OpFlush:
 		var delay int64
@@ -491,16 +527,17 @@ func (s *Server) handle(c *event.Ctx, hdr Header, body []byte, resp []byte, lent
 			delay = int64(binary.BigEndian.Uint32(body[:4]))
 		}
 		s.applyFlushAll(delay, now)
-		return appendResponse(resp, hdr, StatusOK, nil, nil)
+		r.add(hdr, StatusOK, nil, nil, 0)
 
 	case OpDelete:
 		if s.applyDelete(key, now) {
-			return appendResponse(resp, hdr, StatusOK, nil, nil)
+			r.add(hdr, StatusOK, nil, nil, 0)
+			return
 		}
-		return appendResponse(resp, hdr, StatusKeyNotFound, nil, nil)
+		r.add(hdr, StatusKeyNotFound, nil, nil, 0)
 
 	case OpNoop:
-		return appendResponse(resp, hdr, StatusOK, nil, nil)
+		r.add(hdr, StatusOK, nil, nil, 0)
 
 	case OpStat:
 		// One response packet per statistic - name in the key field, value
@@ -509,15 +546,16 @@ func (s *Server) handle(c *event.Ctx, hdr Header, body []byte, resp []byte, lent
 		// the group ("" general, "items", "slabs").
 		lines, ok := s.statLines(key, now)
 		if !ok {
-			return appendResponse(resp, hdr, StatusKeyNotFound, nil, nil)
+			r.add(hdr, StatusKeyNotFound, nil, nil, 0)
+			return
 		}
 		for _, st := range lines {
-			resp = appendStatResponse(resp, hdr, st.name, st.value)
+			r.addStat(hdr, st.name, st.value)
 		}
-		return appendStatResponse(resp, hdr, "", "")
+		r.addStat(hdr, "", "")
 
 	default:
-		return appendResponse(resp, hdr, StatusUnknownCmd, nil, nil)
+		r.add(hdr, StatusUnknownCmd, nil, nil, 0)
 	}
 }
 
@@ -646,49 +684,4 @@ func (s *Server) applyFlushAll(delay int64, now sim.Time) {
 		return
 	}
 	s.flushAt = now + sim.Time(delay)*sim.Second
-}
-
-// appendResponse serializes a response packet onto resp.
-func appendResponse(resp []byte, req Header, status uint16, extras, value []byte) []byte {
-	return appendResponseCAS(resp, req, status, extras, value, 0)
-}
-
-// appendResponseCAS is appendResponse carrying the entry's CAS in the
-// response header (GET responses report it, as stock memcached does).
-func appendResponseCAS(resp []byte, req Header, status uint16, extras, value []byte, cas uint64) []byte {
-	body := len(extras) + len(value)
-	off := len(resp)
-	resp = append(resp, make([]byte, HeaderLen+body)...)
-	WriteHeader(resp[off:], Header{
-		Magic:     MagicResponse,
-		Opcode:    req.Opcode,
-		ExtrasLen: byte(len(extras)),
-		Status:    status,
-		BodyLen:   uint32(body),
-		Opaque:    req.Opaque,
-		CAS:       cas,
-	})
-	copy(resp[off+HeaderLen:], extras)
-	copy(resp[off+HeaderLen+len(extras):], value)
-	return resp
-}
-
-// appendStatResponse serializes one binary STAT response packet: the
-// statistic's name travels in the key field and its value in the value
-// field, no extras. An empty name/value pair is the sequence terminator.
-func appendStatResponse(resp []byte, req Header, name, value string) []byte {
-	body := len(name) + len(value)
-	off := len(resp)
-	resp = append(resp, make([]byte, HeaderLen+body)...)
-	WriteHeader(resp[off:], Header{
-		Magic:   MagicResponse,
-		Opcode:  req.Opcode,
-		KeyLen:  uint16(len(name)),
-		Status:  StatusOK,
-		BodyLen: uint32(body),
-		Opaque:  req.Opaque,
-	})
-	copy(resp[off+HeaderLen:], name)
-	copy(resp[off+HeaderLen+len(name):], value)
-	return resp
 }

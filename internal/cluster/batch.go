@@ -230,18 +230,14 @@ func (rr *readRound) resolve(c *event.Ctx, r Response) {
 // on this connection and returns the round's wire size in bytes.
 func (cc *clientConn) sendRound(c *event.Ctx, ops []pendingRead, stats *BatchStats) int {
 	if len(ops) == 1 {
-		pkt := memcached.BuildGet(ops[0].key, cc.register(c, ops[0].cb))
-		cc.transmit(c, pkt)
-		return len(pkt)
+		return cc.send(c, &memcached.Request{Opcode: memcached.OpGet, Key: ops[0].key}, ops[0].cb)
 	}
 	round := &readRound{cc: cc, stats: stats}
-	var pkt []byte
 	for _, op := range ops {
 		opaque := cc.register(c, op.cb)
 		round.members = append(round.members, opaque)
-		pkt = append(pkt, memcached.BuildGetQ(op.key, opaque)...)
+		cc.write(&memcached.Request{Opcode: memcached.OpGetQ, Key: op.key}, opaque)
 	}
-	pkt = append(pkt, memcached.BuildNoop(cc.register(c, round.resolve))...)
-	cc.transmit(c, pkt)
-	return len(pkt)
+	cc.write(&memcached.Request{Opcode: memcached.OpNoop}, cc.register(c, round.resolve))
+	return cc.transmit(c)
 }

@@ -642,14 +642,12 @@ func (cli *Client) readRepair(c *event.Ctx, key []byte, missed []int, r Response
 			"key": string(key), "replicas": len(missed),
 		})
 	}
-	value := append([]byte(nil), r.Value...)
+	// The repair carries the serving replica's absolute expiry verbatim:
+	// re-encoding as whole relative seconds would shift the repaired
+	// copy's deadline away from the survivors'.
+	req := memcached.SetAbsExpiryRequest(key, r.Value, r.Flags, r.CAS, int64(r.ExpiresAt))
 	for _, backend := range missed {
-		cli.rep(c).submit(c, backend, func(opaque uint32) []byte {
-			// The repair carries the serving replica's absolute expiry
-			// verbatim: re-encoding as whole relative seconds would shift
-			// the repaired copy's deadline away from the survivors'.
-			return memcached.BuildSetAbsExpiry(key, value, r.Flags, opaque, r.CAS, int64(r.ExpiresAt))
-		}, nil)
+		cli.rep(c).submit(c, backend, req, nil)
 	}
 }
 
@@ -722,9 +720,8 @@ func (cli *Client) SetWithExpiry(c *event.Ctx, key, value []byte, flags uint32, 
 			}
 		}
 	}
-	cli.quorumWrite(c, skey, cb, func(opaque uint32) []byte {
-		return memcached.BuildSetAbsExpiry(skey, value, flags, opaque, stamp, int64(expires))
-	}, func(r Response) bool { return r.OK() })
+	cli.quorumWrite(c, skey, cb, memcached.SetAbsExpiryRequest(skey, value, flags, stamp, int64(expires)),
+		func(r Response) bool { return r.OK() })
 }
 
 // Delete removes key from every replica, acking on quorum. A replica
@@ -739,9 +736,7 @@ func (cli *Client) Delete(c *event.Ctx, key []byte, cb Callback) {
 	salts := cli.cl.saltsOf(key)
 	if salts <= 1 {
 		cli.cl.noteDelete(key)
-		cli.quorumWrite(c, key, cb, func(opaque uint32) []byte {
-			return memcached.BuildDelete(key, opaque)
-		}, deleteAcked)
+		cli.quorumWrite(c, key, cb, memcached.Request{Opcode: memcached.OpDelete, Key: key}, deleteAcked)
 		return
 	}
 	// A write-spread key lives under every salt: absence must be
@@ -754,9 +749,7 @@ func (cli *Client) Delete(c *event.Ctx, key []byte, cb Callback) {
 	for s := 0; s < salts; s++ {
 		sk := saltedKey(key, s)
 		cli.cl.noteDelete(sk)
-		cli.quorumWrite(c, sk, fold.add, func(opaque uint32) []byte {
-			return memcached.BuildDelete(sk, opaque)
-		}, deleteAcked)
+		cli.quorumWrite(c, sk, fold.add, memcached.Request{Opcode: memcached.OpDelete, Key: sk}, deleteAcked)
 	}
 }
 
@@ -802,7 +795,7 @@ func (f *deleteFold) add(c *event.Ctx, r Response) {
 // quorumWrite fans a write out per the cluster's write plan: every
 // target receives it, only quorum members' acknowledgments decide the
 // outcome.
-func (cli *Client) quorumWrite(c *event.Ctx, key []byte, cb Callback, build func(opaque uint32) []byte, acked func(Response) bool) {
+func (cli *Client) quorumWrite(c *event.Ctx, key []byte, cb Callback, req memcached.Request, acked func(Response) bool) {
 	targets, quorum := cli.cl.WritePlan(key)
 	if cli.cl.Audit != nil {
 		keyCopy := append([]byte(nil), key...)
@@ -826,7 +819,7 @@ func (cli *Client) quorumWrite(c *event.Ctx, key []byte, cb Callback, build func
 		if containsBackend(quorum, backend) {
 			done = func(c *event.Ctx, r Response) { q.add(c, r, acked(r)) }
 		}
-		cli.rep(c).submit(c, backend, build, done)
+		cli.rep(c).submit(c, backend, req, done)
 	}
 }
 
@@ -921,7 +914,7 @@ type backendPool struct {
 // other always-answered op) go through here directly; reads go through
 // submitRead, which lands them here - via the coalescing queue - as
 // whole rounds.
-func (r *clientRep) submit(c *event.Ctx, backend int, build func(opaque uint32) []byte, cb Callback) {
+func (r *clientRep) submit(c *event.Ctx, backend int, req memcached.Request, cb Callback) {
 	if !r.cli.cl.Servable(backend) {
 		// The backend was evicted after this operation's replica set was
 		// computed. Fail fast so the caller's failover moves on, rather
@@ -932,7 +925,7 @@ func (r *clientRep) submit(c *event.Ctx, backend int, build func(opaque uint32) 
 		}
 		return
 	}
-	r.connFor(c, backend).send(c, build, cb)
+	r.connFor(c, backend).send(c, &req, cb)
 }
 
 // connFor picks the pooled connection the next request to backend rides
@@ -995,8 +988,9 @@ func (r *clientRep) dial(c *event.Ctx, backend int) *clientConn {
 	}, func(c *event.Ctx, conn appnet.Conn) {
 		cc.conn = conn
 		cc.connected = true
+		cc.tx.Pool, _ = appnet.PoolsOf(conn)
 		for _, pkt := range cc.pendingTx {
-			conn.Send(c, iobuf.Wrap(pkt))
+			conn.Send(c, pkt)
 		}
 		cc.pendingTx = nil
 	})
@@ -1012,27 +1006,36 @@ type inflightOp struct {
 }
 
 // clientConn multiplexes requests over one TCP connection, matching
-// responses to callbacks by opaque.
+// responses to callbacks by opaque. Requests are written into payload
+// elements of the connection's interface (plain ones until it connects),
+// each whole in one, and the connection frees them once it is done.
 type clientConn struct {
 	conn       appnet.Conn
 	mgr        *event.Manager
 	timeout    sim.Time
 	connected  bool
 	closed     bool
-	pendingTx  [][]byte
+	tx         iobuf.Frames   // the packet being written
+	pendingTx  []*iobuf.IOBuf // packets written before the handshake completed
 	inflight   map[uint32]inflightOp
 	nextOpaque uint32
 	rx         iobuf.Stream
 }
 
-func (cc *clientConn) send(c *event.Ctx, build func(opaque uint32) []byte, cb Callback) {
-	cc.transmit(c, build(cc.register(c, cb)))
+func (cc *clientConn) send(c *event.Ctx, req *memcached.Request, cb Callback) int {
+	cc.write(req, cc.register(c, cb))
+	return cc.transmit(c)
+}
+
+// write appends one request frame to the packet being written.
+func (cc *clientConn) write(req *memcached.Request, opaque uint32) {
+	req.Put(cc.tx.Next(req.Len()), opaque)
 }
 
 // register allocates an opaque for one request, installs its callback
 // and timeout timer, and returns the opaque for the caller to encode.
-// Splitting registration from transmission is what lets sendRound stamp
-// a whole GETQ round's opaques before writing one coalesced packet.
+// Splitting registration from transmission is what lets sendRound write
+// a whole GETQ round into one coalesced packet.
 func (cc *clientConn) register(c *event.Ctx, cb Callback) uint32 {
 	opaque := cc.nextOpaque
 	cc.nextOpaque++
@@ -1053,14 +1056,18 @@ func (cc *clientConn) register(c *event.Ctx, cb Callback) uint32 {
 	return opaque
 }
 
-// transmit writes one packet (one request, or one coalesced round),
-// queueing it if the connection is still handshaking.
-func (cc *clientConn) transmit(c *event.Ctx, pkt []byte) {
+// transmit sends the packet written (one request, or one coalesced
+// round), queueing it if the connection is still handshaking, and
+// returns its size.
+func (cc *clientConn) transmit(c *event.Ctx) int {
+	pkt := cc.tx.Take()
+	n := pkt.ComputeChainDataLength()
 	if !cc.connected {
 		cc.pendingTx = append(cc.pendingTx, pkt)
-		return
+		return n
 	}
-	cc.conn.Send(c, iobuf.Wrap(pkt))
+	cc.conn.Send(c, pkt)
+	return n
 }
 
 // fail reports every outstanding operation as a network error - NOT a
@@ -1071,6 +1078,9 @@ func (cc *clientConn) transmit(c *event.Ctx, pkt []byte) {
 func (cc *clientConn) fail(c *event.Ctx) {
 	cc.closed = true
 	cc.connected = false
+	for _, pkt := range cc.pendingTx {
+		pkt.Free()
+	}
 	cc.pendingTx = nil
 	for _, opaque := range slices.Sorted(maps.Keys(cc.inflight)) {
 		op, ok := cc.inflight[opaque]

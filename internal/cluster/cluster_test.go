@@ -219,9 +219,8 @@ func TestSubmitToEvictedBackendFailsFast(t *testing.T) {
 	start := cl.Sys.K.Now()
 	front.Spawn(func(c *event.Ctx) {
 		// Stale replica set, as a mid-operation eviction would leave it.
-		cli.rep(c).submit(c, 0, func(opaque uint32) []byte {
-			return memcached.BuildGet([]byte("stale-key"), opaque)
-		}, func(c *event.Ctx, r Response) { got = &r })
+		cli.rep(c).submit(c, 0, memcached.Request{Opcode: memcached.OpGet, Key: []byte("stale-key")},
+			func(c *event.Ctx, r Response) { got = &r })
 	})
 	cl.Sys.K.RunUntil(start + 10*sim.Millisecond)
 	if got == nil {

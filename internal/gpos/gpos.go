@@ -181,35 +181,43 @@ func (rt *Runtime) Dial(c *event.Ctx, ip netstack.Ipv4Addr, port uint16, cb appn
 }
 
 // socket is a kernel socket: buffered both directions, with the app on the
-// far side of syscalls and a scheduler wakeup.
+// far side of syscalls and a scheduler wakeup. Both copies the model
+// charges for are made, into payload elements of the interface's: read()
+// hands the task one element per delivered segment and frees them when
+// OnData returns; write() copies into a chain of them that the stack frees
+// on acknowledgment.
 type socket struct {
 	rt *Runtime
 
 	// Receive side: kernel socket buffer awaiting the task's read().
+	cb          appnet.Callbacks
 	rxPending   *iobuf.IOBuf
 	wakePending bool
+	onWake      event.Handler // s.wake, bound once
 
 	// Send side: the kernel send buffer, holding the copies write() made.
 	appnet.SendBuffer
 }
 
 func (s *socket) handler(cb appnet.Callbacks) netstack.ConnHandler {
+	s.cb, s.onWake = cb, s.wake
 	return s.Handler(s, cb, func(c *event.Ctx, payload *iobuf.IOBuf) {
 		// Softirq context: kernel-side processing and copy into the
 		// socket buffer.
-		data := iobuf.Wrap(payload.CopyOut())
+		pool, _ := s.Pools()
+		data := pool.Copy(payload)
 		c.Charge(s.rt.Cfg.SoftirqPerPacket + s.rt.lockCost())
 		if s.rxPending == nil {
 			s.rxPending = data
 		} else {
 			s.rxPending.AppendChain(data)
 		}
-		s.scheduleWake(c, cb)
+		s.scheduleWake(c)
 	})
 }
 
 // scheduleWake models the softirq -> task wakeup -> read() path.
-func (s *socket) scheduleWake(c *event.Ctx, cb appnet.Callbacks) {
+func (s *socket) scheduleWake(c *event.Ctx) {
 	if s.wakePending {
 		return // task already runnable; data coalesces into one read
 	}
@@ -222,33 +230,41 @@ func (s *socket) scheduleWake(c *event.Ctx, cb appnet.Callbacks) {
 	if p := s.rt.Cfg.TailSpikeProb; p > 0 && s.rt.rng.Float64() < p {
 		delay += sim.Time(s.rt.rng.Exp(float64(s.rt.Cfg.TailSpikeMean)))
 	}
-	mgr.After(delay, func(c2 *event.Ctx) {
-		s.wakePending = false
-		if s.Closed {
-			return
-		}
-		pending := s.rxPending
-		s.rxPending = nil
-		total := 0
-		if pending != nil {
-			total = pending.ComputeChainDataLength()
-		}
-		// Context switch to the task, read() syscall, copy to userspace.
-		c2.Charge(s.rt.Cfg.CtxSwitch + s.rt.Cfg.Syscall + s.rt.copyCost(total))
-		if cb.OnData != nil && total > 0 {
-			cb.OnData(c2, s, pending)
-		}
-	})
+	mgr.After(delay, s.onWake)
 }
 
-// Send implements appnet.Conn: write() syscall semantics.
+// wake is the task's turn: context switch, read() syscall, copy to
+// userspace, then the socket buffer's elements go back. A wakeup is only
+// ever pending behind buffered data; a socket closed meanwhile frees it.
+func (s *socket) wake(c *event.Ctx) {
+	s.wakePending = false
+	pending := s.rxPending
+	s.rxPending = nil
+	if s.Closed {
+		pending.Free()
+		return
+	}
+	total := pending.ComputeChainDataLength()
+	c.Charge(s.rt.Cfg.CtxSwitch + s.rt.Cfg.Syscall + s.rt.copyCost(total))
+	if s.cb.OnData != nil && total > 0 {
+		s.cb.OnData(c, s, pending)
+	}
+	pending.Free()
+}
+
+// Send implements appnet.Conn: write() syscall semantics. The copy is the
+// kernel's from then on, so the caller's chain is freed at once.
 func (s *socket) Send(c *event.Ctx, payload *iobuf.IOBuf) {
 	if s.Closed || s.Pcb == nil {
+		payload.Free()
 		return
 	}
 	// write(): syscall plus copy into the kernel send buffer.
 	c.Charge(s.rt.Cfg.Syscall + s.rt.copyCost(payload.ComputeChainDataLength()) + s.rt.lockCost())
-	s.SendBuffer.Send(c, iobuf.Wrap(payload.CopyOut()))
+	pool, _ := s.Pools()
+	kernel := pool.Copy(payload)
+	payload.Free()
+	s.SendBuffer.Send(c, kernel)
 }
 
 // Close implements appnet.Conn.

@@ -3,7 +3,11 @@ package gpos_test
 import (
 	"testing"
 
+	"ebbrt/internal/apps/appnet"
+	"ebbrt/internal/event"
 	"ebbrt/internal/gpos"
+	"ebbrt/internal/iobuf"
+	"ebbrt/internal/netstack"
 	"ebbrt/internal/sim"
 	"ebbrt/internal/testbed"
 )
@@ -77,5 +81,46 @@ func TestLinuxNativeUnvirtualized(t *testing.T) {
 	vm := testbed.NewPair(testbed.LinuxVM, 1, 1)
 	if !vm.Server.(*gpos.Runtime).Stack.M.Cfg.Virtualized {
 		t.Fatal("Linux VM machine should be virtualized")
+	}
+}
+
+// A socket torn down while its task's wakeup is pending frees what its
+// receive buffer held: the payload elements the softirq copied into come
+// home although read() never runs.
+func TestClosedSocketReturnsItsReceiveElements(t *testing.T) {
+	pair := testbed.NewPair(testbed.LinuxVM, 1, 1)
+	var pool *iobuf.Pool
+	heldAtClose, read := -1, false
+	if err := pair.Server.Listen(7, func(conn appnet.Conn) appnet.Callbacks {
+		pool, _ = appnet.PoolsOf(conn)
+		return appnet.Callbacks{
+			OnData:  func(*event.Ctx, appnet.Conn, *iobuf.IOBuf) { read = true },
+			OnClose: func(*event.Ctx, appnet.Conn, error) { heldAtClose = pool.Outstanding() },
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// The client sends and resets at once: the RST lands before the
+	// server's task wakes to read.
+	client := pair.Client.(*appnet.Native)
+	pair.Client.Mgrs()[0].Spawn(func(c *event.Ctx) {
+		_, err := client.Itf.ConnectTcp(c, testbed.ServerIP, 7, netstack.ConnHandler{
+			OnConnected: func(c *event.Ctx, pcb *netstack.TcpPcb) {
+				if err := pcb.Send(c, iobuf.FromBytes([]byte("never read"))); err != nil {
+					t.Error(err)
+				}
+				pcb.Abort(c)
+			},
+		})
+		if err != nil {
+			t.Error(err)
+		}
+	})
+	pair.K.RunUntil(100 * sim.Millisecond)
+	if pool == nil || heldAtClose != 1 || read {
+		t.Fatalf("the reset did not land with a wakeup pending: accepted %v, %d elements held at close, read %v", pool != nil, heldAtClose, read)
+	}
+	if pool.Outstanding() != 0 {
+		t.Fatalf("%d payload elements out after the socket closed", pool.Outstanding())
 	}
 }

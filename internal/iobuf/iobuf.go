@@ -20,23 +20,26 @@
 // The third part is the per-packet memory of the data path, made by a Pool
 // and counted:
 //
-//	element          made by                    its bytes
-//	receive buffer   the NIC's Pool, Get        the element's, recycled with it
-//	header element   the interface's Pool, Get  the element's, recycled with it
-//	view descriptor  the interface's Pool, View lent by someone else, left alone
+//	element          made by                         its bytes
+//	receive buffer   the NIC's Pool, Get             the element's, recycled with it
+//	header element   the interface's Pool, Get       the element's, recycled with it
+//	payload element  the interface's Pool, Get/Copy  the element's, recycled with it
+//	view descriptor  the interface's Pool, View      a pool-born element's, held; others' lent, left alone
 //
 // Get or View hands an element to its first holder, Retain adds one and
 // Free drops one - on every element of the chain - and an element's last
 // Free sends it back to its pool to be handed out again: a view descriptor
-// alone, letting go of the bytes it was lent, any other element with its
+// alone, letting go of the bytes it covered, any other element with its
 // bytes. Free is optional - an element nobody frees is ordinary garbage and
 // the pool forgets it - so the only bug is an early Free: reading or
 // writing a pool-born element after one's own hold is gone, or the bytes of
-// one that owns them, through any view. A view is not a holder of the
-// bytes it covers: whoever needs pooled bytes past the last Free retains
-// the element that owns them, or copies. Elements no pool made - New,
-// Wrap, the cut of a Split without a pool - have no holders, and Retain
-// and Free pass them by. Building with -tags iobufdebug makes the rule
+// one that owns them, through any view. A view descriptor over a pool-born
+// element's bytes - ViewOf, a Split cut with a pool - is one of that
+// element's holders until the view's own last Free, so a message cut
+// anywhere comes home whichever piece is freed first; bytes no pool made
+// are only lent to it. Elements no pool made - New, Wrap, the cut of a
+// Split without a pool - have no holders and hold nothing, and Retain and
+// Free pass them by. Building with -tags iobufdebug makes the rule
 // mechanical: the last Free overwrites the bytes an element owns with 0xDB
 // and Get checks that they still are, so a use after free breaks a
 // byte-exact test and a write after free panics; the bytes a view
@@ -58,9 +61,19 @@ type IOBuf struct {
 	length  int    // length of the view
 	next    *IOBuf
 	prev    *IOBuf
-	pool    *Pool // that made the element, or nil
+	home    *home // of a pool-born element, or nil
 	off     int32 // start of the view within buf
-	holders int32 // of a pool-born element; it is on pool.free at 0
+	holders int32 // of a pool-born element; it is on home.pool.free at 0
+}
+
+// home is where a pool-born element goes back to and, for a view
+// descriptor, the pool-born element whose bytes it covers. Every element
+// that owns its bytes shares its pool's; each view descriptor has its own,
+// made with it and recycled with it, which keeps the owner out of the
+// descriptor.
+type home struct {
+	pool  *Pool
+	owner *IOBuf // held by a view from View until the view's last Free
 }
 
 // element makes a singleton over buf with an empty view at offset 0.
@@ -209,8 +222,10 @@ func (b *IOBuf) ComputeChainDataLength() int {
 // how a send path segments a message without touching its bytes.
 // Descriptors are moved; when the cut falls inside an element the rest
 // starts with one new descriptor over the same backing bytes - from views,
-// or a plain one if views is nil - and the cut element gives up its
-// tailroom so that neither side can grow into the other.
+// holding the pool-born element those bytes belong to as ViewOf does, or
+// a plain one holding nothing if views is nil - and the cut element gives
+// up its tailroom so that neither side can grow into the other. A send
+// path cuts with a pool: either side may be freed first.
 func (b *IOBuf) Split(n int, views *Pool) *IOBuf {
 	if n <= 0 {
 		panic(fmt.Sprintf("iobuf: Split(%d)", n))
@@ -224,7 +239,7 @@ func (b *IOBuf) Split(n int, views *Pool) *IOBuf {
 	}
 	rest := cur
 	if n > 0 {
-		rest = views.View(cur.Data()[n:])
+		rest = views.view(cur.Data()[n:], cur)
 		cur.buf = cur.buf[:int(cur.off)+n]
 		cur.length = n
 		rest.next, rest.prev = cur.next, cur
@@ -249,9 +264,10 @@ func (b *IOBuf) AppendTo(dst []byte) []byte {
 }
 
 // CopyOut copies the whole chain's data into a single fresh slice. The
-// native data path does not call it (copyout_test.go at the repository
-// root lists the callers): it is for models that charge for a copy - the
-// GPOS socket buffers - and for cold paths that want one flat packet.
+// data path does not call it (copyout_test.go at the repository root
+// lists the callers): it is for cold paths that want one flat packet. A
+// model that charges for a copy - the GPOS socket buffers - copies into
+// recycled memory with Pool.Copy.
 func (b *IOBuf) CopyOut() []byte {
 	return b.AppendTo(make([]byte, 0, b.ComputeChainDataLength()))
 }

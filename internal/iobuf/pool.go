@@ -10,15 +10,20 @@ import "fmt"
 // never freed is the collector's.
 //
 // A pool of class 0 makes view descriptors: elements that own no bytes and
-// are handed out by View over someone else's.
+// are handed out by View and ViewOf over someone else's.
 type Pool struct {
 	class int      // capacity of every element the pool makes
 	free  []*IOBuf // elements with no holder
 	out   int      // handed out and not yet back
+	self  home     // the home of every element that owns its bytes
 }
 
 // NewPool makes an empty pool of elements with the given capacity.
-func NewPool(class int) *Pool { return &Pool{class: class} }
+func NewPool(class int) *Pool {
+	p := &Pool{class: class}
+	p.self.pool = p
+	return p
+}
 
 // take hands out an element with one holder, recycled if one is back.
 func (p *Pool) take() *IOBuf {
@@ -30,7 +35,10 @@ func (p *Pool) take() *IOBuf {
 		}
 	} else {
 		b = New(p.class)
-		b.pool = p
+		b.home = &p.self
+		if p.class == 0 {
+			b.home = &home{pool: p}
+		}
 	}
 	b.holders = 1
 	p.out++
@@ -39,9 +47,10 @@ func (p *Pool) take() *IOBuf {
 
 // Get returns an element with an empty view at offset 0, capacity at least
 // n and one holder, the caller. Its bytes are not zeroed. A request above
-// the pool's class is served by New: a plain element, which Free ignores.
+// the pool's class, or from a nil pool, is served by New: a plain element,
+// which Free ignores.
 func (p *Pool) Get(n int) *IOBuf {
-	if n > p.class {
+	if p == nil || n > p.class {
 		return New(n)
 	}
 	return p.take()
@@ -51,9 +60,18 @@ func (p *Pool) Get(n int) *IOBuf {
 // with one holder, the caller. The descriptor does not own data: its last
 // Free returns the descriptor alone and lets go of data, which is neither
 // recycled, reset nor poisoned, so it may be bytes lent by anyone - a
-// stored value, an application's message, another element's buffer. On a
-// nil pool View is Wrap.
-func (p *Pool) View(data []byte) *IOBuf {
+// stored value, an application's message. On a nil pool View is Wrap.
+func (p *Pool) View(data []byte) *IOBuf { return p.view(data, nil) }
+
+// ViewOf is View over e's view, holding what e's bytes belong to: e if it
+// is a pool-born element that owns them, the element a view from ViewOf or
+// a Split cut holds if e is one, nothing otherwise. The element stays out
+// of its pool until the descriptor's last Free, however e fares - how a
+// retransmission puts new descriptors over bytes an acknowledgment may
+// free meanwhile.
+func (p *Pool) ViewOf(e *IOBuf) *IOBuf { return p.view(e.Data(), e) }
+
+func (p *Pool) view(data []byte, of *IOBuf) *IOBuf {
 	if p == nil {
 		return Wrap(data)
 	}
@@ -62,7 +80,90 @@ func (p *Pool) View(data []byte) *IOBuf {
 	}
 	b := p.take()
 	b.buf, b.length = data, len(data)
+	if o := of.bytesOwner(); o != nil {
+		o.holders++
+		b.home.owner = o
+	}
 	return b
+}
+
+// bytesOwner is the pool-born element whose bytes b's view covers, if one
+// does: b itself, or the element a view holds.
+func (b *IOBuf) bytesOwner() *IOBuf {
+	if b == nil || b.home == nil {
+		return nil
+	}
+	if b.home.pool.class != 0 {
+		return b
+	}
+	return b.home.owner
+}
+
+// Copy copies the bytes of the chain src into elements from p, each filled
+// to the pool's class, and returns them as a chain with one holder, the
+// caller: how a model that charges for a copy - the GPOS socket buffers -
+// makes it into recycled memory. From a nil pool, or one of class 0, the
+// copy is one plain element.
+func (p *Pool) Copy(src *IOBuf) *IOBuf {
+	left := src.ComputeChainDataLength()
+	class := left
+	if p != nil && p.class > 0 {
+		class = p.class
+	}
+	head := p.Get(min(left, class))
+	dst := head
+	for e := src; ; {
+		for data := e.Data(); len(data) > 0; {
+			if dst.Tailroom() == 0 {
+				dst = p.Get(min(left, class))
+				head.AppendChain(dst)
+			}
+			n := copy(dst.Append(min(len(data), dst.Tailroom())), data)
+			data, left = data[n:], left-n
+		}
+		if e = e.next; e == src {
+			return head
+		}
+	}
+}
+
+// Frames builds a message out of records written into elements from
+// Pool, each record whole in one element: how an application writes what
+// it sends into recycled memory. A record above the pool's class gets a
+// plain element of its own, as does every record from a nil Pool.
+type Frames struct {
+	Pool  *Pool
+	chain *IOBuf // nil until the message's first record
+}
+
+// Next returns n bytes for one record at the end of the message: in the
+// last element while it has the room, else in a fresh one.
+func (f *Frames) Next(n int) []byte {
+	if f.chain == nil {
+		f.chain = f.Pool.Get(n)
+	} else if f.chain.prev.Tailroom() < n {
+		f.chain.AppendChain(f.Pool.Get(n))
+	}
+	return f.chain.prev.Append(n)
+}
+
+// Link appends e to the message - a view of lent bytes between records,
+// say. Records after it go into its tailroom, which a view has none of,
+// or a fresh element.
+func (f *Frames) Link(e *IOBuf) {
+	if f.chain == nil {
+		f.chain = e
+	} else {
+		f.chain.AppendChain(e)
+	}
+}
+
+// Take hands the message over, nil if nothing was written, and starts the
+// next.
+func (f *Frames) Take() *IOBuf {
+	chain := f.chain
+	f.chain = nil
+	return chain
 }
 
 // Outstanding reports the elements handed out and not yet back: those
@@ -73,7 +174,7 @@ func (p *Pool) Outstanding() int { return p.out }
 // structure that keeps the chain past the call it was lent for.
 func (b *IOBuf) Retain() {
 	for e := b; ; {
-		if e.pool != nil {
+		if e.home != nil {
 			e.holders++
 		}
 		if e = e.next; e == b {
@@ -84,10 +185,11 @@ func (b *IOBuf) Retain() {
 
 // Free drops one holder of every pool-born element of the chain. An
 // element's last one unlinks it from the chain, resets its view and
-// returns it to its pool - a view descriptor alone, any other element with
-// its bytes; from then on nothing may read or write the element, nor the
-// bytes or a view of the bytes of one that owned them. Freeing more often
-// than an element was held panics.
+// returns it to its pool - a view descriptor alone, dropping its hold on
+// the element whose bytes it covered, any other element with its bytes;
+// from then on nothing may read or write the element, nor the bytes or a
+// view of the bytes of one that owned them. Freeing more often than an
+// element was held panics.
 func (b *IOBuf) Free() {
 	for e := b.next; e != b; {
 		next := e.next
@@ -97,10 +199,13 @@ func (b *IOBuf) Free() {
 	b.drop()
 }
 
-// drop lets go of one holder of this element only.
+// drop lets go of one holder of this element only. A view's last holder
+// lets go of its owner too; the owner cannot be an element of the chain
+// a Free is walking that the walk has yet to reach, since that chain holds
+// it as well.
 func (b *IOBuf) drop() {
-	p := b.pool
-	if p == nil {
+	h := b.home
+	if h == nil {
 		return
 	}
 	if b.holders--; b.holders > 0 {
@@ -110,6 +215,7 @@ func (b *IOBuf) drop() {
 		panic(fmt.Sprintf("iobuf: Free of an element with no holder (%d)", b.holders))
 	}
 	b.Unlink()
+	p := h.pool
 	if p.class == 0 {
 		b.buf = nil // a view's bytes are not the pool's
 	} else {
@@ -121,6 +227,10 @@ func (b *IOBuf) drop() {
 	b.off, b.length = 0, 0
 	p.free = append(p.free, b)
 	p.out--
+	if o := h.owner; o != nil {
+		h.owner = nil
+		o.drop()
+	}
 }
 
 // poisonByte fills a freed element under the iobufdebug build tag.

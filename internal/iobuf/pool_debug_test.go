@@ -31,6 +31,26 @@ func TestDebugPoisonsFreedBytes(t *testing.T) {
 	p.Get(8)
 }
 
+// An element cut by a pooled Split is poisoned at its last piece's Free,
+// not its first.
+func TestDebugPoisonsCutElementAtItsLastPiece(t *testing.T) {
+	p, views := NewPool(8), NewPool(0)
+	e := p.Get(8)
+	copy(e.Append(8), "headtail")
+	rest := e.Split(4, views)
+	kept := rest.Data()
+	e.Free()
+	if string(kept) != "tail" {
+		t.Fatalf("the rest of a cut element reads %q after the first piece's Free", kept)
+	}
+	rest.Free()
+	for i, c := range kept {
+		if c != poisonByte {
+			t.Fatalf("byte %d of the element reads %#x after its last piece's Free", i, c)
+		}
+	}
+}
+
 // The poison is for bytes a pool owns: a view descriptor's last Free leaves
 // the bytes it was lent as they were.
 func TestDebugLeavesLentBytesAlone(t *testing.T) {

@@ -2,6 +2,7 @@ package iobuf
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 	"unsafe"
 	"weak"
@@ -131,6 +132,107 @@ func TestViewDescriptorReturnsWithoutItsBytes(t *testing.T) {
 	}
 }
 
+// A view over a pool-born element's bytes - a Split cut with a pool,
+// ViewOf of the element or of such a view - is one of the element's
+// holders until its own last Free: the pieces of a cut message come home
+// in either order, the element with the last of them, and no piece reads
+// recycled bytes meanwhile.
+func TestViewOfPooledBytesHoldsTheirElement(t *testing.T) {
+	for _, elementFirst := range []bool{true, false} {
+		p, views := NewPool(16), NewPool(0)
+		e := p.Get(16)
+		copy(e.Append(16), "0123456789abcdef")
+		rest := e.Split(10, views)
+		again := views.ViewOf(rest)
+		if string(rest.Data()) != "abcdef" || string(again.Data()) != "abcdef" || e.Capacity() != 10 {
+			t.Fatalf("cut: %q | %q, %q; the element keeps %d bytes", e.Data(), rest.Data(), again.Data(), e.Capacity())
+		}
+		first, second, left, viewsLeft := e, rest, "abcdef", 1
+		if !elementFirst {
+			first, second, left, viewsLeft = rest, e, "0123456789", 0
+		}
+		first.Free()
+		again.Free()
+		if p.Outstanding() != 1 || views.Outstanding() != viewsLeft {
+			t.Fatalf("one piece left: %d elements, %d views out", p.Outstanding(), views.Outstanding())
+		}
+		if string(second.Data()) != left {
+			t.Fatalf("the piece left reads %q", second.Data())
+		}
+		second.Free()
+		if p.Outstanding() != 0 || views.Outstanding() != 0 || len(p.free) != 1 || len(views.free) != 2 {
+			t.Fatalf("all freed: %d elements, %d views out", p.Outstanding(), views.Outstanding())
+		}
+		if again := p.Get(16); again != e || again.Capacity() != 16 {
+			t.Fatal("the element did not come back whole")
+		}
+	}
+	// A view over bytes no pool made holds nothing, and on a nil pool
+	// ViewOf is Wrap.
+	views := NewPool(0)
+	lent := views.ViewOf(Wrap([]byte("lent")))
+	plain := (*Pool)(nil).ViewOf(lent)
+	lent.Free()
+	plain.Free()
+	if views.Outstanding() != 0 || string(plain.Data()) != "lent" {
+		t.Fatalf("%d views out, plain view reads %q", views.Outstanding(), plain.Data())
+	}
+}
+
+// Copy fills elements of the pool's class front to back, one chain with
+// one holder of each; from a nil pool it is one plain element.
+func TestPoolCopyFillsElementsOfItsClass(t *testing.T) {
+	p := NewPool(8)
+	src := chainOf([]byte("a chain of twenty-one"), 3, 15)
+	cp := p.Copy(src)
+	if string(cp.CopyOut()) != "a chain of twenty-one" || cp.CountChainElements() != 3 || p.Outstanding() != 3 {
+		t.Fatalf("copy %q in %d elements, %d out", cp.CopyOut(), cp.CountChainElements(), p.Outstanding())
+	}
+	if cp.Length() != 8 || cp.Next().Length() != 8 || cp.Prev().Length() != 5 {
+		t.Fatalf("element lengths %d, %d, %d", cp.Length(), cp.Next().Length(), cp.Prev().Length())
+	}
+	cp.Free()
+	if p.Outstanding() != 0 {
+		t.Fatalf("%d out after the copy's Free", p.Outstanding())
+	}
+	flat := (*Pool)(nil).Copy(src)
+	if flat.IsChained() || string(flat.Data()) != "a chain of twenty-one" || flat.Tailroom() != 0 {
+		t.Fatalf("copy from no pool: %q, chained %v", flat.Data(), flat.IsChained())
+	}
+}
+
+// Frames keeps each record whole in one element: records share an element
+// while it has room, one that does not fit starts the next, a lent view
+// ends the element before it, and a record above the class gets a plain
+// element of its own.
+func TestFramesKeepEachRecordWhole(t *testing.T) {
+	p, views := NewPool(8), NewPool(0)
+	f := Frames{Pool: p}
+	if f.Take() != nil {
+		t.Fatal("an empty message is not nil")
+	}
+	for _, rec := range []string{"abc", "defg", "hi", "<lent>", "jk", "0123456789"} {
+		if rec == "<lent>" {
+			f.Link(views.View([]byte(rec)))
+			continue
+		}
+		copy(f.Next(len(rec)), rec)
+	}
+	msg := f.Take()
+	var got []string
+	msg.ForEach(func(e *IOBuf) { got = append(got, string(e.Data())) })
+	if want := []string{"abcdefg", "hi", "<lent>", "jk", "0123456789"}; strings.Join(got, "|") != strings.Join(want, "|") {
+		t.Fatalf("elements %q, want %q", got, want)
+	}
+	if p.Outstanding() != 3 || f.Take() != nil {
+		t.Fatalf("%d elements out, want 3 (the long record is plain)", p.Outstanding())
+	}
+	msg.Free()
+	if p.Outstanding() != 0 || views.Outstanding() != 0 {
+		t.Fatalf("after Free: %d elements, %d views out", p.Outstanding(), views.Outstanding())
+	}
+}
+
 // Retain and Free act on every element of a chain: each pool-born element
 // gains and loses a holder, whichever pool made it, and a plain one is left
 // alone. The frame a stack sends - a head element, a view Split cut, the
@@ -177,8 +279,8 @@ func TestNeverFreedElementIsCollected(t *testing.T) {
 }
 
 // Wrap and Split stay in the 64-byte size class with the pool's fields in
-// the descriptor, and a warm pool allocates nothing - views and cuts
-// included.
+// the descriptor, and a warm pool allocates nothing - views, cuts and the
+// holds a cut takes on a pool-born element included.
 func TestDescriptorSizeAndWarmPool(t *testing.T) {
 	if size := unsafe.Sizeof(IOBuf{}); size > 64 {
 		t.Fatalf("an IOBuf descriptor is %d bytes, want at most 64", size)
@@ -195,6 +297,12 @@ func TestDescriptorSizeAndWarmPool(t *testing.T) {
 		v := views.View(lent)
 		v.Split(1460, views).Free()
 		v.Free()
+		e := p.Get(1536)
+		e.Append(1536)
+		rest := e.Split(1000, views)
+		views.ViewOf(rest).Free()
+		e.Free()
+		rest.Free()
 	}
 	cycle()
 	if n := testing.AllocsPerRun(100, cycle); n != 0 {

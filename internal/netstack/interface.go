@@ -24,6 +24,7 @@ type Interface struct {
 	pings   map[uint32]*pingState
 	drivers []*queueDriver
 	hdrPool *iobuf.Pool // head elements of transmitted packets (newPacket)
+	payload *iobuf.Pool // elements of class MSS applications write what they send into
 	views   *iobuf.Pool // view descriptors of transmitted payload bytes
 
 	// RxPackets counts frames delivered to the stack (all queues).

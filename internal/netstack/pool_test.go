@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"runtime"
 	"testing"
+	"unsafe"
 	"weak"
 
 	"ebbrt/internal/event"
@@ -13,16 +14,20 @@ import (
 )
 
 // streamEnd is one end of a connection that sends out, as fast as the
-// peer's window allows, and collects what it receives. own is every
-// descriptor it handed to Send: the rest of a frame's payload elements are
-// the stack's.
+// peer's window allows, and collects what it receives. A pooled end copies
+// each chunk into payload elements of its interface, as applications
+// write what they send, filling each to pooledFill bytes so that the
+// stack's MSS cuts land inside them; the other lends its bytes. own is every element it
+// handed to Send, with its capacity then: the rest of a frame's payload
+// elements are the stack's views.
 type streamEnd struct {
-	t    *testing.T
-	pcb  *TcpPcb
-	out  []byte
-	sent int
-	in   []byte
-	own  map[*iobuf.IOBuf]bool
+	t      *testing.T
+	pooled bool
+	pcb    *TcpPcb
+	out    []byte
+	sent   int
+	in     []byte
+	own    map[*iobuf.IOBuf]int
 }
 
 func (e *streamEnd) handler() ConnHandler {
@@ -45,7 +50,10 @@ func (e *streamEnd) push(c *event.Ctx) {
 			return
 		}
 		chunk := iobuf.Wrap(e.out[e.sent : e.sent+w])
-		e.own[chunk] = true
+		if e.pooled {
+			chunk = e.write(e.out[e.sent : e.sent+w])
+		}
+		chunk.ForEach(func(d *iobuf.IOBuf) { e.own[d] = d.Capacity() })
 		if err := e.pcb.Send(c, chunk); err != nil {
 			e.t.Errorf("send: %v", err)
 			return
@@ -54,35 +62,76 @@ func (e *streamEnd) push(c *event.Ctx) {
 	}
 }
 
+const pooledFill = 1000
+
+// write copies data into payload elements, pooledFill bytes to each.
+func (e *streamEnd) write(data []byte) *iobuf.IOBuf {
+	pool, _ := e.pcb.Pools()
+	var chain *iobuf.IOBuf
+	for len(data) > 0 {
+		el := pool.Get(pooledFill)
+		data = data[copy(el.Append(min(len(data), pooledFill)), data):]
+		if chain == nil {
+			chain = el
+		} else {
+			chain.AppendChain(el)
+		}
+	}
+	return chain
+}
+
 // stream starts sending n more bytes.
 func (e *streamEnd) stream(mgr *event.Manager, n int, salt byte) {
-	e.out, e.sent, e.own = make([]byte, n), 0, map[*iobuf.IOBuf]bool{}
+	e.out, e.sent, e.own = make([]byte, n), 0, map[*iobuf.IOBuf]int{}
 	for i := range e.out {
 		e.out[i] = byte(i*7) ^ salt
 	}
 	mgr.Spawn(e.push)
 }
 
-// checkHome compares what an interface's three pools have out with what
+// heldBy is the payload element of a pooled end whose bytes d covers: d
+// itself, or the element a view the stack cut from it holds. A lending
+// end's bytes are no pool's.
+func (e *streamEnd) heldBy(d *iobuf.IOBuf) *iobuf.IOBuf {
+	if !e.pooled || len(d.Data()) == 0 {
+		return nil
+	}
+	at := uintptr(unsafe.Pointer(unsafe.SliceData(d.Data())))
+	for p, capacity := range e.own {
+		if base := uintptr(unsafe.Pointer(unsafe.SliceData(p.Data()))) - uintptr(p.Headroom()); at >= base && at < base+uintptr(capacity) {
+			return p
+		}
+	}
+	e.t.Fatalf("a frame of a pooled end carries bytes of no element it made")
+	return nil
+}
+
+// checkHome compares what an interface's four pools have out with what
 // its live structures hold: a head element per unacknowledged segment, a
 // view descriptor per payload element of one that the stack cut rather than
-// the sender made, a receive buffer per frame in a ring and per segment
+// the sender made, a payload element per one whose bytes an unacknowledged
+// segment carries, a receive buffer per frame in a ring and per segment
 // stashed out of order. Call it when nothing is on the wire or between
 // cores, with the ends whose connections are the interface's.
-func checkHome(t *testing.T, what string, itf *Interface, ends ...*streamEnd) (heads, views, rx int) {
+func checkHome(t *testing.T, what string, itf *Interface, ends ...*streamEnd) (heads, views, payload, rx int) {
 	t.Helper()
 	for _, q := range itf.NIC.Queues {
 		rx += q.Len()
 	}
 	for _, e := range ends {
+		held := map[*iobuf.IOBuf]bool{}
 		for _, seg := range e.pcb.inflight {
 			heads++
 			for d := seg.frame.Next(); d != seg.frame; d = d.Next() {
-				if !e.own[d] {
+				if _, own := e.own[d]; !own {
 					views++
+				}
+				if p := e.heldBy(d); p != nil {
+					held[p] = true
 				}
 			}
 		}
+		payload += len(held)
 		rx += len(e.pcb.ooo)
 	}
 	if got := itf.hdrPool.Outstanding(); got != heads {
@@ -91,22 +140,27 @@ func checkHome(t *testing.T, what string, itf *Interface, ends ...*streamEnd) (h
 	if got := itf.views.Outstanding(); got != views {
 		t.Fatalf("%s: %v has %d view descriptors out, its connections hold %d", what, itf.Addr, got, views)
 	}
+	if got := itf.payload.Outstanding(); got != payload {
+		t.Fatalf("%s: %v has %d payload elements out, its connections hold %d", what, itf.Addr, got, payload)
+	}
 	if got := itf.NIC.RxBuffersOut(); got != rx {
 		t.Fatalf("%s: %v has %d receive buffers out, its rings and connections hold %d", what, itf.Addr, got, rx)
 	}
-	return heads, views, rx
+	return heads, views, payload, rx
 }
 
-// Every pooled element comes home. 256KiB each way over a link that drops
-// a fifth of the data frames exercises the RTO, fast retransmit (both put
-// new view descriptors over the payload), the out-of-order stash, duplicate
-// segments and the cross-core hand-off; then a NIC goes down mid-stream,
-// and a connection is torn down with data in flight and segments stashed.
-// After each, the pools have out exactly what the connections hold, which
-// is nothing once the stream is acknowledged or both ends are closed.
+// Every pooled element comes home. 256KiB each way - the client's written
+// into payload elements, the server's lent - over a link that drops a
+// fifth of the data frames exercises the RTO, fast retransmit (both put
+// new view descriptors over the payload, holding the elements they cover),
+// the out-of-order stash, duplicate segments and the cross-core hand-off;
+// then a NIC goes down mid-stream, and a connection is torn down with data
+// in flight and segments stashed. After each, the pools have out exactly
+// what the connections hold, which is nothing once the stream is
+// acknowledged or both ends are closed.
 func TestPooledBuffersComeHome(t *testing.T) {
 	n := newTestNet(t, 2, 2)
-	a, b := &streamEnd{t: t}, &streamEnd{t: t}
+	a, b := &streamEnd{t: t, pooled: true}, &streamEnd{t: t}
 	data, sawStash := uint64(0), false
 	n.link.DropFn = func(_ uint64, f machine.Frame) bool {
 		if b.pcb != nil && len(b.pcb.ooo) > 0 {
@@ -139,8 +193,8 @@ func TestPooledBuffersComeHome(t *testing.T) {
 		t.Fatal("no segment crossed cores; the hand-off was not exercised")
 	}
 	for _, itf := range []*Interface{n.itfA, n.itfB} {
-		if heads, views, rx := checkHome(t, "after the lossy streams", itf, a, b); heads != 0 || views != 0 || rx != 0 {
-			t.Fatalf("%d segments and %d views in flight and %d buffers stashed after everything was acknowledged", heads, views, rx)
+		if heads, views, payload, rx := checkHome(t, "after the lossy streams", itf, a, b); heads != 0 || views != 0 || payload != 0 || rx != 0 {
+			t.Fatalf("%d segments, %d views and %d payload elements in flight and %d buffers stashed after everything was acknowledged", heads, views, payload, rx)
 		}
 	}
 
@@ -152,8 +206,8 @@ func TestPooledBuffersComeHome(t *testing.T) {
 	n.k.RunFor(100 * sim.Microsecond)
 	n.itfB.NIC.SetUp(false)
 	n.k.RunFor(50 * sim.Millisecond)
-	if heads, views, _ := checkHome(t, "peer down", n.itfA, a); heads == 0 || views == 0 || len(b.in) == 0 || len(b.in) == len(a.out) {
-		t.Fatalf("the outage did not fall mid-stream: %d segments and %d views in flight, %d bytes through", heads, views, len(b.in))
+	if heads, views, payload, _ := checkHome(t, "peer down", n.itfA, a); heads == 0 || views == 0 || payload == 0 || len(b.in) == 0 || len(b.in) == len(a.out) {
+		t.Fatalf("the outage did not fall mid-stream: %d segments, %d views and %d payload elements in flight, %d bytes through", heads, views, payload, len(b.in))
 	}
 	checkHome(t, "down", n.itfB, b)
 	n.itfB.NIC.SetUp(true)
@@ -180,10 +234,10 @@ func TestPooledBuffersComeHome(t *testing.T) {
 	b.in = b.in[:0]
 	a.stream(n.a.Mgrs[p.client.Core()], 32<<10, 0xaa)
 	n.k.RunFor(500 * sim.Microsecond)
-	heads, views, _ := checkHome(t, "before the abort", n.itfA, a)
-	_, _, stashed := checkHome(t, "before the abort", n.itfB, b)
-	if heads == 0 || views == 0 || stashed == 0 || len(b.in) != 0 {
-		t.Fatalf("before the abort: %d segments and %d views in flight, %d stashed, %d bytes delivered", heads, views, stashed, len(b.in))
+	heads, views, payload, _ := checkHome(t, "before the abort", n.itfA, a)
+	_, _, _, stashed := checkHome(t, "before the abort", n.itfB, b)
+	if heads == 0 || views == 0 || payload == 0 || stashed == 0 || len(b.in) != 0 {
+		t.Fatalf("before the abort: %d segments, %d views and %d payload elements in flight, %d stashed, %d bytes delivered", heads, views, payload, stashed, len(b.in))
 	}
 	n.a.Mgrs[p.client.Core()].Spawn(p.client.Abort)
 	n.k.RunFor(10 * sim.Millisecond)
@@ -191,16 +245,16 @@ func TestPooledBuffersComeHome(t *testing.T) {
 		t.Fatalf("after the abort the ends are %s and %s", p.client.State(), p.server.State())
 	}
 	for _, itf := range []*Interface{n.itfA, n.itfB} {
-		if heads, views, rx := checkHome(t, "after both ends closed", itf, a, b); heads != 0 || views != 0 || rx != 0 {
-			t.Fatalf("closed connections hold %d segments, %d views and %d buffers", heads, views, rx)
+		if heads, views, payload, rx := checkHome(t, "after both ends closed", itf, a, b); heads != 0 || views != 0 || payload != 0 || rx != 0 {
+			t.Fatalf("closed connections hold %d segments, %d views, %d payload elements and %d buffers", heads, views, payload, rx)
 		}
 	}
 }
 
 // Through a switch, a broadcast floods: one head element and the view
-// descriptor behind it fly to every other port and come home once, each
-// receiver's copy is freed by its own stack, whether the datagram had a
-// taker there or not.
+// descriptor or payload element behind it fly to every other port and come
+// home once, each receiver's copy is freed by its own stack, whether the
+// datagram had a taker there or not.
 func TestPooledBuffersComeHomeThroughFlood(t *testing.T) {
 	k := sim.NewKernel()
 	sw := machine.NewSwitch(k)
@@ -224,7 +278,13 @@ func TestPooledBuffersComeHomeThroughFlood(t *testing.T) {
 	const rounds = 10
 	for i := 0; i < rounds; i++ {
 		itfs[0].St.Mgrs[0].Spawn(func(c *event.Ctx) {
-			_ = itfs[0].SendUdp(c, port, IP(255, 255, 255, 255), port, itfs[0].views.View([]byte("to everyone")))
+			msg := itfs[0].views.View([]byte("to everyone"))
+			if i%2 == 1 {
+				lent := msg
+				msg = itfs[0].payload.Copy(lent)
+				lent.Free()
+			}
+			_ = itfs[0].SendUdp(c, port, IP(255, 255, 255, 255), port, msg)
 		})
 	}
 	k.Run()

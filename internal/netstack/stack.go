@@ -129,6 +129,7 @@ func (s *Stack) AddInterface(nic *machine.NIC, addr, mask Ipv4Addr) *Interface {
 		tcp:  newTcpLayer(),
 
 		hdrPool: iobuf.NewPool(headerClass),
+		payload: iobuf.NewPool(s.Cfg.MSS),
 		views:   iobuf.NewPool(0),
 	}
 	itf.tcp.itf = itf

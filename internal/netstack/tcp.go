@@ -126,13 +126,15 @@ func newTcpLayer() *tcpLayer {
 
 // segment is one in-flight (sent, unacknowledged) transmit segment. The
 // tracker copies nothing: it holds the frame as first transmitted, whose
-// elements after the header are views of the bytes the application handed
-// to Send (immutable from then on), and Retains its pooled elements - the
-// header, and the view descriptor Split cut - until the segment is
-// acknowledged or the connection torn down. A retransmission puts new
+// elements after the header are the application's, or views of the bytes
+// it handed to Send (immutable from then on), and Retains its pooled
+// elements - the header, a payload element, the view descriptor Split cut
+// and through it the payload element the view covers - until the segment
+// is acknowledged or the connection torn down. A retransmission puts new
 // descriptors from the same pool over those bytes (the first frame may
-// still be on the wire) behind a rebuilt header (a replayed one would
-// re-advertise the ack and window from when the segment was first sent).
+// still be on the wire), each holding what its bytes belong to, behind a
+// rebuilt header (a replayed one would re-advertise the ack and window
+// from when the segment was first sent).
 // sentAt and rexmit feed the RTT estimator: only segments transmitted
 // exactly once yield samples (Karn's rule), taken from their last
 // transmission time.
@@ -247,6 +249,11 @@ func (p *TcpPcb) RemoteAddr() (Ipv4Addr, uint16) { return p.key.rip, p.key.rport
 // LocalPort reports the local port.
 func (p *TcpPcb) LocalPort() uint16 { return p.key.lport }
 
+// Pools reports the interface's pools an application builds what it sends
+// in: payload elements of class MSS, and view descriptors over bytes it
+// lends. The stack frees both as the peer acknowledges them.
+func (p *TcpPcb) Pools() (payload, views *iobuf.Pool) { return p.itf.payload, p.itf.views }
+
 // SendWindowRemaining reports how many bytes the peer's advertised window
 // currently allows. Per the paper, applications check this before sending
 // and buffer (or aggregate) themselves when it is exhausted.
@@ -324,7 +331,8 @@ func (itf *Interface) ConnectTcp(c *event.Ctx, dst Ipv4Addr, dstPort uint16, h C
 // (paper §3.6) - the stack never queues application data. The chain is
 // moved, not copied: Send takes the descriptors, with one holder of any
 // pool-born element among them, frames and the in-flight tracker borrow
-// the bytes, and the caller must not write to them again.
+// the bytes, and the caller must not write to them again. A Send that
+// fails leaves the chain with the caller.
 func (p *TcpPcb) Send(c *event.Ctx, payload *iobuf.IOBuf) error {
 	if p.state != tcpEstablished && p.state != tcpCloseWait {
 		return fmt.Errorf("netstack: send in state %v", p.state)
@@ -334,11 +342,12 @@ func (p *TcpPcb) Send(c *event.Ctx, payload *iobuf.IOBuf) error {
 		return fmt.Errorf("netstack: send of %d bytes exceeds remote window %d", n, p.SendWindowRemaining())
 	}
 	if n == 0 {
+		payload.Free()
 		return nil
 	}
 	// Cut the chain into one view per MSS, each cut a descriptor from the
-	// interface's pool; each goes out behind its own header
-	// (scatter/gather).
+	// interface's pool that holds the element it cuts into; each goes out
+	// behind its own header (scatter/gather).
 	for payload != nil {
 		rest := payload.Split(p.itf.St.Cfg.MSS, p.itf.views)
 		p.sendSegment(c, tcpACK|tcpPSH, payload)
@@ -542,7 +551,7 @@ func (p *TcpPcb) retransmitSegment(c *event.Ctx, seg *segment) {
 	p.auditRecovery(c.Now(), audit.TCPRetransmit)
 	var payload *iobuf.IOBuf
 	for e := seg.frame.Next(); e != seg.frame; e = e.Next() {
-		if v := p.itf.views.View(e.Data()); payload == nil {
+		if v := p.itf.views.ViewOf(e); payload == nil {
 			payload = v
 		} else {
 			payload.AppendChain(v)
