@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"ebbrt/internal/apps/appnet"
+	"ebbrt/internal/costs"
 	"ebbrt/internal/event"
 	"ebbrt/internal/iobuf"
 	"ebbrt/internal/sim"
@@ -41,13 +42,6 @@ func pad(n int) string {
 
 // Server is the webserver instance.
 type Server struct {
-	// HandlerCPU is the JavaScript handler execution cost per request
-	// (V8 running the http-module callback).
-	HandlerCPU sim.Time
-	// HandlerJitterMean adds an exponentially distributed per-request
-	// cost, modelling allocation and incremental-GC variation in the
-	// managed runtime (deterministic seed).
-	HandlerJitterMean sim.Time
 	// Requests counts requests served.
 	Requests uint64
 
@@ -56,19 +50,14 @@ type Server struct {
 
 // NewServer returns a server with the calibrated node.js handler cost.
 func NewServer() *Server {
-	return &Server{
-		HandlerCPU:        73 * sim.Microsecond,
-		HandlerJitterMean: 9 * sim.Microsecond,
-		rng:               sim.NewRng(handlerSeed),
-	}
+	return &Server{rng: sim.NewRng(handlerSeed)}
 }
 
-// handlerCost samples the per-request execution cost.
+// handlerCost samples the per-request execution cost: V8 running the
+// http-module callback, plus an exponentially distributed share for
+// allocation and incremental-GC variation in the managed runtime.
 func (s *Server) handlerCost() sim.Time {
-	if s.HandlerJitterMean == 0 {
-		return s.HandlerCPU
-	}
-	return s.HandlerCPU + sim.Time(s.rng.Exp(float64(s.HandlerJitterMean)))
+	return costs.HTTPHandlerNs + sim.Time(s.rng.Exp(float64(costs.HTTPHandlerJitterMeanNs)))
 }
 
 // Serve starts the server on rt.

@@ -6,6 +6,7 @@ import (
 
 	"ebbrt/internal/apps/appnet"
 	"ebbrt/internal/apps/httpd"
+	"ebbrt/internal/costs"
 	"ebbrt/internal/event"
 	"ebbrt/internal/iobuf"
 	"ebbrt/internal/sim"
@@ -24,39 +25,42 @@ func TestResponseExactly148Bytes(t *testing.T) {
 	}
 }
 
-func exchange(t *testing.T, raw [][]byte) []byte {
+// exchange sends raw over one connection to a fresh server and returns
+// what came back, and when the last of it arrived relative to the send.
+func exchange(t *testing.T, raw [][]byte) (got []byte, took sim.Time) {
 	t.Helper()
 	pair := testbed.NewPair(testbed.EbbRT, 1, 2)
 	srv := httpd.NewServer()
-	srv.HandlerCPU = 1 * sim.Microsecond // keep the test fast
 	if err := srv.Serve(pair.Server); err != nil {
 		t.Fatal(err)
 	}
-	var got []byte
+	var sent sim.Time
 	pair.Client.Mgrs()[0].Spawn(func(c *event.Ctx) {
 		pair.Client.Dial(c, testbed.ServerIP, httpd.Port, appnet.Callbacks{
 			OnData: func(c *event.Ctx, conn appnet.Conn, payload *iobuf.IOBuf) {
 				got = append(got, payload.CopyOut()...)
+				took = c.Now() - sent
 			},
 		}, func(c *event.Ctx, conn appnet.Conn) {
+			sent = c.Now()
 			for _, r := range raw {
 				conn.Send(c, iobuf.Wrap(r))
 			}
 		})
 	})
 	pair.K.RunUntil(100 * sim.Millisecond)
-	return got
+	return got, took
 }
 
 func TestServesGET(t *testing.T) {
-	got := exchange(t, [][]byte{httpd.Request})
+	got, _ := exchange(t, [][]byte{httpd.Request})
 	if !bytes.Equal(got, httpd.Response) {
 		t.Fatalf("got %d bytes, want the canonical response", len(got))
 	}
 }
 
 func TestPipelinedGETs(t *testing.T) {
-	got := exchange(t, [][]byte{append(append([]byte{}, httpd.Request...), httpd.Request...)})
+	got, _ := exchange(t, [][]byte{append(append([]byte{}, httpd.Request...), httpd.Request...)})
 	if len(got) != 2*len(httpd.Response) {
 		t.Fatalf("pipelined: got %d bytes, want %d", len(got), 2*len(httpd.Response))
 	}
@@ -64,22 +68,30 @@ func TestPipelinedGETs(t *testing.T) {
 
 func TestRequestSplitAcrossSegments(t *testing.T) {
 	req := httpd.Request
-	got := exchange(t, [][]byte{req[:5], req[5:11], req[11:]})
+	got, _ := exchange(t, [][]byte{req[:5], req[5:11], req[11:]})
 	if !bytes.Equal(got, httpd.Response) {
 		t.Fatal("fragmented request not reassembled")
 	}
 }
 
 func TestNonGETClosesConnection(t *testing.T) {
-	got := exchange(t, [][]byte{[]byte("POST / HTTP/1.1\r\n\r\n")})
+	got, _ := exchange(t, [][]byte{[]byte("POST / HTTP/1.1\r\n\r\n")})
 	if len(got) != 0 {
 		t.Fatalf("non-GET produced %d bytes", len(got))
 	}
 }
 
+// TestHandlerJitterDeterministic serves the same request on two fresh
+// servers: the handler's jitter is drawn from a fixed seed, so both
+// answer at the same virtual instant, and no sooner than the handler's
+// own cost.
 func TestHandlerJitterDeterministic(t *testing.T) {
-	a, b := httpd.NewServer(), httpd.NewServer()
-	if a.HandlerCPU != b.HandlerCPU {
-		t.Fatal("configs differ")
+	_, a := exchange(t, [][]byte{httpd.Request})
+	_, b := exchange(t, [][]byte{httpd.Request})
+	if a != b {
+		t.Fatalf("the same request took %v on one server and %v on another", a, b)
+	}
+	if a < costs.HTTPHandlerNs {
+		t.Fatalf("answered in %v, under the handler's own %v", a, costs.HTTPHandlerNs)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 
+	"ebbrt/internal/costs"
 	"ebbrt/internal/mem"
 	"ebbrt/internal/sim"
 )
@@ -443,9 +444,9 @@ func (s *BoundedStore) Keys() []string {
 // OpCost implements Store: one lock like the stock cache_lock, plus the
 // LRU bookkeeping, contended across actively serving cores.
 func (s *BoundedStore) OpCost(activeCores int) sim.Time {
-	base := 140 * sim.Nanosecond
+	base := costs.BoundedStoreOpNs
 	if activeCores > 1 {
-		base += sim.Time(activeCores) * 90 * sim.Nanosecond
+		base += sim.Time(activeCores) * costs.StoreLockPerCoreNs
 	}
 	return base
 }

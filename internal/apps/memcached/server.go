@@ -5,6 +5,7 @@ import (
 	"strconv"
 
 	"ebbrt/internal/apps/appnet"
+	"ebbrt/internal/costs"
 	"ebbrt/internal/event"
 	"ebbrt/internal/iobuf"
 	"ebbrt/internal/sim"
@@ -21,8 +22,6 @@ const Port = 11211
 type Server struct {
 	Store Store
 	Cores int
-	// RequestCPU is the application's per-request parse+execute cost.
-	RequestCPU sim.Time
 	// Requests counts operations served.
 	Requests uint64
 	// ExpiredReclaimed counts entries deleted lazily because a lookup
@@ -173,7 +172,7 @@ func (s *Server) maybeApplyFlush(now sim.Time) {
 
 // NewServer creates a server over the given store.
 func NewServer(store Store, cores int) *Server {
-	return &Server{Store: store, Cores: cores, RequestCPU: 300 * sim.Nanosecond}
+	return &Server{Store: store, Cores: cores}
 }
 
 // Serve starts accepting connections on rt.
@@ -375,7 +374,7 @@ func storeExpiry(hdr Header, body []byte, now sim.Time) sim.Time {
 // handle executes one request, writing any response to r.
 func (s *Server) handle(c *event.Ctx, hdr Header, body []byte, r *response) {
 	s.Requests++
-	c.Charge(s.RequestCPU + s.Store.OpCost(s.Cores))
+	c.Charge(costs.MemcachedRequestNs + s.Store.OpCost(s.Cores))
 	now := c.Now()
 	s.maybeApplyFlush(now)
 	keyStart := int(hdr.ExtrasLen)

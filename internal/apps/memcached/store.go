@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 
+	"ebbrt/internal/costs"
 	"ebbrt/internal/rcu"
 	"ebbrt/internal/sim"
 )
@@ -133,7 +134,7 @@ func snapshotTable(t *rcu.Table[string, *Entry]) []storePair {
 }
 
 // OpCost implements Store: hash plus unsynchronized traversal.
-func (s *RCUStore) OpCost(activeCores int) sim.Time { return 60 * sim.Nanosecond }
+func (s *RCUStore) OpCost(activeCores int) sim.Time { return costs.RCUStoreOpNs }
 
 // LockedStore is the conventional globally-locked table (stock memcached's
 // cache_lock), for the ablation benchmark: per-op cost includes the atomic
@@ -227,9 +228,9 @@ func sortedSnapshot[V any](m map[string]V, entry func(V) *Entry) []storePair {
 // OpCost implements Store: an uncontended atomic plus contention that
 // scales with the number of cores hammering the one lock.
 func (s *LockedStore) OpCost(activeCores int) sim.Time {
-	base := 120 * sim.Nanosecond
+	base := costs.LockedStoreOpNs
 	if activeCores > 1 {
-		base += sim.Time(activeCores) * 90 * sim.Nanosecond
+		base += sim.Time(activeCores) * costs.StoreLockPerCoreNs
 	}
 	return base
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strconv"
 
+	"ebbrt/internal/costs"
 	"ebbrt/internal/event"
 	"ebbrt/internal/sim"
 )
@@ -63,12 +64,6 @@ const (
 // surfacing as (failing) command lines until the stream happens back
 // into sync, which is also what stock memcached degrades to.
 const maxTextSwallow = 8 << 20
-
-// textParsePerByte models the cost of tokenizing one ASCII command-line
-// byte (scan, delimit, integer conversion), the per-request overhead the
-// TextVsBinary experiment measures against the binary header's
-// fixed-offset field decode.
-const textParsePerByte = 2 * sim.Nanosecond
 
 // textState is the parser position within the request stream.
 type textState uint8
@@ -148,7 +143,7 @@ func (s *Server) handleText(c *event.Ctx, ts *textSession, data []byte) (resp []
 			ts.state = textLine
 			s.Requests++
 			s.stats.cmdSet++
-			c.Charge(s.RequestCPU + s.Store.OpCost(s.Cores))
+			c.Charge(costs.MemcachedRequestNs + s.Store.OpCost(s.Cores))
 			if !termOK {
 				// The block was not CRLF-terminated where <bytes> said it
 				// would be: the value is not stored, but the stream stays
@@ -261,7 +256,7 @@ func (s *Server) execTextLine(c *event.Ctx, ts *textSession, line []byte, resp [
 	switch {
 	case tokIs(toks[0], "get"), tokIs(toks[0], "gets"):
 		s.Requests++
-		c.Charge(s.RequestCPU + sim.Time(len(line))*textParsePerByte)
+		c.Charge(costs.MemcachedRequestNs + sim.Time(len(line))*costs.MemcachedTextParseNsPerByte)
 		if len(toks) < 2 {
 			return append(resp, respError...), false
 		}
@@ -281,13 +276,13 @@ func (s *Server) execTextLine(c *event.Ctx, ts *textSession, line []byte, resp [
 
 	case tokIs(toks[0], "set"), tokIs(toks[0], "add"), tokIs(toks[0], "replace"),
 		tokIs(toks[0], "append"), tokIs(toks[0], "prepend"):
-		c.Charge(sim.Time(len(line)) * textParsePerByte)
+		c.Charge(sim.Time(len(line)) * costs.MemcachedTextParseNsPerByte)
 		return s.parseTextStorage(ts, toks, resp), false
 
 	case tokIs(toks[0], "incr"), tokIs(toks[0], "decr"):
 		// incr <key> <delta> [noreply]
 		s.Requests++
-		c.Charge(s.RequestCPU + sim.Time(len(line))*textParsePerByte + s.Store.OpCost(s.Cores))
+		c.Charge(costs.MemcachedRequestNs + sim.Time(len(line))*costs.MemcachedTextParseNsPerByte + s.Store.OpCost(s.Cores))
 		ts.noreply = len(toks) == 4 && tokIs(toks[3], "noreply")
 		if len(toks) < 3 || len(toks) > 4 || (len(toks) == 4 && !ts.noreply) || len(toks[1]) > MaxTextKey {
 			return ts.reply(resp, respBadLine), false
@@ -315,7 +310,7 @@ func (s *Server) execTextLine(c *event.Ctx, ts *textSession, line []byte, resp [
 	case tokIs(toks[0], "touch"):
 		// touch <key> <exptime> [noreply]
 		s.Requests++
-		c.Charge(s.RequestCPU + sim.Time(len(line))*textParsePerByte + s.Store.OpCost(s.Cores))
+		c.Charge(costs.MemcachedRequestNs + sim.Time(len(line))*costs.MemcachedTextParseNsPerByte + s.Store.OpCost(s.Cores))
 		ts.noreply = len(toks) == 4 && tokIs(toks[3], "noreply")
 		if len(toks) < 3 || len(toks) > 4 || (len(toks) == 4 && !ts.noreply) || len(toks[1]) > MaxTextKey {
 			return ts.reply(resp, respBadLine), false
@@ -332,7 +327,7 @@ func (s *Server) execTextLine(c *event.Ctx, ts *textSession, line []byte, resp [
 	case tokIs(toks[0], "flush_all"):
 		// flush_all [delay] [noreply]
 		s.Requests++
-		c.Charge(s.RequestCPU + sim.Time(len(line))*textParsePerByte)
+		c.Charge(costs.MemcachedRequestNs + sim.Time(len(line))*costs.MemcachedTextParseNsPerByte)
 		args := toks[1:]
 		ts.noreply = len(args) > 0 && tokIs(args[len(args)-1], "noreply")
 		if ts.noreply {
@@ -353,7 +348,7 @@ func (s *Server) execTextLine(c *event.Ctx, ts *textSession, line []byte, resp [
 
 	case tokIs(toks[0], "delete"):
 		s.Requests++
-		c.Charge(s.RequestCPU + sim.Time(len(line))*textParsePerByte + s.Store.OpCost(s.Cores))
+		c.Charge(costs.MemcachedRequestNs + sim.Time(len(line))*costs.MemcachedTextParseNsPerByte + s.Store.OpCost(s.Cores))
 		noreply := len(toks) == 3 && tokIs(toks[2], "noreply")
 		if len(toks) < 2 || len(toks) > 3 || (len(toks) == 3 && !noreply) || len(toks[1]) > MaxTextKey {
 			return append(resp, respBadLine...), false
@@ -372,7 +367,7 @@ func (s *Server) execTextLine(c *event.Ctx, ts *textSession, line []byte, resp [
 		// unrecognized group answers ERROR, as stock does for unsupported
 		// stats arguments.
 		s.Requests++
-		c.Charge(s.RequestCPU + sim.Time(len(line))*textParsePerByte)
+		c.Charge(costs.MemcachedRequestNs + sim.Time(len(line))*costs.MemcachedTextParseNsPerByte)
 		if len(toks) > 2 {
 			return append(resp, respError...), false
 		}
@@ -388,7 +383,7 @@ func (s *Server) execTextLine(c *event.Ctx, ts *textSession, line []byte, resp [
 
 	case tokIs(toks[0], "version"):
 		s.Requests++
-		c.Charge(s.RequestCPU)
+		c.Charge(costs.MemcachedRequestNs)
 		return append(resp, "VERSION "+TextVersionString+"\r\n"...), false
 
 	case tokIs(toks[0], "quit"):
@@ -396,7 +391,7 @@ func (s *Server) execTextLine(c *event.Ctx, ts *textSession, line []byte, resp [
 
 	default:
 		s.Requests++
-		c.Charge(s.RequestCPU + sim.Time(len(line))*textParsePerByte)
+		c.Charge(costs.MemcachedRequestNs + sim.Time(len(line))*costs.MemcachedTextParseNsPerByte)
 		return append(resp, respError...), false
 	}
 }

@@ -25,7 +25,7 @@ func auditedCluster(backends, replicas int) (*Cluster, *Client, *HealthMonitor, 
 	cl := NewCluster(backends, Options{Replicas: replicas, Audit: audit.NewLog(ring)})
 	front := cl.Sys.Frontend()
 	cli := NewClientWithOptions(cl, front, ClientOptions{RequestTimeout: 8 * sim.Millisecond})
-	mon := NewHealthMonitor(cl, front, HealthConfig{})
+	mon := NewHealthMonitor(cl, front)
 	mon.Start()
 	return cl, cli, mon, ring
 }

@@ -84,10 +84,8 @@ func TestMigrationChaosSourceKill(t *testing.T) {
 	front := cl.Sys.Frontend()
 	cli := NewClientWithOptions(cl, front, ClientOptions{RequestTimeout: 8 * sim.Millisecond})
 	// Slow the stream down (per-entry CPU) so the kill lands mid-transfer.
-	m := NewMigrator(cl, front, MigratorConfig{
-		PerEntryCPU: 30 * sim.Microsecond,
-		JobTimeout:  15 * sim.Millisecond,
-	})
+	m := NewMigrator(cl, front)
+	m.perEntryCPU, m.jobTimeout = 30*sim.Microsecond, 15*sim.Millisecond
 	k := cl.Sys.K
 
 	const nKeys = 600
@@ -163,10 +161,8 @@ func TestMigrationChaosDestKill(t *testing.T) {
 	cl := NewCluster(4, Options{Replicas: 2, Audit: audit.NewLog(ring)})
 	front := cl.Sys.Frontend()
 	cli := NewClientWithOptions(cl, front, ClientOptions{RequestTimeout: 8 * sim.Millisecond})
-	m := NewMigrator(cl, front, MigratorConfig{
-		PerEntryCPU: 30 * sim.Microsecond,
-		JobTimeout:  15 * sim.Millisecond,
-	})
+	m := NewMigrator(cl, front)
+	m.perEntryCPU, m.jobTimeout = 30*sim.Microsecond, 15*sim.Millisecond
 	k := cl.Sys.K
 
 	const nKeys = 600
@@ -336,7 +332,7 @@ func runChaos(t *testing.T, backends, replicas int, steps []chaosStep, wantZeroS
 	cl := NewCluster(backends, Options{Replicas: replicas})
 	front := cl.Sys.Frontend()
 	cli := NewClientWithOptions(cl, front, ClientOptions{RequestTimeout: 8 * sim.Millisecond})
-	mon := NewHealthMonitor(cl, front, HealthConfig{})
+	mon := NewHealthMonitor(cl, front)
 	mon.Start()
 	k := cl.Sys.K
 	mgr := front.Runtime.Mgrs()[0]

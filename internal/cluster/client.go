@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"encoding/binary"
 	"maps"
 	"slices"
@@ -49,14 +50,11 @@ func (r Response) NetworkError() bool { return r.Status == StatusNetworkError }
 // Callback receives an operation's response on the submitting core.
 type Callback func(c *event.Ctx, r Response)
 
-// DefaultPoolSize is the per-core, per-backend connection count.
-const DefaultPoolSize = 2
+// defaultPoolSize is the per-core, per-backend connection count.
+const defaultPoolSize = 2
 
 // ClientOptions tunes the client Ebb beyond the defaults.
 type ClientOptions struct {
-	// PoolSize is the per-core, per-backend connection count (default
-	// DefaultPoolSize).
-	PoolSize int
 	// RequestTimeout bounds one replica operation; on expiry the
 	// operation fails with StatusNetworkError and, for reads, fails over
 	// to the next replica. Zero disables timeouts: operations then fail
@@ -73,6 +71,8 @@ type ClientOptions struct {
 	// within one GetMulti call (MaxBatch DefaultMaxBatch); MaxBatch 1
 	// reverts every read to its own plain GET.
 	Batch BatchOptions
+	// poolSize, when non-zero, replaces defaultPoolSize (tests).
+	poolSize int
 }
 
 // Client is the cluster-aware memcached client Ebb. Its id lives in the
@@ -106,17 +106,14 @@ type Client struct {
 }
 
 // NewClient installs a client Ebb for the cluster on the given node
-// (typically the hosted frontend). poolSize <= 0 selects
-// DefaultPoolSize connections per core per backend.
-func NewClient(cl *Cluster, node *hosted.Node, poolSize int) *Client {
-	return NewClientWithOptions(cl, node, ClientOptions{PoolSize: poolSize})
+// (typically the hosted frontend) under the default options.
+func NewClient(cl *Cluster, node *hosted.Node) *Client {
+	return NewClientWithOptions(cl, node, ClientOptions{})
 }
 
 // NewClientWithOptions installs a client Ebb with explicit options.
 func NewClientWithOptions(cl *Cluster, node *hosted.Node, opt ClientOptions) *Client {
-	if opt.PoolSize <= 0 {
-		opt.PoolSize = DefaultPoolSize
-	}
+	opt.poolSize = cmp.Or(opt.poolSize, defaultPoolSize)
 	if !opt.HotKey.Enable && !opt.HotKey.Disable {
 		opt.HotKey = cl.HotKey
 	}
@@ -124,7 +121,7 @@ func NewClientWithOptions(cl *Cluster, node *hosted.Node, opt ClientOptions) *Cl
 		opt.HotKey = HotKeyOptions{}
 	}
 	if opt.HotKey.Enable {
-		opt.HotKey = opt.HotKey.WithDefaults()
+		opt.HotKey = opt.HotKey.withDefaults()
 	}
 	opt.Batch = opt.Batch.WithDefaults()
 	cli := &Client{cl: cl, node: node, opt: opt}
@@ -441,17 +438,17 @@ func (cli *Client) probeStaleness(c *event.Ctx, hk *hotKeyRep, key []byte, e *ca
 	}
 }
 
-// maybeRevalidate samples one in RevalidateEvery cache hits for an
+// maybeRevalidate samples one in revalidateEvery cache hits for an
 // asynchronous CAS check against the replica set: if the owner's stamp
 // moved, the cached copy is re-stamped with the fresh value (or dropped
 // on a miss). Together with the TTL this bounds how long another
 // client's write can go unseen.
 func (cli *Client) maybeRevalidate(c *event.Ctx, hk *hotKeyRep, key []byte) {
-	if hk.opt.RevalidateEvery <= 0 {
+	if hk.opt.revalidateEvery <= 0 {
 		return
 	}
 	hk.sinceReval++
-	if hk.sinceReval < hk.opt.RevalidateEvery {
+	if hk.sinceReval < hk.opt.revalidateEvery {
 		return
 	}
 	hk.sinceReval = 0
@@ -946,7 +943,7 @@ func (r *clientRep) connFor(c *event.Ctx, backend int) *clientConn {
 	}
 	pool.conns = live
 	var cc *clientConn
-	if len(pool.conns) < r.cli.opt.PoolSize {
+	if len(pool.conns) < r.cli.opt.poolSize {
 		cc = r.dial(c, backend)
 		pool.conns = append(pool.conns, cc)
 	} else {

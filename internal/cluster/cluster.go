@@ -27,9 +27,6 @@ type Options struct {
 	// FrontendCores sizes the hosted frontend (default 2), for
 	// deployments that drive client load through the frontend itself.
 	FrontendCores int
-	// VNodes overrides the ring's virtual points per backend (default
-	// DefaultVNodes).
-	VNodes int
 	// HotKey configures the client Ebb's hot-key read cache for every
 	// client created on this cluster (a client's own ClientOptions.HotKey
 	// takes precedence when enabled). See HotKeyOptions.
@@ -39,10 +36,10 @@ type Options struct {
 	// every client - cached or not - must salt and fan in consistently.
 	// See HotWriteOptions.
 	HotWrite HotWriteOptions
-	// Net is the network stack configuration every node boots with
-	// (zero value: netstack.DefaultConfig()). The lossy-link experiment
-	// uses it to compare the adaptive-RTO transport against the
-	// fixed-RTO baseline on identical deployments.
+	// Net is the network stack configuration every node boots with (the
+	// zero value is the calibrated stack). The lossy-link experiment sets
+	// its FixedRTO and NoFastRetransmit to compare the adaptive transport
+	// against the fixed-RTO baseline on identical deployments.
 	Net netstack.Config
 	// Store builds each backend's store (nil: the unbounded RCU table).
 	// The MemoryPressure experiment supplies memcached.NewBoundedStore
@@ -93,7 +90,7 @@ type Cluster struct {
 	// writeSketch and salted implement hot-write spreading: the sketch
 	// counts writes per key cluster-wide; a key crossing
 	// HotWrite.PromoteMin is entered into salted with a round-robin
-	// cursor and its writes spread over HotWrite.Salts storage keys
+	// cursor and its writes spread over HotWrite.salts storage keys
 	// from then on. Cluster-level (not per-client) on purpose: salting
 	// changes placement, so a reader that disagreed with the writer
 	// about a key's salt set would simply miss its newest value.
@@ -158,7 +155,7 @@ func NewCluster(backends int, opt Options) *Cluster {
 	}
 	cl := &Cluster{
 		Sys:      hosted.NewSystemOpts(hosted.SystemOptions{FrontendCores: opt.FrontendCores, Net: opt.Net, Audit: opt.Audit}),
-		Ring:     NewRing(opt.VNodes),
+		Ring:     NewRing(DefaultVNodes),
 		Replicas: opt.Replicas,
 		HotKey:   opt.HotKey,
 		HotWrite: opt.HotWrite,
@@ -167,8 +164,8 @@ func NewCluster(backends int, opt Options) *Cluster {
 	}
 	cl.Frontends = []*hosted.Node{cl.Sys.Frontend()}
 	if cl.HotWrite.Enable {
-		cl.HotWrite = cl.HotWrite.WithDefaults()
-		cl.writeSketch = newCMSketch(cl.HotWrite.SketchWidth, cl.HotWrite.SketchDepth)
+		cl.HotWrite = cl.HotWrite.withDefaults()
+		cl.writeSketch = newCMSketch(sketchWidth, sketchDepth)
 		cl.salted = map[string]*saltState{}
 	}
 	for i := 0; i < backends; i++ {
@@ -389,7 +386,7 @@ func (cl *Cluster) writeSaltFor(key []byte) (skey []byte, salt int, spread bool)
 		cl.salted[string(key)] = st
 		cl.hotWrite.Promoted++
 	}
-	s := st.rr % cl.HotWrite.Salts
+	s := st.rr % cl.HotWrite.salts
 	st.rr++
 	cl.hotWrite.SaltedWrites++
 	return saltedKey(key, s), s, true
@@ -428,14 +425,14 @@ func (cl *Cluster) noteSaltDelete(key []byte) {
 }
 
 // saltsOf reports how many salted storage keys a read of key must fan
-// in over: 1 for an unsalted key, HotWrite.Salts for a promoted one.
+// in over: 1 for an unsalted key, HotWrite.salts for a promoted one.
 // Read-only - reads must not advance the write sketch.
 func (cl *Cluster) saltsOf(key []byte) int {
 	if cl.salted == nil {
 		return 1
 	}
 	if _, ok := cl.salted[string(key)]; ok {
-		return cl.HotWrite.Salts
+		return cl.HotWrite.salts
 	}
 	return 1
 }

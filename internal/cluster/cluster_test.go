@@ -18,7 +18,7 @@ import (
 func TestClusterEndToEnd(t *testing.T) {
 	cl := New(4, 1)
 	front := cl.Sys.Frontend()
-	cli := NewClient(cl, front, 0)
+	cli := NewClient(cl, front)
 
 	const nKeys = 64
 	keys := make([][]byte, nKeys)
@@ -181,8 +181,8 @@ func TestClientConnFailReportsNetworkError(t *testing.T) {
 func TestHealthMonitorToleratesAddBackend(t *testing.T) {
 	cl := NewCluster(2, Options{Replicas: 2})
 	front := cl.Sys.Frontend()
-	cli := NewClient(cl, front, 0)
-	mon := NewHealthMonitor(cl, front, HealthConfig{})
+	cli := NewClient(cl, front)
+	mon := NewHealthMonitor(cl, front)
 	mon.Start()
 	cl.Sys.K.RunUntil(20 * sim.Millisecond)
 
@@ -210,7 +210,7 @@ func TestHealthMonitorToleratesAddBackend(t *testing.T) {
 func TestSubmitToEvictedBackendFailsFast(t *testing.T) {
 	cl := NewCluster(2, Options{Replicas: 2})
 	front := cl.Sys.Frontend()
-	cli := NewClient(cl, front, 0) // RequestTimeout deliberately 0
+	cli := NewClient(cl, front) // RequestTimeout deliberately 0
 	cl.Sys.K.RunUntil(5 * sim.Millisecond)
 
 	cl.Backends[0].Node.Kill()
@@ -247,7 +247,7 @@ func TestClusterRouteAgreesWithRing(t *testing.T) {
 func TestClusterAddBackendWhileRunning(t *testing.T) {
 	cl := New(2, 1)
 	front := cl.Sys.Frontend()
-	cli := NewClient(cl, front, 0)
+	cli := NewClient(cl, front)
 
 	front.Spawn(func(c *event.Ctx) {
 		for i := 0; i < 16; i++ {

@@ -21,8 +21,8 @@ import (
 func TestHotKeyCacheExpiredAtOriginMisses(t *testing.T) {
 	cl, cli := newHotCluster(1, HotKeyOptions{
 		PromoteMin:      1,
-		TTL:             time10s,
-		RevalidateEvery: -1,
+		ttl:             time10s,
+		revalidateEvery: -1,
 	})
 	front := cl.Sys.Frontend()
 	mgrs := front.Runtime.Mgrs()
@@ -102,7 +102,7 @@ func TestMigrationDoesNotResurrectExpired(t *testing.T) {
 	cl := NewCluster(3, Options{})
 	front := cl.Sys.Frontend()
 	cli := NewClientWithOptions(cl, front, ClientOptions{RequestTimeout: 8 * sim.Millisecond})
-	m := NewMigrator(cl, front, MigratorConfig{})
+	m := NewMigrator(cl, front)
 	k := cl.Sys.K
 
 	const nKeys = 400

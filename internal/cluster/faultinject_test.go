@@ -31,7 +31,7 @@ func TestClientDataPathUnderFrameLoss(t *testing.T) {
 			// No request timeout: recovery must come from the transport,
 			// and retransmission under loss can take multiples of the
 			// 200ms RTO.
-			cli := NewClient(cl, front, 0)
+			cli := NewClient(cl, front)
 			dropped := 0
 			cl.Sys.Switch.DropFn = func(index uint64, f machine.Frame) bool {
 				if index%tc.mod == tc.mod-1 {

@@ -11,34 +11,18 @@ import (
 	"ebbrt/internal/sim"
 )
 
-// HealthConfig tunes failure detection. The defaults detect a dead
-// backend in Interval*FailureThreshold (15ms) - far faster than the
-// netstack's 200ms RTO, which is the point: clients fail over when the
-// monitor evicts, not when TCP gives up.
-type HealthConfig struct {
-	// Interval is the heartbeat period (default 5ms). A backend is
-	// considered to have missed a beat when no pong arrived during the
-	// whole previous interval.
-	Interval sim.Time
-	// FailureThreshold is the consecutive missed beats that evict a
-	// backend from the ring (default 3).
-	FailureThreshold int
-	// ReviveThreshold is the consecutive answered beats that restore an
-	// evicted backend (default 2).
-	ReviveThreshold int
-}
-
-func (cfg *HealthConfig) applyDefaults() {
-	if cfg.Interval <= 0 {
-		cfg.Interval = 5 * sim.Millisecond
-	}
-	if cfg.FailureThreshold <= 0 {
-		cfg.FailureThreshold = 3
-	}
-	if cfg.ReviveThreshold <= 0 {
-		cfg.ReviveThreshold = 2
-	}
-}
+// Failure detection finds a dead backend in heartbeatInterval *
+// failureThreshold (15ms) - far faster than the netstack's 200ms RTO,
+// which is the point: clients fail over when the monitor evicts, not when
+// TCP gives up.
+const (
+	// heartbeatInterval is the ping period. A backend has missed a beat
+	// when no pong arrived during the whole previous interval.
+	heartbeatInterval = 5 * sim.Millisecond
+	// failureThreshold consecutive missed beats evict a backend from the
+	// ring; reviveThreshold consecutive answered beats restore it.
+	failureThreshold, reviveThreshold = 3, 2
+)
 
 // heartbeat wire format: [kind byte][seq u64]
 const (
@@ -48,11 +32,11 @@ const (
 
 // HealthMonitor is the failure detector: a messenger-driven heartbeat
 // Ebb on the frontend (paper §3.3's inter-node representative
-// communication put to operational use). Every Interval it pings each
-// backend; a backend that misses FailureThreshold consecutive beats is
-// evicted from the ring, rerouting its keys to the successors that
+// communication put to operational use). Every heartbeatInterval it pings
+// each backend; a backend that misses failureThreshold consecutive beats
+// is evicted from the ring, rerouting its keys to the successors that
 // already replicate them; an evicted backend that answers
-// ReviveThreshold consecutive beats is restored.
+// reviveThreshold consecutive beats is restored.
 //
 // Backends present when the monitor is created are monitored; the
 // monitor keeps pinging evicted backends so recovery is detected
@@ -62,7 +46,6 @@ const (
 type HealthMonitor struct {
 	cl   *Cluster
 	node *hosted.Node
-	cfg  HealthConfig
 	id   core.Id
 
 	states []backendHealth
@@ -85,12 +68,10 @@ type backendHealth struct {
 
 // NewHealthMonitor installs the heartbeat Ebb for the cluster on the
 // given node (the hosted frontend). Call Start to begin monitoring.
-func NewHealthMonitor(cl *Cluster, node *hosted.Node, cfg HealthConfig) *HealthMonitor {
-	cfg.applyDefaults()
+func NewHealthMonitor(cl *Cluster, node *hosted.Node) *HealthMonitor {
 	h := &HealthMonitor{
 		cl:         cl,
 		node:       node,
-		cfg:        cfg,
 		id:         cl.Sys.AllocateEbbId(),
 		states:     make([]backendHealth, len(cl.Backends)),
 		byNode:     map[hosted.NodeId]int{},
@@ -157,7 +138,7 @@ func (h *HealthMonitor) Stop() {
 func (h *HealthMonitor) tick(c *event.Ctx, mgr *event.Manager) {
 	// Iterate the monitor's own state, not cl.Backends: backends added
 	// after the monitor was created are unmonitored, not a crash.
-	prev := c.Now() - h.cfg.Interval
+	prev := c.Now() - heartbeatInterval
 	for i := range h.states {
 		st := &h.states[i]
 		if st.lastPong >= prev {
@@ -172,12 +153,12 @@ func (h *HealthMonitor) tick(c *event.Ctx, mgr *event.Manager) {
 				})
 			}
 		}
-		if h.cl.Live(i) && st.misses >= h.cfg.FailureThreshold && h.cl.LiveBackends() > 1 {
+		if h.cl.Live(i) && st.misses >= failureThreshold && h.cl.LiveBackends() > 1 {
 			h.mu.Lock()
 			h.evictedAt[i] = c.Now()
 			h.mu.Unlock()
 			h.cl.EvictBackend(i)
-		} else if !h.cl.Live(i) && st.streak >= h.cfg.ReviveThreshold && !h.cl.Decommissioned(i) {
+		} else if !h.cl.Live(i) && st.streak >= reviveThreshold && !h.cl.Decommissioned(i) {
 			// A decommissioned backend answering pings (a live drain, or a
 			// dead node that came back after being re-replicated around) is
 			// never restored - its key share has moved on.
@@ -203,5 +184,5 @@ func (h *HealthMonitor) tick(c *event.Ctx, mgr *event.Manager) {
 		}
 		h.node.Messenger.Send(c, b.Node.Id, h.id, ping[:])
 	}
-	h.ticker = mgr.After(h.cfg.Interval, func(c *event.Ctx) { h.tick(c, mgr) })
+	h.ticker = mgr.After(heartbeatInterval, func(c *event.Ctx) { h.tick(c, mgr) })
 }

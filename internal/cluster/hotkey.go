@@ -1,6 +1,10 @@
 package cluster
 
-import "ebbrt/internal/sim"
+import (
+	"cmp"
+
+	"ebbrt/internal/sim"
+)
 
 // Hot-key read caching (the ROADMAP's Zipf-aware-placement item).
 //
@@ -20,7 +24,7 @@ import "ebbrt/internal/sim"
 //     before the write is even submitted;
 //   - a hard TTL: an entry older than TTL is never served, so a read
 //     can lag another client's write by at most TTL;
-//   - sampled revalidation: every RevalidateEvery-th cache hit also
+//   - sampled revalidation: every revalidateEvery-th cache hit also
 //     fetches the entry from its replica set and re-stamps (or drops)
 //     the cached copy when the CAS moved.
 //
@@ -48,6 +52,22 @@ import "ebbrt/internal/sim"
 // them, folding by stamp. Replica-wide stamps are what make the fan-in
 // fold (and the staleness probe's all-owner peek) well defined.
 
+// The hot-key cache's sizes and bounds. Experiments print them, so they
+// are exported; sketchWidth x sketchDepth sizes both the client's read
+// sketch and the cluster's write sketch (~16KB per core, collision error
+// well under PromoteMin for the workloads the experiments drive).
+const (
+	// DefaultHotKeyCapacity bounds the cached entries per core.
+	DefaultHotKeyCapacity = 128
+	// DefaultHotKeyTTL is the hard staleness bound: an entry older than
+	// this is never served.
+	DefaultHotKeyTTL = 2 * sim.Millisecond
+	// defaultRevalidateEvery samples one in that many cache hits for
+	// asynchronous CAS revalidation against the replica set.
+	defaultRevalidateEvery   = 16
+	sketchWidth, sketchDepth = 1024, 4
+)
+
 // HotKeyOptions tunes the client Ebb's hot-key cache. The zero value
 // disables it; Enable with everything else zero selects the defaults.
 type HotKeyOptions struct {
@@ -63,52 +83,30 @@ type HotKeyOptions struct {
 	// clients generally (e.g. a writer that must not spend events on
 	// cache maintenance). Meaningless on a cluster's options.
 	Disable bool
-	// Capacity bounds the cached entries per core (default 128).
-	Capacity int
-	// TTL is the hard staleness bound: an entry older than this is
-	// never served (default 2ms).
-	TTL sim.Time
 	// PromoteMin is the sketch estimate at which a key qualifies as hot
 	// and its next read fills the cache (default 8).
 	PromoteMin uint32
-	// SketchWidth and SketchDepth size the count-min sketch (defaults
-	// 1024 x 4: ~16KB per core, collision error well under PromoteMin
-	// for the workloads the experiments drive).
-	SketchWidth int
-	SketchDepth int
-	// RevalidateEvery samples one in N cache hits for asynchronous CAS
-	// revalidation against the replica set (default 16; negative
-	// disables sampling).
-	RevalidateEvery int
 	// StalenessProbe, for experiments and tests, compares every served
 	// hit against the owning shard's store directly (a simulation-level
 	// peek, not a data-path operation) and records how stale served
 	// values actually get. See HotKeyStats.StaleServes/MaxStaleAge.
 	StalenessProbe bool
+
+	// capacity, ttl and revalidateEvery override DefaultHotKeyCapacity,
+	// DefaultHotKeyTTL and defaultRevalidateEvery (tests); a negative
+	// revalidateEvery disables sampling.
+	capacity        int
+	ttl             sim.Time
+	revalidateEvery int
 }
 
-// WithDefaults returns o with every unset field at its default, as
-// NewClientWithOptions resolves it (exported so experiments can report
-// the effective configuration).
-func (o HotKeyOptions) WithDefaults() HotKeyOptions {
-	if o.Capacity <= 0 {
-		o.Capacity = 128
-	}
-	if o.TTL <= 0 {
-		o.TTL = 2 * sim.Millisecond
-	}
-	if o.PromoteMin == 0 {
-		o.PromoteMin = 8
-	}
-	if o.SketchWidth <= 0 {
-		o.SketchWidth = 1024
-	}
-	if o.SketchDepth <= 0 {
-		o.SketchDepth = 4
-	}
-	if o.RevalidateEvery == 0 {
-		o.RevalidateEvery = 16
-	}
+// withDefaults returns o with every unset field at its default, as
+// NewClientWithOptions resolves it.
+func (o HotKeyOptions) withDefaults() HotKeyOptions {
+	o.capacity = cmp.Or(o.capacity, DefaultHotKeyCapacity)
+	o.ttl = cmp.Or(o.ttl, DefaultHotKeyTTL)
+	o.PromoteMin = cmp.Or(o.PromoteMin, 8)
+	o.revalidateEvery = cmp.Or(o.revalidateEvery, defaultRevalidateEvery)
 	return o
 }
 
@@ -398,8 +396,8 @@ type hotKeyRep struct {
 
 func newHotKeyRep(opt HotKeyOptions) *hotKeyRep {
 	hk := &hotKeyRep{opt: opt}
-	hk.sketch = newCMSketch(opt.SketchWidth, opt.SketchDepth)
-	hk.cache = newHotCache(opt.Capacity, opt.TTL, &hk.stats)
+	hk.sketch = newCMSketch(sketchWidth, sketchDepth)
+	hk.cache = newHotCache(opt.capacity, opt.ttl, &hk.stats)
 	return hk
 }
 
@@ -407,44 +405,28 @@ func newHotKeyRep(opt HotKeyOptions) *hotKeyRep {
 // the hot-key fix: the read cache absorbs a hot key's reads, but every
 // one of its writes still lands on the one owner set the ring picks.
 // With spreading on, a key the cluster's write-frequency sketch promotes
-// is split across Salts salted storage keys - each hashing to its own
-// owner set - writes round-robin the salts, and reads fan in across
-// them, folding to the newest version by replica-wide stamp. Promotion
-// is cluster-level state (like the ring), so every client salts and
-// fans in consistently; it is sticky for the deployment's lifetime.
-// The zero value disables spreading.
+// is split across salted storage keys - each hashing to its own owner
+// set - writes round-robin the salts, and reads fan in across them,
+// folding to the newest version by replica-wide stamp. Promotion is
+// cluster-level state (like the ring), so every client salts and fans
+// in consistently; it is sticky for the deployment's lifetime. The zero
+// value disables spreading.
 type HotWriteOptions struct {
 	// Enable turns write spreading on for the deployment.
 	Enable bool
-	// Salts is the number of shards a promoted key's writes are spread
-	// over, including the unsalted base key (default 4).
-	Salts int
 	// PromoteMin is the cluster write-sketch estimate at which a key's
 	// writes start round-robining (default 16).
 	PromoteMin uint32
-	// SketchWidth and SketchDepth size the cluster-wide write-frequency
-	// sketch (defaults 1024 x 4).
-	SketchWidth int
-	SketchDepth int
+	// salts, when non-zero, replaces the default 4 shards a promoted
+	// key's writes are spread over, counting the unsalted base key
+	// (tests); a single-byte salt suffix allows at most 9.
+	salts int
 }
 
-// WithDefaults returns o with every unset field at its default.
-func (o HotWriteOptions) WithDefaults() HotWriteOptions {
-	if o.Salts <= 1 {
-		o.Salts = 4
-	}
-	if o.Salts > 9 {
-		o.Salts = 9 // single-byte salt suffix; 9 owner sets spread any hot key
-	}
-	if o.PromoteMin == 0 {
-		o.PromoteMin = 16
-	}
-	if o.SketchWidth <= 0 {
-		o.SketchWidth = 1024
-	}
-	if o.SketchDepth <= 0 {
-		o.SketchDepth = 4
-	}
+// withDefaults returns o with every unset field at its default.
+func (o HotWriteOptions) withDefaults() HotWriteOptions {
+	o.salts = min(cmp.Or(o.salts, 4), 9)
+	o.PromoteMin = cmp.Or(o.PromoteMin, 16)
 	return o
 }
 

@@ -25,7 +25,7 @@ func newHotCluster(backends int, hot HotKeyOptions) (*Cluster, *Client) {
 // further reads are answered from the core's cache without touching the
 // backend.
 func TestHotKeyCacheServesLocally(t *testing.T) {
-	cl, cli := newHotCluster(1, HotKeyOptions{PromoteMin: 2, TTL: sim.Second})
+	cl, cli := newHotCluster(1, HotKeyOptions{PromoteMin: 2, ttl: sim.Second})
 	front := cl.Sys.Frontend()
 	key, val := []byte("the-hot-key"), []byte("the-value")
 
@@ -77,7 +77,7 @@ func TestHotKeyCacheServesLocally(t *testing.T) {
 // shared key, which is what -race exercises against the cross-core
 // invalidation broadcasts.
 func TestHotKeyWriteInvalidationCoherence(t *testing.T) {
-	cl, cli := newHotCluster(2, HotKeyOptions{PromoteMin: 1, TTL: sim.Second})
+	cl, cli := newHotCluster(2, HotKeyOptions{PromoteMin: 1, ttl: sim.Second})
 	front := cl.Sys.Frontend()
 	mgrs := front.Runtime.Mgrs()
 	shared := []byte("shared-hot-key")
@@ -155,12 +155,12 @@ func TestHotKeyWriteInvalidationCoherence(t *testing.T) {
 func TestNoStaleHitAcrossHandoff(t *testing.T) {
 	cl, cli := newHotCluster(2, HotKeyOptions{
 		PromoteMin:      1,
-		TTL:             time10s,
-		RevalidateEvery: -1, // revalidation must not mask a missing flush
+		ttl:             time10s,
+		revalidateEvery: -1, // revalidation must not mask a missing flush
 	})
 	front := cl.Sys.Frontend()
 	rogue := NewClientWithOptions(cl, front, ClientOptions{HotKey: HotKeyOptions{Disable: true}})
-	m := NewMigrator(cl, front, MigratorConfig{})
+	m := NewMigrator(cl, front)
 
 	const nKeys = 300
 	keys := make([][]byte, nKeys)
@@ -263,12 +263,12 @@ const time10s = 10 * sim.Second
 func TestHotKeyDeleteNotResurrectedByRacingFill(t *testing.T) {
 	cl := NewCluster(1, Options{
 		FrontendCores: 2,
-		HotKey:        HotKeyOptions{Enable: true, PromoteMin: 1, TTL: time10s, RevalidateEvery: -1},
+		HotKey:        HotKeyOptions{Enable: true, PromoteMin: 1, ttl: time10s, revalidateEvery: -1},
 	})
-	// PoolSize 1 forces the GET and the DELETE onto one connection, so
+	// poolSize 1 forces the GET and the DELETE onto one connection, so
 	// the server answers the GET (with the value) before applying the
 	// delete - the exact interleaving that used to resurrect the value.
-	cli := NewClientWithOptions(cl, cl.Sys.Frontend(), ClientOptions{PoolSize: 1})
+	cli := NewClientWithOptions(cl, cl.Sys.Frontend(), ClientOptions{poolSize: 1})
 	front := cl.Sys.Frontend()
 	key := []byte("doomed-key")
 
@@ -312,7 +312,7 @@ func TestHotKeyDeleteNotResurrectedByRacingFill(t *testing.T) {
 // the server in, the deleter core's next read must match the
 // authoritative store, never a cache-resurrected value.
 func TestHotKeyCrossCoreDeleteVsRacingRestamp(t *testing.T) {
-	cl, cli := newHotCluster(1, HotKeyOptions{PromoteMin: 1, TTL: time10s, RevalidateEvery: -1})
+	cl, cli := newHotCluster(1, HotKeyOptions{PromoteMin: 1, ttl: time10s, revalidateEvery: -1})
 	front := cl.Sys.Frontend()
 	mgrs := front.Runtime.Mgrs()
 	k := cl.Sys.K
@@ -382,7 +382,7 @@ func TestHotKeyCrossCoreDeleteVsRacingRestamp(t *testing.T) {
 // HotKey.Disable on a cache-enabled cluster must run with no cache
 // machinery at all.
 func TestHotKeyClientDisableOverridesCluster(t *testing.T) {
-	cl, cached := newHotCluster(1, HotKeyOptions{PromoteMin: 1, TTL: time10s})
+	cl, cached := newHotCluster(1, HotKeyOptions{PromoteMin: 1, ttl: time10s})
 	front := cl.Sys.Frontend()
 	plain := NewClientWithOptions(cl, front, ClientOptions{HotKey: HotKeyOptions{Disable: true}})
 	key := []byte("shared-key")

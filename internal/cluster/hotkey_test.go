@@ -98,7 +98,7 @@ func TestHotCachePutCASMonotonic(t *testing.T) {
 // promotion and eviction must be a pure function of the op stream.
 func TestSketchPromotionEvictionDeterminism(t *testing.T) {
 	run := func() ([]string, HotKeyStats) {
-		hk := newHotKeyRep(HotKeyOptions{Enable: true, Capacity: 32, PromoteMin: 4}.WithDefaults())
+		hk := newHotKeyRep(HotKeyOptions{Enable: true, capacity: 32, PromoteMin: 4}.withDefaults())
 		rng := sim.NewRng(99)
 		zipf := sim.NewZipf(rng, 1.2, 2000)
 		now := sim.Time(0)

@@ -9,6 +9,7 @@ import (
 	"ebbrt/internal/apps/memcached"
 	"ebbrt/internal/audit"
 	"ebbrt/internal/core"
+	"ebbrt/internal/costs"
 	"ebbrt/internal/event"
 	"ebbrt/internal/hosted"
 	"ebbrt/internal/iobuf"
@@ -144,44 +145,22 @@ func equalBackends(a, b []int) bool {
 	return true
 }
 
-// MigratorConfig tunes the rebalancer beyond the defaults.
-type MigratorConfig struct {
-	// JobTimeout bounds one transfer attempt before the coordinator
-	// retries from the next live source (default 25ms - generously above
-	// a stream of a full key share, well below the netstack giving up on
-	// a dead peer).
-	JobTimeout sim.Time
-	// RetryDelay spaces retries after an explicitly reported transfer
-	// failure (default 2ms).
-	RetryDelay sim.Time
-	// MaxAttempts bounds per-job attempts before the whole migration is
-	// aborted (default 6).
-	MaxAttempts int
-	// PerEntryCPU is the virtual CPU a source charges per streamed entry
-	// - the scan/serialize cost the hot path pays for rebalancing
-	// (default 200ns).
-	PerEntryCPU sim.Time
-	// ChunkBytes caps one Send of the migration stream (default 16KB).
-	ChunkBytes int
-}
-
-func (cfg *MigratorConfig) applyDefaults() {
-	if cfg.JobTimeout <= 0 {
-		cfg.JobTimeout = 25 * sim.Millisecond
-	}
-	if cfg.RetryDelay <= 0 {
-		cfg.RetryDelay = 2 * sim.Millisecond
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 6
-	}
-	if cfg.PerEntryCPU <= 0 {
-		cfg.PerEntryCPU = 200 * sim.Nanosecond
-	}
-	if cfg.ChunkBytes <= 0 {
-		cfg.ChunkBytes = 16 * 1024
-	}
-}
+// The rebalancer's protocol constants.
+const (
+	// migrationJobTimeout bounds one transfer attempt before the
+	// coordinator retries from the next live source: generously above a
+	// stream of a full key share, well below the netstack giving up on a
+	// dead peer.
+	migrationJobTimeout = 25 * sim.Millisecond
+	// migrationRetryDelay spaces retries after an explicitly reported
+	// transfer failure.
+	migrationRetryDelay = 2 * sim.Millisecond
+	// migrationMaxAttempts bounds per-job attempts before the whole
+	// migration is aborted.
+	migrationMaxAttempts = 6
+	// migrationChunkBytes caps one Send of the migration stream.
+	migrationChunkBytes = 16 * 1024
+)
 
 // Migration is the record of one rebalance.
 type Migration struct {
@@ -250,9 +229,11 @@ type migrationRun struct {
 type Migrator struct {
 	cl   *Cluster
 	node *hosted.Node
-	cfg  MigratorConfig
 	id   core.Id
 	mgr  *event.Manager
+	// jobTimeout and perEntryCPU are migrationJobTimeout and
+	// costs.MigratePerEntryNs; tests that need a slow stream raise both.
+	jobTimeout, perEntryCPU sim.Time
 
 	nextId     uint64
 	cur        *migrationRun
@@ -263,15 +244,15 @@ type Migrator struct {
 
 // NewMigrator installs the rebalancer for the cluster on the given node
 // (the hosted frontend).
-func NewMigrator(cl *Cluster, node *hosted.Node, cfg MigratorConfig) *Migrator {
-	cfg.applyDefaults()
+func NewMigrator(cl *Cluster, node *hosted.Node) *Migrator {
 	m := &Migrator{
-		cl:         cl,
-		node:       node,
-		cfg:        cfg,
-		id:         cl.Sys.AllocateEbbId(),
-		mgr:        node.Runtime.Mgrs()[0],
-		registered: map[int]bool{},
+		cl:          cl,
+		node:        node,
+		id:          cl.Sys.AllocateEbbId(),
+		mgr:         node.Runtime.Mgrs()[0],
+		jobTimeout:  migrationJobTimeout,
+		perEntryCPU: costs.MigratePerEntryNs,
+		registered:  map[int]bool{},
 	}
 	// The coordinator collects transfer acknowledgments.
 	node.Messenger.Register(m.id, func(c *event.Ctx, src hosted.NodeId, payload []byte) {
@@ -429,7 +410,7 @@ func (m *Migrator) launch(j int) {
 	if run == nil || run.done[j] {
 		return
 	}
-	if run.attempt[j] >= m.cfg.MaxAttempts {
+	if run.attempt[j] >= migrationMaxAttempts {
 		m.abort()
 		return
 	}
@@ -463,7 +444,7 @@ func (m *Migrator) launch(j int) {
 			return
 		}
 		m.node.Messenger.Send(c, srcNode, m.id, payload)
-		run.timers[j] = m.mgr.After(m.cfg.JobTimeout, func(c *event.Ctx) {
+		run.timers[j] = m.mgr.After(m.jobTimeout, func(c *event.Ctx) {
 			if m.cur != run || run.done[j] {
 				return
 			}
@@ -522,7 +503,7 @@ func (m *Migrator) onAck(c *event.Ctx, payload []byte) {
 			return // a newer attempt owns the job
 		}
 		run.timers[j].Cancel()
-		run.timers[j] = m.mgr.After(m.cfg.RetryDelay, func(c *event.Ctx) {
+		run.timers[j] = m.mgr.After(migrationRetryDelay, func(c *event.Ctx) {
 			if m.cur != run || run.done[j] {
 				return
 			}
@@ -753,7 +734,7 @@ func (m *Migrator) stream(c *event.Ctx, b *Backend, coord hosted.NodeId, req xfe
 		}
 		return true
 	})
-	c.Charge(sim.Time(len(entries)) * m.cfg.PerEntryCPU)
+	c.Charge(sim.Time(len(entries)) * m.perEntryCPU)
 	ack := encodeAck(mgDone, req.migId, req.job, req.attempt, uint32(len(entries)))
 	if len(entries) == 0 {
 		b.Node.Messenger.Send(c, coord, m.id, ack)
@@ -770,7 +751,7 @@ func (m *Migrator) stream(c *event.Ctx, b *Backend, coord hosted.NodeId, req xfe
 			// Likewise the absolute expiry travels verbatim so the entry
 			// keeps its exact deadline at the new owner.
 			buf = append(buf, memcached.BuildAddStampedAbs([]byte(kv.key), kv.e.Value, kv.e.Flags, uint32(i), true, kv.e.CAS, int64(kv.e.Expires))...)
-			if len(buf) >= m.cfg.ChunkBytes {
+			if len(buf) >= migrationChunkBytes {
 				conn.Send(c, iobuf.Wrap(buf))
 				buf = nil
 			}

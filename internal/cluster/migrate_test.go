@@ -216,7 +216,7 @@ func TestJoinStreamsKeyShare(t *testing.T) {
 	cl := NewCluster(3, Options{Audit: audit.NewLog(ring)})
 	front := cl.Sys.Frontend()
 	cli := NewClientWithOptions(cl, front, ClientOptions{RequestTimeout: 8 * sim.Millisecond})
-	m := NewMigrator(cl, front, MigratorConfig{})
+	m := NewMigrator(cl, front)
 
 	const nKeys = 600
 	keys := make([][]byte, nKeys)
@@ -305,10 +305,8 @@ func TestDeleteDuringHandoffNotResurrected(t *testing.T) {
 	front := cl.Sys.Frontend()
 	cli := NewClientWithOptions(cl, front, ClientOptions{RequestTimeout: 8 * sim.Millisecond})
 	// Slow the stream so the deletes land while it is in flight.
-	m := NewMigrator(cl, front, MigratorConfig{
-		PerEntryCPU: 30 * sim.Microsecond,
-		JobTimeout:  15 * sim.Millisecond,
-	})
+	m := NewMigrator(cl, front)
+	m.perEntryCPU, m.jobTimeout = 30*sim.Microsecond, 15*sim.Millisecond
 	k := cl.Sys.K
 
 	const nKeys = 600
@@ -406,7 +404,7 @@ func TestDecommissionRestoresReplicas(t *testing.T) {
 	cl := NewCluster(4, Options{Replicas: replicas})
 	front := cl.Sys.Frontend()
 	cli := NewClientWithOptions(cl, front, ClientOptions{RequestTimeout: 8 * sim.Millisecond})
-	m := NewMigrator(cl, front, MigratorConfig{})
+	m := NewMigrator(cl, front)
 
 	const nKeys = 400
 	keys := make([][]byte, nKeys)
@@ -476,7 +474,7 @@ func TestLiveDecommissionDrains(t *testing.T) {
 	cl := NewCluster(3, Options{})
 	front := cl.Sys.Frontend()
 	cli := NewClientWithOptions(cl, front, ClientOptions{RequestTimeout: 8 * sim.Millisecond})
-	m := NewMigrator(cl, front, MigratorConfig{})
+	m := NewMigrator(cl, front)
 
 	const nKeys = 500
 	keys := make([][]byte, nKeys)

@@ -105,7 +105,7 @@ func TestGetMultiDuplicateKeysAnsweredIndependently(t *testing.T) {
 // cached key locally (no backend read) while the rest coalesce into one
 // round, misses resolving quietly through the fence.
 func TestGetMultiMixedHotCacheHitsAndMisses(t *testing.T) {
-	cl, cli := newHotCluster(1, HotKeyOptions{PromoteMin: 1, TTL: sim.Second})
+	cl, cli := newHotCluster(1, HotKeyOptions{PromoteMin: 1, ttl: sim.Second})
 	front := cl.Sys.Frontend()
 	hot, cold := []byte("mg-hot-key"), []byte("mg-cold-key")
 	populate(t, cl, cli, [][]byte{hot, cold}, func(i int) []byte { return []byte(fmt.Sprintf("hv-%d", i)) })
@@ -237,7 +237,7 @@ func TestGetMultiAcrossHandoffWindow(t *testing.T) {
 	cl := NewCluster(2, Options{FrontendCores: 2})
 	front := cl.Sys.Frontend()
 	cli := NewClientWithOptions(cl, front, ClientOptions{})
-	m := NewMigrator(cl, front, MigratorConfig{})
+	m := NewMigrator(cl, front)
 
 	const nKeys = 120
 	keys := make([][]byte, nKeys)

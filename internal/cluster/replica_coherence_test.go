@@ -108,7 +108,7 @@ func TestMigrationStreamPreservesStamp(t *testing.T) {
 	cl := NewCluster(3, Options{FrontendCores: 2})
 	front := cl.Sys.Frontend()
 	cli := NewClientWithOptions(cl, front, ClientOptions{})
-	m := NewMigrator(cl, front, MigratorConfig{})
+	m := NewMigrator(cl, front)
 
 	const nKeys = 400
 	keys := make([][]byte, nKeys)
@@ -187,7 +187,7 @@ func TestQuorumFoldShuffledAcks(t *testing.T) {
 func TestHotWriteSpreadSplitsLoad(t *testing.T) {
 	cl := NewCluster(8, Options{
 		FrontendCores: 2,
-		HotWrite:      HotWriteOptions{Enable: true, Salts: 3, PromoteMin: 4},
+		HotWrite:      HotWriteOptions{Enable: true, salts: 3, PromoteMin: 4},
 	})
 	front := cl.Sys.Frontend()
 	cli := NewClientWithOptions(cl, front, ClientOptions{})
@@ -280,7 +280,7 @@ func TestHotWriteSpreadSplitsLoad(t *testing.T) {
 // replica, so acked writes could be shadowed by older cached copies
 // until the TTL expired.
 func TestReadYourAckedWriteReplicated(t *testing.T) {
-	cl, cli := newReplicatedHotCluster(5, 3, HotKeyOptions{PromoteMin: 1, TTL: sim.Second})
+	cl, cli := newReplicatedHotCluster(5, 3, HotKeyOptions{PromoteMin: 1, ttl: sim.Second})
 	front := cl.Sys.Frontend()
 	mgrs := front.Runtime.Mgrs()
 
@@ -338,8 +338,8 @@ func TestReplicaCoherentNoStaleHit(t *testing.T) {
 	const ttl = 2 * sim.Millisecond
 	cl, cli := newReplicatedHotCluster(6, 3, HotKeyOptions{
 		PromoteMin:      1,
-		TTL:             ttl,
-		RevalidateEvery: 8,
+		ttl:             ttl,
+		revalidateEvery: 8,
 		StalenessProbe:  true,
 	})
 	front := cl.Sys.Frontend()

@@ -39,11 +39,11 @@ const (
 // tables plus the registered miss handlers. Ids are global; a Domain holds
 // only the local representatives.
 //
-// In the native domain each Ref owns a typed per-core representative array
-// (the analogue of the per-core virtual-memory region the C++ system
-// derefs into), so the fast path is one load, one nil check, and the call.
-// The hosted domain lacks that region and goes through per-core hash
-// tables - the slower path Table 1 quantifies.
+// Each Ref owns a typed per-core representative array (the analogue of the
+// per-core virtual-memory region the C++ system derefs into), so the fast
+// path is one load and one nil check, inlined at the call site. The hosted
+// domain lacks that region: its array stays empty and every dereference
+// goes through per-core hash tables - the slower path Table 1 quantifies.
 type Domain struct {
 	kind     TableKind
 	cores    int
@@ -112,9 +112,16 @@ func (d *Domain) Drop(core int, id Id) {
 // EbbRef template. Copies are cheap; dereferencing is the fast path the
 // paper measures in Table 1.
 type Ref[T any] struct {
-	id   Id
-	d    *Domain
-	reps []*T // native per-core table; nil in hosted domains
+	reps []*T // per-core table, one slot per core; never filled in hosted domains
+	*binding
+}
+
+// binding is what a Ref knows besides its table. It sits behind a pointer
+// so that a Ref is four words, which the compiler keeps in registers: a
+// loop calling Get copies nothing.
+type binding struct {
+	id Id
+	d  *Domain
 }
 
 // Allocate creates a new Ebb in the domain with a per-core miss handler
@@ -138,13 +145,9 @@ func Attach[T any](d *Domain, id Id, miss func(core int) *T) Ref[T] {
 		}
 		return rep
 	}
-	r := Ref[T]{id: id, d: d}
-	if d.kind == NativeTable {
-		reps := make([]*T, d.cores)
-		r.reps = reps
-		d.clear[id] = func(core int) { reps[core] = nil }
-	}
-	return r
+	reps := make([]*T, d.cores)
+	d.clear[id] = func(core int) { reps[core] = nil }
+	return Ref[T]{reps: reps, binding: &binding{id: id, d: d}}
 }
 
 // Id returns the Ebb's system-wide id.
@@ -153,18 +156,15 @@ func (r Ref[T]) Id() Id { return r.id }
 // Get dereferences the Ebb on the given core: the common case is a table
 // load and one conditional branch; a miss invokes the type-specific fault
 // handler, installs the new representative, and retries the fast path.
-// Hosted domains always take the slower path. Get is not inlined:
-// `go build -gcflags=-m=2` reports cost 89 against the inliner's budget
-// of 80, so every call site pays a call, which is why Table 1's Inline
-// Ebb row sits near Virtual rather than near Inline. ROADMAP item 10(b)
-// is the fix and the check that holds it.
+// Hosted domains always take the slower path. Get is inlined at its call
+// sites: it costs 79 of the inliner's budget of 80, because every domain
+// sizes reps to its cores, so the index's own bounds check stands in for
+// a length test. CI fails if `go build -gcflags=-m` stops reporting the
+// inlined call at Table 1's loopEbb and at the cluster client's rep, so a
+// field or branch added here must pay for itself.
 func (r Ref[T]) Get(core int) *T {
-	// A nil reps slice (hosted domain) has length zero, so one bounds
-	// comparison covers both the domain-kind test and the index check.
-	if reps := r.reps; core < len(reps) {
-		if rep := reps[core]; rep != nil {
-			return rep
-		}
+	if rep := r.reps[core]; rep != nil {
+		return rep
 	}
 	return r.getSlow(core)
 }
@@ -173,7 +173,7 @@ func (r Ref[T]) Get(core int) *T {
 //
 //go:noinline
 func (r Ref[T]) getSlow(core int) *T {
-	if r.reps == nil {
+	if r.d.kind == HostedTable {
 		if rep, ok := r.d.hashes[core][r.id]; ok {
 			return rep.(*T)
 		}
@@ -194,7 +194,7 @@ func (r Ref[T]) fault(core int) *T {
 
 func (r Ref[T]) install(core int, rep *T) {
 	r.d.installs++
-	if r.reps != nil {
+	if r.d.kind == NativeTable {
 		r.reps[core] = rep
 		return
 	}
@@ -203,7 +203,7 @@ func (r Ref[T]) install(core int, rep *T) {
 
 // GetIfPresent returns the core's representative without faulting one in.
 func (r Ref[T]) GetIfPresent(core int) (*T, bool) {
-	if r.reps != nil {
+	if r.d.kind == NativeTable {
 		rep := r.reps[core]
 		return rep, rep != nil
 	}

@@ -153,7 +153,7 @@ func TestDuplicateAttachPanics(t *testing.T) {
 
 func TestUnregisteredDerefPanics(t *testing.T) {
 	d := NewDomain(1, NativeTable)
-	ref := Ref[counter]{id: 999, d: d}
+	ref := Ref[counter]{reps: make([]*counter, 1), binding: &binding{id: 999, d: d}}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("deref of unknown id did not panic")

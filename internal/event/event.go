@@ -41,6 +41,7 @@ import (
 	"reflect"
 	"runtime"
 
+	"ebbrt/internal/costs"
 	"ebbrt/internal/machine"
 	"ebbrt/internal/sim"
 )
@@ -71,12 +72,12 @@ type Costs struct {
 	ContextSave sim.Time
 }
 
-// DefaultCosts returns the calibrated native runtime costs.
+// DefaultCosts returns the native runtime costs of the cost table.
 func DefaultCosts() Costs {
 	return Costs{
-		EventDispatch: 60 * sim.Nanosecond,
-		IdlePoll:      80 * sim.Nanosecond,
-		ContextSave:   120 * sim.Nanosecond,
+		EventDispatch: costs.EventDispatchNs,
+		IdlePoll:      costs.IdlePollNs,
+		ContextSave:   costs.ContextSaveNs,
 	}
 }
 
@@ -125,11 +126,11 @@ type IdleHandler struct {
 // NewManager creates the event manager for a core and installs itself as
 // the core's interrupt dispatcher. The core starts halted with interrupts
 // enabled, awaiting its first event.
-func NewManager(core *machine.Core, costs Costs) *Manager {
+func NewManager(core *machine.Core, rc Costs) *Manager {
 	m := &Manager{
 		core:     core,
 		k:        core.M.K,
-		costs:    costs,
+		costs:    rc,
 		handlers: map[int]Handler{},
 		nextVec:  vecFirstAllocatable,
 	}
@@ -303,7 +304,7 @@ func (m *Manager) kick() {
 // enabled and vector vec fired.
 func (m *Manager) onIRQ(vec int) {
 	m.core.DisableInterrupts()
-	m.runHandler(vec, m.core.M.Cfg.Costs.InterruptEntry)
+	m.runHandler(vec, costs.InterruptEntryNs)
 }
 
 // runHandler executes the handler for vec, charging base cost plus whatever
@@ -369,7 +370,7 @@ func (m *Manager) process() {
 		for _, rest := range p[1:] {
 			m.core.RaiseIRQ(rest) // re-latch the remainder in order
 		}
-		m.runHandler(vec, m.core.M.Cfg.Costs.InterruptEntry)
+		m.runHandler(vec, costs.InterruptEntryNs)
 		return
 	}
 	// (2) one synthetic event (spawn or blocked-context resumption).

@@ -111,7 +111,7 @@ func specAvailability(s Scale, log *audit.Log) Report {
 	// Bound one replica operation so reads fail over before the monitor
 	// evicts.
 	cli := cluster.NewClientWithOptions(cl, front, cluster.ClientOptions{RequestTimeout: 4 * sim.Millisecond})
-	mon := cluster.NewHealthMonitor(cl, front, cluster.HealthConfig{})
+	mon := cluster.NewHealthMonitor(cl, front)
 	k := cl.Sys.K
 	evictedAt, restoredAt := sim.Time(-1), sim.Time(-1)
 	cl.Watch(func(b int, up bool) {

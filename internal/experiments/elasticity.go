@@ -68,7 +68,7 @@ func (o elasticity) run(stream bool) elasticRun {
 	out := elasticRun{joinStream: -1, restoreR: -1}
 	var mig *cluster.Migrator
 	if stream {
-		mig = cluster.NewMigrator(cl, front, cluster.MigratorConfig{})
+		mig = cluster.NewMigrator(cl, front)
 		mig.OnComplete(func(m *cluster.Migration) {
 			if m.Aborted {
 				return

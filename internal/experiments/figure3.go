@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ebbrt/internal/audit"
+	"ebbrt/internal/costs"
 	"ebbrt/internal/sim"
 )
 
@@ -23,15 +24,8 @@ import (
 //     n cores the lock becomes an FCFS queue and the mean operation time
 //     degrades toward n times the lock-hold time.
 //
-// Per-pair costs are calibrated so one core lands near the paper's
-// absolute numbers (measurement = ten alloc/free pairs):
-// EbbRT ~680 cycles, jemalloc ~960, glibc from ~740 to ~2800 at 24 cores.
-const (
-	ebbrtPairNs    = 26.0
-	jemallocPairNs = 37.0
-	glibcLocalNs   = 24.0
-	glibcHoldNs    = 4.5
-)
+// The per-pair costs are internal/costs' allocator model (Alloc*),
+// calibrated so one core lands near the paper's absolute numbers.
 
 // specFigure3 reproduces the allocator scalability figure: mean cycles
 // per core to allocate and free an 8 B object ten times, at each core
@@ -40,7 +34,7 @@ const (
 // flat, jemalloc flat at roughly 1.42x EbbRT, glibc degrading
 // monotonically to roughly 3.8x EbbRT at 24 cores.
 func specFigure3(Scale, *audit.Log) Report {
-	ebbrt, jemalloc := ebbrtPairNs*10*paperGHz, jemallocPairNs*10*paperGHz
+	ebbrt, jemalloc := costs.AllocEbbRTPairNs*10*paperGHz, costs.AllocJemallocPairNs*10*paperGHz
 	rep := Report{Text: fmt.Sprintf("%-6s %10s %10s %10s\n", "Cores", "EbbRT", "glibc", "jemalloc")}
 	prev := 0.0
 	for _, n := range []int{1, 2, 4, 8, 12, 24} {
@@ -61,8 +55,8 @@ func glibcModel(n, measurements int) float64 {
 	clock := make([]sim.Time, n) // per-core virtual time
 	var lockBusy sim.Time        // lock occupied until
 	totalOps := n * measurements * 10
-	hold := sim.Time(glibcHoldNs * 10)   // fixed-point: tenths of ns
-	local := sim.Time(glibcLocalNs * 10) // fixed-point: tenths of ns
+	hold := sim.Time(costs.AllocGlibcHoldNs * 10)   // fixed-point: tenths of ns
+	local := sim.Time(costs.AllocGlibcLocalNs * 10) // fixed-point: tenths of ns
 	for op := 0; op < totalOps; op++ {
 		// Pick the core whose clock is earliest.
 		c := 0

@@ -112,7 +112,7 @@ func rogueWriter(cl *cluster.Cluster, etc load.ETCConfig, window sim.Time) load.
 // 4 sketch hits (the windows are short, so promotion must not eat most
 // of the run) and the staleness probe on.
 func fixedCache() cluster.HotKeyOptions {
-	return cluster.HotKeyOptions{Enable: true, StalenessProbe: true, PromoteMin: 4}.WithDefaults()
+	return cluster.HotKeyOptions{Enable: true, StalenessProbe: true, PromoteMin: 4}
 }
 
 // minHotKeyImprovement is the floor for how much of the skewed tail the
@@ -156,11 +156,11 @@ func specHotKey(s Scale, _ *audit.Log) Report {
 	tail := rows[len(rows)-1]
 	improvement := ratio(tail.onSpeed, tail.offSpeedup)
 	hotShare := tail.on.load.Keys.TopShare
-	ttlBounded := maxStale <= cache.TTL
+	ttlBounded := maxStale <= cluster.DefaultHotKeyTTL
 	tailBackends := counts[len(counts)-1]
 
 	text := fmt.Sprintf("HotKey: skew %.2f over %d keys, %.0f RPS/backend, hot-key cache %d entries/core, TTL %.1fms\n",
-		hotZipfSkew, keys, hotRPSPerBackend, cache.Capacity, float64(cache.TTL)/1e6)
+		hotZipfSkew, keys, hotRPSPerBackend, cluster.DefaultHotKeyCapacity, float64(cluster.DefaultHotKeyTTL)/1e6)
 	text += fmt.Sprintf("%-9s %10s | %10s %8s | %10s %8s %7s | %8s\n",
 		"Backends", "Offered", "off RPS", "speedup", "on RPS", "speedup", "hit%", "improve")
 	for i, r := range rows {
@@ -172,7 +172,7 @@ func specHotKey(s Scale, _ *audit.Log) Report {
 	text += fmt.Sprintf("hot-key share (top %d keys): %.1f%% of offered ops\n", len(tail.on.load.Keys.TopK), 100*hotShare)
 	text += fmt.Sprintf("skewed-tail improvement at %d backends: %.2fx\n", tailBackends, improvement)
 	text += fmt.Sprintf("staleness probe: %d stale serves, max stale age %.3fms <= TTL %.3fms: %s\n",
-		staleServes, float64(maxStale)/1e6, float64(cache.TTL)/1e6, verdict(ttlBounded))
+		staleServes, float64(maxStale)/1e6, float64(cluster.DefaultHotKeyTTL)/1e6, verdict(ttlBounded))
 
 	rep := Report{Text: text}
 	rep.metric("hotkey_backends", tailBackends)
@@ -182,10 +182,10 @@ func specHotKey(s Scale, _ *audit.Log) Report {
 	rep.metric("hotkey_cache_hit_rate", tail.on.cache.HitRate())
 	rep.metric("hot_key_share_top10", hotShare)
 	rep.metric("max_stale_age_ms", float64(maxStale)/1e6)
-	rep.metric("ttl_ms", float64(cache.TTL)/1e6)
+	rep.metric("ttl_ms", float64(cluster.DefaultHotKeyTTL)/1e6)
 	rep.metric("ttl_bounded", ttlBounded)
 	rep.metric("floor_hotkey_improvement", minHotKeyImprovement)
-	rep.require(ttlBounded, "stale serve exceeded the TTL: max age %v > %v", maxStale, cache.TTL)
+	rep.require(ttlBounded, "stale serve exceeded the TTL: max age %v > %v", maxStale, cluster.DefaultHotKeyTTL)
 	rep.require(staleServes > 0, "staleness probe never fired despite the rogue writer")
 	rep.require(improvement >= minHotKeyImprovement, "hot-key improvement %.2fx at %d backends below floor %.2fx", improvement, tailBackends, minHotKeyImprovement)
 	rep.require(tail.onSpeed > tail.offSpeedup, "cache-on speedup %.2fx not above cache-off %.2fx", tail.onSpeed, tail.offSpeedup)
@@ -232,11 +232,11 @@ func specReplicatedHotKey(s Scale, _ *audit.Log) Report {
 	keys := pick(s, 4000, 6000)
 	cache := fixedCache()
 	off := skewedPoint(backends, replicas, window, keys, cluster.HotKeyOptions{}, cluster.HotWriteOptions{})
-	on := skewedPoint(backends, replicas, window, keys, cache, cluster.HotWriteOptions{Enable: true}.WithDefaults())
+	on := skewedPoint(backends, replicas, window, keys, cache, cluster.HotWriteOptions{Enable: true})
 	improvement := ratio(on.load.AchievedRPS, off.load.AchievedRPS)
 	offShare, onShare := hottestShare(off.cl), hottestShare(on.cl)
 	hw := on.cl.HotWriteStats()
-	ttlBounded := on.cache.MaxStaleAge <= cache.TTL
+	ttlBounded := on.cache.MaxStaleAge <= cluster.DefaultHotKeyTTL
 
 	text := fmt.Sprintf("ReplicatedHotKey: %d backends, R=%d, skew %.2f over %d keys, %.0f RPS/backend\n",
 		backends, replicas, hotZipfSkew, keys, hotRPSPerBackend)
@@ -250,7 +250,7 @@ func specReplicatedHotKey(s Scale, _ *audit.Log) Report {
 	text += fmt.Sprintf("write spreading: %d keys promoted, %d salted writes, %d targeted reads (%d fan-in fallbacks)\n",
 		hw.Promoted, hw.SaltedWrites, hw.SaltedReads, hw.SaltedFanIns)
 	text += fmt.Sprintf("staleness probe (all owners, all shards): %d stale serves, max stale age %.3fms <= TTL %.3fms: %s\n",
-		on.cache.StaleServes, float64(on.cache.MaxStaleAge)/1e6, float64(cache.TTL)/1e6, verdict(ttlBounded))
+		on.cache.StaleServes, float64(on.cache.MaxStaleAge)/1e6, float64(cluster.DefaultHotKeyTTL)/1e6, verdict(ttlBounded))
 
 	rep := Report{Text: text}
 	rep.metric("backends", backends)
@@ -266,10 +266,10 @@ func specReplicatedHotKey(s Scale, _ *audit.Log) Report {
 	rep.metric("baseline_hottest_node_share", offShare)
 	rep.metric("fixed_hottest_node_share", onShare)
 	rep.metric("max_stale_age_ms", float64(on.cache.MaxStaleAge)/1e6)
-	rep.metric("ttl_ms", float64(cache.TTL)/1e6)
+	rep.metric("ttl_ms", float64(cluster.DefaultHotKeyTTL)/1e6)
 	rep.metric("ttl_bounded", ttlBounded)
 	rep.metric("floor_improvement", minR3Improvement)
-	rep.require(ttlBounded, "stale serve exceeded the TTL on some replica: max age %v > %v", on.cache.MaxStaleAge, cache.TTL)
+	rep.require(ttlBounded, "stale serve exceeded the TTL on some replica: max age %v > %v", on.cache.MaxStaleAge, cluster.DefaultHotKeyTTL)
 	rep.require(on.cache.StaleServes > 0, "staleness probe never fired despite the rogue writer")
 	rep.require(improvement >= minR3Improvement, "R=%d improvement %.2fx below floor %.2fx", replicas, improvement, minR3Improvement)
 	rep.require(on.cache.HitRate() >= 0.3, "cache hit rate %.2f below 0.3 under skew %.2f", on.cache.HitRate(), hotZipfSkew)

@@ -126,8 +126,7 @@ func specLossy(s Scale, _ *audit.Log) Report {
 	backends := pick(s, 2, 4)
 	rps := pick(s, 10000.0, 20000)
 	window := pick(s, 60*sim.Millisecond, 100*sim.Millisecond)
-	fixedNet := netstack.DefaultConfig()
-	fixedNet.AdaptiveRTO, fixedNet.FastRetransmit = false, false
+	fixedNet := netstack.Config{FixedRTO: true, NoFastRetransmit: true}
 
 	text := fmt.Sprintf("Lossy link: %d backends, R=%d, %.0f RPS offered, %.0fms window, loss at the switch\n",
 		backends, 2, rps, float64(window)/1e6)
@@ -137,7 +136,7 @@ func specLossy(s Scale, _ *audit.Log) Report {
 	var ad, fixed lossyRun
 	var gated float64
 	for _, rate := range pick(s, []float64{0.05}, []float64{0.01, 0.05, 0.10}) {
-		a := runLossy(backends, rps, window, rate, netstack.DefaultConfig())
+		a := runLossy(backends, rps, window, rate, netstack.Config{})
 		f := runLossy(backends, rps, window, rate, fixedNet)
 		// When the fixed baseline completes nothing inside the window the
 		// ratio reports 999 (effectively infinite).

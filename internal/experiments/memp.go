@@ -206,7 +206,7 @@ const minMempHitRate = 0.55
 func specMemoryPressure(s Scale, _ *audit.Log) Report {
 	rps := pick(s, 60000.0, 120000)
 	window := pick(s, 25*sim.Millisecond, 60*sim.Millisecond)
-	cache := cluster.HotKeyOptions{Enable: true, PromoteMin: pick[uint32](s, 0, 4)}.WithDefaults()
+	cache := cluster.HotKeyOptions{Enable: true, PromoteMin: pick[uint32](s, 0, 4)}
 	lru := mempPoint(memcached.EvictLRU, rps, window, cache)
 	fifo := mempPoint(memcached.EvictFIFO, rps, window, cache)
 	rows := []mempRow{lru, fifo}

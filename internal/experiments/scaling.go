@@ -87,7 +87,7 @@ func specScaling(s Scale, _ *audit.Log) Report {
 func clusterDemo() string {
 	cl := cluster.New(4, 1)
 	front := cl.Sys.Frontend()
-	cli := cluster.NewClient(cl, front, 0)
+	cli := cluster.NewClient(cl, front)
 
 	keys := []string{"alpha", "bravo", "charlie", "delta", "echo", "foxtrot"}
 	fetched := map[string]string{}

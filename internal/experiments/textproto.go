@@ -18,7 +18,7 @@ import (
 // two runs differ only in the wire format - the arrival process, key
 // routing, connection pools, and backends are identical - so the gap
 // between the curves is the text path's cost: per-byte command-line
-// tokenization at the server (memcached.textParsePerByte) and the
+// tokenization at the server (costs.MemcachedTextParseNsPerByte) and the
 // larger, line-framed responses. The ROADMAP's motivation for speaking
 // text at all is compatibility (stock clients and benchmarks), so the
 // experiment's question is what that compatibility costs at cluster

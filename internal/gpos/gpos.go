@@ -20,6 +20,7 @@ package gpos
 
 import (
 	"ebbrt/internal/apps/appnet"
+	"ebbrt/internal/costs"
 	"ebbrt/internal/event"
 	"ebbrt/internal/iobuf"
 	"ebbrt/internal/machine"
@@ -27,12 +28,12 @@ import (
 	"ebbrt/internal/sim"
 )
 
-// Config carries the OS cost model.
+// Config is one OS profile: which of internal/costs' general-purpose OS
+// constants a runtime charges.
 type Config struct {
 	// Label names the profile in experiment output.
 	Label string
-	// Syscall is the user->kernel->user crossing cost (virtualization
-	// raises it slightly; calibrated per profile).
+	// Syscall is the user->kernel->user crossing cost.
 	Syscall sim.Time
 	// CopyPerByte is the user/kernel copy cost each direction.
 	CopyPerByte float64 // ns per byte
@@ -61,20 +62,20 @@ type Config struct {
 
 // LinuxConfig is the Linux guest/host cost profile (paper's Debian 8,
 // kernel 3.16). The same profile serves virtualized and native runs; the
-// virtualization delta lives in the machine's device cost model.
+// virtualization delta lives in the machine's device path.
 func LinuxConfig() Config {
 	return Config{
 		Label:            "Linux",
-		Syscall:          400 * sim.Nanosecond,
-		CopyPerByte:      0.12,
-		SoftirqPerPacket: 1200 * sim.Nanosecond,
-		WakeupLatency:    2500 * sim.Nanosecond,
-		CtxSwitch:        2000 * sim.Nanosecond,
-		TickInterval:     1 * sim.Millisecond,
-		TickCost:         2500 * sim.Nanosecond,
-		WakeupJitterMean: 4000 * sim.Nanosecond,
-		TailSpikeProb:    0.02,
-		TailSpikeMean:    90 * sim.Microsecond,
+		Syscall:          costs.LinuxSyscallNs,
+		CopyPerByte:      costs.LinuxCopyNsPerByte,
+		SoftirqPerPacket: costs.LinuxSoftirqPerPacketNs,
+		WakeupLatency:    costs.LinuxWakeupNs,
+		CtxSwitch:        costs.LinuxCtxSwitchNs,
+		TickInterval:     costs.LinuxTickIntervalNs,
+		TickCost:         costs.LinuxTickNs,
+		WakeupJitterMean: costs.LinuxWakeupJitterMeanNs,
+		TailSpikeProb:    costs.LinuxTailSpikeProb,
+		TailSpikeMean:    costs.LinuxTailSpikeMeanNs,
 	}
 }
 
@@ -84,17 +85,17 @@ func LinuxConfig() Config {
 func OSvConfig() Config {
 	return Config{
 		Label:                "OSv",
-		Syscall:              80 * sim.Nanosecond,
-		CopyPerByte:          0.02, // internal handoffs, no user crossing
-		SoftirqPerPacket:     1500 * sim.Nanosecond,
-		WakeupLatency:        2200 * sim.Nanosecond,
-		CtxSwitch:            900 * sim.Nanosecond,
-		TickInterval:         1 * sim.Millisecond,
-		TickCost:             2000 * sim.Nanosecond,
-		LockPerPacketPerCore: 500 * sim.Nanosecond,
-		WakeupJitterMean:     3500 * sim.Nanosecond,
-		TailSpikeProb:        0.02,
-		TailSpikeMean:        80 * sim.Microsecond,
+		Syscall:              costs.OSvSyscallNs,
+		CopyPerByte:          costs.OSvCopyNsPerByte,
+		SoftirqPerPacket:     costs.OSvSoftirqPerPacketNs,
+		WakeupLatency:        costs.OSvWakeupNs,
+		CtxSwitch:            costs.OSvCtxSwitchNs,
+		TickInterval:         costs.OSvTickIntervalNs,
+		TickCost:             costs.OSvTickNs,
+		LockPerPacketPerCore: costs.OSvLockPerPacketPerCoreNs,
+		WakeupJitterMean:     costs.OSvWakeupJitterMeanNs,
+		TailSpikeProb:        costs.OSvTailSpikeProb,
+		TailSpikeMean:        costs.OSvTailSpikeMeanNs,
 	}
 }
 

@@ -98,9 +98,9 @@ type SystemOptions struct {
 	// FrontendCores sizes the hosted node (default 2).
 	FrontendCores int
 	// Net is the network stack configuration every node (frontend and
-	// native) boots with. The zero value selects
-	// netstack.DefaultConfig(); experiments override it to ablate
-	// transport features (e.g. fixed- vs adaptive-RTO baselines).
+	// native) boots with. The zero value is the calibrated stack;
+	// experiments set its fields to ablate transport features (e.g. the
+	// fixed-RTO baseline).
 	Net netstack.Config
 	// Audit, when non-nil, is wired into every node's network stack so
 	// TCP state transitions and loss-recovery actions are published as
@@ -123,9 +123,6 @@ func NewSystemCores(frontendCores int) *System {
 func NewSystemOpts(opt SystemOptions) *System {
 	if opt.FrontendCores <= 0 {
 		opt.FrontendCores = 2
-	}
-	if opt.Net.MSS == 0 {
-		opt.Net = netstack.DefaultConfig()
 	}
 	k := sim.NewKernel()
 	s := &System{K: k, Switch: machine.NewSwitch(k), nextId: 1000, netCfg: opt.Net, auditLog: opt.Audit}

@@ -17,6 +17,7 @@ package jsvm
 import (
 	"fmt"
 
+	"ebbrt/internal/costs"
 	"ebbrt/internal/sim"
 )
 
@@ -45,10 +46,10 @@ func EbbRTEnv() Env {
 func LinuxEnv() Env {
 	return Env{
 		Label:         "Linux",
-		PageFault:     2300 * sim.Nanosecond,
-		TickInterval:  1 * sim.Millisecond,
-		TickCost:      1800 * sim.Nanosecond,
-		TickPollution: 9500 * sim.Nanosecond,
+		PageFault:     costs.JSPageFaultNs,
+		TickInterval:  costs.JSTickIntervalNs,
+		TickCost:      costs.JSTickNs,
+		TickPollution: costs.JSTickPollutionNs,
 	}
 }
 
@@ -150,9 +151,6 @@ func (rt *Runtime) charge(d sim.Time) {
 // Benchmarks call it for their compute phases; allocation charges itself.
 func (rt *Runtime) Work(n int) { rt.charge(sim.Time(n)) }
 
-// allocCost is the engine-side cost of a bump allocation.
-const allocCost = 4 * sim.Nanosecond
-
 // NewObject allocates an object with n slots.
 func (rt *Runtime) NewObject(n int) *Object {
 	size := 16 + 16*n
@@ -187,7 +185,7 @@ func (rt *Runtime) NewString(s string) Value {
 // past memory it has already touched - EbbRT pre-maps the reservation and
 // never faults (paper §4.3).
 func (rt *Runtime) account(size int64) {
-	rt.charge(allocCost)
+	rt.charge(costs.JSAllocNs)
 	rt.totalAlloc += size
 	rt.heapBytes += size
 	rt.liveBytes += size
@@ -281,7 +279,7 @@ func (rt *Runtime) gc() {
 		rt.gcTrigger = minGCTrigger
 	}
 	// Collection cost: tracing live objects plus sweeping dead ones.
-	rt.charge(sim.Time(marked*14 + swept*6))
+	rt.charge(sim.Time(marked)*costs.JSMarkPerObjectNs + sim.Time(swept)*costs.JSSweepPerObjectNs)
 }
 
 // Stats summarizes a run's allocation, paging and collection counters.

@@ -35,7 +35,7 @@ func newShardedNet(t *testing.T, servers, clientCores int) *shardedNet {
 		for i, c := range m.Cores {
 			mgrs[i] = event.NewManager(c, event.DefaultCosts())
 		}
-		st := netstack.NewStack(m, mgrs, netstack.DefaultConfig())
+		st := netstack.NewStack(m, mgrs, netstack.Config{})
 		itf := st.AddInterface(nic, ip, mask)
 		return appnet.NewNative(st, itf)
 	}

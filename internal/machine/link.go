@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"ebbrt/internal/costs"
 	"ebbrt/internal/sim"
 )
 
@@ -9,10 +10,6 @@ import (
 // paper's testbed. Each direction serializes frames independently.
 type Link struct {
 	K *sim.Kernel
-	// BitsPerSecond is the line rate (default 10 Gb/s).
-	BitsPerSecond float64
-	// Propagation is the one-way flight time.
-	Propagation sim.Time
 	// DropFn, when set, is consulted per frame (with a monotonically
 	// increasing index) and may drop it - fault injection for
 	// retransmission tests. Deterministic by construction.
@@ -26,15 +23,14 @@ type Link struct {
 
 // NewLink creates a 10GbE-like link between two NICs and attaches both.
 func NewLink(k *sim.Kernel, a, b *NIC) *Link {
-	l := &Link{K: k, BitsPerSecond: 10e9, Propagation: 300 * sim.Nanosecond}
-	l.a, l.b = a, b
+	l := &Link{K: k, a: a, b: b}
 	a.Attach(linkEnd{l, true})
 	b.Attach(linkEnd{l, false})
 	return l
 }
 
 func (l *Link) serialization(bytes int) sim.Time {
-	return sim.Time(float64(bytes*8) / l.BitsPerSecond * 1e9)
+	return sim.Time(float64(bytes*8) / costs.LinkBitsPerSecond * 1e9)
 }
 
 func (l *Link) send(fl *flight, fromA bool) {
@@ -58,7 +54,7 @@ func (l *Link) send(fl *flight, fromA bool) {
 	txDone := start + l.serialization(fl.size)
 	*busy = txDone
 	fl.dst, fl.stage = dst, stageWire
-	l.K.PostAt(txDone+l.Propagation, fl.run)
+	l.K.PostAt(txDone+costs.LinkPropagationNs, fl.run)
 }
 
 // linkEnd is the Port a NIC transmits into.
@@ -74,10 +70,6 @@ func (e linkEnd) carry(fl *flight) { e.l.send(fl, e.fromA) }
 // hang all machines off one switch.
 type Switch struct {
 	K *sim.Kernel
-	// BitsPerSecond is each port's line rate.
-	BitsPerSecond float64
-	// Latency is the store-and-forward switching delay.
-	Latency sim.Time
 	// DropFn, when set, is consulted per ingress frame (with a
 	// monotonically increasing index) and may drop it - the switch-level
 	// analogue of Link.DropFn, for injecting frame loss into multi-node
@@ -91,7 +83,7 @@ type Switch struct {
 
 // NewSwitch creates an empty switch.
 func NewSwitch(k *sim.Kernel) *Switch {
-	return &Switch{K: k, BitsPerSecond: 10e9, Latency: 500 * sim.Nanosecond, table: map[MAC]*switchPort{}}
+	return &Switch{K: k, table: map[MAC]*switchPort{}}
 }
 
 // Connect attaches a NIC to a new switch port.
@@ -142,11 +134,11 @@ func (s *Switch) forward(fl *flight, from *switchPort) {
 
 func (s *Switch) deliver(fl *flight, out *switchPort) {
 	now := s.K.Now()
-	start := now + s.Latency
+	start := now + costs.SwitchLatencyNs
 	if out.busyUntil > start {
 		start = out.busyUntil
 	}
-	done := start + sim.Time(float64(fl.size*8)/s.BitsPerSecond*1e9)
+	done := start + sim.Time(float64(fl.size*8)/costs.SwitchBitsPerSecond*1e9)
 	out.busyUntil = done
 	fl.dst, fl.stage = out.nic, stageWire
 	s.K.PostAt(done, fl.run)

@@ -6,7 +6,8 @@
 // This package is the substitution for the paper's physical testbed (two
 // Xeon servers with Intel X520 10GbE NICs running KVM guests). The EbbRT
 // runtime logic above it - event loops, drivers, network stack - is real
-// code; only the silicon and the hypervisor's packet path are cost models.
+// code; only the silicon and the hypervisor's packet path are cost models,
+// whose constants live in internal/costs.
 // All behaviour is deterministic: the machine schedules everything on a
 // sim.Kernel. A frame rides one pooled record (type flight) from Transmit
 // to the receiver's interrupt, so no hop allocates; a record returns to the
@@ -38,9 +39,6 @@ type Config struct {
 	// NICQueues is the number of NIC receive queues. Multiqueue enables
 	// flow steering across cores; OSv's virtio-net lacked it (paper §4.2).
 	NICQueues int
-	// Costs is the device/hypervisor cost model. Zero-valued fields are
-	// filled with defaults by New.
-	Costs CostModel
 }
 
 // DefaultConfig returns a configuration resembling one guest of the paper's
@@ -78,7 +76,6 @@ func New(k *sim.Kernel, cfg Config) *Machine {
 	if cfg.NICQueues <= 0 {
 		cfg.NICQueues = 1
 	}
-	cfg.Costs.applyDefaults()
 	m := &Machine{K: k, Cfg: cfg}
 	perNode := (cfg.Cores + cfg.NumaNodes - 1) / cfg.NumaNodes
 	for i := 0; i < cfg.Cores; i++ {

@@ -3,6 +3,7 @@ package machine
 import (
 	"fmt"
 
+	"ebbrt/internal/costs"
 	"ebbrt/internal/iobuf"
 	"ebbrt/internal/sim"
 )
@@ -168,9 +169,9 @@ func (q *RxQueue) DisableIRQ() { q.irqEnabled = false }
 // IRQEnabled reports whether the interrupt is unmasked.
 func (q *RxQueue) IRQEnabled() bool { return q.irqEnabled }
 
-// NIC models a virtio-net device (or the bare-metal X520 when the machine
-// is not virtualized - the virtio/vhost costs drop to zero contributions on
-// that path is controlled by Machine.Cfg.Virtualized).
+// NIC models a virtio-net device, or the bare-metal X520 when the machine
+// is not virtualized (Machine.Cfg.Virtualized): then a frame pays neither
+// the virtio kick nor vhost nor an injected interrupt, only the NIC itself.
 type NIC struct {
 	M      *Machine
 	Mac    MAC
@@ -236,10 +237,9 @@ func (n *NIC) Transmit(f Frame, extraDelay sim.Time) {
 	fl := n.newFlight(f, f.Len())
 	n.TxFrames.Inc()
 	n.TxBytes.AddN(uint64(fl.size))
-	costs := &n.M.Cfg.Costs
-	d := extraDelay + costs.NICLatency
+	d := extraDelay + costs.NICLatencyNs
 	if n.M.Cfg.Virtualized {
-		d += costs.VirtioKick + costs.VhostPerPacket
+		d += costs.VirtioKickNs + costs.VhostPerPacketNs
 	}
 	fl.stage = stageDevice
 	n.M.K.Post(d, fl.run)
@@ -249,9 +249,9 @@ func (n *NIC) Transmit(f Frame, extraDelay sim.Time) {
 // path (the virtio kick); runtimes charge this to the sending event.
 func (n *NIC) TxCPUCost() sim.Time {
 	if n.M.Cfg.Virtualized {
-		return n.M.Cfg.Costs.VirtioKick
+		return costs.VirtioKickNs
 	}
-	return 200 * sim.Nanosecond
+	return costs.NativeTxNs
 }
 
 // Deliver hands the NIC a frame as if its port had: the way in for frames
@@ -262,7 +262,7 @@ func (n *NIC) Deliver(f Frame) { n.arrive(n.newFlight(f, f.Len())) }
 // hypervisor charges vhost processing plus the reception copy; enqueue
 // then selects a receive queue by flow hash and injects an interrupt if
 // the queue is unmasked. The frame is physically copied into guest memory -
-// the hypervisor copy both systems pay (paper §4.1.3, charged as RxCopy)
+// the hypervisor copy both systems pay (paper §4.1.3, costs.RxCopyNsPerByte)
 // and the one physical copy a direction makes - into one recycled MTU
 // buffer of this NIC's. The chain it read from is the sender's, borrowed
 // from the application and the retransmission tracker; the flight lets go
@@ -277,10 +277,9 @@ func (n *NIC) arrive(fl *flight) {
 	fl.f.Buf.ForEach(func(e *iobuf.IOBuf) { copy(guest.Append(e.Length()), e.Data()) })
 	fl.f.Buf.Free()
 	fl.f.Buf = guest
-	costs := &n.M.Cfg.Costs
-	d := costs.RxCopy(fl.size)
+	d := sim.Time(costs.RxCopyNsPerByte * float64(fl.size))
 	if n.M.Cfg.Virtualized {
-		d += costs.VhostPerPacket
+		d += costs.VhostPerPacketNs
 	}
 	fl.dst, fl.stage = n, stageRxCopy
 	n.M.K.Post(d, fl.run)
@@ -296,7 +295,7 @@ func (n *NIC) enqueue(fl *flight) {
 	irq := q.irqEnabled && q.core != nil
 	if irq && n.M.Cfg.Virtualized {
 		fl.q, fl.stage = q, stageIRQ
-		n.M.K.Post(n.M.Cfg.Costs.IRQInject, fl.run)
+		n.M.K.Post(costs.IRQInjectNs, fl.run)
 		return
 	}
 	fl.release()

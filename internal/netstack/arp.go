@@ -39,7 +39,7 @@ func (itf *Interface) arpFind(c *event.Ctx, ip Ipv4Addr) future.Future[EthAddr] 
 	if first {
 		itf.sendArp(c, arpOpRequest, machine.Broadcast, ip)
 		mgr := c.Manager()
-		mgr.After(itf.St.Cfg.ArpTimeout, func(*event.Ctx) {
+		mgr.After(arpTimeout, func(*event.Ctx) {
 			waiters := itf.arp.pending[ip]
 			if len(waiters) == 0 {
 				return // resolved in time

@@ -135,7 +135,7 @@ func (itf *Interface) DhcpClient(c *event.Ctx) future.Future[DhcpLease] {
 		return future.Fail[DhcpLease](err)
 	}
 	state.sendDiscover(c)
-	c.Manager().After(itf.St.Cfg.ArpTimeout*10, func(*event.Ctx) {
+	c.Manager().After(arpTimeout*10, func(*event.Ctx) {
 		if !state.done {
 			state.done = true
 			itf.UnbindUdp(dhcpClientPort)

@@ -83,7 +83,7 @@ func (itf *Interface) Ping(c *event.Ctx, dst Ipv4Addr, seq uint16) future.Future
 	binary.BigEndian.PutUint16(pkt[2:4], ck)
 	itf.sendIcmp(c, dst, pkt)
 
-	c.Manager().After(itf.St.Cfg.ArpTimeout*10, func(*event.Ctx) {
+	c.Manager().After(arpTimeout*10, func(*event.Ctx) {
 		if cur, ok := itf.pings[key]; ok && cur == st {
 			delete(itf.pings, key)
 			st.promise.SetError(errPingTimeout)

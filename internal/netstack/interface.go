@@ -3,6 +3,7 @@ package netstack
 import (
 	"fmt"
 
+	"ebbrt/internal/costs"
 	"ebbrt/internal/event"
 	"ebbrt/internal/future"
 	"ebbrt/internal/iobuf"
@@ -48,8 +49,7 @@ type queueDriver struct {
 // polling.
 func (d *queueDriver) onIRQ(c *event.Ctx) {
 	n := d.drain(c)
-	cfg := &d.itf.St.Cfg
-	if cfg.AdaptivePolling && n >= cfg.PollBatchThreshold && d.idle == nil {
+	if !d.itf.St.Cfg.NoPolling && n >= pollBatchThreshold && d.idle == nil {
 		// High interrupt rate: mask the queue and poll from the idle loop.
 		d.q.DisableIRQ()
 		d.emptyPolls = 0
@@ -63,7 +63,7 @@ func (d *queueDriver) poll(c *event.Ctx) {
 	n := d.drain(c)
 	if n == 0 {
 		d.emptyPolls++
-		if d.emptyPolls >= d.itf.St.Cfg.PollIdleRounds {
+		if d.emptyPolls >= pollIdleRounds {
 			// Arrival rate dropped: return to interrupt-driven execution.
 			d.mgr.RemoveIdleHandler(d.idle)
 			d.idle = nil
@@ -101,7 +101,7 @@ func (d *queueDriver) drain(c *event.Ctx) int {
 // each layer strips its header with Advance and the application gets a
 // view of that one buffer.
 func (itf *Interface) receive(c *event.Ctx, buf *iobuf.IOBuf) {
-	c.Charge(itf.St.Cfg.PerPacketCPU)
+	c.Charge(costs.StackPerPacketNs)
 	if f := itf.St.Cfg.ForceCopyPerByte; f > 0 {
 		c.Charge(sim.Time(f * float64(buf.ComputeChainDataLength())))
 	}

@@ -38,8 +38,8 @@ func newTestNet(t *testing.T, coresA, coresB int) *testNet {
 	for _, c := range mb.Cores {
 		mgrsB = append(mgrsB, event.NewManager(c, event.DefaultCosts()))
 	}
-	sa := NewStack(ma, mgrsA, DefaultConfig())
-	sb := NewStack(mb, mgrsB, DefaultConfig())
+	sa := NewStack(ma, mgrsA, Config{})
+	sb := NewStack(mb, mgrsB, Config{})
 	itfA := sa.AddInterface(na, IP(10, 0, 0, 1), IP(255, 255, 255, 0))
 	itfB := sb.AddInterface(nb, IP(10, 0, 0, 2), IP(255, 255, 255, 0))
 	return &testNet{k: k, a: sa, b: sb, itfA: itfA, itfB: itfB, link: link}
@@ -520,8 +520,7 @@ func TestPollingDisabledAblation(t *testing.T) {
 	machine.NewLink(k, na, nb)
 	mgrA := event.NewManager(ma.Cores[0], event.DefaultCosts())
 	mgrB := event.NewManager(mb.Cores[0], event.DefaultCosts())
-	cfg := DefaultConfig()
-	cfg.AdaptivePolling = false
+	cfg := Config{NoPolling: true}
 	sa := NewStack(ma, []*event.Manager{mgrA}, cfg)
 	sb := NewStack(mb, []*event.Manager{mgrB}, cfg)
 	itfA := sa.AddInterface(na, IP(10, 0, 0, 1), IP(255, 255, 255, 0))

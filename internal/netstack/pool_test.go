@@ -180,7 +180,7 @@ func TestPooledBuffersComeHome(t *testing.T) {
 	a.stream(n.a.Mgrs[p.client.Core()], 256<<10, 0x00)
 	b.stream(n.b.Mgrs[p.server.Core()], 256<<10, 0xff)
 	// Go-back-one recovery pays a timeout for all but the first hole in a
-	// window, and the timeout grows to RTOMax: this takes two virtual minutes.
+	// window, and the timeout grows to rtoMax: this takes two virtual minutes.
 	n.k.RunFor(200 * sim.Second)
 	if !bytes.Equal(a.in, b.out) || !bytes.Equal(b.in, a.out) {
 		t.Fatalf("lossy streams: a received %d of %d bytes, b %d of %d", len(a.in), len(b.out), len(b.in), len(a.out))
@@ -263,7 +263,7 @@ func TestPooledBuffersComeHomeThroughFlood(t *testing.T) {
 		m := machine.New(k, machine.DefaultConfig("m", 1))
 		nic := machine.NewNIC(m, machine.MAC{0, 0, 0, 0, 0, byte(i + 1)})
 		sw.Connect(nic)
-		st := NewStack(m, []*event.Manager{event.NewManager(m.Cores[0], event.DefaultCosts())}, DefaultConfig())
+		st := NewStack(m, []*event.Manager{event.NewManager(m.Cores[0], event.DefaultCosts())}, Config{})
 		itfs[i] = st.AddInterface(nic, IP(10, 0, 0, byte(i+1)), IP(255, 255, 255, 0))
 	}
 	const port = 9000

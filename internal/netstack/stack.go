@@ -1,6 +1,8 @@
 package netstack
 
 import (
+	"cmp"
+
 	"ebbrt/internal/audit"
 	"ebbrt/internal/event"
 	"ebbrt/internal/iobuf"
@@ -8,74 +10,62 @@ import (
 	"ebbrt/internal/sim"
 )
 
-// Config carries the stack's tunables and CPU cost knobs. Costs model the
-// short code path of the native environment; the GPOS baseline charges its
-// own, larger, per-operation costs on top of the same protocol logic.
+// Config names the ablations a stack can be built with. The zero value
+// is the calibrated native stack: adaptive RTO, fast retransmit, adaptive
+// polling, no copies, and the costs of internal/costs. The GPOS baseline
+// runs the same protocol logic and charges its own, larger, per-operation
+// costs on top.
 type Config struct {
-	// PerPacketCPU is the stack processing cost per packet per direction
-	// (header parse/build, demux, connection lookup).
-	PerPacketCPU sim.Time
-	// AppDeliverCPU is the cost of invoking the application handler
-	// (function call, IOBuf bookkeeping).
-	AppDeliverCPU sim.Time
-	// ArpTimeout bounds an unanswered ARP resolution.
-	ArpTimeout sim.Time
-	// RTO is the initial TCP retransmission timeout, used until the
-	// connection has taken its first RTT sample (and for the connection's
-	// whole life when AdaptiveRTO is off).
-	RTO sim.Time
-	// AdaptiveRTO enables the RFC 6298 SRTT/RTTVAR estimator: each
-	// connection samples the RTT of non-retransmitted segments (Karn's
-	// rule) and derives its own timeout, clamped to [RTOMin, RTOMax].
-	AdaptiveRTO bool
-	// RTOMin / RTOMax clamp the per-connection timeout. The clamps also
-	// bound the exponential backoff ladder (RTOMax) so a stalled flow
-	// keeps probing instead of sleeping for minutes.
-	RTOMin, RTOMax sim.Time
-	// FastRetransmit enables recovery on three duplicate ACKs, so a
-	// single dropped segment in a window is repaired in about one RTT
-	// instead of waiting out a full RTO.
-	FastRetransmit bool
-	// MaxRetransmitTime bounds how long one segment is retried before
-	// the connection is torn down as dead. Time-based (rather than a
-	// retry count) so the adaptive path, whose RTO can be microseconds,
-	// keeps the same patience toward a rebooting peer as the fixed path.
-	MaxRetransmitTime sim.Time
-	// MSS is the TCP maximum segment size.
-	MSS int
-	// PollBatchThreshold is the number of frames observed in one receive
-	// interrupt that flips the driver into polling mode (paper §3.2's
-	// "interrupt rate exceeds a configurable threshold").
-	PollBatchThreshold int
-	// PollIdleRounds is the number of empty polls before the driver
-	// re-enables interrupts.
-	PollIdleRounds int
-	// AdaptivePolling can be disabled for the ablation benchmark.
-	AdaptivePolling bool
-	// ForceCopyPerByte, when non-zero, charges a per-byte copy on both
-	// receive and transmit - the zero-copy ablation: it simulates a stack
-	// that copies at the app boundary like a conventional socket layer.
+	// FixedRTO turns off the RFC 6298 estimator: every connection times
+	// out on the initial RTO for its whole life (the lossy experiment's
+	// baseline).
+	FixedRTO bool
+	// NoFastRetransmit turns off recovery on three duplicate ACKs, which
+	// repairs a single dropped segment in a window in about one RTT
+	// instead of a full RTO.
+	NoFastRetransmit bool
+	// NoPolling keeps every receive queue interrupt-driven: the driver
+	// never switches to polling (Figure 5's polling ablation).
+	NoPolling bool
+	// ForceCopyPerByte, when non-zero, charges that many ns per byte on
+	// both receive and transmit - the zero-copy ablation: it simulates a
+	// stack that copies at the app boundary like a conventional socket
+	// layer.
 	ForceCopyPerByte float64
+	// rto, when non-zero, replaces initialRTO (tests).
+	rto sim.Time
 }
 
-// DefaultConfig returns the calibrated native-stack configuration.
-func DefaultConfig() Config {
-	return Config{
-		PerPacketCPU:       350 * sim.Nanosecond,
-		AppDeliverCPU:      100 * sim.Nanosecond,
-		ArpTimeout:         100 * sim.Millisecond,
-		RTO:                200 * sim.Millisecond,
-		AdaptiveRTO:        true,
-		RTOMin:             1 * sim.Millisecond,
-		RTOMax:             5 * sim.Second,
-		FastRetransmit:     true,
-		MaxRetransmitTime:  100 * sim.Second,
-		MSS:                1460,
-		PollBatchThreshold: 8,
-		PollIdleRounds:     16,
-		AdaptivePolling:    true,
-	}
-}
+// Protocol constants of the stack. Timeouts are a connection's
+// behaviour, not the cost of any work, so they live here rather than in
+// internal/costs.
+const (
+	// mss is the TCP maximum segment size.
+	mss = 1460
+	// initialRTO is the retransmission timeout a connection uses until
+	// its first RTT sample (and for its whole life under FixedRTO).
+	initialRTO = 200 * sim.Millisecond
+	// rtoMin and rtoMax clamp the per-connection timeout. rtoMax also
+	// bounds the exponential backoff ladder, so a stalled flow keeps
+	// probing instead of sleeping for minutes.
+	rtoMin, rtoMax = 1 * sim.Millisecond, 5 * sim.Second
+	// maxRetransmitTime bounds how long one segment is retried before the
+	// connection is torn down as dead. Time-based (rather than a retry
+	// count) so the adaptive path, whose RTO can be microseconds, keeps
+	// the same patience toward a rebooting peer as the fixed path.
+	maxRetransmitTime = 100 * sim.Second
+	// arpTimeout bounds an unanswered ARP resolution.
+	arpTimeout = 100 * sim.Millisecond
+	// pollBatchThreshold is the number of frames one receive interrupt
+	// must find to flip the driver into polling (paper §3.2's "interrupt
+	// rate exceeds a configurable threshold"); pollIdleRounds empty polls
+	// turn interrupts back on.
+	pollBatchThreshold, pollIdleRounds = 8, 16
+)
+
+// baseRTO is the timeout a connection starts from: initialRTO unless a
+// test replaced it.
+func (c *Config) baseRTO() sim.Time { return cmp.Or(c.rto, initialRTO) }
 
 // Stack is one machine's network stack instance. It owns the interfaces
 // and the protocol layers. One event manager per core drives it.
@@ -97,19 +87,6 @@ type Stack struct {
 
 // NewStack creates a stack over the machine's event managers.
 func NewStack(m *machine.Machine, mgrs []*event.Manager, cfg Config) *Stack {
-	if cfg.MSS == 0 {
-		cfg = DefaultConfig()
-	}
-	def := DefaultConfig()
-	if cfg.RTOMin == 0 {
-		cfg.RTOMin = def.RTOMin
-	}
-	if cfg.RTOMax == 0 {
-		cfg.RTOMax = def.RTOMax
-	}
-	if cfg.MaxRetransmitTime == 0 {
-		cfg.MaxRetransmitTime = def.MaxRetransmitTime
-	}
 	return &Stack{M: m, Mgrs: mgrs, Cfg: cfg}
 }
 
@@ -129,7 +106,7 @@ func (s *Stack) AddInterface(nic *machine.NIC, addr, mask Ipv4Addr) *Interface {
 		tcp:  newTcpLayer(),
 
 		hdrPool: iobuf.NewPool(headerClass),
-		payload: iobuf.NewPool(s.Cfg.MSS),
+		payload: iobuf.NewPool(mss),
 		views:   iobuf.NewPool(0),
 	}
 	itf.tcp.itf = itf

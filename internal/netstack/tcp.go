@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ebbrt/internal/audit"
+	"ebbrt/internal/costs"
 	"ebbrt/internal/event"
 	"ebbrt/internal/iobuf"
 	"ebbrt/internal/rcu"
@@ -167,7 +168,7 @@ type TcpPcb struct {
 	rexmitSince    sim.Time // start of the current retransmission episode (0 = none)
 
 	// RTT estimation (RFC 6298). rto == 0 means no sample yet; the
-	// connection then times out on Cfg.RTO.
+	// connection then times out on Cfg.baseRTO().
 	srtt, rttvar, rto sim.Time
 
 	// Fast-retransmit state: duplicate ACKs seen at sndUna, and whether
@@ -349,7 +350,7 @@ func (p *TcpPcb) Send(c *event.Ctx, payload *iobuf.IOBuf) error {
 	// interface's pool that holds the element it cuts into; each goes out
 	// behind its own header (scatter/gather).
 	for payload != nil {
-		rest := payload.Split(p.itf.St.Cfg.MSS, p.itf.views)
+		rest := payload.Split(mss, p.itf.views)
 		p.sendSegment(c, tcpACK|tcpPSH, payload)
 		payload = rest
 	}
@@ -439,29 +440,25 @@ func (p *TcpPcb) buildFrame(seq, ack uint32, flags byte, payload *iobuf.IOBuf) *
 }
 
 func (p *TcpPcb) transmitFrame(c *event.Ctx, frame *iobuf.IOBuf) {
-	c.Charge(p.itf.St.Cfg.PerPacketCPU)
+	c.Charge(costs.StackPerPacketNs)
 	// ARP failures surface via retransmission timeout, as on real stacks.
 	_ = p.itf.EthArpSend(c, EtherTypeIPv4, p.key.rip, frame, p.flowHash)
 }
 
 // rtoInterval is the connection's current timeout: the adaptive
 // estimate when one exists (RFC 6298), else the configured initial RTO,
-// backed off exponentially and clamped to RTOMax.
+// backed off exponentially and clamped to rtoMax.
 func (p *TcpPcb) rtoInterval() sim.Time {
-	cfg := &p.itf.St.Cfg
-	base := cfg.RTO
-	if cfg.AdaptiveRTO && p.rto > 0 {
-		base = p.rto
-	}
-	// Cap the shift so the ladder saturates at RTOMax instead of
+	base := p.CurrentRTO()
+	// Cap the shift so the ladder saturates at rtoMax instead of
 	// overflowing sim.Time.
 	shift := p.rtoBackoff
 	if shift > 30 {
 		shift = 30
 	}
 	d := base << shift
-	if d > cfg.RTOMax || d <= 0 {
-		d = cfg.RTOMax
+	if d > rtoMax || d <= 0 {
+		d = rtoMax
 	}
 	return d
 }
@@ -483,15 +480,7 @@ func (p *TcpPcb) sampleRTT(r sim.Time) {
 		p.rttvar = (3*p.rttvar + diff) / 4
 		p.srtt = (7*p.srtt + r) / 8
 	}
-	cfg := &p.itf.St.Cfg
-	rto := p.srtt + 4*p.rttvar
-	if rto < cfg.RTOMin {
-		rto = cfg.RTOMin
-	}
-	if rto > cfg.RTOMax {
-		rto = cfg.RTOMax
-	}
-	p.rto = rto
+	p.rto = min(max(p.srtt+4*p.rttvar, rtoMin), rtoMax)
 }
 
 // SRTT reports the smoothed RTT estimate (0 before the first sample).
@@ -500,10 +489,10 @@ func (p *TcpPcb) SRTT() sim.Time { return p.srtt }
 // CurrentRTO reports the timeout the next retransmission timer will use
 // (before backoff).
 func (p *TcpPcb) CurrentRTO() sim.Time {
-	if p.itf.St.Cfg.AdaptiveRTO && p.rto > 0 {
+	if !p.itf.St.Cfg.FixedRTO && p.rto > 0 {
 		return p.rto
 	}
-	return p.itf.St.Cfg.RTO
+	return p.itf.St.Cfg.baseRTO()
 }
 
 // armRTO starts the retransmission timer if not running, once per segment
@@ -527,7 +516,7 @@ func (p *TcpPcb) rtoExpired(c *event.Ctx) {
 	now := c.Now()
 	if p.rexmitSince == 0 {
 		p.rexmitSince = now
-	} else if now-p.rexmitSince > p.itf.St.Cfg.MaxRetransmitTime {
+	} else if now-p.rexmitSince > maxRetransmitTime {
 		p.teardown(c, fmt.Errorf("netstack: too many retransmissions"))
 		return
 	}
@@ -570,21 +559,20 @@ func (p *TcpPcb) cancelRTO() {
 }
 
 // armPersist starts the zero-window probe timer if not running. Probes
-// back off exponentially from the current RTO up to RTOMax and repeat
+// back off exponentially from the current RTO up to rtoMax and repeat
 // until an ACK reopens the window (or the connection dies): without
 // them, a lost window-update ACK leaves both sides waiting forever.
 func (p *TcpPcb) armPersist() {
 	if p.persistTimer != (event.Timer{}) {
 		return
 	}
-	cfg := &p.itf.St.Cfg
 	iv := p.CurrentRTO()
 	shift := p.persistBackoff
 	if shift > 30 {
 		shift = 30
 	}
-	if iv <<= shift; iv > cfg.RTOMax || iv <= 0 {
-		iv = cfg.RTOMax
+	if iv <<= shift; iv > rtoMax || iv <= 0 {
+		iv = rtoMax
 	}
 	if p.onPersist == nil {
 		p.onPersist = p.persistExpired
@@ -888,7 +876,7 @@ func (p *TcpPcb) processAck(c *event.Ctx, hdr TcpHeader, plen int) {
 		// retransmit per loss window; if that doesn't advance sndUna the
 		// timer takes over with backoff).
 		p.dupAcks++
-		if p.itf.St.Cfg.FastRetransmit && p.dupAcks >= 3 && !p.fastRecovery {
+		if !p.itf.St.Cfg.NoFastRetransmit && p.dupAcks >= 3 && !p.fastRecovery {
 			p.fastRecovery = true
 			p.FastRetransmits++
 			p.itf.tcp.stats.FastRetransmits++
@@ -992,7 +980,7 @@ func (p *TcpPcb) deliver(c *event.Ctx, payload *iobuf.IOBuf, fin bool, seqLen ui
 	p.rcvNxt += seqLen
 	p.needAck = true
 	if n := payload.ComputeChainDataLength(); n > 0 && p.h.OnReceive != nil {
-		c.Charge(p.itf.St.Cfg.AppDeliverCPU)
+		c.Charge(costs.AppDeliverNs)
 		p.h.OnReceive(c, p, payload)
 	}
 	if fin {

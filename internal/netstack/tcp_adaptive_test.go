@@ -106,10 +106,8 @@ func TestTcpAdaptiveRTORecovery(t *testing.T) {
 		return deliveredAt, p
 	}
 
-	adaptive := DefaultConfig()
-	fixed := DefaultConfig()
-	fixed.AdaptiveRTO = false
-	fixed.FastRetransmit = false
+	adaptive := Config{}
+	fixed := Config{FixedRTO: true, NoFastRetransmit: true}
 
 	t.Run("adaptive recovers near RTOMin", func(t *testing.T) {
 		at, p := run(t, adaptive)
@@ -119,15 +117,15 @@ func TestTcpAdaptiveRTORecovery(t *testing.T) {
 		if p.client.SRTT() == 0 {
 			t.Fatal("no RTT sample taken")
 		}
-		if rto := p.client.CurrentRTO(); rto < adaptive.RTOMin || rto > 10*sim.Millisecond {
+		if rto := p.client.CurrentRTO(); rto < rtoMin || rto > 10*sim.Millisecond {
 			t.Fatalf("adaptive RTO %.3fms outside expected [1ms, 10ms]", float64(rto)/1e6)
 		}
 	})
 	t.Run("fixed baseline stalls a full RTO", func(t *testing.T) {
 		at, _ := run(t, fixed)
-		if at < fixed.RTO {
+		if at < initialRTO {
 			t.Fatalf("fixed-RTO recovery at %.2fms, expected to wait out the %.0fms RTO",
-				float64(at)/1e6, float64(fixed.RTO)/1e6)
+				float64(at)/1e6, float64(initialRTO)/1e6)
 		}
 	})
 }
@@ -136,9 +134,7 @@ func TestTcpAdaptiveRTORecovery(t *testing.T) {
 // drop: the three duplicate ACKs from the segments above the hole must
 // repair it in about one RTT, long before the (deliberately huge) RTO.
 func TestTcpFastRetransmit(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.AdaptiveRTO = false
-	cfg.RTO = 5 * sim.Second // a timeout recovery would blow the deadline below
+	cfg := Config{FixedRTO: true, rto: 5 * sim.Second} // a timeout recovery would blow the deadline below
 	n := newTestNetCfg(t, 1, 1, cfg)
 
 	// Drop the second data-bearing frame from the client, once.
@@ -286,9 +282,7 @@ func TestTcpPersistProbeBreaksZeroWindowDeadlock(t *testing.T) {
 // side has made progress must advertise the *current* rcvNxt, not the
 // ack frozen into the frame when the segment was first built.
 func TestTcpRetransmitCarriesCurrentAck(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.AdaptiveRTO = false
-	cfg.RTO = 20 * sim.Millisecond
+	cfg := Config{FixedRTO: true, rto: 20 * sim.Millisecond}
 	n := newTestNetCfg(t, 1, 1, cfg)
 
 	// Drop the client's first data frame once, and record the ack field

@@ -3,6 +3,7 @@ package netstack
 import (
 	"fmt"
 
+	"ebbrt/internal/costs"
 	"ebbrt/internal/event"
 	"ebbrt/internal/future"
 	"ebbrt/internal/iobuf"
@@ -64,7 +65,7 @@ func (u *udpLayer) receive(c *event.Ctx, ip Ipv4Header, buf *iobuf.IOBuf) {
 	if want := int(hdr.Length) - UdpHeaderLen; want >= 0 && want < buf.Length() {
 		buf.TrimEnd(buf.Length() - want)
 	}
-	c.Charge(u.itf.St.Cfg.AppDeliverCPU)
+	c.Charge(costs.AppDeliverNs)
 	h(c, ip.Src, hdr.SrcPort, buf)
 }
 

@@ -81,7 +81,7 @@ func NewPair(kind ServerKind, serverCores, clientCores int) *Pair {
 	link := machine.NewLink(k, cliNIC, srvNIC)
 
 	cliMgrs := managers(cliM)
-	cliStack := netstack.NewStack(cliM, cliMgrs, netstack.DefaultConfig())
+	cliStack := netstack.NewStack(cliM, cliMgrs, netstack.Config{})
 	cliItf := cliStack.AddInterface(cliNIC, ClientIP, netMask)
 	client := appnet.NewNative(cliStack, cliItf)
 	client.RuntimeName = "client"
@@ -90,13 +90,13 @@ func NewPair(kind ServerKind, serverCores, clientCores int) *Pair {
 	var server appnet.Runtime
 	switch kind {
 	case EbbRT:
-		st := netstack.NewStack(srvM, srvMgrs, netstack.DefaultConfig())
+		st := netstack.NewStack(srvM, srvMgrs, netstack.Config{})
 		itf := st.AddInterface(srvNIC, ServerIP, netMask)
 		server = appnet.NewNative(st, itf)
 	case LinuxVM, LinuxNative:
-		server = gpos.NewRuntime(srvM, srvMgrs, netstack.DefaultConfig(), gpos.LinuxConfig(), srvNIC, ServerIP, netMask)
+		server = gpos.NewRuntime(srvM, srvMgrs, netstack.Config{}, gpos.LinuxConfig(), srvNIC, ServerIP, netMask)
 	case OSv:
-		server = gpos.NewRuntime(srvM, srvMgrs, netstack.DefaultConfig(), gpos.OSvConfig(), srvNIC, ServerIP, netMask)
+		server = gpos.NewRuntime(srvM, srvMgrs, netstack.Config{}, gpos.OSvConfig(), srvNIC, ServerIP, netMask)
 	}
 
 	return &Pair{K: k, Client: client, Server: server, Link: link}
@@ -120,13 +120,13 @@ func NewSymmetricPair(kind ServerKind, cores int) *Pair {
 		mgrs := managers(m)
 		switch kind {
 		case EbbRT:
-			st := netstack.NewStack(m, mgrs, netstack.DefaultConfig())
+			st := netstack.NewStack(m, mgrs, netstack.Config{})
 			itf := st.AddInterface(nic, ip, netMask)
 			return appnet.NewNative(st, itf), nic
 		case OSv:
-			return gpos.NewRuntime(m, mgrs, netstack.DefaultConfig(), gpos.OSvConfig(), nic, ip, netMask), nic
+			return gpos.NewRuntime(m, mgrs, netstack.Config{}, gpos.OSvConfig(), nic, ip, netMask), nic
 		default:
-			return gpos.NewRuntime(m, mgrs, netstack.DefaultConfig(), gpos.LinuxConfig(), nic, ip, netMask), nic
+			return gpos.NewRuntime(m, mgrs, netstack.Config{}, gpos.LinuxConfig(), nic, ip, netMask), nic
 		}
 	}
 	client, cliNIC := build("client", 1, ClientIP)

@@ -1,6 +1,9 @@
 package ebbrt_test
 
-import "testing"
+import (
+	"regexp"
+	"testing"
+)
 
 // wrapSites is every call of iobuf.Wrap the non-test code may make, by
 // file, with the reason it is not pool-born. Wrap allocates a descriptor
@@ -18,5 +21,5 @@ var wrapSites = map[string]int{
 }
 
 func TestWrapCallSitesAreAllowlisted(t *testing.T) {
-	checkCallSites(t, "iobuf.Wrap(", wrapSites, 8)
+	checkCallSites(t, regexp.QuoteMeta("iobuf.Wrap("), wrapSites, 8)
 }
