@@ -22,10 +22,11 @@
 //     Ebbs such as the FileSystem.
 //
 // Because a Go program cannot boot bare-metal, the "hardware" is a
-// deterministic simulated machine substrate (see DESIGN.md for the
-// substitution argument). The framework code above it - event loops,
-// drivers, protocols, allocators, applications - is real and fully
-// exercised by the test suite and the experiment harnesses in cmd/.
+// deterministic simulated machine substrate (docs/ARCHITECTURE.md describes
+// what it models and what it stands in for). The framework code above it -
+// event loops, drivers, protocols, allocators, applications - is real and
+// fully exercised by the test suite and by the experiments that cmd/ebbrt
+// runs.
 package ebbrt
 
 import (

@@ -4,12 +4,12 @@
 // One event loop runs per core. A registered handler is invoked with
 // interrupts disabled and runs to completion without preemption. When an
 // event completes the manager (1) opens a brief interrupt window and
-// dispatches any pending hardware interrupts, (2) dispatches one synthetic
-// (Spawned) event, (3) invokes all IdleHandlers, and (4) enables interrupts
-// and halts - restarting the loop whenever any step invoked a handler. This
-// gives hardware interrupts and synthetic events priority over repeatedly
-// invoked idle handlers, which is what lets device drivers implement
-// adaptive polling.
+// dispatches the oldest pending hardware interrupt, (2) dispatches one
+// synthetic (Spawned) event, (3) invokes all IdleHandlers, and (4) enables
+// interrupts and halts - restarting the loop whenever any step invoked a
+// handler. This gives hardware interrupts and synthetic events priority
+// over repeatedly invoked idle handlers, which is what lets device drivers
+// implement adaptive polling.
 //
 // Handlers account for the virtual CPU time they consume via Ctx.Charge;
 // the core is busy for that long before the loop continues. The paper's
@@ -363,13 +363,8 @@ func (m *Manager) switchTo(act *activation) {
 
 // process is the event loop: it runs each time the core finishes an event.
 func (m *Manager) process() {
-	// (1) pending hardware interrupts get priority.
-	if m.core.HasPending() {
-		p := m.core.TakePending() // ours until the next TakePending
-		vec := p[0]
-		for _, rest := range p[1:] {
-			m.core.RaiseIRQ(rest) // re-latch the remainder in order
-		}
+	// (1) pending hardware interrupts get priority, one per pass.
+	if vec, ok := m.core.PopPending(); ok {
 		m.runHandler(vec, costs.InterruptEntryNs)
 		return
 	}

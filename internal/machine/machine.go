@@ -102,16 +102,18 @@ func (m *Machine) String() string { return m.Cfg.Name }
 // Interrupt semantics: a raised vector is delivered immediately - by
 // calling the dispatcher - only when interrupts are enabled and the core is
 // halted. Otherwise it is latched and the runtime collects it with
-// TakePending when it re-enables interrupts, exactly the window the paper's
-// event loop opens between events.
+// PopPending between events, exactly the window the paper's event loop
+// opens.
 type Core struct {
 	M    *Machine
 	ID   int
 	Node int
 
-	dispatcher  func(vec int)
+	dispatcher func(vec int)
+	// pending is the FIFO of latched vectors: pending[head:], in arrival
+	// order.
 	pending     []int
-	taken       []int // the slice TakePending last handed out, reused by the next call
+	head        int
 	intsEnabled bool
 	halted      bool
 }
@@ -135,7 +137,7 @@ func (c *Core) RaiseIRQ(vec int) {
 }
 
 // EnableInterrupts sets the interrupt flag (does not drain latched vectors;
-// use TakePending for that, mirroring the explicit window in the event loop).
+// use PopPending for that, mirroring the explicit window in the event loop).
 func (c *Core) EnableInterrupts() { c.intsEnabled = true }
 
 // DisableInterrupts clears the interrupt flag.
@@ -151,17 +153,20 @@ func (c *Core) Halt() { c.halted = true }
 // Halted reports whether the core is halted.
 func (c *Core) Halted() bool { return c.halted }
 
-// HasPending reports whether latched vectors await collection.
-func (c *Core) HasPending() bool { return len(c.pending) > 0 }
-
-// TakePending returns and clears all latched vectors in arrival order. The
-// returned slice is the caller's until the next TakePending: the core
-// alternates between two backing arrays instead of allocating one per
-// interrupt window.
-func (c *Core) TakePending() []int {
-	p := c.pending
-	c.pending, c.taken = c.taken[:0], p
-	return p
+// PopPending removes the vector latched earliest and returns it, or
+// reports false when none is latched.
+func (c *Core) PopPending() (int, bool) {
+	if c.head == len(c.pending) {
+		return 0, false
+	}
+	vec := c.pending[c.head]
+	if c.head++; 2*c.head >= len(c.pending) {
+		// Half or more is popped prefix (all of it, when the FIFO drains):
+		// move the rest down and keep the backing array.
+		c.pending = c.pending[:copy(c.pending, c.pending[c.head:])]
+		c.head = 0
+	}
+	return vec, true
 }
 
 // Cycles converts cycles to time at the machine's clock.

@@ -39,15 +39,13 @@ func TestCoreIRQLatchedWhenMasked(t *testing.T) {
 	c.Halt()
 	c.RaiseIRQ(40)
 	c.RaiseIRQ(41)
-	if !c.HasPending() {
-		t.Fatal("no pending vectors")
+	for _, want := range []int{40, 41} {
+		if vec, ok := c.PopPending(); !ok || vec != want {
+			t.Fatalf("PopPending = %d, %v; want %d, true", vec, ok, want)
+		}
 	}
-	p := c.TakePending()
-	if len(p) != 2 || p[0] != 40 || p[1] != 41 {
-		t.Fatalf("pending = %v", p)
-	}
-	if c.HasPending() {
-		t.Fatal("pending not cleared")
+	if vec, ok := c.PopPending(); ok {
+		t.Fatalf("PopPending = %d after the last latched vector", vec)
 	}
 }
 
@@ -59,8 +57,54 @@ func TestCoreIRQLatchedWhenRunning(t *testing.T) {
 	c.EnableInterrupts()
 	// Not halted: simulates a core mid-event with the brief enabled window.
 	c.RaiseIRQ(50)
-	if got := c.TakePending(); len(got) != 1 || got[0] != 50 {
-		t.Fatalf("pending = %v", got)
+	if vec, ok := c.PopPending(); !ok || vec != 50 {
+		t.Fatalf("PopPending = %d, %v; want 50, true", vec, ok)
+	}
+}
+
+// Latched vectors pop in arrival order however raises and pops interleave,
+// repeats included, and the FIFO keeps its backing array: a busy core that
+// never drains it neither reorders nor grows it.
+func TestCorePendingFIFOUnderInterleaving(t *testing.T) {
+	k := sim.NewKernel()
+	c := testMachine(k, 1).Cores[0]
+	c.SetDispatcher(func(vec int) { t.Fatalf("unexpected dispatch of %d", vec) })
+	rng := sim.NewRng(1)
+	var model []int
+	next, peak := 0, 0
+	for i := 0; i < 10000; i++ {
+		if rng.Intn(2) == 0 || len(model) == 0 {
+			vec := 32 + next%7
+			next++
+			c.RaiseIRQ(vec)
+			model = append(model, vec)
+			peak = max(peak, len(model))
+			continue
+		}
+		vec, ok := c.PopPending()
+		if !ok || vec != model[0] {
+			t.Fatalf("step %d: PopPending = %d, %v; want %d, true", i, vec, ok, model[0])
+		}
+		model = model[1:]
+		if cap(c.pending) > 4*peak+8 {
+			t.Fatalf("step %d: the FIFO, never longer than %d, grew an array of %d", i, peak, cap(c.pending))
+		}
+	}
+	for _, want := range model {
+		if vec, ok := c.PopPending(); !ok || vec != want {
+			t.Fatalf("draining: PopPending = %d, %v; want %d, true", vec, ok, want)
+		}
+	}
+	if _, ok := c.PopPending(); ok {
+		t.Fatal("PopPending found a vector after the FIFO drained")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		c.RaiseIRQ(33)
+		c.RaiseIRQ(34)
+		c.PopPending()
+		c.PopPending()
+	}); n != 0 {
+		t.Fatalf("raise and pop allocated %.0f objects, want 0", n)
 	}
 }
 

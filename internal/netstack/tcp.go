@@ -701,7 +701,8 @@ func (t *tcpLayer) queueAck(pcb *TcpPcb) {
 }
 
 // flushAcks sends coalesced ACKs at the end of a receive batch. The queue
-// alternates between two backing arrays, as Core.TakePending does.
+// alternates between two backing arrays, so a connection queued while the
+// batch is flushed lands in the other one, not in the array being walked.
 func (t *tcpLayer) flushAcks(c *event.Ctx) {
 	q := t.ackQueue
 	t.ackQueue, t.ackSpare = t.ackSpare[:0], q

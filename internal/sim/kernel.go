@@ -18,12 +18,23 @@
 // to Cancel (tests, bench/). All share one queue and one total order, and
 // every arming takes the next sequence number, so a call site may move
 // between them without changing when anything fires.
+//
+// The queue sorts only what is due soon. A 4-ary heap holds the entries
+// due before the horizon, which stays at least two buckets of 65.536 µs
+// past now; a later entry is appended, unsorted, to its bucket on a timing
+// wheel of 256 buckets (Varghese and Lauck's hashed wheel), or past the
+// wheel's 16.8 ms to an overflow list that is refiled once per wheel turn.
+// As the horizon reaches a bucket its live entries move into the heap, so
+// a timer armed and cancelled before then - TCP re-arms its RTO per
+// segment - is dropped there and never sifted. An entry keeps the sequence
+// number it was scheduled with wherever it waits, so the order stays
+// exactly (time, sequence).
 package sim
 
 import (
 	"fmt"
 	"math"
-	"slices"
+	"math/bits"
 	"time"
 )
 
@@ -86,11 +97,7 @@ func (e *Event) Cancel() bool {
 		return false
 	}
 	e.seq = unarmed
-	k := e.k
-	k.pending--
-	if dead := len(k.queue) - k.pending; dead > k.pending && dead > 32 {
-		k.sweep()
-	}
+	e.k.pending--
 	return true
 }
 
@@ -109,6 +116,23 @@ func (a *entry) before(b *entry) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
+func (a *entry) dead() bool { return a.ev != nil && a.ev.seq != a.seq }
+
+// The wheel's geometry. A bucket is the entries due in one aligned span of
+// 1<<bucketShift ns; bucket b waits in slot b&wheelMask.
+const (
+	bucketShift = 16 // 65.536 µs
+	wheelBits   = 8
+	wheelSize   = 1 << wheelBits // 16.8 ms of buckets
+	wheelMask   = wheelSize - 1
+	// nearBuckets is how many bucket starts past now the horizon is kept:
+	// an entry due within one to two buckets is pushed straight onto the
+	// heap.
+	nearBuckets = 2
+)
+
+func bucketOf(t Time) int64 { return int64(t) >> bucketShift }
+
 // Kernel is a single-threaded discrete-event executor. Events scheduled for
 // the same instant fire in scheduling order (FIFO), making every simulation
 // deterministic. Kernel is not safe for concurrent use; the event package
@@ -116,17 +140,31 @@ func (a *entry) before(b *entry) bool {
 type Kernel struct {
 	now Time
 	seq uint64
-	// queue is a 4-ary min-heap ordered by entry.before: half the levels of
-	// a binary heap, and a node's four children share a cache line or two.
-	queue []entry
+	// heap is a 4-ary min-heap ordered by entry.before, holding every entry
+	// due before bucket horizon: half the levels of a binary heap, and a
+	// node's four children share a cache line or two.
+	heap []entry
+	// vacant is set while the callback of heap[0] runs: the slot is free,
+	// and the first entry pushed takes it with one siftDown.
+	vacant bool
+	// horizon is the first bucket not yet moved into the heap. The wheel
+	// holds buckets horizon to horizon+wheelMask; overflow holds entries
+	// due from the next turn of the wheel (the next multiple of wheelSize
+	// above horizon) on, in no order.
+	horizon  int64
+	wheel    [wheelSize][]entry
+	occupied [wheelSize / 64]uint64 // a bit per slot whose bucket is not empty
+	overflow []entry
 	// pending counts queued entries that are live (not cancelled or re-armed).
 	pending int
 	// fired counts events executed; useful for debugging runaway loops.
 	fired uint64
+	// turns counts the horizon's moves, so tests can bound them.
+	turns uint64
 }
 
 // NewKernel returns an empty kernel at virtual time zero.
-func NewKernel() *Kernel { return &Kernel{} }
+func NewKernel() *Kernel { return &Kernel{horizon: nearBuckets} }
 
 // Now reports the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
@@ -155,15 +193,38 @@ func (k *Kernel) At(t Time, fn func()) *Event {
 // After is Post returning a one-shot handle: a new Event armed once.
 func (k *Kernel) After(d Time, fn func()) *Event { return k.At(k.now+max(d, 0), fn) }
 
-// schedule sifts a new entry up from the bottom of the heap.
 func (k *Kernel) schedule(t Time, fn func(), ev *Event) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
 	}
-	en := entry{at: t, seq: k.seq, fn: fn, ev: ev}
+	k.file(entry{at: t, seq: k.seq, fn: fn, ev: ev})
 	k.seq++
 	k.pending++
-	q := append(k.queue, en)
+}
+
+// file queues en where its bucket says: the heap, the wheel or overflow.
+func (k *Kernel) file(en entry) {
+	switch b := bucketOf(en.at); {
+	case b < k.horizon:
+		k.push(en)
+	case b < k.horizon+wheelSize:
+		slot := uint(b) & wheelMask
+		k.wheel[slot] = append(k.wheel[slot], en)
+		k.occupied[slot/64] |= 1 << (slot % 64)
+	default:
+		k.overflow = append(k.overflow, en)
+	}
+}
+
+// push adds en to the heap: into the vacant root, or sifted up from the
+// bottom.
+func (k *Kernel) push(en entry) {
+	if k.vacant {
+		k.vacant = false
+		k.siftDown(0, en)
+		return
+	}
+	q := append(k.heap, en)
 	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) / 4
@@ -174,26 +235,24 @@ func (k *Kernel) schedule(t Time, fn func(), ev *Event) {
 		i = parent
 	}
 	q[i] = en
-	k.queue = q
+	k.heap = q
 }
 
-// pop removes the earliest entry, sifting the last one down from the root.
-func (k *Kernel) pop() entry {
-	q := k.queue
-	top := q[0]
+// dropRoot removes the root, sifting the last entry down from it.
+func (k *Kernel) dropRoot() {
+	q := k.heap
 	n := len(q) - 1
 	last := q[n]
 	q[n] = entry{} // drop the callback reference
-	k.queue = q[:n]
+	k.heap = q[:n]
 	if n > 0 {
 		k.siftDown(0, last)
 	}
-	return top
 }
 
 // siftDown places en at hole i or below it, moving smaller children up.
 func (k *Kernel) siftDown(i int, en entry) {
-	q := k.queue
+	q := k.heap
 	for {
 		child := 4*i + 1
 		if child >= len(q) {
@@ -214,42 +273,127 @@ func (k *Kernel) siftDown(i int, en entry) {
 	q[i] = en
 }
 
-// sweep discards every dead entry and rebuilds the heap. Cancel calls it
-// once dead entries outnumber live ones: a timer that is re-armed per
-// packet (TCP's RTO) would otherwise leave the queue holding a timeout's
-// worth of dead entries for every live one to sift through. The order is
-// total, so the rebuilt heap pops in the same sequence.
-func (k *Kernel) sweep() {
-	k.queue = slices.DeleteFunc(k.queue, func(en entry) bool { return en.ev != nil && en.ev.seq != en.seq })
-	for i := (len(k.queue)+2)/4 - 1; i >= 0; i-- { // from the last node that has a child
-		k.siftDown(i, k.queue[i])
+// raise moves the horizon up to bucket to.
+func (k *Kernel) raise(to int64) {
+	for k.horizon < to {
+		k.step(to)
 	}
+}
+
+// step moves the horizon toward bucket to, by as far as nothing queued
+// lies in between: past the next bucket that holds entries, whose live
+// ones move into the heap; or to the start of the wheel's next turn, where
+// overflow entries may be due; or, with the wheel empty, straight to the
+// bucket of the earliest overflow entry. Entering a new turn refiles
+// overflow, dropping its dead entries.
+func (k *Kernel) step(to int64) {
+	k.turns++
+	h := k.horizon
+	next := min(to, (h>>wheelBits+1)<<wheelBits)
+	if b, ok := k.nextOccupied(); ok {
+		if b < next {
+			k.moveBucket(b)
+			next = b + 1
+		}
+	} else if next < to {
+		next = to
+		for i := range k.overflow {
+			next = min(next, bucketOf(k.overflow[i].at))
+		}
+	}
+	k.horizon = next
+	if next>>wheelBits != h>>wheelBits {
+		far := k.overflow
+		k.overflow = far[:0] // file appends behind the loop's reads
+		for _, en := range far {
+			if !en.dead() {
+				k.file(en)
+			}
+		}
+		clear(far[len(k.overflow):])
+	}
+}
+
+// nextOccupied returns the earliest bucket on the wheel that holds entries.
+func (k *Kernel) nextOccupied() (int64, bool) {
+	s := uint(k.horizon) & wheelMask
+	words := uint(len(k.occupied))
+	for i := uint(0); i <= words; i++ { // the first word twice: from s, then below it
+		w := (s/64 + i) % words
+		set := k.occupied[w]
+		switch i {
+		case 0:
+			set &= ^uint64(0) << (s % 64)
+		case words:
+			set &= 1<<(s%64) - 1
+		}
+		if set != 0 {
+			slot := w*64 + uint(bits.TrailingZeros64(set))
+			return k.horizon + int64((slot-s)&wheelMask), true
+		}
+	}
+	return 0, false
+}
+
+// moveBucket pushes bucket b's live entries onto the heap and empties its
+// slot, keeping the slot's array.
+func (k *Kernel) moveBucket(b int64) {
+	slot := uint(b) & wheelMask
+	q := k.wheel[slot]
+	for i := range q {
+		if !q[i].dead() {
+			k.push(q[i])
+		}
+	}
+	clear(q)
+	k.wheel[slot] = q[:0]
+	k.occupied[slot/64] &^= 1 << (slot % 64)
 }
 
 // fireNext executes the earliest pending event if it is due at or before
 // limit, advancing virtual time to its timestamp, and reports whether it
-// did. Dead entries reaching the head are discarded on the way.
+// did. Dead entries reaching the head are discarded on the way. The fired
+// entry keeps the root while its callback runs, for the first entry the
+// callback pushes to take.
 func (k *Kernel) fireNext(limit Time) bool {
-	for len(k.queue) > 0 {
-		head := &k.queue[0]
-		if head.ev != nil && head.ev.seq != head.seq {
-			k.pop()
+	if k.vacant { // a callback steps the kernel itself, or panicked
+		k.vacant = false
+		k.dropRoot()
+	}
+	for {
+		if len(k.heap) == 0 {
+			if k.pending == 0 || bucketOf(limit) < k.horizon {
+				return false
+			}
+			k.step(bucketOf(limit) + 1)
+			continue
+		}
+		head := &k.heap[0]
+		if head.dead() {
+			k.dropRoot()
 			continue
 		}
 		if head.at > limit {
 			return false
 		}
-		en := k.pop()
+		en := *head
 		if en.ev != nil {
 			en.ev.seq = unarmed
 		}
 		k.pending--
 		k.now = en.at
 		k.fired++
+		k.vacant = true
+		if to := bucketOf(en.at) + nearBuckets; to > k.horizon {
+			k.raise(to)
+		}
 		en.fn()
+		if k.vacant {
+			k.vacant = false
+			k.dropRoot()
+		}
 		return true
 	}
-	return false
 }
 
 // Step executes the earliest pending event, advancing virtual time to its
@@ -269,6 +413,7 @@ func (k *Kernel) RunUntil(t Time) {
 	}
 	if k.now < t {
 		k.now = t
+		k.raise(bucketOf(t) + nearBuckets)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 )
@@ -166,8 +167,9 @@ func TestStaleHandleCancelsNothing(t *testing.T) {
 // a stable sort on (time, scheduling order) of the live events says it
 // should - handle and no-handle events in one FIFO at the same instant, a
 // re-armed event once, at its newest time and in the order of its newest
-// arming - with Fired and Pending exact throughout, and dead entries never
-// piling up in the queue.
+// arming - with Fired and Pending exact throughout. Some seeds space their
+// instants by microseconds or milliseconds, so entries wait on the wheel
+// and the overflow list as well as in the heap.
 func TestKernelMatchesSortedReference(t *testing.T) {
 	type ref struct { // one arming
 		at              Time
@@ -181,7 +183,8 @@ func TestKernelMatchesSortedReference(t *testing.T) {
 	}
 	for seed := uint64(1); seed <= 40; seed++ {
 		rng := NewRng(seed)
-		cancelWeight := int(seed % 5) // from all no-handle to mostly scheduled-then-cancelled
+		cancelWeight := int(seed % 5)      // from all no-handle to mostly scheduled-then-cancelled
+		scale := Time(1) << (seed % 4 * 7) // 1 ns, 128 ns, 16 µs or 2 ms per step of delay
 		k := NewKernel()
 		var all, handles []*ref
 		var owners []*owned
@@ -199,15 +202,10 @@ func TestKernelMatchesSortedReference(t *testing.T) {
 				want = append(want, r.id)
 			}
 		}
-		checkSwept := func(op int, what string) {
-			if dead := len(k.queue) - k.Pending(); dead > k.Pending() && dead > 32 {
-				t.Fatalf("seed %d op %d: %s left %d dead entries queued beside %d live", seed, op, what, dead, k.Pending())
-			}
-		}
 		for op := 0; op < 2000; op++ {
 			id := len(all)
 			fn := func() { got = append(got, id) }
-			d := Time(rng.Intn(50)) * Time(1+cancelWeight*8) // few distinct instants, so ties are common
+			d := Time(rng.Intn(50)) * Time(1+cancelWeight*8) * scale // few distinct instants, so ties are common
 			// Weights: 2 post, 1 step, 1 run, 1 owned event (re-)armed, 1
 			// owned event cancelled, cancelWeight handles scheduled, twice
 			// that recent handles cancelled.
@@ -244,9 +242,6 @@ func TestKernelMatchesSortedReference(t *testing.T) {
 				} else {
 					o.ev.ResetAt(k.Now() + d)
 				}
-				if live {
-					checkSwept(op, "Reset")
-				}
 			case c == 5 && len(owners) > 0:
 				o := owners[rng.Intn(len(owners))]
 				live := o.cur != nil && !o.cur.fired && !o.cur.canceled
@@ -255,7 +250,6 @@ func TestKernelMatchesSortedReference(t *testing.T) {
 				}
 				if live {
 					o.cur.canceled = true
-					checkSwept(op, "Cancel")
 				}
 			case c < 6: // c == 5 before any owned event exists
 			case c%6 == 0:
@@ -271,9 +265,6 @@ func TestKernelMatchesSortedReference(t *testing.T) {
 					t.Fatalf("seed %d op %d: Cancel = %v, want %v", seed, op, !live, live)
 				}
 				r.canceled = true
-				if live {
-					checkSwept(op, "Cancel")
-				}
 			}
 			pending := 0
 			for _, r := range all {
@@ -312,4 +303,297 @@ func TestResetAllocatesNothing(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("Reset/Cancel/fire allocated %.0f objects per run, want 0", n)
 	}
+}
+
+// The slot an entry keeps while its callback runs is given up when the
+// callback steps the kernel itself, or panics: the entry fires once.
+func TestFiringSlotSurvivesNestedStepAndPanic(t *testing.T) {
+	k := NewKernel()
+	var got []string
+	k.Post(1, func() {
+		got = append(got, "outer")
+		k.Step()
+	})
+	k.Post(2, func() { got = append(got, "nested") })
+	k.Post(3, func() {
+		got = append(got, "panics")
+		panic("boom")
+	})
+	k.Post(4, func() { got = append(got, "after") })
+	func() {
+		defer func() { recover() }()
+		k.Run()
+	}()
+	k.Run()
+	if want := "outer nested panics after"; strings.Join(got, " ") != want {
+		t.Fatalf("fired %q, want %q", strings.Join(got, " "), want)
+	}
+}
+
+// Timers armed far ahead and cancelled before they are due never reach the
+// heap: a 1 µs ticker re-arms an RTO-like event 1 ms out and arms and
+// cancels a 10 ms and a 1 s timeout on every tick. The dead entries are
+// dropped from the wheel and the overflow list as the horizon passes them,
+// so the heap holds the ticker alone and only the timer left armed fires.
+func TestFarCancelledTimersStayOutOfTheHeap(t *testing.T) {
+	k := NewKernel()
+	const ticks = 10000
+	rto := k.NewEvent(func() {})
+	rtoFired := 0
+	last := k.NewEvent(func() { rtoFired++ })
+	n := 0
+	var tick func()
+	tick = func() {
+		if n++; n < ticks {
+			k.Post(Microsecond, tick)
+		}
+		rto.Reset(Millisecond)
+		k.After(10*Millisecond, func() { t.Fatal("a cancelled 10 ms timeout fired") }).Cancel()
+		k.After(Second, func() { t.Fatal("a cancelled 1 s timeout fired") }).Cancel()
+		if len(k.heap) > 1 {
+			t.Fatalf("tick %d: %d entries in the heap, want the ticker alone", n, len(k.heap))
+		}
+	}
+	k.Post(0, tick)
+	k.RunUntil(ticks * Microsecond)
+	rto.Cancel()
+	last.Reset(Millisecond)
+	k.RunUntil(2 * Second)
+	if n != ticks || rtoFired != 1 || k.Pending() != 0 {
+		t.Fatalf("%d ticks, %d timers fired, %d pending; want %d, 1 and 0", n, rtoFired, k.Pending(), ticks)
+	}
+	queued := len(k.heap) + len(k.overflow)
+	for _, b := range k.wheel {
+		queued += len(b)
+	}
+	if queued != 0 {
+		t.Fatalf("%d dead entries still queued after the horizon passed them all", queued)
+	}
+}
+
+// Entries due on either side of every boundary the queue has - the horizon,
+// a bucket edge, the end of the wheel's turn, the overflow list's refiling
+// - fire in (time, sequence) order, whichever structure each waited in.
+func TestBoundaryEntriesFireInOrder(t *testing.T) {
+	const bucket, turn = Time(1) << bucketShift, Time(1) << (bucketShift + wheelBits)
+	k := NewKernel()
+	k.RunUntil(3*bucket + 17) // now and the horizon off any alignment
+	horizon := Time(k.horizon) << bucketShift
+	var ats []Time
+	for _, edge := range []Time{horizon, horizon + bucket, 7 * bucket, turn, 2 * turn, 2*turn + bucket, 5 * turn} {
+		ats = append(ats, edge-1, edge, edge, edge+1)
+	}
+	ats = append(ats, k.Now(), k.Now()) // due now, straight onto the heap
+	rng := NewRng(7)
+	for i := len(ats) - 1; i > 0; i-- {
+		j := rng.Intn(i + 1)
+		ats[i], ats[j] = ats[j], ats[i]
+	}
+	var got []int
+	for i, at := range ats {
+		k.PostAt(at, func() {
+			if k.Now() != at {
+				t.Errorf("entry %d fired at %v, want %v", i, k.Now(), at)
+			}
+			got = append(got, i)
+		})
+	}
+	onWheel := 0
+	for _, b := range k.wheel {
+		onWheel += len(b)
+	}
+	if len(k.heap) == 0 || onWheel == 0 || len(k.overflow) == 0 {
+		t.Fatalf("heap %d, wheel %d, overflow %d: the entries do not reach every structure", len(k.heap), onWheel, len(k.overflow))
+	}
+	k.Run()
+	want := make([]int, len(ats))
+	for i := range want {
+		want[i] = i
+	}
+	sort.SliceStable(want, func(a, b int) bool { return ats[want[a]] < ats[want[b]] })
+	if !slices.Equal(got, want) {
+		t.Fatalf("fired %v\nwant  %v", got, want)
+	}
+}
+
+// Running across a long idle gap moves the horizon straight to the next
+// bucket that holds entries, and then to the end of the run, instead of
+// walking the empty buckets (seconds of them) or the empty turns between.
+func TestIdleGapJumpsToTheNextDueBucket(t *testing.T) {
+	k := NewKernel()
+	var fired []Time
+	for _, at := range []Time{3 * Second, 3*Second + 5, 9 * Second} {
+		k.PostAt(at, func() { fired = append(fired, k.Now()) })
+	}
+	before := k.turns
+	k.RunUntil(20 * Second)
+	if !slices.Equal(fired, []Time{3 * Second, 3*Second + 5, 9 * Second}) || k.Now() != 20*Second {
+		t.Fatalf("fired at %v, now %v", fired, k.Now())
+	}
+	if turns := k.turns - before; turns > 16 {
+		t.Fatalf("the horizon took %d steps across 20 s with three entries, want at most 16", turns)
+	}
+}
+
+// FuzzKernelOrder runs a script decoded from the input against the kernel
+// and against a reference that keeps every live arming in a list and fires
+// the least (time, sequence) first. Delays run from nanoseconds to seconds
+// and some land exactly on bucket and turn edges, so entries wait in the
+// heap, on the wheel and on the overflow list; some callbacks schedule
+// more, so an entry is pushed into the slot of the one firing. Firing
+// order, Now and Pending must agree after every operation.
+func FuzzKernelOrder(f *testing.F) {
+	f.Add([]byte{0, 0, 5, 0})
+	f.Add([]byte{2, 0x47, 3, 0x9f, 3, 0xbf, 4, 1, 6, 0xff, 5, 0})
+	f.Add([]byte{1, 0x41, 1, 0x40, 1, 0x61, 1, 0x60, 0, 0xe5, 6, 0xff, 5, 0, 5, 0})
+	f.Fuzz(func(t *testing.T, script []byte) {
+		type arming struct {
+			at  Time
+			seq uint64
+			id  int
+		}
+		k := NewKernel()
+		var live []arming // the reference: every arming not yet fired or cancelled
+		var seq uint64    // the kernel's sequence, mirrored
+		var handles []*Event
+		var owned [4]*Event
+		ownedSeq := [4]uint64{unarmed, unarmed, unarmed, unarmed}
+		dropLive := func(s uint64) bool {
+			for i, a := range live {
+				if a.seq == s {
+					live = slices.Delete(live, i, i+1)
+					return true
+				}
+			}
+			return false
+		}
+		// delay decodes one byte: its top three bits pick a scale, the
+		// rest a count; scales 2 and 3 give instants at bucket and turn
+		// edges, or one ns before them.
+		delay := func(b byte) Time {
+			v := Time(b & 31)
+			now := k.Now()
+			switch b >> 5 {
+			case 0:
+				return v
+			case 1:
+				return v << 12
+			case 2:
+				return max(0, (Time(bucketOf(now))+v>>1)<<bucketShift-v&1-now)
+			case 3:
+				return max(0, (Time(bucketOf(now)>>wheelBits)+v>>1)<<(bucketShift+wheelBits)-v&1-now)
+			case 4:
+				return v << 20
+			case 5:
+				return v << 25 // up to a second
+			default:
+				return v * 997
+			}
+		}
+		var fire func(id int) func()
+		fire = func(id int) func() {
+			return func() {
+				if len(live) == 0 {
+					t.Fatalf("arming %d fired with none pending", id)
+				}
+				least := 0
+				for i, a := range live {
+					if a.at < live[least].at || (a.at == live[least].at && a.seq < live[least].seq) {
+						least = i
+					}
+				}
+				want := live[least]
+				if want.id != id || k.Now() != want.at {
+					t.Fatalf("arming %d fired at %v, want arming %d at %v", id, k.Now(), want.id, want.at)
+				}
+				live = slices.Delete(live, least, least+1)
+				if id%3 == 0 { // schedule from inside the callback
+					d := delay(byte(id * 37))
+					live = append(live, arming{k.Now() + d, seq, id + 1<<20})
+					seq++
+					k.Post(d, fire(id+1<<20))
+				}
+			}
+		}
+		ownedFire := func(j int) func() {
+			return func() {
+				ownedSeq[j] = unarmed
+				fire(int(-1 - j))()
+			}
+		}
+		for i := 0; i+1 < len(script) && i < 2000; i += 2 {
+			op, arg := script[i], script[i+1]
+			d := delay(arg)
+			id := i
+			switch op % 8 {
+			case 0:
+				live = append(live, arming{k.Now() + d, seq, id})
+				seq++
+				k.Post(d, fire(id))
+			case 1:
+				live = append(live, arming{k.Now() + d, seq, id})
+				seq++
+				k.PostAt(k.Now()+d, fire(id))
+			case 2:
+				live = append(live, arming{k.Now() + d, seq, id})
+				seq++
+				handles = append(handles, k.At(k.Now()+d, fire(id)))
+			case 3:
+				j := int(op>>3) % len(owned)
+				if owned[j] == nil {
+					owned[j] = k.NewEvent(ownedFire(j))
+				}
+				dropLive(ownedSeq[j])
+				live = append(live, arming{k.Now() + d, seq, -1 - j})
+				ownedSeq[j] = seq
+				seq++
+				if op&0x80 != 0 {
+					owned[j].ResetAt(k.Now() + d)
+				} else {
+					owned[j].Reset(d)
+				}
+			case 4:
+				if len(handles) == 0 {
+					continue
+				}
+				h := handles[int(arg)%len(handles)]
+				wantLive := h.seq != unarmed && dropLive(h.seq)
+				if h.Cancel() != wantLive {
+					t.Fatalf("op %d: Cancel = %v, want %v", i, !wantLive, wantLive)
+				}
+			case 5:
+				if want := len(live) > 0; k.Step() != want {
+					t.Fatalf("op %d: Step = %v, want %v", i, !want, want)
+				}
+			case 6:
+				until := k.Now() + d
+				k.RunUntil(until)
+				if k.Now() != until {
+					t.Fatalf("op %d: RunUntil(%v) left Now at %v", i, until, k.Now())
+				}
+				for _, a := range live {
+					if a.at <= until {
+						t.Fatalf("op %d: arming %d due at %v did not fire by %v", i, a.id, a.at, until)
+					}
+				}
+			case 7:
+				j := int(op>>3) % len(owned)
+				if owned[j] == nil {
+					continue
+				}
+				wantLive := dropLive(ownedSeq[j])
+				ownedSeq[j] = unarmed
+				if owned[j].Cancel() != wantLive {
+					t.Fatalf("op %d: Cancel of owned event %d = %v, want %v", i, j, !wantLive, wantLive)
+				}
+			}
+			if k.Pending() != len(live) {
+				t.Fatalf("op %d: Pending %d, want %d", i, k.Pending(), len(live))
+			}
+		}
+		k.Run()
+		if len(live) != 0 || k.Pending() != 0 {
+			t.Fatalf("%d armings never fired; Pending %d", len(live), k.Pending())
+		}
+	})
 }
