@@ -26,6 +26,14 @@ func TestCopyOutCallSitesAreAllowlisted(t *testing.T) {
 	checkCallSites(t, regexp.QuoteMeta(".CopyOut("), flatCopies, 4)
 }
 
+// TestAppendToCallSitesAreAllowlisted holds every stream parser to
+// iobuf.Stream: AppendTo copies a chain onto a flat slice, which is how a
+// parser reassembles by hand, so no non-test code outside internal/iobuf
+// calls it.
+func TestAppendToCallSitesAreAllowlisted(t *testing.T) {
+	checkCallSites(t, regexp.QuoteMeta(".AppendTo("), nil, 0, "internal/iobuf")
+}
+
 // checkCallSites fails unless every non-test Go file outside bench/ and
 // the skipped directories matches the regular expression needle exactly
 // as often as allow says - more is a new site to argue for, fewer a line

@@ -64,6 +64,7 @@ func (s *Server) handlerCost() sim.Time {
 func (s *Server) Serve(rt appnet.Runtime) error {
 	return rt.Listen(Port, func(conn appnet.Conn) appnet.Callbacks {
 		hc := &httpConn{srv: s}
+		hc.resp.Pool, _ = appnet.PoolsOf(conn)
 		return appnet.Callbacks{
 			OnData: func(c *event.Ctx, conn appnet.Conn, payload *iobuf.IOBuf) {
 				hc.onData(c, conn, payload)
@@ -72,32 +73,56 @@ func (s *Server) Serve(rt appnet.Runtime) error {
 	})
 }
 
-// httpConn parses pipelined GET requests off the stream.
+// maxHeadBytes caps a request head still waiting for its terminator, as
+// node.js's default --max-http-header-size does: a peer that never ends
+// one has its connection closed instead of growing the buffer.
+const maxHeadBytes = 16 << 10
+
+var headEnd = []byte("\r\n\r\n")
+
+// httpConn parses pipelined GET requests off the stream and writes the
+// responses into payload elements of the connection's interface.
 type httpConn struct {
-	srv *Server
-	rx  []byte
+	srv    *Server
+	rx     iobuf.Stream
+	resp   iobuf.Frames
+	closed bool
 }
 
 func (hc *httpConn) onData(c *event.Ctx, conn appnet.Conn, payload *iobuf.IOBuf) {
-	hc.rx = payload.AppendTo(hc.rx)
-	var resp []byte
+	if hc.closed {
+		return
+	}
+	data := hc.rx.Take(payload)
+	consumed := 0
 	for {
-		idx := bytes.Index(hc.rx, []byte("\r\n\r\n"))
+		idx := bytes.Index(data[consumed:], headEnd)
 		if idx < 0 {
 			break
 		}
-		req := hc.rx[:idx]
-		hc.rx = hc.rx[idx+4:]
+		req := data[consumed : consumed+idx]
+		consumed += idx + len(headEnd)
 		if !bytes.HasPrefix(req, []byte("GET ")) {
-			conn.Close(c)
-			return
+			hc.closed = true
+			break
 		}
 		hc.srv.Requests++
 		c.Charge(hc.srv.handlerCost())
-		resp = append(resp, Response...)
+		copy(hc.resp.Next(len(Response)), Response)
 	}
-	if len(resp) > 0 {
-		conn.Send(c, iobuf.Wrap(resp))
+	if hc.closed || len(data)-consumed > maxHeadBytes {
+		// A request other than GET, or a head that never ends: drop the
+		// connection and the responses written for it.
+		hc.closed = true
+		if out := hc.resp.Take(); out != nil {
+			out.Free()
+		}
+		conn.Close(c)
+		return
+	}
+	hc.rx.Keep(data, consumed, 0)
+	if out := hc.resp.Take(); out != nil {
+		conn.Send(c, out)
 	}
 }
 

@@ -95,3 +95,42 @@ func TestHandlerJitterDeterministic(t *testing.T) {
 		t.Fatalf("answered in %v, under the handler's own %v", a, costs.HTTPHandlerNs)
 	}
 }
+
+// TestUnterminatedHeadClosesItsConnection: a peer that sends 64 KiB
+// without ever ending its request head has that connection closed once
+// the pending head passes 16 KiB, and a GET on another connection is
+// still answered.
+func TestUnterminatedHeadClosesItsConnection(t *testing.T) {
+	pair := testbed.NewPair(testbed.EbbRT, 1, 2)
+	srv := httpd.NewServer()
+	if err := srv.Serve(pair.Server); err != nil {
+		t.Fatal(err)
+	}
+	flood := append([]byte("GET / HTTP/1.1\r\nX-Endless: "), bytes.Repeat([]byte{'x'}, 64<<10)...)
+	var floodGot, got []byte
+	floodClosed := false
+	pair.Client.Mgrs()[0].Spawn(func(c *event.Ctx) {
+		pair.Client.Dial(c, testbed.ServerIP, httpd.Port, appnet.Callbacks{
+			OnData: func(c *event.Ctx, conn appnet.Conn, payload *iobuf.IOBuf) {
+				floodGot = append(floodGot, payload.CopyOut()...)
+			},
+			OnClose: func(*event.Ctx, appnet.Conn, error) { floodClosed = true },
+		}, func(c *event.Ctx, conn appnet.Conn) {
+			conn.Send(c, iobuf.Wrap(flood))
+		})
+		pair.Client.Dial(c, testbed.ServerIP, httpd.Port, appnet.Callbacks{
+			OnData: func(c *event.Ctx, conn appnet.Conn, payload *iobuf.IOBuf) {
+				got = append(got, payload.CopyOut()...)
+			},
+		}, func(c *event.Ctx, conn appnet.Conn) {
+			conn.Send(c, iobuf.Wrap(httpd.Request))
+		})
+	})
+	pair.K.RunUntil(100 * sim.Millisecond)
+	if !floodClosed || len(floodGot) != 0 {
+		t.Fatalf("unterminated head: connection closed %v, %d bytes answered", floodClosed, len(floodGot))
+	}
+	if !bytes.Equal(got, httpd.Response) || srv.Requests != 1 {
+		t.Fatalf("the other connection got %d bytes, %d requests served", len(got), srv.Requests)
+	}
+}

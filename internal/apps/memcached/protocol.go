@@ -269,24 +269,20 @@ func SetAbsExpiryRequest(key, value []byte, flags uint32, stamp uint64, expires 
 	return absRequest(OpSet, key, value, flags, stamp, expires)
 }
 
+// AddQAbsExpiryRequest is SetAbsExpiryRequest's quiet ADD twin. The
+// migration stream uses it so a transferred entry arrives at its new
+// owner with both the stamp and the deadline the surviving replicas
+// hold, without displacing a fresher value and without a response per
+// key.
+func AddQAbsExpiryRequest(key, value []byte, flags uint32, stamp uint64, expires int64) Request {
+	return absRequest(OpAddQ, key, value, flags, stamp, expires)
+}
+
 func absRequest(op byte, key, value []byte, flags uint32, stamp uint64, expires int64) Request {
 	r := Request{Opcode: op, Key: key, Value: value, CAS: stamp}
 	r.extra32(flags)
 	r.extra64(uint64(expires))
 	return r
-}
-
-// BuildSetAbsExpiry encodes a SetAbsExpiryRequest.
-func BuildSetAbsExpiry(key, value []byte, flags uint32, opaque uint32, stamp uint64, expires int64) []byte {
-	return SetAbsExpiryRequest(key, value, flags, stamp, expires).Build(opaque)
-}
-
-// BuildAddStampedAbs is BuildAddStamped carrying an absolute virtual
-// expiry verbatim. The migration stream uses it so a transferred entry
-// arrives at its new owner with both the stamp and the deadline the
-// surviving replicas hold.
-func BuildAddStampedAbs(key, value []byte, flags uint32, opaque uint32, quiet bool, stamp uint64, expires int64) []byte {
-	return absRequest(addOpcode(quiet), key, value, flags, stamp, expires).Build(opaque)
 }
 
 // CounterExtrasLen is the extras block on INCREMENT/DECREMENT requests:

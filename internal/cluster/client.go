@@ -13,6 +13,7 @@ import (
 	"ebbrt/internal/event"
 	"ebbrt/internal/hosted"
 	"ebbrt/internal/iobuf"
+	"ebbrt/internal/netstack"
 	"ebbrt/internal/sim"
 )
 
@@ -583,17 +584,6 @@ func (cli *Client) BatchStats() BatchStats {
 	return out
 }
 
-// HotCached counts entries currently cached across the client's cores.
-func (cli *Client) HotCached() int {
-	n := 0
-	for corei := range cli.mgrs {
-		if rep, ok := cli.ref.GetIfPresent(corei); ok && rep.hot != nil {
-			n += rep.hot.cache.len()
-		}
-	}
-	return n
-}
-
 func (cli *Client) getFrom(c *event.Ctx, key []byte, reps []int, i int, missed []int, cb Callback) {
 	cli.rep(c).submitRead(c, reps[i], key, func(c *event.Ctx, r Response) {
 		switch {
@@ -944,7 +934,7 @@ func (r *clientRep) connFor(c *event.Ctx, backend int) *clientConn {
 	pool.conns = live
 	var cc *clientConn
 	if len(pool.conns) < r.cli.opt.poolSize {
-		cc = r.dial(c, backend)
+		cc = dialConn(c, r.cli.node.Runtime, r.cli.cl.Backends[backend].Node.IP(), r.mgr, r.cli.opt.RequestTimeout)
 		pool.conns = append(pool.conns, cc)
 	} else {
 		cc = pool.conns[pool.next%len(pool.conns)]
@@ -967,15 +957,17 @@ func (r *clientRep) dropBackend(c *event.Ctx, backend int) {
 	}
 }
 
-// dial opens one connection to the backend's memcached port.
-func (r *clientRep) dial(c *event.Ctx, backend int) *clientConn {
+// dialConn opens one connection from rt to the memcached port at ip.
+// Requests may be written into it at once: they leave when the handshake
+// completes, and then onConnect, if set, runs. With a positive timeout,
+// mgr fails a request left unanswered that long.
+func dialConn(c *event.Ctx, rt appnet.Runtime, ip netstack.Ipv4Addr, mgr *event.Manager, timeout sim.Time) *clientConn {
 	cc := &clientConn{
-		mgr:      r.mgr,
-		timeout:  r.cli.opt.RequestTimeout,
+		mgr:      mgr,
+		timeout:  timeout,
 		inflight: map[uint32]inflightOp{},
 	}
-	node := r.cli.cl.Backends[backend].Node
-	r.cli.node.Runtime.Dial(c, node.IP(), memcached.Port, appnet.Callbacks{
+	rt.Dial(c, ip, memcached.Port, appnet.Callbacks{
 		OnData: func(c *event.Ctx, conn appnet.Conn, payload *iobuf.IOBuf) {
 			cc.onData(c, payload)
 		},
@@ -990,6 +982,9 @@ func (r *clientRep) dial(c *event.Ctx, backend int) *clientConn {
 			conn.Send(c, pkt)
 		}
 		cc.pendingTx = nil
+		if cc.onConnect != nil {
+			cc.onConnect(c)
+		}
 	})
 	return cc
 }
@@ -1017,6 +1012,7 @@ type clientConn struct {
 	inflight   map[uint32]inflightOp
 	nextOpaque uint32
 	rx         iobuf.Stream
+	onConnect  func(c *event.Ctx)
 }
 
 func (cc *clientConn) send(c *event.Ctx, req *memcached.Request, cb Callback) int {

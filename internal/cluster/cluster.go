@@ -614,12 +614,3 @@ func dedupBackends(lists ...[]int) []int {
 	}
 	return out
 }
-
-// TotalRequests sums operations served across all shards.
-func (cl *Cluster) TotalRequests() uint64 {
-	var n uint64
-	for _, b := range cl.Backends {
-		n += b.Srv.Requests
-	}
-	return n
-}

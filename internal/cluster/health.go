@@ -51,7 +51,6 @@ type HealthMonitor struct {
 	states []backendHealth
 	byNode map[hosted.NodeId]int
 	seq    uint64
-	ticker event.Timer
 	// mu guards evictedAt/restoredAt: they are written from the monitor
 	// callback on the simulation goroutine but read through the accessors
 	// by experiment code and tests, possibly from other goroutines.
@@ -130,11 +129,6 @@ func (h *HealthMonitor) RestoredAt(i int) (sim.Time, bool) {
 	return t, ok
 }
 
-// Stop cancels the heartbeat loop.
-func (h *HealthMonitor) Stop() {
-	h.ticker.Cancel()
-}
-
 func (h *HealthMonitor) tick(c *event.Ctx, mgr *event.Manager) {
 	// Iterate the monitor's own state, not cl.Backends: backends added
 	// after the monitor was created are unmonitored, not a crash.
@@ -184,5 +178,5 @@ func (h *HealthMonitor) tick(c *event.Ctx, mgr *event.Manager) {
 		}
 		h.node.Messenger.Send(c, b.Node.Id, h.id, ping[:])
 	}
-	h.ticker = mgr.After(heartbeatInterval, func(c *event.Ctx) { h.tick(c, mgr) })
+	mgr.After(heartbeatInterval, func(c *event.Ctx) { h.tick(c, mgr) })
 }

@@ -12,7 +12,6 @@ import (
 	"ebbrt/internal/costs"
 	"ebbrt/internal/event"
 	"ebbrt/internal/hosted"
-	"ebbrt/internal/iobuf"
 	"ebbrt/internal/netstack"
 	"ebbrt/internal/sim"
 )
@@ -197,9 +196,6 @@ const (
 )
 
 const mgAckLen = 1 + 8 + 4 + 4 + 4
-
-// noopFence is the opaque of the Noop fencing a migration stream.
-const noopFence = 0xffffffff
 
 // xferJob is one transfer unit: every moved range sharing a destination
 // and source set, streamed over a single connection.
@@ -512,50 +508,41 @@ func (m *Migrator) onAck(c *event.Ctx, payload []byte) {
 	}
 }
 
-// fencedPipeline dials a shard's memcached port, lets send() pipeline
-// requests whose tail is a Noop with the noopFence opaque, and reports
-// exactly once: fenced() when the fence's response arrives - at which
-// point every earlier request on the connection has been applied - or
-// failed() if the connection dies first. Both the migration stream and
-// the tombstone scrub ride on it.
-func fencedPipeline(c *event.Ctx, rt appnet.Runtime, ip netstack.Ipv4Addr,
-	send func(c *event.Ctx, conn appnet.Conn), fenced, failed func(c *event.Ctx)) {
-	done, dead := false, false
-	var rx []byte
-	rt.Dial(c, ip, memcached.Port, appnet.Callbacks{
-		OnData: func(c *event.Ctx, conn appnet.Conn, payload *iobuf.IOBuf) {
-			rx = payload.AppendTo(rx)
-			consumed := 0
-			for {
-				hdr, _, n, err := memcached.NextFrame(rx[consumed:], memcached.MagicResponse)
-				if err != nil {
-					conn.Close(c) // OnClose reports the failure
-					return
-				}
-				if n == 0 {
-					break
-				}
-				consumed += n
-				// Per-request responses (a quiet ADD losing to a fresher
-				// dual-written value, a scrubbed key already absent) don't
-				// matter; only the fence does.
-				if hdr.Opcode == memcached.OpNoop && hdr.Opaque == noopFence && !done {
-					done = true
-					conn.Close(c)
-					fenced(c)
-					return
-				}
-			}
-			rx = rx[consumed:]
-		},
-		OnClose: func(c *event.Ctx, conn appnet.Conn, err error) {
-			if done || dead {
-				return
-			}
-			dead = true
+// fencedRound pipelines reqs to the memcached port at ip over a
+// connection of its own, behind a Noop fence, written into the
+// connection's payload elements once it is up and sent at every
+// migrationChunkBytes. Exactly one of fenced and failed runs: the fence
+// is the one request registered, so its OK means every request before it
+// has been applied, and the network error a dying connection delivers to
+// it means failure. The requests' own responses (a quiet ADD losing to a
+// fresher dual-written value, a scrubbed key already absent) don't
+// matter: their opaques are registered to nobody.
+func fencedRound(c *event.Ctx, rt appnet.Runtime, ip netstack.Ipv4Addr, reqs []memcached.Request, fenced, failed func(c *event.Ctx)) {
+	cc := dialConn(c, rt, ip, nil, 0)
+	if cc.closed { // the dial failed at once
+		failed(c)
+		return
+	}
+	fence := cc.register(c, func(c *event.Ctx, r Response) {
+		if !r.OK() {
 			failed(c)
-		},
-	}, send)
+			return
+		}
+		cc.conn.Close(c)
+		fenced(c)
+	})
+	cc.onConnect = func(c *event.Ctx) {
+		n := 0
+		for i := range reqs {
+			cc.write(&reqs[i], fence+1+uint32(i))
+			if n += reqs[i].Len(); n >= migrationChunkBytes {
+				cc.transmit(c)
+				n = 0
+			}
+		}
+		cc.write(&memcached.Request{Opcode: memcached.OpNoop}, fence)
+		cc.transmit(c)
+	}
 }
 
 // scrub deletes, at a job's destination, keys that were quorum-deleted
@@ -567,14 +554,11 @@ func fencedPipeline(c *event.Ctx, rt appnet.Runtime, ip netstack.Ipv4Addr,
 func (m *Migrator) scrub(c *event.Ctx, run *migrationRun, j, moved int, tombs [][]byte) {
 	run.scrubbing[j] = true
 	dest := m.cl.Backends[run.jobs[j].dest].Node
-	fencedPipeline(c, m.node.Runtime, dest.IP(), func(c *event.Ctx, conn appnet.Conn) {
-		var buf []byte
-		for i, key := range tombs {
-			buf = append(buf, memcached.BuildDelete(key, uint32(i))...)
-		}
-		buf = append(buf, memcached.BuildNoop(noopFence)...)
-		conn.Send(c, iobuf.Wrap(buf))
-	}, func(c *event.Ctx) {
+	reqs := make([]memcached.Request, len(tombs))
+	for i, key := range tombs {
+		reqs[i] = memcached.Request{Opcode: memcached.OpDelete, Key: key}
+	}
+	fencedRound(c, m.node.Runtime, dest.IP(), reqs, func(c *event.Ctx) {
 		if m.cur != run || run.done[j] {
 			return
 		}
@@ -711,11 +695,13 @@ type xferReq struct {
 // a Noop, and acknowledge the coordinator once the fence returns - at
 // which point every entry is applied at the destination.
 func (m *Migrator) stream(c *event.Ctx, b *Backend, coord hosted.NodeId, req xferReq) {
-	type kv struct {
-		key string
-		e   *memcached.Entry
-	}
-	var entries []kv
+	// The ADDs carry each entry's version stamp: the restored copy must
+	// hold the SAME stamp as the surviving replicas, or later
+	// cross-replica CAS comparisons (hot-key revalidation, fan-in folds)
+	// would see the migrated copy as a different version. Likewise the
+	// absolute expiry travels verbatim so the entry keeps its exact
+	// deadline at the new owner.
+	var reqs []memcached.Request
 	now := c.Now()
 	b.Srv.Store.Scan(func(k string, e *memcached.Entry) bool {
 		// Expiry is lazy: the store may still physically hold entries
@@ -728,37 +714,20 @@ func (m *Migrator) stream(c *event.Ctx, b *Backend, coord hosted.NodeId, req xfe
 		h := ringHash([]byte(k))
 		for _, r := range req.ranges {
 			if r.Contains(h) {
-				entries = append(entries, kv{key: k, e: e})
+				reqs = append(reqs, memcached.AddQAbsExpiryRequest([]byte(k), e.Value, e.Flags, e.CAS, int64(e.Expires)))
 				break
 			}
 		}
 		return true
 	})
-	c.Charge(sim.Time(len(entries)) * m.perEntryCPU)
-	ack := encodeAck(mgDone, req.migId, req.job, req.attempt, uint32(len(entries)))
-	if len(entries) == 0 {
+	c.Charge(sim.Time(len(reqs)) * m.perEntryCPU)
+	ack := encodeAck(mgDone, req.migId, req.job, req.attempt, uint32(len(reqs)))
+	if len(reqs) == 0 {
 		b.Node.Messenger.Send(c, coord, m.id, ack)
 		return
 	}
 	dest := b.Node.Sys.Nodes[req.destNode]
-	fencedPipeline(c, b.Node.Runtime, dest.IP(), func(c *event.Ctx, conn appnet.Conn) {
-		var buf []byte
-		for i, kv := range entries {
-			// The ADD carries the entry's version stamp: the restored copy
-			// must hold the SAME stamp as the surviving replicas, or later
-			// cross-replica CAS comparisons (hot-key revalidation, fan-in
-			// folds) would see the migrated copy as a different version.
-			// Likewise the absolute expiry travels verbatim so the entry
-			// keeps its exact deadline at the new owner.
-			buf = append(buf, memcached.BuildAddStampedAbs([]byte(kv.key), kv.e.Value, kv.e.Flags, uint32(i), true, kv.e.CAS, int64(kv.e.Expires))...)
-			if len(buf) >= migrationChunkBytes {
-				conn.Send(c, iobuf.Wrap(buf))
-				buf = nil
-			}
-		}
-		buf = append(buf, memcached.BuildNoop(noopFence)...)
-		conn.Send(c, iobuf.Wrap(buf))
-	}, func(c *event.Ctx) {
+	fencedRound(c, b.Node.Runtime, dest.IP(), reqs, func(c *event.Ctx) {
 		b.Node.Messenger.Send(c, coord, m.id, ack)
 	}, func(c *event.Ctx) {
 		b.Node.Messenger.Send(c, coord, m.id,

@@ -187,9 +187,6 @@ func (m *Manager) AllocateVector(h Handler) int {
 	return v
 }
 
-// Bind replaces the handler for an existing vector.
-func (m *Manager) Bind(vec int, h Handler) { m.handlers[vec] = h }
-
 // Spawn queues fn to run as a synthetic event on this core. Spawned events
 // run once; for recurring work install an IdleHandler.
 func (m *Manager) Spawn(fn Handler) {

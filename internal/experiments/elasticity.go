@@ -219,6 +219,20 @@ func elasticitySpec(backends, replicas int, killFirst bool) func(Scale, *audit.L
 			text += fmt.Sprintf("time to restore R:    %.2fms streamed vs never (baseline)\n", float64(streamed.restoreR)/1e6)
 		}
 		rep := Report{Text: text}
+		rep.metric("streamed_join_ns", int64(streamed.joinStream))
+		rep.metric("streamed_join_moved", streamed.joinMoved)
+		rep.metric("streamed_restore_r_ns", int64(streamed.restoreR))
+		rep.metric("streamed_restore_moved", streamed.decommMoved)
+		rep.metric("streamed_pre_join_hit", streamed.preJoinHit)
+		rep.metric("streamed_post_join_hit", streamed.postJoinHit)
+		rep.metric("streamed_post_decomm_hit", streamed.postDecommHit)
+		rep.metric("streamed_min_live", streamed.minLive)
+		rep.metric("streamed_misses", streamed.load.Misses)
+		rep.metric("streamed_p99_ns", int64(streamed.load.P99))
+		rep.metric("baseline_pre_join_hit", baseline.preJoinHit)
+		rep.metric("baseline_post_join_hit", baseline.postJoinHit)
+		rep.metric("baseline_post_decomm_hit", baseline.postDecommHit)
+		rep.metric("baseline_min_live", baseline.minLive)
 		rep.require(streamed.preJoinRPS >= 0.8*o.rps, "pre-join throughput %.0f below 80%% of offered %.0f", streamed.preJoinRPS, o.rps)
 		rep.require(streamed.joinStream >= 0 && streamed.joinMoved > 0, "streamed join did not run a migration")
 		rep.require(streamed.joinStream <= 50*sim.Millisecond, "join share took %v to stream", streamed.joinStream)

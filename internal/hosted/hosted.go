@@ -212,7 +212,6 @@ type Messenger struct {
 	handlers map[core.Id]MessageHandler
 	conns    map[NodeId]appnet.Conn
 	dialing  map[NodeId][]pendingMsg
-	rx       map[NodeId]*[]byte
 	// dialAttempt numbers dial attempts per destination. Reset bumps it
 	// to orphan an in-flight dial: a superseded dial's callbacks must
 	// neither install its connection nor clear the state of the attempt
@@ -225,23 +224,26 @@ type pendingMsg struct {
 	payload []byte
 }
 
+// msgConn is the receive side of one messenger connection.
+type msgConn struct {
+	from NodeId // the peer; -1 on an accepted connection until its first message
+	rx   iobuf.Stream
+}
+
 func newMessenger(n *Node) *Messenger {
 	m := &Messenger{
 		node:        n,
 		handlers:    map[core.Id]MessageHandler{},
 		conns:       map[NodeId]appnet.Conn{},
 		dialing:     map[NodeId][]pendingMsg{},
-		rx:          map[NodeId]*[]byte{},
 		dialAttempt: map[NodeId]uint64{},
 	}
 	// Accept inbound messenger connections.
 	err := n.Runtime.Listen(messengerPort, func(conn appnet.Conn) appnet.Callbacks {
-		var buf []byte
-		var from NodeId = -1
+		mc := &msgConn{from: -1}
 		return appnet.Callbacks{
 			OnData: func(c *event.Ctx, conn appnet.Conn, payload *iobuf.IOBuf) {
-				buf = payload.AppendTo(buf)
-				buf = m.process(c, &from, conn, buf)
+				m.receive(c, mc, conn, payload)
 			},
 		}
 	})
@@ -257,6 +259,12 @@ func (m *Messenger) Register(ebb core.Id, h MessageHandler) { m.handlers[ebb] = 
 // wire format: [srcNode u32][ebbId u32][len u32][payload]
 const msgHeaderLen = 12
 
+// msgReserveMax caps the reassembly buffer reserved for a message the
+// peer has announced but not yet delivered: the length is the peer's
+// word, and messages are control traffic. A longer one still arrives,
+// its buffer grown as its bytes do.
+const msgReserveMax = 64 << 10
+
 // Send delivers payload to the Ebb's representative on the destination
 // node, establishing the TCP connection on first use.
 func (m *Messenger) Send(c *event.Ctx, dst NodeId, ebb core.Id, payload []byte) {
@@ -268,7 +276,7 @@ func (m *Messenger) Send(c *event.Ctx, dst NodeId, ebb core.Id, payload []byte) 
 		return
 	}
 	if conn, ok := m.conns[dst]; ok {
-		conn.Send(c, wrapMsg(m.node.Id, ebb, payload))
+		m.send(c, conn, ebb, payload)
 		return
 	}
 	m.dialing[dst] = append(m.dialing[dst], pendingMsg{ebb: ebb, payload: payload})
@@ -278,12 +286,10 @@ func (m *Messenger) Send(c *event.Ctx, dst NodeId, ebb core.Id, payload []byte) 
 	attempt := m.dialAttempt[dst] + 1
 	m.dialAttempt[dst] = attempt
 	dstNode := m.node.Sys.Nodes[dst]
-	var rxbuf []byte
-	from := dst
+	mc := &msgConn{from: dst}
 	m.node.Runtime.Dial(c, dstNode.IP(), messengerPort, appnet.Callbacks{
 		OnData: func(c *event.Ctx, conn appnet.Conn, payload *iobuf.IOBuf) {
-			rxbuf = payload.AppendTo(rxbuf)
-			rxbuf = m.process(c, &from, conn, rxbuf)
+			m.receive(c, mc, conn, payload)
 		},
 		OnClose: func(c *event.Ctx, conn appnet.Conn, err error) {
 			if m.dialAttempt[dst] != attempt {
@@ -308,7 +314,7 @@ func (m *Messenger) Send(c *event.Ctx, dst NodeId, ebb core.Id, payload []byte) 
 		queued := m.dialing[dst]
 		delete(m.dialing, dst)
 		for _, msg := range queued {
-			conn.Send(c, wrapMsg(m.node.Id, msg.ebb, msg.payload))
+			m.send(c, conn, msg.ebb, msg.payload)
 		}
 	})
 }
@@ -331,34 +337,42 @@ func (m *Messenger) Reset(c *event.Ctx, dst NodeId) {
 	m.dialAttempt[dst]++
 }
 
-// process parses complete messages from the stream and dispatches them.
-func (m *Messenger) process(c *event.Ctx, from *NodeId, conn appnet.Conn, buf []byte) []byte {
-	for len(buf) >= msgHeaderLen {
-		src := NodeId(binary.BigEndian.Uint32(buf[0:4]))
-		ebb := core.Id(binary.BigEndian.Uint32(buf[4:8]))
-		n := int(binary.BigEndian.Uint32(buf[8:12]))
-		if len(buf) < msgHeaderLen+n {
+// receive dispatches every complete message of a delivery on one
+// connection, keeping the partial one at its end for the next.
+func (m *Messenger) receive(c *event.Ctx, mc *msgConn, conn appnet.Conn, payload *iobuf.IOBuf) {
+	data := mc.rx.Take(payload)
+	consumed, need := 0, 0
+	for len(data)-consumed >= msgHeaderLen {
+		hdr := data[consumed:]
+		src := NodeId(binary.BigEndian.Uint32(hdr[0:4]))
+		ebb := core.Id(binary.BigEndian.Uint32(hdr[4:8]))
+		n := int(binary.BigEndian.Uint32(hdr[8:12]))
+		if len(hdr) < msgHeaderLen+n {
+			need = msgHeaderLen + min(n, msgReserveMax)
 			break
 		}
-		payload := buf[msgHeaderLen : msgHeaderLen+n]
-		buf = buf[msgHeaderLen+n:]
-		if *from < 0 {
+		consumed += msgHeaderLen + n
+		if mc.from < 0 {
 			// Learn the peer and keep the inbound connection for replies.
-			*from = src
+			mc.from = src
 			m.conns[src] = conn
 		}
 		if h, ok := m.handlers[ebb]; ok {
-			h(c, src, append([]byte(nil), payload...))
+			h(c, src, append([]byte(nil), hdr[msgHeaderLen:msgHeaderLen+n]...))
 		}
 	}
-	return buf
+	mc.rx.Keep(data, consumed, need)
 }
 
-func wrapMsg(src NodeId, ebb core.Id, payload []byte) *iobuf.IOBuf {
-	b := make([]byte, msgHeaderLen+len(payload))
-	binary.BigEndian.PutUint32(b[0:4], uint32(src))
+// send writes one message into a payload element of conn's interface
+// and sends it.
+func (m *Messenger) send(c *event.Ctx, conn appnet.Conn, ebb core.Id, payload []byte) {
+	var f iobuf.Frames
+	f.Pool, _ = appnet.PoolsOf(conn)
+	b := f.Next(msgHeaderLen + len(payload))
+	binary.BigEndian.PutUint32(b[0:4], uint32(m.node.Id))
 	binary.BigEndian.PutUint32(b[4:8], uint32(ebb))
 	binary.BigEndian.PutUint32(b[8:12], uint32(len(payload)))
 	copy(b[msgHeaderLen:], payload)
-	return iobuf.Wrap(b)
+	conn.Send(c, f.Take())
 }

@@ -2,11 +2,15 @@ package hosted
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"testing"
 
+	"ebbrt/internal/apps/appnet"
 	"ebbrt/internal/core"
 	"ebbrt/internal/event"
 	"ebbrt/internal/future"
+	"ebbrt/internal/iobuf"
 	"ebbrt/internal/machine"
 	"ebbrt/internal/sim"
 )
@@ -145,6 +149,45 @@ func TestMessengerRedialsAfterFailedDial(t *testing.T) {
 	sys.K.RunUntil(sys.K.Now() + 2*sim.Second)
 	if len(got) != 1 || got[0] != "after" {
 		t.Fatalf("messenger wedged after failed dial: %v", got)
+	}
+}
+
+// TestMessengerCapsAnnouncedLength: a header announcing a 2 GiB message
+// reserves no more than the cap while its bytes trickle in, and the next
+// well-formed message, on a fresh connection, is delivered.
+func TestMessengerCapsAnnouncedLength(t *testing.T) {
+	sys := NewSystem()
+	native := sys.AddNativeNode(1)
+	id := sys.AllocateEbbId()
+	var got []string
+	sys.Frontend().Messenger.Register(id, func(c *event.Ctx, src NodeId, payload []byte) {
+		got = append(got, string(payload))
+	})
+	msg := func(n uint32, body string) []byte {
+		b := make([]byte, msgHeaderLen, msgHeaderLen+len(body))
+		binary.BigEndian.PutUint32(b[0:4], uint32(native.Id))
+		binary.BigEndian.PutUint32(b[4:8], uint32(id))
+		binary.BigEndian.PutUint32(b[8:12], n)
+		return append(b, body...)
+	}
+	raw := func(data []byte) {
+		native.Spawn(func(c *event.Ctx) {
+			native.Runtime.Dial(c, sys.Frontend().IP(), messengerPort, appnet.Callbacks{},
+				func(c *event.Ctx, conn appnet.Conn) { conn.Send(c, iobuf.Wrap(data)) })
+		})
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	raw(msg(1<<31, "the first bytes of a message that never ends"))
+	sys.K.RunUntil(100 * sim.Millisecond)
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+		t.Fatalf("a 2 GiB announcement allocated %d MiB", grew>>20)
+	}
+	raw(msg(5, "hello"))
+	sys.K.RunUntil(200 * sim.Millisecond)
+	if len(got) != 1 || got[0] != "hello" {
+		t.Fatalf("delivered %q, want the well-formed message alone", got)
 	}
 }
 

@@ -143,9 +143,6 @@ func (c *Core) EnableInterrupts() { c.intsEnabled = true }
 // DisableInterrupts clears the interrupt flag.
 func (c *Core) DisableInterrupts() { c.intsEnabled = false }
 
-// InterruptsEnabled reports the interrupt flag.
-func (c *Core) InterruptsEnabled() bool { return c.intsEnabled }
-
 // Halt marks the core idle awaiting an interrupt. The next RaiseIRQ with
 // interrupts enabled wakes it through the dispatcher.
 func (c *Core) Halt() { c.halted = true }

@@ -166,9 +166,6 @@ func (q *RxQueue) EnableIRQ() {
 // DisableIRQ masks the queue interrupt (enter polling mode).
 func (q *RxQueue) DisableIRQ() { q.irqEnabled = false }
 
-// IRQEnabled reports whether the interrupt is unmasked.
-func (q *RxQueue) IRQEnabled() bool { return q.irqEnabled }
-
 // NIC models a virtio-net device, or the bare-metal X520 when the machine
 // is not virtualized (Machine.Cfg.Virtualized): then a frame pays neither
 // the virtio kick nor vhost nor an injected interrupt, only the NIC itself.

@@ -122,17 +122,3 @@ func (s *Stack) AddInterface(nic *machine.NIC, addr, mask Ipv4Addr) *Interface {
 	}
 	return itf
 }
-
-// InterfaceFor returns the interface that owns addr, or the first
-// interface when addr is unspecified.
-func (s *Stack) InterfaceFor(addr Ipv4Addr) *Interface {
-	for _, itf := range s.Itfs {
-		if itf.Addr == addr {
-			return itf
-		}
-	}
-	if len(s.Itfs) > 0 {
-		return s.Itfs[0]
-	}
-	return nil
-}

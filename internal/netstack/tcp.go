@@ -244,12 +244,6 @@ func (p *TcpPcb) auditRecovery(now sim.Time, kind audit.Kind) {
 // Core reports the owning core.
 func (p *TcpPcb) Core() int { return p.core }
 
-// RemoteAddr reports the peer address and port.
-func (p *TcpPcb) RemoteAddr() (Ipv4Addr, uint16) { return p.key.rip, p.key.rport }
-
-// LocalPort reports the local port.
-func (p *TcpPcb) LocalPort() uint16 { return p.key.lport }
-
 // Pools reports the interface's pools an application builds what it sends
 // in: payload elements of class MSS, and view descriptors over bytes it
 // lends. The stack frees both as the peer acknowledges them.

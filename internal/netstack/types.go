@@ -54,11 +54,6 @@ func (a Ipv4Addr) Uint32() uint32 {
 	return uint32(a[0])<<24 | uint32(a[1])<<16 | uint32(a[2])<<8 | uint32(a[3])
 }
 
-// IPFromUint32 converts a host-order integer to an address.
-func IPFromUint32(v uint32) Ipv4Addr {
-	return Ipv4Addr{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)}
-}
-
 // IsBroadcast reports whether the address is the limited broadcast.
 func (a Ipv4Addr) IsBroadcast() bool { return a == Ipv4Addr{255, 255, 255, 255} }
 
