@@ -43,7 +43,7 @@ type Server struct {
 
 	// stats are the live counters behind the `stats` command (stats.go
 	// renders them under their stock names). Both protocols feed the same
-	// counters, mostly from the shared apply* helpers.
+	// counters, mostly from store and the shared apply* helpers.
 	stats statCounters
 }
 
@@ -285,27 +285,38 @@ func (sc *serverConn) onData(c *event.Ctx, conn appnet.Conn, payload *iobuf.IOBu
 // below the MSS, so an inline frame always fits one payload element.
 const borrowMin = 1024
 
-// response is a batch's responses as the server writes them: frames in
-// payload elements from the connection's interface, each frame whole in
-// one element, and each lent value a view descriptor between them. The
-// stack frees both once the peer has acknowledged them.
+// response is a batch's responses as the server writes them, in either
+// protocol: records in payload elements from the connection's interface,
+// each record whole in one element, and each lent value a view descriptor
+// between them. The stack frees both once the peer has acknowledged them.
 type response struct {
 	iobuf.Frames
 	views *iobuf.Pool
 }
 
-// add writes one response frame. A value of borrowMin bytes or more - only
-// a GET's stored value is that long, and Entry.Value is never written once
-// stored - is lent rather than copied: the frame's header announces it and
-// a view of it follows, holding it for as long as the stack may
-// retransmit it.
-func (r *response) add(req Header, status uint16, extras, value []byte, cas uint64) {
-	lend := len(value) >= borrowMin
-	inline := value
-	if lend {
-		inline = nil
+// record writes one response record: head bytes, which the caller fills
+// in through the returned slice, then value, then tail. A value of
+// borrowMin bytes or more - only a GET's stored value is that long, and
+// Entry.Value is never written once stored - is lent rather than copied:
+// the head announces it and a view of it follows, holding it for as long
+// as the stack may retransmit it.
+func (r *response) record(head int, value []byte, tail string) []byte {
+	if len(value) < borrowMin {
+		f := r.Next(head + len(value) + len(tail))
+		copy(f[head+copy(f[head:], value):], tail)
+		return f[:head]
 	}
-	f := r.Next(HeaderLen + len(extras) + len(inline))
+	f := r.Next(head)
+	r.Link(r.views.View(value))
+	if tail != "" {
+		r.text(tail)
+	}
+	return f
+}
+
+// add writes one binary response frame.
+func (r *response) add(req Header, status uint16, extras, value []byte, cas uint64) {
+	f := r.record(HeaderLen+len(extras), value, "")
 	WriteHeader(f, Header{
 		Magic:     MagicResponse,
 		Opcode:    req.Opcode,
@@ -316,10 +327,6 @@ func (r *response) add(req Header, status uint16, extras, value []byte, cas uint
 		CAS:       cas,
 	})
 	copy(f[HeaderLen:], extras)
-	copy(f[HeaderLen+len(extras):], inline)
-	if lend {
-		r.Link(r.views.View(value))
-	}
 }
 
 // addStat writes one binary STAT response frame: the statistic's name
@@ -343,13 +350,13 @@ func (r *response) addStat(req Header, name, value string) {
 // stream, with the same retain-the-tail and single-send-per-batch
 // discipline as the binary path.
 func (sc *serverConn) onTextData(c *event.Ctx, conn appnet.Conn, data []byte) {
-	resp, consumed, quit := sc.srv.handleText(c, &sc.text, data)
+	consumed, quit := sc.srv.handleText(c, &sc.text, data, &sc.resp)
 	if quit {
 		consumed = len(data)
 	}
 	sc.rx.Keep(data, consumed, 0)
-	if len(resp) > 0 {
-		conn.Send(c, sc.resp.views.View(resp))
+	if out := sc.resp.Take(); out != nil {
+		conn.Send(c, out)
 	}
 	if quit {
 		sc.mode = modeClosed
@@ -395,101 +402,23 @@ func (s *Server) handle(c *event.Ctx, hdr Header, body []byte, r *response) {
 		binary.BigEndian.PutUint64(extras[4:], uint64(int64(e.Expires)))
 		r.add(hdr, StatusOK, extras[:], e.Value, e.CAS)
 
-	case OpSet, OpSetQ:
+	case OpSet, OpSetQ, OpAdd, OpAddQ, OpAppend, OpPrepend:
 		s.stats.cmdSet++
 		var flags uint32
 		if hdr.ExtrasLen >= 4 {
 			flags = binary.BigEndian.Uint32(body)
 		}
-		value := append([]byte(nil), body[keyStart+int(hdr.KeyLen):]...)
-		expires := storeExpiry(hdr, body, now)
-		if hdr.CAS != 0 {
-			// Replica-stamped store: the coordinator (the cluster client)
-			// assigned this write's version stamp once, and every replica
-			// stores that exact stamp - never a locally minted one, which
-			// is what made R>1 stamps incomparable. Apply last-writer-wins
-			// by stamp so replicas converge on the same {value, stamp}
-			// regardless of delivery order; echo the winning stamp so the
-			// coordinator can detect that its write was superseded. An
-			// expired loser does not block the stamp comparison: the dead
-			// entry's stamp still orders writes.
-			win := hdr.CAS
-			if cur, ok := s.Store.Get(key); ok && cur.CAS >= hdr.CAS {
-				win = cur.CAS
-			} else if !s.Store.Set(key, &Entry{Value: value, Flags: flags, CAS: hdr.CAS, Expires: expires, StoredAt: now}) {
-				r.add(hdr, StatusOutOfMemory, nil, nil, 0)
-				return
-			} else {
-				s.stats.totalItems++
-			}
-			if hdr.Opcode == OpSetQ {
-				return
-			}
-			r.add(hdr, StatusOK, nil, nil, win)
-			return
-		}
-		cur, _ := s.Store.Get(key)
-		cas := s.mintCAS(cur)
-		if !s.Store.Set(key, &Entry{Value: value, Flags: flags, CAS: cas, Expires: expires, StoredAt: now}) {
-			r.add(hdr, StatusOutOfMemory, nil, nil, 0)
-			return
-		}
-		s.stats.totalItems++
-		if hdr.Opcode == OpSetQ {
+		status, cas := s.store(binaryStoreModes[hdr.Opcode], key, body[keyStart+int(hdr.KeyLen):],
+			flags, storeExpiry(hdr, body, now), hdr.CAS, now)
+		if status == StatusOK && (hdr.Opcode == OpSetQ || hdr.Opcode == OpAddQ) {
+			// An ADD losing to an existing entry is an error response even
+			// for the quiet opcode, as in stock memcached; quiet suppresses
+			// only successes.
 			return
 		}
 		// As in stock memcached, a successful store echoes the entry's
 		// newly stamped CAS in the response header.
-		r.add(hdr, StatusOK, nil, nil, cas)
-
-	case OpAdd, OpAddQ:
-		s.stats.cmdSet++
-		var flags uint32
-		if hdr.ExtrasLen >= 4 {
-			flags = binary.BigEndian.Uint32(body)
-		}
-		value := append([]byte(nil), body[keyStart+int(hdr.KeyLen):]...)
-		expires := storeExpiry(hdr, body, now)
-		// A stamped ADD (migration stream, nonzero request CAS) preserves
-		// the sender's version stamp; a plain ADD mints a local one. An
-		// expired occupant does not defeat an ADD: it is reclaimed first,
-		// as in stock memcached.
-		if e, ok := s.Store.Get(key); ok && !s.EntryLive(e, now) {
-			s.Store.Delete(key)
-			s.ExpiredReclaimed++
-		}
-		cas := hdr.CAS
-		if cas == 0 {
-			cas = s.nextCAS()
-		}
-		if !s.Store.Add(key, &Entry{Value: value, Flags: flags, CAS: cas, Expires: expires, StoredAt: now}) {
-			// Losing the race to an existing entry is an error response
-			// even for the quiet opcode, as in stock memcached; quiet
-			// suppresses only successes.
-			r.add(hdr, StatusKeyExists, nil, nil, 0)
-			return
-		}
-		s.stats.totalItems++
-		if hdr.Opcode == OpAddQ {
-			return
-		}
-		r.add(hdr, StatusOK, nil, nil, cas)
-
-	case OpAppend, OpPrepend:
-		s.stats.cmdSet++
-		value := body[keyStart+int(hdr.KeyLen):]
-		e, cas, ok := s.applyConcat(key, value, hdr.Opcode == OpAppend, now)
-		if !ok {
-			// Stock memcached answers NOT_STORED when there is nothing to
-			// concatenate onto.
-			r.add(hdr, StatusNotStored, nil, nil, 0)
-			return
-		}
-		if e == nil {
-			r.add(hdr, StatusOutOfMemory, nil, nil, 0)
-			return
-		}
-		r.add(hdr, StatusOK, nil, nil, cas)
+		r.add(hdr, status, nil, nil, cas)
 
 	case OpIncrement, OpDecrement:
 		if hdr.ExtrasLen < CounterExtrasLen {
@@ -558,31 +487,95 @@ func (s *Server) handle(c *event.Ctx, hdr Header, body []byte, r *response) {
 	}
 }
 
-// applyConcat implements append/prepend, shared by both protocols.
-// ok=false means there was no live entry to concatenate onto
-// (NOT_STORED); ok=true with e==nil means the bounded store could not
-// fit the grown value. Concatenation keeps the entry's flags and expiry
-// (stock memcached ignores the ones on the request line) but mints a
-// fresh CAS: the value changed, and the hot-key cache's newest-wins rule
-// needs to see that.
-func (s *Server) applyConcat(key string, value []byte, atEnd bool, now sim.Time) (e *Entry, cas uint64, ok bool) {
-	cur, ok := s.getLive(key, now)
-	if !ok {
-		return nil, 0, false
+// storeMode is a storage command, run by store for both protocols (the
+// binary one has no replace).
+type storeMode byte
+
+const (
+	storeSet storeMode = iota + 1
+	storeAdd
+	storeReplace
+	storeAppend
+	storePrepend
+)
+
+// binaryStoreModes maps each storage opcode onto the mode store runs.
+var binaryStoreModes = [256]storeMode{
+	OpSet: storeSet, OpSetQ: storeSet, OpAdd: storeAdd, OpAddQ: storeAdd,
+	OpAppend: storeAppend, OpPrepend: storePrepend,
+}
+
+// store runs one storage command for either protocol and reports the
+// outcome as a binary status, with the stored entry's CAS on success.
+// value is the request's, copied before the store keeps it. A nonzero
+// stamp is a version stamp the request carried, which set and add store
+// instead of minting one.
+func (s *Server) store(mode storeMode, key string, value []byte, flags uint32, expires sim.Time, stamp uint64, now sim.Time) (status uint16, cas uint64) {
+	switch mode {
+	case storeSet:
+		cur, ok := s.Store.Get(key)
+		switch {
+		case stamp == 0:
+			cas = s.mintCAS(cur)
+		case ok && cur.CAS >= stamp:
+			// Replica-stamped store: the coordinator (the cluster client)
+			// assigned this write's version stamp once, and every replica
+			// stores that exact stamp - never a locally minted one, which
+			// is what made R>1 stamps incomparable. Apply last-writer-wins
+			// by stamp so replicas converge on the same {value, stamp}
+			// regardless of delivery order; echo the winning stamp so the
+			// coordinator can detect that its write was superseded. An
+			// expired loser does not block the stamp comparison: the dead
+			// entry's stamp still orders writes.
+			return StatusOK, cur.CAS
+		default:
+			cas = stamp
+		}
+		value = append([]byte(nil), value...)
+	case storeAdd:
+		// A stamped ADD (migration stream) preserves the sender's version
+		// stamp; a plain ADD mints a local one, even if it then loses. An
+		// expired occupant does not defeat an ADD: getLive reclaims it
+		// first, as in stock memcached.
+		s.getLive(key, now)
+		if cas = stamp; cas == 0 {
+			cas = s.nextCAS()
+		}
+		if !s.Store.Add(key, &Entry{Value: append([]byte(nil), value...), Flags: flags, CAS: cas, Expires: expires, StoredAt: now}) {
+			return StatusKeyExists, 0
+		}
+		s.stats.totalItems++
+		return StatusOK, cas
+	default:
+		// Replace, append and prepend store only over a live entry; stock
+		// memcached answers NOT_STORED when there is none. The lookup and
+		// the store are atomic: the simulation kernel runs one event at a
+		// time, so no other request interleaves between them.
+		cur, ok := s.getLive(key, now)
+		if !ok {
+			return StatusNotStored, 0
+		}
+		cas = s.mintCAS(cur)
+		if mode == storeReplace {
+			value = append([]byte(nil), value...)
+			break
+		}
+		// Concatenation keeps the entry's flags and expiry (stock
+		// memcached ignores the request's) but takes a fresh CAS: the
+		// value changed, and the hot-key cache's newest-wins rule needs
+		// to see that.
+		head, tail := cur.Value, value
+		if mode == storePrepend {
+			head, tail = value, cur.Value
+		}
+		value = append(append(make([]byte, 0, len(head)+len(tail)), head...), tail...)
+		flags, expires = cur.Flags, cur.Expires
 	}
-	grown := make([]byte, 0, len(cur.Value)+len(value))
-	if atEnd {
-		grown = append(append(grown, cur.Value...), value...)
-	} else {
-		grown = append(append(grown, value...), cur.Value...)
-	}
-	cas = s.mintCAS(cur)
-	ne := &Entry{Value: grown, Flags: cur.Flags, CAS: cas, Expires: cur.Expires, StoredAt: now}
-	if !s.Store.Set(key, ne) {
-		return nil, 0, true
+	if !s.Store.Set(key, &Entry{Value: value, Flags: flags, CAS: cas, Expires: expires, StoredAt: now}) {
+		return StatusOutOfMemory, 0
 	}
 	s.stats.totalItems++
-	return ne, cas, true
+	return StatusOK, cas
 }
 
 // Counter statuses applyDelta reports (a subset of the binary response

@@ -145,16 +145,3 @@ func (s *Server) slabsStats() []statLine {
 	)
 	return out
 }
-
-// appendTextStats renders a stats group as text-protocol lines:
-// `STAT <name> <value>` per statistic, closed by END.
-func appendTextStats(resp []byte, lines []statLine) []byte {
-	for _, st := range lines {
-		resp = append(resp, "STAT "...)
-		resp = append(resp, st.name...)
-		resp = append(resp, ' ')
-		resp = append(resp, st.value...)
-		resp = append(resp, '\r', '\n')
-	}
-	return append(resp, respEnd...)
-}

@@ -14,7 +14,9 @@ import (
 // for the grammar implemented here). The server auto-detects the
 // protocol per connection - a first byte of 0x80 is the binary request
 // magic, anything else is a text command line - so one listener serves
-// both, and both run against the same Store.
+// both. This file is only the text codec: a storage command runs the
+// same Server.store a binary one does, and replies go into the same
+// response, a long GET value lent as a view exactly as binary lends it.
 //
 // The parser is a streaming state machine: a command line may arrive
 // split at any byte offset, a storage command's data block may straddle
@@ -83,35 +85,39 @@ const (
 	textSwallowData
 )
 
+// textStoreModes maps each storage command onto the mode store runs.
+var textStoreModes = map[string]storeMode{
+	"set": storeSet, "add": storeAdd, "replace": storeReplace, "append": storeAppend, "prepend": storePrepend,
+}
+
 // textSession is the per-connection text-protocol parser state.
 type textSession struct {
 	state   textState
 	swallow int // bytes left to discard in textSwallowData
 
 	// Pending storage command, valid in textData.
-	cmd     byte // 's'et, 'a'dd, 'r'eplace, '+' append, '-' prepend
+	cmd     storeMode
 	key     string
 	flags   uint32
 	exptime int64 // wire exptime, resolved when the data block completes
 	need    int   // announced data block length
-	noreply bool
+	noreply bool  // the command in progress asked for no reply
 }
 
-// reply appends msg unless the in-progress command was marked noreply:
-// noreply suppresses every response to that command, success or error,
-// exactly as stock memcached does (the client is not reading).
-func (ts *textSession) reply(resp []byte, msg string) []byte {
-	if ts.noreply {
-		return resp
+// reply writes msg, if any, unless the command in progress was marked
+// noreply: noreply suppresses every response to that command, success or
+// error, exactly as stock memcached does (the client is not reading).
+func (ts *textSession) reply(r *response, msg string) {
+	if msg != "" && !ts.noreply {
+		r.text(msg)
 	}
-	return append(resp, msg...)
 }
 
-// handleText consumes as much of data as currently parses, appending
-// response bytes. It reports how many bytes were consumed (the caller
+// handleText consumes as much of data as currently parses, writing the
+// replies to r. It reports how many bytes were consumed (the caller
 // retains the tail for the next delivery) and whether the client asked
 // to quit.
-func (s *Server) handleText(c *event.Ctx, ts *textSession, data []byte) (resp []byte, consumed int, quit bool) {
+func (s *Server) handleText(c *event.Ctx, ts *textSession, data []byte, r *response) (consumed int, quit bool) {
 	for consumed < len(data) {
 		switch ts.state {
 		case textSwallowData:
@@ -128,14 +134,14 @@ func (s *Server) handleText(c *event.Ctx, ts *textSession, data []byte) (resp []
 		case textSwallowLine:
 			idx := bytes.IndexByte(data[consumed:], '\n')
 			if idx < 0 {
-				return resp, len(data), false
+				return len(data), false
 			}
 			consumed += idx + 1
 			ts.state = textLine
 
 		case textData:
 			if len(data)-consumed < ts.need+2 {
-				return resp, consumed, false
+				return consumed, false
 			}
 			block := data[consumed : consumed+ts.need]
 			termOK := data[consumed+ts.need] == '\r' && data[consumed+ts.need+1] == '\n'
@@ -148,67 +154,21 @@ func (s *Server) handleText(c *event.Ctx, ts *textSession, data []byte) (resp []
 				// The block was not CRLF-terminated where <bytes> said it
 				// would be: the value is not stored, but the stream stays
 				// in sync (the announced length was still consumed).
-				resp = ts.reply(resp, respBadDataChunk)
+				ts.reply(r, respBadDataChunk)
 				continue
 			}
 			now := c.Now()
 			s.maybeApplyFlush(now)
-			value := append([]byte(nil), block...)
 			// Here is where the command line's exptime finally lands on
 			// the entry - resolved against the completion instant, which
 			// is when stock memcached stamps it too.
-			expires := AbsoluteExpiry(ts.exptime, now)
-			switch ts.cmd {
-			case 's':
-				cur, _ := s.Store.Get(ts.key)
-				e := &Entry{Value: value, Flags: ts.flags, CAS: s.mintCAS(cur), Expires: expires, StoredAt: now}
-				if s.Store.Set(ts.key, e) {
-					s.stats.totalItems++
-					resp = ts.reply(resp, respStored)
-				} else {
-					resp = ts.reply(resp, respOOM)
-				}
-			case 'a':
-				// An expired occupant does not defeat an add; reclaim it
-				// first, as the binary path does.
-				if cur, ok := s.Store.Get(ts.key); ok && !s.EntryLive(cur, now) {
-					s.Store.Delete(ts.key)
-					s.ExpiredReclaimed++
-				}
-				e := &Entry{Value: value, Flags: ts.flags, CAS: s.nextCAS(), Expires: expires, StoredAt: now}
-				if s.Store.Add(ts.key, e) {
-					s.stats.totalItems++
-					resp = ts.reply(resp, respStored)
-				} else {
-					resp = ts.reply(resp, respNotStored)
-				}
-			case 'r':
-				// Store-only-if-present. The get/set pair is atomic here:
-				// the simulation kernel runs one event at a time, so no
-				// other request interleaves between the check and the set.
-				if cur, ok := s.getLive(ts.key, now); ok {
-					e := &Entry{Value: value, Flags: ts.flags, CAS: s.mintCAS(cur), Expires: expires, StoredAt: now}
-					if s.Store.Set(ts.key, e) {
-						s.stats.totalItems++
-						resp = ts.reply(resp, respStored)
-					} else {
-						resp = ts.reply(resp, respOOM)
-					}
-				} else {
-					resp = ts.reply(resp, respNotStored)
-				}
-			case '+', '-':
-				// append/prepend ignore the line's flags and exptime and
-				// keep the entry's own, per stock memcached.
-				e, _, ok := s.applyConcat(ts.key, value, ts.cmd == '+', now)
-				switch {
-				case !ok:
-					resp = ts.reply(resp, respNotStored)
-				case e == nil:
-					resp = ts.reply(resp, respOOM)
-				default:
-					resp = ts.reply(resp, respStored)
-				}
+			switch status, _ := s.store(ts.cmd, ts.key, block, ts.flags, AbsoluteExpiry(ts.exptime, now), 0, now); status {
+			case StatusOK:
+				ts.reply(r, respStored)
+			case StatusOutOfMemory:
+				ts.reply(r, respOOM)
+			default: // an add that lost, or nothing to replace or extend
+				ts.reply(r, respNotStored)
 			}
 
 		case textLine:
@@ -220,11 +180,11 @@ func (s *Server) handleText(c *event.Ctx, ts *textSession, data []byte) (resp []
 				// eventual line must be oversized whatever follows: answer
 				// the error now and discard input through the newline.
 				if len(data)-consumed > MaxTextLine+1 {
-					resp = append(resp, respBadLine...)
+					r.text(respBadLine)
 					ts.state = textSwallowLine
-					return resp, len(data), false
+					return len(data), false
 				}
-				return resp, consumed, false
+				return consumed, false
 			}
 			line := data[consumed : consumed+idx]
 			consumed += idx + 1
@@ -232,102 +192,101 @@ func (s *Server) handleText(c *event.Ctx, ts *textSession, data []byte) (resp []
 				line = line[:len(line)-1]
 			}
 			if len(line) > MaxTextLine {
-				resp = ts.rejectLongLine(line, resp)
+				ts.rejectLongLine(line)
+				r.text(respBadLine)
 				continue
 			}
-			var q bool
-			resp, q = s.execTextLine(c, ts, line, resp)
-			if q {
-				return resp, consumed, true
+			reply, quit := s.execTextLine(c, ts, line, r)
+			if quit {
+				return consumed, true
 			}
+			ts.reply(r, reply)
 		}
 	}
-	return resp, consumed, false
+	return consumed, false
 }
 
-// execTextLine dispatches one complete command line.
-func (s *Server) execTextLine(c *event.Ctx, ts *textSession, line []byte, resp []byte) (out []byte, quit bool) {
+// execTextLine runs one complete command line. It writes a retrieval's or
+// a stats group's records to r itself and returns the reply's last line
+// for the caller to write, noreply permitting: "" when there is none yet,
+// as for a storage command whose data block is still to come.
+func (s *Server) execTextLine(c *event.Ctx, ts *textSession, line []byte, r *response) (reply string, quit bool) {
+	ts.noreply = false
 	toks := splitTextTokens(line)
 	if len(toks) == 0 {
-		return append(resp, respError...), false
+		return respError, false
 	}
 	now := c.Now()
 	s.maybeApplyFlush(now)
-	switch {
-	case tokIs(toks[0], "get"), tokIs(toks[0], "gets"):
+	parse := sim.Time(len(line)) * costs.MemcachedTextParseNsPerByte
+	switch string(toks[0]) {
+	case "get", "gets":
 		s.Requests++
-		c.Charge(costs.MemcachedRequestNs + sim.Time(len(line))*costs.MemcachedTextParseNsPerByte)
+		c.Charge(costs.MemcachedRequestNs + parse)
 		if len(toks) < 2 {
-			return append(resp, respError...), false
+			return respError, false
 		}
 		for _, kt := range toks[1:] {
 			if len(kt) > MaxTextKey {
-				return append(resp, respBadLine...), false
+				return respBadLine, false
 			}
 		}
-		withCAS := tokIs(toks[0], "gets")
+		withCAS := string(toks[0]) == "gets"
 		for _, kt := range toks[1:] {
 			c.Charge(s.Store.OpCost(s.Cores))
 			if e, ok := s.getForRead(string(kt), now); ok {
-				resp = appendTextValue(resp, kt, e, withCAS)
+				r.addValue(kt, e, withCAS)
 			}
 		}
-		return append(resp, respEnd...), false
+		return respEnd, false
 
-	case tokIs(toks[0], "set"), tokIs(toks[0], "add"), tokIs(toks[0], "replace"),
-		tokIs(toks[0], "append"), tokIs(toks[0], "prepend"):
-		c.Charge(sim.Time(len(line)) * costs.MemcachedTextParseNsPerByte)
-		return s.parseTextStorage(ts, toks, resp), false
+	case "set", "add", "replace", "append", "prepend":
+		c.Charge(parse)
+		return ts.parseStorage(toks), false
 
-	case tokIs(toks[0], "incr"), tokIs(toks[0], "decr"):
+	case "incr", "decr":
 		// incr <key> <delta> [noreply]
 		s.Requests++
-		c.Charge(costs.MemcachedRequestNs + sim.Time(len(line))*costs.MemcachedTextParseNsPerByte + s.Store.OpCost(s.Cores))
-		ts.noreply = len(toks) == 4 && tokIs(toks[3], "noreply")
-		if len(toks) < 3 || len(toks) > 4 || (len(toks) == 4 && !ts.noreply) || len(toks[1]) > MaxTextKey {
-			return ts.reply(resp, respBadLine), false
+		c.Charge(costs.MemcachedRequestNs + parse + s.Store.OpCost(s.Cores))
+		if !ts.args(toks, 3) {
+			return respBadLine, false
 		}
 		delta, err := strconv.ParseUint(string(toks[2]), 10, 64)
 		if err != nil {
-			return ts.reply(resp, respBadDelta), false
+			return respBadDelta, false
 		}
 		// CounterNoCreate: the text protocol never seeds a missing key.
-		newVal, _, status := s.applyDelta(string(toks[1]), delta, 0, CounterNoCreate, tokIs(toks[0], "incr"), now)
+		newVal, _, status := s.applyDelta(string(toks[1]), delta, 0, CounterNoCreate, string(toks[0]) == "incr", now)
 		switch status {
 		case StatusKeyNotFound:
-			return ts.reply(resp, respNotFound), false
+			return respNotFound, false
 		case StatusDeltaBadval:
-			return ts.reply(resp, respNonNumeric), false
+			return respNonNumeric, false
 		case StatusOutOfMemory:
-			return ts.reply(resp, respOOM), false
+			return respOOM, false
 		}
-		if ts.noreply {
-			return resp, false
-		}
-		resp = strconv.AppendUint(resp, newVal, 10)
-		return append(resp, '\r', '\n'), false
+		return strconv.FormatUint(newVal, 10) + "\r\n", false
 
-	case tokIs(toks[0], "touch"):
+	case "touch":
 		// touch <key> <exptime> [noreply]
 		s.Requests++
-		c.Charge(costs.MemcachedRequestNs + sim.Time(len(line))*costs.MemcachedTextParseNsPerByte + s.Store.OpCost(s.Cores))
-		ts.noreply = len(toks) == 4 && tokIs(toks[3], "noreply")
-		if len(toks) < 3 || len(toks) > 4 || (len(toks) == 4 && !ts.noreply) || len(toks[1]) > MaxTextKey {
-			return ts.reply(resp, respBadLine), false
+		c.Charge(costs.MemcachedRequestNs + parse + s.Store.OpCost(s.Cores))
+		if !ts.args(toks, 3) {
+			return respBadLine, false
 		}
 		exptime, err := strconv.ParseInt(string(toks[2]), 10, 64)
 		if err != nil {
-			return ts.reply(resp, respBadLine), false
+			return respBadLine, false
 		}
 		if !s.applyTouch(string(toks[1]), AbsoluteExpiry(exptime, now), now) {
-			return ts.reply(resp, respNotFound), false
+			return respNotFound, false
 		}
-		return ts.reply(resp, respTouched), false
+		return respTouched, false
 
-	case tokIs(toks[0], "flush_all"):
+	case "flush_all":
 		// flush_all [delay] [noreply]
 		s.Requests++
-		c.Charge(costs.MemcachedRequestNs + sim.Time(len(line))*costs.MemcachedTextParseNsPerByte)
+		c.Charge(costs.MemcachedRequestNs + parse)
 		args := toks[1:]
 		ts.noreply = len(args) > 0 && tokIs(args[len(args)-1], "noreply")
 		if ts.noreply {
@@ -335,41 +294,38 @@ func (s *Server) execTextLine(c *event.Ctx, ts *textSession, line []byte, resp [
 		}
 		var delay int64
 		if len(args) > 1 {
-			return ts.reply(resp, respBadLine), false
+			return respBadLine, false
 		}
 		if len(args) == 1 {
 			var err error
 			if delay, err = strconv.ParseInt(string(args[0]), 10, 64); err != nil {
-				return ts.reply(resp, respBadLine), false
+				return respBadLine, false
 			}
 		}
 		s.applyFlushAll(delay, now)
-		return ts.reply(resp, respOK), false
+		return respOK, false
 
-	case tokIs(toks[0], "delete"):
+	case "delete":
+		// delete <key> [noreply]
 		s.Requests++
-		c.Charge(costs.MemcachedRequestNs + sim.Time(len(line))*costs.MemcachedTextParseNsPerByte + s.Store.OpCost(s.Cores))
-		noreply := len(toks) == 3 && tokIs(toks[2], "noreply")
-		if len(toks) < 2 || len(toks) > 3 || (len(toks) == 3 && !noreply) || len(toks[1]) > MaxTextKey {
-			return append(resp, respBadLine...), false
+		c.Charge(costs.MemcachedRequestNs + parse + s.Store.OpCost(s.Cores))
+		if !ts.args(toks, 2) {
+			ts.noreply = false // unlike incr's and touch's, a malformed delete is answered
+			return respBadLine, false
 		}
-		ok := s.applyDelete(string(toks[1]), now)
-		if noreply {
-			return resp, false
+		if s.applyDelete(string(toks[1]), now) {
+			return respDeleted, false
 		}
-		if ok {
-			return append(resp, respDeleted...), false
-		}
-		return append(resp, respNotFound...), false
+		return respNotFound, false
 
-	case tokIs(toks[0], "stats"):
-		// stats [items|slabs] - stats.go renders the groups; an
-		// unrecognized group answers ERROR, as stock does for unsupported
-		// stats arguments.
+	case "stats":
+		// stats [items|slabs] - stats.go renders the groups, a STAT record
+		// per statistic; an unrecognized group answers ERROR, as stock
+		// does for unsupported stats arguments.
 		s.Requests++
-		c.Charge(costs.MemcachedRequestNs + sim.Time(len(line))*costs.MemcachedTextParseNsPerByte)
+		c.Charge(costs.MemcachedRequestNs + parse)
 		if len(toks) > 2 {
-			return append(resp, respError...), false
+			return respError, false
 		}
 		group := ""
 		if len(toks) == 2 {
@@ -377,125 +333,111 @@ func (s *Server) execTextLine(c *event.Ctx, ts *textSession, line []byte, resp [
 		}
 		lines, ok := s.statLines(group, now)
 		if !ok {
-			return append(resp, respError...), false
+			return respError, false
 		}
-		return appendTextStats(resp, lines), false
+		for _, st := range lines {
+			r.text("STAT ", st.name, " ", st.value, "\r\n")
+		}
+		return respEnd, false
 
-	case tokIs(toks[0], "version"):
+	case "version":
 		s.Requests++
 		c.Charge(costs.MemcachedRequestNs)
-		return append(resp, "VERSION "+TextVersionString+"\r\n"...), false
+		return "VERSION " + TextVersionString + "\r\n", false
 
-	case tokIs(toks[0], "quit"):
-		return resp, true
+	case "quit":
+		return "", true
 
 	default:
 		s.Requests++
-		c.Charge(costs.MemcachedRequestNs + sim.Time(len(line))*costs.MemcachedTextParseNsPerByte)
-		return append(resp, respError...), false
+		c.Charge(costs.MemcachedRequestNs + parse)
+		return respError, false
 	}
 }
 
-// storageCmdCode maps a storage command name onto the one-byte code the
-// data-block state dispatches on ('+'/'-' for append/prepend, since
-// "append" and "add" share a first letter). Zero means not a storage
-// command.
-func storageCmdCode(tok []byte) byte {
-	switch {
-	case tokIs(tok, "set"):
-		return 's'
-	case tokIs(tok, "add"):
-		return 'a'
-	case tokIs(tok, "replace"):
-		return 'r'
-	case tokIs(tok, "append"):
-		return '+'
-	case tokIs(tok, "prepend"):
-		return '-'
-	}
-	return 0
+// args checks a `<cmd> <key> ...` line for n tokens, or n and a trailing
+// noreply, which it records, and for a key the protocol accepts.
+func (ts *textSession) args(toks [][]byte, n int) bool {
+	ts.noreply = len(toks) == n+1 && tokIs(toks[n], "noreply")
+	return (len(toks) == n || ts.noreply) && len(toks[1]) <= MaxTextKey
 }
 
-// parseTextStorage validates a `set`/`add`/`replace`/`append`/`prepend`
-// command line and arms the data-block state. A malformed line whose
-// <bytes> argument still parses swallows the announced block so the
-// stream resynchronizes at the next command line; if <bytes> itself is
-// unreadable there is nothing to skip and the block's bytes will
-// surface as (failing) command lines - the same recovery stock
-// memcached performs.
-func (s *Server) parseTextStorage(ts *textSession, toks [][]byte, resp []byte) []byte {
+// parseStorage validates a `set`/`add`/`replace`/`append`/`prepend`
+// command line and arms the data-block state, returning the reply when it
+// refuses the line. A malformed line whose <bytes> argument still parses
+// swallows the announced block so the stream resynchronizes at the next
+// command line; if <bytes> itself is unreadable there is nothing to skip
+// and the block's bytes will surface as (failing) command lines - the
+// same recovery stock memcached performs.
+func (ts *textSession) parseStorage(toks [][]byte) string {
 	// <cmd> <key> <flags> <exptime> <bytes> [noreply]
-	ts.noreply = false
 	if len(toks) < 5 {
-		return append(resp, respBadLine...)
+		return respBadLine
 	}
-	bad := false
-	if len(toks) == 6 && tokIs(toks[5], "noreply") {
-		ts.noreply = true
-	} else if len(toks) != 5 {
-		bad = true
-	}
+	ts.noreply = len(toks) == 6 && tokIs(toks[5], "noreply")
 	need, needErr := strconv.Atoi(string(toks[4]))
 	flags, flagsErr := strconv.ParseUint(string(toks[2]), 10, 32)
 	exptime, expErr := strconv.ParseInt(string(toks[3]), 10, 64)
-	if needErr != nil || need < 0 || flagsErr != nil || expErr != nil || len(toks[1]) > MaxTextKey {
-		bad = true
-	}
-	if bad {
-		if needErr == nil && need >= 0 && need <= maxTextSwallow {
-			ts.state = textSwallowData
-			ts.swallow = need + 2
-		}
-		return ts.reply(resp, respBadLine)
+	if (len(toks) != 5 && !ts.noreply) || needErr != nil || need < 0 || flagsErr != nil || expErr != nil || len(toks[1]) > MaxTextKey {
+		ts.skipBlock(toks[4])
+		return respBadLine
 	}
 	if need > MaxTextValue {
-		if need <= maxTextSwallow {
-			ts.state = textSwallowData
-			ts.swallow = need + 2
-		}
-		return ts.reply(resp, respTooLarge)
+		ts.skipBlock(toks[4])
+		return respTooLarge
 	}
-	ts.cmd = storageCmdCode(toks[0])
+	ts.cmd = textStoreModes[string(toks[0])]
 	ts.key = string(toks[1])
 	ts.flags = uint32(flags)
 	ts.exptime = exptime
 	ts.need = need
 	ts.state = textData
-	return resp
+	return ""
 }
 
-// rejectLongLine answers CLIENT_ERROR for a complete command line over
-// MaxTextLine and, when the line is a storage command whose <bytes>
-// argument still parses, swallows the announced data block - the same
-// resynchronization parseTextStorage performs, so the block's bytes are
-// not misread as command lines.
-func (ts *textSession) rejectLongLine(line []byte, resp []byte) []byte {
-	toks := splitTextTokens(line)
-	if len(toks) >= 5 && storageCmdCode(toks[0]) != 0 {
-		if need, err := strconv.Atoi(string(toks[4])); err == nil && need >= 0 && need <= maxTextSwallow {
-			ts.state = textSwallowData
-			ts.swallow = need + 2
-		}
+// rejectLongLine resynchronizes after a complete command line over
+// MaxTextLine as parseStorage does: a storage command whose <bytes>
+// argument still parses swallows its announced data block, so the
+// block's bytes are not misread as command lines.
+func (ts *textSession) rejectLongLine(line []byte) {
+	if toks := splitTextTokens(line); len(toks) >= 5 && textStoreModes[string(toks[0])] != 0 {
+		ts.skipBlock(toks[4])
 	}
-	return append(resp, respBadLine...)
 }
 
-// appendTextValue serializes one retrieval hit:
-// VALUE <key> <flags> <bytes>[ <cas>]\r\n<data block>\r\n
-func appendTextValue(resp, key []byte, e *Entry, withCAS bool) []byte {
-	resp = append(resp, "VALUE "...)
-	resp = append(resp, key...)
-	resp = append(resp, ' ')
-	resp = strconv.AppendUint(resp, uint64(e.Flags), 10)
-	resp = append(resp, ' ')
-	resp = strconv.AppendInt(resp, int64(len(e.Value)), 10)
+// skipBlock discards the data block a refused storage command announced,
+// if its <bytes> argument reads as a length worth skipping.
+func (ts *textSession) skipBlock(bytesArg []byte) {
+	if need, err := strconv.Atoi(string(bytesArg)); err == nil && need >= 0 && need <= maxTextSwallow {
+		ts.state = textSwallowData
+		ts.swallow = need + 2
+	}
+}
+
+// text writes one text-protocol record: the concatenation of parts.
+func (r *response) text(parts ...string) {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	f := r.Next(n)
+	for _, p := range parts {
+		f = f[copy(f, p):]
+	}
+}
+
+// addValue writes one retrieval hit, VALUE <key> <flags> <bytes>[ <cas>]
+// and its data block, which is lent as a binary GET's value is.
+func (r *response) addValue(key []byte, e *Entry, withCAS bool) {
+	var buf [MaxTextKey + 64]byte
+	h := append(append(buf[:0], "VALUE "...), key...)
+	h = strconv.AppendUint(append(h, ' '), uint64(e.Flags), 10)
+	h = strconv.AppendInt(append(h, ' '), int64(len(e.Value)), 10)
 	if withCAS {
-		resp = append(resp, ' ')
-		resp = strconv.AppendUint(resp, e.CAS, 10)
+		h = strconv.AppendUint(append(h, ' '), e.CAS, 10)
 	}
-	resp = append(resp, '\r', '\n')
-	resp = append(resp, e.Value...)
-	return append(resp, '\r', '\n')
+	h = append(h, '\r', '\n')
+	copy(r.record(len(h), e.Value, "\r\n"), h)
 }
 
 // splitTextTokens splits a command line on spaces, skipping runs of

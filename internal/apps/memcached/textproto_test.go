@@ -2,7 +2,6 @@ package memcached
 
 import (
 	"bytes"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -374,67 +373,6 @@ func TestTextByteAtATime(t *testing.T) {
 	})
 }
 
-// TestBinaryTextParity applies one logical operation sequence through
-// each protocol's parser and asserts the two stores end up identical -
-// the text grammar and the binary opcodes are two encodings of the same
-// Store semantics.
-func TestBinaryTextParity(t *testing.T) {
-	type op struct {
-		verb        string // set, add, delete
-		key, value  string
-		flags       uint32
-		expectExist bool
-	}
-	ops := []op{
-		{verb: "set", key: "alpha", value: "one", flags: 1},
-		{verb: "set", key: "beta", value: "two", flags: 2},
-		{verb: "add", key: "alpha", value: "CLOBBER", flags: 9}, // exists: rejected
-		{verb: "add", key: "gamma", value: "three", flags: 3},   // absent: stored
-		{verb: "set", key: "beta", value: "two-v2", flags: 22},  // overwrite
-		{verb: "delete", key: "gamma"},
-		{verb: "delete", key: "missing"},
-	}
-
-	binSrv := NewServer(NewRCUStore(), 1)
-	txtSrv := NewServer(NewRCUStore(), 1)
-	protoHarness(t, func(c *event.Ctx) {
-		var binFrame, txtFrame []byte
-		for i, o := range ops {
-			switch o.verb {
-			case "set":
-				binFrame = append(binFrame, BuildSet([]byte(o.key), []byte(o.value), o.flags, uint32(i))...)
-				txtFrame = append(txtFrame, []byte("set "+o.key+" "+utoa(o.flags)+" 0 "+itoa(len(o.value))+"\r\n"+o.value+"\r\n")...)
-			case "add":
-				binFrame = append(binFrame, BuildAdd([]byte(o.key), []byte(o.value), o.flags, uint32(i), false)...)
-				txtFrame = append(txtFrame, []byte("add "+o.key+" "+utoa(o.flags)+" 0 "+itoa(len(o.value))+"\r\n"+o.value+"\r\n")...)
-			case "delete":
-				binFrame = append(binFrame, BuildDelete([]byte(o.key), uint32(i))...)
-				txtFrame = append(txtFrame, []byte("delete "+o.key+"\r\n")...)
-			}
-		}
-		feed(c, binSrv, binFrame)
-		feed(c, txtSrv, txtFrame)
-	})
-
-	binKeys, txtKeys := binSrv.Store.Keys(), txtSrv.Store.Keys()
-	sort.Strings(binKeys)
-	sort.Strings(txtKeys)
-	if len(binKeys) != len(txtKeys) {
-		t.Fatalf("store sizes diverged: binary %v, text %v", binKeys, txtKeys)
-	}
-	for i, k := range binKeys {
-		if txtKeys[i] != k {
-			t.Fatalf("key sets diverged: binary %v, text %v", binKeys, txtKeys)
-		}
-		be, _ := binSrv.Store.Get(k)
-		te, _ := txtSrv.Store.Get(k)
-		if string(be.Value) != string(te.Value) || be.Flags != te.Flags {
-			t.Fatalf("entry %q diverged: binary (%q,%d), text (%q,%d)",
-				k, be.Value, be.Flags, te.Value, te.Flags)
-		}
-	}
-}
-
 // TestProtocolAutoDetection: two connections to the same server commit
 // to different protocols from their first byte, and both are served.
 func TestProtocolAutoDetection(t *testing.T) {
@@ -504,5 +442,3 @@ func TestTextSessionOverNetwork(t *testing.T) {
 }
 
 func itoa(n int) string { return strconv.Itoa(n) }
-
-func utoa(n uint32) string { return strconv.FormatUint(uint64(n), 10) }

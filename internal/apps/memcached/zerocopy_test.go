@@ -36,18 +36,26 @@ func newBulkPair(t *testing.T) *bulkPair {
 		t.Fatal(err)
 	}
 	bp.rx = make([]byte, 0, 2*len(bp.value))
+	bp.conn = bp.dial(t)
+	return bp
+}
+
+// dial opens a connection to the server whose replies land in bp.rx.
+func (bp *bulkPair) dial(t *testing.T) appnet.Conn {
+	t.Helper()
+	var conn appnet.Conn
 	bp.Client.Mgrs()[0].Spawn(func(c *event.Ctx) {
 		bp.Client.Dial(c, testbed.ServerIP, Port, appnet.Callbacks{
 			OnData: func(c *event.Ctx, conn appnet.Conn, payload *iobuf.IOBuf) {
 				bp.rx = payload.AppendTo(bp.rx)
 			},
-		}, func(c *event.Ctx, conn appnet.Conn) { bp.conn = conn })
+		}, func(c *event.Ctx, cn appnet.Conn) { conn = cn })
 	})
 	bp.K.RunFor(10 * sim.Millisecond)
-	if bp.conn == nil {
+	if conn == nil {
 		t.Fatal("client did not connect")
 	}
-	return bp
+	return conn
 }
 
 // get fetches the value once and checks the answer byte for byte.
@@ -132,6 +140,36 @@ func TestBulkGetByteBudget(t *testing.T) {
 		t.Fatalf("one %d-byte GET allocated %d bytes, want under %d", len(bp.value), got, limit)
 	} else {
 		t.Logf("one %d-byte GET allocated %d bytes (%.2fx)", len(bp.value), got, float64(got)/float64(len(bp.value)))
+	}
+}
+
+// A text `get` lends the value as a binary GET does: a warm 32KiB one, on
+// a text connection of its own, allocates under half the value's size in
+// bytes (43,384 while the text reply was a flat slice the value was copied
+// into).
+func TestBulkTextGetByteBudget(t *testing.T) {
+	bp := newBulkPair(t)
+	conn := bp.dial(t)
+	want := append(append([]byte("VALUE bulk 0 32768\r\n"), bp.value...), "\r\nEND\r\n"...)
+	get := func() {
+		bp.rx = bp.rx[:0]
+		bp.Client.Mgrs()[0].Spawn(func(c *event.Ctx) {
+			conn.Send(c, iobuf.Wrap([]byte("get bulk\r\n")))
+		})
+		bp.K.RunFor(10 * sim.Millisecond)
+		if !bytes.Equal(bp.rx, want) {
+			t.Fatalf("text get of the bulk value: %d bytes, want %d", len(bp.rx), len(want))
+		}
+	}
+	get() // warm: ARP, windows, buffers at their size
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	get()
+	runtime.ReadMemStats(&m1)
+	if got, limit := m1.TotalAlloc-m0.TotalAlloc, uint64(len(bp.value)/2); got >= limit {
+		t.Fatalf("one %d-byte text get allocated %d bytes, want under %d", len(bp.value), got, limit)
+	} else {
+		t.Logf("one %d-byte text get allocated %d bytes (%.2fx)", len(bp.value), got, float64(got)/float64(len(bp.value)))
 	}
 }
 

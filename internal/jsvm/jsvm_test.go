@@ -1,8 +1,6 @@
 package jsvm
 
 import (
-	"math"
-	"sync"
 	"testing"
 
 	"ebbrt/internal/sim"
@@ -107,56 +105,5 @@ func TestHighWaterFaultModel(t *testing.T) {
 	totalPages := rt.totalAlloc / heapPageSize
 	if rt.Faults*10 > totalPages {
 		t.Fatalf("faults %d not bounded by working set (total pages %d)", rt.Faults, totalPages)
-	}
-}
-
-// ebbrtSuite is one run of the suite under EbbRT, shared by the tests
-// below so the package runs the suite three times, not four.
-var ebbrtSuite = sync.OnceValue(func() []Score { return RunSuite(EbbRTEnv()) })
-
-func TestSuiteDeterministic(t *testing.T) {
-	a := ebbrtSuite()
-	b := RunSuite(EbbRTEnv())
-	for i := range a {
-		if a[i].Elapsed != b[i].Elapsed {
-			t.Fatalf("%s nondeterministic: %v vs %v", a[i].Name, a[i].Elapsed, b[i].Elapsed)
-		}
-	}
-}
-
-func TestSuiteShapeMatchesPaper(t *testing.T) {
-	ebb := ebbrtSuite()
-	lin := RunSuite(LinuxEnv())
-	if len(ebb) != 8 {
-		t.Fatalf("suite has %d benchmarks", len(ebb))
-	}
-	product := 1.0
-	var splayGain float64
-	for i := range ebb {
-		gain := float64(lin[i].Elapsed)/float64(ebb[i].Elapsed) - 1
-		t.Logf("%-14s EbbRT=%8.1fms Linux=%8.1fms gain=%5.2f%%  [%s]",
-			ebb[i].Name, float64(ebb[i].Elapsed)/1e6, float64(lin[i].Elapsed)/1e6, gain*100, lin[i].Stats)
-		if gain <= 0 {
-			t.Errorf("%s: EbbRT does not win (gain %.2f%%)", ebb[i].Name, gain*100)
-		}
-		product *= 1 + gain
-		if ebb[i].Name == "Splay" {
-			splayGain = gain
-		}
-	}
-	overall := math.Pow(product, 1.0/8) - 1
-	t.Logf("overall geometric-mean gain: %.2f%% (paper: 4.09%%)", overall*100)
-	if overall < 0.01 || overall > 0.12 {
-		t.Errorf("overall gain %.2f%% outside plausible band around the paper's 4.09%%", overall*100)
-	}
-	if splayGain < 0.06 {
-		t.Errorf("Splay gain %.2f%% too small; paper reports the largest gain there (13.9%%)", splayGain*100)
-	}
-	// Splay must be the biggest winner.
-	for i := range ebb {
-		gain := float64(lin[i].Elapsed)/float64(ebb[i].Elapsed) - 1
-		if ebb[i].Name != "Splay" && gain > splayGain {
-			t.Errorf("%s gain %.2f%% exceeds Splay's %.2f%%", ebb[i].Name, gain*100, splayGain*100)
-		}
 	}
 }
