@@ -17,26 +17,39 @@ const (
 	actBlocked
 )
 
-// An activation's coroutine is never stopped, so while the activation sits
-// in its Manager's pool the parked goroutine is a root for the collector:
-// nothing reachable from a pooled activation may lead back to the Manager,
-// or a dropped kernel and everything on it would live forever. own is
-// cleared when its event ends for that reason.
+// While an activation sits in its Manager's pool its parked coroutine is a
+// goroutine, a root for the collector: nothing reachable from a pooled
+// activation may lead back to the Manager, or a dropped kernel and
+// everything on it would live forever. own is cleared when its event ends
+// for that reason. The goroutine itself outlives the Manager until the
+// cleanup NewManager registers stops it.
 type activation struct {
 	next  func() (actState, bool) // runs ctx.fn, or continues it, until it ends or blocks
+	stop  func()                  // ends the coroutine, parked between events
 	yield func(actState) bool
 	ctx   *Ctx // the running event's: &own, or under iobufdebug one of its own
 	own   Ctx
 }
 
+// activationPool holds a Manager's activations between events. It is an
+// object of its own so that the cleanup ending their coroutines once the
+// Manager is dropped can hold it without holding the Manager.
+type activationPool struct{ idle []*activation }
+
+func (p *activationPool) stopAll() {
+	for _, act := range p.idle {
+		act.stop()
+	}
+}
+
 func (m *Manager) getActivation() *activation {
-	if n := len(m.pool); n > 0 {
-		act := m.pool[n-1]
-		m.pool = m.pool[:n-1]
+	if n := len(m.pool.idle); n > 0 {
+		act := m.pool.idle[n-1]
+		m.pool.idle = m.pool.idle[:n-1]
 		return act
 	}
 	act := &activation{}
-	act.next, _ = iter.Pull(func(yield func(actState) bool) {
+	act.next, act.stop = iter.Pull(func(yield func(actState) bool) {
 		act.yield = yield
 		for ok := true; ok; ok = yield(actDone) {
 			act.call()

@@ -110,7 +110,7 @@ type Manager struct {
 	processFn  func()  // m.process, made once instead of per event
 	idlePass   Handler // likewise the handler that runs one idle pass
 
-	pool   []*activation
+	pool   *activationPool
 	timers []*timerRec // free timer records
 
 	// Dispatched counts handler invocations, for tests and stats.
@@ -133,7 +133,9 @@ func NewManager(core *machine.Core, rc Costs) *Manager {
 		costs:    rc,
 		handlers: map[int]Handler{},
 		nextVec:  vecFirstAllocatable,
+		pool:     &activationPool{},
 	}
+	runtime.AddCleanup(m, (*activationPool).stopAll, m.pool)
 	m.processFn = m.process
 	m.idlePass = func(c *Ctx) {
 		for _, ih := range m.idle {
@@ -354,7 +356,7 @@ func (m *Manager) switchTo(act *activation) {
 	charge := c.charge
 	c.end()
 	act.ctx = nil
-	m.pool = append(m.pool, act)
+	m.pool.idle = append(m.pool.idle, act)
 	m.k.Post(charge, m.processFn)
 }
 

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 	"weak"
 
 	"ebbrt/internal/future"
@@ -245,10 +246,12 @@ func TestLatchedTimerCanBeCancelled(t *testing.T) {
 	}
 }
 
-// A world that is dropped is collected. The coroutines of pooled
-// activations are parked forever, so they are roots; a Ctx is cleared when
-// its event ends, so none of them leads back to its Manager.
+// A world that is dropped is collected, and then so are the goroutines of
+// its pooled activations. Their coroutines are parked between events, so
+// they are roots; a Ctx is cleared when its event ends, so none of them
+// leads back to its Manager, whose cleanup then ends them.
 func TestDroppedWorldIsCollectable(t *testing.T) {
+	goroutines := runtime.NumGoroutine()
 	mgr := func() weak.Pointer[Manager] {
 		k, _, mgrs := newTestEnv(1)
 		m := mgrs[0]
@@ -266,14 +269,23 @@ func TestDroppedWorldIsCollectable(t *testing.T) {
 		m.After(2*sim.Microsecond, func(*Ctx) { ran++ })
 		m.After(3*sim.Microsecond, func(*Ctx) { ran += 100 }).Cancel()
 		k.Run()
-		if ran != 5 || len(m.pool) < 2 {
-			t.Fatalf("%d handlers ran, %d activations pooled; want 5 and at least 2", ran, len(m.pool))
+		if ran != 5 || len(m.pool.idle) < 2 {
+			t.Fatalf("%d handlers ran, %d activations pooled; want 5 and at least 2", ran, len(m.pool.idle))
 		}
 		return weak.Make(m)
 	}()
 	runtime.GC()
 	if mgr.Value() != nil {
 		t.Fatal("a dropped Manager is still reachable: a pooled activation leads back to it")
+	}
+	// The cleanup that ends the pooled coroutines runs after the Manager
+	// has been collected, on a goroutine of the runtime's.
+	for i := 0; i < 100 && runtime.NumGoroutine() > goroutines; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > goroutines {
+		t.Fatalf("%d goroutines outlive the dropped Manager: its pooled activations' coroutines were never ended", n-goroutines)
 	}
 }
 

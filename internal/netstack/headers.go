@@ -96,7 +96,9 @@ func parseIpv4(b []byte) (Ipv4Header, error) {
 		return Ipv4Header{}, fmt.Errorf("netstack: ip options unsupported (ihl %d)", ihl)
 	}
 	var h Ipv4Header
-	h.TotalLen = binary.BigEndian.Uint16(b[2:4])
+	if h.TotalLen = binary.BigEndian.Uint16(b[2:4]); h.TotalLen < Ipv4HeaderLen {
+		return Ipv4Header{}, fmt.Errorf("netstack: ipv4 total length %d below its header", h.TotalLen)
+	}
 	h.TTL = b[8]
 	h.Proto = b[9]
 	copy(h.Src[:], b[12:16])
@@ -196,13 +198,22 @@ func writeTcp(b []byte, h TcpHeader) {
 // longest header stack the interface writes.
 const headerClass = EthHeaderLen + Ipv4HeaderLen + TcpHeaderLen
 
-// newPacket takes the head element of an outgoing packet from the
-// interface's pool: an empty view with tailroom for n bytes of IP and
-// transport header, behind the headroom EthArpSend exposes for the
-// Ethernet header. Payload is chained after it, not copied into it.
-func (itf *Interface) newPacket(n int) *iobuf.IOBuf {
-	b := itf.hdrPool.Get(EthHeaderLen + n)
+// newPacket takes the head element of an outgoing IPv4 packet to dst
+// from the interface's pool, behind the headroom EthArpSend exposes for
+// the Ethernet header, and writes the IP header for an n-byte transport
+// header and payloadLen bytes of payload. It returns the element and the
+// transport header's bytes, for the caller to fill; the payload is
+// chained after the element, not copied into it.
+func (itf *Interface) newPacket(proto byte, dst Ipv4Addr, n, payloadLen int) (*iobuf.IOBuf, []byte) {
+	b := itf.hdrPool.Get(EthHeaderLen + Ipv4HeaderLen + n)
 	b.Append(EthHeaderLen)
 	b.Advance(EthHeaderLen)
-	return b
+	writeIpv4(b.Append(Ipv4HeaderLen), Ipv4Header{
+		TotalLen: uint16(Ipv4HeaderLen + n + payloadLen),
+		TTL:      64,
+		Proto:    proto,
+		Src:      itf.Addr,
+		Dst:      dst,
+	})
+	return b, b.Append(n)
 }

@@ -52,11 +52,7 @@ func (itf *Interface) receiveIcmp(c *event.Ctx, hdr Ipv4Header, buf *iobuf.IOBuf
 }
 
 func (itf *Interface) sendIcmp(c *event.Ctx, dst Ipv4Addr, icmp []byte) {
-	buf := itf.newPacket(Ipv4HeaderLen)
-	writeIpv4(buf.Append(Ipv4HeaderLen), Ipv4Header{
-		TotalLen: uint16(Ipv4HeaderLen + len(icmp)), TTL: 64, Proto: ProtoICMP,
-		Src: itf.Addr, Dst: dst,
-	})
+	buf, _ := itf.newPacket(ProtoICMP, dst, 0, len(icmp))
 	buf.AppendChain(itf.views.View(icmp))
 	_ = itf.EthArpSend(c, EtherTypeIPv4, dst, buf, FlowHash(itf.Addr, 0, dst, 0))
 }

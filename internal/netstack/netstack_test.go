@@ -466,20 +466,6 @@ func TestDhcpAcquire(t *testing.T) {
 	}
 }
 
-// rawUdpFrame builds a complete Ethernet+IPv4+UDP frame for injection.
-func rawUdpFrame(srcMac, dstMac EthAddr, src, dst Ipv4Addr, srcPort, dstPort uint16, payload []byte) *iobuf.IOBuf {
-	total := EthHeaderLen + Ipv4HeaderLen + UdpHeaderLen + len(payload)
-	buf := iobuf.New(total)
-	writeEth(buf.Append(EthHeaderLen), EthHeader{Dst: dstMac, Src: srcMac, Type: EtherTypeIPv4})
-	writeIpv4(buf.Append(Ipv4HeaderLen), Ipv4Header{
-		TotalLen: uint16(Ipv4HeaderLen + UdpHeaderLen + len(payload)),
-		TTL:      64, Proto: ProtoUDP, Src: src, Dst: dst,
-	})
-	writeUdp(buf.Append(UdpHeaderLen), UdpHeader{SrcPort: srcPort, DstPort: dstPort, Length: uint16(UdpHeaderLen + len(payload))})
-	copy(buf.Append(len(payload)), payload)
-	return buf
-}
-
 func TestAdaptivePollingEngages(t *testing.T) {
 	n := newTestNet(t, 1, 1)
 	received := 0
@@ -489,12 +475,11 @@ func TestAdaptivePollingEngages(t *testing.T) {
 	// Inject frames directly into B's NIC faster than the per-packet
 	// service time, so the drain batch exceeds the polling threshold.
 	nic := n.itfB.NIC
+	udp := make([]byte, UdpHeaderLen+32)
+	writeUdp(udp, UdpHeader{SrcPort: 5000, DstPort: 9, Length: uint16(len(udp))})
 	const frames = 200
 	for i := 0; i < frames; i++ {
-		f := machine.Frame{
-			Buf: rawUdpFrame(EthAddr{0, 0, 0, 0, 0, 1}, EthAddr{0, 0, 0, 0, 0, 2},
-				IP(10, 0, 0, 1), IP(10, 0, 0, 2), 5000, 9, make([]byte, 32)),
-		}
+		f := machine.Frame{Buf: iobuf.FromBytes(ipFrame(ProtoUDP, ipA, 0, udp))}
 		n.k.At(sim.Time(1000+i*100), func() { nic.Deliver(f) })
 	}
 	n.k.RunUntil(100 * sim.Millisecond)

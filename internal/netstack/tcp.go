@@ -16,7 +16,6 @@ type tcpState int
 
 const (
 	tcpClosed tcpState = iota
-	tcpListen
 	tcpSynSent
 	tcpSynReceived
 	tcpEstablished
@@ -29,7 +28,7 @@ const (
 )
 
 func (s tcpState) String() string {
-	return [...]string{"Closed", "Listen", "SynSent", "SynReceived", "Established",
+	return [...]string{"Closed", "SynSent", "SynReceived", "Established",
 		"FinWait1", "FinWait2", "CloseWait", "LastAck", "Closing", "TimeWait"}[s]
 }
 
@@ -100,9 +99,10 @@ type tcpLayer struct {
 	stats     TcpStats
 }
 
-// TcpStats aggregates loss-recovery counters across every connection the
-// interface has carried (live and closed) - the observability surface
-// the lossy-link experiment reads.
+// TcpStats counts loss-recovery actions: each connection keeps its own,
+// and the interface sums them across every connection it has carried
+// (live and closed) - the observability surface the lossy-link
+// experiment reads.
 type TcpStats struct {
 	// Retransmits counts every retransmitted segment (timeout and fast).
 	Retransmits uint64
@@ -195,10 +195,7 @@ type TcpPcb struct {
 	needAck   bool
 	queuedAck bool
 
-	// Stats.
-	Retransmits     uint64
-	FastRetransmits uint64
-	PersistProbes   uint64
+	TcpStats // this connection's share of the interface's counters
 }
 
 type oooSegment struct {
@@ -230,11 +227,22 @@ func (p *TcpPcb) setState(c *event.Ctx, s tcpState) {
 	}
 }
 
-// auditRecovery publishes one loss-recovery action (retransmit, fast
-// retransmit, persist probe) when an audit log is attached.
-func (p *TcpPcb) auditRecovery(now sim.Time, kind audit.Kind) {
+// recovered counts one loss-recovery action (retransmit, fast
+// retransmit, persist probe) on the connection and on its interface, and
+// publishes it when an audit log is attached.
+func (p *TcpPcb) recovered(c *event.Ctx, kind audit.Kind) {
+	for _, s := range [...]*TcpStats{&p.TcpStats, &p.itf.tcp.stats} {
+		switch kind {
+		case audit.TCPRetransmit:
+			s.Retransmits++
+		case audit.TCPFastRetransmit:
+			s.FastRetransmits++
+		case audit.TCPPersistProbe:
+			s.PersistProbes++
+		}
+	}
 	if a := p.itf.St.Audit; a != nil {
-		a.Emit(now, p.itf.St.AuditNode, kind, audit.Fields{
+		a.Emit(c.Now(), p.itf.St.AuditNode, kind, audit.Fields{
 			"lport": int(p.key.lport),
 			"rport": int(p.key.rport),
 		})
@@ -300,24 +308,31 @@ func (itf *Interface) ConnectTcp(c *event.Ctx, dst Ipv4Addr, dstPort uint16, h C
 			break
 		}
 	}
-	key := tcpKey{rip: dst, rport: dstPort, lport: lport}
-	t.isn += 64000
-	pcb := &TcpPcb{
-		itf:      itf,
-		key:      key,
-		core:     c.Core().ID,
-		h:        h,
-		sndUna:   t.isn,
-		sndNxt:   t.isn,
-		sndWnd:   1, // room for the SYN until the peer advertises
-		rcvWnd:   65535,
-		ooo:      map[uint32]oooSegment{},
-		flowHash: FlowHash(itf.Addr, lport, dst, dstPort),
-	}
-	pcb.setState(c, tcpSynSent)
-	t.conns.Put(key, pcb)
+	// A window of 1 leaves room for the SYN until the peer advertises.
+	pcb := t.newPcb(c, tcpKey{rip: dst, rport: dstPort, lport: lport}, 1, tcpSynSent)
+	pcb.h = h
 	pcb.sendSegment(c, tcpSYN, nil)
 	return pcb, nil
+}
+
+// newPcb makes a connection in state s, owned by the calling core, with a
+// fresh initial sequence number, and enters it in the table.
+func (t *tcpLayer) newPcb(c *event.Ctx, key tcpKey, sndWnd uint32, s tcpState) *TcpPcb {
+	t.isn += 64000
+	pcb := &TcpPcb{
+		itf:      t.itf,
+		key:      key,
+		core:     c.Core().ID,
+		sndUna:   t.isn,
+		sndNxt:   t.isn,
+		sndWnd:   sndWnd,
+		rcvWnd:   65535,
+		ooo:      map[uint32]oooSegment{},
+		flowHash: FlowHash(t.itf.Addr, key.lport, key.rip, key.rport),
+	}
+	pcb.setState(c, s)
+	t.conns.Put(key, pcb)
+	return pcb
 }
 
 // Send transmits payload on an established connection, segmenting at MSS.
@@ -364,15 +379,17 @@ func (p *TcpPcb) Close(c *event.Ctx) {
 		p.setState(c, tcpLastAck)
 		p.sendSegment(c, tcpFIN|tcpACK, nil)
 	case tcpSynSent, tcpSynReceived:
-		p.sendRawSegment(c, p.sndNxt, p.rcvNxt, tcpRST|tcpACK, nil)
-		p.teardown(c, nil)
+		p.reset(c, nil)
 	}
 }
 
 // Abort sends RST and drops the connection immediately.
-func (p *TcpPcb) Abort(c *event.Ctx) {
+func (p *TcpPcb) Abort(c *event.Ctx) { p.reset(c, fmt.Errorf("netstack: connection aborted")) }
+
+// reset sends RST and tears the connection down; OnClosed gets err.
+func (p *TcpPcb) reset(c *event.Ctx, err error) {
 	p.sendRawSegment(c, p.sndNxt, p.rcvNxt, tcpRST|tcpACK, nil)
-	p.teardown(c, fmt.Errorf("netstack: connection aborted"))
+	p.teardown(c, err)
 }
 
 // sendSegment builds and transmits one segment carrying payload (may be
@@ -408,19 +425,12 @@ func (p *TcpPcb) sendRawSegment(c *event.Ctx, seq, ack uint32, flags byte, paylo
 // buildFrame writes the ip+tcp headers into a head element from the
 // interface's pool and chains payload (may be nil) behind it.
 func (p *TcpPcb) buildFrame(seq, ack uint32, flags byte, payload *iobuf.IOBuf) *iobuf.IOBuf {
-	total := Ipv4HeaderLen + TcpHeaderLen
+	n := 0
 	if payload != nil {
-		total += payload.ComputeChainDataLength()
+		n = payload.ComputeChainDataLength()
 	}
-	buf := p.itf.newPacket(Ipv4HeaderLen + TcpHeaderLen)
-	writeIpv4(buf.Append(Ipv4HeaderLen), Ipv4Header{
-		TotalLen: uint16(total),
-		TTL:      64,
-		Proto:    ProtoTCP,
-		Src:      p.itf.Addr,
-		Dst:      p.key.rip,
-	})
-	writeTcp(buf.Append(TcpHeaderLen), TcpHeader{
+	buf, tcp := p.itf.newPacket(ProtoTCP, p.key.rip, TcpHeaderLen, n)
+	writeTcp(tcp, TcpHeader{
 		SrcPort: p.key.lport,
 		DstPort: p.key.rport,
 		Seq:     seq,
@@ -439,18 +449,13 @@ func (p *TcpPcb) transmitFrame(c *event.Ctx, frame *iobuf.IOBuf) {
 	_ = p.itf.EthArpSend(c, EtherTypeIPv4, p.key.rip, frame, p.flowHash)
 }
 
-// rtoInterval is the connection's current timeout: the adaptive
-// estimate when one exists (RFC 6298), else the configured initial RTO,
-// backed off exponentially and clamped to rtoMax.
-func (p *TcpPcb) rtoInterval() sim.Time {
-	base := p.CurrentRTO()
+// backoff is the current RTO - the adaptive estimate when one exists
+// (RFC 6298), else the configured initial RTO - doubled shift times and
+// clamped to rtoMax: the retransmission and persist timers' interval.
+func (p *TcpPcb) backoff(shift int) sim.Time {
 	// Cap the shift so the ladder saturates at rtoMax instead of
 	// overflowing sim.Time.
-	shift := p.rtoBackoff
-	if shift > 30 {
-		shift = 30
-	}
-	d := base << shift
+	d := p.CurrentRTO() << min(shift, 30)
 	if d > rtoMax || d <= 0 {
 		d = rtoMax
 	}
@@ -498,7 +503,7 @@ func (p *TcpPcb) armRTO() {
 	if p.onRTO == nil {
 		p.onRTO = p.rtoExpired
 	}
-	p.rtoTimer = p.itf.St.Mgrs[p.core].After(p.rtoInterval(), p.onRTO)
+	p.rtoTimer = p.itf.St.Mgrs[p.core].After(p.backoff(p.rtoBackoff), p.onRTO)
 }
 
 // rtoExpired is the retransmission timeout's handler.
@@ -529,9 +534,7 @@ func (p *TcpPcb) rtoExpired(c *event.Ctx) {
 func (p *TcpPcb) retransmitSegment(c *event.Ctx, seg *segment) {
 	seg.rexmit = true
 	seg.sentAt = c.Now()
-	p.Retransmits++
-	p.itf.tcp.stats.Retransmits++
-	p.auditRecovery(c.Now(), audit.TCPRetransmit)
+	p.recovered(c, audit.TCPRetransmit)
 	var payload *iobuf.IOBuf
 	for e := seg.frame.Next(); e != seg.frame; e = e.Next() {
 		if v := p.itf.views.ViewOf(e); payload == nil {
@@ -560,18 +563,10 @@ func (p *TcpPcb) armPersist() {
 	if p.persistTimer != (event.Timer{}) {
 		return
 	}
-	iv := p.CurrentRTO()
-	shift := p.persistBackoff
-	if shift > 30 {
-		shift = 30
-	}
-	if iv <<= shift; iv > rtoMax || iv <= 0 {
-		iv = rtoMax
-	}
 	if p.onPersist == nil {
 		p.onPersist = p.persistExpired
 	}
-	p.persistTimer = p.itf.St.Mgrs[p.core].After(iv, p.onPersist)
+	p.persistTimer = p.itf.St.Mgrs[p.core].After(p.backoff(p.persistBackoff), p.onPersist)
 }
 
 // persistExpired sends one zero-window probe and re-arms.
@@ -581,9 +576,7 @@ func (p *TcpPcb) persistExpired(c *event.Ctx) {
 		return
 	}
 	p.persistBackoff++
-	p.PersistProbes++
-	p.itf.tcp.stats.PersistProbes++
-	p.auditRecovery(c.Now(), audit.TCPPersistProbe)
+	p.recovered(c, audit.TCPPersistProbe)
 	// Probe with one already-acknowledged byte (seq sndNxt-1): the
 	// peer discards it as a duplicate and re-ACKs with its current
 	// window.
@@ -716,23 +709,11 @@ func (p *TcpPcb) flushAck(c *event.Ctx) {
 }
 
 func (t *tcpLayer) acceptSyn(c *event.Ctx, l *TcpListener, ip Ipv4Header, hdr TcpHeader) {
+	// RSS placed the SYN on this core; affinity follows.
 	key := tcpKey{rip: ip.Src, rport: hdr.SrcPort, lport: hdr.DstPort}
-	t.isn += 64000
-	pcb := &TcpPcb{
-		itf:      t.itf,
-		key:      key,
-		core:     c.Core().ID, // RSS placed the SYN here; affinity follows
-		sndUna:   t.isn,
-		sndNxt:   t.isn,
-		sndWnd:   uint32(hdr.Window),
-		rcvNxt:   hdr.Seq + 1,
-		rcvWnd:   65535,
-		ooo:      map[uint32]oooSegment{},
-		flowHash: FlowHash(t.itf.Addr, hdr.DstPort, ip.Src, hdr.SrcPort),
-	}
-	pcb.setState(c, tcpSynReceived)
+	pcb := t.newPcb(c, key, uint32(hdr.Window), tcpSynReceived)
+	pcb.rcvNxt = hdr.Seq + 1
 	pcb.h = l.accept(c, pcb)
-	t.conns.Put(key, pcb)
 	pcb.sendSegment(c, tcpSYN|tcpACK, nil)
 }
 
@@ -758,34 +739,38 @@ func (p *TcpPcb) input(c *event.Ctx, hdr TcpHeader, payload *iobuf.IOBuf) {
 		if hdr.Flags&(tcpSYN|tcpACK) == tcpSYN|tcpACK && hdr.Ack == p.sndNxt {
 			p.processAck(c, hdr, plen)
 			p.rcvNxt = hdr.Seq + 1
-			p.setState(c, tcpEstablished)
 			p.needAck = true
-			p.flushAck(c)
-			if p.h.OnConnected != nil {
-				p.h.OnConnected(c, p)
-			}
+			p.connected(c)
 		}
 		return
 	case tcpSynReceived:
-		if hdr.Flags&tcpACK != 0 && seqLT(p.sndUna, hdr.Ack) {
-			p.processAck(c, hdr, plen)
-			p.setState(c, tcpEstablished)
-			if p.h.OnConnected != nil {
-				p.h.OnConnected(c, p)
-			}
-			// Fall through to process any data carried on the ACK.
-		} else {
+		// The only byte outstanding is the SYN, so an acceptable ACK
+		// (RFC 793: SND.UNA < SEG.ACK =< SND.NXT) is exactly sndNxt.
+		if hdr.Flags&tcpACK == 0 || hdr.Ack != p.sndNxt {
 			return
 		}
-	}
-
-	if hdr.Flags&tcpACK != 0 {
 		p.processAck(c, hdr, plen)
+		p.connected(c)
+		// Any data carried on the handshake's ACK follows.
+	default:
+		if hdr.Flags&tcpACK != 0 {
+			p.processAck(c, hdr, plen)
+		}
 	}
 	if p.state == tcpClosed {
 		return
 	}
 	p.processData(c, hdr, payload)
+}
+
+// connected completes either open: the connection is established, the
+// ACK it still owes goes out, then the application hears of it.
+func (p *TcpPcb) connected(c *event.Ctx) {
+	p.setState(c, tcpEstablished)
+	p.flushAck(c)
+	if p.h.OnConnected != nil {
+		p.h.OnConnected(c, p)
+	}
 }
 
 // processAck advances the send window and releases retransmission state.
@@ -873,9 +858,7 @@ func (p *TcpPcb) processAck(c *event.Ctx, hdr TcpHeader, plen int) {
 		p.dupAcks++
 		if !p.itf.St.Cfg.NoFastRetransmit && p.dupAcks >= 3 && !p.fastRecovery {
 			p.fastRecovery = true
-			p.FastRetransmits++
-			p.itf.tcp.stats.FastRetransmits++
-			p.auditRecovery(c.Now(), audit.TCPFastRetransmit)
+			p.recovered(c, audit.TCPFastRetransmit)
 			p.retransmitSegment(c, &p.inflight[0])
 			p.cancelRTO()
 			p.armRTO()

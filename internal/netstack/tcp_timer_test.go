@@ -63,7 +63,7 @@ func TestRTOCancelledAfterLatchLeavesNoOrphan(t *testing.T) {
 		pcb.armRTO()
 	})
 	n.spawnA(func(c *event.Ctx) {
-		rto = pcb.rtoInterval()
+		rto = pcb.backoff(pcb.rtoBackoff)
 		expiry = c.Now() + rto
 		if err := pcb.Send(c, iobuf.Wrap([]byte{1})); err != nil {
 			t.Errorf("send: %v", err)

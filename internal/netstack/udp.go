@@ -72,17 +72,8 @@ func (u *udpLayer) receive(c *event.Ctx, ip Ipv4Header, buf *iobuf.IOBuf) {
 // SendUdp transmits payload as one datagram. The payload chain is consumed.
 func (itf *Interface) SendUdp(c *event.Ctx, srcPort uint16, dst Ipv4Addr, dstPort uint16, payload *iobuf.IOBuf) future.Future[future.Unit] {
 	payloadLen := payload.ComputeChainDataLength()
-	hdr := itf.newPacket(Ipv4HeaderLen + UdpHeaderLen)
-	ipb := hdr.Append(Ipv4HeaderLen)
-	udpb := hdr.Append(UdpHeaderLen)
-	writeIpv4(ipb, Ipv4Header{
-		TotalLen: uint16(Ipv4HeaderLen + UdpHeaderLen + payloadLen),
-		TTL:      64,
-		Proto:    ProtoUDP,
-		Src:      itf.Addr,
-		Dst:      dst,
-	})
-	writeUdp(udpb, UdpHeader{SrcPort: srcPort, DstPort: dstPort, Length: uint16(UdpHeaderLen + payloadLen)})
+	hdr, udp := itf.newPacket(ProtoUDP, dst, UdpHeaderLen, payloadLen)
+	writeUdp(udp, UdpHeader{SrcPort: srcPort, DstPort: dstPort, Length: uint16(UdpHeaderLen + payloadLen)})
 	hdr.AppendChain(payload)
 	hash := FlowHash(itf.Addr, srcPort, dst, dstPort)
 	return itf.EthArpSend(c, EtherTypeIPv4, dst, hdr, hash)
