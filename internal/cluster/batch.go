@@ -4,6 +4,7 @@ import (
 	"ebbrt/internal/apps/memcached"
 	"ebbrt/internal/audit"
 	"ebbrt/internal/event"
+	"ebbrt/internal/freelist"
 )
 
 // DefaultMaxBatch is the per-backend coalescing limit: a backend's
@@ -86,26 +87,21 @@ func (s *BatchStats) Accumulate(o BatchStats) {
 	}
 }
 
-// pendingRead is one read waiting in a core's coalescing queue.
-type pendingRead struct {
-	key []byte
-	cb  Callback
-}
-
 // readQueue is one core's read-submission queue: reads accumulate per
 // backend while a batch scope (an outermost Get/GetMulti call) is open,
 // then flush as one pipelined round per backend. Per-core state like
-// everything else in the representative - no locks.
+// everything else in the representative - no locks. A backend's pending
+// slice keeps its capacity from round to round.
 type readQueue struct {
 	opt     BatchOptions
-	pending map[int][]pendingRead
+	pending map[int][]*readRecord
 	order   []int // backends with queued reads, in first-enqueue order
 	depth   int   // open batch scopes
 	stats   BatchStats
 }
 
 func newReadQueue(opt BatchOptions) *readQueue {
-	return &readQueue{opt: opt, pending: map[int][]pendingRead{}}
+	return &readQueue{opt: opt, pending: map[int][]*readRecord{}}
 }
 
 // beginBatch opens a batch scope: reads submitted until the matching
@@ -122,17 +118,17 @@ func (r *clientRep) endBatch(c *event.Ctx) {
 }
 
 // submitRead is the single entry point for every read the client issues:
-// it queues the key toward its backend and flushes per BatchOptions.
+// it queues the record toward backend and flushes per BatchOptions.
 // Reads submitted outside any batch scope (failover retries, repair
 // probes landing from response callbacks) flush immediately, so a
 // retry's latency is never held hostage to a future batch.
-func (r *clientRep) submitRead(c *event.Ctx, backend int, key []byte, cb Callback) {
+func (r *clientRep) submitRead(c *event.Ctx, backend int, rec *readRecord) {
 	q := r.queue
 	q.stats.Ops++
-	if _, ok := q.pending[backend]; !ok {
+	if len(q.pending[backend]) == 0 {
 		q.order = append(q.order, backend)
 	}
-	q.pending[backend] = append(q.pending[backend], pendingRead{key: append([]byte(nil), key...), cb: cb})
+	q.pending[backend] = append(q.pending[backend], rec)
 	if len(q.pending[backend]) >= q.opt.MaxBatch {
 		r.flushBackend(c, backend)
 		return
@@ -158,7 +154,7 @@ func (r *clientRep) flushReads(c *event.Ctx) {
 func (r *clientRep) flushBackend(c *event.Ctx, backend int) {
 	q := r.queue
 	ops := q.pending[backend]
-	delete(q.pending, backend)
+	q.pending[backend] = nil // reads queued by the callbacks below start a new slice
 	for i, b := range q.order {
 		if b == backend {
 			q.order = append(q.order[:i], q.order[i+1:]...)
@@ -173,21 +169,23 @@ func (r *clientRep) flushBackend(c *event.Ctx, backend int) {
 		// Same fast-fail as the write path: the backend was evicted after
 		// these reads' replica sets were computed, so fail the whole round
 		// as network errors and let each member's failover move on.
-		for _, op := range ops {
-			if op.cb != nil {
-				op.cb(c, Response{Status: StatusNetworkError})
+		for _, rec := range ops {
+			rec.done(c, Response{Status: StatusNetworkError})
+		}
+	} else {
+		cc := r.connFor(c, backend)
+		bytes := r.sendRound(c, cc, ops)
+		if len(ops) >= 2 {
+			if a := r.cli.cl.Audit; a != nil {
+				a.Emit(c.Now(), int(r.cli.node.Id), audit.FrontendBatchFlush, audit.Fields{
+					"backend": backend, "ops": len(ops), "bytes": bytes,
+				})
 			}
 		}
-		return
 	}
-	cc := r.connFor(c, backend)
-	bytes := cc.sendRound(c, ops, &q.stats)
-	if len(ops) >= 2 {
-		if a := r.cli.cl.Audit; a != nil {
-			a.Emit(c.Now(), int(r.cli.node.Id), audit.FrontendBatchFlush, audit.Fields{
-				"backend": backend, "ops": len(ops), "bytes": bytes,
-			})
-		}
+	if len(q.pending[backend]) == 0 {
+		clear(ops)
+		q.pending[backend] = ops[:0]
 	}
 }
 
@@ -196,48 +194,65 @@ func (r *clientRep) flushBackend(c *event.Ctx, backend int) {
 // members as misses. Hits (and individual timeouts, and connection
 // failure) remove members from the inflight map before the fence
 // answers; whatever remains when the fence reports OK is a key the
-// server saw and stayed quiet about - a definitive miss.
+// server saw and stayed quiet about - a definitive miss. Rounds come
+// from the representative's list, whichever of its connections they
+// ride, and go home when their fence answers or fails.
 type readRound struct {
+	freelist.Node
+	rep     *clientRep
 	cc      *clientConn
 	members []uint32
-	stats   *BatchStats
+	// fence is resolve, bound once when the round is made: the Noop's
+	// callback.
+	fence Callback
+}
+
+func newReadRound(rep *clientRep) *readRound {
+	rr := &readRound{rep: rep, members: make([]uint32, 0, rep.queue.opt.MaxBatch)}
+	rr.fence = rr.resolve
+	return rr
 }
 
 func (rr *readRound) resolve(c *event.Ctx, r Response) {
-	if !r.OK() {
-		// The fence failed (timeout, teardown): the members fail through
-		// their own timers or the connection's fail(), each as a network
-		// error. Resolving misses here would fabricate false misses out of
-		// a dead backend - exactly the conflation the client exists to
-		// avoid.
-		return
-	}
-	for _, opaque := range rr.members {
-		op, ok := rr.cc.inflight[opaque]
-		if !ok {
-			continue // answered (hit) or already failed
+	rr.Live()
+	// A failed fence (timeout, teardown) resolves nothing: the members
+	// fail through their own timers or the connection's fail(), each as a
+	// network error. Resolving misses then would fabricate false misses
+	// out of a dead backend - exactly the conflation the client exists to
+	// avoid.
+	if r.OK() {
+		for _, opaque := range rr.members {
+			op, ok := rr.cc.inflight[opaque]
+			if !ok {
+				continue // answered (hit) or already failed
+			}
+			delete(rr.cc.inflight, opaque)
+			op.timer.Cancel()
+			rr.rep.queue.stats.QuietMisses++
+			if op.cb != nil {
+				op.cb(c, Response{Status: memcached.StatusKeyNotFound})
+			}
 		}
-		delete(rr.cc.inflight, opaque)
-		op.timer.Cancel()
-		rr.stats.QuietMisses++
-		if op.cb != nil {
-			op.cb(c, Response{Status: memcached.StatusKeyNotFound})
-		}
 	}
+	rr.cc, rr.members = nil, rr.members[:0]
+	rr.rep.rounds.Put(rr)
 }
 
 // sendRound transmits one backend's reads as a single pipelined round
-// on this connection and returns the round's wire size in bytes.
-func (cc *clientConn) sendRound(c *event.Ctx, ops []pendingRead, stats *BatchStats) int {
+// on cc and returns the round's wire size in bytes.
+func (r *clientRep) sendRound(c *event.Ctx, cc *clientConn, ops []*readRecord) int {
 	if len(ops) == 1 {
-		return cc.send(c, &memcached.Request{Opcode: memcached.OpGet, Key: ops[0].key}, ops[0].cb)
+		ops[0].Live()
+		return cc.send(c, &memcached.Request{Opcode: memcached.OpGet, Key: ops[0].key}, ops[0].done)
 	}
-	round := &readRound{cc: cc, stats: stats}
-	for _, op := range ops {
-		opaque := cc.register(c, op.cb)
+	round := r.rounds.Get()
+	round.cc = cc
+	for _, rec := range ops {
+		rec.Live()
+		opaque := cc.register(c, rec.done)
 		round.members = append(round.members, opaque)
-		cc.write(&memcached.Request{Opcode: memcached.OpGetQ, Key: op.key}, opaque)
+		cc.write(&memcached.Request{Opcode: memcached.OpGetQ, Key: rec.key}, opaque)
 	}
-	cc.write(&memcached.Request{Opcode: memcached.OpNoop}, cc.register(c, round.resolve))
+	cc.write(&memcached.Request{Opcode: memcached.OpNoop}, cc.register(c, round.fence))
 	return cc.transmit(c)
 }

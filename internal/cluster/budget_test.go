@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"ebbrt/internal/event"
@@ -61,4 +62,88 @@ func TestQuorumWriteObjectBudget(t *testing.T) {
 		t.Fatalf("one quorum Set allocated %.0f objects, want at most %.0f", got, limit)
 	}
 	t.Logf("one quorum Set allocated %.0f objects (limit %.0f)", got, limit)
+}
+
+// The object count of the hosted read path, held in tier-1: one warm
+// 8-key GetMulti from a 1-core hosted frontend to four backends at R=2,
+// hot-key cache on, end to end. Cold, no key is ever promoted and all
+// eight go to the network; promoted, the cache holds four of the eight
+// keys, so each GetMulti serves four from it and fills the other four,
+// each fill evicting one entry. The count was 78 cold and
+// 67 promoted while every key read allocated a slot closure, a
+// replica slice, a retry closure with its escaped arguments and a key
+// copy for the queue, each promotion a key copy and a wrapper closure,
+// each fill a new cache entry, and each multi-op round its tracker and
+// fence callback. Pooled read records, rounds and GetMulti calls bring it
+// to 23 and 22: what is left is the caller's response slice,
+// each network answer's value copy, each fill's key string and value
+// copy, and the servers' side. The limit is the measured count plus 4.
+// Under iobufdebug each event's own Ctx is allowed for, and so is every
+// record, round and call the free lists build instead of reusing.
+func TestMultiGetObjectBudget(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		hot   HotKeyOptions
+		limit float64
+	}{
+		{"cold", HotKeyOptions{Enable: true, PromoteMin: 1 << 30, revalidateEvery: -1}, 23 + 4},
+		{"promoted", HotKeyOptions{Enable: true, PromoteMin: 1, capacity: 4, ttl: sim.Second, revalidateEvery: -1}, 22 + 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl := NewCluster(4, Options{FrontendCores: 1, Replicas: 2, HotKey: tc.hot})
+			front := cl.Sys.Frontend()
+			cli := NewClientWithOptions(cl, front, ClientOptions{})
+			keys := make([][]byte, 8)
+			for i := range keys {
+				keys[i] = []byte(fmt.Sprintf("budget-mget-%d", i))
+			}
+			populate(t, cl, cli, keys, func(i int) []byte { return bytes.Repeat([]byte{'a' + byte(i)}, 100) })
+			answered := 0
+			done := func(c *event.Ctx, rs []Response) {
+				for _, r := range rs {
+					if r.OK() {
+						answered++
+					}
+				}
+			}
+			mget := func() {
+				front.Spawn(func(c *event.Ctx) { cli.GetMulti(c, keys, done) })
+				cl.Sys.K.RunFor(sim.Millisecond)
+			}
+			mget() // warm: connections, pools, rings, queues and free lists at their size
+			mget()
+			limit := tc.limit
+			if event.CheckedCtx {
+				limit += checkedAllowance(cl, cli, mget)
+			}
+			before := answered
+			got := testing.AllocsPerRun(100, mget)
+			if answered-before != 101*len(keys) {
+				t.Fatalf("%d of %d key reads answered", answered-before, 101*len(keys))
+			}
+			if got > limit {
+				t.Fatalf("one 8-key GetMulti allocated %.0f objects, want at most %.0f", got, limit)
+			}
+			t.Logf("one 8-key GetMulti allocated %.0f objects (limit %.0f)", got, limit)
+		})
+	}
+}
+
+// checkedAllowance runs op once and returns what iobufdebug adds to its
+// object count: a Ctx per dispatched event, and per record or round the
+// free lists build rather than reuse, the object, its bound callback and
+// its key or member slice.
+func checkedAllowance(cl *Cluster, cli *Client, op func()) float64 {
+	count := func() (n int) {
+		for _, node := range cl.Sys.Nodes {
+			for _, m := range node.Runtime.Mgrs() {
+				n += int(m.Dispatched)
+			}
+		}
+		rep, _ := cli.ref.GetIfPresent(0)
+		return n + 3*rep.reads.Made() + 3*rep.rounds.Made() + rep.batches.Made()
+	}
+	before := count()
+	op()
+	return float64(count() - before)
 }

@@ -11,6 +11,7 @@ import (
 	"ebbrt/internal/audit"
 	"ebbrt/internal/core"
 	"ebbrt/internal/event"
+	"ebbrt/internal/freelist"
 	"ebbrt/internal/hosted"
 	"ebbrt/internal/iobuf"
 	"ebbrt/internal/netstack"
@@ -130,12 +131,7 @@ func NewClientWithOptions(cl *Cluster, node *hosted.Node, opt ClientOptions) *Cl
 	mgrs := node.Runtime.Mgrs()
 	cli.mgrs = mgrs
 	cli.ref = core.Attach(node.Domain, id, func(corei int) *clientRep {
-		rep := &clientRep{cli: cli, mgr: mgrs[corei], pools: map[int]*backendPool{},
-			queue: newReadQueue(cli.opt.Batch)}
-		if cli.opt.HotKey.Enable {
-			rep.hot = newHotKeyRep(cli.opt.HotKey)
-		}
-		return rep
+		return newClientRep(cli, mgrs[corei])
 	})
 	if opt.HotKey.Enable {
 		// A migration's dual-routing window must never serve a cached
@@ -197,211 +193,6 @@ func NewClientWithOptions(cl *Cluster, node *hosted.Node, opt ClientOptions) *Cl
 // Id returns the Ebb id the client occupies in the shared namespace.
 func (cli *Client) Id() core.Id { return cli.ref.Id() }
 
-// Get fetches key, trying each replica in successor order: network
-// errors and genuine misses both fall through to the next replica, so a
-// key served by any live replica is found. When a later replica serves
-// the read, replicas that missed it are repaired asynchronously. During
-// a migration handoff the read set for a still-moving range is the old
-// owners followed by the new ones, so the key is served wherever it
-// currently lives.
-//
-// With the hot-key cache enabled, a key the frequency sketch has
-// promoted is served from the core's local cache when a live (within
-// TTL) copy is held, never touching the network; misses count the
-// access toward promotion and fill the cache from the response once the
-// key qualifies. Reads for ranges mid-migration bypass the cache
-// entirely.
-func (cli *Client) Get(c *event.Ctx, key []byte, cb Callback) {
-	rep := cli.rep(c)
-	rep.beginBatch()
-	cli.getOne(c, rep, key, cb)
-	rep.endBatch(c)
-}
-
-// BatchCallback receives a GetMulti's responses, index-aligned with the
-// requested keys, once every key has resolved.
-type BatchCallback func(c *event.Ctx, rs []Response)
-
-// GetMulti fetches keys as one batch: each key takes the exact same
-// path as Get - hot-key cache, handoff dual-read, replica failover,
-// read repair - but keys bound for the same backend leave the core as
-// one pipelined GETQ+Noop round instead of one GET apiece. cb fires
-// once with all responses, index-aligned with keys; duplicate keys are
-// answered independently. Failover retries for keys whose primary read
-// failed go out immediately (as their own rounds) rather than waiting
-// on the rest of the batch.
-func (cli *Client) GetMulti(c *event.Ctx, keys [][]byte, cb BatchCallback) {
-	if len(keys) == 0 {
-		if cb != nil {
-			cb(c, nil)
-		}
-		return
-	}
-	rep := cli.rep(c)
-	out := make([]Response, len(keys))
-	left := len(keys)
-	rep.beginBatch()
-	for i := range keys {
-		i := i
-		cli.getOne(c, rep, keys[i], func(c *event.Ctx, r Response) {
-			out[i] = r
-			if left--; left == 0 && cb != nil {
-				cb(c, out)
-			}
-		})
-	}
-	rep.endBatch(c)
-}
-
-// getOne is the shared single-key read path behind Get and GetMulti:
-// the hot-key cache consultation and promotion wrapping, then the
-// replicated fetch. It runs inside an open batch scope, so the network
-// reads it issues land in the core's coalescing queue.
-func (cli *Client) getOne(c *event.Ctx, rep *clientRep, key []byte, cb Callback) {
-	if hk := rep.hot; hk != nil {
-		h := ringHash(key)
-		if cli.handoffCoversKey(key) {
-			hk.stats.HandoffBypass++
-			hk.cache.invalidate(key)
-			cli.fetch(c, key, cb)
-			return
-		}
-		if e, ok := hk.cache.get(key, c.Now()); ok {
-			hk.stats.Hits++
-			if hk.opt.StalenessProbe {
-				cli.probeStaleness(c, hk, key, e)
-			}
-			cli.maybeRevalidate(c, hk, key)
-			if cb != nil {
-				cb(c, Response{Status: memcached.StatusOK, Flags: e.flags, Value: e.value, CAS: e.cas})
-			}
-			return
-		}
-		hk.stats.Misses++
-		if hk.sketch.touch(h) >= hk.opt.PromoteMin {
-			// The key is hot: admit the response when it arrives, unless a
-			// handoff opened over its range - or this client issued a
-			// delete tombstone (read-your-own-delete) - in the meantime.
-			keyCopy := append([]byte(nil), key...)
-			gen := cli.tombGen
-			inner := cb
-			cb = func(c *event.Ctx, r Response) {
-				if r.OK() && !cli.handoffCoversKey(keyCopy) && cli.tombGen == gen {
-					hk.cache.put(string(keyCopy), h, append([]byte(nil), r.Value...), r.Flags, r.CAS, r.ExpiresAt, c.Now())
-					if a := cli.cl.Audit; a != nil {
-						a.Emit(c.Now(), int(cli.node.Id), audit.HotKeyPromoted, audit.Fields{
-							"key": string(keyCopy), "core": c.Core().ID,
-						})
-					}
-				}
-				if inner != nil {
-					inner(c, r)
-				}
-			}
-		}
-	}
-	cli.fetch(c, key, cb)
-}
-
-// fetch reads key through the data path: a plain replica-failover read
-// for an unsalted key. A write-spread key reads the shard that took the
-// latest acknowledged write - one shard, not all of them - and verifies
-// the served copy's stamp against the acked stamp (replica-wide stamps
-// make that comparison exact). Only when verification fails - the shard
-// lost its quorum majority, a delete reset the record, or nothing has
-// acked since promotion - does the read fall back to the full fan-in.
-// Without the targeted fast path every read of a promoted key would
-// cost K network reads, and the hottest keys carry most of the skewed
-// traffic: the fan-in amplification would cost more than the spreading
-// saves.
-func (cli *Client) fetch(c *event.Ctx, key []byte, cb Callback) {
-	salts := cli.cl.saltsOf(key)
-	if salts <= 1 {
-		cli.getFrom(c, key, cli.cl.ReadSet(key), 0, nil, cb)
-		return
-	}
-	cli.cl.hotWrite.SaltedReads++
-	if salt, stamp, ok := cli.cl.saltTarget(key); ok {
-		sk := saltedKey(key, salt)
-		cli.getFrom(c, sk, cli.cl.ReadSet(sk), 0, nil, func(c *event.Ctx, r Response) {
-			if r.OK() && r.CAS >= stamp {
-				if cb != nil {
-					cb(c, r)
-				}
-				return
-			}
-			cli.fanIn(c, key, salts, cb)
-		})
-		return
-	}
-	cli.fanIn(c, key, salts, cb)
-}
-
-// fanIn reads every salted shard of a spread key and folds to the
-// newest stamp - the slow path behind fetch's targeted read.
-func (cli *Client) fanIn(c *event.Ctx, key []byte, salts int, cb Callback) {
-	cli.cl.hotWrite.SaltedFanIns++
-	fold := &saltFold{left: salts, cb: cb}
-	for s := 0; s < salts; s++ {
-		sk := saltedKey(key, s)
-		cli.getFrom(c, sk, cli.cl.ReadSet(sk), 0, nil, fold.add)
-	}
-}
-
-// saltFold aggregates one fan-in read: writes round-robin the salts, so
-// the salts hold successively older versions and the newest stamp wins
-// (replica-wide stamps make that comparison exact). Misses on some
-// salts are normal - fewer writes than salts since promotion - and a
-// network error surfaces only when no salt could be served at all.
-type saltFold struct {
-	left      int
-	best      Response
-	sawOK     bool
-	sawNetErr bool
-	cb        Callback
-}
-
-func (f *saltFold) add(c *event.Ctx, r Response) {
-	if r.OK() && (!f.sawOK || r.CAS > f.best.CAS) {
-		f.best = r
-		f.sawOK = true
-	}
-	if r.NetworkError() {
-		f.sawNetErr = true
-	}
-	f.left--
-	if f.left > 0 || f.cb == nil {
-		return
-	}
-	switch {
-	case f.sawOK:
-		f.cb(c, f.best)
-	case f.sawNetErr:
-		f.cb(c, Response{Status: StatusNetworkError})
-	default:
-		f.cb(c, Response{Status: memcached.StatusKeyNotFound})
-	}
-}
-
-// handoffCoversKey reports whether any of key's storage locations - the
-// key itself, plus its salted shards when write-spread - sits in a
-// still-pending moved range of an open migration window.
-func (cli *Client) handoffCoversKey(key []byte) bool {
-	ho := cli.cl.handoff
-	if ho == nil {
-		return false
-	}
-	if ho.covers(ringHash(key)) {
-		return true
-	}
-	for s := 1; s < cli.cl.saltsOf(key); s++ {
-		if ho.covers(ringHash(saltedKey(key, s))) {
-			return true
-		}
-	}
-	return false
-}
-
 // probeStaleness compares a served cache hit against the owner stores
 // directly - simulation-level introspection (like Cluster.LiveHolders),
 // recording how stale served values actually get so experiments can
@@ -444,7 +235,8 @@ func (cli *Client) probeStaleness(c *event.Ctx, hk *hotKeyRep, key []byte, e *ca
 // moved, the cached copy is re-stamped with the fresh value (or dropped
 // on a miss). Together with the TTL this bounds how long another
 // client's write can go unseen.
-func (cli *Client) maybeRevalidate(c *event.Ctx, hk *hotKeyRep, key []byte) {
+func (cli *Client) maybeRevalidate(c *event.Ctx, rep *clientRep, key []byte) {
+	hk := rep.hot
 	if hk.opt.revalidateEvery <= 0 {
 		return
 	}
@@ -455,7 +247,8 @@ func (cli *Client) maybeRevalidate(c *event.Ctx, hk *hotKeyRep, key []byte) {
 	hk.sinceReval = 0
 	hk.stats.Revalidations++
 	keyCopy := append([]byte(nil), key...)
-	cli.fetch(c, keyCopy, func(c *event.Ctx, r Response) {
+	rec := rep.newRead(key)
+	rec.cb = func(c *event.Ctx, r Response) {
 		cur, ok := hk.cache.m[string(keyCopy)]
 		if !ok {
 			return // evicted or invalidated while the check was in flight
@@ -467,7 +260,7 @@ func (cli *Client) maybeRevalidate(c *event.Ctx, hk *hotKeyRep, key []byte) {
 			// response may replace the entry - a reordered older read
 			// (overtaken by a write-path re-stamp) must not roll it back
 			// or reset its TTL clock onto stale data.
-			if cli.handoffCoversKey(keyCopy) {
+			if cli.handoffCovers(keyCopy, ringHash(keyCopy)) {
 				hk.cache.remove(cur)
 				return
 			}
@@ -482,7 +275,8 @@ func (cli *Client) maybeRevalidate(c *event.Ctx, hk *hotKeyRep, key []byte) {
 		case r.Status == memcached.StatusKeyNotFound:
 			hk.cache.remove(cur)
 		}
-	})
+	}
+	cli.fetch(c, rec)
 }
 
 // forEachHotRep runs fn against every core's hot-key representative:
@@ -550,13 +344,13 @@ func (cli *Client) invalidateHot(c *event.Ctx, key []byte, tombstone bool) {
 func (cli *Client) restampHot(c *event.Ctx, key, value []byte, flags uint32, cas uint64, expiresAt sim.Time, gen uint64) {
 	h := ringHash(key)
 	cli.forEachHotRep(c, key, func(c *event.Ctx, hk *hotKeyRep, kb []byte) {
-		if cli.tombGen != gen || cli.handoffCoversKey(kb) {
+		if cli.tombGen != gen || cli.handoffCovers(kb, h) {
 			return
 		}
 		if hk.sketch.estimate(h) < hk.opt.PromoteMin {
 			return
 		}
-		hk.cache.put(string(kb), h, value, flags, cas, expiresAt, c.Now())
+		hk.cache.put(kb, h, value, flags, cas, expiresAt, c.Now())
 	})
 }
 
@@ -582,60 +376,6 @@ func (cli *Client) BatchStats() BatchStats {
 		}
 	}
 	return out
-}
-
-func (cli *Client) getFrom(c *event.Ctx, key []byte, reps []int, i int, missed []int, cb Callback) {
-	cli.rep(c).submitRead(c, reps[i], key, func(c *event.Ctx, r Response) {
-		switch {
-		case r.OK():
-			if i > 0 {
-				if a := cli.cl.Audit; a != nil {
-					a.Emit(c.Now(), int(cli.node.Id), audit.FailoverRead, audit.Fields{
-						"backend": reps[i], "tried": i + 1, "key": string(key),
-					})
-				}
-			}
-			if len(missed) > 0 {
-				cli.readRepair(c, key, missed, r)
-			}
-			if cb != nil {
-				cb(c, r)
-			}
-		case i+1 < len(reps):
-			if r.Status == memcached.StatusKeyNotFound {
-				missed = append(missed, reps[i])
-			}
-			cli.getFrom(c, key, reps, i+1, missed, cb)
-		default:
-			if cb != nil {
-				cb(c, r)
-			}
-		}
-	})
-}
-
-// readRepair re-sets the value onto replicas that reported a miss while
-// a successor held the key (a restored backend catching up, or a
-// replica that lost a racing write). Fire-and-forget: repair is an
-// optimization, not a durability mechanism. The repair carries the
-// serving replica's version stamp: the repaired copy must hold the SAME
-// stamp as the survivors - a re-minted one would diverge the replica
-// set and silently break the hot-key cache's cross-replica CAS
-// comparisons - and the stamped store rule makes the repair a no-op on
-// a replica that already holds something newer.
-func (cli *Client) readRepair(c *event.Ctx, key []byte, missed []int, r Response) {
-	if a := cli.cl.Audit; a != nil {
-		a.Emit(c.Now(), int(cli.node.Id), audit.ReadRepair, audit.Fields{
-			"key": string(key), "replicas": len(missed),
-		})
-	}
-	// The repair carries the serving replica's absolute expiry verbatim:
-	// re-encoding as whole relative seconds would shift the repaired
-	// copy's deadline away from the survivors'.
-	req := memcached.SetAbsExpiryRequest(key, r.Value, r.Flags, r.CAS, int64(r.ExpiresAt))
-	for _, backend := range missed {
-		cli.rep(c).submit(c, backend, req, nil)
-	}
 }
 
 // Set stores key=value on every replica and invokes cb once the write
@@ -889,6 +629,23 @@ type clientRep struct {
 	queue *readQueue
 	// hot is the core's hot-key sketch + cache (nil when disabled).
 	hot *hotKeyRep
+	// reads, rounds and batches are the core's free lists of key reads
+	// in flight (read.go), multi-op rounds in flight on any of its
+	// connections (batch.go), and GetMulti calls not yet answered.
+	reads   freelist.List[*readRecord]
+	rounds  freelist.List[*readRound]
+	batches freelist.List[*multiGet]
+}
+
+func newClientRep(cli *Client, mgr *event.Manager) *clientRep {
+	r := &clientRep{cli: cli, mgr: mgr, pools: map[int]*backendPool{}, queue: newReadQueue(cli.opt.Batch)}
+	if cli.opt.HotKey.Enable {
+		r.hot = newHotKeyRep(cli.opt.HotKey)
+	}
+	r.reads.New = func() *readRecord { return newReadRecord(r) }
+	r.rounds.New = func() *readRound { return newReadRound(r) }
+	r.batches.New = func() *multiGet { return &multiGet{rep: r} }
+	return r
 }
 
 // backendPool is one core's connections to one backend.

@@ -314,11 +314,18 @@ func (cl *Cluster) ReplicaSet(key []byte) []int {
 // followed by the new owners, deduplicated - the read falls through
 // old to new, so the key is served wherever it currently lives.
 func (cl *Cluster) ReadSet(key []byte) []int {
-	h := ringHash(key)
+	return cl.appendReadSet(nil, ringHash(key))
+}
+
+// appendReadSet appends the read set of hash h to dst: what the read
+// path's record fills its own array with.
+func (cl *Cluster) appendReadSet(dst []int, h uint64) []int {
 	if ho := cl.handoff; ho != nil && ho.covers(h) {
-		return dedupBackends(ho.prev.OwnersAt(h, cl.Replicas), cl.Ring.OwnersAt(h, cl.Replicas))
+		start := len(dst)
+		dst = ho.prev.appendOwners(dst, h, cl.Replicas)
+		return dedupAfter(cl.Ring.appendOwners(dst, h, cl.Replicas), start)
 	}
-	return cl.Ring.LookupN(key, cl.Replicas)
+	return cl.Ring.appendOwners(dst, h, cl.Replicas)
 }
 
 // WritePlan returns the backends a write must be delivered to, plus the
@@ -333,7 +340,8 @@ func (cl *Cluster) WritePlan(key []byte) (targets, quorum []int) {
 	h := ringHash(key)
 	if ho := cl.handoff; ho != nil && ho.covers(h) {
 		cur := cl.Ring.OwnersAt(h, cl.Replicas)
-		return dedupBackends(cur, ho.prev.OwnersAt(h, cl.Replicas)), cur
+		targets = append(make([]int, 0, 2*len(cur)), cur...)
+		return dedupAfter(ho.prev.appendOwners(targets, h, cl.Replicas), 0), cur
 	}
 	reps := cl.Ring.LookupN(key, cl.Replicas)
 	return reps, reps
@@ -594,22 +602,13 @@ func (cl *Cluster) LiveHolders(key []byte) int {
 	return n
 }
 
-// dedupBackends concatenates the given backend lists preserving first
-// occurrence order.
-func dedupBackends(lists ...[]int) []int {
-	var out []int
-	for _, list := range lists {
-		for _, b := range list {
-			dup := false
-			for _, seen := range out {
-				if seen == b {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				out = append(out, b)
-			}
+// dedupAfter drops, in place, every backend in s[start:] that appeared
+// earlier in s[start:], keeping first occurrences in order.
+func dedupAfter(s []int, start int) []int {
+	out := s[:start]
+	for _, b := range s[start:] {
+		if !slices.Contains(out[start:], b) {
+			out = append(out, b)
 		}
 	}
 	return out

@@ -277,33 +277,39 @@ func (hc *hotCache) get(key []byte, now sim.Time) (*cacheEntry, bool) {
 	return e, true
 }
 
-// put admits (or refreshes) an entry, evicting from the LRU tail when
-// over capacity. CAS stamps from one server are monotonic, so a put
-// carrying an older stamp than the cached one is a reordered delivery
+// put admits (or refreshes) an entry. At capacity a new key takes the
+// LRU tail's place - its entry evicted and reused, the key's string built
+// only then - which leaves the order and counters inserting first and
+// evicting after would. CAS stamps from one server are monotonic, so a
+// put carrying an older stamp than the cached one is a reordered delivery
 // (a read response overtaken by a write-path re-stamp) and is dropped
-// rather than letting it roll the entry back.
-func (hc *hotCache) put(key string, hash uint64, value []byte, flags uint32, cas uint64, expiresAt, now sim.Time) {
-	if e, ok := hc.m[key]; ok {
+// rather than letting it roll the entry back. value is kept, not copied:
+// hits lend it to callers.
+func (hc *hotCache) put(key []byte, hash uint64, value []byte, flags uint32, cas uint64, expiresAt, now sim.Time) {
+	e, ok := hc.m[string(key)]
+	if ok {
 		if cas < e.cas {
 			return
 		}
-		e.value = value
-		e.flags = flags
-		e.cas = cas
-		e.storedAt = now
-		e.expiresAt = expiresAt
 		hc.bump(e)
-		return
+	} else {
+		if len(hc.m) >= hc.cap && hc.tail != nil {
+			e = hc.tail
+			hc.stats.Evictions++
+			hc.remove(e)
+		} else {
+			e = new(cacheEntry)
+		}
+		e.key, e.hash = string(key), hash
+		hc.m[e.key] = e
+		hc.pushFront(e)
+		hc.stats.Fills++
 	}
-	e := &cacheEntry{key: key, hash: hash, value: value, flags: flags, cas: cas,
-		storedAt: now, expiresAt: expiresAt}
-	hc.m[key] = e
-	hc.pushFront(e)
-	hc.stats.Fills++
-	for len(hc.m) > hc.cap {
-		hc.stats.Evictions++
-		hc.remove(hc.tail)
-	}
+	e.value = value
+	e.flags = flags
+	e.cas = cas
+	e.storedAt = now
+	e.expiresAt = expiresAt
 }
 
 // invalidate drops key's entry, reporting whether one was present.

@@ -37,13 +37,13 @@ func TestHotCacheLRUEvictionOrder(t *testing.T) {
 	now := sim.Time(0)
 	for i := 0; i < 3; i++ {
 		k := fmt.Sprintf("k%d", i)
-		hc.put(k, uint64(i), []byte(k), 0, uint64(i+1), 0, now)
+		hc.put([]byte(k), uint64(i), []byte(k), 0, uint64(i+1), 0, now)
 	}
 	// Touch k0 so k1 becomes the LRU victim.
 	if _, ok := hc.get([]byte("k0"), now); !ok {
 		t.Fatal("k0 missing")
 	}
-	hc.put("k3", 3, []byte("k3"), 0, 10, 0, now)
+	hc.put([]byte("k3"), 3, []byte("k3"), 0, 10, 0, now)
 	if stats.Evictions != 1 {
 		t.Fatalf("evictions %d, want 1", stats.Evictions)
 	}
@@ -57,11 +57,50 @@ func TestHotCacheLRUEvictionOrder(t *testing.T) {
 	}
 }
 
+// TestHotCacheEvictionReusesTail: a put at capacity evicts the LRU tail
+// and reuses its entry, and the cache ends where inserting first and
+// evicting after would leave it - same order, same counters - while a
+// refresh of a cached key allocates nothing.
+func TestHotCacheEvictionReusesTail(t *testing.T) {
+	var stats HotKeyStats
+	hc := newHotCache(3, sim.Second, &stats)
+	for i, k := range []string{"a", "b", "c"} {
+		hc.put([]byte(k), uint64(i), []byte(k), 0, 1, 0, 0)
+	}
+	hc.get([]byte("a"), 0) // b is now the tail
+	tail := hc.tail
+	hc.put([]byte("d"), 3, []byte("d"), 0, 1, 0, 0)
+	if got, want := hc.keysMRU(), []string{"d", "a", "c"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("order after eviction %v, want %v", got, want)
+	}
+	if stats.Fills != 4 || stats.Evictions != 1 {
+		t.Fatalf("fills %d evictions %d, want 4 and 1", stats.Fills, stats.Evictions)
+	}
+	if e := hc.m["d"]; e != tail || e.hash != 3 || string(e.value) != "d" || e.prev != nil || hc.tail.key != "c" {
+		t.Fatalf("the new key did not take the evicted tail's entry: %+v", e)
+	}
+	hc.put([]byte("e"), 4, []byte("e"), 0, 1, 0, 0)
+	hc.put([]byte("c"), 2, []byte("c2"), 0, 2, 0, 0) // c was evicted: a fresh fill evicting a
+	if got, want := hc.keysMRU(), []string{"c", "e", "d"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("order after two more evictions %v, want %v", got, want)
+	}
+	if stats.Fills != 6 || stats.Evictions != 3 || hc.len() != 3 {
+		t.Fatalf("fills %d evictions %d len %d, want 6, 3 and 3", stats.Fills, stats.Evictions, hc.len())
+	}
+	key, value := []byte("d"), []byte("d2")
+	if allocs := testing.AllocsPerRun(100, func() { hc.put(key, 3, value, 0, 5, 0, 0) }); allocs != 0 {
+		t.Fatalf("refreshing a cached key allocated %.0f objects", allocs)
+	}
+	if got := hc.keysMRU(); got[0] != "d" || stats.Fills != 6 {
+		t.Fatalf("a refresh moved the counters or missed the bump: %v %+v", got, stats)
+	}
+}
+
 func TestHotCacheTTLExpiry(t *testing.T) {
 	var stats HotKeyStats
 	ttl := 2 * sim.Millisecond
 	hc := newHotCache(8, ttl, &stats)
-	hc.put("k", 1, []byte("v"), 0, 1, 0, 0)
+	hc.put([]byte("k"), 1, []byte("v"), 0, 1, 0, 0)
 	if _, ok := hc.get([]byte("k"), ttl); !ok {
 		t.Fatal("entry at exactly TTL age should still serve")
 	}
@@ -79,14 +118,14 @@ func TestHotCacheTTLExpiry(t *testing.T) {
 func TestHotCachePutCASMonotonic(t *testing.T) {
 	var stats HotKeyStats
 	hc := newHotCache(8, sim.Second, &stats)
-	hc.put("k", 1, []byte("new"), 7, 5, 0, 0)
+	hc.put([]byte("k"), 1, []byte("new"), 7, 5, 0, 0)
 	// A reordered older response must not roll the entry back.
-	hc.put("k", 1, []byte("old"), 0, 3, 0, 1)
+	hc.put([]byte("k"), 1, []byte("old"), 0, 3, 0, 1)
 	e, ok := hc.get([]byte("k"), 1)
 	if !ok || string(e.value) != "new" || e.cas != 5 {
 		t.Fatalf("entry rolled back to %+v", e)
 	}
-	hc.put("k", 1, []byte("newer"), 1, 9, 0, 2)
+	hc.put([]byte("k"), 1, []byte("newer"), 1, 9, 0, 2)
 	if e, _ := hc.get([]byte("k"), 2); string(e.value) != "newer" || e.cas != 9 {
 		t.Fatalf("newer CAS not applied: %+v", e)
 	}
@@ -113,7 +152,7 @@ func TestSketchPromotionEvictionDeterminism(t *testing.T) {
 			}
 			hk.stats.Misses++
 			if hk.sketch.touch(h) >= hk.opt.PromoteMin {
-				hk.cache.put(string(key), h, []byte("v"), 0, uint64(i), 0, now)
+				hk.cache.put(key, h, []byte("v"), 0, uint64(i), 0, now)
 			}
 		}
 		return hk.cache.keysMRU(), hk.stats

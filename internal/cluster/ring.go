@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/binary"
+	"slices"
 	"sort"
 )
 
@@ -153,28 +154,26 @@ func (r *Ring) LookupN(key []byte, n int) []int {
 // boundaries to diff ownership between two rings without materializing
 // keys.
 func (r *Ring) OwnersAt(h uint64, n int) []int {
+	return r.appendOwners(make([]int, 0, max(n, 0)), h, n)
+}
+
+// appendOwners appends the owners of hash h - up to n distinct backends
+// in ring-successor order - to dst and returns the extended slice, so a
+// caller with room in dst looks up a replica set without allocating. The
+// backends it appends are distinct from each other, not from what dst
+// already holds.
+func (r *Ring) appendOwners(dst []int, h uint64, n int) []int {
 	if len(r.points) == 0 {
 		panic("cluster: lookup on empty ring")
 	}
-	if n <= 0 {
-		return nil
-	}
+	start := len(dst)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	out := make([]int, 0, n)
-	for j := 0; j < len(r.points) && len(out) < n; j++ {
-		b := r.points[(i+j)%len(r.points)].backend
-		dup := false
-		for _, seen := range out {
-			if seen == b {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, b)
+	for j := 0; j < len(r.points) && len(dst)-start < n; j++ {
+		if b := r.points[(i+j)%len(r.points)].backend; !slices.Contains(dst[start:], b) {
+			dst = append(dst, b)
 		}
 	}
-	return out
+	return dst
 }
 
 // Members returns the distinct backends currently on the ring, sorted.

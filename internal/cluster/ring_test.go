@@ -2,7 +2,10 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"testing"
+
+	"ebbrt/internal/sim"
 )
 
 // sampleKeys generates a deterministic key population for ring tests.
@@ -295,4 +298,50 @@ func TestRingEmptyLookupPanics(t *testing.T) {
 		}
 	}()
 	NewRing(0).Lookup([]byte("k"))
+}
+
+// TestRingAppendOwnersMatchesOwnersAt: appendOwners, the one lookup behind
+// OwnersAt, LookupN and the read path's record, gives OwnersAt's replica
+// set - checked against a linear scan of the points - after whatever dst
+// already holds, over random hashes and ring shapes, and allocates
+// nothing when dst has room.
+func TestRingAppendOwnersMatchesOwnersAt(t *testing.T) {
+	rng := sim.NewRng(7)
+	scan := func(r *Ring, h uint64, n int) []int {
+		first := 0
+		for first < len(r.points) && r.points[first].hash < h {
+			first++
+		}
+		var out []int
+		for j := range r.points {
+			if b := r.points[(first+j)%len(r.points)].backend; len(out) < n && !slices.Contains(out, b) {
+				out = append(out, b)
+			}
+		}
+		return out
+	}
+	for shape := 0; shape < 20; shape++ {
+		r := NewRing(1 + rng.Intn(16))
+		backends := 1 + rng.Intn(8)
+		for b := 0; b < backends; b++ {
+			r.Add(b * 3)
+		}
+		dst := make([]int, 0, 32)
+		for i := 0; i < 500; i++ {
+			h, n := rng.Uint64(), rng.Intn(backends+2)
+			want := r.OwnersAt(h, n)
+			if ref := scan(r, h, n); !slices.Equal(want, ref) {
+				t.Fatalf("OwnersAt(%#x, %d) = %v, the points give %v", h, n, want, ref)
+			}
+			prefix := want[:len(want)/2]
+			dst = r.appendOwners(append(dst[:0], prefix...), h, n)
+			if !slices.Equal(dst[:len(prefix)], prefix) || !slices.Equal(dst[len(prefix):], want) {
+				t.Fatalf("appendOwners(%v, %#x, %d) = %v, want %v after the prefix", prefix, h, n, dst, want)
+			}
+		}
+		h := rng.Uint64()
+		if allocs := testing.AllocsPerRun(100, func() { dst = r.appendOwners(dst[:0], h, backends) }); allocs != 0 {
+			t.Fatalf("appendOwners into a slice with room allocated %.0f objects", allocs)
+		}
+	}
 }
