@@ -150,6 +150,7 @@ func TestMigrationChaosSourceKill(t *testing.T) {
 		t.Errorf("%d false misses during source-kill migration", *falseMisses)
 	}
 	verifyDurable(t, cl, cli, keys, durable)
+	requireHome(t, cli)
 }
 
 // TestMigrationChaosDestKill kills the joining backend mid-stream. The
@@ -246,6 +247,7 @@ func TestMigrationChaosDestKill(t *testing.T) {
 	if acked != 32 {
 		t.Fatalf("only %d of 32 writes acked after the aborted join", acked)
 	}
+	requireHome(t, cli)
 }
 
 // populateChaos quorum-writes the key population, failing on any nack.
@@ -471,4 +473,5 @@ func runChaos(t *testing.T, backends, replicas int, steps []chaosStep, wantZeroS
 	if len(durable) == 0 {
 		t.Error("no writes acked during chaos - durability check vacuous")
 	}
+	requireHome(t, cli)
 }

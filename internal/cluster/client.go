@@ -8,7 +8,6 @@ import (
 
 	"ebbrt/internal/apps/appnet"
 	"ebbrt/internal/apps/memcached"
-	"ebbrt/internal/audit"
 	"ebbrt/internal/core"
 	"ebbrt/internal/event"
 	"ebbrt/internal/freelist"
@@ -279,81 +278,6 @@ func (cli *Client) maybeRevalidate(c *event.Ctx, rep *clientRep, key []byte) {
 	cli.fetch(c, rec)
 }
 
-// forEachHotRep runs fn against every core's hot-key representative:
-// synchronously on the submitting core (its state must change before
-// the caller's next operation), via spawned events on the rest. fn
-// receives the key bytes valid on its core (the spawned copies own
-// their slice). Cores that never faulted the client in are skipped.
-func (cli *Client) forEachHotRep(c *event.Ctx, key []byte, fn func(c *event.Ctx, hk *hotKeyRep, key []byte)) {
-	self := c.Core().ID
-	if rep, ok := cli.ref.GetIfPresent(self); ok && rep.hot != nil {
-		fn(c, rep.hot, key)
-	}
-	keyCopy := append([]byte(nil), key...)
-	for corei := range cli.mgrs {
-		if corei == self {
-			continue
-		}
-		corei := corei
-		cli.mgrs[corei].Spawn(func(c *event.Ctx) {
-			if rep, ok := cli.ref.GetIfPresent(corei); ok && rep.hot != nil {
-				fn(c, rep.hot, keyCopy)
-			}
-		})
-	}
-}
-
-// invalidateHot drops key's cached copy on every core of the client -
-// the write-path half of the coherence rule. The submitting core is
-// handled synchronously (its next read must not see the old value);
-// other cores are invalidated via spawned events, a window also covered
-// by the TTL bound.
-//
-// tombstone marks a Delete: those additionally bump the client's
-// tombstone generation, standing down in-flight fills and re-stamps on
-// every core that would otherwise resurrect the deleted value
-// (overwrites don't need the generation because a re-stamp always
-// carries a newer CAS than any racing stale fill).
-func (cli *Client) invalidateHot(c *event.Ctx, key []byte, tombstone bool) {
-	if !cli.opt.HotKey.Enable {
-		return
-	}
-	if tombstone {
-		cli.tombGen++
-	}
-	cli.forEachHotRep(c, key, func(c *event.Ctx, hk *hotKeyRep, kb []byte) {
-		if hk.cache.invalidate(kb) {
-			hk.stats.Invalidations++
-			if a := cli.cl.Audit; a != nil {
-				a.Emit(c.Now(), int(cli.node.Id), audit.HotKeyInvalidated, audit.Fields{
-					"key": string(kb), "core": c.Core().ID,
-				})
-			}
-		}
-	})
-}
-
-// restampHot re-admits an acknowledged write into each core's cache,
-// stamped with the CAS the server assigned it. Only keys the core's own
-// sketch has promoted are admitted - a write to a cold key must not
-// displace hot entries. Every re-stamp (the ack core's synchronous one
-// and the spawned cross-core ones alike) stands down if its range went
-// mid-migration or the client issued a delete tombstone after the write
-// - gen is sampled at submit, so a Delete from ANY core during the
-// write's flight suppresses resurrection everywhere.
-func (cli *Client) restampHot(c *event.Ctx, key, value []byte, flags uint32, cas uint64, expiresAt sim.Time, gen uint64) {
-	h := ringHash(key)
-	cli.forEachHotRep(c, key, func(c *event.Ctx, hk *hotKeyRep, kb []byte) {
-		if cli.tombGen != gen || cli.handoffCovers(kb, h) {
-			return
-		}
-		if hk.sketch.estimate(h) < hk.opt.PromoteMin {
-			return
-		}
-		hk.cache.put(kb, h, value, flags, cas, expiresAt, c.Now())
-	})
-}
-
 // HotKeyStats sums the hot-key cache counters across the client's
 // per-core representatives.
 func (cli *Client) HotKeyStats() HotKeyStats {
@@ -378,246 +302,7 @@ func (cli *Client) BatchStats() BatchStats {
 	return out
 }
 
-// Set stores key=value on every replica and invokes cb once the write
-// quorum (a majority of the replica set) has acknowledged. A write that
-// cannot reach quorum reports StatusNetworkError; it may still have
-// landed on a minority of replicas - the usual leaderless-write
-// semantics, converged by read repair. During a migration handoff the
-// write is delivered to the union of old and new owners but the quorum
-// is counted over the new owners, so an acked write is guaranteed to
-// survive the range's cutover.
-func (cli *Client) Set(c *event.Ctx, key, value []byte, flags uint32, cb Callback) {
-	cli.SetWithExpiry(c, key, value, flags, 0, cb)
-}
-
-// SetWithExpiry is Set carrying a wire exptime (the stock rules: 0 =
-// never, <= 30 days relative, > 30 days absolute unix time, negative =
-// immediately expired). The coordinator resolves the exptime to an
-// absolute virtual deadline ONCE, here, and every replica stores that
-// exact instant - resolving per-replica would skew the deadline by each
-// request's network delay, and replicas of one write must die together.
-func (cli *Client) SetWithExpiry(c *event.Ctx, key, value []byte, flags uint32, exptime int64, cb Callback) {
-	expires := memcached.AbsoluteExpiry(exptime, c.Now())
-	// The write's version stamp is assigned HERE, once, by the
-	// coordinator: every replica stores and echoes this exact stamp, so
-	// any replica's answer to a later read carries a comparable version.
-	// For a write-spread hot key the cluster also round-robins the salt,
-	// spreading successive writes across distinct owner sets.
-	stamp := cli.cl.nextStamp()
-	skey, salt, spread := cli.cl.writeSaltFor(key)
-	cli.cl.noteSet(skey)
-	if spread {
-		// On the quorum ack, record which salt now holds the newest acked
-		// version (folded monotonically by stamp at the cluster): reads of
-		// this key target that one shard instead of fanning in across all
-		// of them.
-		inner := cb
-		cb = func(c *event.Ctx, r Response) {
-			if r.OK() {
-				cli.cl.noteSaltAck(key, salt, stamp)
-			}
-			if inner != nil {
-				inner(c, r)
-			}
-		}
-	}
-	if cli.opt.HotKey.Enable {
-		// Coherence, write path: drop every core's cached copy now (a
-		// read racing the write must not see the old value from this
-		// client), then re-stamp on the quorum ack. Pure invalidation
-		// would instead evict the hottest keys ~10 times per second of
-		// Zipf write traffic per core, capping the hit rate the cache
-		// exists to provide.
-		cli.invalidateHot(c, key, false)
-		gen := cli.tombGen
-		inner := cb
-		valCopy := append([]byte(nil), value...)
-		cb = func(c *event.Ctx, r Response) {
-			// The quorum ack folds the maximum stamp any replica echoed.
-			// Re-stamp the cache only when that fold is our own stamp: a
-			// larger fold means a concurrent writer superseded this value
-			// before it was even acked, and caching it - under either
-			// stamp - would pin a stale value at the newer version number,
-			// which revalidation could then never catch.
-			if r.OK() && r.CAS == stamp {
-				cli.restampHot(c, key, valCopy, flags, stamp, expires, gen)
-			}
-			if inner != nil {
-				inner(c, r)
-			}
-		}
-	}
-	cli.quorumWrite(c, skey, cb, memcached.SetAbsExpiryRequest(skey, value, flags, stamp, int64(expires)),
-		func(r Response) bool { return r.OK() })
-}
-
-// Delete removes key from every replica, acking on quorum. A replica
-// that never held the key counts as acknowledged - absence is the state
-// the operation establishes. A delete landing inside a still-migrating
-// range is additionally recorded so the migrator scrubs any copy the
-// in-flight stream's pre-delete snapshot resurrects at the destination.
-func (cli *Client) Delete(c *event.Ctx, key []byte, cb Callback) {
-	if cli.opt.HotKey.Enable {
-		cli.invalidateHot(c, key, true)
-	}
-	salts := cli.cl.saltsOf(key)
-	if salts <= 1 {
-		cli.cl.noteDelete(key)
-		cli.quorumWrite(c, key, cb, memcached.Request{Opcode: memcached.OpDelete, Key: key}, deleteAcked)
-		return
-	}
-	// A write-spread key lives under every salt: absence must be
-	// established at all of them, or a later fan-in read would fold the
-	// surviving salt's copy right back. The targeted-read record stands
-	// down too - there is no "latest written shard" to serve after a
-	// delete, so reads fan in until a new write acks.
-	cli.cl.noteSaltDelete(key)
-	fold := &deleteFold{left: salts, cb: cb}
-	for s := 0; s < salts; s++ {
-		sk := saltedKey(key, s)
-		cli.cl.noteDelete(sk)
-		cli.quorumWrite(c, sk, fold.add, memcached.Request{Opcode: memcached.OpDelete, Key: sk}, deleteAcked)
-	}
-}
-
-// deleteAcked is the quorum-ack predicate for deletes: a replica that
-// never held the key counts as acknowledged - absence is the state the
-// operation establishes.
-func deleteAcked(r Response) bool {
-	return r.OK() || r.Status == memcached.StatusKeyNotFound
-}
-
-// deleteFold aggregates a write-spread key's per-salt quorum deletes:
-// success once every salt's quorum established absence, network error
-// if any salt's quorum could not be reached (some shard may still hold
-// a copy).
-type deleteFold struct {
-	left   int
-	sawOK  bool
-	sawErr bool
-	cb     Callback
-}
-
-func (f *deleteFold) add(c *event.Ctx, r Response) {
-	if r.OK() {
-		f.sawOK = true
-	}
-	if r.NetworkError() {
-		f.sawErr = true
-	}
-	f.left--
-	if f.left > 0 || f.cb == nil {
-		return
-	}
-	switch {
-	case f.sawErr:
-		f.cb(c, Response{Status: StatusNetworkError})
-	case f.sawOK:
-		f.cb(c, Response{Status: memcached.StatusOK})
-	default:
-		f.cb(c, Response{Status: memcached.StatusKeyNotFound})
-	}
-}
-
-// quorumWrite fans a write out per the cluster's write plan: every
-// target receives it, only quorum members' acknowledgments decide the
-// outcome.
-func (cli *Client) quorumWrite(c *event.Ctx, key []byte, cb Callback, req memcached.Request, acked func(Response) bool) {
-	targets, quorum := cli.cl.WritePlan(key)
-	if cli.cl.Audit != nil {
-		keyCopy := append([]byte(nil), key...)
-		inner := cb
-		cb = func(c *event.Ctx, r Response) {
-			if r.NetworkError() {
-				if a := cli.cl.Audit; a != nil {
-					a.Emit(c.Now(), int(cli.node.Id), audit.QuorumWriteFail, audit.Fields{
-						"key": string(keyCopy),
-					})
-				}
-			}
-			if inner != nil {
-				inner(c, r)
-			}
-		}
-	}
-	q := newQuorumCall(len(quorum), cb)
-	for _, backend := range targets {
-		var done Callback
-		if containsBackend(quorum, backend) {
-			done = func(c *event.Ctx, r Response) { q.add(c, r, acked(r)) }
-		}
-		cli.rep(c).submit(c, backend, req, done)
-	}
-}
-
 func (cli *Client) rep(c *event.Ctx) *clientRep { return cli.ref.Get(c.Core().ID) }
-
-// quorumCall aggregates one write's per-replica acknowledgments into a
-// single callback: success at a majority of the replica set, failure as
-// soon as a majority can no longer be reached. Late responses after the
-// verdict are ignored.
-//
-// The reported response's CAS is the MAXIMUM stamp echoed across the
-// acknowledging replicas, folded monotonically as acks arrive: replicas
-// echo the winning stamp under the stamped store rule, so a fold above
-// the write's own stamp means some replica already held a newer
-// concurrent write. The fold mirrors the cache's CAS-monotonic rule at
-// the replica-stamp level - acks are network deliveries with no
-// ordering guarantee, and an older stamp arriving after a newer one
-// must never roll the fold back.
-type quorumCall struct {
-	need   int
-	total  int
-	acks   int
-	fails  int
-	done   bool
-	first  Response // first acknowledged response, reported on success
-	sawOK  bool
-	maxCAS uint64 // monotonic max of acked replicas' echoed stamps
-	cb     Callback
-}
-
-func newQuorumCall(total int, cb Callback) *quorumCall {
-	return &quorumCall{need: total/2 + 1, total: total, cb: cb}
-}
-
-func (q *quorumCall) add(c *event.Ctx, r Response, ack bool) {
-	if q.done {
-		return
-	}
-	if ack {
-		if r.CAS > q.maxCAS {
-			q.maxCAS = r.CAS
-		}
-		if q.acks == 0 {
-			q.first = r
-		}
-		if r.OK() {
-			q.sawOK = true
-			q.first = r
-		}
-		q.acks++
-	} else {
-		q.fails++
-	}
-	if q.acks >= q.need {
-		q.done = true
-		if q.cb != nil {
-			resp := q.first
-			if q.maxCAS > resp.CAS {
-				resp.CAS = q.maxCAS
-			}
-			q.cb(c, resp)
-		}
-		return
-	}
-	if q.fails > q.total-q.need {
-		q.done = true
-		if q.cb != nil {
-			q.cb(c, Response{Status: StatusNetworkError})
-		}
-	}
-}
 
 // clientRep is one core's representative: private pools, no locks.
 type clientRep struct {
@@ -629,12 +314,14 @@ type clientRep struct {
 	queue *readQueue
 	// hot is the core's hot-key sketch + cache (nil when disabled).
 	hot *hotKeyRep
-	// reads, rounds and batches are the core's free lists of key reads
-	// in flight (read.go), multi-op rounds in flight on any of its
-	// connections (batch.go), and GetMulti calls not yet answered.
+	// reads, rounds, batches and writes are the core's free lists of key
+	// reads in flight (read.go), multi-op rounds in flight on any of its
+	// connections (batch.go), GetMulti calls not yet answered, and quorum
+	// writes not yet let go of (write.go).
 	reads   freelist.List[*readRecord]
 	rounds  freelist.List[*readRound]
 	batches freelist.List[*multiGet]
+	writes  freelist.List[*writeRecord]
 }
 
 func newClientRep(cli *Client, mgr *event.Manager) *clientRep {
@@ -645,6 +332,7 @@ func newClientRep(cli *Client, mgr *event.Manager) *clientRep {
 	r.reads.New = func() *readRecord { return newReadRecord(r) }
 	r.rounds.New = func() *readRound { return newReadRound(r) }
 	r.batches.New = func() *multiGet { return &multiGet{rep: r} }
+	r.writes.New = func() *writeRecord { return newWriteRecord(r) }
 	return r
 }
 

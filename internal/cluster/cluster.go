@@ -328,23 +328,22 @@ func (cl *Cluster) appendReadSet(dst []int, h uint64) []int {
 	return cl.Ring.appendOwners(dst, h, cl.Replicas)
 }
 
-// WritePlan returns the backends a write must be delivered to, plus the
-// subset whose acknowledgments count toward the quorum. Outside a
-// handoff both are the replica set. During handoff a write in a pending
-// moved range is delivered to the union of old and new owners, but the
-// quorum is counted over the NEW owners only: an acked write is then
-// guaranteed to survive the cutover (a majority of the future replica
-// set holds it), while the old owners receive it best-effort so
-// pre-cutover reads - which try them first - stay fresh.
-func (cl *Cluster) WritePlan(key []byte) (targets, quorum []int) {
-	h := ringHash(key)
+// appendWritePlan appends to dst the backends a write of hash h must be
+// delivered to, and reports how many of them - a prefix - count toward
+// its quorum. Outside a handoff both are the replica set. During handoff
+// a write in a pending moved range is delivered to the union of new and
+// old owners, but the quorum is counted over the NEW owners only: an
+// acked write is then guaranteed to survive the cutover (a majority of
+// the future replica set holds it), while the old owners receive it
+// best-effort so pre-cutover reads - which try them first - stay fresh.
+func (cl *Cluster) appendWritePlan(dst []int, h uint64) (targets []int, quorum int) {
+	start := len(dst)
+	dst = cl.Ring.appendOwners(dst, h, cl.Replicas)
+	quorum = len(dst) - start
 	if ho := cl.handoff; ho != nil && ho.covers(h) {
-		cur := cl.Ring.OwnersAt(h, cl.Replicas)
-		targets = append(make([]int, 0, 2*len(cur)), cur...)
-		return dedupAfter(ho.prev.appendOwners(targets, h, cl.Replicas), 0), cur
+		dst = dedupAfter(ho.prev.appendOwners(dst, h, cl.Replicas), start)
 	}
-	reps := cl.Ring.LookupN(key, cl.Replicas)
-	return reps, reps
+	return dst, quorum
 }
 
 // stampBase offsets coordinator-assigned version stamps above any

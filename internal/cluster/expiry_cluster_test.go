@@ -92,6 +92,7 @@ func TestHotKeyCacheExpiredAtOriginMisses(t *testing.T) {
 	if st.OriginExpired == 0 {
 		t.Fatalf("no cached copy was dropped for origin expiry: %+v", st)
 	}
+	requireHome(t, cli)
 }
 
 // TestMigrationDoesNotResurrectExpired: entries that expired at the
@@ -202,4 +203,5 @@ func TestMigrationDoesNotResurrectExpired(t *testing.T) {
 	if miss != len(dead) || netErr != 0 {
 		t.Fatalf("expired reads after join: %d ok, %d misses, %d net errors (want all misses)", ok, miss, netErr)
 	}
+	requireHome(t, cli)
 }

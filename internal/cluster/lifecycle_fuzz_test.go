@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"ebbrt/internal/apps/memcached"
@@ -35,7 +36,7 @@ func fuzzValue(i int) string { return fmt.Sprintf("fz-val-%d", i) }
 // After the run drains, every callback has fired exactly once, every
 // answer sits in its own key's slot - an OK carries that key's value, an
 // absent key is never OK, a present key never a miss - and the core's
-// read records, rounds and GetMulti calls are all back on their lists.
+// free lists are all back to Outstanding() == 0.
 func FuzzMultiGetLifecycle(f *testing.F) {
 	in := func(fault, victim, at byte, keys ...byte) []byte { return append([]byte{fault, victim, at}, keys...) }
 	f.Add(in(faultKill, 0, 19, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15))
@@ -156,17 +157,216 @@ func FuzzMultiGetLifecycle(f *testing.F) {
 				errs = append(errs, fmt.Sprintf("read call %d (keys %v) fired %d times", i, c.keys, c.fired))
 			}
 		}
-		if rep, ok := cli.ref.GetIfPresent(0); ok {
-			if n := rep.reads.Outstanding(); n != 0 {
-				errs = append(errs, fmt.Sprintf("%d read records never came home", n))
-			}
-			if n := rep.rounds.Outstanding(); n != 0 {
-				errs = append(errs, fmt.Sprintf("%d rounds never came home", n))
-			}
-			if n := rep.batches.Outstanding(); n != 0 {
-				errs = append(errs, fmt.Sprintf("%d GetMulti calls never came home", n))
+		errs = append(errs, notHome(cli)...)
+		if len(errs) > 0 {
+			t.Fatalf("fault %d on backend %d at +%v: %d violations, first %v", fault, victim, at, len(errs), errs[:min(len(errs), 5)])
+		}
+	})
+}
+
+// notHome reports, per frontend core of cli, each free list with objects
+// still out: read records, rounds, GetMulti calls and write records.
+func notHome(cli *Client) []string {
+	var errs []string
+	for corei := range cli.mgrs {
+		rep, ok := cli.ref.GetIfPresent(corei)
+		if !ok {
+			continue
+		}
+		for _, l := range []struct {
+			what string
+			out  int
+		}{
+			{"read records", rep.reads.Outstanding()},
+			{"rounds", rep.rounds.Outstanding()},
+			{"GetMulti calls", rep.batches.Outstanding()},
+			{"write records", rep.writes.Outstanding()},
+		} {
+			if l.out != 0 {
+				errs = append(errs, fmt.Sprintf("core %d: %d %s never came home", corei, l.out, l.what))
 			}
 		}
+	}
+	return errs
+}
+
+// requireHome fails t unless every free list of every frontend core of
+// cli is back to Outstanding() == 0: a scenario calls it once it has
+// drained, so a record, round or call that leaks on its path fails it.
+func requireHome(t *testing.T, cli *Client) {
+	t.Helper()
+	if errs := notHome(cli); len(errs) > 0 {
+		t.Fatalf("after the drain: %v", errs)
+	}
+}
+
+// The kinds of FuzzWriteLifecycle's operations.
+const (
+	opSet = iota
+	opGet
+	opDelete
+)
+
+// FuzzWriteLifecycle's keys below writeFuzzPresent exist before it
+// starts; it names sixteen.
+const writeFuzzPresent = 8
+
+func writeFuzzKeyName(i int) []byte { return []byte(fmt.Sprintf("fw-key-%d", i)) }
+
+// FuzzWriteLifecycle drives Sets, Deletes and Gets through a 2-core
+// hosted frontend to four backends at R=3, hot-key cache on, so a write's
+// hot-key fan-out crosses to the other core and its record may go home
+// from there. It injects one of FuzzMultiGetLifecycle's faults: the first
+// byte picks it, the second its victim, the third its instant (8 µs steps
+// from the first operation). Each further byte is one operation, issued
+// 30 µs after the last: its low four bits name the key, bit 4 the core,
+// and the top three bits the kind (0-3 Set, 4-6 Get, 7 Delete). After
+// the run drains, every callback has fired exactly once; every OK Get
+// carried a value written to its own key; a key whose last write is an
+// acknowledged Set reads back that write's stamp or a newer one; and
+// every free list on both cores is back to Outstanding() == 0.
+func FuzzWriteLifecycle(f *testing.F) {
+	// mix spells n operations cycling over keys 0-3 and both cores, their
+	// kinds cycling through kinds: with reads among them the keys are
+	// promoted, so writes invalidate and re-stamp both cores' caches.
+	mix := func(fault, victim, at byte, n int, kinds ...byte) []byte {
+		in := []byte{fault, victim, at}
+		for i := range n {
+			in = append(in, kinds[i%len(kinds)]<<5|byte(i/4%2)<<4|byte(i%4))
+		}
+		return in
+	}
+	f.Add(mix(faultKill, 1, 40, 64, 4, 4, 0, 4, 7))
+	f.Add(mix(faultTimeout, 2, 30, 64, 4, 0, 4, 4, 0))
+	f.Add(mix(faultTeardown, 0, 50, 64, 4, 4, 0, 0, 4, 7))
+	f.Add(mix(faultHandoff, 3, 0, 64, 4, 0, 4, 7, 4, 0, 4))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) < 4 {
+			return
+		}
+		fault, victim, at := int(in[0])%numFaults, int(in[1])%4, sim.Time(in[2])*8*sim.Microsecond
+		in = in[3:min(len(in), 3+64)]
+
+		cl := NewCluster(4, Options{FrontendCores: 2, Replicas: 3,
+			HotKey: HotKeyOptions{Enable: true, PromoteMin: 2, capacity: 4, revalidateEvery: 3}})
+		front := cl.Sys.Frontend()
+		cli := NewClientWithOptions(cl, front, ClientOptions{RequestTimeout: 2 * sim.Millisecond})
+		k := cl.Sys.K
+		present := make([][]byte, writeFuzzPresent)
+		for i := range present {
+			present[i] = writeFuzzKeyName(i)
+		}
+		populate(t, cl, cli, present, func(i int) []byte { return []byte(fmt.Sprintf("fw-%d-init", i)) })
+
+		// One operation: what it did, and what came back how often.
+		type op struct {
+			kind  int
+			key   int
+			value string
+			fired int
+			resp  Response
+		}
+		// ops in input order; writes in the order they were issued, which
+		// a busy core can make differ from the schedule.
+		var ops, writes []*op
+		var errs []string
+		owned := func(key int, v []byte) bool { return strings.HasPrefix(string(v), fmt.Sprintf("fw-%d-", key)) }
+		start := k.Now()
+		for i, b := range in {
+			o := &op{key: int(b) & 0x0f, kind: opGet}
+			switch b >> 5 {
+			case 0, 1, 2, 3:
+				o.kind, o.value = opSet, fmt.Sprintf("fw-%d-%d", o.key, i)
+			case 7:
+				o.kind = opDelete
+			}
+			ops = append(ops, o)
+			mgr := cli.mgrs[int(b)>>4&1]
+			k.At(start+sim.Time(i)*30*sim.Microsecond, func() {
+				mgr.Spawn(func(c *event.Ctx) {
+					if o.kind != opGet {
+						writes = append(writes, o)
+					}
+					done := func(c *event.Ctx, r Response) {
+						o.fired++
+						o.resp = r
+						if o.kind == opGet && r.OK() && !owned(o.key, r.Value) {
+							errs = append(errs, fmt.Sprintf("Get of key %d answered OK with %q", o.key, r.Value))
+						}
+					}
+					key := writeFuzzKeyName(o.key)
+					switch o.kind {
+					case opSet:
+						cli.Set(c, key, []byte(o.value), 0, done)
+					case opGet:
+						cli.Get(c, key, done)
+					default:
+						cli.Delete(c, key, done)
+					}
+				})
+			})
+		}
+		next := start + sim.Time(len(in))*30*sim.Microsecond
+
+		var m *Migrator
+		if fault == faultHandoff {
+			m = NewMigrator(cl, front)
+		}
+		k.At(start+at, func() {
+			switch fault {
+			case faultKill:
+				cl.Backends[victim].Node.Kill()
+				cl.EvictBackend(victim)
+			case faultTimeout:
+				node := cl.Backends[victim].Node
+				node.Kill()
+				k.After(3*sim.Millisecond, node.Revive)
+			case faultTeardown:
+				front.Spawn(func(c *event.Ctx) { cli.rep(c).dropBackend(c, victim) })
+			case faultHandoff:
+				m.Join(2)
+			}
+		})
+		k.RunFor(next - start + 300*sim.Millisecond)
+		for deadline := k.Now() + 500*sim.Millisecond; m != nil && m.Active() && k.Now() < deadline; {
+			k.RunFor(sim.Millisecond)
+		}
+		k.RunFor(10 * sim.Millisecond)
+
+		for i, o := range ops {
+			if o.fired != 1 {
+				errs = append(errs, fmt.Sprintf("op %d (kind %d, key %d) fired %d times", i, o.kind, o.key, o.fired))
+			}
+		}
+		// Read back each key whose last write is an acknowledged Set.
+		last := map[int]*op{}
+		for _, o := range writes {
+			last[o.key] = o
+		}
+		reads := map[int]*Response{}
+		front.Spawn(func(c *event.Ctx) {
+			for key, o := range last {
+				if o.kind != opSet || !o.resp.OK() {
+					continue
+				}
+				reads[key] = nil
+				cli.Get(c, writeFuzzKeyName(key), func(c *event.Ctx, r Response) { reads[key] = &r })
+			}
+		})
+		k.RunFor(20 * sim.Millisecond)
+		for key, r := range reads {
+			acked := last[key]
+			switch {
+			case r == nil:
+				errs = append(errs, fmt.Sprintf("read-back of key %d never answered", key))
+			case !r.OK() || r.CAS < acked.resp.CAS:
+				errs = append(errs, fmt.Sprintf("key %d acked %q at stamp %d, read back status %#x %q at %d",
+					key, acked.value, acked.resp.CAS, r.Status, r.Value, r.CAS))
+			case r.CAS == acked.resp.CAS && string(r.Value) != acked.value:
+				errs = append(errs, fmt.Sprintf("key %d read back %q at the stamp that wrote %q", key, r.Value, acked.value))
+			}
+		}
+		errs = append(errs, notHome(cli)...)
 		if len(errs) > 0 {
 			t.Fatalf("fault %d on backend %d at +%v: %d violations, first %v", fault, victim, at, len(errs), errs[:min(len(errs), 5)])
 		}

@@ -61,6 +61,7 @@ func TestReplicaStampsUniform(t *testing.T) {
 			}
 		}
 	}
+	requireHome(t, cli)
 }
 
 // TestReadRepairPreservesStamp: a repaired replica must receive the
@@ -99,6 +100,7 @@ func TestReadRepairPreservesStamp(t *testing.T) {
 	if string(repaired.Value) != "v" {
 		t.Fatalf("repaired value %q", repaired.Value)
 	}
+	requireHome(t, cli)
 }
 
 // TestMigrationStreamPreservesStamp: entries streamed to a joining
@@ -145,6 +147,7 @@ func TestMigrationStreamPreservesStamp(t *testing.T) {
 		t.Fatal("no test key moved to the joined backend")
 	}
 	t.Logf("%d keys streamed with stamps intact", moved)
+	requireHome(t, cli)
 }
 
 // TestQuorumFoldShuffledAcks: the quorum verdict's folded stamp must be
@@ -164,9 +167,14 @@ func TestQuorumFoldShuffledAcks(t *testing.T) {
 	for round := 0; round < 300; round++ {
 		order := rng.Perm(len(acks))
 		var got *Response
-		q := newQuorumCall(len(acks), func(c *event.Ctx, r Response) { got = &r })
+		q := newQuorumFold(len(acks))
 		for _, i := range order {
-			q.add(nil, acks[i], true)
+			if r, ok := q.add(acks[i], true); ok {
+				if got != nil {
+					t.Fatal("quorum reported a second verdict")
+				}
+				got = &r
+			}
 		}
 		if got == nil {
 			t.Fatal("quorum never completed")
@@ -271,6 +279,7 @@ func TestHotWriteSpreadSplitsLoad(t *testing.T) {
 	if after == nil || after.Status != memcached.StatusKeyNotFound {
 		t.Fatalf("deleted spread key still reads %+v - a salted shard survived", after)
 	}
+	requireHome(t, cli)
 }
 
 // TestReadYourAckedWriteReplicated: the write-invalidate + re-stamp
@@ -326,6 +335,7 @@ func TestReadYourAckedWriteReplicated(t *testing.T) {
 	if st.Hits == 0 {
 		t.Fatalf("cache never served at R=3 - hits collapsed to the network path: %+v", st)
 	}
+	requireHome(t, cli)
 }
 
 // TestReplicaCoherentNoStaleHit: a rogue (uncached) writer hammers the
@@ -422,4 +432,6 @@ func TestReplicaCoherentNoStaleHit(t *testing.T) {
 	}
 	t.Logf("hits=%d misses=%d staleServes=%d maxStaleAge=%v revalidations=%d refreshes=%d",
 		st.Hits, st.Misses, st.StaleServes, st.MaxStaleAge, st.Revalidations, st.Refreshes)
+	requireHome(t, cli)
+	requireHome(t, rogue)
 }

@@ -1,0 +1,410 @@
+package cluster
+
+import (
+	"ebbrt/internal/apps/memcached"
+	"ebbrt/internal/audit"
+	"ebbrt/internal/event"
+	"ebbrt/internal/freelist"
+	"ebbrt/internal/sim"
+)
+
+// Set stores key=value on every replica and invokes cb once the write
+// quorum (a majority of the replica set) has acknowledged. A write that
+// cannot reach quorum reports StatusNetworkError; it may still have
+// landed on a minority of replicas - the usual leaderless-write
+// semantics, converged by read repair. During a migration handoff the
+// write is delivered to the union of old and new owners but the quorum
+// is counted over the new owners, so an acked write is guaranteed to
+// survive the range's cutover.
+func (cli *Client) Set(c *event.Ctx, key, value []byte, flags uint32, cb Callback) {
+	cli.SetWithExpiry(c, key, value, flags, 0, cb)
+}
+
+// SetWithExpiry is Set carrying a wire exptime (the stock rules: 0 =
+// never, <= 30 days relative, > 30 days absolute unix time, negative =
+// immediately expired). The coordinator resolves the exptime to an
+// absolute virtual deadline ONCE, here, and every replica stores that
+// exact instant - resolving per-replica would skew the deadline by each
+// request's network delay, and replicas of one write must die together.
+func (cli *Client) SetWithExpiry(c *event.Ctx, key, value []byte, flags uint32, exptime int64, cb Callback) {
+	expires := memcached.AbsoluteExpiry(exptime, c.Now())
+	// The write's version stamp is assigned HERE, once, by the
+	// coordinator: every replica stores and echoes this exact stamp, so
+	// any replica's answer to a later read carries a comparable version.
+	// For a write-spread hot key the cluster also round-robins the salt,
+	// spreading successive writes across distinct owner sets; on the
+	// quorum ack the record notes which salt now holds the newest acked
+	// version, so reads target that one shard.
+	stamp := cli.cl.nextStamp()
+	skey, salt, spread := cli.cl.writeSaltFor(key)
+	cli.cl.noteSet(skey)
+	rec := cli.rep(c).newWrite(key, skey, spread)
+	rec.cb, rec.salt = cb, salt
+	rec.stamp, rec.flags, rec.expires = stamp, flags, expires
+	if cli.opt.HotKey.Enable {
+		// Coherence, write path: drop every core's cached copy now (a
+		// read racing the write must not see the old value from this
+		// client), then re-stamp on the quorum ack. Pure invalidation
+		// would instead evict the hottest keys ~10 times per second of
+		// Zipf write traffic per core, capping the hit rate the cache
+		// exists to provide.
+		rec.fanOut(c, false)
+		rec.restamps, rec.gen = true, cli.tombGen
+		rec.value = append(rec.value[:0], value...)
+	}
+	rec.submit(c, memcached.SetAbsExpiryRequest(rec.key, value, flags, stamp, int64(expires)))
+}
+
+// Delete removes key from every replica, acking on quorum. A replica
+// that never held the key counts as acknowledged - absence is the state
+// the operation establishes. A delete landing inside a still-migrating
+// range is additionally recorded so the migrator scrubs any copy the
+// in-flight stream's pre-delete snapshot resurrects at the destination.
+//
+// With the hot-key cache on, a Delete also bumps the client's tombstone
+// generation, standing down in-flight fills and re-stamps on every core
+// that would otherwise resurrect the deleted value (overwrites don't
+// need the generation because a re-stamp always carries a newer CAS
+// than any racing stale fill).
+func (cli *Client) Delete(c *event.Ctx, key []byte, cb Callback) {
+	rep := cli.rep(c)
+	rec := rep.newWrite(key, key, false)
+	rec.del = true
+	if cli.opt.HotKey.Enable {
+		cli.tombGen++
+		rec.fanOut(c, false)
+	}
+	salts := cli.cl.saltsOf(key)
+	if salts <= 1 {
+		cli.cl.noteDelete(key)
+		rec.cb = cb
+		rec.submit(c, memcached.Request{Opcode: memcached.OpDelete, Key: rec.key})
+		return
+	}
+	// A write-spread key lives under every salt: absence must be
+	// established at all of them, or a later fan-in read would fold the
+	// surviving salt's copy right back. The targeted-read record stands
+	// down too - there is no "latest written shard" to serve after a
+	// delete, so reads fan in until a new write acks. Salt 0 is the key
+	// itself, so its record is the one that invalidated.
+	cli.cl.noteSaltDelete(key)
+	fold := &deleteFold{left: salts, cb: cb}
+	for s := 0; s < salts; s++ {
+		if s > 0 {
+			sk := saltedKey(key, s)
+			rec = rep.newWrite(sk, sk, false)
+			rec.del = true
+		}
+		cli.cl.noteDelete(rec.key)
+		rec.cb = fold.add
+		rec.submit(c, memcached.Request{Opcode: memcached.OpDelete, Key: rec.key})
+	}
+}
+
+// deleteFold aggregates a write-spread key's per-salt quorum deletes:
+// success once every salt's quorum established absence, network error
+// if any salt's quorum could not be reached (some shard may still hold
+// a copy).
+type deleteFold struct {
+	left   int
+	sawOK  bool
+	sawErr bool
+	cb     Callback
+}
+
+func (f *deleteFold) add(c *event.Ctx, r Response) {
+	if r.OK() {
+		f.sawOK = true
+	}
+	if r.NetworkError() {
+		f.sawErr = true
+	}
+	f.left--
+	if f.left > 0 || f.cb == nil {
+		return
+	}
+	switch {
+	case f.sawErr:
+		f.cb(c, Response{Status: StatusNetworkError})
+	case f.sawOK:
+		f.cb(c, Response{Status: memcached.StatusOK})
+	default:
+		f.cb(c, Response{Status: memcached.StatusKeyNotFound})
+	}
+}
+
+// quorumFold aggregates one write's per-replica acknowledgments into a
+// verdict: success at a majority of the quorum members, failure as soon
+// as a majority can no longer be reached. Answers after the verdict are
+// ignored.
+//
+// The reported response's CAS is the MAXIMUM stamp echoed across the
+// acknowledging replicas, folded monotonically as acks arrive: replicas
+// echo the winning stamp under the stamped store rule, so a fold above
+// the write's own stamp means some replica already held a newer
+// concurrent write. The fold mirrors the cache's CAS-monotonic rule at
+// the replica-stamp level - acks are network deliveries with no
+// ordering guarantee, and an older stamp arriving after a newer one
+// must never roll the fold back.
+type quorumFold struct {
+	need   int
+	total  int
+	acks   int
+	fails  int
+	done   bool
+	first  Response // the last OK acknowledgment, else the first one
+	maxCAS uint64   // monotonic max of acked replicas' echoed stamps
+}
+
+func newQuorumFold(total int) quorumFold {
+	return quorumFold{need: total/2 + 1, total: total}
+}
+
+// add folds one quorum member's answer, acked or not, and reports the
+// verdict once it is reached: ok is true exactly once.
+func (q *quorumFold) add(r Response, acked bool) (verdict Response, ok bool) {
+	if q.done {
+		return Response{}, false
+	}
+	if acked {
+		q.maxCAS = max(q.maxCAS, r.CAS)
+		if q.acks == 0 || r.OK() {
+			q.first = r
+		}
+		q.acks++
+	} else {
+		q.fails++
+	}
+	switch {
+	case q.acks >= q.need:
+		q.done = true
+		verdict = q.first
+		verdict.CAS = max(verdict.CAS, q.maxCAS)
+		return verdict, true
+	case q.fails > q.total-q.need:
+		q.done = true
+		return Response{Status: StatusNetworkError}, true
+	}
+	return Response{}, false
+}
+
+// writeRecord is one quorum write in flight - a Set, a Delete, or one
+// salt of a write-spread key's Delete - pooled on the submitting core's
+// representative. Its states: the hot-key invalidation (synchronous on
+// this core, spawned onto the others), submitted to every target of the
+// write plan, folding the quorum members' acks, and at the verdict the
+// audit, the hot-key re-stamp, the salt note and the caller, in that
+// order. Targets outside the quorum (a handoff's old owners) are sent
+// the write with no callback.
+//
+// The record goes home when nothing can touch it any more: refs counts
+// the submit, each quorum member's ack still to come and each fan-out
+// event spawned onto another core. Acks keep arriving after the verdict
+// and spawned events run after the call returns, so the last of them -
+// possibly on another core of the same client - puts it back on the
+// submitting core's list.
+type writeRecord struct {
+	freelist.Node
+	rep *clientRep
+	// ack is the callback each quorum member's request carries;
+	// invalidate and restamp are the handlers the hot-key fan-out spawns
+	// onto the client's other cores. All three are bound once, when the
+	// record is made.
+	ack        Callback
+	invalidate event.Handler
+	restamp    event.Handler
+	refs       int
+	// key is the storage key, copied once (a salted shard's for a spread
+	// write), and hash its ringHash. user is the key the caller named -
+	// key itself unless the write is spread, then a copy in userBuf - and
+	// uhash its hash: the hot-key cache and the salt note use them.
+	key     []byte
+	hash    uint64
+	user    []byte
+	userBuf []byte
+	uhash   uint64
+	// targets is the write plan (in owners unless a large R spills it);
+	// its first quorum members decide the verdict, through fold.
+	targets []int
+	owners  [8]int
+	fold    quorumFold
+	del     bool // a Delete: a replica's "not found" acknowledges
+	// A Set's stamp, flags and deadline; salt is its shard when spread.
+	stamp   uint64
+	flags   uint32
+	expires sim.Time
+	spread  bool
+	salt    int
+	// restamps re-admits the acknowledged value into the hot-key caches,
+	// unless the client issued a delete after gen. value is the written
+	// value, copied into the record's reusable buffer; shared is the
+	// cache's copy of it, made when a core's cache first admits it and
+	// shared by every core that does.
+	restamps bool
+	gen      uint64
+	value    []byte
+	shared   []byte
+	cb       Callback
+}
+
+func newWriteRecord(rep *clientRep) *writeRecord {
+	rec := &writeRecord{rep: rep}
+	rec.targets = rec.owners[:0]
+	rec.ack = rec.onAck
+	rec.invalidate = rec.onInvalidate
+	rec.restamp = rec.onRestamp
+	return rec
+}
+
+// newWrite takes a record from the core's list for a write of key,
+// stored under skey: the same key unless the write is spread. The record
+// holds one reference, the submit's.
+func (r *clientRep) newWrite(key, skey []byte, spread bool) *writeRecord {
+	rec := r.writes.Get()
+	rec.refs = 1
+	rec.key = append(rec.key[:0], skey...)
+	rec.hash = ringHash(skey)
+	rec.user, rec.uhash, rec.spread = rec.key, rec.hash, spread
+	if spread {
+		rec.userBuf = append(rec.userBuf[:0], key...)
+		rec.user, rec.uhash = rec.userBuf, ringHash(key)
+	}
+	return rec
+}
+
+// submit sends req to every target of the record's write plan, quorum
+// members with the record's ack, then lets go of the submit's
+// reference. An ack may arrive during the loop (a backend evicted since
+// the plan was made fails at once); the submit's reference keeps the
+// record live until the loop is done.
+func (rec *writeRecord) submit(c *event.Ctx, req memcached.Request) {
+	targets, quorum := rec.rep.cli.cl.appendWritePlan(rec.targets[:0], rec.hash)
+	rec.targets, rec.fold = targets, newQuorumFold(quorum)
+	rec.refs += quorum
+	for i, backend := range rec.targets {
+		var done Callback
+		if i < quorum {
+			done = rec.ack
+		}
+		rec.rep.submit(c, backend, req, done)
+	}
+	rec.release()
+}
+
+// onAck folds one quorum member's answer and, at the verdict, runs what
+// the write owes: the audit of a failed quorum, the re-stamp of the
+// hot-key caches when the fold is the write's own stamp, the salt note,
+// and the caller.
+func (rec *writeRecord) onAck(c *event.Ctx, r Response) {
+	rec.Live()
+	acked := r.OK() || rec.del && r.Status == memcached.StatusKeyNotFound
+	if v, ok := rec.fold.add(r, acked); ok {
+		cli := rec.rep.cli
+		if a := cli.cl.Audit; a != nil && v.NetworkError() {
+			a.Emit(c.Now(), int(cli.node.Id), audit.QuorumWriteFail, audit.Fields{
+				"key": string(rec.key),
+			})
+		}
+		// The quorum ack folds the maximum stamp any replica echoed.
+		// Re-stamp the cache only when that fold is our own stamp: a
+		// larger fold means a concurrent writer superseded this value
+		// before it was even acked, and caching it - under either stamp
+		// - would pin a stale value at the newer version number, which
+		// revalidation could then never catch.
+		if rec.restamps && v.OK() && v.CAS == rec.stamp {
+			rec.fanOut(c, true)
+		}
+		if rec.spread && v.OK() {
+			cli.cl.noteSaltAck(rec.user, rec.salt, rec.stamp)
+		}
+		if rec.cb != nil {
+			rec.cb(c, v)
+		}
+	}
+	rec.release()
+}
+
+// fanOut invalidates (or re-stamps) the write's key in every core's
+// hot-key cache: synchronously on this core, whose state must change
+// before the caller's next operation, and by one spawned event on each
+// other core, in core order, each holding a reference. Cores that never
+// faulted the client in are skipped when the event runs.
+func (rec *writeRecord) fanOut(c *event.Ctx, restamp bool) {
+	self, h := c.Core().ID, rec.invalidate
+	if restamp {
+		h = rec.restamp
+	}
+	rec.hotKey(c, restamp)
+	for corei, mgr := range rec.rep.cli.mgrs {
+		if corei != self {
+			rec.refs++
+			mgr.Spawn(h)
+		}
+	}
+}
+
+func (rec *writeRecord) onInvalidate(c *event.Ctx) {
+	rec.Live()
+	rec.hotKey(c, false)
+	rec.release()
+}
+
+func (rec *writeRecord) onRestamp(c *event.Ctx) {
+	rec.Live()
+	rec.hotKey(c, true)
+	rec.release()
+}
+
+// hotKey applies the fan-out to c's core. Invalidation drops the key's
+// cached copy - the write-path half of the coherence rule; the other
+// cores' drops are a window also covered by the TTL bound. A re-stamp
+// admits the acknowledged value, stamped with the CAS the write
+// carried, but only where the core's own sketch has promoted the key - a
+// write to a cold key must not displace hot entries - and it stands down
+// if the key's range went mid-migration or the client issued a delete
+// tombstone after the write: gen is sampled at submit, so a Delete from
+// ANY core during the write's flight suppresses resurrection
+// everywhere.
+func (rec *writeRecord) hotKey(c *event.Ctx, restamp bool) {
+	cli := rec.rep.cli
+	rep, ok := cli.ref.GetIfPresent(c.Core().ID)
+	if !ok || rep.hot == nil {
+		return
+	}
+	hk := rep.hot
+	if !restamp {
+		if hk.cache.invalidate(rec.user) {
+			hk.stats.Invalidations++
+			if a := cli.cl.Audit; a != nil {
+				a.Emit(c.Now(), int(cli.node.Id), audit.HotKeyInvalidated, audit.Fields{
+					"key": string(rec.user), "core": c.Core().ID,
+				})
+			}
+		}
+		return
+	}
+	if cli.tombGen != rec.gen || cli.handoffCovers(rec.user, rec.uhash) {
+		return
+	}
+	if hk.sketch.estimate(rec.uhash) < hk.opt.PromoteMin {
+		return
+	}
+	if rec.shared == nil {
+		rec.shared = append([]byte(nil), rec.value...)
+	}
+	hk.cache.put(rec.user, rec.uhash, rec.shared, rec.flags, rec.stamp, rec.expires, c.Now())
+}
+
+// release lets go of one reference; the last sends the record home.
+func (rec *writeRecord) release() {
+	rec.Live()
+	if rec.refs--; rec.refs > 0 {
+		return
+	}
+	rec.key, rec.user, rec.userBuf = rec.key[:0], nil, rec.userBuf[:0]
+	rec.targets, rec.fold, rec.del = rec.targets[:0], quorumFold{}, false
+	rec.stamp, rec.flags, rec.expires, rec.spread, rec.salt = 0, 0, 0, false, 0
+	rec.restamps, rec.gen, rec.value, rec.shared = false, 0, rec.value[:0], nil
+	rec.cb = nil
+	rec.rep.writes.Put(rec)
+}

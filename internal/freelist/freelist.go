@@ -3,9 +3,13 @@
 // poisons what comes back.
 //
 // A List is representative state, like everything it recycles: only its
-// owning core touches it, so there are no locks. Objects it holds embed
-// Node, which is how the list marks them released and how they check
-// that they are not.
+// owning core takes from it, so there are no locks. An object goes home
+// to the list it came from, and may do so from an event on another core
+// of the same Ebb: a cluster write record is let go of by whichever of
+// its acks and spawned hot-key events runs last. The simulation kernel
+// runs one event at a time, so that Put never races the owner's Get.
+// Objects a List holds embed Node, which is how the list marks them
+// released and how they check that they are not.
 package freelist
 
 // Node is embedded by every object a List holds.
