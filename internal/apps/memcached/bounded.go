@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"strings"
 	"sync"
 
 	"ebbrt/internal/costs"
@@ -281,14 +282,23 @@ func (s *BoundedStore) classOf(it *boundedItem) *boundedClass {
 
 // Set implements Store: false means the entry could not be stored
 // within the budget even after eviction (the server answers
-// SERVER_ERROR / StatusOutOfMemory).
+// SERVER_ERROR / StatusOutOfMemory). Over a resident key it reuses the
+// item, key included: the old backing goes back and the new entry is
+// charged afresh, exactly as a delete and an insert would do it.
 func (s *BoundedStore) Set(key string, e *Entry) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if old, ok := s.m[key]; ok {
-		s.removeItem(old)
+	it, ok := s.m[key]
+	if !ok {
+		return s.insert(&boundedItem{key: strings.Clone(key), e: e})
 	}
-	return s.insert(key, e)
+	s.release(it)
+	it.e = e
+	if !s.insert(it) {
+		delete(s.m, it.key)
+		return false
+	}
+	return true
 }
 
 // Add implements Store.
@@ -298,14 +308,15 @@ func (s *BoundedStore) Add(key string, e *Entry) bool {
 	if _, ok := s.m[key]; ok {
 		return false
 	}
-	return s.insert(key, e)
+	return s.insert(&boundedItem{key: strings.Clone(key), e: e})
 }
 
-// insert allocates backing for the entry, evicting as needed.
-func (s *BoundedStore) insert(key string, e *Entry) bool {
-	charge := chargeBytes(key, e)
+// insert allocates backing for the item's entry, evicting as needed, and
+// makes it resident.
+func (s *BoundedStore) insert(it *boundedItem) bool {
+	charge := chargeBytes(it.key, it.e)
 	ci := s.classFor(charge)
-	it := &boundedItem{key: key, e: e, class: ci}
+	it.class = ci
 	if ci >= 0 {
 		c := s.classes[ci]
 		addr, ok := c.slab.Alloc(0)
@@ -342,7 +353,7 @@ func (s *BoundedStore) insert(key string, e *Entry) bool {
 		it.order = order
 		s.itemBytes += uint64(mem.PageSize) << order
 	}
-	s.m[key] = it
+	s.m[it.key] = it
 	s.classOf(it).pushFront(it)
 	if used := s.budget - s.pages.FreeBytes(); used > s.peak {
 		s.peak = used
@@ -387,11 +398,16 @@ func (s *BoundedStore) reclaimFrom(c *boundedClass) bool {
 	return true
 }
 
-// removeItem unlinks the item and returns its backing to the allocator
-// (slab object to its class, large pages to the buddy allocator).
+// removeItem drops the item from the store and releases it.
 func (s *BoundedStore) removeItem(it *boundedItem) {
-	s.classOf(it).unlink(it)
 	delete(s.m, it.key)
+	s.release(it)
+}
+
+// release unlinks the item and returns its backing to the allocator
+// (slab object to its class, large pages to the buddy allocator).
+func (s *BoundedStore) release(it *boundedItem) {
+	s.classOf(it).unlink(it)
 	if it.class >= 0 {
 		c := s.classes[it.class]
 		c.slab.Free(0, it.addr)

@@ -17,7 +17,11 @@ import (
 // one server and a binary connection to another, each op reaching both in
 // the same event, at the same instant. After every op the two must hold
 // the same entries - value, flags, expiry and CAS per key - and the same
-// counters: the wire formats are two encodings of one storage path.
+// counters: the wire formats are two encodings of one storage path. Each
+// delivered buffer is scribbled over once its delivery returns, and every
+// key either server holds must be one the script named: a stored key that
+// still viewed a request's bytes would corrupt both servers alike, which
+// the comparison alone would pass.
 func FuzzBinaryTextParity(f *testing.F) {
 	for _, ops := range paritySeeds {
 		f.Add(encodeParity(ops))
@@ -29,19 +33,29 @@ func FuzzBinaryTextParity(f *testing.F) {
 		txt, bin := NewServer(NewRCUStore(), 1), NewServer(NewRCUStore(), 1)
 		txtConn, binConn := &serverConn{srv: txt}, &serverConn{srv: bin}
 		out := &fakeConn{}
+		named := map[string]bool{}
 		for i, op := range decodeParity(data) {
 			if op.verb == "wait" {
 				k.RunFor(op.wait)
 				continue
 			}
+			named[op.key] = true
 			mgr.Spawn(func(c *event.Ctx) {
-				txtConn.onData(c, out, iobuf.Wrap(op.text()))
-				binConn.onData(c, out, iobuf.Wrap(op.binary(uint32(i))))
+				txtReq, binReq := op.text(), op.binary(uint32(i))
+				txtConn.onData(c, out, iobuf.Wrap(txtReq))
+				clear(txtReq)
+				binConn.onData(c, out, iobuf.Wrap(binReq))
+				clear(binReq)
 			})
 			k.RunFor(sim.Millisecond)
 			out.out = out.out[:0]
 			if diff := parityDiff(txt, bin); diff != "" {
 				t.Fatalf("op %d (%s %q) left the servers apart: %s", i, op.verb, op.key, diff)
+			}
+			for _, srv := range []*Server{txt, bin} {
+				if stray := strayKey(srv, named); stray != "" {
+					t.Fatalf("op %d (%s %q) left key %s, which no op named", i, op.verb, op.key, stray)
+				}
 			}
 		}
 	})

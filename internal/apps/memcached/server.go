@@ -200,7 +200,7 @@ func (s *Server) Serve(rt appnet.Runtime) error {
 // would otherwise have to perform over the network).
 func (s *Server) Prepopulate(keys [][]byte, values [][]byte) {
 	for i := range keys {
-		s.Store.Set(string(keys[i]), &Entry{Value: values[i], Flags: 0, CAS: s.nextCAS()})
+		s.Store.Set(keyView(keys[i]), &Entry{Value: values[i], Flags: 0, CAS: s.nextCAS()})
 	}
 }
 
@@ -385,7 +385,7 @@ func (s *Server) handle(c *event.Ctx, hdr Header, body []byte, r *response) {
 	now := c.Now()
 	s.maybeApplyFlush(now)
 	keyStart := int(hdr.ExtrasLen)
-	key := string(body[keyStart : keyStart+int(hdr.KeyLen)])
+	key := keyView(body[keyStart : keyStart+int(hdr.KeyLen)])
 
 	switch hdr.Opcode {
 	case OpGet, OpGetQ:

@@ -39,6 +39,13 @@ type Entry struct {
 // Store abstracts the key-value backing so the harness can compare the RCU
 // table against a conventional locked table (the paper attributes
 // memcached's poor multicore scaling to lock contention, §4.2).
+//
+// Every method borrows its key for the call: the server passes a view of
+// the request's bytes (keyView), which the connection reuses once the
+// request is served. A store that inserts a key it does not hold makes its
+// own copy; one that replaces an entry keeps the resident key. So a key's
+// bytes are copied once, when the store first takes it, and a lookup, a
+// delete or an overwrite copies none.
 type Store interface {
 	Get(key string) (*Entry, bool)
 	// Set stores the entry, reporting whether it was stored: the
@@ -158,11 +165,12 @@ func (s *LockedStore) Get(key string) (*Entry, bool) {
 	return e, ok
 }
 
-// Set implements Store.
+// Set implements Store. It copies the key on every call: a Go map
+// assignment stores the key it is given even over a resident one.
 func (s *LockedStore) Set(key string, e *Entry) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.m[key] = e
+	s.m[strings.Clone(key)] = e
 	return true
 }
 
@@ -173,7 +181,7 @@ func (s *LockedStore) Add(key string, e *Entry) bool {
 	if _, ok := s.m[key]; ok {
 		return false
 	}
-	s.m[key] = e
+	s.m[strings.Clone(key)] = e
 	return true
 }
 

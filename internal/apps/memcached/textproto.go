@@ -97,11 +97,13 @@ type textSession struct {
 
 	// Pending storage command, valid in textData.
 	cmd     storeMode
-	key     string
+	key     []byte // the command line's key, copied into bytes reused per command
 	flags   uint32
 	exptime int64 // wire exptime, resolved when the data block completes
 	need    int   // announced data block length
 	noreply bool  // the command in progress asked for no reply
+
+	toks [][]byte // the current command line's tokens, the slice reused per line
 }
 
 // reply writes msg, if any, unless the command in progress was marked
@@ -162,7 +164,7 @@ func (s *Server) handleText(c *event.Ctx, ts *textSession, data []byte, r *respo
 			// Here is where the command line's exptime finally lands on
 			// the entry - resolved against the completion instant, which
 			// is when stock memcached stamps it too.
-			switch status, _ := s.store(ts.cmd, ts.key, block, ts.flags, AbsoluteExpiry(ts.exptime, now), 0, now); status {
+			switch status, _ := s.store(ts.cmd, keyView(ts.key), block, ts.flags, AbsoluteExpiry(ts.exptime, now), 0, now); status {
 			case StatusOK:
 				ts.reply(r, respStored)
 			case StatusOutOfMemory:
@@ -212,7 +214,8 @@ func (s *Server) handleText(c *event.Ctx, ts *textSession, data []byte, r *respo
 // as for a storage command whose data block is still to come.
 func (s *Server) execTextLine(c *event.Ctx, ts *textSession, line []byte, r *response) (reply string, quit bool) {
 	ts.noreply = false
-	toks := splitTextTokens(line)
+	ts.toks = splitTextTokens(ts.toks[:0], line)
+	toks := ts.toks
 	if len(toks) == 0 {
 		return respError, false
 	}
@@ -234,7 +237,7 @@ func (s *Server) execTextLine(c *event.Ctx, ts *textSession, line []byte, r *res
 		withCAS := string(toks[0]) == "gets"
 		for _, kt := range toks[1:] {
 			c.Charge(s.Store.OpCost(s.Cores))
-			if e, ok := s.getForRead(string(kt), now); ok {
+			if e, ok := s.getForRead(keyView(kt), now); ok {
 				r.addValue(kt, e, withCAS)
 			}
 		}
@@ -256,7 +259,7 @@ func (s *Server) execTextLine(c *event.Ctx, ts *textSession, line []byte, r *res
 			return respBadDelta, false
 		}
 		// CounterNoCreate: the text protocol never seeds a missing key.
-		newVal, _, status := s.applyDelta(string(toks[1]), delta, 0, CounterNoCreate, string(toks[0]) == "incr", now)
+		newVal, _, status := s.applyDelta(keyView(toks[1]), delta, 0, CounterNoCreate, string(toks[0]) == "incr", now)
 		switch status {
 		case StatusKeyNotFound:
 			return respNotFound, false
@@ -278,7 +281,7 @@ func (s *Server) execTextLine(c *event.Ctx, ts *textSession, line []byte, r *res
 		if err != nil {
 			return respBadLine, false
 		}
-		if !s.applyTouch(string(toks[1]), AbsoluteExpiry(exptime, now), now) {
+		if !s.applyTouch(keyView(toks[1]), AbsoluteExpiry(exptime, now), now) {
 			return respNotFound, false
 		}
 		return respTouched, false
@@ -313,7 +316,7 @@ func (s *Server) execTextLine(c *event.Ctx, ts *textSession, line []byte, r *res
 			ts.noreply = false // unlike incr's and touch's, a malformed delete is answered
 			return respBadLine, false
 		}
-		if s.applyDelete(string(toks[1]), now) {
+		if s.applyDelete(keyView(toks[1]), now) {
 			return respDeleted, false
 		}
 		return respNotFound, false
@@ -387,7 +390,7 @@ func (ts *textSession) parseStorage(toks [][]byte) string {
 		return respTooLarge
 	}
 	ts.cmd = textStoreModes[string(toks[0])]
-	ts.key = string(toks[1])
+	ts.key = append(ts.key[:0], toks[1]...)
 	ts.flags = uint32(flags)
 	ts.exptime = exptime
 	ts.need = need
@@ -400,7 +403,8 @@ func (ts *textSession) parseStorage(toks [][]byte) string {
 // argument still parses swallows its announced data block, so the
 // block's bytes are not misread as command lines.
 func (ts *textSession) rejectLongLine(line []byte) {
-	if toks := splitTextTokens(line); len(toks) >= 5 && textStoreModes[string(toks[0])] != 0 {
+	ts.toks = splitTextTokens(ts.toks[:0], line)
+	if toks := ts.toks; len(toks) >= 5 && textStoreModes[string(toks[0])] != 0 {
 		ts.skipBlock(toks[4])
 	}
 }
@@ -440,10 +444,10 @@ func (r *response) addValue(key []byte, e *Entry, withCAS bool) {
 	copy(r.record(len(h), e.Value, "\r\n"), h)
 }
 
-// splitTextTokens splits a command line on spaces, skipping runs of
-// them, without allocating per token.
-func splitTextTokens(line []byte) [][]byte {
-	var toks [][]byte
+// splitTextTokens appends a command line's tokens to toks, splitting on
+// spaces and skipping runs of them; a session passes its own slice back,
+// so a warm one splits a line without allocating.
+func splitTextTokens(toks [][]byte, line []byte) [][]byte {
 	for len(line) > 0 {
 		for len(line) > 0 && line[0] == ' ' {
 			line = line[1:]

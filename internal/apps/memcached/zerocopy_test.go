@@ -175,12 +175,15 @@ func TestBulkTextGetByteBudget(t *testing.T) {
 
 // The object count of the paper's short path, held in tier-1: one warm
 // 100-byte binary GET, end to end - request frame, response frame and the
-// ACK, two event loops, both stacks, the server - allocates 4 objects (6
-// while the server wrote its response into a fresh slice behind a fresh
-// descriptor; 13 while each event allocated its Ctx; 23 before receive
-// buffers and header elements were recycled; 49 before frames flew on
-// pooled records and timers were pooled): the test's own request (closure,
-// packet bytes, descriptor) and a fraction of one in the server's handler.
+// ACK, two event loops, both stacks, the server - allocates 4 objects (5
+// while the server copied the request's key into a string; 6 while it
+// wrote its response into a fresh slice behind a fresh descriptor; 13
+// while each event allocated its Ctx; 23 before receive buffers and header
+// elements were recycled; 49 before frames flew on pooled records and
+// timers were pooled): the test's own request (closure, packet bytes,
+// descriptor) and a fraction of one in the kernel's timing wheel, whose
+// slots grow as it turns. The server's handler allocates none
+// (TestServerObjectBudget).
 // The limit is the measured count plus 2, so one buffer per frame, one
 // closure per timer or one object per event coming back fails here, not
 // only in the benchmark. Under iobufdebug each event's own Ctx is allowed

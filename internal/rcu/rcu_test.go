@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestSynchronizeWaitsForReader(t *testing.T) {
@@ -164,6 +165,39 @@ func TestTableResize(t *testing.T) {
 		if v, ok := tb.Get(fmt.Sprintf("key%d", i)); !ok || v != i {
 			t.Fatalf("key%d = %d, %v after resize", i, v, ok)
 		}
+	}
+}
+
+// The table borrows its keys: a string key that views a caller's buffer
+// is copied once, when Put or PutIfAbsent inserts it, and a replacement
+// keeps the resident copy. Lookups and replacements copy nothing, so
+// rewriting the buffer afterwards leaves every stored key intact.
+func TestTableOwnsInsertedKeys(t *testing.T) {
+	tb := NewTable[string, int](StringHash, 4)
+	buf := []byte("alpha")
+	view := unsafe.String(unsafe.SliceData(buf), len(buf))
+	tb.Put(view, 1)
+	copy(buf, "gamma")
+	tb.Put(view, 2) // inserts "gamma"
+	copy(buf, "alpha")
+	if got := testing.AllocsPerRun(100, func() { tb.Put(view, 3) }); got != 1 {
+		t.Fatalf("a replacing Put allocated %.0f objects, want 1 (its node)", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { tb.Get(view) }); got != 0 {
+		t.Fatalf("a Get allocated %.0f objects, want 0", got)
+	}
+	copy(buf, "betas")
+	if !tb.PutIfAbsent(view, 4) || tb.PutIfAbsent(view, 5) {
+		t.Fatal("PutIfAbsent of a fresh key did not insert it once")
+	}
+	copy(buf, "zzzzz")
+	got := map[string]int{}
+	tb.ForEach(func(k string, v int) bool {
+		got[k] = v
+		return true
+	})
+	if want := map[string]int{"alpha": 3, "gamma": 2, "betas": 4}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("table holds %v after its callers' buffer was rewritten, want %v", got, want)
 	}
 }
 

@@ -1,6 +1,7 @@
 package rcu
 
 import (
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -56,7 +57,9 @@ func (t *Table[K, V]) Get(key K) (V, bool) {
 
 // Put inserts or replaces the value for key. Replacement is
 // copy-on-update: a fresh node supersedes the old one so concurrent
-// readers see either the old or the new value, never a torn mix.
+// readers see either the old or the new value, never a torn mix. The
+// fresh node keeps the resident key; only an insert takes its own (see
+// own), so a caller may pass a key that borrows bytes it will reuse.
 func (t *Table[K, V]) Put(key K, val V) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -68,7 +71,7 @@ func (t *Table[K, V]) Put(key K, val V) {
 	var prev *node[K, V]
 	for n := bin.Load(); n != nil; n = n.next.Load() {
 		if n.key == key {
-			repl := &node[K, V]{key: key, val: val}
+			repl := &node[K, V]{key: n.key, val: val}
 			repl.next.Store(n.next.Load())
 			if prev == nil {
 				bin.Store(repl)
@@ -80,7 +83,7 @@ func (t *Table[K, V]) Put(key K, val V) {
 		prev = n
 	}
 	// Insert at head.
-	nn := &node[K, V]{key: key, val: val}
+	nn := &node[K, V]{key: own(key), val: val}
 	nn.next.Store(bin.Load())
 	bin.Store(nn)
 	t.n++
@@ -103,7 +106,7 @@ func (t *Table[K, V]) PutIfAbsent(key K, val V) bool {
 			return false
 		}
 	}
-	nn := &node[K, V]{key: key, val: val}
+	nn := &node[K, V]{key: own(key), val: val}
 	nn.next.Store(bin.Load())
 	bin.Store(nn)
 	t.n++
@@ -111,6 +114,17 @@ func (t *Table[K, V]) PutIfAbsent(key K, val V) bool {
 		t.resizeLocked(b)
 	}
 	return true
+}
+
+// own returns the key a new node keeps: a string key's bytes are
+// copied, so the table never holds a string that borrows a caller's
+// buffer; any other key is a value already. Lookups and replacements
+// never copy.
+func own[K comparable](key K) K {
+	if s, ok := any(&key).(*string); ok {
+		*s = strings.Clone(*s)
+	}
+	return key
 }
 
 // Delete removes key, reporting whether it was present.
