@@ -170,7 +170,9 @@ func WrapIOBuf(data []byte) *IOBuf { return iobuf.Wrap(data) }
 // IP constructs an IPv4 address from octets.
 func IP(a, b, c, d byte) Ipv4Addr { return netstack.IP(a, b, c, d) }
 
-// NewRCUTable creates an RCU hash table.
+// NewRCUTable creates an RCU hash table. The table copies a string key
+// when it inserts it, and keeps the resident key when it replaces one,
+// so a key may borrow bytes the caller reuses after the call.
 func NewRCUTable[K comparable, V any](hash func(K) uint64, hint int) *RCUTable[K, V] {
 	return rcu.NewTable[K, V](hash, hint)
 }

@@ -12,6 +12,12 @@ import (
 // consistent chain. Removed nodes keep their forward pointers intact (the
 // classic RCU unlink), and superseded bucket arrays are reclaimed by the
 // garbage collector after readers move on.
+//
+// Every method borrows its key for the call. A string key is copied
+// once, when Put or PutIfAbsent inserts it; a replacement keeps the
+// resident key. So a caller may pass a string that views bytes it will
+// reuse, and a caller that already owns its strings pays one copy per
+// insert.
 type Table[K comparable, V any] struct {
 	hash func(K) uint64
 	mu   sync.Mutex // writers
