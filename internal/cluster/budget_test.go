@@ -87,31 +87,29 @@ func TestQuorumWriteObjectBudget(t *testing.T) {
 // copy for the queue, each promotion a key copy and a wrapper closure,
 // each fill a new cache entry, and each multi-op round its tracker and
 // fence callback. Pooled read records, rounds and GetMulti calls brought
-// it to 23 and 22, a count that still held the timing wheel's growth
-// (the warm-up was two calls); warmed as the write budget is, both read
-// 18: the test's closure, the caller's response slice, each network
-// answer's value copy, each fill's key string and value copy, and each
-// server's key string. The limit is the measured count plus 4.
-// Under iobufdebug each event's own Ctx is allowed for, and so is every
-// record, round and call the free lists build instead of reusing.
+// it to 18 both ways, and server lookups that borrow the request's key
+// bytes to 10 cold and 14 promoted: the test's closure, the caller's
+// response slice, each network answer's value copy, and each fill's key
+// string and value copy. Answers lent for the callback, slot buffers the
+// GetMulti call keeps, and cache entries that keep their key and value
+// buffers bring both to 1, the test's closure. The limit is the measured
+// count plus 4. Under iobufdebug each event's own Ctx is allowed for,
+// and so is every record, round and call the free lists build instead of
+// reusing.
 func TestMultiGetObjectBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		hot   HotKeyOptions
 		limit float64
 	}{
-		{"cold", HotKeyOptions{Enable: true, PromoteMin: 1 << 30, revalidateEvery: -1}, 18 + 4},
-		{"promoted", HotKeyOptions{Enable: true, PromoteMin: 1, capacity: 4, ttl: sim.Second, revalidateEvery: -1}, 18 + 4},
+		{"cold", HotKeyOptions{Enable: true, PromoteMin: 1 << 30, revalidateEvery: -1}, 1 + 4},
+		{"promoted", HotKeyOptions{Enable: true, PromoteMin: 1, capacity: 4, ttl: sim.Second, revalidateEvery: -1}, 1 + 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cl := NewCluster(4, Options{FrontendCores: 1, Replicas: 2, HotKey: tc.hot})
-			front := cl.Sys.Frontend()
-			cli := NewClientWithOptions(cl, front, ClientOptions{})
 			keys := make([][]byte, 8)
 			for i := range keys {
 				keys[i] = []byte(fmt.Sprintf("budget-mget-%d", i))
 			}
-			populate(t, cl, cli, keys, func(i int) []byte { return bytes.Repeat([]byte{'a' + byte(i)}, 100) })
 			answered := 0
 			done := func(c *event.Ctx, rs []Response) {
 				for _, r := range rs {
@@ -120,34 +118,83 @@ func TestMultiGetObjectBudget(t *testing.T) {
 					}
 				}
 			}
-			mget := func() {
-				front.Spawn(func(c *event.Ctx) { cli.GetMulti(c, keys, done) })
-				cl.Sys.K.RunFor(sim.Millisecond)
-			}
-			for range 300 { // warm, as the write budget does
-				mget()
-			}
-			limit := tc.limit
-			if event.CheckedCtx {
-				limit += checkedAllowance(cl, cli, mget)
-			}
-			before := answered
-			got := testing.AllocsPerRun(100, mget)
-			if answered-before != 101*len(keys) {
-				t.Fatalf("%d of %d key reads answered", answered-before, 101*len(keys))
-			}
-			if got > limit {
-				t.Fatalf("one 8-key GetMulti allocated %.0f objects, want at most %.0f", got, limit)
-			}
-			t.Logf("one 8-key GetMulti allocated %.0f objects (limit %.0f)", got, limit)
+			readBudget(t, "one 8-key GetMulti", tc.hot, keys, tc.limit, &answered,
+				func(c *event.Ctx, cli *Client) { cli.GetMulti(c, keys, done) })
 		})
 	}
 }
 
+// The object count of one warm single-key Get, held as the GetMulti
+// count is: over the network, and as a hit in the hot-key cache. The
+// answer is lent to the callback - the receive bytes or the cache
+// entry's own buffer - so either way a read allocates only the test's
+// closure. The limit is the measured count plus 4.
+func TestGetObjectBudget(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		hot   HotKeyOptions
+		limit float64
+		hits  bool
+	}{
+		{"network", HotKeyOptions{Enable: true, PromoteMin: 1 << 30, revalidateEvery: -1}, 1 + 4, false},
+		{"hit", HotKeyOptions{Enable: true, PromoteMin: 1, ttl: sim.Second, revalidateEvery: -1}, 1 + 4, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			key := []byte("budget-get")
+			answered := 0
+			done := func(c *event.Ctx, r Response) {
+				if r.OK() {
+					answered++
+				}
+			}
+			cli := readBudget(t, "one Get", tc.hot, [][]byte{key}, tc.limit, &answered,
+				func(c *event.Ctx, cli *Client) { cli.Get(c, key, done) })
+			if hits := cli.HotKeyStats().Hits > 0; hits != tc.hits {
+				t.Fatalf("cache hits %+v, want hits: %v", cli.HotKeyStats(), tc.hits)
+			}
+		})
+	}
+}
+
+// readBudget stores keys on four backends at R=2 behind a 1-core hosted
+// frontend whose client caches as hot says, warms read as the write
+// budget does, and fails unless one read allocates at most limit objects
+// (plus, under iobufdebug, what that build adds) and answers every key
+// OK, counted through answered. It returns the client.
+func readBudget(t *testing.T, what string, hot HotKeyOptions, keys [][]byte, limit float64, answered *int, read func(c *event.Ctx, cli *Client)) *Client {
+	t.Helper()
+	cl := NewCluster(4, Options{FrontendCores: 1, Replicas: 2, HotKey: hot})
+	front := cl.Sys.Frontend()
+	cli := NewClientWithOptions(cl, front, ClientOptions{})
+	populate(t, cl, cli, keys, func(i int) []byte { return bytes.Repeat([]byte{'a' + byte(i)}, 100) })
+	op := func() {
+		front.Spawn(func(c *event.Ctx) { read(c, cli) })
+		cl.Sys.K.RunFor(sim.Millisecond)
+	}
+	for range 300 { // warm, as the write budget does
+		op()
+	}
+	if event.CheckedCtx {
+		limit += checkedAllowance(cl, cli, op)
+	}
+	before := *answered
+	got := testing.AllocsPerRun(100, op)
+	if *answered-before != 101*len(keys) {
+		t.Fatalf("%d of %d key reads answered", *answered-before, 101*len(keys))
+	}
+	if got > limit {
+		t.Fatalf("%s allocated %.0f objects, want at most %.0f", what, got, limit)
+	}
+	t.Logf("%s allocated %.0f objects (limit %.0f)", what, got, limit)
+	return cli
+}
+
 // checkedAllowance runs op once and returns what iobufdebug adds to its
-// object count: a Ctx per dispatched event, and per record or round the
-// free lists of any frontend core build rather than reuse, the object,
-// its bound callbacks and its key, value or member slices.
+// object count: a Ctx per dispatched event, and per record, round or
+// call the free lists of any frontend core build rather than reuse, the
+// object, its bound callbacks and its key, value or member slices - for
+// a GetMulti call its response and slot slices, and for each key read
+// the value buffer of the slot it may answer.
 func checkedAllowance(cl *Cluster, cli *Client, op func()) float64 {
 	count := func() (n int) {
 		for _, node := range cl.Sys.Nodes {
@@ -157,7 +204,7 @@ func checkedAllowance(cl *Cluster, cli *Client, op func()) float64 {
 		}
 		for corei := range cli.mgrs {
 			if rep, ok := cli.ref.GetIfPresent(corei); ok {
-				n += 3*rep.reads.Made() + 3*rep.rounds.Made() + rep.batches.Made() + 6*rep.writes.Made()
+				n += 4*rep.reads.Made() + 3*rep.rounds.Made() + 3*rep.batches.Made() + 6*rep.writes.Made()
 			}
 		}
 		return n

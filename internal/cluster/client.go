@@ -29,7 +29,12 @@ const StatusNetworkError uint16 = 0xff00
 type Response struct {
 	Status uint16
 	Flags  uint32
-	Value  []byte
+	// Value is lent to the callback that receives the Response and is
+	// valid until that callback returns: it views the bytes the answer
+	// arrived in, the hot-key cache entry that served it, or a
+	// GetMulti's slot buffer, and each is reused afterwards. A caller
+	// that keeps the value copies it.
+	Value []byte
 	// CAS is the entry's compare-and-swap stamp echoed in the server's
 	// response header (the owner's Entry.CAS on reads, the newly stamped
 	// value on stores). The hot-key cache uses it as the coherence
@@ -49,6 +54,9 @@ func (r Response) OK() bool { return r.Status == memcached.StatusOK }
 func (r Response) NetworkError() bool { return r.Status == StatusNetworkError }
 
 // Callback receives an operation's response on the submitting core.
+// r.Value is valid until the callback returns. A cache hit's value is
+// the cache entry's own buffer, so a Set or Delete of the same key from
+// inside the callback ends that loan early.
 type Callback func(c *event.Ctx, r Response)
 
 // defaultPoolSize is the per-core, per-backend connection count.
@@ -161,8 +169,8 @@ func NewClientWithOptions(cl *Cluster, node *hosted.Node, opt ClientOptions) *Cl
 						// A write-spread key's salted shards hash elsewhere
 						// than the entry itself; a moved shard also makes
 						// the cached copy unsafe across the cutover.
-						for s := 1; s < cli.cl.saltsOf([]byte(e.key)); s++ {
-							if covered(ringHash(saltedKey([]byte(e.key), s))) {
+						for s := 1; s < cli.cl.saltsOf(e.key); s++ {
+							if covered(ringHash(saltedKey(e.key, s))) {
 								return true
 							}
 						}
@@ -233,7 +241,8 @@ func (cli *Client) probeStaleness(c *event.Ctx, hk *hotKeyRep, key []byte, e *ca
 // asynchronous CAS check against the replica set: if the owner's stamp
 // moved, the cached copy is re-stamped with the fresh value (or dropped
 // on a miss). Together with the TTL this bounds how long another
-// client's write can go unseen.
+// client's write can go unseen. The check is a read record of its own,
+// marked reval, whose answer finish hands to revalidate.
 func (cli *Client) maybeRevalidate(c *event.Ctx, rep *clientRep, key []byte) {
 	hk := rep.hot
 	if hk.opt.revalidateEvery <= 0 {
@@ -245,36 +254,8 @@ func (cli *Client) maybeRevalidate(c *event.Ctx, rep *clientRep, key []byte) {
 	}
 	hk.sinceReval = 0
 	hk.stats.Revalidations++
-	keyCopy := append([]byte(nil), key...)
 	rec := rep.newRead(key)
-	rec.cb = func(c *event.Ctx, r Response) {
-		cur, ok := hk.cache.m[string(keyCopy)]
-		if !ok {
-			return // evicted or invalidated while the check was in flight
-		}
-		switch {
-		case r.OK() && r.CAS > cur.cas:
-			// Stamps are monotonic (and, being replica-wide, comparable no
-			// matter which replica answered), so only a strictly newer
-			// response may replace the entry - a reordered older read
-			// (overtaken by a write-path re-stamp) must not roll it back
-			// or reset its TTL clock onto stale data.
-			if cli.handoffCovers(keyCopy, ringHash(keyCopy)) {
-				hk.cache.remove(cur)
-				return
-			}
-			hk.stats.Refreshes++
-			cur.value = append([]byte(nil), r.Value...)
-			cur.flags = r.Flags
-			cur.cas = r.CAS
-			cur.expiresAt = r.ExpiresAt
-			cur.storedAt = c.Now()
-		case r.OK() && r.CAS == cur.cas:
-			cur.storedAt = c.Now() // confirmed fresh: restart the TTL clock
-		case r.Status == memcached.StatusKeyNotFound:
-			hk.cache.remove(cur)
-		}
-	}
+	rec.reval = true
 	cli.fetch(c, rec)
 }
 
@@ -584,7 +565,10 @@ func (cc *clientConn) onData(c *event.Ctx, payload *iobuf.IOBuf) {
 			resp.ExpiresAt = sim.Time(int64(binary.BigEndian.Uint64(body[4:12])))
 		}
 		if len(body) > int(hdr.ExtrasLen) {
-			resp.Value = append([]byte(nil), body[hdr.ExtrasLen:]...)
+			// Lent for the callback: the receive bytes are reused once
+			// onData returns. The capacity is cut so an append by the
+			// callee cannot run into the next frame.
+			resp.Value = body[hdr.ExtrasLen:len(body):len(body)]
 		}
 		op.cb(c, resp)
 	}

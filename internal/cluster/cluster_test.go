@@ -150,7 +150,7 @@ func TestClientConnFailReportsNetworkError(t *testing.T) {
 		cc := &clientConn{conn: &nullConn{}, connected: true, inflight: map[uint32]inflightOp{}}
 		var got []Response
 		for op := uint32(0); op < 3; op++ {
-			cc.inflight[op] = inflightOp{cb: func(c *event.Ctx, r Response) { got = append(got, r) }}
+			cc.inflight[op] = inflightOp{cb: func(c *event.Ctx, r Response) { got = append(got, *keep(r)) }}
 		}
 		cc.fail(c)
 		if len(got) != 3 {
@@ -220,7 +220,7 @@ func TestSubmitToEvictedBackendFailsFast(t *testing.T) {
 	front.Spawn(func(c *event.Ctx) {
 		// Stale replica set, as a mid-operation eviction would leave it.
 		cli.rep(c).submit(c, 0, memcached.Request{Opcode: memcached.OpGet, Key: []byte("stale-key")},
-			func(c *event.Ctx, r Response) { got = &r })
+			func(c *event.Ctx, r Response) { got = keep(r) })
 	})
 	cl.Sys.K.RunUntil(start + 10*sim.Millisecond)
 	if got == nil {

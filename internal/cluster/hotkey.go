@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"bytes"
 	"cmp"
 
+	"ebbrt/internal/iobuf"
 	"ebbrt/internal/sim"
 )
 
@@ -222,9 +224,12 @@ func (s *cmSketch) touch(h uint64) uint32 {
 }
 
 // cacheEntry is one cached value on the LRU list (head = most recent).
+// It owns its key and value buffers and keeps them when it is reused: a
+// removed entry waits on the cache's spare list, and the next key
+// admitted takes it and copies into the same buffers.
 type cacheEntry struct {
-	key      string
-	hash     uint64 // ringHash(key), for range-scoped flushes
+	key      []byte
+	hash     uint64 // ringHash(key): the cache's index, and for range-scoped flushes
 	value    []byte
 	flags    uint32
 	cas      uint64 // the owner's Entry.CAS stamp at fill time
@@ -233,34 +238,55 @@ type cacheEntry struct {
 	// carried in the GET response extras. A cached copy must die at the
 	// origin's deadline even when the cache's own TTL has time left.
 	expiresAt sim.Time
-	prev      *cacheEntry
-	next      *cacheEntry
+	// prev and next link the LRU list; next also links the spare list.
+	// chain is the next entry whose key has the same hash.
+	prev  *cacheEntry
+	next  *cacheEntry
+	chain *cacheEntry
 }
 
 // hotCache is the per-core, size-bounded LRU. It is representative
 // state: only its owning core touches it, so there are no locks - the
-// Ebb pattern applied to the cache itself.
+// Ebb pattern applied to the cache itself. It is indexed by the ring
+// hash every caller already carries, so a lookup builds no key string;
+// keys whose hashes collide share one index slot as a chain.
+//
+// An entry is made only when the spare list is empty and the cache is
+// below capacity (at capacity the LRU tail is evicted first), so the
+// entries in the cache and on the spare list together never exceed cap.
 type hotCache struct {
 	cap   int
 	ttl   sim.Time
-	m     map[string]*cacheEntry
+	m     map[uint64]*cacheEntry
+	n     int
 	head  *cacheEntry
 	tail  *cacheEntry
+	spare *cacheEntry
 	stats *HotKeyStats
 }
 
 func newHotCache(cap int, ttl sim.Time, stats *HotKeyStats) *hotCache {
-	return &hotCache{cap: cap, ttl: ttl, m: make(map[string]*cacheEntry, cap), stats: stats}
+	return &hotCache{cap: cap, ttl: ttl, m: make(map[uint64]*cacheEntry, cap), stats: stats}
 }
 
-func (hc *hotCache) len() int { return len(hc.m) }
+func (hc *hotCache) len() int { return hc.n }
+
+// lookup returns key's entry, whose ring hash is hash, or nil.
+func (hc *hotCache) lookup(key []byte, hash uint64) *cacheEntry {
+	for e := hc.m[hash]; e != nil; e = e.chain {
+		if bytes.Equal(e.key, key) {
+			return e
+		}
+	}
+	return nil
+}
 
 // get returns the live cached entry for key, bumping it to MRU. An
 // entry past its TTL is dropped and reported absent - the hard
 // staleness bound.
-func (hc *hotCache) get(key []byte, now sim.Time) (*cacheEntry, bool) {
-	e, ok := hc.m[string(key)]
-	if !ok {
+func (hc *hotCache) get(key []byte, hash uint64, now sim.Time) (*cacheEntry, bool) {
+	e := hc.lookup(key, hash)
+	if e == nil {
 		return nil, false
 	}
 	if now-e.storedAt > hc.ttl {
@@ -277,35 +303,37 @@ func (hc *hotCache) get(key []byte, now sim.Time) (*cacheEntry, bool) {
 	return e, true
 }
 
-// put admits (or refreshes) an entry. At capacity a new key takes the
-// LRU tail's place - its entry evicted and reused, the key's string built
-// only then - which leaves the order and counters inserting first and
-// evicting after would. CAS stamps from one server are monotonic, so a
-// put carrying an older stamp than the cached one is a reordered delivery
-// (a read response overtaken by a write-path re-stamp) and is dropped
-// rather than letting it roll the entry back. value is kept, not copied:
-// hits lend it to callers.
+// put admits (or refreshes) an entry, copying key and value into the
+// entry's own buffers. At capacity a new key takes the LRU tail's place -
+// its entry evicted and reused - which leaves the order and counters
+// inserting first and evicting after would. CAS stamps from one server
+// are monotonic, so a put carrying an older stamp than the cached one is
+// a reordered delivery (a read response overtaken by a write-path
+// re-stamp) and is dropped rather than letting it roll the entry back.
 func (hc *hotCache) put(key []byte, hash uint64, value []byte, flags uint32, cas uint64, expiresAt, now sim.Time) {
-	e, ok := hc.m[string(key)]
-	if ok {
+	e := hc.lookup(key, hash)
+	if e != nil {
 		if cas < e.cas {
 			return
 		}
 		hc.bump(e)
 	} else {
-		if len(hc.m) >= hc.cap && hc.tail != nil {
-			e = hc.tail
+		if hc.n >= hc.cap && hc.tail != nil {
 			hc.stats.Evictions++
-			hc.remove(e)
+			hc.remove(hc.tail)
+		}
+		if e = hc.spare; e != nil {
+			hc.spare = e.next
 		} else {
 			e = new(cacheEntry)
 		}
-		e.key, e.hash = string(key), hash
-		hc.m[e.key] = e
+		e.key, e.hash = append(e.key[:0], key...), hash
+		e.chain, hc.m[hash] = hc.m[hash], e
+		hc.n++
 		hc.pushFront(e)
 		hc.stats.Fills++
 	}
-	e.value = value
+	e.value = append(e.value[:0], value...)
 	e.flags = flags
 	e.cas = cas
 	e.storedAt = now
@@ -313,9 +341,9 @@ func (hc *hotCache) put(key []byte, hash uint64, value []byte, flags uint32, cas
 }
 
 // invalidate drops key's entry, reporting whether one was present.
-func (hc *hotCache) invalidate(key []byte) bool {
-	e, ok := hc.m[string(key)]
-	if !ok {
+func (hc *hotCache) invalidate(key []byte, hash uint64) bool {
+	e := hc.lookup(key, hash)
+	if e == nil {
 		return false
 	}
 	hc.remove(e)
@@ -366,9 +394,31 @@ func (hc *hotCache) unlink(e *cacheEntry) {
 	e.prev, e.next = nil, nil
 }
 
+// remove drops e from the LRU list and its hash chain and puts it on the
+// spare list, where its buffers wait for the next key admitted. Under
+// iobufdebug its value is poisoned: a hit lent it only until the read's
+// callback returned, so a holder that kept it reads 0xDB (a Set or
+// Delete of the key from inside that callback ends the loan here; see
+// Callback).
 func (hc *hotCache) remove(e *cacheEntry) {
 	hc.unlink(e)
-	delete(hc.m, e.key)
+	if first := hc.m[e.hash]; first == e {
+		if e.chain != nil {
+			hc.m[e.hash] = e.chain
+		} else {
+			delete(hc.m, e.hash)
+		}
+	} else {
+		p := first
+		for p.chain != e {
+			p = p.chain
+		}
+		p.chain = e.chain
+	}
+	e.chain = nil
+	hc.n--
+	iobuf.Poison(e.value)
+	e.next, hc.spare = hc.spare, e
 }
 
 func (hc *hotCache) bump(e *cacheEntry) {
@@ -382,9 +432,9 @@ func (hc *hotCache) bump(e *cacheEntry) {
 // keysMRU returns the cached keys in LRU order (most recent first) -
 // determinism tests compare two runs' exact cache states.
 func (hc *hotCache) keysMRU() []string {
-	out := make([]string, 0, len(hc.m))
+	out := make([]string, 0, hc.n)
 	for e := hc.head; e != nil; e = e.next {
-		out = append(out, e.key)
+		out = append(out, string(e.key))
 	}
 	return out
 }

@@ -291,7 +291,7 @@ func TestHotKeyDeleteNotResurrectedByRacingFill(t *testing.T) {
 	})
 	cl.Sys.K.RunFor(50 * sim.Millisecond)
 	front.Spawn(func(c *event.Ctx) {
-		cli.Get(c, key, func(c *event.Ctx, r Response) { final = &r })
+		cli.Get(c, key, func(c *event.Ctx, r Response) { final = keep(r) })
 	})
 	cl.Sys.K.RunFor(50 * sim.Millisecond)
 
@@ -360,7 +360,7 @@ func TestHotKeyCrossCoreDeleteVsRacingRestamp(t *testing.T) {
 
 		var got *Response
 		mgrs[1].Spawn(func(c *event.Ctx) {
-			cli.Get(c, key, func(c *event.Ctx, r Response) { got = &r })
+			cli.Get(c, key, func(c *event.Ctx, r Response) { got = keep(r) })
 		})
 		k.RunFor(10 * sim.Millisecond)
 		if got == nil {

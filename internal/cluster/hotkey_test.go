@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
@@ -40,18 +41,18 @@ func TestHotCacheLRUEvictionOrder(t *testing.T) {
 		hc.put([]byte(k), uint64(i), []byte(k), 0, uint64(i+1), 0, now)
 	}
 	// Touch k0 so k1 becomes the LRU victim.
-	if _, ok := hc.get([]byte("k0"), now); !ok {
+	if _, ok := hc.get([]byte("k0"), 0, now); !ok {
 		t.Fatal("k0 missing")
 	}
 	hc.put([]byte("k3"), 3, []byte("k3"), 0, 10, 0, now)
 	if stats.Evictions != 1 {
 		t.Fatalf("evictions %d, want 1", stats.Evictions)
 	}
-	if _, ok := hc.get([]byte("k1"), now); ok {
+	if _, ok := hc.get([]byte("k1"), 1, now); ok {
 		t.Fatal("k1 survived eviction despite being LRU")
 	}
-	for _, k := range []string{"k0", "k2", "k3"} {
-		if _, ok := hc.get([]byte(k), now); !ok {
+	for i, k := range []string{"k0", "k2", "k3"} {
+		if _, ok := hc.get([]byte(k), []uint64{0, 2, 3}[i], now); !ok {
 			t.Fatalf("%s evicted, want it cached", k)
 		}
 	}
@@ -67,7 +68,7 @@ func TestHotCacheEvictionReusesTail(t *testing.T) {
 	for i, k := range []string{"a", "b", "c"} {
 		hc.put([]byte(k), uint64(i), []byte(k), 0, 1, 0, 0)
 	}
-	hc.get([]byte("a"), 0) // b is now the tail
+	hc.get([]byte("a"), 0, 0) // b is now the tail
 	tail := hc.tail
 	hc.put([]byte("d"), 3, []byte("d"), 0, 1, 0, 0)
 	if got, want := hc.keysMRU(), []string{"d", "a", "c"}; !reflect.DeepEqual(got, want) {
@@ -76,7 +77,7 @@ func TestHotCacheEvictionReusesTail(t *testing.T) {
 	if stats.Fills != 4 || stats.Evictions != 1 {
 		t.Fatalf("fills %d evictions %d, want 4 and 1", stats.Fills, stats.Evictions)
 	}
-	if e := hc.m["d"]; e != tail || e.hash != 3 || string(e.value) != "d" || e.prev != nil || hc.tail.key != "c" {
+	if e := hc.lookup([]byte("d"), 3); e != tail || e.hash != 3 || string(e.value) != "d" || e.prev != nil || string(hc.tail.key) != "c" {
 		t.Fatalf("the new key did not take the evicted tail's entry: %+v", e)
 	}
 	hc.put([]byte("e"), 4, []byte("e"), 0, 1, 0, 0)
@@ -96,15 +97,117 @@ func TestHotCacheEvictionReusesTail(t *testing.T) {
 	}
 }
 
+// TestHotCacheHashCollisions: two keys with one hash share an index
+// slot as a chain, and each is held, found, invalidated and evicted on
+// its own, whichever link of the chain it is.
+func TestHotCacheHashCollisions(t *testing.T) {
+	const h = 7
+	var stats HotKeyStats
+	hc := newHotCache(4, sim.Second, &stats)
+	found := func(k string) {
+		t.Helper()
+		if e, ok := hc.get([]byte(k), h, 0); !ok || string(e.value) != "v"+k {
+			t.Fatalf("%s: found %v entry %+v, want value %q", k, ok, e, "v"+k)
+		}
+	}
+	missing := func(k string) {
+		t.Helper()
+		if _, ok := hc.get([]byte(k), h, 0); ok {
+			t.Fatalf("%s found after it was dropped", k)
+		}
+	}
+	put := func(k string, hash uint64) { hc.put([]byte(k), hash, []byte("v"+k), 0, 1, 0, 0) }
+
+	put("x", h)
+	put("y", h) // y heads the chain, x follows
+	found("x")
+	found("y")
+	// Drop the chain's second link.
+	if !hc.invalidate([]byte("x"), h) {
+		t.Fatal("x not invalidated")
+	}
+	missing("x")
+	found("y")
+	if hc.invalidate([]byte("x"), h) {
+		t.Fatal("x invalidated twice")
+	}
+	// x heads the chain now, y follows: drop the head.
+	put("x", h)
+	if !hc.invalidate([]byte("x"), h) {
+		t.Fatal("x not invalidated")
+	}
+	missing("x")
+	found("y")
+	if !hc.invalidate([]byte("y"), h) || hc.len() != 0 || len(hc.m) != 0 {
+		t.Fatalf("y not invalidated, or the index kept a slot: len %d, index %d", hc.len(), len(hc.m))
+	}
+
+	hc = newHotCache(2, sim.Second, &stats)
+	put("x", h)
+	put("y", h)   // chain y, x; x is the LRU tail
+	put("z", h+1) // evicts x, the chain's second link
+	missing("x")
+	found("y")
+	put("x", h)   // evicts z; chain x, y
+	found("y")    // x is the LRU tail
+	put("z", h+1) // evicts x, the chain's head
+	missing("x")
+	found("y")
+	if stats.Evictions != 3 || hc.len() != 2 {
+		t.Fatalf("evictions %d len %d, want 3 and 2", stats.Evictions, hc.len())
+	}
+}
+
+// TestHotCacheRefillAllocatesNothing: an entry dropped by an
+// invalidation or a TTL expiry goes to the spare list, and the next fill
+// - of another key of the same size - takes it and copies into its key
+// and value buffers.
+func TestHotCacheRefillAllocatesNothing(t *testing.T) {
+	var stats HotKeyStats
+	ttl := sim.Millisecond
+	hc := newHotCache(4, ttl, &stats)
+	keys := [][]byte{[]byte("k0"), []byte("k1"), []byte("k2"), []byte("k3"), []byte("k4")}
+	value := bytes.Repeat([]byte("v"), 100)
+	for i, k := range keys[:4] {
+		hc.put(k, uint64(i), value, 0, 1, 0, 0)
+	}
+	// Before iteration i the cache holds every key but keys[(i+4)%5]:
+	// each iteration drops keys[i%5] and fills the absent one.
+	i, now := 0, sim.Time(0)
+	fill := func() {
+		in := (i + 4) % 5
+		hc.put(keys[in], uint64(in), value, 0, 1, 0, now)
+		i++
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		hc.invalidate(keys[i%5], uint64(i%5))
+		fill()
+	}); allocs != 0 {
+		t.Fatalf("a fill after an invalidation allocated %.0f objects", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		now += ttl + 1
+		if _, ok := hc.get(keys[i%5], uint64(i%5), now); ok {
+			t.Fatal("an entry past its TTL served")
+		}
+		fill()
+	}); allocs != 0 {
+		t.Fatalf("a fill after a TTL expiry allocated %.0f objects", allocs)
+	}
+	if stats.Fills != 4+2*101 || stats.Expired != 101 || stats.Evictions != 0 || hc.len() != 4 {
+		t.Fatalf("counters %+v len %d, want 206 fills, 101 expiries, no evictions, 4 entries", stats, hc.len())
+	}
+}
+
 func TestHotCacheTTLExpiry(t *testing.T) {
 	var stats HotKeyStats
 	ttl := 2 * sim.Millisecond
 	hc := newHotCache(8, ttl, &stats)
 	hc.put([]byte("k"), 1, []byte("v"), 0, 1, 0, 0)
-	if _, ok := hc.get([]byte("k"), ttl); !ok {
+	if _, ok := hc.get([]byte("k"), 1, ttl); !ok {
 		t.Fatal("entry at exactly TTL age should still serve")
 	}
-	if _, ok := hc.get([]byte("k"), ttl+1); ok {
+	if _, ok := hc.get([]byte("k"), 1, ttl+1); ok {
 		t.Fatal("entry past TTL served")
 	}
 	if stats.Expired != 1 {
@@ -121,12 +224,12 @@ func TestHotCachePutCASMonotonic(t *testing.T) {
 	hc.put([]byte("k"), 1, []byte("new"), 7, 5, 0, 0)
 	// A reordered older response must not roll the entry back.
 	hc.put([]byte("k"), 1, []byte("old"), 0, 3, 0, 1)
-	e, ok := hc.get([]byte("k"), 1)
+	e, ok := hc.get([]byte("k"), 1, 1)
 	if !ok || string(e.value) != "new" || e.cas != 5 {
 		t.Fatalf("entry rolled back to %+v", e)
 	}
 	hc.put([]byte("k"), 1, []byte("newer"), 1, 9, 0, 2)
-	if e, _ := hc.get([]byte("k"), 2); string(e.value) != "newer" || e.cas != 9 {
+	if e, _ := hc.get([]byte("k"), 1, 2); string(e.value) != "newer" || e.cas != 9 {
 		t.Fatalf("newer CAS not applied: %+v", e)
 	}
 }
@@ -146,7 +249,7 @@ func TestSketchPromotionEvictionDeterminism(t *testing.T) {
 			keyIdx := zipf.Next()
 			key := []byte(fmt.Sprintf("zipf-key-%d", keyIdx))
 			h := ringHash(key)
-			if _, ok := hk.cache.get(key, now); ok {
+			if _, ok := hk.cache.get(key, h, now); ok {
 				hk.stats.Hits++
 				continue
 			}

@@ -289,7 +289,7 @@ func FuzzWriteLifecycle(f *testing.F) {
 					}
 					done := func(c *event.Ctx, r Response) {
 						o.fired++
-						o.resp = r
+						o.resp = *keep(r)
 						if o.kind == opGet && r.OK() && !owned(o.key, r.Value) {
 							errs = append(errs, fmt.Sprintf("Get of key %d answered OK with %q", o.key, r.Value))
 						}
@@ -350,7 +350,7 @@ func FuzzWriteLifecycle(f *testing.F) {
 					continue
 				}
 				reads[key] = nil
-				cli.Get(c, writeFuzzKeyName(key), func(c *event.Ctx, r Response) { reads[key] = &r })
+				cli.Get(c, writeFuzzKeyName(key), func(c *event.Ctx, r Response) { reads[key] = keep(r) })
 			}
 		})
 		k.RunFor(20 * sim.Millisecond)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -10,13 +11,26 @@ import (
 	"ebbrt/internal/sim"
 )
 
+// keep copies a response out of its callback: a callback's Value is
+// lent only until it returns, so a test that checks a response later
+// holds this copy instead.
+func keep(r Response) *Response {
+	r.Value = bytes.Clone(r.Value)
+	return &r
+}
+
 // getMultiWait drives one GetMulti from the frontend and runs the
 // kernel until its callback fires.
 func getMultiWait(t *testing.T, cl *Cluster, cli *Client, keys [][]byte) []Response {
 	t.Helper()
 	var out []Response
 	cl.Sys.Frontend().Spawn(func(c *event.Ctx) {
-		cli.GetMulti(c, keys, func(c *event.Ctx, rs []Response) { out = rs })
+		cli.GetMulti(c, keys, func(c *event.Ctx, rs []Response) {
+			out = make([]Response, len(rs))
+			for i, r := range rs {
+				out[i] = *keep(r)
+			}
+		})
 	})
 	k := cl.Sys.K
 	deadline := k.Now() + 50*sim.Millisecond

@@ -1,10 +1,13 @@
 package cluster
 
 import (
+	"slices"
+
 	"ebbrt/internal/apps/memcached"
 	"ebbrt/internal/audit"
 	"ebbrt/internal/event"
 	"ebbrt/internal/freelist"
+	"ebbrt/internal/iobuf"
 )
 
 // Get fetches key, trying each replica in successor order: network
@@ -31,7 +34,9 @@ func (cli *Client) Get(c *event.Ctx, key []byte, cb Callback) {
 }
 
 // BatchCallback receives a GetMulti's responses, index-aligned with the
-// requested keys, once every key has resolved.
+// requested keys, once every key has resolved. rs and every rs[i].Value
+// are valid until the callback returns: they are the call's own slice
+// and slot buffers, reused by a later GetMulti.
 type BatchCallback func(c *event.Ctx, rs []Response)
 
 // GetMulti fetches keys as one batch: each key takes the exact same
@@ -41,8 +46,8 @@ type BatchCallback func(c *event.Ctx, rs []Response)
 // once with all responses, index-aligned with keys; duplicate keys are
 // answered independently. Failover retries for keys whose primary read
 // failed go out immediately (as their own rounds) rather than waiting
-// on the rest of the batch. The slice cb receives is the caller's to
-// keep.
+// on the rest of the batch. The slice cb receives, and each value in it,
+// is lent for the callback: a caller that keeps one copies it.
 func (cli *Client) GetMulti(c *event.Ctx, keys [][]byte, cb BatchCallback) {
 	if len(keys) == 0 {
 		if cb != nil {
@@ -52,7 +57,10 @@ func (cli *Client) GetMulti(c *event.Ctx, keys [][]byte, cb BatchCallback) {
 	}
 	rep := cli.rep(c)
 	b := rep.batches.Get()
-	b.out, b.left, b.cb = make([]Response, len(keys)), len(keys), cb
+	b.out, b.left, b.cb = slices.Grow(b.out[:0], len(keys))[:len(keys)], len(keys), cb
+	if n := len(keys); len(b.vals) < n {
+		b.vals = slices.Grow(b.vals, n-len(b.vals))[:n]
+	}
 	rep.beginBatch()
 	for i, key := range keys {
 		rec := rep.newRead(key)
@@ -63,29 +71,40 @@ func (cli *Client) GetMulti(c *event.Ctx, keys [][]byte, cb BatchCallback) {
 }
 
 // multiGet is one GetMulti in flight: the responses so far, index-aligned
-// with the keys, and how many keys are still out.
+// with the keys, and how many keys are still out. out and vals keep
+// their capacity from call to call: vals[i] is slot i's value buffer,
+// which out[i].Value views once the key has resolved.
 type multiGet struct {
 	freelist.Node
 	rep  *clientRep
 	out  []Response
+	vals [][]byte
 	left int
 	cb   BatchCallback
 }
 
-// deliver files one key's response; the last one goes home and hands out
-// to the caller.
+// deliver files one key's response, copying its value into the slot's
+// buffer: the answer is lent only for this call, and the batch answers
+// later. The last one hands out to the caller, and the batch goes home
+// once the caller's callback has returned.
 func (b *multiGet) deliver(c *event.Ctx, slot int, r Response) {
 	b.Live()
+	if r.Value != nil {
+		b.vals[slot] = append(b.vals[slot][:0], r.Value...)
+		r.Value = b.vals[slot]
+	}
 	b.out[slot] = r
 	if b.left--; b.left > 0 {
 		return
 	}
-	out, cb := b.out, b.cb
-	b.out, b.cb = nil, nil
-	b.rep.batches.Put(b)
-	if cb != nil {
-		cb(c, out)
+	if b.cb != nil {
+		b.cb(c, b.out)
 	}
+	for _, v := range b.vals[:len(b.out)] {
+		iobuf.Poison(v)
+	}
+	b.cb = nil
+	b.rep.batches.Put(b)
 }
 
 // readRecord is one key read in flight, from the hot-key consult to the
@@ -99,7 +118,7 @@ func (b *multiGet) deliver(c *event.Ctx, slot int, r Response) {
 //
 // The record owns a copy of the key for its whole life, so the caller's
 // key may change once Get or GetMulti returns; the key's hash is taken
-// once, with the copy. GetMulti's response slice belongs to the caller.
+// once, with the copy.
 type readRecord struct {
 	freelist.Node
 	rep *clientRep
@@ -119,6 +138,9 @@ type readRecord struct {
 	// opened over the key or the client issued a delete after gen.
 	fill bool
 	gen  uint64
+	// reval marks a sampled revalidation of a cached key: its answer
+	// goes to the cache entry (revalidate), not to a caller.
+	reval bool
 	// The answer goes to cb, or to slot of a GetMulti's batch.
 	cb    Callback
 	batch *multiGet
@@ -148,16 +170,22 @@ func (cli *Client) getOne(c *event.Ctx, rec *readRecord) {
 	if hk := rec.rep.hot; hk != nil {
 		if cli.handoffCovers(rec.key, rec.hash) {
 			hk.stats.HandoffBypass++
-			hk.cache.invalidate(rec.key)
+			hk.cache.invalidate(rec.key, rec.hash)
 			cli.fetch(c, rec)
 			return
 		}
-		if e, ok := hk.cache.get(rec.key, c.Now()); ok {
+		if e, ok := hk.cache.get(rec.key, rec.hash, c.Now()); ok {
 			hk.stats.Hits++
 			if hk.opt.StalenessProbe {
 				cli.probeStaleness(c, hk, rec.key, e)
 			}
 			cli.maybeRevalidate(c, rec.rep, rec.key)
+			// A hit lends the entry's own value buffer. Nothing fills,
+			// refreshes or re-stamps an entry synchronously inside a read
+			// callback - fills and refreshes run on a network answer,
+			// re-stamps on a write's acknowledgment or in a spawned event,
+			// all later events - so the bytes hold until the callback
+			// returns.
 			rec.finish(c, Response{Status: memcached.StatusOK, Flags: e.flags, Value: e.value, CAS: e.cas})
 			return
 		}
@@ -256,12 +284,16 @@ func (rec *readRecord) onResponse(c *event.Ctx, r Response) {
 	rec.finish(c, r)
 }
 
-// finish ends the read: the hot-key fill if the key was promoted, then
-// the record goes home, then the answer goes out.
+// finish ends the read: a revalidation's answer goes to the cache, and
+// a promoted key's fills it; then the record goes home, then the answer
+// goes out.
 func (rec *readRecord) finish(c *event.Ctx, r Response) {
 	rep, cli := rec.rep, rec.rep.cli
-	if rec.fill && r.OK() && !cli.handoffCovers(rec.key, rec.hash) && cli.tombGen == rec.gen {
-		rep.hot.cache.put(rec.key, rec.hash, append([]byte(nil), r.Value...), r.Flags, r.CAS, r.ExpiresAt, c.Now())
+	switch {
+	case rec.reval:
+		rec.revalidate(c, r)
+	case rec.fill && r.OK() && !cli.handoffCovers(rec.key, rec.hash) && cli.tombGen == rec.gen:
+		rep.hot.cache.put(rec.key, rec.hash, r.Value, r.Flags, r.CAS, r.ExpiresAt, c.Now())
 		if a := cli.cl.Audit; a != nil {
 			a.Emit(c.Now(), int(cli.node.Id), audit.HotKeyPromoted, audit.Fields{
 				"key": string(rec.key), "core": c.Core().ID,
@@ -270,7 +302,7 @@ func (rec *readRecord) finish(c *event.Ctx, r Response) {
 	}
 	cb, b, slot := rec.cb, rec.batch, rec.slot
 	rec.set, rec.at, rec.missed = rec.set[:0], 0, rec.missed[:0]
-	rec.fill, rec.gen = false, 0
+	rec.fill, rec.gen, rec.reval = false, 0, false
 	rec.cb, rec.batch, rec.slot = nil, nil, 0
 	rep.reads.Put(rec)
 	switch {
@@ -281,11 +313,46 @@ func (rec *readRecord) finish(c *event.Ctx, r Response) {
 	}
 }
 
+// revalidate applies a sampled revalidation's answer to the cached entry
+// it checked, if that is still held: a strictly newer stamp refreshes it
+// in place, the same stamp restarts its TTL clock, and a miss drops it.
+func (rec *readRecord) revalidate(c *event.Ctx, r Response) {
+	hk, cli := rec.rep.hot, rec.rep.cli
+	cur := hk.cache.lookup(rec.key, rec.hash)
+	if cur == nil {
+		return // evicted or invalidated while the check was in flight
+	}
+	switch {
+	case r.OK() && r.CAS > cur.cas:
+		// Stamps are monotonic (and, being replica-wide, comparable no
+		// matter which replica answered), so only a strictly newer
+		// response may replace the entry - a reordered older read
+		// (overtaken by a write-path re-stamp) must not roll it back or
+		// reset its TTL clock onto stale data.
+		if cli.handoffCovers(rec.key, rec.hash) {
+			hk.cache.remove(cur)
+			return
+		}
+		hk.stats.Refreshes++
+		cur.value = append(cur.value[:0], r.Value...)
+		cur.flags = r.Flags
+		cur.cas = r.CAS
+		cur.expiresAt = r.ExpiresAt
+		cur.storedAt = c.Now()
+	case r.OK() && r.CAS == cur.cas:
+		cur.storedAt = c.Now() // confirmed fresh: restart the TTL clock
+	case r.Status == memcached.StatusKeyNotFound:
+		hk.cache.remove(cur)
+	}
+}
+
 // saltFold aggregates one fan-in read: writes round-robin the salts, so
 // the salts hold successively older versions and the newest stamp wins
 // (replica-wide stamps make that comparison exact). Misses on some
 // salts are normal - fewer writes than salts since promotion - and a
-// network error surfaces only when no salt could be served at all.
+// network error surfaces only when no salt could be served at all. Each
+// shard's answer is lent only for its own callback, so the fold copies
+// the best value it keeps.
 type saltFold struct {
 	left      int
 	best      Response
@@ -296,7 +363,9 @@ type saltFold struct {
 
 func (f *saltFold) add(c *event.Ctx, r Response) {
 	if r.OK() && (!f.sawOK || r.CAS > f.best.CAS) {
+		v := append(f.best.Value[:0], r.Value...)
 		f.best = r
+		f.best.Value = v
 		f.sawOK = true
 	}
 	if r.NetworkError() {

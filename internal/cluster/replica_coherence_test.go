@@ -253,7 +253,7 @@ func TestHotWriteSpreadSplitsLoad(t *testing.T) {
 	// A fan-in read folds to the newest stamp: the last acked write.
 	var got *Response
 	front.Spawn(func(c *event.Ctx) {
-		cli.Get(c, key, func(c *event.Ctx, r Response) { got = &r })
+		cli.Get(c, key, func(c *event.Ctx, r Response) { got = keep(r) })
 	})
 	cl.Sys.K.RunFor(50 * sim.Millisecond)
 	if got == nil || !got.OK() || string(got.Value) != lastVal {
@@ -263,13 +263,40 @@ func TestHotWriteSpreadSplitsLoad(t *testing.T) {
 		t.Fatal("read did not fan in")
 	}
 
+	// With no acked write on record - as after a promotion, before the
+	// first salted write acks - a read fans in over every salt and folds
+	// to the newest stamp. Each of three more writes makes the next salt
+	// the newest; the salts answer in events of their own, so in some of
+	// the reads the fold keeps a value past the answer that lent it.
+	for n := range 3 {
+		v := fmt.Sprintf("fan-in-%d", n)
+		var got *Response
+		front.Spawn(func(c *event.Ctx) {
+			cli.Set(c, key, []byte(v), 0, func(c *event.Ctx, r Response) {
+				if !r.OK() {
+					t.Errorf("write %q failed: %+v", v, r)
+					return
+				}
+				cl.noteSaltDelete(key) // every salt keeps its copy
+				cli.Get(c, key, func(c *event.Ctx, r Response) { got = keep(r) })
+			})
+		})
+		cl.Sys.K.RunFor(50 * sim.Millisecond)
+		if got == nil || !got.OK() || string(got.Value) != v {
+			t.Fatalf("fan-in read got %+v, want %q", got, v)
+		}
+	}
+	if n := cl.HotWriteStats().SaltedFanIns; n != 3 {
+		t.Fatalf("%d reads fanned in, want 3", n)
+	}
+
 	// Delete must establish absence at every salt, or a later fan-in
 	// folds the surviving shard's copy straight back.
 	var del, after *Response
 	front.Spawn(func(c *event.Ctx) {
 		cli.Delete(c, key, func(c *event.Ctx, r Response) {
-			del = &r
-			cli.Get(c, key, func(c *event.Ctx, r Response) { after = &r })
+			del = keep(r)
+			cli.Get(c, key, func(c *event.Ctx, r Response) { after = keep(r) })
 		})
 	})
 	cl.Sys.K.RunFor(50 * sim.Millisecond)
@@ -423,7 +450,7 @@ func TestReplicaCoherentNoStaleHit(t *testing.T) {
 				t.Error("own write failed under contention")
 				return
 			}
-			cli.Get(c, keys[0], func(c *event.Ctx, r Response) { final = &r })
+			cli.Get(c, keys[0], func(c *event.Ctx, r Response) { final = keep(r) })
 		})
 	})
 	k.RunFor(20 * sim.Millisecond)

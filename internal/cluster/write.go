@@ -237,13 +237,11 @@ type writeRecord struct {
 	salt    int
 	// restamps re-admits the acknowledged value into the hot-key caches,
 	// unless the client issued a delete after gen. value is the written
-	// value, copied into the record's reusable buffer; shared is the
-	// cache's copy of it, made when a core's cache first admits it and
-	// shared by every core that does.
+	// value, copied into the record's reusable buffer; each core's cache
+	// copies it into its entry's own.
 	restamps bool
 	gen      uint64
 	value    []byte
-	shared   []byte
 	cb       Callback
 }
 
@@ -373,7 +371,7 @@ func (rec *writeRecord) hotKey(c *event.Ctx, restamp bool) {
 	}
 	hk := rep.hot
 	if !restamp {
-		if hk.cache.invalidate(rec.user) {
+		if hk.cache.invalidate(rec.user, rec.uhash) {
 			hk.stats.Invalidations++
 			if a := cli.cl.Audit; a != nil {
 				a.Emit(c.Now(), int(cli.node.Id), audit.HotKeyInvalidated, audit.Fields{
@@ -389,10 +387,7 @@ func (rec *writeRecord) hotKey(c *event.Ctx, restamp bool) {
 	if hk.sketch.estimate(rec.uhash) < hk.opt.PromoteMin {
 		return
 	}
-	if rec.shared == nil {
-		rec.shared = append([]byte(nil), rec.value...)
-	}
-	hk.cache.put(rec.user, rec.uhash, rec.shared, rec.flags, rec.stamp, rec.expires, c.Now())
+	hk.cache.put(rec.user, rec.uhash, rec.value, rec.flags, rec.stamp, rec.expires, c.Now())
 }
 
 // release lets go of one reference; the last sends the record home.
@@ -404,7 +399,7 @@ func (rec *writeRecord) release() {
 	rec.key, rec.user, rec.userBuf = rec.key[:0], nil, rec.userBuf[:0]
 	rec.targets, rec.fold, rec.del = rec.targets[:0], quorumFold{}, false
 	rec.stamp, rec.flags, rec.expires, rec.spread, rec.salt = 0, 0, 0, false, 0
-	rec.restamps, rec.gen, rec.value, rec.shared = false, 0, rec.value[:0], nil
+	rec.restamps, rec.gen, rec.value = false, 0, rec.value[:0]
 	rec.cb = nil
 	rec.rep.writes.Put(rec)
 }

@@ -242,6 +242,16 @@ func poison(buf []byte) {
 	}
 }
 
+// Poison overwrites buf with the byte a freed element holds, under the
+// iobufdebug build tag, and does nothing without it. A layer that lends
+// bytes it owns calls it when it takes them back, so a holder that kept
+// them past the loan reads the same poison as a freed receive buffer.
+func Poison(buf []byte) {
+	if debugFree {
+		poison(buf)
+	}
+}
+
 // checkPoison panics if a freed element was written while in the pool.
 func checkPoison(buf []byte) {
 	for i, c := range buf {
