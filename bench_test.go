@@ -1,6 +1,5 @@
 // Host-clock benchmarks of the mechanisms behind the paper's evaluation
-// (§4): Ebb dispatch, the allocators, NetPIPE, memcached and the V8
-// suite. The tables and figures themselves, with the paper's numbers and
+// (§4): Ebb dispatch, NetPIPE, memcached and the V8 suite. The tables and figures themselves, with the paper's numbers and
 // the conditions they must meet, are `go run ./cmd/ebbrt run <name>`
 // (`ebbrt list` names them). Run with:
 //
@@ -17,7 +16,6 @@ import (
 	"ebbrt/internal/event"
 	"ebbrt/internal/jsvm"
 	"ebbrt/internal/load"
-	"ebbrt/internal/mem"
 	"ebbrt/internal/sim"
 	"ebbrt/internal/testbed"
 )
@@ -78,33 +76,6 @@ func BenchmarkTable1HostedEbb(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ref.Get(0).Bump()
 	}
-}
-
-// ---- Figure 3: memory allocation ----------------------------------------
-
-func benchAllocator(b *testing.B, a mem.Allocator) {
-	b.Helper()
-	for i := 0; i < 1000; i++ {
-		a.AllocFree(0) // warm
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.AllocFree(0)
-	}
-}
-
-func BenchmarkFigure3EbbRTAlloc(b *testing.B) {
-	pages := mem.NewPageAllocator(2, 256<<20)
-	m := mem.NewMalloc(pages, 1, func(int) int { return 0 })
-	benchAllocator(b, &mem.EbbRTAllocator{M: m})
-}
-
-func BenchmarkFigure3GlibcStyleAlloc(b *testing.B) {
-	benchAllocator(b, mem.NewGlibcStyle())
-}
-
-func BenchmarkFigure3JemallocStyleAlloc(b *testing.B) {
-	benchAllocator(b, mem.NewJemallocStyle(1))
 }
 
 // ---- Figure 4: NetPIPE ---------------------------------------------------

@@ -9,13 +9,13 @@
 //     AllocateEbb, Ref).
 //   - The non-preemptive event-driven execution environment: one event
 //     loop per core, Spawn, timers, idle handlers for adaptive polling,
-//     and save/restore blocking contexts (EventManager, EventCtx).
+//     and save/restore blocking contexts (EventCtx).
 //   - Monadic futures with Then-chaining and exception-like error flow.
 //   - IOBuf zero-copy buffer chains.
-//   - The native network stack (Ethernet/ARP/IPv4/UDP/TCP/DHCP) with
+//   - The native network stack (Ethernet/ARP/IPv4/TCP) with
 //     application-managed pacing.
-//   - The memory allocation subsystem: buddy page allocator, SLQB-style
-//     slab allocator with per-core representatives, general allocator.
+//   - The memory allocation subsystem: buddy page allocator and SLQB-style
+//     slab allocator with per-core representatives.
 //   - RCU and the RCU hash table.
 //   - The heterogeneous deployment model: a hosted frontend plus native
 //     backends sharing one Ebb namespace over a messenger, with offload
@@ -53,8 +53,6 @@ type (
 	// EbbRef is the typed handle for invoking an Ebb.
 	EbbRef[T any] = core.Ref[T]
 
-	// EventManager is the per-core non-preemptive event loop.
-	EventManager = event.Manager
 	// EventCtx is the executing event's context (charging, blocking),
 	// valid only during its event.
 	EventCtx = event.Ctx
@@ -90,10 +88,9 @@ type (
 	// FileSystem is the offload Ebb served by the hosted frontend.
 	FileSystem = hosted.FileSystem
 
-	// PageAllocator, SlabAllocator and Malloc form the memory subsystem.
+	// PageAllocator and SlabAllocator form the memory subsystem.
 	PageAllocator = mem.PageAllocator
 	SlabAllocator = mem.SlabAllocator
-	Malloc        = mem.Malloc
 
 	// RCUTable is the resizable RCU hash table.
 	RCUTable[K comparable, V any] = rcu.Table[K, V]
@@ -112,10 +109,8 @@ type (
 
 // Systems under test for testbed topologies, as in the paper's figures.
 const (
-	KindEbbRT       = testbed.EbbRT
-	KindLinuxVM     = testbed.LinuxVM
-	KindLinuxNative = testbed.LinuxNative
-	KindOSv         = testbed.OSv
+	KindEbbRT   = testbed.EbbRT
+	KindLinuxVM = testbed.LinuxVM
 )
 
 // Re-exported constructors and helpers.
@@ -137,35 +132,16 @@ func AllocateEbb[T any](d *EbbDomain, miss func(core int) *T) EbbRef[T] {
 	return core.Allocate(d, miss)
 }
 
-// AttachEbb binds an existing id to a miss handler in this domain.
-func AttachEbb[T any](d *EbbDomain, id EbbId, miss func(core int) *T) EbbRef[T] {
-	return core.Attach(d, id, miss)
-}
-
 // NewPromise creates a promise/future pair.
 func NewPromise[T any]() Promise[T] { return future.NewPromise[T]() }
-
-// Ready returns an already-fulfilled future.
-func Ready[T any](v T) Future[T] { return future.Ready(v) }
-
-// Then chains fn onto f; the result future carries fn's outcome.
-func Then[T, U any](f Future[T], fn func(future.Result[T]) (U, error)) Future[U] {
-	return future.Then(f, fn)
-}
 
 // ThenOK chains fn onto f's success; upstream errors propagate untouched.
 func ThenOK[T, U any](f Future[T], fn func(T) (U, error)) Future[U] {
 	return future.ThenOK(f, fn)
 }
 
-// NewIOBuf allocates a buffer with the given capacity.
-func NewIOBuf(capacity int) *IOBuf { return iobuf.New(capacity) }
-
 // IOBufFromBytes copies data into a fresh buffer.
 func IOBufFromBytes(data []byte) *IOBuf { return iobuf.FromBytes(data) }
-
-// WrapIOBuf takes ownership of data without copying.
-func WrapIOBuf(data []byte) *IOBuf { return iobuf.Wrap(data) }
 
 // IP constructs an IPv4 address from octets.
 func IP(a, b, c, d byte) Ipv4Addr { return netstack.IP(a, b, c, d) }

@@ -72,9 +72,6 @@ func NewDomain(cores int, kind TableKind) *Domain {
 	return d
 }
 
-// Cores reports the number of per-core tables.
-func (d *Domain) Cores() int { return d.cores }
-
 // AllocateId reserves a fresh EbbId. In multi-node deployments the hosted
 // frontend owns allocation and natives receive ids through the messenger;
 // a single allocator per system keeps the namespace collision-free.

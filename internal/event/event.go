@@ -177,9 +177,6 @@ func NewManager(core *machine.Core, rc Costs) *Manager {
 // Core returns the core this manager drives.
 func (m *Manager) Core() *machine.Core { return m.core }
 
-// Kernel returns the simulation kernel.
-func (m *Manager) Kernel() *sim.Kernel { return m.k }
-
 // AllocateVector allocates a fresh interrupt vector bound to h, the
 // interface device drivers use (paper §3.2).
 func (m *Manager) AllocateVector(h Handler) int {

@@ -9,10 +9,10 @@ import (
 )
 
 // Figure 3 contention model. The paper's experiment needs 24 physical
-// cores; this reproduction host may have as few as one, so the harness
-// runs a deterministic queueing model over the allocators'
-// synchronization structure (package mem holds the allocators
-// themselves):
+// cores; this reproduction host may have as few as one, so the figure is
+// a deterministic queueing model of each allocator's synchronization
+// structure, priced by internal/costs' Alloc* constants. No allocator
+// code runs:
 //
 //   - EbbRT: per-core free lists, no shared resource on the fast path -
 //     constant per-operation cost (the slab's rare node refill amortizes
@@ -24,8 +24,8 @@ import (
 //     n cores the lock becomes an FCFS queue and the mean operation time
 //     degrades toward n times the lock-hold time.
 //
-// The per-pair costs are internal/costs' allocator model (Alloc*),
-// calibrated so one core lands near the paper's absolute numbers.
+// The constants are calibrated so one core lands near the paper's
+// absolute numbers.
 
 // specFigure3 reproduces the allocator scalability figure: mean cycles
 // per core to allocate and free an 8 B object ten times, at each core

@@ -203,65 +203,6 @@ func ThenOK[T, U any](f Future[T], fn func(T) (U, error)) Future[U] {
 	})
 }
 
-// ThenFlat chains a future-returning function, flattening the result
-// (monadic bind). Upstream errors propagate without invoking fn.
-func ThenFlat[T, U any](f Future[T], fn func(T) Future[U]) Future[U] {
-	if f.st == nil && f.res.err == nil {
-		return fn(f.res.val)
-	}
-	p := NewPromise[U]()
-	f.OnDone(func(r Result[T]) {
-		if r.err != nil {
-			p.SetError(r.err)
-			return
-		}
-		fn(r.val).OnDone(p.st.fulfill)
-	})
-	return p.Future()
-}
-
-// WhenAll returns a future that fulfills with all values once every input
-// fulfills, or fails with the first error encountered.
-func WhenAll[T any](fs []Future[T]) Future[[]T] {
-	n := len(fs)
-	if n == 0 {
-		return Ready[[]T](nil)
-	}
-	p := NewPromise[[]T]()
-	var mu sync.Mutex
-	vals := make([]T, n)
-	remaining := n
-	failed := false
-	for i, f := range fs {
-		i := i
-		f.OnDone(func(r Result[T]) {
-			v, err := r.Get()
-			mu.Lock()
-			if failed {
-				mu.Unlock()
-				return
-			}
-			if err != nil {
-				failed = true
-				mu.Unlock()
-				p.SetError(err)
-				return
-			}
-			vals[i] = v
-			remaining--
-			done := remaining == 0
-			mu.Unlock()
-			if done {
-				p.SetValue(vals)
-			}
-		})
-	}
-	return p.Future()
-}
-
 // Unit is the empty payload for futures that represent completion of an
 // action with no data, the paper's Future<void>.
 type Unit struct{}
-
-// ReadyUnit is a fulfilled Future<void>.
-func ReadyUnit() Future[Unit] { return Ready(Unit{}) }

@@ -69,68 +69,6 @@ func TestThenProducesError(t *testing.T) {
 	}
 }
 
-func TestThenFlat(t *testing.T) {
-	inner := NewPromise[int]()
-	f := ThenFlat(Ready(10), func(v int) Future[int] { return inner.Future() })
-	if f.Done() {
-		t.Fatal("flattened future done before inner fulfilled")
-	}
-	inner.SetValue(32)
-	r, ok := f.Poll()
-	if !ok || r.Must() != 32 {
-		t.Fatalf("got %+v ok=%v", r, ok)
-	}
-}
-
-func TestThenFlatErrorShortCircuits(t *testing.T) {
-	f := ThenFlat(Fail[int](errors.New("x")), func(v int) Future[int] {
-		t.Fatal("fn ran on failed input")
-		return Ready(0)
-	})
-	if r, ok := f.Poll(); !ok || r.Err() == nil {
-		t.Fatal("error did not propagate")
-	}
-}
-
-func TestWhenAll(t *testing.T) {
-	ps := []Promise[int]{NewPromise[int](), NewPromise[int](), NewPromise[int]()}
-	fs := make([]Future[int], len(ps))
-	for i, p := range ps {
-		fs[i] = p.Future()
-	}
-	all := WhenAll(fs)
-	ps[2].SetValue(3)
-	ps[0].SetValue(1)
-	if all.Done() {
-		t.Fatal("WhenAll done early")
-	}
-	ps[1].SetValue(2)
-	r, ok := all.Poll()
-	if !ok {
-		t.Fatal("WhenAll not done")
-	}
-	vals := r.Must()
-	if vals[0] != 1 || vals[1] != 2 || vals[2] != 3 {
-		t.Fatalf("vals = %v", vals)
-	}
-}
-
-func TestWhenAllEmpty(t *testing.T) {
-	if !WhenAll[int](nil).Done() {
-		t.Fatal("WhenAll(nil) should be done")
-	}
-}
-
-func TestWhenAllError(t *testing.T) {
-	p1, p2 := NewPromise[int](), NewPromise[int]()
-	all := WhenAll([]Future[int]{p1.Future(), p2.Future()})
-	p1.SetError(errors.New("dead"))
-	if r, ok := all.Poll(); !ok || r.Err() == nil {
-		t.Fatal("WhenAll did not fail fast")
-	}
-	p2.SetValue(2) // must not panic or double-fulfill
-}
-
 func TestDoubleFulfillPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -245,18 +183,6 @@ func TestInlineAndPromiseBackedFuturesAgree(t *testing.T) {
 		v, ok, err = polled(ThenOK(f, func(v int) (int, error) { return v, boom }))
 		add("ThenOK failing", err, v, ok)
 
-		pending := NewPromise[int]()
-		for _, inner := range []Future[int]{Ready(7), viaPromise(7, nil), Fail[int](boom), pending.Future()} {
-			v, ok, err = polled(ThenFlat(f, func(int) Future[int] { return inner }))
-			add("ThenFlat", err, v, ok)
-		}
-		flat := ThenFlat(f, func(int) Future[int] { return pending.Future() })
-		pending.SetValue(9)
-		v, ok, err = polled(flat)
-		add("ThenFlat once its inner future fulfils", err, v, ok)
-
-		all, ok := WhenAll([]Future[int]{Ready(1), f, viaPromise(3, nil)}).Poll()
-		add("WhenAll", all.err, all.val, ok)
 		return strings.Join(out, "\n")
 	}
 	for _, tc := range []struct {
@@ -279,9 +205,6 @@ func TestInlineAndPromiseBackedFuturesAgree(t *testing.T) {
 	}
 	if _, err := Fail[int](nil).Block(nil); err == nil {
 		t.Error("Fail(nil) produced a future without an error")
-	}
-	if _, err := ReadyUnit().Block(nil); err != nil {
-		t.Errorf("ReadyUnit: %v", err)
 	}
 }
 

@@ -281,75 +281,3 @@ func TestSlabParallelPerCore(t *testing.T) {
 	}
 	wg.Wait()
 }
-
-func TestMallocSizeClasses(t *testing.T) {
-	p := newTestPages()
-	m := NewMalloc(p, 2, coreNode2)
-	for _, sz := range []int{1, 8, 9, 100, 1000, 4096} {
-		a, ok := m.Alloc(0, sz)
-		if !ok {
-			t.Fatalf("alloc %d failed", sz)
-		}
-		m.Free(0, a, sz)
-	}
-	if m.SlabFor(8).ObjSize() != 8 {
-		t.Fatal("SlabFor(8) wrong class")
-	}
-	if m.SlabFor(9).ObjSize() != 16 {
-		t.Fatal("SlabFor(9) should round up to 16")
-	}
-	if m.SlabFor(100000) != nil {
-		t.Fatal("large size should have no slab")
-	}
-}
-
-func TestMallocLargePath(t *testing.T) {
-	p := newTestPages()
-	m := NewMalloc(p, 1, func(int) int { return 0 })
-	a, ok := m.Alloc(0, 100000)
-	if !ok {
-		t.Fatal("large alloc failed")
-	}
-	m.Free(0, a, 100000)
-	// Double free of a large allocation panics.
-	defer func() {
-		if recover() == nil {
-			t.Fatal("large double free did not panic")
-		}
-	}()
-	m.Free(0, a, 100000)
-}
-
-func TestMallocZeroPanics(t *testing.T) {
-	p := newTestPages()
-	m := NewMalloc(p, 1, func(int) int { return 0 })
-	defer func() {
-		if recover() == nil {
-			t.Fatal("malloc(0) did not panic")
-		}
-	}()
-	m.Alloc(0, 0)
-}
-
-func TestRivalAllocatorsRun(t *testing.T) {
-	p := NewPageAllocator(2, 256<<20)
-	const cores = 4
-	allocs := []Allocator{
-		&EbbRTAllocator{M: NewMalloc(p, cores, coreNode2)},
-		NewGlibcStyle(),
-		NewJemallocStyle(cores),
-	}
-	for _, a := range allocs {
-		var wg sync.WaitGroup
-		for c := 0; c < cores; c++ {
-			wg.Add(1)
-			go func(core int) {
-				defer wg.Done()
-				for i := 0; i < 5000; i++ {
-					a.AllocFree(core)
-				}
-			}(c)
-		}
-		wg.Wait()
-	}
-}

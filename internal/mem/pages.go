@@ -1,16 +1,14 @@
-// Package mem implements EbbRT's memory allocation subsystem (paper §3.4):
-// a buddy page allocator with per-NUMA-node representatives, an SLQB-style
-// slab allocator with per-core and per-node representatives, and the
-// general-purpose allocator (malloc) built from slab allocators of
-// graduated size classes.
+// Package mem implements the two lower layers of EbbRT's memory allocation
+// subsystem (paper §3.4): a buddy page allocator with per-NUMA-node
+// representatives and an SLQB-style slab allocator with per-core and
+// per-node representatives. The memcached server's bounded store
+// (memcached.BoundedStore) runs both; nothing here needs the paper's
+// general-purpose malloc over graduated slab classes, so there is none.
 //
 // The allocators manage addresses within a simulated identity-mapped
 // physical address space - the algorithms, metadata traffic, and
 // synchronization behaviour are real; the backing bytes belong to the Go
-// heap. For the Figure 3 reproduction the package also provides
-// "glibc-style" (single arena + lock) and "jemalloc-style" (thread cache +
-// locked central bins with atomic stats) rivals, exercised under real
-// goroutine parallelism.
+// heap.
 package mem
 
 import (

@@ -13,8 +13,7 @@ import (
 //
 // Alloc and Free take the invoking core explicitly (the C++ system gets it
 // implicitly from the per-core translation region). Calls for the same
-// core must not race - exactly the guarantee the event model provides; the
-// Figure 3 benchmark maps one goroutine per core to mirror it.
+// core must not race - exactly the guarantee the event model provides.
 type SlabAllocator struct {
 	objSize  int
 	objsPer  int
@@ -64,9 +63,6 @@ func NewSlabAllocator(pages *PageAllocator, objSize, cores int, coreNode func(in
 		nodes:    make([]slabNode, pages.Nodes()),
 	}
 }
-
-// ObjSize reports the object size this slab serves.
-func (s *SlabAllocator) ObjSize() int { return s.objSize }
 
 // Alloc returns one object. The fast path is an unsynchronized pop from
 // the core's free list.

@@ -12,7 +12,6 @@ const (
 	EthHeaderLen  = 14
 	ArpPacketLen  = 28
 	Ipv4HeaderLen = 20 // no options
-	UdpHeaderLen  = 8
 	TcpHeaderLen  = 20 // no options except in SYN (MSS), handled explicitly
 )
 
@@ -119,30 +118,6 @@ func writeIpv4(b []byte, h Ipv4Header) {
 	copy(b[16:20], h.Dst[:])
 	ck := Checksum(b[:Ipv4HeaderLen], 0)
 	binary.BigEndian.PutUint16(b[10:12], ck)
-}
-
-// UdpHeader is a parsed UDP header.
-type UdpHeader struct {
-	SrcPort, DstPort uint16
-	Length           uint16
-}
-
-func parseUdp(b []byte) (UdpHeader, error) {
-	if len(b) < UdpHeaderLen {
-		return UdpHeader{}, fmt.Errorf("netstack: short udp header (%d)", len(b))
-	}
-	return UdpHeader{
-		SrcPort: binary.BigEndian.Uint16(b[0:2]),
-		DstPort: binary.BigEndian.Uint16(b[2:4]),
-		Length:  binary.BigEndian.Uint16(b[4:6]),
-	}, nil
-}
-
-func writeUdp(b []byte, h UdpHeader) {
-	binary.BigEndian.PutUint16(b[0:2], h.SrcPort)
-	binary.BigEndian.PutUint16(b[2:4], h.DstPort)
-	binary.BigEndian.PutUint16(b[4:6], h.Length)
-	binary.BigEndian.PutUint16(b[6:8], 0) // checksum offloaded to hardware model
 }
 
 // TCP flag bits.

@@ -20,9 +20,7 @@ type Interface struct {
 	Mask Ipv4Addr
 
 	arp     *arpCache
-	udp     *udpLayer
 	tcp     *tcpLayer
-	pings   map[uint32]*pingState
 	drivers []*queueDriver
 	hdrPool *iobuf.Pool // head elements of transmitted packets (newPacket)
 	payload *iobuf.Pool // elements of class MSS applications write what they send into
@@ -121,12 +119,13 @@ func (itf *Interface) receive(c *event.Ctx, buf *iobuf.IOBuf) {
 	}
 }
 
+// receiveIpv4 hands TCP segments addressed to this interface to the TCP
+// layer and drops everything else: other protocols, and broadcasts, which
+// no protocol the stack carries receives (RFC 1122 §4.2.3.10 has TCP
+// ignore a SYN sent to one).
 func (itf *Interface) receiveIpv4(c *event.Ctx, buf *iobuf.IOBuf) {
 	hdr, err := parseIpv4(buf.Data())
-	if err != nil {
-		return
-	}
-	if hdr.Dst != itf.Addr && !hdr.Dst.IsBroadcast() {
+	if err != nil || hdr.Dst != itf.Addr || hdr.Proto != ProtoTCP {
 		return
 	}
 	// Trim link-layer padding: the IP total length is authoritative.
@@ -134,21 +133,14 @@ func (itf *Interface) receiveIpv4(c *event.Ctx, buf *iobuf.IOBuf) {
 		buf.TrimEnd(buf.Length() - total)
 	}
 	buf.Advance(Ipv4HeaderLen)
-	switch hdr.Proto {
-	case ProtoUDP:
-		itf.udp.receive(c, hdr, buf)
-	case ProtoTCP:
-		itf.tcp.receive(c, hdr, buf)
-	case ProtoICMP:
-		itf.receiveIcmp(c, hdr, buf)
-	}
+	itf.tcp.receive(c, hdr, buf)
 }
 
 // Route implements the paper's simple routing: on-subnet addresses are
 // delivered directly; the stack targets isolated cloud networks and has no
-// gateway. Broadcasts route to the Ethernet broadcast address.
+// gateway.
 func (itf *Interface) Route(dst Ipv4Addr) (Ipv4Addr, error) {
-	if dst.IsBroadcast() || SameSubnet(dst, itf.Addr, itf.Mask) {
+	if SameSubnet(dst, itf.Addr, itf.Mask) {
 		return dst, nil
 	}
 	return Ipv4Addr{}, fmt.Errorf("netstack: no route to %v (off subnet, no gateway)", dst)
@@ -156,25 +148,20 @@ func (itf *Interface) Route(dst Ipv4Addr) (Ipv4Addr, error) {
 
 // EthArpSend routes an IP packet, resolves the next-hop MAC, prepends the
 // Ethernet header (into the headroom newPacket leaves in buf's head
-// element) and transmits. With the MAC known - broadcast, or cached, as
-// for every packet of an established flow - the frame leaves at once and
-// nothing is allocated; only an ARP miss builds the future chain of the
-// paper's Figure 2 and sends on the reply. That continuation runs after
-// the sending event has ended, so it re-enters the sending core's loop
-// through Spawn: the transmit is charged to, and leaves at the offset of,
-// an event of its own. A packet that cannot leave - no route, no ARP
-// answer - is freed.
+// element) and transmits. With the MAC cached, as for every packet of an
+// established flow, the frame leaves at once and nothing is allocated;
+// only an ARP miss builds the future chain of the paper's Figure 2 and
+// sends on the reply. That continuation runs after the sending event has
+// ended, so it re-enters the sending core's loop through Spawn: the
+// transmit is charged to, and leaves at the offset of, an event of its
+// own. A packet that cannot leave - no route, no ARP answer - is freed.
 func (itf *Interface) EthArpSend(c *event.Ctx, proto uint16, dst Ipv4Addr, buf *iobuf.IOBuf, flowHash uint32) future.Future[future.Unit] {
 	localDst, err := itf.Route(dst)
 	if err != nil {
 		buf.Free()
 		return future.Fail[future.Unit](err)
 	}
-	mac, known := machine.Broadcast, localDst.IsBroadcast()
-	if !known {
-		mac, known = itf.arp.entries[localDst]
-	}
-	if known {
+	if mac, known := itf.arp.entries[localDst]; known {
 		itf.ethSend(c, proto, mac, buf, flowHash)
 		return future.Ready(future.Unit{})
 	}

@@ -11,9 +11,8 @@ import (
 	"ebbrt/internal/sim"
 )
 
-// Shorthands for future results used by callbacks in this file.
+// futureResult is the result an ARP resolution's callbacks receive.
 type futureResult = future.Result[EthAddr]
-type dhcpResult = future.Result[DhcpLease]
 
 // testNet wires two single- or multi-core machines with stacks over a link.
 type testNet struct {
@@ -47,6 +46,19 @@ func newTestNet(t *testing.T, coresA, coresB int) *testNet {
 
 func (n *testNet) spawnA(fn event.Handler) { n.a.Mgrs[0].Spawn(fn) }
 func (n *testNet) spawnB(fn event.Handler) { n.b.Mgrs[0].Spawn(fn) }
+
+// sendSegment sends payload from itf to dst as one TCP segment outside
+// any connection, down the path a connection's segments take: a head
+// element from newPacket, then EthArpSend. The segment carries RST, which
+// a host without that connection drops unanswered (RFC 793), so it draws
+// no reply.
+func sendSegment(c *event.Ctx, itf *Interface, dst Ipv4Addr, payload *iobuf.IOBuf) future.Future[future.Unit] {
+	const sport, dport = 5000, 9
+	hdr, tcp := itf.newPacket(ProtoTCP, dst, TcpHeaderLen, payload.ComputeChainDataLength())
+	writeTcp(tcp, TcpHeader{SrcPort: sport, DstPort: dport, DataOff: TcpHeaderLen, Flags: tcpRST})
+	hdr.AppendChain(payload)
+	return itf.EthArpSend(c, EtherTypeIPv4, dst, hdr, FlowHash(itf.Addr, sport, dst, dport))
+}
 
 func TestArpResolution(t *testing.T) {
 	n := newTestNet(t, 1, 1)
@@ -119,7 +131,7 @@ func TestArpMissSendBillsTheEventThatRunsIt(t *testing.T) {
 	mgr := n.a.Mgrs[0]
 	var probeAt, refAt sim.Time
 	n.spawnA(func(c *event.Ctx) {
-		f := n.itfA.SendUdp(c, 9, IP(10, 0, 0, 2), 9, iobuf.Wrap([]byte("after the miss")))
+		f := sendSegment(c, n.itfA, ipB, iobuf.Wrap([]byte("after the miss")))
 		c.Charge(20 * sim.Microsecond)
 		f.OnDone(func(future.Result[future.Unit]) {
 			mgr.Spawn(func(c *event.Ctx) { probeAt = c.Now() })
@@ -128,65 +140,23 @@ func TestArpMissSendBillsTheEventThatRunsIt(t *testing.T) {
 	n.k.Run()
 	n.spawnA(func(c *event.Ctx) {
 		c.Charge(20 * sim.Microsecond)
-		_ = n.itfA.SendUdp(c, 9, IP(10, 0, 0, 2), 9, iobuf.Wrap([]byte("MAC cached")))
+		_ = sendSegment(c, n.itfA, ipB, iobuf.Wrap([]byte("MAC cached")))
 		refAt = c.Now() + c.Charged()
 	})
 	n.k.Run()
 	if len(sent) != 2 || probeAt == 0 {
-		t.Fatalf("%d datagrams sent, probe at %v", len(sent), probeAt)
+		t.Fatalf("%d segments sent, probe at %v", len(sent), probeAt)
 	}
 	if path, ref := sent[0]-probeAt, sent[1]-refAt; path != ref {
 		t.Fatalf("the resolved send left %v after its event's offset, a cached one %v after", path, ref)
 	}
 
 	n.spawnA(func(c *event.Ctx) {
-		_ = n.itfA.SendUdp(c, 9, IP(10, 0, 0, 99), 9, n.itfA.views.View([]byte("to no one")))
+		_ = sendSegment(c, n.itfA, IP(10, 0, 0, 99), n.itfA.views.View([]byte("to no one")))
 	})
 	n.k.Run()
 	if h, v := n.itfA.hdrPool.Outstanding(), n.itfA.views.Outstanding(); h != 0 || v != 0 {
 		t.Fatalf("after an unanswered ARP %d head elements and %d view descriptors are out", h, v)
-	}
-}
-
-func TestUdpEcho(t *testing.T) {
-	n := newTestNet(t, 1, 1)
-	const port = 7777
-	var echoed []byte
-	n.spawnB(func(c *event.Ctx) {
-		_, err := n.itfB.BindUdp(port, func(c *event.Ctx, src Ipv4Addr, srcPort uint16, payload *iobuf.IOBuf) {
-			// Echo back.
-			_ = n.itfB.SendUdp(c, port, src, srcPort, iobuf.FromBytes(payload.CopyOut()))
-		})
-		if err != nil {
-			t.Error(err)
-		}
-	})
-	n.spawnA(func(c *event.Ctx) {
-		lp, err := n.itfA.BindUdp(0, func(c *event.Ctx, src Ipv4Addr, srcPort uint16, payload *iobuf.IOBuf) {
-			echoed = payload.CopyOut()
-		})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		_ = n.itfA.SendUdp(c, lp, IP(10, 0, 0, 2), port, iobuf.FromBytes([]byte("ping pong")))
-	})
-	n.k.RunUntil(10 * sim.Millisecond)
-	if string(echoed) != "ping pong" {
-		t.Fatalf("echoed %q", echoed)
-	}
-}
-
-func TestUdpPortInUse(t *testing.T) {
-	n := newTestNet(t, 1, 1)
-	var err1, err2 error
-	n.spawnA(func(c *event.Ctx) {
-		_, err1 = n.itfA.BindUdp(53, func(*event.Ctx, Ipv4Addr, uint16, *iobuf.IOBuf) {})
-		_, err2 = n.itfA.BindUdp(53, func(*event.Ctx, Ipv4Addr, uint16, *iobuf.IOBuf) {})
-	})
-	n.k.Run()
-	if err1 != nil || err2 == nil {
-		t.Fatalf("err1=%v err2=%v", err1, err2)
 	}
 }
 
@@ -432,60 +402,28 @@ func TestTcpRetransmissionOnLoss(t *testing.T) {
 	}
 }
 
-func TestDhcpAcquire(t *testing.T) {
-	n := newTestNet(t, 1, 1)
-	// Reconfigure A to be unnumbered; B serves DHCP.
-	n.itfA.Addr = Ipv4Addr{}
-	var lease DhcpLease
-	gotLease := false
-	n.spawnB(func(c *event.Ctx) {
-		if _, err := n.itfB.ServeDhcp(IP(10, 0, 0, 100), IP(255, 255, 255, 0)); err != nil {
-			t.Error(err)
-		}
-	})
-	n.spawnA(func(c *event.Ctx) {
-		n.itfA.DhcpClient(c).OnDone(func(r dhcpResult) {
-			l, err := r.Get()
-			if err != nil {
-				t.Errorf("dhcp: %v", err)
-				return
-			}
-			lease = l
-			gotLease = true
-		})
-	})
-	n.k.RunUntil(1 * sim.Second)
-	if !gotLease {
-		t.Fatal("no lease acquired")
+// arpBurst delivers that many ARP requests for B's address straight into
+// B's NIC, 100 ns apart - faster than B serves them, so a receive
+// interrupt finds a batch - and fails unless B answers every one.
+func arpBurst(t *testing.T, n *testNet, frames int) {
+	t.Helper()
+	req := make([]byte, EthHeaderLen+ArpPacketLen)
+	writeEth(req, EthHeader{Dst: machine.Broadcast, Src: macA, Type: EtherTypeARP})
+	writeArp(req[EthHeaderLen:], ArpPacket{Op: arpOpRequest, SenderHW: macA, SenderIP: ipA, TargetIP: ipB})
+	nic := n.itfB.NIC
+	for i := 0; i < frames; i++ {
+		f := machine.Frame{Buf: iobuf.FromBytes(req)}
+		n.k.At(sim.Time(1000+i*100), func() { nic.Deliver(f) })
 	}
-	if lease.Addr != IP(10, 0, 0, 101) {
-		t.Fatalf("lease addr %v", lease.Addr)
-	}
-	if n.itfA.Addr != lease.Addr {
-		t.Fatal("interface address not installed")
+	n.k.RunUntil(100 * sim.Millisecond)
+	if got := nic.TxFrames.N; got != uint64(frames) {
+		t.Fatalf("B answered %d of %d ARP requests", got, frames)
 	}
 }
 
 func TestAdaptivePollingEngages(t *testing.T) {
 	n := newTestNet(t, 1, 1)
-	received := 0
-	n.spawnB(func(c *event.Ctx) {
-		_, _ = n.itfB.BindUdp(9, func(*event.Ctx, Ipv4Addr, uint16, *iobuf.IOBuf) { received++ })
-	})
-	// Inject frames directly into B's NIC faster than the per-packet
-	// service time, so the drain batch exceeds the polling threshold.
-	nic := n.itfB.NIC
-	udp := make([]byte, UdpHeaderLen+32)
-	writeUdp(udp, UdpHeader{SrcPort: 5000, DstPort: 9, Length: uint16(len(udp))})
-	const frames = 200
-	for i := 0; i < frames; i++ {
-		f := machine.Frame{Buf: iobuf.FromBytes(ipFrame(ProtoUDP, ipA, 0, udp))}
-		n.k.At(sim.Time(1000+i*100), func() { nic.Deliver(f) })
-	}
-	n.k.RunUntil(100 * sim.Millisecond)
-	if received != frames {
-		t.Fatalf("received %d of %d", received, frames)
-	}
+	arpBurst(t, n, 200)
 	if n.itfB.PollModeSwitches == 0 {
 		t.Fatal("driver never engaged polling under burst load")
 	}
@@ -496,34 +434,13 @@ func TestAdaptivePollingEngages(t *testing.T) {
 	}
 }
 
+// The burst that engages polling above leaves a NoPolling stack on
+// interrupts.
 func TestPollingDisabledAblation(t *testing.T) {
-	k := sim.NewKernel()
-	ma := machine.New(k, machine.DefaultConfig("a", 1))
-	mb := machine.New(k, machine.DefaultConfig("b", 1))
-	na := machine.NewNIC(ma, machine.MAC{0, 0, 0, 0, 0, 1})
-	nb := machine.NewNIC(mb, machine.MAC{0, 0, 0, 0, 0, 2})
-	machine.NewLink(k, na, nb)
-	mgrA := event.NewManager(ma.Cores[0], event.DefaultCosts())
-	mgrB := event.NewManager(mb.Cores[0], event.DefaultCosts())
-	cfg := Config{NoPolling: true}
-	sa := NewStack(ma, []*event.Manager{mgrA}, cfg)
-	sb := NewStack(mb, []*event.Manager{mgrB}, cfg)
-	itfA := sa.AddInterface(na, IP(10, 0, 0, 1), IP(255, 255, 255, 0))
-	itfB := sb.AddInterface(nb, IP(10, 0, 0, 2), IP(255, 255, 255, 0))
-	got := 0
-	sb.Mgrs[0].Spawn(func(c *event.Ctx) {
-		_, _ = itfB.BindUdp(9, func(*event.Ctx, Ipv4Addr, uint16, *iobuf.IOBuf) { got++ })
-	})
-	sa.Mgrs[0].Spawn(func(c *event.Ctx) {
-		for i := 0; i < 100; i++ {
-			_ = itfA.SendUdp(c, 5000, IP(10, 0, 0, 2), 9, iobuf.FromBytes(make([]byte, 32)))
-		}
-	})
-	k.RunUntil(100 * sim.Millisecond)
-	if got != 100 {
-		t.Fatalf("received %d of 100", got)
-	}
-	if itfB.PollModeSwitches != 0 {
+	n := newTestNet(t, 1, 1)
+	n.b.Cfg.NoPolling = true
+	arpBurst(t, n, 200)
+	if n.itfB.PollModeSwitches != 0 || n.b.Mgrs[0].IdleHandlerCount() != 0 {
 		t.Fatal("polling engaged despite ablation")
 	}
 }

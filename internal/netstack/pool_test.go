@@ -251,10 +251,14 @@ func TestPooledBuffersComeHome(t *testing.T) {
 	}
 }
 
-// Through a switch, a broadcast floods: one head element and the view
+// Through a learning switch, a frame floods: one head element and the view
 // descriptor or payload element behind it fly to every other port and come
-// home once, each receiver's copy is freed by its own stack, whether the
-// datagram had a taker there or not.
+// home once, and each receiver's copy is freed by its own stack, whether
+// the frame was for it or not. A's segments go to C, whose MAC A holds but
+// the switch has never seen (C drops each unanswered: it carries RST), so
+// every one is an unknown unicast. Then A's ARP requests for an address no
+// one holds flood as broadcasts, and every receive buffer they fill comes
+// home too.
 func TestPooledBuffersComeHomeThroughFlood(t *testing.T) {
 	k := sim.NewKernel()
 	sw := machine.NewSwitch(k)
@@ -266,33 +270,39 @@ func TestPooledBuffersComeHomeThroughFlood(t *testing.T) {
 		st := NewStack(m, []*event.Manager{event.NewManager(m.Cores[0], event.DefaultCosts())}, Config{})
 		itfs[i] = st.AddInterface(nic, IP(10, 0, 0, byte(i+1)), IP(255, 255, 255, 0))
 	}
-	const port = 9000
-	got := 0
-	if _, err := itfs[1].BindUdp(port, func(_ *event.Ctx, _ Ipv4Addr, _ uint16, payload *iobuf.IOBuf) {
-		if string(payload.Data()) == "to everyone" {
-			got++
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
+	src, dst := itfs[0], itfs[2]
+	src.arp.entries[dst.Addr] = dst.NIC.Mac
 	const rounds = 10
 	for i := 0; i < rounds; i++ {
-		itfs[0].St.Mgrs[0].Spawn(func(c *event.Ctx) {
-			msg := itfs[0].views.View([]byte("to everyone"))
+		src.St.Mgrs[0].Spawn(func(c *event.Ctx) {
+			msg := src.views.View([]byte("to C, through everyone"))
 			if i%2 == 1 {
 				lent := msg
-				msg = itfs[0].payload.Copy(lent)
+				msg = src.payload.Copy(lent)
 				lent.Free()
 			}
-			_ = itfs[0].SendUdp(c, port, IP(255, 255, 255, 255), port, msg)
+			_ = sendSegment(c, src, dst.Addr, msg)
 		})
 	}
 	k.Run()
-	if got != rounds || itfs[2].NIC.RxFrames.N != rounds {
-		t.Fatalf("%d datagrams taken, %d frames at the port with no taker, want %d and %d", got, itfs[2].NIC.RxFrames.N, rounds, rounds)
+	if b, c := itfs[1].NIC.RxFrames.N, dst.NIC.RxFrames.N; b != rounds || c != rounds || dst.NIC.TxFrames.N != 0 {
+		t.Fatalf("%d segments reached B and %d reached C, which sent %d frames; want %d, %d and 0", b, c, dst.NIC.TxFrames.N, rounds, rounds)
 	}
 	for _, itf := range itfs {
-		checkHome(t, "after the flood", itf)
+		checkHome(t, "after the unicast flood", itf)
+	}
+
+	for i := 0; i < rounds; i++ {
+		src.St.Mgrs[0].Spawn(func(c *event.Ctx) { src.arpFind(c, IP(10, 0, 0, byte(100+i))) })
+	}
+	k.Run()
+	for _, itf := range itfs[1:] {
+		if got := itf.NIC.RxFrames.N; got != 2*rounds {
+			t.Fatalf("%v received %d frames, want %d segments and %d ARP requests", itf.Addr, got, rounds, rounds)
+		}
+	}
+	for _, itf := range itfs {
+		checkHome(t, "after the broadcast flood", itf)
 	}
 }
 

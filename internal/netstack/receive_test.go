@@ -74,6 +74,37 @@ func TestIpv4TotalLengthBelowHeaderDropped(t *testing.T) {
 	}
 }
 
+// A SYN to the IPv4 limited broadcast address, at a listening port, opens
+// nothing: RFC 1122 §4.2.3.10 has TCP ignore it, and the stack, which
+// carries no protocol that receives broadcasts, drops every IPv4
+// broadcast. B accepts no connection and sends nothing: no SYN-ACK, and no
+// ARP request to reach the sender.
+func TestBroadcastSynIgnored(t *testing.T) {
+	n := newTestNet(t, 1, 1)
+	n.link.DropFn = func(uint64, machine.Frame) bool { return true }
+	accepted := 0
+	n.spawnB(func(c *event.Ctx) {
+		if _, err := n.itfB.ListenTcp(serverPort, func(*event.Ctx, *TcpPcb) ConnHandler {
+			accepted++
+			return ConnHandler{}
+		}); err != nil {
+			t.Error(err)
+		}
+	})
+	n.k.RunFor(sim.Millisecond)
+	syn := tcpBytes(clientPort, serverPort, 1, 0, tcpSYN, "")
+	fr := make([]byte, l4Off+len(syn))
+	writeEth(fr, EthHeader{Dst: machine.Broadcast, Src: macA, Type: EtherTypeIPv4})
+	writeIpv4(fr[EthHeaderLen:], Ipv4Header{TotalLen: uint16(Ipv4HeaderLen + len(syn)), TTL: 64, Proto: ProtoTCP, Src: ipA, Dst: IP(255, 255, 255, 255)})
+	copy(fr[l4Off:], syn)
+	n.itfB.NIC.Deliver(machine.Frame{Buf: iobuf.FromBytes(fr)})
+	n.k.RunFor(10 * sim.Millisecond)
+	if n.itfB.RxPackets != 1 || accepted != 0 || n.itfB.tcp.conns.Len() != 0 || n.itfB.NIC.TxFrames.N != 0 {
+		t.Fatalf("B got %d frames, accepted %d connections, holds %d and sent %d frames; want 1, 0, 0, 0",
+			n.itfB.RxPackets, accepted, n.itfB.tcp.conns.Len(), n.itfB.NIC.TxFrames.N)
+	}
+}
+
 // The passive open processes the handshake's ACK once. Processed a second
 // time, after OnConnected has sent, the same ACK counts as a duplicate of
 // that data's, and a real loss would then trigger fast retransmit after
@@ -176,10 +207,9 @@ func FuzzReceive(f *testing.F) {
 		writeArp(b[EthHeaderLen:], ArpPacket{Op: op, SenderHW: macA, SenderIP: ipA, TargetHW: macB, TargetIP: ipB})
 		return b
 	}
-	ping := make([]byte, icmpHeaderLen+8)
-	ping[0] = icmpEchoRequest
-	udp := make([]byte, UdpHeaderLen+4)
-	writeUdp(udp, UdpHeader{SrcPort: 5000, DstPort: 9, Length: uint16(len(udp))})
+	// A datagram of an IP protocol the stack does not carry: 17, UDP, from
+	// port 5000 to 9, 12 bytes long, no checksum.
+	udp := []byte{0x13, 0x88, 0x00, 0x09, 0x00, 0x0c, 0x00, 0x00, 'd', 'a', 't', 'a'}
 	input := func(state tcpState, frames ...[]byte) []byte {
 		in := []byte{byte(slices.Index(fuzzStates[:], state))}
 		for _, fr := range frames {
@@ -198,7 +228,7 @@ func FuzzReceive(f *testing.F) {
 	f.Add(input(tcpTimeWait, conn(0, 0, tcpRST, ""), conn(0, 0, tcpSYN, "")))
 	f.Add(input(tcpEstablished, ipFrame(ProtoTCP, ipA, 0, tcpBytes(40000, serverPort, 7, 0, tcpSYN, "")),
 		ipFrame(ProtoTCP, IP(10, 0, 0, 9), 0, tcpBytes(40000, 81, 7, 0, tcpACK, ""))))
-	f.Add(input(tcpEstablished, arp(arpOpRequest), arp(arpOpReply), ipFrame(ProtoICMP, ipA, 0, ping), ipFrame(ProtoUDP, ipA, 0, udp)))
+	f.Add(input(tcpEstablished, arp(arpOpRequest), arp(arpOpReply), ipFrame(17, ipA, 0, udp)))
 	f.Add(input(tcpEstablished, ipFrame(ProtoTCP, ipA, 4, tcpBytes(clientPort, serverPort, 0, 0, tcpACK, "")))) // total length below the header
 	f.Fuzz(func(t *testing.T, in []byte) {
 		if len(in) == 0 {

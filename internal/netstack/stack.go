@@ -102,7 +102,6 @@ func (s *Stack) AddInterface(nic *machine.NIC, addr, mask Ipv4Addr) *Interface {
 		Addr: addr,
 		Mask: mask,
 		arp:  newArpCache(),
-		udp:  newUdpLayer(),
 		tcp:  newTcpLayer(),
 
 		hdrPool: iobuf.NewPool(headerClass),
@@ -110,7 +109,6 @@ func (s *Stack) AddInterface(nic *machine.NIC, addr, mask Ipv4Addr) *Interface {
 		views:   iobuf.NewPool(0),
 	}
 	itf.tcp.itf = itf
-	itf.udp.itf = itf
 	s.Itfs = append(s.Itfs, itf)
 	for qi, q := range nic.Queues {
 		coreID := s.queueCore(qi)

@@ -77,13 +77,8 @@ type ConnHandler struct {
 
 // TcpListener accepts inbound connections on a port.
 type TcpListener struct {
-	itf    *Interface
-	port   uint16
 	accept func(c *event.Ctx, pcb *TcpPcb) ConnHandler
 }
-
-// Close stops accepting new connections.
-func (l *TcpListener) Close() { delete(l.itf.tcp.listeners, l.port) }
 
 // tcpLayer is an interface's TCP state: listeners plus the RCU connection
 // table the paper describes for lock-free lookup.
@@ -287,7 +282,7 @@ func (itf *Interface) ListenTcp(port uint16, accept func(c *event.Ctx, pcb *TcpP
 	if _, used := t.listeners[port]; used {
 		return nil, fmt.Errorf("netstack: tcp port %d in use", port)
 	}
-	l := &TcpListener{itf: itf, port: port, accept: accept}
+	l := &TcpListener{accept: accept}
 	t.listeners[port] = l
 	return l, nil
 }

@@ -1,6 +1,11 @@
 // Package netstack is EbbRT's custom network stack (paper §3.6): Ethernet,
-// ARP, IPv4, UDP, TCP and DHCP, providing an event-driven zero-copy
-// interface to applications.
+// ARP, IPv4 and TCP, providing an event-driven zero-copy interface to
+// applications.
+//
+// It carries what the applications here use and no more. The paper's
+// stack also has UDP and DHCP; here nothing sends a datagram, every
+// interface gets a static address (AddInterface), and IPv4 broadcasts are
+// dropped. ARP's request is the only broadcast the stack sends.
 //
 // The stack deliberately omits the BSD socket layer. Received data flows
 // synchronously from the device driver through the stack into an
@@ -31,12 +36,9 @@ const (
 	EtherTypeARP  uint16 = 0x0806
 )
 
-// IP protocol numbers.
-const (
-	ProtoICMP byte = 1
-	ProtoTCP  byte = 6
-	ProtoUDP  byte = 17
-)
+// ProtoTCP is the IP protocol number of TCP, the one transport the stack
+// carries.
+const ProtoTCP byte = 6
 
 // Ipv4Addr is an IPv4 address in network byte order.
 type Ipv4Addr [4]byte
@@ -53,9 +55,6 @@ func (a Ipv4Addr) String() string {
 func (a Ipv4Addr) Uint32() uint32 {
 	return uint32(a[0])<<24 | uint32(a[1])<<16 | uint32(a[2])<<8 | uint32(a[3])
 }
-
-// IsBroadcast reports whether the address is the limited broadcast.
-func (a Ipv4Addr) IsBroadcast() bool { return a == Ipv4Addr{255, 255, 255, 255} }
 
 // IsZero reports whether the address is the unspecified 0.0.0.0.
 func (a Ipv4Addr) IsZero() bool { return a == Ipv4Addr{} }

@@ -3,123 +3,10 @@ package rcu
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"unsafe"
 )
-
-func TestSynchronizeWaitsForReader(t *testing.T) {
-	d := NewDomain()
-	r := d.Register()
-	r.Lock()
-	done := make(chan struct{})
-	entered := make(chan struct{})
-	go func() {
-		close(entered)
-		d.Synchronize()
-		close(done)
-	}()
-	<-entered
-	select {
-	case <-done:
-		t.Fatal("Synchronize returned while reader inside critical section")
-	default:
-	}
-	r.Unlock()
-	<-done
-}
-
-// TestSynchronizeWaitsAcrossDomains: readers stamp themselves with the
-// process-wide epoch hint, so a domain whose neighbor has synchronized
-// many times must still wait for its own in-section readers. (The old
-// domain-local grace-period comparison returned immediately here,
-// reclaiming under a live reader.)
-func TestSynchronizeWaitsAcrossDomains(t *testing.T) {
-	busy := NewDomain()
-	for i := 0; i < 100; i++ {
-		busy.Synchronize()
-	}
-	d := NewDomain()
-	r := d.Register()
-	r.Lock()
-	done := make(chan struct{})
-	entered := make(chan struct{})
-	go func() {
-		close(entered)
-		d.Synchronize()
-		close(done)
-	}()
-	<-entered
-	select {
-	case <-done:
-		t.Fatal("Synchronize returned while reader inside critical section")
-	default:
-	}
-	r.Unlock()
-	<-done
-}
-
-func TestSynchronizeIgnoresQuiescentReaders(t *testing.T) {
-	d := NewDomain()
-	d.Register() // never locks
-	d.Synchronize()
-}
-
-func TestSynchronizeIgnoresNewReaders(t *testing.T) {
-	d := NewDomain()
-	r := d.Register()
-	// Reader enters *after* the epoch bump: lock with fresh epoch while
-	// Synchronize runs must not deadlock.
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 100; i++ {
-			r.Lock()
-			r.Unlock()
-		}
-	}()
-	for i := 0; i < 100; i++ {
-		d.Synchronize()
-	}
-	wg.Wait()
-}
-
-func TestGracePeriodStress(t *testing.T) {
-	d := NewDomain()
-	var inCrit atomic.Int64
-	var maxSeen atomic.Int64
-	const readers = 8
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for i := 0; i < readers; i++ {
-		r := d.Register()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				r.Lock()
-				inCrit.Add(1)
-				inCrit.Add(-1)
-				r.Unlock()
-			}
-		}()
-	}
-	for i := 0; i < 50; i++ {
-		d.Synchronize()
-		if v := inCrit.Load(); v > maxSeen.Load() {
-			maxSeen.Store(v)
-		}
-	}
-	close(stop)
-	wg.Wait()
-}
 
 func TestTableBasics(t *testing.T) {
 	tb := NewTable[string, int](StringHash, 4)

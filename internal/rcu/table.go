@@ -1,3 +1,21 @@
+// Package rcu implements an RCU hash table (paper §3.6, §4.2).
+//
+// EbbRT's event-driven execution makes RCU a natural primitive: without
+// preemption, entering and exiting a read-side critical section costs
+// nothing, and grace periods align with event boundaries. The network
+// stack keeps connection state in an RCU hash table so common-case lookups
+// proceed without atomic operations on shared cache lines, and the
+// memcached port stores key-value pairs the same way to avoid lock
+// contention.
+//
+// The table needs no grace-period machinery of its own. A writer
+// unpublishes with an atomic store and never frees: an unlinked node or a
+// superseded bucket array stays valid for as long as a reader can still
+// reach it, and the garbage collector reclaims it after the last one lets
+// go. That is what a grace period buys the C++ system, which frees by
+// hand. The table is correct under real goroutine parallelism too (the
+// hosted environment and the race detector's runs): readers load with
+// acquire and writers publish with release atomics.
 package rcu
 
 import (

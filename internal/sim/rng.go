@@ -74,17 +74,6 @@ func (r *Rng) Exp(mean float64) float64 {
 	return -mean * math.Log(u)
 }
 
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *Rng) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
 // Zipf samples from a Zipf-like distribution over [0, n) with skew s > 1
 // using rejection-inversion (Hormann & Derflinger). The mutilate workload
 // generator uses it for key popularity, mirroring the heavy-tailed access

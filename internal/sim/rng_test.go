@@ -77,18 +77,6 @@ func TestRngExpMean(t *testing.T) {
 	}
 }
 
-func TestRngPerm(t *testing.T) {
-	r := NewRng(3)
-	p := r.Perm(100)
-	seen := make([]bool, 100)
-	for _, v := range p {
-		if v < 0 || v >= 100 || seen[v] {
-			t.Fatalf("Perm not a permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestZipfRangeAndSkew(t *testing.T) {
 	r := NewRng(11)
 	z := NewZipf(r, 1.1, 1000)

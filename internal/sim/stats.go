@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -84,13 +83,6 @@ func (r *Recorder) Reset() {
 	r.samples = r.samples[:0]
 	r.sum = 0
 	r.sorted = false
-}
-
-// Summary renders "mean=Xus p50=Xus p99=Xus n=N" for experiment logs.
-func (r *Recorder) Summary() string {
-	return fmt.Sprintf("mean=%.1fus p50=%.1fus p99=%.1fus max=%.1fus n=%d",
-		r.Mean().Micros(), r.Percentile(50).Micros(),
-		r.Percentile(99).Micros(), r.Max().Micros(), r.Count())
 }
 
 func (r *Recorder) ensureSorted() {

@@ -13,11 +13,10 @@ import (
 // instead (appnet.PoolsOf). Adding a line here is a design decision to
 // argue in review.
 var wrapSites = map[string]int{
-	"ebbrt.go":                          1, // WrapIOBuf: the public API's plain constructor
 	"internal/load/conn.go":             1, // the load generator's requests: the client under test is the server
 	"internal/experiments/textproto.go": 1, // the demo transcript's scripted lines
 }
 
 func TestWrapCallSitesAreAllowlisted(t *testing.T) {
-	checkCallSites(t, regexp.QuoteMeta("iobuf.Wrap("), wrapSites, 3)
+	checkCallSites(t, regexp.QuoteMeta("iobuf.Wrap("), wrapSites, 2)
 }
