@@ -74,10 +74,12 @@ const boundedOverhead = 56
 // (stock memcached's bounded tail search).
 const tailSearchDepth = 8
 
-// boundedItem is one resident entry plus its allocation provenance.
+// boundedItem is one resident entry, held by value, plus its allocation
+// provenance: a Set copies the caller's entry in, so an insert allocates
+// the item alone and an overwrite nothing.
 type boundedItem struct {
 	key   string
-	e     *Entry
+	e     Entry
 	class int      // index into classes, or -1 for a large item
 	addr  mem.Addr // slab object or page-block base
 	order int      // page order, large items only
@@ -257,7 +259,8 @@ func (s *BoundedStore) ClassStats() []BoundedClassStats {
 }
 
 // Get implements Store. A hit is bumped to the front of its class's
-// list under EvictLRU; EvictFIFO leaves the order as stored.
+// list under EvictLRU; EvictFIFO leaves the order as stored. The entry
+// returned is the item's own, valid until the store's next mutation.
 func (s *BoundedStore) Get(key string) (*Entry, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -270,7 +273,7 @@ func (s *BoundedStore) Get(key string) (*Entry, bool) {
 		c.unlink(it)
 		c.pushFront(it)
 	}
-	return it.e, true
+	return &it.e, true
 }
 
 func (s *BoundedStore) classOf(it *boundedItem) *boundedClass {
@@ -283,17 +286,18 @@ func (s *BoundedStore) classOf(it *boundedItem) *boundedClass {
 // Set implements Store: false means the entry could not be stored
 // within the budget even after eviction (the server answers
 // SERVER_ERROR / StatusOutOfMemory). Over a resident key it reuses the
-// item, key included: the old backing goes back and the new entry is
-// charged afresh, exactly as a delete and an insert would do it.
+// item, key and entry included: the old backing goes back and the new
+// entry, copied over the old, is charged afresh, exactly as a delete and
+// an insert would do it.
 func (s *BoundedStore) Set(key string, e *Entry) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	it, ok := s.m[key]
 	if !ok {
-		return s.insert(&boundedItem{key: strings.Clone(key), e: e})
+		return s.insert(&boundedItem{key: strings.Clone(key), e: *e})
 	}
 	s.release(it)
-	it.e = e
+	it.e = *e
 	if !s.insert(it) {
 		delete(s.m, it.key)
 		return false
@@ -308,13 +312,13 @@ func (s *BoundedStore) Add(key string, e *Entry) bool {
 	if _, ok := s.m[key]; ok {
 		return false
 	}
-	return s.insert(&boundedItem{key: strings.Clone(key), e: e})
+	return s.insert(&boundedItem{key: strings.Clone(key), e: *e})
 }
 
 // insert allocates backing for the item's entry, evicting as needed, and
 // makes it resident.
 func (s *BoundedStore) insert(it *boundedItem) bool {
-	charge := chargeBytes(it.key, it.e)
+	charge := chargeBytes(it.key, &it.e)
 	ci := s.classFor(charge)
 	it.class = ci
 	if ci >= 0 {
@@ -438,16 +442,13 @@ func (s *BoundedStore) Len() int {
 }
 
 // Scan implements Store: snapshot under the lock, visited in key order,
-// fn unlocked so it may mutate the store.
+// fn unlocked so it may mutate the store. The snapshot copies the
+// entries, since a Set over a resident key writes into its item.
 func (s *BoundedStore) Scan(fn func(key string, e *Entry) bool) {
 	s.mu.Lock()
-	snap := sortedSnapshot(s.m, func(it *boundedItem) *Entry { return it.e })
+	snap := sortedSnapshot(s.m, func(it *boundedItem) Entry { return it.e })
 	s.mu.Unlock()
-	for _, kv := range snap {
-		if !fn(kv.k, kv.v) {
-			return
-		}
-	}
+	visit(snap, fn)
 }
 
 // Keys implements Store, in key order.

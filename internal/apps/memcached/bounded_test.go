@@ -111,19 +111,21 @@ func TestBoundedStoreExpiredFirstReclaim(t *testing.T) {
 	s := NewBoundedStore(boundedTestBudget, EvictLRU, func() sim.Time { return now })
 	// Probe capacity on a twin store, then fill this one just below it.
 	capacity := fillToCapacity(t, NewBoundedStore(boundedTestBudget, EvictLRU, nil))
-	entries := make([]*Entry, capacity)
+	// Key 1 - one step in from the LRU tail (key 0), inside the bounded
+	// tail search - dies at 5 s.
 	for i := 0; i < capacity; i++ {
-		entries[i] = fillEntry()
-		if !s.Set(boundedKey(i), entries[i]) {
+		e := fillEntry()
+		if i == 1 {
+			e.Expires = 5 * sim.Second
+		}
+		if !s.Set(boundedKey(i), e) {
 			t.Fatalf("set %d rejected", i)
 		}
 	}
 	if st := s.Stats(); st.Evictions+st.Expired != 0 {
 		t.Fatalf("reclaims during sub-capacity fill: %+v", st)
 	}
-	// Expire key 1 - one step in from the LRU tail (key 0), inside the
-	// bounded tail search - and push past the budget.
-	entries[1].Expires = 5 * sim.Second
+	// Expire key 1 and push past the budget.
 	now = 10 * sim.Second
 	if !s.Set(boundedKey(capacity), fillEntry()) {
 		t.Fatal("set past capacity rejected")

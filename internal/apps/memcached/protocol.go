@@ -123,7 +123,7 @@ func WriteHeader(b []byte, h Header) {
 type Request struct {
 	Opcode     byte
 	Key, Value []byte
-	CAS        uint64 // a version stamp on SET and ADD, else 0
+	CAS        uint64 // a version stamp on SET, ADD and DELETE, else 0
 	extras     [CounterExtrasLen]byte
 	nExtras    byte
 }
@@ -139,19 +139,28 @@ func (r *Request) extra64(v uint64) {
 }
 
 // Len is the size of the request's frame.
-func (r *Request) Len() int { return HeaderLen + int(r.nExtras) + len(r.Key) + len(r.Value) }
+func (r *Request) Len() int { return r.HeadLen() + len(r.Value) }
+
+// HeadLen is the size of the frame's head: header, extras and key.
+func (r *Request) HeadLen() int { return HeaderLen + int(r.nExtras) + len(r.Key) }
 
 // Put writes the request's frame, with the given opaque, into b (at least
 // Len bytes).
 func (r *Request) Put(b []byte, opaque uint32) {
+	copy(b[r.PutHead(b, opaque):], r.Value)
+}
+
+// PutHead writes the frame's head, with the given opaque, into b (at
+// least HeadLen bytes) and returns its length; the value follows it on
+// the wire.
+func (r *Request) PutHead(b []byte, opaque uint32) int {
 	WriteHeader(b, Header{
 		Magic: MagicRequest, Opcode: r.Opcode,
 		KeyLen: uint16(len(r.Key)), ExtrasLen: r.nExtras,
 		BodyLen: uint32(r.Len() - HeaderLen), Opaque: opaque, CAS: r.CAS,
 	})
 	n := HeaderLen + copy(b[HeaderLen:], r.extras[:r.nExtras])
-	n += copy(b[n:], r.Key)
-	copy(b[n:], r.Value)
+	return n + copy(b[n:], r.Key)
 }
 
 // Build encodes the request into a fresh slice.

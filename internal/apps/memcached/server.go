@@ -41,6 +41,10 @@ type Server struct {
 	// readers (migration, staleness probes) never see flushed entries.
 	flushAt sim.Time
 
+	// entry is the one Entry every store passes to Store.Set and Add,
+	// which keep a copy: a request's entry costs the server nothing.
+	entry Entry
+
 	// stats are the live counters behind the `stats` command (stats.go
 	// renders them under their stock names). Both protocols feed the same
 	// counters, mostly from store and the shared apply* helpers.
@@ -142,9 +146,13 @@ func (s *Server) getForRead(key string, now sim.Time) (*Entry, bool) {
 
 // applyDelete removes a live entry, shared by both protocols; the
 // outcome feeds delete_hits/delete_misses. A dead entry answers
-// NOT_FOUND, exactly as if it had already been reclaimed.
-func (s *Server) applyDelete(key string, now sim.Time) bool {
-	if _, ok := s.getLive(key, now); ok && s.Store.Delete(key) {
+// NOT_FOUND, exactly as if it had already been reclaimed. A stamped
+// delete (the cluster client's, binary only) leaves an entry with a
+// newer stamp in place and still answers as a hit: under last-writer-
+// wins the delete is ordered before that entry's write, wherever it is
+// delivered.
+func (s *Server) applyDelete(key string, stamp uint64, now sim.Time) bool {
+	if cur, ok := s.getLive(key, now); ok && (stamp != 0 && cur.CAS > stamp || s.Store.Delete(key)) {
 		s.stats.deleteHits++
 		return true
 	}
@@ -168,6 +176,19 @@ func (s *Server) maybeApplyFlush(now sim.Time) {
 		}
 		return true
 	})
+}
+
+// set stores e under key through the server's reused entry.
+func (s *Server) set(key string, e Entry) bool {
+	s.entry = e
+	return s.Store.Set(key, &s.entry)
+}
+
+// add stores e under key, unless the key is resident, through the
+// server's reused entry.
+func (s *Server) add(key string, e Entry) bool {
+	s.entry = e
+	return s.Store.Add(key, &s.entry)
 }
 
 // NewServer creates a server over the given store.
@@ -200,7 +221,7 @@ func (s *Server) Serve(rt appnet.Runtime) error {
 // would otherwise have to perform over the network).
 func (s *Server) Prepopulate(keys [][]byte, values [][]byte) {
 	for i := range keys {
-		s.Store.Set(keyView(keys[i]), &Entry{Value: values[i], Flags: 0, CAS: s.nextCAS()})
+		s.set(keyView(keys[i]), Entry{Value: values[i], CAS: s.nextCAS()})
 	}
 }
 
@@ -458,7 +479,7 @@ func (s *Server) handle(c *event.Ctx, hdr Header, body []byte, r *response) {
 		r.add(hdr, StatusOK, nil, nil, 0)
 
 	case OpDelete:
-		if s.applyDelete(key, now) {
+		if s.applyDelete(key, hdr.CAS, now) {
 			r.add(hdr, StatusOK, nil, nil, 0)
 			return
 		}
@@ -541,7 +562,7 @@ func (s *Server) store(mode storeMode, key string, value []byte, flags uint32, e
 		if cas = stamp; cas == 0 {
 			cas = s.nextCAS()
 		}
-		if !s.Store.Add(key, &Entry{Value: append([]byte(nil), value...), Flags: flags, CAS: cas, Expires: expires, StoredAt: now}) {
+		if !s.add(key, Entry{Value: append([]byte(nil), value...), Flags: flags, CAS: cas, Expires: expires, StoredAt: now}) {
 			return StatusKeyExists, 0
 		}
 		s.stats.totalItems++
@@ -571,7 +592,7 @@ func (s *Server) store(mode storeMode, key string, value []byte, flags uint32, e
 		value = append(append(make([]byte, 0, len(head)+len(tail)), head...), tail...)
 		flags, expires = cur.Flags, cur.Expires
 	}
-	if !s.Store.Set(key, &Entry{Value: value, Flags: flags, CAS: cas, Expires: expires, StoredAt: now}) {
+	if !s.set(key, Entry{Value: value, Flags: flags, CAS: cas, Expires: expires, StoredAt: now}) {
 		return StatusOutOfMemory, 0
 	}
 	s.stats.totalItems++
@@ -602,9 +623,8 @@ func (s *Server) applyDelta(key string, delta, initial uint64, exptime uint32, i
 			return 0, 0, StatusKeyNotFound
 		}
 		cas = s.nextCAS()
-		e := &Entry{Value: []byte(strconv.FormatUint(initial, 10)), CAS: cas,
-			Expires: AbsoluteExpiry(int64(exptime), now), StoredAt: now}
-		if !s.Store.Set(key, e) {
+		if !s.set(key, Entry{Value: []byte(strconv.FormatUint(initial, 10)), CAS: cas,
+			Expires: AbsoluteExpiry(int64(exptime), now), StoredAt: now}) {
 			return 0, 0, StatusOutOfMemory
 		}
 		s.stats.totalItems++
@@ -622,9 +642,8 @@ func (s *Server) applyDelta(key string, delta, initial uint64, exptime uint32, i
 		v -= delta
 	}
 	cas = s.mintCAS(cur)
-	e := &Entry{Value: []byte(strconv.FormatUint(v, 10)), Flags: cur.Flags, CAS: cas,
-		Expires: cur.Expires, StoredAt: now}
-	if !s.Store.Set(key, e) {
+	if !s.set(key, Entry{Value: []byte(strconv.FormatUint(v, 10)), Flags: cur.Flags, CAS: cas,
+		Expires: cur.Expires, StoredAt: now}) {
 		return 0, 0, StatusOutOfMemory
 	}
 	if incr {
@@ -653,7 +672,7 @@ func (s *Server) applyTouch(key string, expires sim.Time, now sim.Time) bool {
 		s.stats.touchMisses++
 		return false
 	}
-	s.Store.Set(key, &Entry{Value: cur.Value, Flags: cur.Flags, CAS: cur.CAS,
+	s.set(key, Entry{Value: cur.Value, Flags: cur.Flags, CAS: cur.CAS,
 		Expires: expires, StoredAt: cur.StoredAt})
 	s.stats.touchHits++
 	return true

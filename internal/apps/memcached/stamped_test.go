@@ -37,6 +37,42 @@ func TestStampedSetStoreRule(t *testing.T) {
 	})
 }
 
+// TestStampedDeleteRule: a DELETE carrying a stamp removes an entry
+// whose stamp is not newer, and leaves a newer one in place - the delete
+// is ordered before that entry's write - answering as a hit either way.
+// A plain DELETE removes whatever is there.
+func TestStampedDeleteRule(t *testing.T) {
+	protoHarness(t, func(c *event.Ctx) {
+		srv := NewServer(NewRCUStore(), 1)
+		del := func(key string, stamp uint64, opaque uint32) []byte {
+			return Request{Opcode: OpDelete, Key: []byte(key), CAS: stamp}.Build(opaque)
+		}
+		_, fc := feed(c, srv,
+			BuildSetStamped([]byte("new"), []byte("v"), 0, 1, 120),
+			del("new", 100, 2), // older than the entry: kept
+			BuildSetStamped([]byte("old"), []byte("v"), 0, 3, 100),
+			del("old", 100, 4), // the entry's own stamp: removed
+			del("old", 200, 5), // absent
+			BuildDelete([]byte("new"), 6),
+		)
+		hdrs, _ := parseResponses(t, fc.out)
+		want := []uint16{StatusOK, StatusOK, StatusOK, StatusOK, StatusKeyNotFound, StatusOK}
+		if len(hdrs) != len(want) {
+			t.Fatalf("%d responses, want %d", len(hdrs), len(want))
+		}
+		for i, w := range want {
+			if hdrs[i].Status != w {
+				t.Errorf("response %d: status %#x, want %#x", i, hdrs[i].Status, w)
+			}
+		}
+		for _, key := range []string{"new", "old"} {
+			if _, ok := srv.Store.Get(key); ok {
+				t.Errorf("%q is still stored", key)
+			}
+		}
+	})
+}
+
 // TestStampedSetDoesNotMixWithMinted: a plain SET still mints from the
 // server-local counter, and a stamped SET never advances that counter -
 // the two CAS spaces stay independent.

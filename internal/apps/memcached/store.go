@@ -46,7 +46,15 @@ type Entry struct {
 // own copy; one that replaces an entry keeps the resident key. So a key's
 // bytes are copied once, when the store first takes it, and a lookup, a
 // delete or an overwrite copies none.
+//
+// Set and Add borrow the *Entry too: a store keeps a copy of *e, never e,
+// so the server passes one Entry it reuses for every store. The value's
+// bytes are not copied; the caller hands them over, and nobody writes
+// them once stored.
 type Store interface {
+	// Get returns the stored entry, valid until the store's next
+	// mutation: the bounded store writes an overwrite into the entry it
+	// holds. A caller that keeps an entry past that copies it.
 	Get(key string) (*Entry, bool)
 	// Set stores the entry, reporting whether it was stored: the
 	// unbounded stores always succeed, the bounded store reports false
@@ -92,11 +100,18 @@ func (s *RCUStore) Name() string { return "rcu" }
 // Get implements Store.
 func (s *RCUStore) Get(key string) (*Entry, bool) { return s.t.Get(key) }
 
-// Set implements Store.
-func (s *RCUStore) Set(key string, e *Entry) bool { s.t.Put(key, e); return true }
+// Set implements Store. Readers may hold the entry it replaces, so it
+// stores a new one.
+func (s *RCUStore) Set(key string, e *Entry) bool { s.t.Put(key, clone(e)); return true }
 
 // Add implements Store.
-func (s *RCUStore) Add(key string, e *Entry) bool { return s.t.PutIfAbsent(key, e) }
+func (s *RCUStore) Add(key string, e *Entry) bool { return s.t.PutIfAbsent(key, clone(e)) }
+
+// clone copies a borrowed entry into one a store can keep.
+func clone(e *Entry) *Entry {
+	c := *e
+	return &c
+}
 
 // Delete implements Store.
 func (s *RCUStore) Delete(key string) bool { return s.t.Delete(key) }
@@ -108,12 +123,7 @@ func (s *RCUStore) Len() int { return s.t.Len() }
 // writer lock (one consistent point in time), then fn runs lock-free so
 // it may Set/Delete without deadlocking.
 func (s *RCUStore) Scan(fn func(key string, e *Entry) bool) {
-	snap := snapshotTable(s.t)
-	for _, kv := range snap {
-		if !fn(kv.k, kv.v) {
-			return
-		}
-	}
+	visit(snapshotTable(s.t), fn)
 }
 
 // Keys implements Store.
@@ -126,18 +136,29 @@ func (s *RCUStore) Keys() []string {
 	return keys
 }
 
+// storePair is one snapshot entry. It holds a copy of the entry, so
+// what Scan's fn sees is fixed when Scan starts, whatever fn stores.
 type storePair struct {
 	k string
-	v *Entry
+	v Entry
 }
 
 func snapshotTable(t *rcu.Table[string, *Entry]) []storePair {
 	snap := make([]storePair, 0, t.Len())
 	t.ForEach(func(k string, v *Entry) bool {
-		snap = append(snap, storePair{k: k, v: v})
+		snap = append(snap, storePair{k: k, v: *v})
 		return true
 	})
 	return snap
+}
+
+// visit runs Scan's fn over a snapshot until it returns false.
+func visit(snap []storePair, fn func(key string, e *Entry) bool) {
+	for i := range snap {
+		if !fn(snap[i].k, &snap[i].v) {
+			return
+		}
+	}
 }
 
 // OpCost implements Store: hash plus unsynchronized traversal.
@@ -170,7 +191,7 @@ func (s *LockedStore) Get(key string) (*Entry, bool) {
 func (s *LockedStore) Set(key string, e *Entry) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.m[strings.Clone(key)] = e
+	s.m[strings.Clone(key)] = clone(e)
 	return true
 }
 
@@ -181,7 +202,7 @@ func (s *LockedStore) Add(key string, e *Entry) bool {
 	if _, ok := s.m[key]; ok {
 		return false
 	}
-	s.m[strings.Clone(key)] = e
+	s.m[strings.Clone(key)] = clone(e)
 	return true
 }
 
@@ -205,13 +226,9 @@ func (s *LockedStore) Len() int {
 // visited in key order, with fn unlocked so it may mutate the store.
 func (s *LockedStore) Scan(fn func(key string, e *Entry) bool) {
 	s.mu.Lock()
-	snap := sortedSnapshot(s.m, func(e *Entry) *Entry { return e })
+	snap := sortedSnapshot(s.m, func(e *Entry) Entry { return *e })
 	s.mu.Unlock()
-	for _, kv := range snap {
-		if !fn(kv.k, kv.v) {
-			return
-		}
-	}
+	visit(snap, fn)
 }
 
 // Keys implements Store, in key order.
@@ -224,7 +241,7 @@ func (s *LockedStore) Keys() []string {
 // sortedSnapshot copies a map-backed store's pairs out in key order, so
 // a scan - a flush's deletions, a migration stream's chunks - never
 // depends on Go's randomised map iteration.
-func sortedSnapshot[V any](m map[string]V, entry func(V) *Entry) []storePair {
+func sortedSnapshot[V any](m map[string]V, entry func(V) Entry) []storePair {
 	snap := make([]storePair, 0, len(m))
 	for k, v := range m {
 		snap = append(snap, storePair{k: k, v: entry(v)})

@@ -219,3 +219,58 @@ func TestAddIfAbsent(t *testing.T) {
 		})
 	}
 }
+
+// TestStoresCopyBorrowedEntries: Set and Add borrow the caller's Entry,
+// keeping a copy, so changing it after the call leaves the stored entry
+// as it was; and a Set inside Scan's fn - which the bounded store writes
+// into the entry its LRU item holds - does not change what a later visit
+// of that key sees.
+func TestStoresCopyBorrowedEntries(t *testing.T) {
+	for name, mk := range allStores() {
+		t.Run(name, func(t *testing.T) {
+			s := mk()
+			e := &Entry{Value: []byte("v1"), Flags: 1, CAS: 7}
+			s.Set("set", e)
+			s.Add("add", e)
+			*e = Entry{Value: []byte("v2"), Flags: 2, CAS: 9}
+			for _, k := range []string{"set", "add"} {
+				if got, ok := s.Get(k); !ok || string(got.Value) != "v1" || got.Flags != 1 || got.CAS != 7 {
+					t.Fatalf("%s: the caller's later change reached the stored entry: %+v", k, got)
+				}
+			}
+			// Over a resident key too: the bounded store copies into the
+			// item it already holds.
+			s.Set("set", e)
+			e.CAS = 11
+			if got, _ := s.Get("set"); got.CAS != 9 {
+				t.Fatalf("overwrite kept the caller's entry: CAS %d, want 9", got.CAS)
+			}
+
+			keys := []string{"k0", "k1", "k2", "k3"}
+			for _, k := range keys {
+				s.Set(k, &Entry{Value: []byte("old")})
+			}
+			first := true
+			s.Scan(func(key string, e *Entry) bool {
+				if key[0] != 'k' {
+					return true
+				}
+				if string(e.Value) != "old" {
+					t.Errorf("scan visited %s as %q, want the snapshot's %q", key, e.Value, "old")
+				}
+				if first {
+					first = false
+					for _, k := range keys {
+						s.Set(k, &Entry{Value: []byte("new")})
+					}
+				}
+				return true
+			})
+			for _, k := range keys {
+				if got, _ := s.Get(k); string(got.Value) != "new" {
+					t.Fatalf("%s holds %q after the scan, want %q", k, got.Value, "new")
+				}
+			}
+		})
+	}
+}

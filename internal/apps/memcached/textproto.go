@@ -316,7 +316,7 @@ func (s *Server) execTextLine(c *event.Ctx, ts *textSession, line []byte, r *res
 			ts.noreply = false // unlike incr's and touch's, a malformed delete is answered
 			return respBadLine, false
 		}
-		if s.applyDelete(keyView(toks[1]), now) {
+		if s.applyDelete(keyView(toks[1]), 0, now) {
 			return respDeleted, false
 		}
 		return respNotFound, false

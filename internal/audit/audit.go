@@ -53,9 +53,12 @@ const (
 	MigrationDone    Kind = "migration.done"
 
 	// internal/cluster/client.go: quorum and failover outcomes.
+	// hint.go: a failed copy of an acknowledged Set that a full hint list
+	// could not keep (fields: backend, key).
 	QuorumWriteFail Kind = "client.quorum_fail"
 	ReadRepair      Kind = "client.read_repair"
 	FailoverRead    Kind = "client.failover_read"
+	HintDropped     Kind = "client.hint_dropped"
 
 	// internal/cluster/batch.go: one multi-op read round left a
 	// frontend core for a backend (fields: backend, ops, bytes).

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"ebbrt/internal/apps/memcached"
 	"ebbrt/internal/event"
 	"ebbrt/internal/sim"
 )
@@ -24,28 +25,40 @@ import (
 // invalidation and the re-stamp each a key copy, a closure for the
 // other core's spawned event and the closure it runs. A pooled write
 // record brings both to 13: the test's closure and the replicas' four
-// each. The limit is the measured count plus 4, so one buffer per frame
-// or per copy coming back fails here, not only in the benchmark's
-// cl_write. Under iobufdebug each event's own Ctx is allowed for, and so
-// is every record the free lists build instead of reusing.
+// each; servers whose lookups borrow the request's key bytes, to 10 (the
+// entry, its value copy and the table's node on each replica). Over
+// bounded stores, with a 3,000-byte value, a Set allocated 13
+// too, but for other reasons: each replica's entry and value copy, and
+// the client's three requests, each longer than one payload element, in
+// a fresh buffer behind a fresh descriptor. Stores that copy the entry
+// into their resident LRU item and requests whose value spans pooled
+// elements bring it to 4: the test's closure and the three value copies.
+// The limit is the measured count plus 4, so one buffer per frame or per
+// copy coming back fails here, not only in the benchmark's cl_write.
+// Under iobufdebug each event's own Ctx is allowed for, and so is every
+// record the free lists build instead of reusing.
 //
 // The warm-up runs 300 Sets, 300 ms of virtual time: past the span of
 // the kernel's timing wheel (16.8 ms), whose slots grow as it first
 // turns over, so that growth is not counted as the write's.
 func TestQuorumWriteObjectBudget(t *testing.T) {
+	bounded := func() memcached.Store { return memcached.NewBoundedStore(64<<20, memcached.EvictLRU, nil) }
 	for _, tc := range []struct {
 		name  string
 		hot   HotKeyOptions
+		store func() memcached.Store
+		size  int
 		limit float64
 	}{
-		{"cold", HotKeyOptions{}, 13 + 4},
-		{"hot", HotKeyOptions{Enable: true}, 13 + 4},
+		{"cold", HotKeyOptions{}, nil, 100, 10 + 4},
+		{"hot", HotKeyOptions{Enable: true}, nil, 100, 10 + 4},
+		{"bounded-long", HotKeyOptions{}, bounded, 3000, 4 + 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cl := NewCluster(3, Options{CoresPerBackend: 2, FrontendCores: 2, Replicas: 3, HotKey: tc.hot})
+			cl := NewCluster(3, Options{CoresPerBackend: 2, FrontendCores: 2, Replicas: 3, HotKey: tc.hot, Store: tc.store})
 			front := cl.Sys.Frontend()
 			cli := NewClientWithOptions(cl, front, ClientOptions{})
-			key, value := []byte("budget"), bytes.Repeat([]byte("v"), 100)
+			key, value := []byte("budget"), bytes.Repeat([]byte("v"), tc.size)
 			acked := 0
 			done := func(c *event.Ctx, r Response) {
 				if r.OK() {
@@ -204,7 +217,7 @@ func checkedAllowance(cl *Cluster, cli *Client, op func()) float64 {
 		}
 		for corei := range cli.mgrs {
 			if rep, ok := cli.ref.GetIfPresent(corei); ok {
-				n += 4*rep.reads.Made() + 3*rep.rounds.Made() + 3*rep.batches.Made() + 6*rep.writes.Made()
+				n += 4*rep.reads.Made() + 3*rep.rounds.Made() + 3*rep.batches.Made() + 9*rep.writes.Made()
 			}
 		}
 		return n

@@ -303,6 +303,10 @@ type clientRep struct {
 	rounds  freelist.List[*readRound]
 	batches freelist.List[*multiGet]
 	writes  freelist.List[*writeRecord]
+	// hints are the failed copies of acknowledged Sets this core keeps
+	// (hint.go); kept holds those waiting for their backend to answer.
+	hints freelist.List[*hint]
+	kept  []*hint
 }
 
 func newClientRep(cli *Client, mgr *event.Manager) *clientRep {
@@ -314,6 +318,7 @@ func newClientRep(cli *Client, mgr *event.Manager) *clientRep {
 	r.rounds.New = func() *readRound { return newReadRound(r) }
 	r.batches.New = func() *multiGet { return &multiGet{rep: r} }
 	r.writes.New = func() *writeRecord { return newWriteRecord(r) }
+	r.hints.New = func() *hint { return newHint(r) }
 	return r
 }
 
@@ -361,6 +366,7 @@ func (r *clientRep) connFor(c *event.Ctx, backend int) *clientConn {
 	var cc *clientConn
 	if len(pool.conns) < r.cli.opt.poolSize {
 		cc = dialConn(c, r.cli.node.Runtime, r.cli.cl.Backends[backend].Node.IP(), r.mgr, r.cli.opt.RequestTimeout)
+		cc.rep, cc.backend = r, backend
 		pool.conns = append(pool.conns, cc)
 	} else {
 		cc = pool.conns[pool.next%len(pool.conns)]
@@ -426,7 +432,8 @@ type inflightOp struct {
 // clientConn multiplexes requests over one TCP connection, matching
 // responses to callbacks by opaque. Requests are written into payload
 // elements of the connection's interface (plain ones until it connects),
-// each whole in one, and the connection frees them once it is done.
+// a long value spanning several, and the connection frees them once it
+// is done.
 type clientConn struct {
 	conn       appnet.Conn
 	mgr        *event.Manager
@@ -439,6 +446,11 @@ type clientConn struct {
 	nextOpaque uint32
 	rx         iobuf.Stream
 	onConnect  func(c *event.Ctx)
+	// rep and backend are the core and the backend of a client pool's
+	// connection (nil for the migrator's own): an answer on it replays
+	// the hints rep keeps for backend (hint.go).
+	rep     *clientRep
+	backend int
 }
 
 func (cc *clientConn) send(c *event.Ctx, req *memcached.Request, cb Callback) int {
@@ -446,9 +458,11 @@ func (cc *clientConn) send(c *event.Ctx, req *memcached.Request, cb Callback) in
 	return cc.transmit(c)
 }
 
-// write appends one request frame to the packet being written.
+// write appends one request frame to the packet being written: its head
+// whole, its value spread over payload elements as it fits.
 func (cc *clientConn) write(req *memcached.Request, opaque uint32) {
-	req.Put(cc.tx.Next(req.Len()), opaque)
+	req.PutHead(cc.tx.Next(req.HeadLen()), opaque)
+	cc.tx.Write(req.Value)
 }
 
 // register allocates an opaque for one request, installs its callback
@@ -545,6 +559,9 @@ func (cc *clientConn) onData(c *event.Ctx, payload *iobuf.IOBuf) {
 		}
 		if n == 0 {
 			cc.rx.Keep(data, consumed, hdr.Reserve())
+			if rep := cc.rep; rep != nil && len(rep.kept) > 0 {
+				rep.replayHints(c, cc.backend)
+			}
 			return
 		}
 		consumed += n

@@ -97,6 +97,11 @@ type Cluster struct {
 	writeSketch *cmSketch
 	salted      map[string]*saltState
 	hotWrite    HotWriteStats
+	// deletes counts the Deletes any client has issued, and deleteLog
+	// holds the ring hashes of the last of them: a hint for a Set issued
+	// before a Delete of its key is not replayed (hint.go).
+	deletes   uint64
+	deleteLog [256]uint64
 
 	down            []bool // per backend: evicted from the ring
 	draining        []bool // off the ring but still serving its old share (live decommission)
@@ -118,11 +123,12 @@ type handoffState struct {
 	prev    *Ring
 	pending []MoveRange
 	// deleted records keys quorum-deleted while inside a pending moved
-	// range. The migration stream carries a snapshot taken before those
-	// deletes, so its add-if-absent application would resurrect them at
-	// the destination; the migrator scrubs this set there after the
-	// stream lands, before cutting the range over.
-	deleted map[string]bool
+	// range, with each delete's stamp. The migration stream carries a
+	// snapshot taken before those deletes, so its add-if-absent
+	// application would resurrect them at the destination; the migrator
+	// scrubs this set there, with the same stamps, after the stream
+	// lands, before cutting the range over.
+	deleted map[string]uint64
 }
 
 func (ho *handoffState) covers(h uint64) bool {
@@ -461,20 +467,39 @@ func (cl *Cluster) beginHandoff(prev *Ring, plan []MoveRange) {
 	cl.handoff = &handoffState{
 		prev:    prev,
 		pending: append([]MoveRange(nil), plan...),
-		deleted: map[string]bool{},
+		deleted: map[string]uint64{},
 	}
 	for _, fn := range cl.handoffWatchers {
 		fn(cl.handoff.pending)
 	}
 }
 
-// noteDelete records a delete issued during the handoff window for a
-// key still inside a pending moved range, so the migrator can scrub a
-// resurrected pre-delete snapshot copy at the destination.
-func (cl *Cluster) noteDelete(key []byte) {
-	if ho := cl.handoff; ho != nil && ho.covers(ringHash(key)) {
-		ho.deleted[string(key)] = true
+// noteDelete counts a delete and records one issued during the handoff
+// window for a key still inside a pending moved range, with its stamp,
+// so the migrator can scrub a resurrected pre-delete snapshot copy at
+// the destination.
+func (cl *Cluster) noteDelete(key []byte, stamp uint64) {
+	h := ringHash(key)
+	cl.deleteLog[cl.deletes%uint64(len(cl.deleteLog))] = h
+	cl.deletes++
+	if ho := cl.handoff; ho != nil && ho.covers(h) {
+		ho.deleted[string(key)] = stamp
 	}
+}
+
+// deletedSince reports whether a Delete of the key with ring hash h may
+// have been issued after the cluster's first n: yes if the log holds one,
+// or if it no longer reaches back that far.
+func (cl *Cluster) deletedSince(n, h uint64) bool {
+	if cl.deletes-n > uint64(len(cl.deleteLog)) {
+		return true
+	}
+	for ; n < cl.deletes; n++ {
+		if cl.deleteLog[n%uint64(len(cl.deleteLog))] == h {
+			return true
+		}
+	}
+	return false
 }
 
 // noteSet clears a recorded delete: the key was re-created, and

@@ -556,7 +556,9 @@ func (m *Migrator) scrub(c *event.Ctx, run *migrationRun, j, moved int, tombs []
 	dest := m.cl.Backends[run.jobs[j].dest].Node
 	reqs := make([]memcached.Request, len(tombs))
 	for i, key := range tombs {
-		reqs[i] = memcached.Request{Opcode: memcached.OpDelete, Key: key}
+		// The delete's own stamp: a write issued after it, which may
+		// already be at the destination, is spared.
+		reqs[i] = memcached.Request{Opcode: memcached.OpDelete, Key: key, CAS: m.cl.handoff.deleted[string(key)]}
 	}
 	fencedRound(c, m.node.Runtime, dest.IP(), reqs, func(c *event.Ctx) {
 		if m.cur != run || run.done[j] {

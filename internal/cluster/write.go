@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"math/bits"
+
 	"ebbrt/internal/apps/memcached"
 	"ebbrt/internal/audit"
 	"ebbrt/internal/event"
@@ -41,6 +43,7 @@ func (cli *Client) SetWithExpiry(c *event.Ctx, key, value []byte, flags uint32, 
 	rec := cli.rep(c).newWrite(key, skey, spread)
 	rec.cb, rec.salt = cb, salt
 	rec.stamp, rec.flags, rec.expires = stamp, flags, expires
+	rec.deletes = cli.cl.deletes
 	if cli.opt.HotKey.Enable {
 		// Coherence, write path: drop every core's cached copy now (a
 		// read racing the write must not see the old value from this
@@ -50,16 +53,19 @@ func (cli *Client) SetWithExpiry(c *event.Ctx, key, value []byte, flags uint32, 
 		// exists to provide.
 		rec.fanOut(c, false)
 		rec.restamps, rec.gen = true, cli.tombGen
-		rec.value = append(rec.value[:0], value...)
 	}
+	rec.value = append(rec.value[:0], value...)
 	rec.submit(c, memcached.SetAbsExpiryRequest(rec.key, value, flags, stamp, int64(expires)))
 }
 
 // Delete removes key from every replica, acking on quorum. A replica
 // that never held the key counts as acknowledged - absence is the state
-// the operation establishes. A delete landing inside a still-migrating
-// range is additionally recorded so the migrator scrubs any copy the
-// in-flight stream's pre-delete snapshot resurrects at the destination.
+// the operation establishes. The Delete carries a stamp, minted like a
+// Set's: a replica keeps an entry with a newer stamp, so a Delete that
+// lands after a Set issued later does not erase it. A delete landing
+// inside a still-migrating range is additionally recorded so the
+// migrator scrubs any copy the in-flight stream's pre-delete snapshot
+// resurrects at the destination.
 //
 // With the hot-key cache on, a Delete also bumps the client's tombstone
 // generation, standing down in-flight fills and re-stamps on every core
@@ -67,6 +73,7 @@ func (cli *Client) SetWithExpiry(c *event.Ctx, key, value []byte, flags uint32, 
 // need the generation because a re-stamp always carries a newer CAS
 // than any racing stale fill).
 func (cli *Client) Delete(c *event.Ctx, key []byte, cb Callback) {
+	stamp := cli.cl.nextStamp()
 	rep := cli.rep(c)
 	rec := rep.newWrite(key, key, false)
 	rec.del = true
@@ -76,9 +83,9 @@ func (cli *Client) Delete(c *event.Ctx, key []byte, cb Callback) {
 	}
 	salts := cli.cl.saltsOf(key)
 	if salts <= 1 {
-		cli.cl.noteDelete(key)
+		cli.cl.noteDelete(key, stamp)
 		rec.cb = cb
-		rec.submit(c, memcached.Request{Opcode: memcached.OpDelete, Key: rec.key})
+		rec.submit(c, memcached.Request{Opcode: memcached.OpDelete, Key: rec.key, CAS: stamp})
 		return
 	}
 	// A write-spread key lives under every salt: absence must be
@@ -95,9 +102,9 @@ func (cli *Client) Delete(c *event.Ctx, key []byte, cb Callback) {
 			rec = rep.newWrite(sk, sk, false)
 			rec.del = true
 		}
-		cli.cl.noteDelete(rec.key)
+		cli.cl.noteDelete(rec.key, stamp)
 		rec.cb = fold.add
-		rec.submit(c, memcached.Request{Opcode: memcached.OpDelete, Key: rec.key})
+		rec.submit(c, memcached.Request{Opcode: memcached.OpDelete, Key: rec.key, CAS: stamp})
 	}
 }
 
@@ -197,6 +204,10 @@ func (q *quorumFold) add(r Response, acked bool) (verdict Response, ok bool) {
 // order. Targets outside the quorum (a handoff's old owners) are sent
 // the write with no callback.
 //
+// A quorum member whose copy fails in the network leaves a hint
+// (hint.go) once the Set is acknowledged: lost marks those members until
+// then.
+//
 // The record goes home when nothing can touch it any more: refs counts
 // the submit, each quorum member's ack still to come and each fan-out
 // event spawned onto another core. Acks keep arriving after the verdict
@@ -206,11 +217,11 @@ func (q *quorumFold) add(r Response, acked bool) (verdict Response, ok bool) {
 type writeRecord struct {
 	freelist.Node
 	rep *clientRep
-	// ack is the callback each quorum member's request carries;
+	// acks[i] is the callback quorum member i's request carries;
 	// invalidate and restamp are the handlers the hot-key fan-out spawns
-	// onto the client's other cores. All three are bound once, when the
-	// record is made.
-	ack        Callback
+	// onto the client's other cores. Each is bound once, when the record
+	// is made or first has that many members.
+	acks       []Callback
 	invalidate event.Handler
 	restamp    event.Handler
 	refs       int
@@ -225,20 +236,24 @@ type writeRecord struct {
 	uhash   uint64
 	// targets is the write plan (in owners unless a large R spills it);
 	// its first quorum members decide the verdict, through fold.
-	targets []int
-	owners  [8]int
-	fold    quorumFold
-	del     bool // a Delete: a replica's "not found" acknowledges
+	targets  []int
+	owners   [8]int
+	fold     quorumFold
+	del      bool   // a Delete: a replica's "not found" acknowledges
+	setAcked bool   // a Set whose quorum acknowledged it
+	lost     uint64 // bit i: quorum member i's copy failed, no hint kept yet
 	// A Set's stamp, flags and deadline; salt is its shard when spread.
+	// deletes is the cluster's delete count when the Set was issued.
 	stamp   uint64
+	deletes uint64
 	flags   uint32
 	expires sim.Time
 	spread  bool
 	salt    int
 	// restamps re-admits the acknowledged value into the hot-key caches,
-	// unless the client issued a delete after gen. value is the written
+	// unless the client issued a delete after gen. value is a Set's
 	// value, copied into the record's reusable buffer; each core's cache
-	// copies it into its entry's own.
+	// and each hint copies it into its own.
 	restamps bool
 	gen      uint64
 	value    []byte
@@ -248,7 +263,6 @@ type writeRecord struct {
 func newWriteRecord(rep *clientRep) *writeRecord {
 	rec := &writeRecord{rep: rep}
 	rec.targets = rec.owners[:0]
-	rec.ack = rec.onAck
 	rec.invalidate = rec.onInvalidate
 	rec.restamp = rec.onRestamp
 	return rec
@@ -279,24 +293,37 @@ func (rec *writeRecord) submit(c *event.Ctx, req memcached.Request) {
 	targets, quorum := rec.rep.cli.cl.appendWritePlan(rec.targets[:0], rec.hash)
 	rec.targets, rec.fold = targets, newQuorumFold(quorum)
 	rec.refs += quorum
+	for i := len(rec.acks); i < quorum; i++ {
+		rec.acks = append(rec.acks, func(c *event.Ctx, r Response) { rec.onAck(c, i, r) })
+	}
 	for i, backend := range rec.targets {
 		var done Callback
 		if i < quorum {
-			done = rec.ack
+			done = rec.acks[i]
 		}
 		rec.rep.submit(c, backend, req, done)
 	}
 	rec.release()
 }
 
-// onAck folds one quorum member's answer and, at the verdict, runs what
-// the write owes: the audit of a failed quorum, the re-stamp of the
-// hot-key caches when the fold is the write's own stamp, the salt note,
-// and the caller.
-func (rec *writeRecord) onAck(c *event.Ctx, r Response) {
+// onAck folds quorum member i's answer, keeps a hint for each member an
+// acknowledged Set missed, and at the verdict runs what the write owes:
+// the audit of a failed quorum, the re-stamp of the hot-key caches when
+// the fold is the write's own stamp, the salt note, and the caller.
+func (rec *writeRecord) onAck(c *event.Ctx, i int, r Response) {
 	rec.Live()
 	acked := r.OK() || rec.del && r.Status == memcached.StatusKeyNotFound
-	if v, ok := rec.fold.add(r, acked); ok {
+	if r.NetworkError() && !rec.del && i < 64 {
+		rec.lost |= 1 << i
+	}
+	v, verdict := rec.fold.add(r, acked)
+	rec.setAcked = rec.setAcked || verdict && v.OK() && !rec.del
+	if rec.setAcked {
+		for ; rec.lost != 0; rec.lost &= rec.lost - 1 {
+			rec.rep.keepHint(c, rec.targets[bits.TrailingZeros64(rec.lost)], rec)
+		}
+	}
+	if verdict {
 		cli := rec.rep.cli
 		if a := cli.cl.Audit; a != nil && v.NetworkError() {
 			a.Emit(c.Now(), int(cli.node.Id), audit.QuorumWriteFail, audit.Fields{
@@ -398,7 +425,9 @@ func (rec *writeRecord) release() {
 	}
 	rec.key, rec.user, rec.userBuf = rec.key[:0], nil, rec.userBuf[:0]
 	rec.targets, rec.fold, rec.del = rec.targets[:0], quorumFold{}, false
+	rec.setAcked, rec.lost = false, 0
 	rec.stamp, rec.flags, rec.expires, rec.spread, rec.salt = 0, 0, 0, false, 0
+	rec.deletes = 0
 	rec.restamps, rec.gen, rec.value = false, 0, rec.value[:0]
 	rec.cb = nil
 	rec.rep.writes.Put(rec)

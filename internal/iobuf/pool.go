@@ -128,9 +128,10 @@ func (p *Pool) Copy(src *IOBuf) *IOBuf {
 }
 
 // Frames builds a message out of records written into elements from
-// Pool, each record whole in one element: how an application writes what
-// it sends into recycled memory. A record above the pool's class gets a
-// plain element of its own, as does every record from a nil Pool.
+// Pool: how an application writes what it sends into recycled memory. A
+// record's head, from Next, stays whole in one element; a long value
+// after it, from Write, may span elements. A head above the pool's class
+// gets a plain element of its own, as does everything from a nil Pool.
 type Frames struct {
 	Pool  *Pool
 	chain *IOBuf // nil until the message's first record
@@ -145,6 +146,23 @@ func (f *Frames) Next(n int) []byte {
 		f.chain.AppendChain(f.Pool.Get(n))
 	}
 	return f.chain.prev.Append(n)
+}
+
+// Write copies p to the end of the message: into the last element's
+// tailroom, then into fresh elements from Pool, each filled to the
+// pool's class.
+func (f *Frames) Write(p []byte) {
+	for len(p) > 0 {
+		if f.chain == nil || f.chain.prev.Tailroom() == 0 {
+			n := len(p)
+			if f.Pool != nil && f.Pool.class > 0 {
+				n = min(n, f.Pool.class)
+			}
+			f.Link(f.Pool.Get(n))
+		}
+		last := f.chain.prev
+		p = p[copy(last.Append(min(len(p), last.Tailroom())), p):]
+	}
 }
 
 // Link appends e to the message - a view of lent bytes between records,
