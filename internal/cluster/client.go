@@ -103,15 +103,6 @@ type Client struct {
 	ref  core.Ref[clientRep]
 	opt  ClientOptions
 	mgrs []*event.Manager
-	// tombGen counts this client's Deletes. Hot-key fills and re-stamps
-	// capture it when their operation is issued and stand down if it
-	// moved by completion: a response racing any of this client's
-	// Deletes - from any core - must not resurrect the deleted value
-	// (absence has no CAS for the cache's monotonic put guard to
-	// compare against). One client-wide counter rather than per-core
-	// state: a Delete on core B must also stand down a re-stamp another
-	// core's ack is about to spawn onto B.
-	tombGen uint64
 }
 
 // NewClient installs a client Ebb for the cluster on the given node

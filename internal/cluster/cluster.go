@@ -98,8 +98,9 @@ type Cluster struct {
 	salted      map[string]*saltState
 	hotWrite    HotWriteStats
 	// deletes counts the Deletes any client has issued, and deleteLog
-	// holds the ring hashes of the last of them: a hint for a Set issued
-	// before a Delete of its key is not replayed (hint.go).
+	// holds the ring hashes of the last of them: the one record of
+	// deletes (deletedSince). A hint replay (hint.go), a hot-key fill or
+	// a re-stamp issued before a Delete of its key stands down.
 	deletes   uint64
 	deleteLog [256]uint64
 
@@ -127,7 +128,8 @@ type handoffState struct {
 	// snapshot taken before those deletes, so its add-if-absent
 	// application would resurrect them at the destination; the migrator
 	// scrubs this set there, with the same stamps, after the stream
-	// lands, before cutting the range over.
+	// lands, before cutting the range over. A value written after a
+	// delete carries a newer stamp, so the scrub spares it.
 	deleted map[string]uint64
 }
 
@@ -502,18 +504,10 @@ func (cl *Cluster) deletedSince(n, h uint64) bool {
 	return false
 }
 
-// noteSet clears a recorded delete: the key was re-created, and
-// scrubbing it now would undo the newer write.
-func (cl *Cluster) noteSet(key []byte) {
-	if ho := cl.handoff; ho != nil && len(ho.deleted) > 0 {
-		delete(ho.deleted, string(key))
-	}
-}
-
 // peekDeleted returns the recorded deletes falling inside the given
-// ranges, without consuming them - the scrub clears them only once it
-// has verifiably applied at the destination. Sorted, because the
-// scrub sends them in this order.
+// ranges, sorted, because the scrub sends them in this order. They stay
+// recorded until the handoff closes: a scrub that fails is sent again
+// whole.
 func (cl *Cluster) peekDeleted(ranges []MoveRange) [][]byte {
 	ho := cl.handoff
 	if ho == nil || len(ho.deleted) == 0 {
@@ -530,15 +524,6 @@ func (cl *Cluster) peekDeleted(ranges []MoveRange) [][]byte {
 		}
 	}
 	return out
-}
-
-// clearDeleted drops recorded deletes that have been scrubbed.
-func (cl *Cluster) clearDeleted(keys [][]byte) {
-	if ho := cl.handoff; ho != nil {
-		for _, k := range keys {
-			delete(ho.deleted, string(k))
-		}
-	}
 }
 
 // completeRange cuts one moved range over: keys inside it now route

@@ -23,9 +23,10 @@ import (
 // (the stamped-store rule), and so is a Delete older than it (deletes
 // are stamped too). A Delete newer than the replayed Set would be undone
 // by it, since a replica keeps no tombstone: so a hint for a Set issued
-// before a Delete of its key, by any client, is dropped unsent
-// (Cluster.deletedSince). A Delete leaves no hint. Fault-free writes
-// make no hint.
+// before a Delete of its key, by any client, is dropped unsent. The
+// cluster's delete log answers that (Cluster.deletedSince), as it does
+// for the hot-key cache's fills and re-stamps. A Delete leaves no hint.
+// Fault-free writes make no hint.
 
 // maxHints bounds the hints one core keeps, in flight included. A hint
 // that would pass it is dropped, with an audit event: the range re-sync

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"ebbrt/internal/apps/memcached"
 	"ebbrt/internal/event"
 	"ebbrt/internal/sim"
 )
@@ -257,9 +258,9 @@ const time10s = 10 * sim.Second
 
 // TestHotKeyDeleteNotResurrectedByRacingFill: a GET whose response is
 // still in flight when the same core deletes the key must not fill the
-// cache with the pre-delete value - the delete tombstone generation
-// stands the fill down, so read-your-own-delete holds even though a
-// deleted key has no CAS for the monotonic put guard to compare.
+// cache with the pre-delete value - the cluster's delete log stands the
+// fill down, so read-your-own-delete holds even though a deleted key
+// has no CAS for the monotonic put guard to compare.
 func TestHotKeyDeleteNotResurrectedByRacingFill(t *testing.T) {
 	cl := NewCluster(1, Options{
 		FrontendCores: 2,
@@ -280,7 +281,7 @@ func TestHotKeyDeleteNotResurrectedByRacingFill(t *testing.T) {
 				return
 			}
 			// GET (fill armed: PromoteMin 1) and DELETE back to back; the
-			// GET's OK response arrives after the tombstone.
+			// GET's OK response arrives after the Delete is logged.
 			cli.Get(c, key, nil)
 			cli.Delete(c, key, func(c *event.Ctx, r Response) {
 				if !r.OK() {
@@ -303,11 +304,54 @@ func TestHotKeyDeleteNotResurrectedByRacingFill(t *testing.T) {
 	}
 }
 
+// TestHotKeyOtherClientDeleteStandsDownFill: the delete log is the
+// cluster's, not a client's, so another client's Delete issued while a
+// cached client's GET is in flight stands that GET's fill down too: the
+// cached client's next read goes to the store and finds the key gone.
+func TestHotKeyOtherClientDeleteStandsDownFill(t *testing.T) {
+	cl, cached := newHotCluster(1, HotKeyOptions{PromoteMin: 1, ttl: time10s, revalidateEvery: -1})
+	front := cl.Sys.Frontend()
+	other := NewClient(cl, front)
+	key := []byte("shared-doomed-key")
+
+	acked := false
+	front.Spawn(func(c *event.Ctx) {
+		cached.Set(c, key, []byte("v"), 0, func(c *event.Ctx, r Response) { acked = r.OK() })
+	})
+	cl.Sys.K.RunFor(50 * sim.Millisecond)
+	if !acked {
+		t.Fatal("set failed")
+	}
+	deleted := false
+	front.Spawn(func(c *event.Ctx) {
+		// The GET goes out first, on the cached client's open
+		// connection, and answers "v"; the Delete is issued before that
+		// answer arrives.
+		cached.Get(c, key, nil)
+		other.Delete(c, key, func(c *event.Ctx, r Response) { deleted = r.OK() })
+	})
+	cl.Sys.K.RunFor(50 * sim.Millisecond)
+	if !deleted {
+		t.Fatal("delete failed")
+	}
+	var final *Response
+	front.Spawn(func(c *event.Ctx) {
+		cached.Get(c, key, func(c *event.Ctx, r Response) { final = keep(r) })
+	})
+	cl.Sys.K.RunFor(50 * sim.Millisecond)
+	if final == nil {
+		t.Fatal("final read never completed")
+	}
+	if final.Status != memcached.StatusKeyNotFound {
+		t.Fatalf("deleted key served status %#x value %q - another client's delete did not stand the fill down", final.Status, final.Value)
+	}
+}
+
 // TestHotKeyCrossCoreDeleteVsRacingRestamp: a Delete issued on one core
 // while another core's Set is still in flight must not be undone by the
 // Set's ack re-stamping the deleted value into the deleter's cache -
-// the tombstone generation is client-wide, so a delete from ANY core
-// stands down every re-stamp sampled before it. The invariant checked
+// the delete log is cluster-wide, so a delete from ANY core stands down
+// the re-stamp of every Set issued before it. The invariant checked
 // is cache-vs-store agreement: whatever order the two writes reached
 // the server in, the deleter core's next read must match the
 // authoritative store, never a cache-resurrected value.

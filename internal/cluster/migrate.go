@@ -547,17 +547,17 @@ func fencedRound(c *event.Ctx, rt appnet.Runtime, ip netstack.Ipv4Addr, reqs []m
 
 // scrub deletes, at a job's destination, keys that were quorum-deleted
 // while the stream was in flight: the stream's snapshot predates those
-// deletes and its add-if-absent application resurrected them. The job
-// cuts over only once the fence confirms the scrub applied. On failure
-// the job's retry timer is still armed: the re-streamed attempt re-acks
-// and scrubs again (tombstones are consumed only on success).
+// deletes and its add-if-absent application resurrected them. Each
+// Delete carries its original's stamp, so a value written after it -
+// by a client re-creating the key, and possibly already at the
+// destination - is spared. The job cuts over only once the fence
+// confirms the scrub applied. On failure the job's retry timer is still
+// armed: the re-streamed attempt re-acks and scrubs again.
 func (m *Migrator) scrub(c *event.Ctx, run *migrationRun, j, moved int, tombs [][]byte) {
 	run.scrubbing[j] = true
 	dest := m.cl.Backends[run.jobs[j].dest].Node
 	reqs := make([]memcached.Request, len(tombs))
 	for i, key := range tombs {
-		// The delete's own stamp: a write issued after it, which may
-		// already be at the destination, is spared.
 		reqs[i] = memcached.Request{Opcode: memcached.OpDelete, Key: key, CAS: m.cl.handoff.deleted[string(key)]}
 	}
 	fencedRound(c, m.node.Runtime, dest.IP(), reqs, func(c *event.Ctx) {
@@ -565,28 +565,6 @@ func (m *Migrator) scrub(c *event.Ctx, run *migrationRun, j, moved int, tombs []
 			return
 		}
 		run.scrubbing[j] = false
-		// A key re-created (noteSet cleared its tombstone) after this
-		// scrub captured its set may have had the new value deleted by
-		// the in-flight scrub. Re-stream the job: the sources hold the
-		// re-created value (union delivery) and add-if-absent restores
-		// it at the destination; tombstones still standing are consumed.
-		var still, vanished [][]byte
-		remaining := map[string]bool{}
-		for _, k := range m.cl.peekDeleted(run.jobs[j].ranges) {
-			remaining[string(k)] = true
-		}
-		for _, k := range tombs {
-			if remaining[string(k)] {
-				still = append(still, k)
-			} else {
-				vanished = append(vanished, k)
-			}
-		}
-		m.cl.clearDeleted(still)
-		if len(vanished) > 0 {
-			m.launch(j)
-			return
-		}
 		m.completeJob(j, moved, false)
 	}, func(c *event.Ctx) {
 		run.scrubbing[j] = false // let a retried stream's ack re-scrub

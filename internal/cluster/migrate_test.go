@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"ebbrt/internal/audit"
@@ -503,5 +504,47 @@ func TestLiveDecommissionDrains(t *testing.T) {
 		if n := cl.LiveHolders(key); n != 1 {
 			t.Fatalf("key %q has %d live replicas after drain, want 1", key, n)
 		}
+	}
+}
+
+// TestAbortedLiveDrainRestoresBackend: a live decommission whose
+// destination leaves the ring mid-stream aborts, and the aborted drain
+// hands the victim back: live, on the ring, not decommissioned, not
+// draining, and every key still reads.
+func TestAbortedLiveDrainRestoresBackend(t *testing.T) {
+	cl := NewCluster(4, Options{Replicas: 2})
+	front := cl.Sys.Frontend()
+	cli := NewClientWithOptions(cl, front, ClientOptions{RequestTimeout: 8 * sim.Millisecond})
+	// Slow the stream so the eviction lands while it is in flight.
+	m := NewMigrator(cl, front)
+	m.perEntryCPU, m.jobTimeout = 30*sim.Microsecond, 15*sim.Millisecond
+	k := cl.Sys.K
+
+	const nKeys = 600
+	keys := make([][]byte, nKeys)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("abort-key-%d-%d", i, i*2654435761))
+	}
+	populate(t, cl, cli, keys, func(i int) []byte { return []byte(fmt.Sprintf("av-%d", i)) })
+
+	m.Decommission(0)
+	k.RunFor(300 * sim.Microsecond)
+	if !m.Active() || m.cur.done[0] {
+		t.Fatal("the first job finished before the eviction - stream too fast for the test")
+	}
+	cl.EvictBackend(m.cur.jobs[0].dest)
+	if m.Active() {
+		t.Fatal("evicting a job's destination left the migration running")
+	}
+	if mig := m.Last(); !mig.Aborted || mig.Kind != "decommission" {
+		t.Fatalf("migration %+v not an aborted decommission", mig)
+	}
+	if !cl.Live(0) || cl.Decommissioned(0) || cl.draining[0] || !slices.Contains(cl.Ring.Members(), 0) {
+		t.Fatalf("aborted drain left backend 0 live=%v decommissioned=%v draining=%v members=%v",
+			cl.Live(0), cl.Decommissioned(0), cl.draining[0], cl.Ring.Members())
+	}
+	ok, miss, netErr := readAll(cl, cli, keys)
+	if ok != nKeys || miss != 0 || netErr != 0 {
+		t.Fatalf("after the aborted drain: %d ok, %d misses, %d net errors", ok, miss, netErr)
 	}
 }

@@ -135,9 +135,10 @@ type readRecord struct {
 	at     int
 	missed []int
 	// fill admits an OK answer into the hot-key cache, unless a handoff
-	// opened over the key or the client issued a delete after gen.
-	fill bool
-	gen  uint64
+	// opened over the key or the delete log holds a Delete of it issued
+	// after the read: deletes is the cluster's delete count at issue.
+	fill    bool
+	deletes uint64
 	// reval marks a sampled revalidation of a cached key: its answer
 	// goes to the cache entry (revalidate), not to a caller.
 	reval bool
@@ -192,9 +193,9 @@ func (cli *Client) getOne(c *event.Ctx, rec *readRecord) {
 		hk.stats.Misses++
 		if hk.sketch.touch(rec.hash) >= hk.opt.PromoteMin {
 			// The key is hot: admit the response when it arrives, unless a
-			// handoff opened over its range - or this client issued a
-			// delete tombstone (read-your-own-delete) - in the meantime.
-			rec.fill, rec.gen = true, cli.tombGen
+			// handoff opened over its range or some client deleted it in
+			// the meantime.
+			rec.fill, rec.deletes = true, cli.cl.deletes
 		}
 	}
 	cli.fetch(c, rec)
@@ -292,7 +293,7 @@ func (rec *readRecord) finish(c *event.Ctx, r Response) {
 	switch {
 	case rec.reval:
 		rec.revalidate(c, r)
-	case rec.fill && r.OK() && !cli.handoffCovers(rec.key, rec.hash) && cli.tombGen == rec.gen:
+	case rec.fill && r.OK() && !cli.handoffCovers(rec.key, rec.hash) && !cli.cl.deletedSince(rec.deletes, rec.hash):
 		rep.hot.cache.put(rec.key, rec.hash, r.Value, r.Flags, r.CAS, r.ExpiresAt, c.Now())
 		if a := cli.cl.Audit; a != nil {
 			a.Emit(c.Now(), int(cli.node.Id), audit.HotKeyPromoted, audit.Fields{
@@ -302,7 +303,7 @@ func (rec *readRecord) finish(c *event.Ctx, r Response) {
 	}
 	cb, b, slot := rec.cb, rec.batch, rec.slot
 	rec.set, rec.at, rec.missed = rec.set[:0], 0, rec.missed[:0]
-	rec.fill, rec.gen, rec.reval = false, 0, false
+	rec.fill, rec.deletes, rec.reval = false, 0, false
 	rec.cb, rec.batch, rec.slot = nil, nil, 0
 	rep.reads.Put(rec)
 	switch {

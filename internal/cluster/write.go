@@ -39,7 +39,6 @@ func (cli *Client) SetWithExpiry(c *event.Ctx, key, value []byte, flags uint32, 
 	// version, so reads target that one shard.
 	stamp := cli.cl.nextStamp()
 	skey, salt, spread := cli.cl.writeSaltFor(key)
-	cli.cl.noteSet(skey)
 	rec := cli.rep(c).newWrite(key, skey, spread)
 	rec.cb, rec.salt = cb, salt
 	rec.stamp, rec.flags, rec.expires = stamp, flags, expires
@@ -52,7 +51,7 @@ func (cli *Client) SetWithExpiry(c *event.Ctx, key, value []byte, flags uint32, 
 		// Zipf write traffic per core, capping the hit rate the cache
 		// exists to provide.
 		rec.fanOut(c, false)
-		rec.restamps, rec.gen = true, cli.tombGen
+		rec.restamps = true
 	}
 	rec.value = append(rec.value[:0], value...)
 	rec.submit(c, memcached.SetAbsExpiryRequest(rec.key, value, flags, stamp, int64(expires)))
@@ -62,23 +61,20 @@ func (cli *Client) SetWithExpiry(c *event.Ctx, key, value []byte, flags uint32, 
 // that never held the key counts as acknowledged - absence is the state
 // the operation establishes. The Delete carries a stamp, minted like a
 // Set's: a replica keeps an entry with a newer stamp, so a Delete that
-// lands after a Set issued later does not erase it. A delete landing
-// inside a still-migrating range is additionally recorded so the
-// migrator scrubs any copy the in-flight stream's pre-delete snapshot
-// resurrects at the destination.
+// lands after a Set issued later does not erase it.
 //
-// With the hot-key cache on, a Delete also bumps the client's tombstone
-// generation, standing down in-flight fills and re-stamps on every core
-// that would otherwise resurrect the deleted value (overwrites don't
-// need the generation because a re-stamp always carries a newer CAS
-// than any racing stale fill).
+// Every Delete goes into the cluster's delete log (Cluster.deletedSince),
+// the one record of deletes: a hint replay, a hot-key fill or a
+// re-stamp issued before it stands down rather than bring the value
+// back, whichever client issued it. One landing inside a
+// still-migrating range is also kept, with its stamp, for the migrator
+// to scrub at the destination.
 func (cli *Client) Delete(c *event.Ctx, key []byte, cb Callback) {
 	stamp := cli.cl.nextStamp()
 	rep := cli.rep(c)
 	rec := rep.newWrite(key, key, false)
 	rec.del = true
 	if cli.opt.HotKey.Enable {
-		cli.tombGen++
 		rec.fanOut(c, false)
 	}
 	salts := cli.cl.saltsOf(key)
@@ -251,11 +247,10 @@ type writeRecord struct {
 	spread  bool
 	salt    int
 	// restamps re-admits the acknowledged value into the hot-key caches,
-	// unless the client issued a delete after gen. value is a Set's
-	// value, copied into the record's reusable buffer; each core's cache
-	// and each hint copies it into its own.
+	// unless the key was deleted after the Set was issued. value is a
+	// Set's value, copied into the record's reusable buffer; each core's
+	// cache and each hint copies it into its own.
 	restamps bool
-	gen      uint64
 	value    []byte
 	cb       Callback
 }
@@ -386,10 +381,8 @@ func (rec *writeRecord) onRestamp(c *event.Ctx) {
 // admits the acknowledged value, stamped with the CAS the write
 // carried, but only where the core's own sketch has promoted the key - a
 // write to a cold key must not displace hot entries - and it stands down
-// if the key's range went mid-migration or the client issued a delete
-// tombstone after the write: gen is sampled at submit, so a Delete from
-// ANY core during the write's flight suppresses resurrection
-// everywhere.
+// if the key's range went mid-migration or the delete log holds a Delete
+// of the key issued after the Set, by any client on any core.
 func (rec *writeRecord) hotKey(c *event.Ctx, restamp bool) {
 	cli := rec.rep.cli
 	rep, ok := cli.ref.GetIfPresent(c.Core().ID)
@@ -408,7 +401,7 @@ func (rec *writeRecord) hotKey(c *event.Ctx, restamp bool) {
 		}
 		return
 	}
-	if cli.tombGen != rec.gen || cli.handoffCovers(rec.user, rec.uhash) {
+	if cli.cl.deletedSince(rec.deletes, rec.uhash) || cli.handoffCovers(rec.user, rec.uhash) {
 		return
 	}
 	if hk.sketch.estimate(rec.uhash) < hk.opt.PromoteMin {
@@ -427,8 +420,7 @@ func (rec *writeRecord) release() {
 	rec.targets, rec.fold, rec.del = rec.targets[:0], quorumFold{}, false
 	rec.setAcked, rec.lost = false, 0
 	rec.stamp, rec.flags, rec.expires, rec.spread, rec.salt = 0, 0, 0, false, 0
-	rec.deletes = 0
-	rec.restamps, rec.gen, rec.value = false, 0, rec.value[:0]
+	rec.deletes, rec.restamps, rec.value = 0, false, rec.value[:0]
 	rec.cb = nil
 	rec.rep.writes.Put(rec)
 }

@@ -27,8 +27,11 @@ func TestSpecs(t *testing.T) {
 		t.Run(s.Name, func(t *testing.T) {
 			// Every Spec boots its own kernel and shares nothing, and a
 			// kernel runs one handler at a time, so this is what uses a
-			// second CPU.
-			t.Parallel()
+			// second CPU. table1 alone times the host's clock: it runs
+			// before the others start, with no Spec beside it.
+			if s.Name != "table1" {
+				t.Parallel()
+			}
 			rep := s.Run(Smoke, nil)
 			smokeRuns.store(s.Name, rep)
 			t.Log("\n" + rep.Text)
