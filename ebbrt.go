@@ -139,19 +139,3 @@ func NewPromise[T any]() Promise[T] { return future.NewPromise[T]() }
 func ThenOK[T, U any](f Future[T], fn func(T) (U, error)) Future[U] {
 	return future.ThenOK(f, fn)
 }
-
-// IOBufFromBytes copies data into a fresh buffer.
-func IOBufFromBytes(data []byte) *IOBuf { return iobuf.FromBytes(data) }
-
-// IP constructs an IPv4 address from octets.
-func IP(a, b, c, d byte) Ipv4Addr { return netstack.IP(a, b, c, d) }
-
-// NewRCUTable creates an RCU hash table. The table copies a string key
-// when it inserts it, and keeps the resident key when it replaces one,
-// so a key may borrow bytes the caller reuses after the call.
-func NewRCUTable[K comparable, V any](hash func(K) uint64, hint int) *RCUTable[K, V] {
-	return rcu.NewTable[K, V](hash, hint)
-}
-
-// StringHash hashes string keys for RCU tables.
-func StringHash(s string) uint64 { return rcu.StringHash(s) }

@@ -59,19 +59,13 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 
 func TestPublicTestbed(t *testing.T) {
 	pair := ebbrt.NewTestbed(ebbrt.KindEbbRT, 1, 2)
-	if pair.Server.Name() != "EbbRT" {
-		t.Fatalf("server runtime %q", pair.Server.Name())
+	if got := len(pair.Server.Mgrs()); got != 1 {
+		t.Fatalf("server cores %d, want 1", got)
 	}
-	buf := ebbrt.IOBufFromBytes([]byte("hello"))
-	if buf.ComputeChainDataLength() != 5 {
-		t.Fatal("iobuf facade broken")
+	if got := len(pair.Client.Mgrs()); got != 2 {
+		t.Fatalf("client cores %d, want 2", got)
 	}
-	tbl := ebbrt.NewRCUTable[string, int](ebbrt.StringHash, 8)
-	tbl.Put("k", 1)
-	if v, ok := tbl.Get("k"); !ok || v != 1 {
-		t.Fatal("rcu table facade broken")
-	}
-	if ebbrt.IP(10, 0, 0, 2).String() != "10.0.0.2" {
-		t.Fatal("ip facade broken")
+	if pair.Server.Kernel() != pair.Client.Kernel() {
+		t.Fatal("testbed machines on different kernels")
 	}
 }

@@ -75,8 +75,6 @@ type Runtime interface {
 	Mgrs() []*event.Manager
 	// Kernel exposes the simulation kernel.
 	Kernel() *sim.Kernel
-	// Name identifies the runtime in experiment output.
-	Name() string
 }
 
 // Native is the EbbRT-native runtime: the application sits directly on the
@@ -84,21 +82,11 @@ type Runtime interface {
 type Native struct {
 	Stack *netstack.Stack
 	Itf   *netstack.Interface
-	// RuntimeName overrides the default "EbbRT" label.
-	RuntimeName string
 }
 
 // NewNative wraps a configured stack interface.
 func NewNative(st *netstack.Stack, itf *netstack.Interface) *Native {
 	return &Native{Stack: st, Itf: itf}
-}
-
-// Name implements Runtime.
-func (n *Native) Name() string {
-	if n.RuntimeName != "" {
-		return n.RuntimeName
-	}
-	return "EbbRT"
 }
 
 // Mgrs implements Runtime.

@@ -6,6 +6,7 @@ import (
 
 	"ebbrt/internal/apps/appnet"
 	"ebbrt/internal/event"
+	"ebbrt/internal/gpos"
 	"ebbrt/internal/iobuf"
 	"ebbrt/internal/machine"
 	"ebbrt/internal/sim"
@@ -131,18 +132,32 @@ func TestDialRefusedReportsClose(t *testing.T) {
 	}
 }
 
-func TestRuntimeNames(t *testing.T) {
+// TestRuntimeKinds: each kind of server runs the runtime it names, the
+// native one for EbbRT and the general-purpose one, under its own
+// profile, for Linux and OSv; the client is always native.
+func TestRuntimeKinds(t *testing.T) {
 	for _, tc := range []struct {
 		kind testbed.ServerKind
-		want string
+		cfg  gpos.Config // the server's profile, zero for the native runtime
 	}{
-		{testbed.EbbRT, "EbbRT"},
-		{testbed.LinuxVM, "Linux"},
-		{testbed.OSv, "OSv"},
+		{testbed.EbbRT, gpos.Config{}},
+		{testbed.LinuxVM, gpos.LinuxConfig()},
+		{testbed.OSv, gpos.OSvConfig()},
 	} {
 		pair := testbed.NewPair(tc.kind, 1, 1)
-		if got := pair.Server.Name(); got != tc.want {
-			t.Fatalf("kind %v name %q, want %q", tc.kind, got, tc.want)
+		if _, ok := pair.Client.(*appnet.Native); !ok {
+			t.Fatalf("kind %v: client runtime is %T, want the native one", tc.kind, pair.Client)
+		}
+		var cfg gpos.Config
+		switch rt := pair.Server.(type) {
+		case *appnet.Native:
+		case *gpos.Runtime:
+			cfg = rt.Cfg
+		default:
+			t.Fatalf("kind %v: server runtime is %T", tc.kind, pair.Server)
+		}
+		if cfg != tc.cfg {
+			t.Fatalf("kind %v: server runtime %T under %+v, want %+v", tc.kind, pair.Server, cfg, tc.cfg)
 		}
 	}
 }

@@ -2,8 +2,6 @@ package memcached
 
 import (
 	"fmt"
-	"maps"
-	"slices"
 	"strings"
 	"sync"
 
@@ -184,9 +182,6 @@ func NewBoundedStore(budgetBytes uint64, policy EvictionPolicy, clock func() sim
 	s.large.init()
 	return s
 }
-
-// Name implements Store.
-func (s *BoundedStore) Name() string { return "bounded-" + s.policy.String() }
 
 // charge reports the bytes an entry is accounted at before class
 // rounding.
@@ -449,13 +444,6 @@ func (s *BoundedStore) Scan(fn func(key string, e *Entry) bool) {
 	snap := sortedSnapshot(s.m, func(it *boundedItem) Entry { return it.e })
 	s.mu.Unlock()
 	visit(snap, fn)
-}
-
-// Keys implements Store, in key order.
-func (s *BoundedStore) Keys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return slices.Sorted(maps.Keys(s.m))
 }
 
 // OpCost implements Store: one lock like the stock cache_lock, plus the

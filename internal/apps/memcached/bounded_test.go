@@ -66,7 +66,7 @@ func TestBoundedStoreNeverExceedsBudget(t *testing.T) {
 		t.Fatalf("stats items %d != Len %d", st.Items, s.Len())
 	}
 	// Every surviving key must still be readable.
-	for _, k := range s.Keys() {
+	for _, k := range storeKeys(s) {
 		if _, ok := s.Get(k); !ok {
 			t.Fatalf("resident key %s unreadable", k)
 		}

@@ -14,9 +14,9 @@ import (
 func buildRound(keys []string, fenceOpaque uint32) []byte {
 	var pkt []byte
 	for i, k := range keys {
-		pkt = append(pkt, BuildGetQ([]byte(k), uint32(i+1))...)
+		pkt = append(pkt, Request{Opcode: OpGetQ, Key: []byte(k)}.Build(uint32(i+1))...)
 	}
-	return append(pkt, BuildNoop(fenceOpaque)...)
+	return append(pkt, Request{Opcode: OpNoop}.Build(fenceOpaque)...)
 }
 
 // roundServer seeds a server for the mixed round: k1 and k4 live, k3

@@ -60,8 +60,8 @@ func TestServerObjectBudget(t *testing.T) {
 			}{
 				{"GET hit", binary(BuildGet([]byte("small"), 1)), 0},
 				{"GET miss", binary(BuildGet([]byte("absent"), 2)), 0},
-				{"GETQ miss", binary(BuildGetQ([]byte("absent"), 3)), 0},
-				{"DELETE miss", binary(BuildDelete([]byte("absent"), 4)), 0},
+				{"GETQ miss", binary(Request{Opcode: OpGetQ, Key: []byte("absent")}.Build(3)), 0},
+				{"DELETE miss", binary(Request{Opcode: OpDelete, Key: []byte("absent")}.Build(4)), 0},
 				{"text get hit", text("get small\r\n"), 0},
 				{"SET over a resident key", binary(BuildSet([]byte("small"), value, 0, 5)), setAllocs[name]},
 			}
@@ -114,10 +114,10 @@ func TestStoredKeysOwnTheirBytes(t *testing.T) {
 		Request{Opcode: OpAdd, Key: []byte("k-add"), Value: []byte("C")}.Build(3),
 		Request{Opcode: OpAppend, Key: []byte("k-set"), Value: []byte("E")}.Build(4),
 		Request{Opcode: OpPrepend, Key: []byte("k-add"), Value: []byte("F")}.Build(5),
-		BuildCounter([]byte("k-num"), 1, 5, 0, true, 6), // creates the counter
-		BuildCounter([]byte("k-num"), 1, 0, 0, true, 7),
-		BuildCounter([]byte("k-num"), 2, 0, 0, false, 8),
-		BuildTouch([]byte("k-add"), 100, 9),
+		counterRequest([]byte("k-num"), 1, 5, 0, true).Build(6), // creates the counter
+		counterRequest([]byte("k-num"), 1, 0, 0, true).Build(7),
+		counterRequest([]byte("k-num"), 2, 0, 0, false).Build(8),
+		touchRequest([]byte("k-add"), 100).Build(9),
 		Request{Opcode: OpAdd, Key: []byte("k-new"), Value: []byte("G")}.Build(10),
 	}
 	want := []string{"k-add", "k-new", "k-num", "k-set"}
@@ -133,7 +133,7 @@ func TestStoredKeysOwnTheirBytes(t *testing.T) {
 						clear(req)
 					}
 				})
-				if got := slices.Sorted(slices.Values(srv.Store.Keys())); !slices.Equal(got, want) {
+				if got := slices.Sorted(slices.Values(storeKeys(srv.Store))); !slices.Equal(got, want) {
 					t.Fatalf("store holds %q once the request buffers were rewritten, want %q", got, want)
 				}
 				for _, k := range want {
@@ -170,7 +170,7 @@ func textRequests(cmds []string) [][]byte {
 // "" if there is none: what a key left viewing a rewritten request buffer
 // would turn into.
 func strayKey(s *Server, named map[string]bool) string {
-	for _, k := range s.Store.Keys() {
+	for _, k := range storeKeys(s.Store) {
 		if !named[k] {
 			return fmt.Sprintf("%q", k)
 		}

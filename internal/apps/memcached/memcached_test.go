@@ -42,20 +42,21 @@ func TestParseHeaderRejectsInconsistentLengths(t *testing.T) {
 }
 
 func TestStoresAgree(t *testing.T) {
-	for _, store := range []Store{NewRCUStore(), NewLockedStore()} {
+	for name, mk := range stores() {
+		store := mk()
 		if _, ok := store.Get("missing"); ok {
-			t.Fatalf("%s: found missing key", store.Name())
+			t.Fatalf("%s: found missing key", name)
 		}
 		store.Set("k", &Entry{Value: []byte("v"), Flags: 7})
 		e, ok := store.Get("k")
 		if !ok || string(e.Value) != "v" || e.Flags != 7 {
-			t.Fatalf("%s: got %+v ok=%v", store.Name(), e, ok)
+			t.Fatalf("%s: got %+v ok=%v", name, e, ok)
 		}
 		if store.Len() != 1 {
-			t.Fatalf("%s: len %d", store.Name(), store.Len())
+			t.Fatalf("%s: len %d", name, store.Len())
 		}
 		if !store.Delete("k") || store.Delete("k") {
-			t.Fatalf("%s: delete semantics wrong", store.Name())
+			t.Fatalf("%s: delete semantics wrong", name)
 		}
 	}
 }
@@ -102,7 +103,7 @@ func TestSetGetDeleteOverNetwork(t *testing.T) {
 	resp := serveAndExchange(t, [][]byte{
 		BuildSet(key, val, 0xdead, 1),
 		BuildGet(key, 2),
-		BuildDelete(key, 3),
+		Request{Opcode: OpDelete, Key: key}.Build(3),
 		BuildGet(key, 4),
 	})
 

@@ -63,10 +63,10 @@ func TestBinaryCounterEdges(t *testing.T) {
 	protoHarness(t, func(c *event.Ctx) {
 		srv := NewServer(NewRCUStore(), 1)
 		_, fc := feed(c, srv,
-			BuildCounter([]byte("n"), 1, 0, CounterNoCreate, true, 1),   // miss, no create
-			BuildCounter([]byte("n"), 3, 40, 0, true, 2),                // miss, seeds initial=40
-			BuildCounter([]byte("n"), 3, 0, CounterNoCreate, true, 3),   // 43
-			BuildCounter([]byte("n"), 50, 0, CounterNoCreate, false, 4), // clamps at 0
+			counterRequest([]byte("n"), 1, 0, CounterNoCreate, true).Build(1),   // miss, no create
+			counterRequest([]byte("n"), 3, 40, 0, true).Build(2),                // miss, seeds initial=40
+			counterRequest([]byte("n"), 3, 0, CounterNoCreate, true).Build(3),   // 43
+			counterRequest([]byte("n"), 50, 0, CounterNoCreate, false).Build(4), // clamps at 0
 		)
 		hdrs, bodies := parseResponses(t, fc.out)
 		if len(hdrs) != 4 {
@@ -100,9 +100,9 @@ func TestBinaryCounterNonNumericAndWrap(t *testing.T) {
 		srv := NewServer(NewRCUStore(), 1)
 		_, fc := feed(c, srv,
 			BuildSet([]byte("s"), []byte("abc"), 0, 1),
-			BuildCounter([]byte("s"), 1, 0, CounterNoCreate, true, 2),
+			counterRequest([]byte("s"), 1, 0, CounterNoCreate, true).Build(2),
 			BuildSet([]byte("big"), []byte("18446744073709551615"), 0, 3),
-			BuildCounter([]byte("big"), 2, 0, CounterNoCreate, true, 4), // wraps to 1
+			counterRequest([]byte("big"), 2, 0, CounterNoCreate, true).Build(4), // wraps to 1
 		)
 		hdrs, bodies := parseResponses(t, fc.out)
 		if len(hdrs) != 4 {
@@ -197,8 +197,8 @@ func TestBinaryTouchAndFlush(t *testing.T) {
 		srv := NewServer(NewRCUStore(), 1)
 		_, fc := feed(c, srv,
 			BuildSet([]byte("k"), []byte("v"), 0, 1),
-			BuildTouch([]byte("k"), 60, 2),
-			BuildTouch([]byte("missing"), 60, 3),
+			touchRequest([]byte("k"), 60).Build(2),
+			touchRequest([]byte("missing"), 60).Build(3),
 			buildFlush(0, 4),
 			BuildGet([]byte("k"), 5),
 		)
@@ -240,6 +240,27 @@ func TestTextIncrSplitAtEveryOffset(t *testing.T) {
 			}
 		})
 	}
+}
+
+// counterRequest is an INCREMENT (incr) or DECREMENT request. exptime
+// CounterNoCreate makes a miss an error instead of seeding the counter
+// with initial.
+func counterRequest(key []byte, delta, initial uint64, exptime uint32, incr bool) Request {
+	r := Request{Opcode: OpDecrement, Key: key}
+	if incr {
+		r.Opcode = OpIncrement
+	}
+	r.extra64(delta)
+	r.extra64(initial)
+	r.extra32(exptime)
+	return r
+}
+
+// touchRequest is a TOUCH request: 4 exptime bytes of extras.
+func touchRequest(key []byte, exptime uint32) Request {
+	r := Request{Opcode: OpTouch, Key: key}
+	r.extra32(exptime)
+	return r
 }
 
 // buildConcat encodes a binary append/prepend request (no extras).

@@ -223,15 +223,15 @@ func (op parityOp) binary(opaque uint32) []byte {
 	case "prepend":
 		return Request{Opcode: OpPrepend, Key: key, Value: op.value}.Build(opaque)
 	case "incr", "decr":
-		return BuildCounter(key, op.delta, 0, CounterNoCreate, op.verb == "incr", opaque)
+		return counterRequest(key, op.delta, 0, CounterNoCreate, op.verb == "incr").Build(opaque)
 	case "touch":
-		return BuildTouch(key, op.exptime, opaque)
+		return touchRequest(key, op.exptime).Build(opaque)
 	case "flush_all":
 		r := Request{Opcode: OpFlush}
 		r.extra32(op.exptime)
 		return r.Build(opaque)
 	case "delete":
-		return BuildDelete(key, opaque)
+		return Request{Opcode: OpDelete, Key: key}.Build(opaque)
 	}
 	return BuildGet(key, opaque)
 }

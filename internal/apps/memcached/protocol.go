@@ -175,15 +175,6 @@ func BuildGet(key []byte, opaque uint32) []byte {
 	return Request{Opcode: OpGet, Key: key}.Build(opaque)
 }
 
-// BuildGetQ encodes a quiet GET. The server suppresses the miss
-// response entirely and answers a hit with the GETQ opcode echoed;
-// clients pipeline a run of GETQs and fence them with a NOOP, reading
-// absence of a member's response once the fence answers (docs/PROTOCOL.md
-// "Multiget rounds").
-func BuildGetQ(key []byte, opaque uint32) []byte {
-	return Request{Opcode: OpGetQ, Key: key}.Build(opaque)
-}
-
 // BuildSet encodes a SET request with flags and zero expiry.
 func BuildSet(key, value []byte, flags uint32, opaque uint32) []byte {
 	return BuildSetStamped(key, value, flags, opaque, 0)
@@ -200,23 +191,6 @@ func BuildSetStamped(key, value []byte, flags uint32, opaque uint32, stamp uint6
 	return storeRequest(OpSet, key, value, flags, stamp).Build(opaque)
 }
 
-// BuildAdd encodes an ADD (store-if-absent) request; quiet selects the
-// AddQ opcode, which suppresses the success response - the migration
-// stream pipelines AddQ and fences with a single Noop rather than
-// reading one response per key.
-func BuildAdd(key, value []byte, flags uint32, opaque uint32, quiet bool) []byte {
-	return BuildAddStamped(key, value, flags, opaque, quiet, 0)
-}
-
-// BuildAddStamped is BuildAdd carrying a version stamp in the request
-// header's CAS field: the stored entry keeps exactly this CAS instead of
-// a freshly minted server-local one. The migration stream uses it so a
-// transferred entry arrives at its new owner with the stamp the
-// surviving replicas hold - re-minting would silently diverge them.
-func BuildAddStamped(key, value []byte, flags uint32, opaque uint32, quiet bool, stamp uint64) []byte {
-	return storeRequest(addOpcode(quiet), key, value, flags, stamp).Build(opaque)
-}
-
 // storeRequest is a SET or ADD with the stock extras: flags, and an
 // exptime of 0.
 func storeRequest(op byte, key, value []byte, flags uint32, stamp uint64) Request {
@@ -224,33 +198,6 @@ func storeRequest(op byte, key, value []byte, flags uint32, stamp uint64) Reques
 	r.extra32(flags)
 	r.extra32(0)
 	return r
-}
-
-func addOpcode(quiet bool) byte {
-	if quiet {
-		return OpAddQ
-	}
-	return OpAdd
-}
-
-// BuildNoop encodes a NOOP request. A noop at the tail of a quiet
-// pipeline acts as a fence: its response confirms every earlier request
-// on the connection has been processed (TCP ordering plus the server's
-// in-order handling).
-func BuildNoop(opaque uint32) []byte { return Request{Opcode: OpNoop}.Build(opaque) }
-
-// BuildStat encodes a STAT request. An empty key requests the general
-// statistics; "items" and "slabs" select those groups. The server
-// answers with one response packet per statistic (name in the key
-// field, value in the value field) terminated by an empty-key,
-// empty-value packet.
-func BuildStat(key []byte, opaque uint32) []byte {
-	return Request{Opcode: OpStat, Key: key}.Build(opaque)
-}
-
-// BuildDelete encodes a DELETE request.
-func BuildDelete(key []byte, opaque uint32) []byte {
-	return Request{Opcode: OpDelete, Key: key}.Build(opaque)
 }
 
 // GetResponseExtrasLen is the extras block carried on GET responses:
@@ -301,27 +248,6 @@ const CounterExtrasLen = 20
 // CounterNoCreate is the INCREMENT/DECREMENT exptime meaning "do not
 // create on miss" (stock memcached's 0xffffffff sentinel).
 const CounterNoCreate = 0xffffffff
-
-// BuildCounter encodes an INCREMENT (incr=true) or DECREMENT request.
-// exptime CounterNoCreate makes a miss an error instead of seeding the
-// counter with initial.
-func BuildCounter(key []byte, delta, initial uint64, exptime uint32, incr bool, opaque uint32) []byte {
-	r := Request{Opcode: OpDecrement, Key: key}
-	if incr {
-		r.Opcode = OpIncrement
-	}
-	r.extra64(delta)
-	r.extra64(initial)
-	r.extra32(exptime)
-	return r.Build(opaque)
-}
-
-// BuildTouch encodes a TOUCH request (4-byte exptime extras).
-func BuildTouch(key []byte, exptime uint32, opaque uint32) []byte {
-	r := Request{Opcode: OpTouch, Key: key}
-	r.extra32(exptime)
-	return r.Build(opaque)
-}
 
 // NextFrame splits one complete packet off the head of a byte stream.
 // It is the single implementation of the protocol's framing rule,

@@ -137,7 +137,7 @@ func TestBadMagicClosesConnection(t *testing.T) {
 		srv := NewServer(NewRCUStore(), 1)
 		junk := make([]byte, HeaderLen)
 		junk[0] = 0x42
-		_, fc := feed(c, srv, BuildNoop(1), junk)
+		_, fc := feed(c, srv, Request{Opcode: OpNoop}.Build(1), junk)
 		if !fc.closed {
 			t.Fatal("protocol error did not close the connection")
 		}
@@ -246,11 +246,11 @@ func TestAddSemantics(t *testing.T) {
 		srv.Store.Set("taken", &Entry{Value: []byte("fresh")})
 
 		_, fc := feed(c, srv,
-			BuildAdd([]byte("new"), []byte("v1"), 7, 1, false),   // plain add, absent -> OK
-			BuildAdd([]byte("new"), []byte("v2"), 0, 2, false),   // plain add, present -> KeyExists
-			BuildAdd([]byte("quiet"), []byte("q1"), 0, 3, true),  // quiet add, absent -> silent
-			BuildAdd([]byte("taken"), []byte("old"), 0, 4, true), // quiet add, present -> KeyExists
-			BuildNoop(5),
+			storeRequest(OpAdd, []byte("new"), []byte("v1"), 7, 0).Build(1),     // plain add, absent -> OK
+			storeRequest(OpAdd, []byte("new"), []byte("v2"), 0, 0).Build(2),     // plain add, present -> KeyExists
+			storeRequest(OpAddQ, []byte("quiet"), []byte("q1"), 0, 0).Build(3),  // quiet add, absent -> silent
+			storeRequest(OpAddQ, []byte("taken"), []byte("old"), 0, 0).Build(4), // quiet add, present -> KeyExists
+			Request{Opcode: OpNoop}.Build(5),
 		)
 		hdrs, _ := parseResponses(t, fc.out)
 		if len(hdrs) != 4 {

@@ -53,7 +53,7 @@ func TestStampedDeleteRule(t *testing.T) {
 			BuildSetStamped([]byte("old"), []byte("v"), 0, 3, 100),
 			del("old", 100, 4), // the entry's own stamp: removed
 			del("old", 200, 5), // absent
-			BuildDelete([]byte("new"), 6),
+			Request{Opcode: OpDelete, Key: []byte("new")}.Build(6),
 		)
 		hdrs, _ := parseResponses(t, fc.out)
 		want := []uint16{StatusOK, StatusOK, StatusOK, StatusOK, StatusKeyNotFound, StatusOK}
@@ -107,8 +107,8 @@ func TestStampedAddPreservesStamp(t *testing.T) {
 	protoHarness(t, func(c *event.Ctx) {
 		srv := NewServer(NewRCUStore(), 1)
 		feed(c, srv,
-			BuildAddStamped([]byte("migrated"), []byte("v"), 3, 1, true, 777),
-			BuildAdd([]byte("plain"), []byte("v"), 0, 2, true),
+			storeRequest(OpAddQ, []byte("migrated"), []byte("v"), 3, 777).Build(1),
+			storeRequest(OpAddQ, []byte("plain"), []byte("v"), 0, 0).Build(2),
 		)
 		e, ok := srv.Store.Get("migrated")
 		if !ok || e.CAS != 777 || e.Flags != 3 {
@@ -130,7 +130,7 @@ func TestStampedSetQuiet(t *testing.T) {
 		newer[0+1] = byte(OpSetQ) // rewrite opcode in place: header byte 1
 		older := BuildSetStamped([]byte("q"), []byte("old"), 0, 2, 150)
 		older[0+1] = byte(OpSetQ)
-		_, fc := feed(c, srv, newer, older, BuildNoop(3))
+		_, fc := feed(c, srv, newer, older, Request{Opcode: OpNoop}.Build(3))
 		hdrs, _ := parseResponses(t, fc.out)
 		if len(hdrs) != 1 || hdrs[0].Opcode != OpNoop {
 			t.Fatalf("quiet stamped sets answered: %d responses", len(hdrs))

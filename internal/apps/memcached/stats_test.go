@@ -146,8 +146,8 @@ func TestBinaryStatFraming(t *testing.T) {
 			BuildSet([]byte("k"), []byte("hello"), 0, 1),
 			BuildGet([]byte("k"), 2),
 			BuildGet([]byte("missing"), 3),
-			BuildDelete([]byte("nope"), 4),
-			BuildStat(nil, 0x99))
+			Request{Opcode: OpDelete, Key: []byte("nope")}.Build(4),
+			Request{Opcode: OpStat}.Build(0x99))
 		hdrs, _ := parseResponses(t, fc.out)
 		// set + get + miss + delete-miss, then the STAT packets.
 		raw := fc.out
@@ -183,7 +183,7 @@ func TestStatsTextBinaryParity(t *testing.T) {
 			return srv
 		}
 		_, tfc := feed(c, prep(), []byte("stats\r\n"))
-		_, bfc := feed(c, prep(), BuildStat(nil, 7))
+		_, bfc := feed(c, prep(), Request{Opcode: OpStat}.Build(7))
 		pairs := statPairs(t, bfc.out, 7)
 		var text strings.Builder
 		for _, p := range pairs {
@@ -199,7 +199,7 @@ func TestStatsTextBinaryParity(t *testing.T) {
 func TestBinaryStatUnknownGroup(t *testing.T) {
 	protoHarness(t, func(c *event.Ctx) {
 		srv := NewServer(NewRCUStore(), 1)
-		_, fc := feed(c, srv, BuildStat([]byte("bogus"), 5))
+		_, fc := feed(c, srv, Request{Opcode: OpStat, Key: []byte("bogus")}.Build(5))
 		hdrs, _ := parseResponses(t, fc.out)
 		if len(hdrs) != 1 || hdrs[0].Status != StatusKeyNotFound || hdrs[0].Opaque != 5 {
 			t.Fatalf("unknown group: %+v", hdrs)
@@ -216,7 +216,7 @@ func TestStatsItemsSlabsUnboundedEmpty(t *testing.T) {
 		if want := "END\r\nEND\r\n"; string(fc.out) != want {
 			t.Fatalf("unbounded items/slabs:\n got %q\nwant %q", fc.out, want)
 		}
-		_, bfc := feed(c, srv, BuildStat([]byte("items"), 1))
+		_, bfc := feed(c, srv, Request{Opcode: OpStat, Key: []byte("items")}.Build(1))
 		hdrs, _ := parseResponses(t, bfc.out)
 		if len(hdrs) != 1 || hdrs[0].KeyLen != 0 || hdrs[0].BodyLen != 0 {
 			t.Fatalf("binary empty group should be just the terminator: %+v", hdrs)

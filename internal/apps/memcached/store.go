@@ -1,7 +1,6 @@
 package memcached
 
 import (
-	"maps"
 	"slices"
 	"strings"
 	"sync"
@@ -74,13 +73,10 @@ type Store interface {
 	// stream a key range to a new owner. The order is deterministic: key
 	// order for the map-backed stores, table order for the RCU store.
 	Scan(fn func(key string, e *Entry) bool)
-	// Keys returns the keys of a point-in-time snapshot, in Scan's order.
-	Keys() []string
 	// OpCost reports the extra virtual CPU charged per operation when
 	// invoked with the given number of actively serving cores (models
 	// synchronization cost the structure imposes).
 	OpCost(activeCores int) sim.Time
-	Name() string
 }
 
 // RCUStore stores entries in the RCU hash table: reads are lock-free, so
@@ -93,9 +89,6 @@ type RCUStore struct {
 func NewRCUStore() *RCUStore {
 	return &RCUStore{t: rcu.NewTable[string, *Entry](rcu.StringHash, 1024)}
 }
-
-// Name implements Store.
-func (s *RCUStore) Name() string { return "rcu" }
 
 // Get implements Store.
 func (s *RCUStore) Get(key string) (*Entry, bool) { return s.t.Get(key) }
@@ -124,16 +117,6 @@ func (s *RCUStore) Len() int { return s.t.Len() }
 // it may Set/Delete without deadlocking.
 func (s *RCUStore) Scan(fn func(key string, e *Entry) bool) {
 	visit(snapshotTable(s.t), fn)
-}
-
-// Keys implements Store.
-func (s *RCUStore) Keys() []string {
-	snap := snapshotTable(s.t)
-	keys := make([]string, len(snap))
-	for i, kv := range snap {
-		keys[i] = kv.k
-	}
-	return keys
 }
 
 // storePair is one snapshot entry. It holds a copy of the entry, so
@@ -174,9 +157,6 @@ type LockedStore struct {
 
 // NewLockedStore creates the ablation store.
 func NewLockedStore() *LockedStore { return &LockedStore{m: map[string]*Entry{}} }
-
-// Name implements Store.
-func (s *LockedStore) Name() string { return "locked" }
 
 // Get implements Store.
 func (s *LockedStore) Get(key string) (*Entry, bool) {
@@ -229,13 +209,6 @@ func (s *LockedStore) Scan(fn func(key string, e *Entry) bool) {
 	snap := sortedSnapshot(s.m, func(e *Entry) Entry { return *e })
 	s.mu.Unlock()
 	visit(snap, fn)
-}
-
-// Keys implements Store, in key order.
-func (s *LockedStore) Keys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return slices.Sorted(maps.Keys(s.m))
 }
 
 // sortedSnapshot copies a map-backed store's pairs out in key order, so

@@ -4,10 +4,11 @@
 // publishes its transitions as typed events through a shared Log with
 // pluggable sinks.
 //
-// Two sinks cover the two consumers: a bounded in-memory Ring that
-// chaos tests assert causal sequences against (expect.go's matcher
-// DSL), and a JSON-lines FileSink (`ebbrt run -events file`) so a run's
-// fault timeline can be read, diffed and hashed outside the process.
+// Two sinks cover the two consumers: an in-memory Tape that the
+// availability experiment and the chaos tests assert causal sequences
+// against (expect.go's matcher DSL), and a JSON-lines FileSink (`ebbrt
+// run -events file`) so a run's fault timeline can be read, diffed and
+// hashed outside the process.
 //
 // Emission is nil-safe and cheap when disabled: a nil *Log ignores
 // Emit, and every hot-path call site guards with `if a := x.Audit; a !=
@@ -89,27 +90,21 @@ type Event struct {
 	Fields Fields   `json:"fields,omitempty"`
 }
 
-// Sink consumes emitted events. Implementations used from tests that
-// read concurrently with the simulation must synchronize internally
-// (Ring does).
+// Sink consumes emitted events, on the goroutine that runs the
+// simulation.
 type Sink interface {
 	Emit(e Event)
 }
 
 // Log fans emitted events out to its sinks. A nil *Log drops
 // everything, so subsystems hold one unconditionally and never branch.
-// Attach sinks before the simulation runs; emission itself takes no
-// lock.
+// Its sinks are fixed at NewLog; emission itself takes no lock.
 type Log struct {
 	sinks []Sink
 }
 
 // NewLog creates a log over the given sinks.
 func NewLog(sinks ...Sink) *Log { return &Log{sinks: sinks} }
-
-// Attach adds a sink. Not safe concurrently with Emit; wire sinks at
-// setup time.
-func (l *Log) Attach(s Sink) { l.sinks = append(l.sinks, s) }
 
 // Emit publishes one event to every sink. Nil-safe.
 func (l *Log) Emit(t sim.Time, node int, kind Kind, fields Fields) {
@@ -122,94 +117,14 @@ func (l *Log) Emit(t sim.Time, node int, kind Kind, fields Fields) {
 	}
 }
 
-// Ring is the bounded in-memory sink tests assert against: the last
-// `cap` events, oldest overwritten first. All methods are
-// mutex-guarded, so a test goroutine may snapshot while the simulation
-// goroutine emits.
-type Ring struct {
-	mu      sync.Mutex
-	buf     []Event
-	start   int    // index of the oldest buffered event
-	n       int    // buffered count
-	total   uint64 // events ever emitted
-	dropped uint64 // events overwritten
-}
-
-// NewRing creates a ring holding the most recent capacity events.
-func NewRing(capacity int) *Ring {
-	if capacity <= 0 {
-		capacity = 1024
-	}
-	return &Ring{buf: make([]Event, capacity)}
-}
+// Tape is the in-memory sink: every event, in emission order. It takes
+// no lock, because one kernel goroutine emits and readers look between
+// kernel steps. len(*tape) marks a point in the run, and (*tape)[mark:]
+// is the window of events since.
+type Tape []Event
 
 // Emit implements Sink.
-func (r *Ring) Emit(e Event) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.n == len(r.buf) {
-		r.buf[r.start] = e
-		r.start = (r.start + 1) % len(r.buf)
-		r.dropped++
-	} else {
-		r.buf[(r.start+r.n)%len(r.buf)] = e
-		r.n++
-	}
-	r.total++
-}
-
-// Len reports the buffered event count.
-func (r *Ring) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.n
-}
-
-// Total reports how many events were ever emitted into the ring; use it
-// as the mark for SnapshotSince.
-func (r *Ring) Total() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
-
-// Dropped reports how many events were overwritten before being read.
-func (r *Ring) Dropped() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
-}
-
-// Snapshot copies the buffered events, oldest first.
-func (r *Ring) Snapshot() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.snapshotLocked(0)
-}
-
-// SnapshotSince copies the buffered events emitted at or after the
-// given Total() mark, oldest first. Events already overwritten are
-// gone; callers polling promptly (RunUntilMatch) never miss any.
-func (r *Ring) SnapshotSince(mark uint64) []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	skip := 0
-	if first := r.total - uint64(r.n); mark > first {
-		skip = int(mark - first)
-		if skip > r.n {
-			skip = r.n
-		}
-	}
-	return r.snapshotLocked(skip)
-}
-
-func (r *Ring) snapshotLocked(skip int) []Event {
-	out := make([]Event, 0, r.n-skip)
-	for i := skip; i < r.n; i++ {
-		out = append(out, r.buf[(r.start+i)%len(r.buf)])
-	}
-	return out
-}
+func (t *Tape) Emit(e Event) { *t = append(*t, e) }
 
 // FileSink writes events as JSON lines - one object per event, in
 // emission order - the format `ebbrt run -events` writes and the

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 
 	"ebbrt/internal/sim"
@@ -14,90 +13,6 @@ func mkEvent(t sim.Time, node int, kind Kind) Event {
 	return Event{Time: t, Node: node, Kind: kind}
 }
 
-func TestRingOverwritesOldestWhenFull(t *testing.T) {
-	r := NewRing(4)
-	for i := 0; i < 10; i++ {
-		r.Emit(mkEvent(sim.Time(i), i, TCPState))
-	}
-	if got := r.Len(); got != 4 {
-		t.Fatalf("Len() = %d, want 4", got)
-	}
-	if got := r.Total(); got != 10 {
-		t.Fatalf("Total() = %d, want 10", got)
-	}
-	if got := r.Dropped(); got != 6 {
-		t.Fatalf("Dropped() = %d, want 6", got)
-	}
-	snap := r.Snapshot()
-	if len(snap) != 4 {
-		t.Fatalf("Snapshot() has %d events, want 4", len(snap))
-	}
-	for i, e := range snap {
-		if want := 6 + i; e.Node != want {
-			t.Errorf("snap[%d].Node = %d, want %d (oldest-first, newest retained)", i, e.Node, want)
-		}
-	}
-}
-
-func TestRingSnapshotSince(t *testing.T) {
-	r := NewRing(8)
-	for i := 0; i < 5; i++ {
-		r.Emit(mkEvent(sim.Time(i), i, TCPState))
-	}
-	mark := r.Total()
-	for i := 5; i < 8; i++ {
-		r.Emit(mkEvent(sim.Time(i), i, TCPState))
-	}
-	snap := r.SnapshotSince(mark)
-	if len(snap) != 3 {
-		t.Fatalf("SnapshotSince(%d) has %d events, want 3", mark, len(snap))
-	}
-	for i, e := range snap {
-		if want := 5 + i; e.Node != want {
-			t.Errorf("snap[%d].Node = %d, want %d", i, e.Node, want)
-		}
-	}
-	// A mark older than the retained window degrades to the full buffer.
-	for i := 8; i < 30; i++ {
-		r.Emit(mkEvent(sim.Time(i), i, TCPState))
-	}
-	if got := len(r.SnapshotSince(mark)); got != 8 {
-		t.Fatalf("stale-mark SnapshotSince returned %d events, want the full buffer of 8", got)
-	}
-}
-
-// TestRingConcurrentEmit drives emitters against snapshotters under the
-// race detector: the Ring is the one sink read from test goroutines
-// while the simulation goroutine emits.
-func TestRingConcurrentEmit(t *testing.T) {
-	r := NewRing(64)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				r.Emit(mkEvent(sim.Time(i), g, HealthMissedBeat))
-			}
-		}()
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 200; i++ {
-			r.Snapshot()
-			r.SnapshotSince(uint64(i))
-			r.Len()
-			r.Dropped()
-		}
-	}()
-	wg.Wait()
-	if got := r.Total(); got != 2000 {
-		t.Fatalf("Total() = %d, want 2000", got)
-	}
-}
-
 func TestNilLogAndEmptyLogAreSafe(t *testing.T) {
 	var l *Log
 	l.Emit(0, 0, TCPState, nil) // must not panic
@@ -105,14 +20,13 @@ func TestNilLogAndEmptyLogAreSafe(t *testing.T) {
 }
 
 func TestLogFansOutToAllSinks(t *testing.T) {
-	r1, r2 := NewRing(4), NewRing(4)
-	l := NewLog(r1)
-	l.Attach(r2)
+	var t1, t2 Tape
+	l := NewLog(&t1, &t2)
 	l.Emit(7, 3, HealthEvicted, Fields{"backend": 1})
-	for i, r := range []*Ring{r1, r2} {
-		snap := r.Snapshot()
-		if len(snap) != 1 || snap[0].Kind != HealthEvicted || snap[0].Node != 3 {
-			t.Fatalf("sink %d got %+v, want one health.evicted on node 3", i, snap)
+	l.Emit(9, 2, HealthRestored, nil)
+	for i, tape := range []Tape{t1, t2} {
+		if len(tape) != 2 || tape[0].Kind != HealthEvicted || tape[0].Node != 3 || tape[1].Kind != HealthRestored {
+			t.Fatalf("sink %d got %+v, want health.evicted on node 3, then health.restored", i, tape)
 		}
 	}
 }
@@ -174,16 +88,8 @@ func TestReadEventsRejectsGarbage(t *testing.T) {
 	}
 }
 
-func seqRing(events ...Event) *Ring {
-	r := NewRing(len(events) + 1)
-	for _, e := range events {
-		r.Emit(e)
-	}
-	return r
-}
-
 func TestSeqMatchesOrderedSubsequence(t *testing.T) {
-	r := seqRing(
+	events := []Event{
 		mkEvent(1, 0, NodeKilled),
 		mkEvent(2, 9, TCPRetransmit), // unrelated noise is skipped
 		mkEvent(3, 1, HealthMissedBeat),
@@ -192,8 +98,8 @@ func TestSeqMatchesOrderedSubsequence(t *testing.T) {
 		mkEvent(6, 1, HealthMissedBeat),
 		mkEvent(7, 1, HealthEvicted),
 		mkEvent(8, 0, FailoverRead),
-	)
-	err := Expect(r).Seq(
+	}
+	err := ExpectEvents(events).Seq(
 		On(NodeKilled),
 		On(HealthMissedBeat).OnNode(1).Times(3),
 		On(HealthEvicted),
@@ -205,11 +111,11 @@ func TestSeqMatchesOrderedSubsequence(t *testing.T) {
 }
 
 func TestSeqRejectsOutOfOrder(t *testing.T) {
-	r := seqRing(
+	events := []Event{
 		mkEvent(1, 1, HealthEvicted),
 		mkEvent(2, 0, NodeKilled),
-	)
-	err := Expect(r).Seq(On(NodeKilled), On(HealthEvicted))
+	}
+	err := ExpectEvents(events).Seq(On(NodeKilled), On(HealthEvicted))
 	if err == nil {
 		t.Fatal("Seq accepted an eviction that preceded the kill")
 	}
@@ -219,11 +125,11 @@ func TestSeqRejectsOutOfOrder(t *testing.T) {
 }
 
 func TestSeqRejectsMissingRepetition(t *testing.T) {
-	r := seqRing(
+	events := []Event{
 		mkEvent(1, 1, HealthMissedBeat),
 		mkEvent(2, 1, HealthMissedBeat),
-	)
-	err := Expect(r).Seq(On(HealthMissedBeat).Times(3))
+	}
+	err := ExpectEvents(events).Seq(On(HealthMissedBeat).Times(3))
 	if err == nil {
 		t.Fatal("Seq accepted 2 missed beats where 3 were required")
 	}
@@ -233,12 +139,12 @@ func TestSeqRejectsMissingRepetition(t *testing.T) {
 }
 
 func TestMatcherFilterAndCounts(t *testing.T) {
-	r := seqRing(
-		Event{Time: 1, Node: 1, Kind: HealthMissedBeat, Fields: Fields{"misses": 1}},
-		Event{Time: 2, Node: 1, Kind: HealthMissedBeat, Fields: Fields{"misses": 2}},
-		Event{Time: 3, Node: 2, Kind: HealthMissedBeat, Fields: Fields{"misses": 1}},
-	)
-	x := Expect(r)
+	events := []Event{
+		{Time: 1, Node: 1, Kind: HealthMissedBeat, Fields: Fields{"misses": 1}},
+		{Time: 2, Node: 1, Kind: HealthMissedBeat, Fields: Fields{"misses": 2}},
+		{Time: 3, Node: 2, Kind: HealthMissedBeat, Fields: Fields{"misses": 1}},
+	}
+	x := ExpectEvents(events)
 	if got := x.Count(On(HealthMissedBeat)); got != 3 {
 		t.Fatalf("Count = %d, want 3", got)
 	}
@@ -260,8 +166,8 @@ func TestMatcherFilterAndCounts(t *testing.T) {
 }
 
 func TestSeqErrorDumpsTrace(t *testing.T) {
-	r := seqRing(mkEvent(1, 4, TCPRetransmit))
-	err := Expect(r).Seq(On(MigrationAbort))
+	events := []Event{mkEvent(1, 4, TCPRetransmit)}
+	err := ExpectEvents(events).Seq(On(MigrationAbort))
 	if err == nil {
 		t.Fatal("Seq matched a kind that never occurred")
 	}

@@ -69,15 +69,15 @@ func (m Matcher) String() string {
 	return s
 }
 
-// Expectation matches event sequences over a snapshot of a run's
-// events.
+// Expectation matches event sequences over a run's events.
 type Expectation struct {
 	events []Event
 }
 
-// Expect snapshots the ring for sequence assertions:
+// ExpectEvents builds an expectation over an event slice: a tape, a
+// window of one, or a parsed events.jsonl.
 //
-//	if err := audit.Expect(ring).Seq(
+//	if err := audit.ExpectEvents(tape[mark:]).Seq(
 //	        audit.On(audit.NodeKilled),
 //	        audit.On(audit.HealthMissedBeat).Times(3),
 //	        audit.On(audit.HealthEvicted),
@@ -85,10 +85,6 @@ type Expectation struct {
 //	); err != nil {
 //	        t.Fatal(err)
 //	}
-func Expect(r *Ring) Expectation { return Expectation{events: r.Snapshot()} }
-
-// ExpectEvents builds an expectation over an explicit event slice (a
-// parsed events.jsonl, or a SnapshotSince window).
 func ExpectEvents(events []Event) Expectation { return Expectation{events: events} }
 
 // Seq asserts that the matchers occur in order as a subsequence of the
@@ -152,7 +148,7 @@ func (x Expectation) Last(m Matcher) (Event, bool) {
 	return Event{}, false
 }
 
-// dump renders the snapshot compactly for sequence-failure messages.
+// dump renders the events compactly for sequence-failure messages.
 func (x Expectation) dump() string {
 	var b strings.Builder
 	const tail = 64
@@ -172,20 +168,21 @@ func (x Expectation) dump() string {
 }
 
 // RunUntilMatch advances the kernel in fine-grained steps until an
-// event matching m is emitted into the ring at or after the Total()
-// mark, or the deadline passes. It returns the matching event and
-// whether one arrived. This is how chaos tests wait for "the eviction
-// happened" instead of sleeping a fixed slack window: the kernel stops
-// within one step of the event, and a suppressed event fails the test
-// at the deadline instead of silently passing.
-func RunUntilMatch(k *sim.Kernel, r *Ring, m Matcher, mark uint64, deadline sim.Time) (Event, bool) {
+// event matching m lands on the tape at or after index mark, or the
+// deadline passes. It returns the matching event and whether one
+// arrived. This is how chaos tests wait for "the eviction happened"
+// instead of sleeping a fixed slack window: the kernel stops within one
+// step of the event, and a suppressed event fails the test at the
+// deadline instead of silently passing.
+func RunUntilMatch(k *sim.Kernel, t *Tape, m Matcher, mark int, deadline sim.Time) (Event, bool) {
 	const step = 250 * sim.Microsecond
 	for {
-		for _, e := range r.SnapshotSince(mark) {
+		for _, e := range (*t)[mark:] {
 			if m.Match(e) {
 				return e, true
 			}
 		}
+		mark = len(*t)
 		now := k.Now()
 		if now >= deadline {
 			return Event{}, false

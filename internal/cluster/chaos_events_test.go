@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"ebbrt/internal/audit"
@@ -12,22 +11,21 @@ import (
 
 // The event-driven chaos tests: instead of running the kernel a fixed
 // slack window past each fault and probing state, they wait on the
-// audit ring for the exact transition events and assert the full
+// audit tape for the exact transition events and assert the full
 // sequence (kill -> missed beats -> eviction -> failover reads, revive
 // -> restore). A suppressed event fails the test at the deadline
 // rather than passing silently; TestChaosSchedules stays timing-based
 // as the regression control for the old style.
 
-// auditedCluster builds a cluster whose state machines report into a
-// ring sink, with a running health monitor.
-func auditedCluster(backends, replicas int) (*Cluster, *Client, *HealthMonitor, *audit.Ring) {
-	ring := audit.NewRing(8192)
-	cl := NewCluster(backends, Options{Replicas: replicas, Audit: audit.NewLog(ring)})
+// auditedCluster builds a cluster whose state machines report onto a
+// tape, with a running health monitor.
+func auditedCluster(backends, replicas int) (*Cluster, *Client, *audit.Tape) {
+	tape := new(audit.Tape)
+	cl := NewCluster(backends, Options{Replicas: replicas, Audit: audit.NewLog(tape)})
 	front := cl.Sys.Frontend()
 	cli := NewClientWithOptions(cl, front, ClientOptions{RequestTimeout: 8 * sim.Millisecond})
-	mon := NewHealthMonitor(cl, front)
-	mon.Start()
-	return cl, cli, mon, ring
+	NewHealthMonitor(cl, front).Start()
+	return cl, cli, tape
 }
 
 // killMarked / reviveMarked emit the chaos marker the fault injector
@@ -93,34 +91,34 @@ func monotonicPerNode(t *testing.T, events []audit.Event) {
 // waits on the events themselves: the kill marker, three missed beats,
 // the eviction, and a failover read served from a surviving replica.
 func TestChaosEvictionEventSequence(t *testing.T) {
-	cl, cli, _, ring := auditedCluster(4, 2)
+	cl, cli, tape := auditedCluster(4, 2)
 	k := cl.Sys.K
 	keys := chaosKeys(150)
 	populateChaos(t, cl, cli, keys)
 
 	const victim = 1
 	victimNode := int(cl.Backends[victim].Node.Id)
-	mark := ring.Total()
+	mark := len(*tape)
 	killedAt := k.Now()
 	killMarked(cl, victim)
 	falseMisses := startChaosPump(cl, cli, keys, killedAt+80*sim.Millisecond)
 
-	evicted, ok := audit.RunUntilMatch(k, ring,
+	evicted, ok := audit.RunUntilMatch(k, tape,
 		audit.On(audit.HealthEvicted).OnNode(victimNode), mark, killedAt+80*sim.Millisecond)
 	if !ok {
-		t.Fatalf("backend %d never evicted; trace:\n%v", victim, ring.SnapshotSince(mark))
+		t.Fatalf("backend %d never evicted; trace:\n%v", victim, (*tape)[mark:])
 	}
 	// Detection latency: three missed 5ms beats. The CI gate holds this
 	// at <= 25ms cluster-wide; the unit test pins the same bound.
 	if lat := evicted.Time - killedAt; lat > 25*sim.Millisecond {
 		t.Errorf("eviction took %v after the kill, want <= 25ms", lat)
 	}
-	if _, ok := audit.RunUntilMatch(k, ring,
+	if _, ok := audit.RunUntilMatch(k, tape,
 		audit.On(audit.FailoverRead), mark, k.Now()+30*sim.Millisecond); !ok {
 		t.Fatal("no failover read ever served from a surviving replica")
 	}
 
-	x := audit.ExpectEvents(ring.SnapshotSince(mark))
+	x := audit.ExpectEvents((*tape)[mark:])
 	if err := x.Seq(
 		audit.On(audit.NodeKilled).OnNode(victimNode),
 		audit.On(audit.HealthMissedBeat).OnNode(victimNode).Times(3),
@@ -145,30 +143,30 @@ func TestChaosEvictionEventSequence(t *testing.T) {
 	if *falseMisses != 0 {
 		t.Errorf("%d false misses during failover", *falseMisses)
 	}
-	monotonicPerNode(t, ring.Snapshot())
+	monotonicPerNode(t, *tape)
 }
 
 // TestChaosRestoreEventSequence takes a backend through the full
 // kill -> evict -> revive -> restore cycle, waiting on each transition
 // event and asserting the complete ordered sequence at the end.
 func TestChaosRestoreEventSequence(t *testing.T) {
-	cl, cli, _, ring := auditedCluster(4, 2)
+	cl, cli, tape := auditedCluster(4, 2)
 	k := cl.Sys.K
 	keys := chaosKeys(150)
 	populateChaos(t, cl, cli, keys)
 
 	const victim = 2
 	victimNode := int(cl.Backends[victim].Node.Id)
-	mark := ring.Total()
+	mark := len(*tape)
 	killMarked(cl, victim)
-	if _, ok := audit.RunUntilMatch(k, ring,
+	if _, ok := audit.RunUntilMatch(k, tape,
 		audit.On(audit.HealthEvicted).OnNode(victimNode), mark, k.Now()+80*sim.Millisecond); !ok {
 		t.Fatal("kill never produced an eviction event")
 	}
 
 	revivedAt := k.Now()
 	reviveMarked(cl, victim)
-	restored, ok := audit.RunUntilMatch(k, ring,
+	restored, ok := audit.RunUntilMatch(k, tape,
 		audit.On(audit.HealthRestored).OnNode(victimNode), mark, revivedAt+80*sim.Millisecond)
 	if !ok {
 		t.Fatal("revived backend never restored to the ring")
@@ -192,7 +190,7 @@ func TestChaosRestoreEventSequence(t *testing.T) {
 		t.Error("restore event fired but the backend is not on the ring")
 	}
 
-	if err := audit.ExpectEvents(ring.SnapshotSince(mark)).Seq(
+	if err := audit.ExpectEvents((*tape)[mark:]).Seq(
 		audit.On(audit.NodeKilled).OnNode(victimNode),
 		audit.On(audit.HealthMissedBeat).OnNode(victimNode).Times(3),
 		audit.On(audit.HealthEvicted).OnNode(victimNode),
@@ -201,60 +199,36 @@ func TestChaosRestoreEventSequence(t *testing.T) {
 	); err != nil {
 		t.Fatalf("kill/revive sequence: %v", err)
 	}
-	monotonicPerNode(t, ring.Snapshot())
+	monotonicPerNode(t, *tape)
 }
 
-// TestHealthMonitorAccessorsRaceFree is the regression test for the
-// bare-map data race on the eviction/restore timestamps: a test
-// goroutine polls the accessors while the simulation mutates them.
-// Run under -race this fails on the old unguarded maps.
-func TestHealthMonitorAccessorsRaceFree(t *testing.T) {
-	cl, _, mon, ring := auditedCluster(4, 2)
+// TestHealthMonitorRestoreFollowsEviction watches the ring's membership
+// of a killed and revived backend: the monitor takes it off the ring,
+// then puts it back, once each and in that order.
+func TestHealthMonitorRestoreFollowsEviction(t *testing.T) {
+	cl, _, tape := auditedCluster(4, 2)
 	k := cl.Sys.K
 	// Let the cluster boot and the first heartbeats land before the kill.
 	k.RunUntil(10 * sim.Millisecond)
 
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			for i := 0; i < len(cl.Backends); i++ {
-				mon.EvictedAt(i)
-				mon.RestoredAt(i)
-			}
-		}
-	}()
-
 	const victim = 1
+	var changes []bool
+	cl.Watch(func(b int, up bool) {
+		if b == victim {
+			changes = append(changes, up)
+		}
+	})
 	killMarked(cl, victim)
-	if _, ok := audit.RunUntilMatch(k, ring,
+	if _, ok := audit.RunUntilMatch(k, tape,
 		audit.On(audit.HealthEvicted), 0, k.Now()+80*sim.Millisecond); !ok {
 		t.Fatal("no eviction")
 	}
 	reviveMarked(cl, victim)
-	if _, ok := audit.RunUntilMatch(k, ring,
+	if _, ok := audit.RunUntilMatch(k, tape,
 		audit.On(audit.HealthRestored), 0, k.Now()+80*sim.Millisecond); !ok {
 		t.Fatal("no restore")
 	}
-	close(stop)
-	wg.Wait()
-
-	et, ok := mon.EvictedAt(victim)
-	if !ok {
-		t.Fatal("no eviction timestamp recorded")
-	}
-	rt, ok := mon.RestoredAt(victim)
-	if !ok {
-		t.Fatal("no restore timestamp recorded")
-	}
-	if rt <= et {
-		t.Fatalf("restore at %d not after eviction at %d", rt, et)
+	if len(changes) != 2 || changes[0] || !changes[1] {
+		t.Fatalf("backend %d's membership changes were %v, want [false true]: evicted, then restored", victim, changes)
 	}
 }

@@ -79,8 +79,8 @@ func TestChaosSchedules(t *testing.T) {
 // lost. Completion is awaited on the migration.done event and the
 // whole fault timeline is asserted as a sequence.
 func TestMigrationChaosSourceKill(t *testing.T) {
-	ring := audit.NewRing(8192)
-	cl := NewCluster(4, Options{Replicas: 2, Audit: audit.NewLog(ring)})
+	tape := new(audit.Tape)
+	cl := NewCluster(4, Options{Replicas: 2, Audit: audit.NewLog(tape)})
 	front := cl.Sys.Frontend()
 	cli := NewClientWithOptions(cl, front, ClientOptions{RequestTimeout: 8 * sim.Millisecond})
 	// Slow the stream down (per-entry CPU) so the kill lands mid-transfer.
@@ -95,7 +95,7 @@ func TestMigrationChaosSourceKill(t *testing.T) {
 	}
 	populateChaos(t, cl, cli, keys)
 
-	mark := ring.Total()
+	mark := len(*tape)
 	joinAt := k.Now() + 2*sim.Millisecond
 	victim := -1
 	k.At(joinAt, func() { m.Join(1) })
@@ -124,11 +124,11 @@ func TestMigrationChaosSourceKill(t *testing.T) {
 	})
 
 	falseMisses, durable := pumpChaosLoad(t, cl, cli, keys, joinAt, joinAt+120*sim.Millisecond)
-	if _, ok := audit.RunUntilMatch(k, ring,
+	if _, ok := audit.RunUntilMatch(k, tape,
 		audit.On(audit.MigrationDone), mark, k.Now()+300*sim.Millisecond); !ok {
 		t.Fatal("migration never completed after the source kill")
 	}
-	if err := audit.ExpectEvents(ring.SnapshotSince(mark)).Seq(
+	if err := audit.ExpectEvents((*tape)[mark:]).Seq(
 		audit.On(audit.MigrationStart),
 		audit.On(audit.NodeKilled),
 		audit.On(audit.HealthEvicted),
@@ -136,7 +136,7 @@ func TestMigrationChaosSourceKill(t *testing.T) {
 	); err != nil {
 		t.Fatalf("source-kill sequence: %v", err)
 	}
-	if n := audit.Expect(ring).Count(audit.On(audit.MigrationAbort)); n != 0 {
+	if n := audit.ExpectEvents(*tape).Count(audit.On(audit.MigrationAbort)); n != 0 {
 		t.Fatalf("migration aborted instead of restarting from a surviving replica (%d abort events)", n)
 	}
 	mig := m.Last()
@@ -158,8 +158,8 @@ func TestMigrationChaosSourceKill(t *testing.T) {
 // window must close, and - as ever - no durable key may read as a miss
 // and no acked write may be lost.
 func TestMigrationChaosDestKill(t *testing.T) {
-	ring := audit.NewRing(8192)
-	cl := NewCluster(4, Options{Replicas: 2, Audit: audit.NewLog(ring)})
+	tape := new(audit.Tape)
+	cl := NewCluster(4, Options{Replicas: 2, Audit: audit.NewLog(tape)})
 	front := cl.Sys.Frontend()
 	cli := NewClientWithOptions(cl, front, ClientOptions{RequestTimeout: 8 * sim.Millisecond})
 	m := NewMigrator(cl, front)
@@ -173,7 +173,7 @@ func TestMigrationChaosDestKill(t *testing.T) {
 	}
 	populateChaos(t, cl, cli, keys)
 
-	mark := ring.Total()
+	mark := len(*tape)
 	joinAt := k.Now() + 2*sim.Millisecond
 	k.At(joinAt, func() { m.Join(1) })
 	dest := -1
@@ -194,7 +194,7 @@ func TestMigrationChaosDestKill(t *testing.T) {
 	})
 
 	falseMisses, durable := pumpChaosLoad(t, cl, cli, keys, joinAt, joinAt+120*sim.Millisecond)
-	abort, ok := audit.RunUntilMatch(k, ring,
+	abort, ok := audit.RunUntilMatch(k, tape,
 		audit.On(audit.MigrationAbort), mark, k.Now()+300*sim.Millisecond)
 	if !ok {
 		t.Fatal("migration to a dead destination never emitted migration.abort")
@@ -204,7 +204,7 @@ func TestMigrationChaosDestKill(t *testing.T) {
 	if cl.Migrating() {
 		t.Fatal("handoff window still open after the abort event")
 	}
-	if err := audit.ExpectEvents(ring.SnapshotSince(mark)).Seq(
+	if err := audit.ExpectEvents((*tape)[mark:]).Seq(
 		audit.On(audit.MigrationStart),
 		audit.On(audit.NodeKilled),
 		audit.On(audit.HealthEvicted),
@@ -214,7 +214,7 @@ func TestMigrationChaosDestKill(t *testing.T) {
 	}
 	// An aborted run must not also claim completion, and no cutover may
 	// land after the abort.
-	x := audit.ExpectEvents(ring.SnapshotSince(mark))
+	x := audit.ExpectEvents((*tape)[mark:])
 	if n := x.Count(audit.On(audit.MigrationDone)); n != 0 {
 		t.Fatalf("aborted migration emitted %d migration.done events", n)
 	}

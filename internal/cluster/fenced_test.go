@@ -170,7 +170,7 @@ func TestFencedRoundWrongMagic(t *testing.T) {
 			return appnet.Callbacks{OnData: func(c *event.Ctx, conn appnet.Conn, payload *iobuf.IOBuf) {
 				if !answered {
 					answered = true
-					conn.Send(c, iobuf.Wrap(memcached.BuildNoop(0)))
+					conn.Send(c, iobuf.Wrap(memcached.Request{Opcode: memcached.OpNoop}.Build(0)))
 				}
 			}}
 		})

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"encoding/binary"
-	"sync"
 
 	"ebbrt/internal/audit"
 	"ebbrt/internal/core"
@@ -51,12 +50,6 @@ type HealthMonitor struct {
 	states []backendHealth
 	byNode map[hosted.NodeId]int
 	seq    uint64
-	// mu guards evictedAt/restoredAt: they are written from the monitor
-	// callback on the simulation goroutine but read through the accessors
-	// by experiment code and tests, possibly from other goroutines.
-	mu         sync.Mutex
-	evictedAt  map[int]sim.Time
-	restoredAt map[int]sim.Time
 }
 
 type backendHealth struct {
@@ -69,13 +62,11 @@ type backendHealth struct {
 // given node (the hosted frontend). Call Start to begin monitoring.
 func NewHealthMonitor(cl *Cluster, node *hosted.Node) *HealthMonitor {
 	h := &HealthMonitor{
-		cl:         cl,
-		node:       node,
-		id:         cl.Sys.AllocateEbbId(),
-		states:     make([]backendHealth, len(cl.Backends)),
-		byNode:     map[hosted.NodeId]int{},
-		evictedAt:  map[int]sim.Time{},
-		restoredAt: map[int]sim.Time{},
+		cl:     cl,
+		node:   node,
+		id:     cl.Sys.AllocateEbbId(),
+		states: make([]backendHealth, len(cl.Backends)),
+		byNode: map[hosted.NodeId]int{},
 	}
 	for i, b := range cl.Backends {
 		h.byNode[b.Node.Id] = i
@@ -111,24 +102,6 @@ func (h *HealthMonitor) Start() {
 	mgr.Spawn(func(c *event.Ctx) { h.tick(c, mgr) })
 }
 
-// EvictedAt reports when the monitor last evicted backend i, if ever.
-// Safe to call from any goroutine.
-func (h *HealthMonitor) EvictedAt(i int) (sim.Time, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	t, ok := h.evictedAt[i]
-	return t, ok
-}
-
-// RestoredAt reports when the monitor last restored backend i, if ever.
-// Safe to call from any goroutine.
-func (h *HealthMonitor) RestoredAt(i int) (sim.Time, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	t, ok := h.restoredAt[i]
-	return t, ok
-}
-
 func (h *HealthMonitor) tick(c *event.Ctx, mgr *event.Manager) {
 	// Iterate the monitor's own state, not cl.Backends: backends added
 	// after the monitor was created are unmonitored, not a crash.
@@ -148,17 +121,11 @@ func (h *HealthMonitor) tick(c *event.Ctx, mgr *event.Manager) {
 			}
 		}
 		if h.cl.Live(i) && st.misses >= failureThreshold && h.cl.LiveBackends() > 1 {
-			h.mu.Lock()
-			h.evictedAt[i] = c.Now()
-			h.mu.Unlock()
 			h.cl.EvictBackend(i)
 		} else if !h.cl.Live(i) && st.streak >= reviveThreshold && !h.cl.Decommissioned(i) {
 			// A decommissioned backend answering pings (a live drain, or a
 			// dead node that came back after being re-replicated around) is
 			// never restored - its key share has moved on.
-			h.mu.Lock()
-			h.restoredAt[i] = c.Now()
-			h.mu.Unlock()
 			h.cl.RestoreBackend(i)
 		}
 	}

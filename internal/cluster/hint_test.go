@@ -171,8 +171,8 @@ func TestHintsOnlyForAcknowledgedSets(t *testing.T) {
 func TestHintOverflowDrops(t *testing.T) {
 	key := []byte("hint-key")
 	cl, cli, primary := hintWorld(t, key, 2)
-	ring := audit.NewRing(16)
-	cl.Audit = audit.NewLog(ring)
+	tape := new(audit.Tape)
+	cl.Audit = audit.NewLog(tape)
 	order := cl.ReadSet(key)
 	rep := cli.ref.Get(0)
 	rec := &writeRecord{}
@@ -189,7 +189,7 @@ func TestHintOverflowDrops(t *testing.T) {
 	if rep.hints.Outstanding() != maxHints {
 		t.Fatalf("%d hints kept, want %d", rep.hints.Outstanding(), maxHints)
 	}
-	evs := ring.Snapshot()
+	evs := *tape
 	if len(evs) != 1 || evs[0].Kind != audit.HintDropped || evs[0].Fields["key"] != fmt.Sprintf("k-%d", maxHints) {
 		t.Fatalf("audit events %v, want one %s for k-%d", evs, audit.HintDropped, maxHints)
 	}

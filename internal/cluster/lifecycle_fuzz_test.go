@@ -2,10 +2,12 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"ebbrt/internal/apps/memcached"
+	"ebbrt/internal/audit"
 	"ebbrt/internal/event"
 	"ebbrt/internal/sim"
 )
@@ -246,129 +248,221 @@ func FuzzWriteLifecycle(f *testing.F) {
 		}
 		fault, victim, at := int(in[0])%numFaults, int(in[1])%4, sim.Time(in[2])*8*sim.Microsecond
 		in = in[3:min(len(in), 3+64)]
-
-		cl := NewCluster(4, Options{FrontendCores: 2, Replicas: 3,
-			HotKey: HotKeyOptions{Enable: true, PromoteMin: 2, capacity: 4, revalidateEvery: 3}})
-		front := cl.Sys.Frontend()
-		cli := NewClientWithOptions(cl, front, ClientOptions{RequestTimeout: 2 * sim.Millisecond})
-		k := cl.Sys.K
-		present := make([][]byte, writeFuzzPresent)
-		for i := range present {
-			present[i] = writeFuzzKeyName(i)
+		run := runWriteLifecycle(t, fault, victim, at, in, nil)
+		if len(run.errs) == 0 {
+			return
 		}
-		populate(t, cl, cli, present, func(i int) []byte { return []byte(fmt.Sprintf("fw-%d-init", i)) })
-
-		// One operation: what it did, and what came back how often.
-		type op struct {
-			kind  int
-			key   int
-			value string
-			fired int
-			resp  Response
+		// The world is deterministic and emitting events costs no virtual
+		// time, so the same input run again with an audit log fails the
+		// same way and tells the failing key's story.
+		tape := new(audit.Tape)
+		again := runWriteLifecycle(t, fault, victim, at, in, audit.NewLog(tape))
+		history := writeFuzzHistory(again, *tape)
+		if !slices.Equal(run.errs, again.errs) {
+			history = fmt.Sprintf("\nthe audited re-run diverged: %v", again.errs[:min(len(again.errs), 5)]) + history
 		}
-		// ops in input order; writes in the order they were issued, which
-		// a busy core can make differ from the schedule.
-		var ops, writes []*op
-		var errs []string
-		owned := func(key int, v []byte) bool { return strings.HasPrefix(string(v), fmt.Sprintf("fw-%d-", key)) }
-		start := k.Now()
-		for i, b := range in {
-			o := &op{key: int(b) & 0x0f, kind: opGet}
-			switch b >> 5 {
-			case 0, 1, 2, 3:
-				o.kind, o.value = opSet, fmt.Sprintf("fw-%d-%d", o.key, i)
-			case 7:
-				o.kind = opDelete
-			}
-			ops = append(ops, o)
-			mgr := cli.mgrs[int(b)>>4&1]
-			k.At(start+sim.Time(i)*30*sim.Microsecond, func() {
-				mgr.Spawn(func(c *event.Ctx) {
-					if o.kind != opGet {
-						writes = append(writes, o)
+		t.Fatalf("fault %d on backend %d at +%v: %d violations, first %v%s",
+			fault, victim, at, len(run.errs), run.errs[:min(len(run.errs), 5)], history)
+	})
+}
+
+// writeFuzzOp is one FuzzWriteLifecycle operation: what it did, from
+// which core and when, and what came back how often.
+type writeFuzzOp struct {
+	index, kind, key, core int
+	value                  string
+	issued                 sim.Time
+	fired                  int
+	resp                   Response
+}
+
+func (o *writeFuzzOp) String() string {
+	kind, value := [...]string{opSet: "Set", opGet: "Get", opDelete: "Delete"}[o.kind], o.resp.Value
+	if o.kind == opSet {
+		value = []byte(o.value)
+	}
+	return fmt.Sprintf("op %d %s core %d issued %v fired %d status %#x stamp %d value %q",
+		o.index, kind, o.core, o.issued, o.fired, o.resp.Status, o.resp.CAS, value)
+}
+
+// writeFuzzRun is what one FuzzWriteLifecycle input did: its violations,
+// the key the first of them names (-1 when it names none), and every
+// operation in the order its core issued it.
+type writeFuzzRun struct {
+	errs   []string
+	badKey int
+	issued []*writeFuzzOp
+}
+
+// runWriteLifecycle runs one FuzzWriteLifecycle input on a fresh cluster
+// whose events go to log (nil drops them), and reports what broke.
+func runWriteLifecycle(t *testing.T, fault, victim int, at sim.Time, in []byte, log *audit.Log) writeFuzzRun {
+	cl := NewCluster(4, Options{FrontendCores: 2, Replicas: 3, Audit: log,
+		HotKey: HotKeyOptions{Enable: true, PromoteMin: 2, capacity: 4, revalidateEvery: 3}})
+	front := cl.Sys.Frontend()
+	cli := NewClientWithOptions(cl, front, ClientOptions{RequestTimeout: 2 * sim.Millisecond})
+	k := cl.Sys.K
+	present := make([][]byte, writeFuzzPresent)
+	for i := range present {
+		present[i] = writeFuzzKeyName(i)
+	}
+	populate(t, cl, cli, present, func(i int) []byte { return []byte(fmt.Sprintf("fw-%d-init", i)) })
+
+	run := writeFuzzRun{badKey: -1}
+	fail := func(key int, format string, args ...any) {
+		if len(run.errs) == 0 {
+			run.badKey = key
+		}
+		run.errs = append(run.errs, fmt.Sprintf(format, args...))
+	}
+	// ops in input order; run.issued in the order they were issued, which
+	// a busy core can make differ from the schedule.
+	var ops []*writeFuzzOp
+	owned := func(key int, v []byte) bool { return strings.HasPrefix(string(v), fmt.Sprintf("fw-%d-", key)) }
+	start := k.Now()
+	for i, b := range in {
+		o := &writeFuzzOp{index: i, key: int(b) & 0x0f, core: int(b) >> 4 & 1, kind: opGet}
+		switch b >> 5 {
+		case 0, 1, 2, 3:
+			o.kind, o.value = opSet, fmt.Sprintf("fw-%d-%d", o.key, i)
+		case 7:
+			o.kind = opDelete
+		}
+		ops = append(ops, o)
+		k.At(start+sim.Time(i)*30*sim.Microsecond, func() {
+			cli.mgrs[o.core].Spawn(func(c *event.Ctx) {
+				o.issued = c.Now()
+				run.issued = append(run.issued, o)
+				done := func(c *event.Ctx, r Response) {
+					o.fired++
+					o.resp = *keep(r)
+					if o.kind == opGet && r.OK() && !owned(o.key, r.Value) {
+						fail(o.key, "Get of key %d answered OK with %q", o.key, r.Value)
 					}
-					done := func(c *event.Ctx, r Response) {
-						o.fired++
-						o.resp = *keep(r)
-						if o.kind == opGet && r.OK() && !owned(o.key, r.Value) {
-							errs = append(errs, fmt.Sprintf("Get of key %d answered OK with %q", o.key, r.Value))
-						}
-					}
-					key := writeFuzzKeyName(o.key)
-					switch o.kind {
-					case opSet:
-						cli.Set(c, key, []byte(o.value), 0, done)
-					case opGet:
-						cli.Get(c, key, done)
-					default:
-						cli.Delete(c, key, done)
-					}
-				})
-			})
-		}
-		next := start + sim.Time(len(in))*30*sim.Microsecond
-
-		var m *Migrator
-		if fault == faultHandoff {
-			m = NewMigrator(cl, front)
-		}
-		k.At(start+at, func() {
-			switch fault {
-			case faultKill:
-				cl.Backends[victim].Node.Kill()
-				cl.EvictBackend(victim)
-			case faultTimeout:
-				node := cl.Backends[victim].Node
-				node.Kill()
-				k.After(3*sim.Millisecond, node.Revive)
-			case faultTeardown:
-				front.Spawn(func(c *event.Ctx) { cli.rep(c).dropBackend(c, victim) })
-			case faultHandoff:
-				m.Join(2)
-			}
-		})
-		k.RunFor(next - start + 300*sim.Millisecond)
-		for deadline := k.Now() + 500*sim.Millisecond; m != nil && m.Active() && k.Now() < deadline; {
-			k.RunFor(sim.Millisecond)
-		}
-		k.RunFor(10 * sim.Millisecond)
-
-		for i, o := range ops {
-			if o.fired != 1 {
-				errs = append(errs, fmt.Sprintf("op %d (kind %d, key %d) fired %d times", i, o.kind, o.key, o.fired))
-			}
-		}
-		// Read back each key whose last write is an acknowledged Set.
-		last := map[int]*op{}
-		for _, o := range writes {
-			last[o.key] = o
-		}
-		reads := map[int]*Response{}
-		front.Spawn(func(c *event.Ctx) {
-			for key, o := range last {
-				if o.kind != opSet || !o.resp.OK() {
-					continue
 				}
-				reads[key] = nil
-				cli.Get(c, writeFuzzKeyName(key), func(c *event.Ctx, r Response) { reads[key] = keep(r) })
-			}
+				key := writeFuzzKeyName(o.key)
+				switch o.kind {
+				case opSet:
+					cli.Set(c, key, []byte(o.value), 0, done)
+				case opGet:
+					cli.Get(c, key, done)
+				default:
+					cli.Delete(c, key, done)
+				}
+			})
 		})
-		k.RunFor(20 * sim.Millisecond)
-		for key, r := range reads {
-			acked := last[key]
-			switch {
-			case r == nil:
-				errs = append(errs, fmt.Sprintf("read-back of key %d never answered", key))
-			case !r.OK() || r.CAS < acked.resp.CAS:
-				errs = append(errs, fmt.Sprintf("key %d acked %q at stamp %d, read back status %#x %q at %d",
-					key, acked.value, acked.resp.CAS, r.Status, r.Value, r.CAS))
-			case r.CAS == acked.resp.CAS && string(r.Value) != acked.value:
-				errs = append(errs, fmt.Sprintf("key %d read back %q at the stamp that wrote %q", key, r.Value, acked.value))
-			}
-		}
-		errs = append(errs, notHome(cli)...)
-		if len(errs) > 0 {
-			t.Fatalf("fault %d on backend %d at +%v: %d violations, first %v", fault, victim, at, len(errs), errs[:min(len(errs), 5)])
+	}
+	next := start + sim.Time(len(in))*30*sim.Microsecond
+
+	var m *Migrator
+	if fault == faultHandoff {
+		m = NewMigrator(cl, front)
+	}
+	node := cl.Backends[victim].Node
+	k.At(start+at, func() {
+		switch fault {
+		case faultKill:
+			cl.Audit.Emit(k.Now(), int(node.Id), audit.NodeKilled, audit.Fields{"backend": victim})
+			node.Kill()
+			cl.EvictBackend(victim)
+		case faultTimeout:
+			cl.Audit.Emit(k.Now(), int(node.Id), audit.NodeKilled, audit.Fields{"backend": victim})
+			node.Kill()
+			k.After(3*sim.Millisecond, func() {
+				cl.Audit.Emit(k.Now(), int(node.Id), audit.NodeRevived, audit.Fields{"backend": victim})
+				node.Revive()
+			})
+		case faultTeardown:
+			front.Spawn(func(c *event.Ctx) { cli.rep(c).dropBackend(c, victim) })
+		case faultHandoff:
+			m.Join(2)
 		}
 	})
+	k.RunFor(next - start + 300*sim.Millisecond)
+	for deadline := k.Now() + 500*sim.Millisecond; m != nil && m.Active() && k.Now() < deadline; {
+		k.RunFor(sim.Millisecond)
+	}
+	k.RunFor(10 * sim.Millisecond)
+
+	for i, o := range ops {
+		if o.fired != 1 {
+			fail(o.key, "op %d (kind %d, key %d) fired %d times", i, o.kind, o.key, o.fired)
+		}
+	}
+	// Read back each key whose last write is an acknowledged Set, in key
+	// order, so that a re-run issues them alike.
+	var last [16]*writeFuzzOp
+	for _, o := range run.issued {
+		if o.kind != opGet {
+			last[o.key] = o
+		}
+	}
+	var reads [16]*Response
+	asked := [16]bool{}
+	front.Spawn(func(c *event.Ctx) {
+		for key, o := range last {
+			if o == nil || o.kind != opSet || !o.resp.OK() {
+				continue
+			}
+			asked[key] = true
+			cli.Get(c, writeFuzzKeyName(key), func(c *event.Ctx, r Response) { reads[key] = keep(r) })
+		}
+	})
+	k.RunFor(20 * sim.Millisecond)
+	for key, r := range reads {
+		acked := last[key]
+		switch {
+		case !asked[key]:
+		case r == nil:
+			fail(key, "read-back of key %d never answered", key)
+		case !r.OK() || r.CAS < acked.resp.CAS:
+			fail(key, "key %d acked %q at stamp %d, read back status %#x %q at %d",
+				key, acked.value, acked.resp.CAS, r.Status, r.Value, r.CAS)
+		case r.CAS == acked.resp.CAS && string(r.Value) != acked.value:
+			fail(key, "key %d read back %q at the stamp that wrote %q", key, r.Value, acked.value)
+		}
+	}
+	for _, e := range notHome(cli) {
+		fail(-1, "%s", e)
+	}
+	return run
+}
+
+// writeFuzzHistory renders what a failing FuzzWriteLifecycle run did to
+// the key of its first violation: that key's operations in issue order,
+// the audited events naming it, then the faults and migrations.
+func writeFuzzHistory(run writeFuzzRun, tape []audit.Event) string {
+	var b strings.Builder
+	event := func(e audit.Event) {
+		fmt.Fprintf(&b, "\n  %v node %d %s %v", e.Time, e.Node, e.Kind, e.Fields)
+	}
+	if run.badKey >= 0 {
+		name := string(writeFuzzKeyName(run.badKey))
+		fmt.Fprintf(&b, "\nkey %d (%s), its operations in issue order:", run.badKey, name)
+		for _, o := range run.issued {
+			if o.key == run.badKey {
+				fmt.Fprintf(&b, "\n  %v", o)
+			}
+		}
+		fmt.Fprintf(&b, "\nevents naming %s:", name)
+		named := 0
+		for _, e := range tape {
+			if e.Fields["key"] == name {
+				event(e)
+				named++
+			}
+		}
+		if named == 0 {
+			b.WriteString(" none")
+		}
+	}
+	b.WriteString("\nfaults and migrations:")
+	for _, e := range tape {
+		switch e.Kind {
+		case audit.NodeKilled, audit.NodeRevived, audit.HealthEvicted, audit.HealthRestored,
+			audit.MigrationStart, audit.MigrationFence, audit.MigrationCutover, audit.MigrationAbort, audit.MigrationDone:
+			event(e)
+		}
+	}
+	return b.String()
 }

@@ -213,8 +213,8 @@ func readAll(cl *Cluster, cli *Client, keys [][]byte) (ok, miss, netErr int) {
 // its ring share, and the stream moved a bounded fraction of the
 // keyspace.
 func TestJoinStreamsKeyShare(t *testing.T) {
-	ring := audit.NewRing(4096)
-	cl := NewCluster(3, Options{Audit: audit.NewLog(ring)})
+	tape := new(audit.Tape)
+	cl := NewCluster(3, Options{Audit: audit.NewLog(tape)})
 	front := cl.Sys.Frontend()
 	cli := NewClientWithOptions(cl, front, ClientOptions{RequestTimeout: 8 * sim.Millisecond})
 	m := NewMigrator(cl, front)
@@ -250,7 +250,7 @@ func TestJoinStreamsKeyShare(t *testing.T) {
 
 	// The audit trail tells the same story, in order: the run started,
 	// every job fenced and cut over, and the migration concluded clean.
-	x := audit.Expect(ring)
+	x := audit.ExpectEvents(*tape)
 	if err := x.Seq(
 		audit.On(audit.MigrationStart),
 		audit.On(audit.MigrationFence),

@@ -323,8 +323,8 @@ func TestGetMultiAcrossHandoffWindow(t *testing.T) {
 // the backend, the op count, and the bytes written - so batch formation
 // is assertable in the same event-sequence style as the chaos tests.
 func TestGetMultiBatchFlushAudited(t *testing.T) {
-	ring := audit.NewRing(4096)
-	cl := NewCluster(2, Options{Audit: audit.NewLog(ring)})
+	tape := new(audit.Tape)
+	cl := NewCluster(2, Options{Audit: audit.NewLog(tape)})
 	cli := NewClientWithOptions(cl, cl.Sys.Frontend(), ClientOptions{})
 
 	keys := make([][]byte, 12)
@@ -333,10 +333,10 @@ func TestGetMultiBatchFlushAudited(t *testing.T) {
 	}
 	populate(t, cl, cli, keys, func(i int) []byte { return []byte("av") })
 
-	mark := ring.Total()
+	mark := len(*tape)
 	getMultiWait(t, cl, cli, keys)
 
-	x := audit.ExpectEvents(ring.SnapshotSince(mark))
+	x := audit.ExpectEvents((*tape)[mark:])
 	flushes := x.Count(audit.On(audit.FrontendBatchFlush))
 	if flushes == 0 {
 		t.Fatal("batched GetMulti emitted no frontend.batch_flush event")

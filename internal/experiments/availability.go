@@ -54,18 +54,6 @@ const maxEvictMs = 25.0
 // backend.
 const maxRestoreLag = 50 * sim.Millisecond
 
-// eventTally is the audit sink the availability Spec counts from; it
-// passes every event on to the caller's log (a nil one drops them).
-type eventTally struct {
-	events []audit.Event
-	next   *audit.Log
-}
-
-func (t *eventTally) Emit(e audit.Event) {
-	t.events = append(t.events, e)
-	t.next.Emit(e.Time, e.Node, e.Kind, e.Fields)
-}
-
 // specAvailability boots a 4-backend, R=2 cluster with health
 // monitoring, drives the ETC workload through the frontend's client
 // Ebb, kills backend 0 mid-measurement and, at Smoke, revives it - the
@@ -98,9 +86,10 @@ func specAvailability(s Scale, log *audit.Log) Report {
 	killAt := pick(s, 40*sim.Millisecond, 60*sim.Millisecond)
 	reviveAt := pick(s, 70*sim.Millisecond, 0)
 
-	tally, hash := &eventTally{next: log}, fnv.New64a()
+	var tape audit.Tape
+	hash := fnv.New64a()
 	lines := audit.NewFileSink(hash)
-	alog := audit.NewLog(tally, lines)
+	alog := audit.NewLog(&tape, lines)
 	cl := cluster.NewCluster(backends, cluster.Options{
 		CoresPerBackend: 1,
 		Replicas:        replicas,
@@ -214,7 +203,12 @@ func specAvailability(s Scale, log *audit.Log) Report {
 	err := lines.Close() // flushes the last encoded lines into the hash
 	rep.require(err == nil, "event stream did not encode: %v", err)
 
-	x := audit.ExpectEvents(tally.events)
+	// The caller's log (a nil one drops them) gets the run's events
+	// after it, in the order they happened.
+	for _, e := range tape {
+		log.Emit(e.Time, e.Node, e.Kind, e.Fields)
+	}
+	x := audit.ExpectEvents(tape)
 	evictMs := -1.0
 	kill, haveKill := x.First(audit.On(audit.NodeKilled))
 	evict, haveEvict := x.First(audit.On(audit.HealthEvicted))
@@ -222,7 +216,7 @@ func specAvailability(s Scale, log *audit.Log) Report {
 		evictMs = float64(evict.Time-kill.Time) / 1e6
 	}
 	restores := x.Count(audit.On(audit.HealthRestored))
-	rep.metric("total_events", len(tally.events))
+	rep.metric("total_events", len(tape))
 	rep.metric("kill_events", x.Count(audit.On(audit.NodeKilled)))
 	rep.metric("revive_events", x.Count(audit.On(audit.NodeRevived)))
 	rep.metric("eviction_events", x.Count(audit.On(audit.HealthEvicted)))
@@ -237,6 +231,19 @@ func specAvailability(s Scale, log *audit.Log) Report {
 	rep.require(preRPS >= 0.8*rps, "pre-kill throughput %.0f RPS below 80%% of offered %.0f: cluster unhealthy before the fault", preRPS, rps)
 	rep.require(failRPS >= 0.6*preRPS, "failure-window throughput %.0f RPS is %.0f%% of pre-kill %.0f, want >= 60%%", failRPS, pct(failRPS, preRPS), preRPS)
 	rep.require(recRPS >= 0.9*preRPS, "recovered throughput %.0f RPS is %.0f%% of pre-kill %.0f, want >= 90%%", recRPS, pct(recRPS, preRPS), preRPS)
+	// The failure's causal order: the kill, the monitor's three missed
+	// beats on the victim, its eviction, and at Smoke the revive and the
+	// restore.
+	order := []audit.Matcher{
+		audit.On(audit.NodeKilled).OnNode(victimNode),
+		audit.On(audit.HealthMissedBeat).OnNode(victimNode).Times(3),
+		audit.On(audit.HealthEvicted).OnNode(victimNode),
+	}
+	if reviveAt > 0 {
+		order = append(order, audit.On(audit.NodeRevived).OnNode(victimNode), audit.On(audit.HealthRestored).OnNode(victimNode))
+	}
+	err = x.Seq(order...)
+	rep.require(err == nil, "the failure's events out of order: %v", err)
 	if reviveAt > 0 {
 		rep.require(restores > 0, "event stream recorded no restore after the revive")
 		rep.require(restoredAt > reviveAt && restoredAt-reviveAt <= maxRestoreLag,

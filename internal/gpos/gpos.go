@@ -31,8 +31,6 @@ import (
 // Config is one OS profile: which of internal/costs' general-purpose OS
 // constants a runtime charges.
 type Config struct {
-	// Label names the profile in experiment output.
-	Label string
 	// Syscall is the user->kernel->user crossing cost.
 	Syscall sim.Time
 	// CopyPerByte is the user/kernel copy cost each direction.
@@ -65,7 +63,6 @@ type Config struct {
 // virtualization delta lives in the machine's device path.
 func LinuxConfig() Config {
 	return Config{
-		Label:            "Linux",
 		Syscall:          costs.LinuxSyscallNs,
 		CopyPerByte:      costs.LinuxCopyNsPerByte,
 		SoftirqPerPacket: costs.LinuxSoftirqPerPacketNs,
@@ -84,7 +81,6 @@ func LinuxConfig() Config {
 // NIC (machine.Config.NICQueues = 1).
 func OSvConfig() Config {
 	return Config{
-		Label:                "OSv",
 		Syscall:              costs.OSvSyscallNs,
 		CopyPerByte:          costs.OSvCopyNsPerByte,
 		SoftirqPerPacket:     costs.OSvSoftirqPerPacketNs,
@@ -131,9 +127,6 @@ func (rt *Runtime) startTick(mgr *event.Manager) {
 	}
 	mgr.After(rt.Cfg.TickInterval, tick)
 }
-
-// Name implements appnet.Runtime.
-func (rt *Runtime) Name() string { return rt.Cfg.Label }
 
 // Mgrs implements appnet.Runtime.
 func (rt *Runtime) Mgrs() []*event.Manager { return rt.Stack.Mgrs }

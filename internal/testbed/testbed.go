@@ -84,7 +84,6 @@ func NewPair(kind ServerKind, serverCores, clientCores int) *Pair {
 	cliStack := netstack.NewStack(cliM, cliMgrs, netstack.Config{})
 	cliItf := cliStack.AddInterface(cliNIC, ClientIP, netMask)
 	client := appnet.NewNative(cliStack, cliItf)
-	client.RuntimeName = "client"
 
 	srvMgrs := managers(srvM)
 	var server appnet.Runtime

@@ -1,6 +1,10 @@
 package testbed
 
-import "testing"
+import (
+	"testing"
+
+	"ebbrt/internal/gpos"
+)
 
 func TestKindStrings(t *testing.T) {
 	for kind, want := range map[ServerKind]string{
@@ -30,7 +34,9 @@ func TestPairTopology(t *testing.T) {
 
 func TestSymmetricPairSameKindBothEnds(t *testing.T) {
 	pair := NewSymmetricPair(LinuxVM, 1)
-	if pair.Client.Name() != pair.Server.Name() {
-		t.Fatalf("asymmetric: %q vs %q", pair.Client.Name(), pair.Server.Name())
+	cli, cliOK := pair.Client.(*gpos.Runtime)
+	srv, srvOK := pair.Server.(*gpos.Runtime)
+	if !cliOK || !srvOK || cli.Cfg != srv.Cfg {
+		t.Fatalf("asymmetric: client %T, server %T", pair.Client, pair.Server)
 	}
 }
