@@ -35,8 +35,9 @@ import (
 //     Evictions), as stock memcached's tail search does.
 //
 // The backing bytes themselves live on the Go heap (entries hold real
-// slices); the allocator tracks the simulated footprint, which is what
-// the budget bounds.
+// slices, or the server's pool elements for values it lends); the
+// allocator tracks the simulated footprint, which is what the budget
+// bounds.
 
 // EvictionPolicy selects what the per-class lists reclaim first.
 type EvictionPolicy uint8
@@ -292,12 +293,14 @@ func (s *BoundedStore) Set(key string, e *Entry) bool {
 		return s.insert(&boundedItem{key: strings.Clone(key), e: *e})
 	}
 	s.release(it)
+	old := it.e
 	it.e = *e
-	if !s.insert(it) {
+	stored := s.insert(it)
+	if !stored {
 		delete(s.m, it.key)
-		return false
 	}
-	return true
+	old.free() // after insert's hold: a touch re-stores the same element
+	return stored
 }
 
 // Add implements Store.
@@ -311,7 +314,7 @@ func (s *BoundedStore) Add(key string, e *Entry) bool {
 }
 
 // insert allocates backing for the item's entry, evicting as needed, and
-// makes it resident.
+// makes it resident, holding its element; a failed insert holds nothing.
 func (s *BoundedStore) insert(it *boundedItem) bool {
 	charge := chargeBytes(it.key, &it.e)
 	ci := s.classFor(charge)
@@ -354,6 +357,7 @@ func (s *BoundedStore) insert(it *boundedItem) bool {
 	}
 	s.m[it.key] = it
 	s.classOf(it).pushFront(it)
+	it.e.retain()
 	if used := s.budget - s.pages.FreeBytes(); used > s.peak {
 		s.peak = used
 	}
@@ -397,10 +401,12 @@ func (s *BoundedStore) reclaimFrom(c *boundedClass) bool {
 	return true
 }
 
-// removeItem drops the item from the store and releases it.
+// removeItem drops the item from the store, releases it and frees its
+// element.
 func (s *BoundedStore) removeItem(it *boundedItem) {
 	delete(s.m, it.key)
 	s.release(it)
+	it.e.free()
 }
 
 // release unlinks the item and returns its backing to the allocator

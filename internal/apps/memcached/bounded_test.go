@@ -204,13 +204,16 @@ func TestBoundedStoreSlabCalcification(t *testing.T) {
 }
 
 // TestBoundedStoreServerOOM: the server surfaces an unsatisfiable store
-// as StatusOutOfMemory on the wire.
+// - here into a class starved by calcified pages - as StatusOutOfMemory
+// on the wire, and a store the calcified class can evict for succeeds.
 func TestBoundedStoreServerOOM(t *testing.T) {
 	protoHarness(t, func(c *event.Ctx) {
-		srv := NewServer(NewBoundedStore(boundedTestBudget, EvictLRU, nil), 1)
+		store := NewBoundedStore(boundedTestBudget, EvictLRU, nil)
+		fillToCapacity(t, store)
+		srv := NewServer(store, 1)
 		_, fc := feed(c, srv,
-			BuildSet([]byte("huge"), make([]byte, int(boundedTestBudget)+1), 0, 1),
-			BuildSet([]byte("ok"), []byte("v"), 0, 2),
+			BuildSet([]byte("starved"), []byte("v"), 0, 1),
+			BuildSet([]byte("ok"), make([]byte, 960), 0, 2),
 		)
 		hdrs, _ := parseResponses(t, fc.out)
 		if len(hdrs) != 2 {

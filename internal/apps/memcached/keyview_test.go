@@ -32,10 +32,15 @@ func allStores() map[string]func() Store {
 // and 3 on the locked one (4 on the RCU and bounded stores while the key
 // was copied per request and the bounded store built a new LRU item per
 // overwrite, and 2 on the bounded one while the server allocated an
-// Entry per store).
+// Entry per store). A value a GET may lend is copied into an element of
+// the server's value pools instead, where the element of the value it
+// overwrites goes back: a warm overwrite of one allocates 2 objects on the
+// RCU and locked stores and none on the bounded one, and a GET hit lends
+// it for nothing.
 func TestServerObjectBudget(t *testing.T) {
-	value := bytes.Repeat([]byte("v"), 100)
+	value, lent := bytes.Repeat([]byte("v"), 100), bytes.Repeat([]byte("l"), 2*borrowMin)
 	setAllocs := map[string]float64{"rcu": 3, "bounded": 1, "locked": 3}
+	lentSetAllocs := map[string]float64{"rcu": 2, "bounded": 0, "locked": 2}
 	for name, mk := range allStores() {
 		t.Run(name, func(t *testing.T) {
 			srv := NewServer(mk(), 1)
@@ -64,6 +69,8 @@ func TestServerObjectBudget(t *testing.T) {
 				{"DELETE miss", binary(Request{Opcode: OpDelete, Key: []byte("absent")}.Build(4)), 0},
 				{"text get hit", text("get small\r\n"), 0},
 				{"SET over a resident key", binary(BuildSet([]byte("small"), value, 0, 5)), setAllocs[name]},
+				{"SET of a lent value over a resident key", binary(BuildSet([]byte("lent"), lent, 0, 6)), lentSetAllocs[name]},
+				{"GET hit of a lent value", binary(BuildGet([]byte("lent"), 7)), 0},
 			}
 			protoHarness(t, func(c *event.Ctx) {
 				for _, tc := range cases {
@@ -82,6 +89,9 @@ func TestServerObjectBudget(t *testing.T) {
 			})
 			if e, ok := srv.Store.Get("small"); !ok || !bytes.Equal(e.Value, value) {
 				t.Fatal("the resident entry did not survive its overwrites")
+			}
+			if e, ok := srv.Store.Get("lent"); !ok || !bytes.Equal(e.Value, lent) || valuesOut(srv) != 1 {
+				t.Fatalf("the lent entry did not survive its overwrites in one element (%d out)", valuesOut(srv))
 			}
 		})
 	}

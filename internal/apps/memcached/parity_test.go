@@ -21,7 +21,10 @@ import (
 // delivered buffer is scribbled over once its delivery returns, and every
 // key either server holds must be one the script named: a stored key that
 // still viewed a request's bytes would corrupt both servers alike, which
-// the comparison alone would pass.
+// the comparison alone would pass. Each server's value pools must have out
+// exactly one element per resident entry whose value a GET would lend,
+// and the responses' pools none once the op's replies are sent and freed:
+// no element leaks, and none is freed twice (which panics).
 func FuzzBinaryTextParity(f *testing.F) {
 	for _, ops := range paritySeeds {
 		f.Add(encodeParity(ops))
@@ -32,6 +35,9 @@ func FuzzBinaryTextParity(f *testing.F) {
 		mgr := event.NewManager(m.Cores[0], event.DefaultCosts())
 		txt, bin := NewServer(NewRCUStore(), 1), NewServer(NewRCUStore(), 1)
 		txtConn, binConn := &serverConn{srv: txt}, &serverConn{srv: bin}
+		for _, sc := range []*serverConn{txtConn, binConn} {
+			sc.resp.Pool, sc.resp.views = iobuf.NewPool(2048), iobuf.NewPool(0)
+		}
 		out := &fakeConn{}
 		named := map[string]bool{}
 		for i, op := range decodeParity(data) {
@@ -55,6 +61,14 @@ func FuzzBinaryTextParity(f *testing.F) {
 			for _, srv := range []*Server{txt, bin} {
 				if stray := strayKey(srv, named); stray != "" {
 					t.Fatalf("op %d (%s %q) left key %s, which no op named", i, op.verb, op.key, stray)
+				}
+				if out, lent := valuesOut(srv), countEntries(srv, lentSize); out != lent {
+					t.Fatalf("op %d (%s %q) left %d value elements out for %d entries a GET would lend", i, op.verb, op.key, out, lent)
+				}
+			}
+			for _, sc := range []*serverConn{txtConn, binConn} {
+				if n, v := sc.resp.Pool.Outstanding(), sc.resp.views.Outstanding(); n != 0 || v != 0 {
+					t.Fatalf("op %d (%s %q) left %d response elements and %d views out", i, op.verb, op.key, n, v)
 				}
 			}
 		}
@@ -236,6 +250,10 @@ func (op parityOp) binary(opaque uint32) []byte {
 	return BuildGet(key, opaque)
 }
 
+// lentSize matches an entry whose value a GET would lend, which must lie
+// in an element of the server's own when the server stored it.
+func lentSize(e *Entry) bool { return len(e.Value) >= borrowMin && len(e.Value) <= MaxTextValue }
+
 // parityDiff says how the text server's state differs from the binary
 // server's, "" if it does not.
 func parityDiff(txt, bin *Server) string {
@@ -267,7 +285,7 @@ func describeEntry(e *Entry) string {
 
 // paritySeeds are the fuzz target's seed sequences: the op table of the
 // test it replaced, then expiry over virtual time, then counters and
-// concatenation.
+// concatenation, then every way a store lets a value a GET lends go.
 var paritySeeds = [][]parityOp{
 	{
 		{verb: "set", key: "alpha", value: []byte("one"), flags: 1},
@@ -308,5 +326,20 @@ var paritySeeds = [][]parityOp{
 		{verb: "get", key: "bulk"},
 		{verb: "delete", key: "n"},
 		{verb: "touch", key: "n", exptime: 1},
+	},
+	{
+		{verb: "set", key: "alpha", value: bytes.Repeat([]byte("a"), 2048)},
+		{verb: "get", key: "alpha"},
+		{verb: "touch", key: "alpha", exptime: 100},
+		{verb: "set", key: "alpha", value: bytes.Repeat([]byte("A"), 3000)}, // overwrite
+		{verb: "prepend", key: "alpha", value: []byte("x")},
+		{verb: "add", key: "alpha", value: bytes.Repeat([]byte("L"), 1024)}, // loses
+		{verb: "delete", key: "alpha"},
+		{verb: "set", key: "beta", value: bytes.Repeat([]byte("b"), 1500), exptime: 1},
+		{verb: "wait", wait: 2 * sim.Second},
+		{verb: "get", key: "beta"}, // expired: reclaimed
+		{verb: "set", key: "gamma", value: bytes.Repeat([]byte("g"), 1024)},
+		{verb: "flush_all"},
+		{verb: "get", key: "gamma"},
 	},
 }

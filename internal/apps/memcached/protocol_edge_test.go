@@ -19,8 +19,11 @@ type fakeConn struct {
 	closed bool
 }
 
+// Send takes the chain as a stack does, and frees it as the peer's
+// acknowledgment would.
 func (f *fakeConn) Send(c *event.Ctx, payload *iobuf.IOBuf) {
 	f.out = append(f.out, payload.CopyOut()...)
+	payload.Free()
 }
 func (f *fakeConn) Close(c *event.Ctx) { f.closed = true }
 func (f *fakeConn) Core() int          { return 0 }
@@ -419,3 +422,46 @@ func TestNextFrame(t *testing.T) {
 
 // appnet.Conn conformance for the fake.
 var _ appnet.Conn = (*fakeConn)(nil)
+
+// A binary storage request whose value is over the item limit is refused
+// as the text protocol refuses one: StatusValueTooBig, nothing stored, and
+// the announced body swallowed as it arrives - in pieces, or whole in one
+// delivery - without being buffered, so the next request on the
+// connection is served.
+func TestBinaryOversizedValueRefused(t *testing.T) {
+	value := bytes.Repeat([]byte("z"), MaxTextValue+1)
+	for _, tc := range []struct {
+		name   string
+		req    []byte
+		pieces int // deliveries the request arrives in
+	}{
+		{"set", BuildSet([]byte("big"), value, 0, 1), 17},
+		{"addq", storeRequest(OpAddQ, []byte("big"), value, 0, 0).Build(1), 17},
+		{"append", Request{Opcode: OpAppend, Key: []byte("big"), Value: value}.Build(1), 17},
+		{"set in one delivery", BuildSet([]byte("big"), value, 0, 1), 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			protoHarness(t, func(c *event.Ctx) {
+				srv := NewServer(NewRCUStore(), 1)
+				srv.Store.Set("big", &Entry{Value: []byte("small")})
+				sc, fc := &serverConn{srv: srv}, &fakeConn{}
+				step := (len(tc.req) + tc.pieces - 1) / tc.pieces
+				for off := 0; off < len(tc.req); off += step {
+					sc.onData(c, fc, iobuf.Wrap(tc.req[off:min(off+step, len(tc.req))]))
+					if sc.rx.Len() > HeaderLen {
+						t.Fatalf("the connection buffered %d bytes of a refused request", sc.rx.Len())
+					}
+				}
+				sc.onData(c, fc, iobuf.Wrap(BuildGet([]byte("big"), 2)))
+				hdrs, bodies := parseResponses(t, fc.out)
+				if len(hdrs) != 2 || hdrs[0].Status != StatusValueTooBig || hdrs[0].Opaque != 1 ||
+					hdrs[1].Status != StatusOK || string(bodies[1][GetResponseExtrasLen:]) != "small" {
+					t.Fatalf("%d responses (%+v): want the refusal, then the GET of the entry it left alone", len(hdrs), hdrs)
+				}
+				if fc.closed || srv.stats.cmdSet != 0 {
+					t.Fatalf("closed %v, %d storage commands counted", fc.closed, srv.stats.cmdSet)
+				}
+			})
+		})
+	}
+}

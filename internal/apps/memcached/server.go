@@ -2,6 +2,7 @@ package memcached
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"strconv"
 
 	"ebbrt/internal/apps/appnet"
@@ -44,6 +45,10 @@ type Server struct {
 	// entry is the one Entry every store passes to Store.Set and Add,
 	// which keep a copy: a request's entry costs the server nothing.
 	entry Entry
+
+	// values are the pools a value a GET may lend is copied into, one per
+	// size class (valueClass), each made at its first use.
+	values [valueClasses]*iobuf.Pool
 
 	// stats are the live counters behind the `stats` command (stats.go
 	// renders them under their stock names). Both protocols feed the same
@@ -178,6 +183,48 @@ func (s *Server) maybeApplyFlush(now sim.Time) {
 	})
 }
 
+// Stored values a GET may lend - borrowMin bytes up to the item limit -
+// live in elements from the server's value pools, so that the GET
+// responses lending one and the store that holds it share it by count,
+// and an overwrite's element goes back to be the next SET's (the paper's
+// IOBuf, §4.2). The classes run eight to an octave, so an element is at
+// most an eighth longer than the longest value of its class - about as
+// close as the Go allocator's own size classes fit a fresh slice. Each
+// class keeps at most valueSpareBytes of spare elements: values come in
+// every size, and a pool that kept each class's every element back would
+// keep a burst's worth of each for good.
+const (
+	valueClasses    = 81 // valueClass(MaxTextValue) + 1
+	valueSpareBytes = 32 << 10
+)
+
+// valueClass returns the index and element size of the class a value of
+// n bytes (borrowMin <= n <= MaxTextValue) is stored in: n rounded up to
+// a multiple of an eighth of the power of two below it.
+func valueClass(n int) (idx, size int) {
+	shift := bits.Len(uint(n-1)) - 4
+	m := (n-1)>>shift + 1 // 9 to 16 eighths of 1<<(shift+3); 16 for borrowMin
+	return (shift-7)*8 + m - 8, m << shift
+}
+
+// newValue returns n bytes for the caller to fill with a value the store
+// will keep, and the element they lie in, with one holder, the caller: a
+// pool element for a value a GET may lend, nil and a plain slice for any
+// other, which a GET copies behind its header instead.
+func (s *Server) newValue(n int) ([]byte, *iobuf.IOBuf) {
+	if n < borrowMin || n > MaxTextValue {
+		return make([]byte, n), nil
+	}
+	i, size := valueClass(n)
+	p := s.values[i]
+	if p == nil {
+		p = iobuf.NewBoundedPool(size, max(1, valueSpareBytes/size))
+		s.values[i] = p
+	}
+	e := p.Get(n)
+	return e.Append(n)[:n:n], e
+}
+
 // set stores e under key through the server's reused entry.
 func (s *Server) set(key string, e Entry) bool {
 	s.entry = e
@@ -241,6 +288,7 @@ type serverConn struct {
 	resp    response
 	mode    byte
 	text    textSession
+	skip    int  // bytes left of a refused binary request, discarded as they arrive
 	counted bool // curr_connections already decremented for this conn
 }
 
@@ -273,6 +321,14 @@ func (sc *serverConn) onData(c *event.Ctx, conn appnet.Conn, payload *iobuf.IOBu
 	// naturally does when multiple requests arrive in one interrupt.
 	consumed := 0
 	for {
+		if sc.skip > 0 {
+			n := min(sc.skip, len(data)-consumed)
+			consumed += n
+			if sc.skip -= n; sc.skip > 0 {
+				sc.rx.Keep(data, consumed, 0)
+				break
+			}
+		}
 		hdr, body, n, err := NextFrame(data[consumed:], MagicRequest)
 		if err != nil {
 			// Protocol error: drop the connection.
@@ -282,6 +338,13 @@ func (sc *serverConn) onData(c *event.Ctx, conn appnet.Conn, payload *iobuf.IOBu
 			sc.mode = modeClosed
 			conn.Close(c)
 			return
+		}
+		if hdr.Magic != 0 && int(hdr.BodyLen)-int(hdr.ExtrasLen)-int(hdr.KeyLen) > MaxTextValue {
+			// Over the item limit: refused, as the text protocol refuses
+			// it, and its body swallowed as it arrives, never buffered.
+			sc.resp.add(hdr, StatusValueTooBig, nil, nil, 0)
+			sc.skip = HeaderLen + int(hdr.BodyLen)
+			continue
 		}
 		if n == 0 {
 			// Retain any partial request.
@@ -319,16 +382,22 @@ type response struct {
 // in through the returned slice, then value, then tail. A value of
 // borrowMin bytes or more - only a GET's stored value is that long, and
 // Entry.Value is never written once stored - is lent rather than copied:
-// the head announces it and a view of it follows, holding it for as long
-// as the stack may retransmit it.
-func (r *response) record(head int, value []byte, tail string) []byte {
+// the head announces it and a view of it follows. elem, if not nil, is
+// the element the value lies in (Entry.elem), which the view holds until
+// the stack has no more use for it, however the store fares meanwhile;
+// bytes in no element are only lent.
+func (r *response) record(head int, value []byte, elem *iobuf.IOBuf, tail string) []byte {
 	if len(value) < borrowMin {
 		f := r.Next(head + len(value) + len(tail))
 		copy(f[head+copy(f[head:], value):], tail)
 		return f[:head]
 	}
 	f := r.Next(head)
-	r.Link(r.views.View(value))
+	if elem != nil {
+		r.Link(r.views.ViewOf(elem))
+	} else {
+		r.Link(r.views.View(value))
+	}
 	if tail != "" {
 		r.text(tail)
 	}
@@ -337,7 +406,12 @@ func (r *response) record(head int, value []byte, tail string) []byte {
 
 // add writes one binary response frame.
 func (r *response) add(req Header, status uint16, extras, value []byte, cas uint64) {
-	f := r.record(HeaderLen+len(extras), value, "")
+	r.addLent(req, status, extras, value, nil, cas)
+}
+
+// addLent is add for a value that lies in elem (record).
+func (r *response) addLent(req Header, status uint16, extras, value []byte, elem *iobuf.IOBuf, cas uint64) {
+	f := r.record(HeaderLen+len(extras), value, elem, "")
 	WriteHeader(f, Header{
 		Magic:     MagicResponse,
 		Opcode:    req.Opcode,
@@ -421,7 +495,7 @@ func (s *Server) handle(c *event.Ctx, hdr Header, body []byte, r *response) {
 		var extras [GetResponseExtrasLen]byte
 		binary.BigEndian.PutUint32(extras[:4], e.Flags)
 		binary.BigEndian.PutUint64(extras[4:], uint64(int64(e.Expires)))
-		r.add(hdr, StatusOK, extras[:], e.Value, e.CAS)
+		r.addLent(hdr, StatusOK, extras[:], e.Value, e.elem, e.CAS)
 
 	case OpSet, OpSetQ, OpAdd, OpAddQ, OpAppend, OpPrepend:
 		s.stats.cmdSet++
@@ -528,10 +602,11 @@ var binaryStoreModes = [256]storeMode{
 
 // store runs one storage command for either protocol and reports the
 // outcome as a binary status, with the stored entry's CAS on success.
-// value is the request's, copied before the store keeps it. A nonzero
-// stamp is a version stamp the request carried, which set and add store
-// instead of minting one.
+// value is the request's, copied (newValue) before the store keeps it. A
+// nonzero stamp is a version stamp the request carried, which set and add
+// store instead of minting one.
 func (s *Server) store(mode storeMode, key string, value []byte, flags uint32, expires sim.Time, stamp uint64, now sim.Time) (status uint16, cas uint64) {
+	head, tail := value, []byte(nil)
 	switch mode {
 	case storeSet:
 		cur, ok := s.Store.Get(key)
@@ -552,7 +627,6 @@ func (s *Server) store(mode storeMode, key string, value []byte, flags uint32, e
 		default:
 			cas = stamp
 		}
-		value = append([]byte(nil), value...)
 	case storeAdd:
 		// A stamped ADD (migration stream) preserves the sender's version
 		// stamp; a plain ADD mints a local one, even if it then loses. An
@@ -562,11 +636,6 @@ func (s *Server) store(mode storeMode, key string, value []byte, flags uint32, e
 		if cas = stamp; cas == 0 {
 			cas = s.nextCAS()
 		}
-		if !s.add(key, Entry{Value: append([]byte(nil), value...), Flags: flags, CAS: cas, Expires: expires, StoredAt: now}) {
-			return StatusKeyExists, 0
-		}
-		s.stats.totalItems++
-		return StatusOK, cas
 	default:
 		// Replace, append and prepend store only over a live entry; stock
 		// memcached answers NOT_STORED when there is none. The lookup and
@@ -578,25 +647,36 @@ func (s *Server) store(mode storeMode, key string, value []byte, flags uint32, e
 		}
 		cas = s.mintCAS(cur)
 		if mode == storeReplace {
-			value = append([]byte(nil), value...)
 			break
 		}
 		// Concatenation keeps the entry's flags and expiry (stock
 		// memcached ignores the request's) but takes a fresh CAS: the
 		// value changed, and the hot-key cache's newest-wins rule needs
 		// to see that.
-		head, tail := cur.Value, value
+		head, tail = cur.Value, value
 		if mode == storePrepend {
 			head, tail = value, cur.Value
 		}
-		value = append(append(make([]byte, 0, len(head)+len(tail)), head...), tail...)
 		flags, expires = cur.Flags, cur.Expires
 	}
-	if !s.set(key, Entry{Value: value, Flags: flags, CAS: cas, Expires: expires, StoredAt: now}) {
-		return StatusOutOfMemory, 0
+	v, elem := s.newValue(len(head) + len(tail))
+	copy(v[copy(v, head):], tail)
+	e := Entry{Value: v, Flags: flags, CAS: cas, Expires: expires, StoredAt: now, elem: elem}
+	var stored bool
+	if mode == storeAdd {
+		stored = s.add(key, e)
+	} else {
+		stored = s.set(key, e)
 	}
-	s.stats.totalItems++
-	return StatusOK, cas
+	e.free() // the store holds what it keeps
+	switch {
+	case stored:
+		s.stats.totalItems++
+		return StatusOK, cas
+	case mode == storeAdd:
+		return StatusKeyExists, 0
+	}
+	return StatusOutOfMemory, 0
 }
 
 // Counter statuses applyDelta reports (a subset of the binary response
@@ -672,8 +752,9 @@ func (s *Server) applyTouch(key string, expires sim.Time, now sim.Time) bool {
 		s.stats.touchMisses++
 		return false
 	}
-	s.set(key, Entry{Value: cur.Value, Flags: cur.Flags, CAS: cur.CAS,
-		Expires: expires, StoredAt: cur.StoredAt})
+	e := *cur // the same value, in the same element: the store holds it again
+	e.Expires = expires
+	s.set(key, e)
 	s.stats.touchHits++
 	return true
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"ebbrt/internal/costs"
+	"ebbrt/internal/iobuf"
 	"ebbrt/internal/rcu"
 	"ebbrt/internal/sim"
 )
@@ -33,6 +34,37 @@ type Entry struct {
 	// oldest-live rule compares against: a flush at time T kills every
 	// entry stored before T once T arrives.
 	StoredAt sim.Time
+
+	// elem is the pool element Value lies in, for a value the server
+	// copied in to lend (Server.newValue); nil for a slice someone else
+	// owns. Each copy of the entry a store keeps is one of its holders.
+	elem *iobuf.IOBuf
+}
+
+// retain adds a holder to the entry's element, if it has one: a store
+// keeping a copy of the entry.
+func (e *Entry) retain() {
+	if e.elem != nil {
+		e.elem.Retain()
+	}
+}
+
+// free drops a holder of the entry's element, if it has one: a store
+// letting its copy of the entry go. The element's last holder sends it
+// back to its pool, so from then on nothing may read the Value of any
+// copy of the entry.
+func (e *Entry) free() {
+	if e.elem != nil {
+		e.elem.Free()
+	}
+}
+
+// keep copies a borrowed entry into one a store can keep, holding its
+// element.
+func keep(e *Entry) *Entry {
+	c := *e
+	c.retain()
+	return &c
 }
 
 // Store abstracts the key-value backing so the harness can compare the RCU
@@ -48,12 +80,21 @@ type Entry struct {
 //
 // Set and Add borrow the *Entry too: a store keeps a copy of *e, never e,
 // so the server passes one Entry it reuses for every store. The value's
-// bytes are not copied; the caller hands them over, and nobody writes
-// them once stored.
+// bytes are not copied, and nobody writes them once stored. A value the
+// server copied into one of its pool elements to lend (Server.newValue)
+// is counted: each copy of the entry a store keeps holds the element,
+// and so does each GET response lending it, until the peer acknowledges
+// it. A store frees its hold wherever it lets an entry go - an
+// overwrite, a delete, an eviction, a failed insert - and the element's
+// last holder sends it back to its pool. Any other value - one a caller
+// of Set owns, as Prepopulate's are - is the caller's, and the collector
+// reclaims it.
 type Store interface {
 	// Get returns the stored entry, valid until the store's next
 	// mutation: the bounded store writes an overwrite into the entry it
-	// holds. A caller that keeps an entry past that copies it.
+	// holds, and a store that lets the entry go frees its value's
+	// element. A caller that keeps an entry, or its Value, past that
+	// copies it.
 	Get(key string) (*Entry, bool)
 	// Set stores the entry, reporting whether it was stored: the
 	// unbounded stores always succeed, the bounded store reports false
@@ -68,8 +109,10 @@ type Store interface {
 	Len() int
 	// Scan invokes fn over a point-in-time snapshot of the store taken
 	// when Scan is called: concurrent Sets and Deletes affect neither the
-	// visited set nor its values, and fn may itself mutate the store. A
-	// false return stops the scan. This is what the migrator iterates to
+	// visited set nor its values, and fn may itself mutate the store. The
+	// snapshot holds its values' elements until Scan returns, so an entry
+	// fn sees is valid for the call even if fn deletes it. A false
+	// return stops the scan. This is what the migrator iterates to
 	// stream a key range to a new owner. The order is deterministic: key
 	// order for the map-backed stores, table order for the RCU store.
 	Scan(fn func(key string, e *Entry) bool)
@@ -94,20 +137,32 @@ func NewRCUStore() *RCUStore {
 func (s *RCUStore) Get(key string) (*Entry, bool) { return s.t.Get(key) }
 
 // Set implements Store. Readers may hold the entry it replaces, so it
-// stores a new one.
-func (s *RCUStore) Set(key string, e *Entry) bool { s.t.Put(key, clone(e)); return true }
+// stores a new one; a GET lending the old value holds its element.
+func (s *RCUStore) Set(key string, e *Entry) bool {
+	if old, ok := s.t.Put(key, keep(e)); ok {
+		old.free()
+	}
+	return true
+}
 
 // Add implements Store.
-func (s *RCUStore) Add(key string, e *Entry) bool { return s.t.PutIfAbsent(key, clone(e)) }
-
-// clone copies a borrowed entry into one a store can keep.
-func clone(e *Entry) *Entry {
-	c := *e
-	return &c
+func (s *RCUStore) Add(key string, e *Entry) bool {
+	c := keep(e)
+	if !s.t.PutIfAbsent(key, c) {
+		c.free()
+		return false
+	}
+	return true
 }
 
 // Delete implements Store.
-func (s *RCUStore) Delete(key string) bool { return s.t.Delete(key) }
+func (s *RCUStore) Delete(key string) bool {
+	old, ok := s.t.Delete(key)
+	if ok {
+		old.free()
+	}
+	return ok
+}
 
 // Len implements Store.
 func (s *RCUStore) Len() int { return s.t.Len() }
@@ -119,8 +174,9 @@ func (s *RCUStore) Scan(fn func(key string, e *Entry) bool) {
 	visit(snapshotTable(s.t), fn)
 }
 
-// storePair is one snapshot entry. It holds a copy of the entry, so
-// what Scan's fn sees is fixed when Scan starts, whatever fn stores.
+// storePair is one snapshot entry. It holds a copy of the entry, and its
+// element, so what Scan's fn sees is fixed when Scan starts, whatever fn
+// stores.
 type storePair struct {
 	k string
 	v Entry
@@ -130,17 +186,22 @@ func snapshotTable(t *rcu.Table[string, *Entry]) []storePair {
 	snap := make([]storePair, 0, t.Len())
 	t.ForEach(func(k string, v *Entry) bool {
 		snap = append(snap, storePair{k: k, v: *v})
+		v.retain()
 		return true
 	})
 	return snap
 }
 
-// visit runs Scan's fn over a snapshot until it returns false.
+// visit runs Scan's fn over a snapshot until it returns false, then lets
+// the snapshot's elements go.
 func visit(snap []storePair, fn func(key string, e *Entry) bool) {
 	for i := range snap {
 		if !fn(snap[i].k, &snap[i].v) {
-			return
+			break
 		}
+	}
+	for i := range snap {
+		snap[i].v.free()
 	}
 }
 
@@ -171,7 +232,11 @@ func (s *LockedStore) Get(key string) (*Entry, bool) {
 func (s *LockedStore) Set(key string, e *Entry) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.m[strings.Clone(key)] = clone(e)
+	old, ok := s.m[key]
+	s.m[strings.Clone(key)] = keep(e)
+	if ok {
+		old.free()
+	}
 	return true
 }
 
@@ -182,7 +247,7 @@ func (s *LockedStore) Add(key string, e *Entry) bool {
 	if _, ok := s.m[key]; ok {
 		return false
 	}
-	s.m[strings.Clone(key)] = clone(e)
+	s.m[strings.Clone(key)] = keep(e)
 	return true
 }
 
@@ -190,8 +255,11 @@ func (s *LockedStore) Add(key string, e *Entry) bool {
 func (s *LockedStore) Delete(key string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.m[key]
-	delete(s.m, key)
+	old, ok := s.m[key]
+	if ok {
+		delete(s.m, key)
+		old.free()
+	}
 	return ok
 }
 
@@ -213,11 +281,12 @@ func (s *LockedStore) Scan(fn func(key string, e *Entry) bool) {
 
 // sortedSnapshot copies a map-backed store's pairs out in key order, so
 // a scan - a flush's deletions, a migration stream's chunks - never
-// depends on Go's randomised map iteration.
+// depends on Go's randomised map iteration. Each pair holds its element.
 func sortedSnapshot[V any](m map[string]V, entry func(V) Entry) []storePair {
 	snap := make([]storePair, 0, len(m))
 	for k, v := range m {
 		snap = append(snap, storePair{k: k, v: entry(v)})
+		snap[len(snap)-1].v.retain()
 	}
 	slices.SortFunc(snap, func(a, b storePair) int { return strings.Compare(a.k, b.k) })
 	return snap

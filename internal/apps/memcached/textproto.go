@@ -441,7 +441,7 @@ func (r *response) addValue(key []byte, e *Entry, withCAS bool) {
 		h = strconv.AppendUint(append(h, ' '), e.CAS, 10)
 	}
 	h = append(h, '\r', '\n')
-	copy(r.record(len(h), e.Value, "\r\n"), h)
+	copy(r.record(len(h), e.Value, e.elem, "\r\n"), h)
 }
 
 // splitTextTokens appends a command line's tokens to toks, splitting on

@@ -121,17 +121,31 @@ func TestGetLendsStoredValueOverLossyLink(t *testing.T) {
 	}
 }
 
+// warmGets runs the GETs that bring a pair to its steady state: ARP,
+// windows and buffers at their size after one, and the slots of the
+// kernel's timing wheel after some 400. Each GET's retransmission timers,
+// armed and cancelled per segment, land some way round the wheel from the
+// last one's, and a slot grows its array the first time it holds that
+// many: 10 ms apart, GETs bring every slot to that load only after a few
+// hundred. Measured after one, a GET read 2,300-2,800 bytes, 14 to 18
+// objects, and after 300 one in five still read about 2,200.
+func (bp *bulkPair) warmGets(get func()) {
+	for range 500 {
+		get()
+	}
+}
+
 // One physical copy per direction, into recycled buffers: a warm 32KiB GET
-// allocates the client's request and the test's own bytes - 216 bytes,
+// allocates the client's request and the test's own bytes - 200 bytes,
 // 0.01 times the value's size (424 while the server's response was a
 // fresh slice behind fresh descriptors; 4,328 while a Ctx per event and a
 // view descriptor per segment were allocated; 50,952 before the receive
 // copy of every frame and a header element per frame sent were recycled;
-// every layer used to copy the value, about six times over). Under half the value means no layer
-// allocates per byte again.
+// every layer used to copy the value, about six times over). Under half
+// the value means no layer allocates per byte again.
 func TestBulkGetByteBudget(t *testing.T) {
 	bp := newBulkPair(t)
-	bp.get(t, 10*sim.Millisecond) // warm: ARP, windows, buffers at their size
+	bp.warmGets(func() { bp.get(t, 10*sim.Millisecond) })
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	bp.get(t, 10*sim.Millisecond)
@@ -161,7 +175,7 @@ func TestBulkTextGetByteBudget(t *testing.T) {
 			t.Fatalf("text get of the bulk value: %d bytes, want %d", len(bp.rx), len(want))
 		}
 	}
-	get() // warm: ARP, windows, buffers at their size
+	bp.warmGets(get)
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	get()
@@ -223,11 +237,15 @@ func TestSmallGetObjectBudget(t *testing.T) {
 
 // A 32KiB SET arrives as two dozen segments. The partial request is
 // accumulated into a buffer reserved once from the announced length and
-// kept by the connection, so a warm SET allocates the request itself and
-// the stored value - 2.26 times the value once the allocator has rounded
-// each up (2.35 while the response was a fresh slice; 3.66 while the NIC's
-// receive copy was allocated too) - and not the re-copy of the whole tail
-// on every segment (over eight times).
+// kept by the connection, and the value is copied into an element of the
+// server's value pools, where the element of the value it overwrites goes
+// back. So a warm overwrite - after an insert and a first overwrite, whose
+// element is taken before the old one is freed - allocates the test's
+// request, which the allocator rounds up to 40KiB, and no value: 1.29
+// times the value (2.26 while every SET allocated the stored value; 2.35
+// while the response was a fresh slice; 3.66 while the NIC's receive copy
+// was allocated too), and not the re-copy of the whole tail on every
+// segment (over eight times).
 func TestBulkSetByteBudget(t *testing.T) {
 	bp := newBulkPair(t)
 	set := func() uint64 {
@@ -245,7 +263,8 @@ func TestBulkSetByteBudget(t *testing.T) {
 		return m1.TotalAlloc - m0.TotalAlloc
 	}
 	set() // warm: the connection's reassembly buffer is at its size
-	if got, limit := set(), uint64(3*len(bp.value)); got >= limit {
+	set() // and the value pool has the element the next overwrite frees
+	if got, limit := set(), uint64(3*len(bp.value)/2); got >= limit {
 		t.Fatalf("one %d-byte SET allocated %d bytes, want under %d", len(bp.value), got, limit)
 	} else {
 		t.Logf("one %d-byte SET allocated %d bytes (%.2fx)", len(bp.value), got, float64(got)/float64(len(bp.value)))

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -694,7 +695,10 @@ func (m *Migrator) stream(c *event.Ctx, b *Backend, coord hosted.NodeId, req xfe
 		h := ringHash([]byte(k))
 		for _, r := range req.ranges {
 			if r.Contains(h) {
-				reqs = append(reqs, memcached.AddQAbsExpiryRequest([]byte(k), e.Value, e.Flags, e.CAS, int64(e.Expires)))
+				// The value is copied with the key: the requests are written
+				// once the connection is up, and by then the store may have
+				// let the entry go and its value's element been reused.
+				reqs = append(reqs, memcached.AddQAbsExpiryRequest([]byte(k), bytes.Clone(e.Value), e.Flags, e.CAS, int64(e.Expires)))
 				break
 			}
 		}

@@ -17,14 +17,15 @@
 // goes out to any number of readers - but a caller that wants to write
 // again allocates afresh.
 //
-// The third part is the per-packet memory of the data path, made by a Pool
-// and counted:
+// The third part is the per-packet memory of the data path, and the
+// stored values an application lends to it, made by a Pool and counted:
 //
 //	element          made by                         its bytes
 //	receive buffer   the NIC's Pool, Get             the element's, recycled with it
 //	header element   the interface's Pool, Get       the element's, recycled with it
 //	payload element  the interface's Pool, Get/Copy  the element's, recycled with it
 //	view descriptor  the interface's Pool, View      a pool-born element's, held; others' lent, left alone
+//	stored value     a server's bounded Pool, Get    the element's, recycled with it
 //
 // Get or View hands an element to its first holder, Retain adds one and
 // Free drops one - on every element of the chain - and an element's last

@@ -1,26 +1,39 @@
 package iobuf
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Pool recycles elements of one capacity: the packet memory of one NIC or
-// one interface. It is single-threaded, as everything on one simulation
-// kernel is, and belongs to the value that uses it, never to a package:
-// kernels run in parallel. It holds only the elements that are back, so it
-// grows to the most its user ever had out at once and an element that is
-// never freed is the collector's.
+// one interface, the stored values of one server. It is single-threaded,
+// as everything on one simulation kernel is, and belongs to the value that
+// uses it, never to a package: kernels run in parallel. It holds only the
+// elements that are back, so it grows to the most its user ever had out at
+// once, or to its keep bound, and an element that is never freed, or freed
+// while the bound's worth are back, is the collector's.
 //
 // A pool of class 0 makes view descriptors: elements that own no bytes and
 // are handed out by View and ViewOf over someone else's.
 type Pool struct {
 	class int      // capacity of every element the pool makes
+	keep  int      // the most elements free may hold
 	free  []*IOBuf // elements with no holder
 	out   int      // handed out and not yet back
 	self  home     // the home of every element that owns its bytes
 }
 
-// NewPool makes an empty pool of elements with the given capacity.
-func NewPool(class int) *Pool {
-	p := &Pool{class: class}
+// NewPool makes an empty pool of elements with the given capacity, which
+// keeps every element that comes back.
+func NewPool(class int) *Pool { return NewBoundedPool(class, math.MaxInt) }
+
+// NewBoundedPool makes an empty pool that keeps at most keep elements
+// back: one whose last Free finds keep already there is left to the
+// collector. For memory whose use comes in bursts of many sizes - stored
+// values - where a pool that kept every element would keep a burst's
+// worth of each size for good.
+func NewBoundedPool(class, keep int) *Pool {
+	p := &Pool{class: class, keep: keep}
 	p.self.pool = p
 	return p
 }
@@ -243,7 +256,9 @@ func (b *IOBuf) drop() {
 		}
 	}
 	b.off, b.length = 0, 0
-	p.free = append(p.free, b)
+	if len(p.free) < p.keep {
+		p.free = append(p.free, b)
+	}
 	p.out--
 	if o := h.owner; o != nil {
 		h.owner = nil

@@ -141,6 +141,29 @@ type segment struct {
 	seqLen uint32 // sequence space consumed (payload + SYN/FIN)
 	sentAt sim.Time
 	rexmit bool
+	sum    uint64 // the payload's payloadSum at first send, under iobufdebug
+}
+
+// payloadSum is the FNV-1a hash of a frame's payload: every element after
+// its header element. Written out, not a hash.Hash64, so that it
+// allocates nothing and the object budget tests hold under the tag too.
+func payloadSum(frame *iobuf.IOBuf) uint64 {
+	h := uint64(14695981039346656037)
+	for e := frame.Next(); e != frame; e = e.Next() {
+		for _, c := range e.Data() {
+			h = (h ^ uint64(c)) * 1099511628211
+		}
+	}
+	return h
+}
+
+// verify panics if the segment's payload changed since its first send
+// (checkSent).
+func (seg *segment) verify(at string) {
+	if payloadSum(seg.frame) != seg.sum {
+		panic(fmt.Sprintf("netstack: the payload of segment %d (%d bytes) was written while in flight, found %s",
+			seg.seq, seg.seqLen, at))
+	}
 }
 
 // TcpPcb is a TCP protocol control block. It is manipulated only on its
@@ -402,9 +425,11 @@ func (p *TcpPcb) sendSegment(c *event.Ctx, flags byte, payload *iobuf.IOBuf) {
 	p.sndNxt += seqLen
 	if seqLen > 0 {
 		frame.Retain()
-		p.inflight = append(p.inflight, segment{
-			seq: seq, flags: flags, frame: frame, seqLen: seqLen, sentAt: c.Now(),
-		})
+		seg := segment{seq: seq, flags: flags, frame: frame, seqLen: seqLen, sentAt: c.Now()}
+		if checkSent {
+			seg.sum = payloadSum(frame)
+		}
+		p.inflight = append(p.inflight, seg)
 		p.armRTO()
 	}
 	p.transmitFrame(c, frame)
@@ -527,6 +552,9 @@ func (p *TcpPcb) rtoExpired(c *event.Ctx) {
 // segment was first sent. Marking the segment excludes it from RTT
 // sampling (Karn's rule: an ACK for it could be for either transmission).
 func (p *TcpPcb) retransmitSegment(c *event.Ctx, seg *segment) {
+	if checkSent {
+		seg.verify("at retransmission")
+	}
 	seg.rexmit = true
 	seg.sentAt = c.Now()
 	p.recovered(c, audit.TCPRetransmit)
@@ -807,6 +835,9 @@ func (p *TcpPcb) processAck(c *event.Ctx, hdr TcpHeader, plen int) {
 			dataAcked += n
 			if !seg.rexmit && seg.sentAt > sampleFrom {
 				sampleFrom = seg.sentAt
+			}
+			if checkSent {
+				seg.verify("at acknowledgment")
 			}
 			seg.frame.Free()
 		}

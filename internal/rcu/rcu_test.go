@@ -18,17 +18,19 @@ func TestTableBasics(t *testing.T) {
 	if v, ok := tb.Get("a"); !ok || v != 1 {
 		t.Fatalf("a = %d, %v", v, ok)
 	}
-	tb.Put("a", 10)
+	if old, replaced := tb.Put("a", 10); !replaced || old != 1 {
+		t.Fatalf("replace returned %d, %v", old, replaced)
+	}
 	if v, _ := tb.Get("a"); v != 10 {
 		t.Fatalf("replace failed: %d", v)
 	}
 	if tb.Len() != 2 {
 		t.Fatalf("Len = %d", tb.Len())
 	}
-	if !tb.Delete("a") {
-		t.Fatal("delete reported absent")
+	if old, ok := tb.Delete("a"); !ok || old != 10 {
+		t.Fatalf("delete returned %d, %v", old, ok)
 	}
-	if tb.Delete("a") {
+	if _, ok := tb.Delete("a"); ok {
 		t.Fatal("double delete reported present")
 	}
 	if _, ok := tb.Get("a"); ok {
@@ -183,9 +185,9 @@ func TestTableMatchesMapProperty(t *testing.T) {
 				tb.Put(k, o.V)
 				ref[k] = o.V
 			case 2:
-				got := tb.Delete(k)
-				_, want := ref[k]
-				if got != want {
+				old, got := tb.Delete(k)
+				v, want := ref[k]
+				if got != want || old != v {
 					return false
 				}
 				delete(ref, k)

@@ -79,12 +79,13 @@ func (t *Table[K, V]) Get(key K) (V, bool) {
 	return zero, false
 }
 
-// Put inserts or replaces the value for key. Replacement is
-// copy-on-update: a fresh node supersedes the old one so concurrent
-// readers see either the old or the new value, never a torn mix. The
-// fresh node keeps the resident key; only an insert takes its own (see
-// own), so a caller may pass a key that borrows bytes it will reuse.
-func (t *Table[K, V]) Put(key K, val V) {
+// Put inserts or replaces the value for key, returning the value it
+// replaced, if any. Replacement is copy-on-update: a fresh node supersedes
+// the old one so concurrent readers see either the old or the new value,
+// never a torn mix. The fresh node keeps the resident key; only an insert
+// takes its own (see own), so a caller may pass a key that borrows bytes
+// it will reuse.
+func (t *Table[K, V]) Put(key K, val V) (old V, replaced bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	b := t.bkts.Load()
@@ -102,7 +103,7 @@ func (t *Table[K, V]) Put(key K, val V) {
 			} else {
 				prev.next.Store(repl)
 			}
-			return
+			return n.val, true
 		}
 		prev = n
 	}
@@ -114,6 +115,7 @@ func (t *Table[K, V]) Put(key K, val V) {
 	if t.n > len(b.bins)*2 {
 		t.resizeLocked(b)
 	}
+	return old, false
 }
 
 // PutIfAbsent inserts the value only if key is not present, reporting
@@ -151,8 +153,8 @@ func own[K comparable](key K) K {
 	return key
 }
 
-// Delete removes key, reporting whether it was present.
-func (t *Table[K, V]) Delete(key K) bool {
+// Delete removes key, returning its value and whether it was present.
+func (t *Table[K, V]) Delete(key K) (old V, ok bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	b := t.bkts.Load()
@@ -169,11 +171,11 @@ func (t *Table[K, V]) Delete(key K) bool {
 				prev.next.Store(n.next.Load())
 			}
 			t.n--
-			return true
+			return n.val, true
 		}
 		prev = n
 	}
-	return false
+	return old, false
 }
 
 // Len reports the entry count (writer-accurate; concurrent readers may see
