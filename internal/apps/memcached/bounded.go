@@ -2,10 +2,12 @@ package memcached
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
 	"ebbrt/internal/costs"
+	"ebbrt/internal/iobuf"
 	"ebbrt/internal/mem"
 	"ebbrt/internal/sim"
 )
@@ -34,10 +36,14 @@ import (
 //     (counted in Expired) before evicting a live one (counted in
 //     Evictions), as stock memcached's tail search does.
 //
-// The backing bytes themselves live on the Go heap (entries hold real
-// slices, or the server's pool elements for values it lends); the
-// allocator tracks the simulated footprint, which is what the budget
-// bounds.
+// The backing bytes themselves live on the Go heap; the allocator tracks
+// the simulated footprint, which is what the budget bounds. What the
+// store lets go serves what it stores next, as stock memcached gives an
+// insert the slab chunk its eviction freed: an evicted, deleted or
+// refused item is the next inserted key's, and the buffers of its key and
+// of a value under borrowMin, which the store copies, go on the spare
+// list of their size class for the next key or short value. A value the
+// server lends lies in its pool element instead, which the item holds.
 
 // EvictionPolicy selects what the per-class lists reclaim first.
 type EvictionPolicy uint8
@@ -73,17 +79,46 @@ const boundedOverhead = 56
 // (stock memcached's bounded tail search).
 const tailSearchDepth = 8
 
+// Spares the store keeps back for what it stores next. Items all have one
+// size, so they share one list; the buffer of a key or a short value is
+// kept on the list of its class (shortClass) while the class holds under
+// shortSpareBytes of spares.
+const (
+	itemSpares      = 256
+	shortClasses    = 32 // shortClass(borrowMin-1) + 1
+	shortSpareBytes = 8 << 10
+)
+
+// shortClass returns the index and buffer size of the class a key or
+// value of n bytes (n <= borrowMin) is copied into: n rounded up to a
+// multiple of 16 up to 128 bytes, and beyond that to an eighth of the
+// power of two below it, as valueClass rounds (whose classes count from
+// borrowMin's).
+func shortClass(n int) (idx, size int) {
+	if n <= 128 {
+		idx = max(n-1, 0) >> 4
+		return idx, (idx + 1) << 4
+	}
+	idx, size = valueClass(n)
+	return idx + shortClasses - 1, size
+}
+
 // boundedItem is one resident entry, held by value, plus its allocation
-// provenance: a Set copies the caller's entry in, so an insert allocates
-// the item alone and an overwrite nothing.
+// provenance: a Set copies the caller's entry in, and its key and a short
+// value into buffers of the store's (shortBuf).
 type boundedItem struct {
-	key   string
-	e     Entry
+	key []byte // the store's map holds a view of it (keyView)
+	e   Entry
+	backing
+	prev *boundedItem
+	next *boundedItem
+}
+
+// backing is where an item's bytes are charged.
+type backing struct {
 	class int      // index into classes, or -1 for a large item
 	addr  mem.Addr // slab object or page-block base
 	order int      // page order, large items only
-	prev  *boundedItem
-	next  *boundedItem
 }
 
 // boundedClass is one slab size class: its allocator and its LRU list
@@ -150,6 +185,11 @@ type BoundedStore struct {
 	evictions uint64
 	expired   uint64
 	rejected  uint64
+
+	// items and shorts are the spares: items let go, and the buffers of
+	// keys and short values let go, by class.
+	items  []*boundedItem
+	shorts [shortClasses][][]byte
 }
 
 // NewBoundedStore creates a store over budgetBytes of simulated memory
@@ -281,26 +321,26 @@ func (s *BoundedStore) classOf(it *boundedItem) *boundedClass {
 
 // Set implements Store: false means the entry could not be stored
 // within the budget even after eviction (the server answers
-// SERVER_ERROR / StatusOutOfMemory). Over a resident key it reuses the
-// item, key and entry included: the old backing goes back and the new
-// entry, copied over the old, is charged afresh, exactly as a delete and
-// an insert would do it.
+// SERVER_ERROR / StatusOutOfMemory), and then a resident entry under the
+// key is gone too. Over a resident key it reuses the item, key included:
+// the old backing goes back and the new entry, copied over the old, is
+// charged afresh, exactly as a delete and an insert would do it.
 func (s *BoundedStore) Set(key string, e *Entry) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	it, ok := s.m[key]
 	if !ok {
-		return s.insert(&boundedItem{key: strings.Clone(key), e: *e})
+		return s.insert(key, e)
 	}
 	s.release(it)
-	old := it.e
-	it.e = *e
-	stored := s.insert(it)
-	if !stored {
-		delete(s.m, it.key)
+	if it.backing, ok = s.back(chargeBytes(key, e)); !ok {
+		s.forget(it)
+		return false
 	}
-	old.free() // after insert's hold: a touch re-stores the same element
-	return stored
+	old := it.e
+	s.place(it, e)
+	s.drop(&old) // after place's copy and hold: a touch re-stores old's value
+	return true
 }
 
 // Add implements Store.
@@ -310,17 +350,77 @@ func (s *BoundedStore) Add(key string, e *Entry) bool {
 	if _, ok := s.m[key]; ok {
 		return false
 	}
-	return s.insert(&boundedItem{key: strings.Clone(key), e: *e})
+	return s.insert(key, e)
 }
 
-// insert allocates backing for the item's entry, evicting as needed, and
-// makes it resident, holding its element; a failed insert holds nothing.
-func (s *BoundedStore) insert(it *boundedItem) bool {
-	charge := chargeBytes(it.key, &it.e)
-	ci := s.classFor(charge)
-	it.class = ci
-	if ci >= 0 {
-		c := s.classes[ci]
+// insert makes the entry resident under a key the store does not hold,
+// in a spare item if there is one: the backing comes first, so an item
+// its eviction let go is the one the entry takes.
+func (s *BoundedStore) insert(key string, e *Entry) bool {
+	b, ok := s.back(chargeBytes(key, e))
+	if !ok {
+		return false
+	}
+	var it *boundedItem
+	if n := len(s.items); n > 0 {
+		it, s.items = s.items[n-1], s.items[:n-1]
+	} else {
+		it = new(boundedItem)
+	}
+	it.key = append(s.shortBuf(len(key)), key...)
+	it.backing = b
+	s.m[keyView(it.key)] = it
+	s.place(it, e)
+	return true
+}
+
+// place copies the entry into the item, a short value into a buffer of the
+// store's, holding a lent value's element, and links the item at the
+// front of its class's list.
+func (s *BoundedStore) place(it *boundedItem, e *Entry) {
+	it.e = *e
+	if e.borrowed {
+		it.e.Value = append(s.shortBuf(len(e.Value)), e.Value...)
+	}
+	it.e.retain()
+	s.classOf(it).pushFront(it)
+}
+
+// shortBuf returns an empty buffer of the store's for a key or a short
+// value of n bytes: a spare of its class if there is one.
+func (s *BoundedStore) shortBuf(n int) []byte {
+	if n > borrowMin {
+		return make([]byte, 0, n) // a binary key that long: no class keeps it
+	}
+	i, size := shortClass(n)
+	if k := len(s.shorts[i]); k > 0 {
+		buf := s.shorts[i][k-1]
+		s.shorts[i] = s.shorts[i][:k-1]
+		return buf
+	}
+	return make([]byte, 0, size)
+}
+
+// dropShort takes back a buffer shortBuf made, poisoned under the
+// iobufdebug build tag as a freed element is, and keeps it for the next
+// key or short value of its class if the class has room.
+func (s *BoundedStore) dropShort(buf []byte) {
+	buf = buf[:cap(buf)]
+	iobuf.Poison(buf)
+	if len(buf) > borrowMin {
+		return
+	}
+	if i, size := shortClass(len(buf)); len(s.shorts[i]) < shortSpareBytes/size {
+		s.shorts[i] = append(s.shorts[i], buf[:0])
+	}
+}
+
+// back allocates the backing for charge bytes, evicting as needed; false
+// means the store cannot hold that much even after eviction.
+func (s *BoundedStore) back(charge int) (backing, bool) {
+	b := backing{class: s.classFor(charge)}
+	if b.class >= 0 {
+		c := s.classes[b.class]
 		addr, ok := c.slab.Alloc(0)
 		for !ok {
 			// Freeing one object of this class guarantees the next Alloc
@@ -328,40 +428,36 @@ func (s *BoundedStore) insert(it *boundedItem) bool {
 			// store can do nothing more for this class.
 			if !s.reclaimFrom(c) && !s.reclaimFrom(&s.large) {
 				s.rejected++
-				return false
+				return b, false
 			}
 			addr, ok = c.slab.Alloc(0)
 		}
-		it.addr = addr
+		b.addr = addr
 		s.itemBytes += uint64(c.size)
 	} else {
-		order := largeOrder(charge)
-		if order < 0 {
+		b.order = largeOrder(charge)
+		if b.order < 0 {
 			// Bigger than the largest page block: unstorable at any budget.
 			s.rejected++
-			return false
+			return b, false
 		}
-		addr, ok := s.pages.Alloc(order, 0)
+		addr, ok := s.pages.Alloc(b.order, 0)
 		for !ok {
 			// Only large-item pages ever come back to the buddy
 			// allocator, so only the large list can unblock this.
 			if !s.reclaimFrom(&s.large) {
 				s.rejected++
-				return false
+				return b, false
 			}
-			addr, ok = s.pages.Alloc(order, 0)
+			addr, ok = s.pages.Alloc(b.order, 0)
 		}
-		it.addr = addr
-		it.order = order
-		s.itemBytes += uint64(mem.PageSize) << order
+		b.addr = addr
+		s.itemBytes += uint64(mem.PageSize) << b.order
 	}
-	s.m[it.key] = it
-	s.classOf(it).pushFront(it)
-	it.e.retain()
 	if used := s.budget - s.pages.FreeBytes(); used > s.peak {
 		s.peak = used
 	}
-	return true
+	return b, true
 }
 
 // largeOrder picks the page order backing a large item, or -1 when even
@@ -401,12 +497,32 @@ func (s *BoundedStore) reclaimFrom(c *boundedClass) bool {
 	return true
 }
 
-// removeItem drops the item from the store, releases it and frees its
-// element.
+// removeItem drops the item from the store and releases it.
 func (s *BoundedStore) removeItem(it *boundedItem) {
-	delete(s.m, it.key)
 	s.release(it)
-	it.e.free()
+	s.forget(it)
+}
+
+// forget drops a released item from the store, lets its key and entry go
+// and keeps the item for the next insert.
+func (s *BoundedStore) forget(it *boundedItem) {
+	delete(s.m, keyView(it.key))
+	s.drop(&it.e)
+	s.dropShort(it.key)
+	*it = boundedItem{}
+	if len(s.items) < itemSpares {
+		s.items = append(s.items, it)
+	}
+}
+
+// drop lets a value the store kept go: a short value's buffer, or the
+// hold on a lent value's element.
+func (s *BoundedStore) drop(e *Entry) {
+	if e.borrowed {
+		s.dropShort(e.Value)
+	} else {
+		e.free()
+	}
 }
 
 // release unlinks the item and returns its backing to the allocator
@@ -444,10 +560,17 @@ func (s *BoundedStore) Len() int {
 
 // Scan implements Store: snapshot under the lock, visited in key order,
 // fn unlocked so it may mutate the store. The snapshot copies the
-// entries, since a Set over a resident key writes into its item.
+// entries, since a Set over a resident key writes into its item, and
+// their keys and short values, whose buffers a store fn makes can reuse.
 func (s *BoundedStore) Scan(fn func(key string, e *Entry) bool) {
 	s.mu.Lock()
-	snap := sortedSnapshot(s.m, func(it *boundedItem) Entry { return it.e })
+	snap := sortedSnapshot(s.m, func(k string, it *boundedItem) storePair {
+		p := storePair{k: strings.Clone(k), v: it.e}
+		if p.v.borrowed {
+			p.v.Value = slices.Clone(p.v.Value)
+		}
+		return p
+	})
 	s.mu.Unlock()
 	visit(snap, fn)
 }

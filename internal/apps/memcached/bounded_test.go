@@ -227,3 +227,41 @@ func TestBoundedStoreServerOOM(t *testing.T) {
 		}
 	})
 }
+
+// What Scan hands fn is the snapshot's own: fn may let an entry go and
+// store another, whose key and short value take the buffers the first
+// left behind, and the key and value fn was handed still read as they
+// did when the scan began. The values are borrowed, as the server's are.
+func TestBoundedScanSurvivesReuse(t *testing.T) {
+	s := NewBoundedStore(boundedTestBudget, EvictLRU, nil)
+	for _, k := range []string{"key-a", "key-b"} {
+		s.Set(k, &Entry{Value: []byte("value-" + k), borrowed: true})
+	}
+	var seen []string
+	s.Scan(func(key string, e *Entry) bool {
+		s.Delete(key)
+		s.Set("new-"+key[4:], &Entry{Value: []byte("other-" + key), borrowed: true})
+		seen = append(seen, key+"="+string(e.Value))
+		return true
+	})
+	if want := "[key-a=value-key-a key-b=value-key-b]"; fmt.Sprint(seen) != want {
+		t.Fatalf("scan saw %v, want %s", seen, want)
+	}
+}
+
+// A touch re-stores the entry's own value: the store copies it before it
+// lets the old copy go, whose buffer the bounded store may hand straight
+// back, so the value reads as it did (poisoned under the iobufdebug
+// build tag if the order were the other way round).
+func TestTouchKeepsShortValue(t *testing.T) {
+	for name, mk := range allStores() {
+		srv := NewServer(mk(), 1)
+		srv.store(storeSet, "k", []byte("a short value"), 0, 0, 0, 0)
+		if !srv.applyTouch("k", 5*sim.Second, 0) {
+			t.Fatalf("%s: touch missed", name)
+		}
+		if e, ok := srv.Store.Get("k"); !ok || string(e.Value) != "a short value" || e.Expires != 5*sim.Second {
+			t.Fatalf("%s: touch left %+v", name, e)
+		}
+	}
+}

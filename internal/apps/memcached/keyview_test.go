@@ -24,26 +24,35 @@ func allStores() map[string]func() Store {
 // and a text `get` hit allocate nothing (one object each while every
 // request's key was copied into a string, three for the text `get`, whose
 // token slice grew per line). A SET over a resident key allocates the
-// value's copy; the server's Entry is one it reuses, and a store keeps a
-// copy of it. The RCU store allocates that copy and its table's
-// copy-on-update node, and the locked one the copy and the key's, since
+// value's copy; the server's Entry and the buffer it builds a short value
+// in are ones it reuses, and a store keeps a copy of both. The RCU store
+// allocates the entry's copy, the value's and its table's copy-on-update
+// node, and the locked one the entry's, the value's and the key's, since
 // its map assignment stores the key it is given: 3 objects on the RCU
-// store, 1 on the bounded one, which copies into its resident LRU item,
-// and 3 on the locked one (4 on the RCU and bounded stores while the key
-// was copied per request and the bounded store built a new LRU item per
-// overwrite, and 2 on the bounded one while the server allocated an
-// Entry per store). A value a GET may lend is copied into an element of
-// the server's value pools instead, where the element of the value it
+// store and 3 on the locked one. The bounded store copies the entry into
+// its resident LRU item and the value into a buffer a value it let go
+// left behind, so it allocates nothing (1 object while it allocated the
+// value's copy, 4 while the key was copied per request and it built a new
+// LRU item per overwrite, and 2 while the server allocated an Entry per
+// store). A SET of a new key into a full bounded store, which evicts, is
+// as free: the evicted item, with the buffers of its key and value,
+// serves it. A value a GET may lend is copied into an element of the
+// server's value pools instead, where the element of the value it
 // overwrites goes back: a warm overwrite of one allocates 2 objects on the
 // RCU and locked stores and none on the bounded one, and a GET hit lends
 // it for nothing.
 func TestServerObjectBudget(t *testing.T) {
 	value, lent := bytes.Repeat([]byte("v"), 100), bytes.Repeat([]byte("l"), 2*borrowMin)
-	setAllocs := map[string]float64{"rcu": 3, "bounded": 1, "locked": 3}
+	setAllocs := map[string]float64{"rcu": 3, "bounded": 0, "locked": 3}
 	lentSetAllocs := map[string]float64{"rcu": 2, "bounded": 0, "locked": 2}
 	for name, mk := range allStores() {
 		t.Run(name, func(t *testing.T) {
 			srv := NewServer(mk(), 1)
+			srv.Store.Set("lent", &Entry{Value: lent})
+			bounded, full := srv.Store.(*BoundedStore)
+			for i := 0; full && bounded.Stats().Evictions == 0; i++ {
+				srv.store(storeSet, fmt.Sprintf("fill-%06d", i), value, 0, 0, 0, 0)
+			}
 			srv.Store.Set("small", &Entry{Value: value})
 			r := &response{Frames: iobuf.Frames{Pool: iobuf.NewPool(2048)}, views: iobuf.NewPool(0)}
 			binary := func(req []byte) func(c *event.Ctx) {
@@ -52,6 +61,15 @@ func TestServerObjectBudget(t *testing.T) {
 					t.Fatalf("request did not frame: %d of %d bytes, %v", n, len(req), err)
 				}
 				return func(c *event.Ctx) { srv.handle(c, hdr, body, r) }
+			}
+			// Each run of newKeys stores another key, all of one length.
+			var newKeys []func(c *event.Ctx)
+			for i := range 128 {
+				newKeys = append(newKeys, binary(BuildSet([]byte(fmt.Sprintf("new-%06d", i)), value, 0, 10)))
+			}
+			newKey := func(c *event.Ctx) {
+				newKeys[0](c)
+				newKeys = newKeys[1:]
 			}
 			text := func(req string) func(c *event.Ctx) {
 				var ts textSession
@@ -71,6 +89,13 @@ func TestServerObjectBudget(t *testing.T) {
 				{"SET over a resident key", binary(BuildSet([]byte("small"), value, 0, 5)), setAllocs[name]},
 				{"SET of a lent value over a resident key", binary(BuildSet([]byte("lent"), lent, 0, 6)), lentSetAllocs[name]},
 				{"GET hit of a lent value", binary(BuildGet([]byte("lent"), 7)), 0},
+			}
+			if full {
+				cases = append(cases, struct {
+					name string
+					run  func(c *event.Ctx)
+					want float64
+				}{"SET of a new key into a full store", newKey, 0})
 			}
 			protoHarness(t, func(c *event.Ctx) {
 				for _, tc := range cases {
@@ -92,6 +117,16 @@ func TestServerObjectBudget(t *testing.T) {
 			}
 			if e, ok := srv.Store.Get("lent"); !ok || !bytes.Equal(e.Value, lent) || valuesOut(srv) != 1 {
 				t.Fatalf("the lent entry did not survive its overwrites in one element (%d out)", valuesOut(srv))
+			}
+			if full {
+				if n := bounded.Stats().Evictions; n < 101 {
+					t.Fatalf("the full store evicted %d entries for 101 new keys", n)
+				}
+				for i, k := range []string{"new-000000", "new-000100"} {
+					if e, ok := srv.Store.Get(k); !ok || !bytes.Equal(e.Value, value) {
+						t.Fatalf("new key %d of the full store was not stored byte for byte", i*100)
+					}
+				}
 			}
 		})
 	}

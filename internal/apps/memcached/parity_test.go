@@ -10,6 +10,7 @@ import (
 	"ebbrt/internal/event"
 	"ebbrt/internal/iobuf"
 	"ebbrt/internal/machine"
+	"ebbrt/internal/mem"
 	"ebbrt/internal/sim"
 )
 
@@ -24,55 +25,79 @@ import (
 // the comparison alone would pass. Each server's value pools must have out
 // exactly one element per resident entry whose value a GET would lend,
 // and the responses' pools none once the op's replies are sent and freed:
-// no element leaks, and none is freed twice (which panics).
+// no element leaks, and none is freed twice (which panics). Each sequence
+// runs over a pair of RCU stores and again over a pair of bounded stores
+// with room for a few entries (crampedStore), which evict, refuse and
+// reuse the items and buffers they let go; under the iobufdebug build tag
+// a reused key or value that something still read would read poisoned.
 func FuzzBinaryTextParity(f *testing.F) {
 	for _, ops := range paritySeeds {
 		f.Add(encodeParity(ops))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		k := sim.NewKernel()
-		m := machine.New(k, machine.DefaultConfig("parity", 1))
-		mgr := event.NewManager(m.Cores[0], event.DefaultCosts())
-		txt, bin := NewServer(NewRCUStore(), 1), NewServer(NewRCUStore(), 1)
-		txtConn, binConn := &serverConn{srv: txt}, &serverConn{srv: bin}
-		for _, sc := range []*serverConn{txtConn, binConn} {
-			sc.resp.Pool, sc.resp.views = iobuf.NewPool(2048), iobuf.NewPool(0)
-		}
-		out := &fakeConn{}
-		named := map[string]bool{}
-		for i, op := range decodeParity(data) {
-			if op.verb == "wait" {
-				k.RunFor(op.wait)
-				continue
-			}
-			named[op.key] = true
-			mgr.Spawn(func(c *event.Ctx) {
-				txtReq, binReq := op.text(), op.binary(uint32(i))
-				txtConn.onData(c, out, iobuf.Wrap(txtReq))
-				clear(txtReq)
-				binConn.onData(c, out, iobuf.Wrap(binReq))
-				clear(binReq)
-			})
-			k.RunFor(sim.Millisecond)
-			out.out = out.out[:0]
-			if diff := parityDiff(txt, bin); diff != "" {
-				t.Fatalf("op %d (%s %q) left the servers apart: %s", i, op.verb, op.key, diff)
-			}
-			for _, srv := range []*Server{txt, bin} {
-				if stray := strayKey(srv, named); stray != "" {
-					t.Fatalf("op %d (%s %q) left key %s, which no op named", i, op.verb, op.key, stray)
-				}
-				if out, lent := valuesOut(srv), countEntries(srv, lentSize); out != lent {
-					t.Fatalf("op %d (%s %q) left %d value elements out for %d entries a GET would lend", i, op.verb, op.key, out, lent)
-				}
-			}
-			for _, sc := range []*serverConn{txtConn, binConn} {
-				if n, v := sc.resp.Pool.Outstanding(), sc.resp.views.Outstanding(); n != 0 || v != 0 {
-					t.Fatalf("op %d (%s %q) left %d response elements and %d views out", i, op.verb, op.key, n, v)
-				}
-			}
-		}
+		ops := decodeParity(data)
+		runParity(t, ops, "rcu", func(func() sim.Time) Store { return NewRCUStore() })
+		runParity(t, ops, "bounded", crampedStore)
 	})
+}
+
+// crampedStore is a bounded store with four pages to spare: ballast takes
+// the rest of its one block.
+func crampedStore(clock func() sim.Time) Store {
+	s := NewBoundedStore(boundedTestBudget, EvictLRU, clock)
+	s.pages.Alloc(2, 0) // splits the block, leaving one free block of each order from 2 up
+	for order := 3; order < mem.MaxOrder; order++ {
+		s.pages.Alloc(order, 0)
+	}
+	return s
+}
+
+// runParity runs one op sequence over a text server and a binary server,
+// each over a store newStore makes, and checks them after every op.
+func runParity(t *testing.T, ops []parityOp, stores string, newStore func(clock func() sim.Time) Store) {
+	t.Helper()
+	k := sim.NewKernel()
+	m := machine.New(k, machine.DefaultConfig("parity", 1))
+	mgr := event.NewManager(m.Cores[0], event.DefaultCosts())
+	txt, bin := NewServer(newStore(k.Now), 1), NewServer(newStore(k.Now), 1)
+	txtConn, binConn := &serverConn{srv: txt}, &serverConn{srv: bin}
+	for _, sc := range []*serverConn{txtConn, binConn} {
+		sc.resp.Pool, sc.resp.views = iobuf.NewPool(2048), iobuf.NewPool(0)
+	}
+	out := &fakeConn{}
+	named := map[string]bool{}
+	for i, op := range ops {
+		if op.verb == "wait" {
+			k.RunFor(op.wait)
+			continue
+		}
+		named[op.key] = true
+		mgr.Spawn(func(c *event.Ctx) {
+			txtReq, binReq := op.text(), op.binary(uint32(i))
+			txtConn.onData(c, out, iobuf.Wrap(txtReq))
+			clear(txtReq)
+			binConn.onData(c, out, iobuf.Wrap(binReq))
+			clear(binReq)
+		})
+		k.RunFor(sim.Millisecond)
+		out.out = out.out[:0]
+		if diff := parityDiff(txt, bin); diff != "" {
+			t.Fatalf("%s stores: op %d (%s %q) left the servers apart: %s", stores, i, op.verb, op.key, diff)
+		}
+		for _, srv := range []*Server{txt, bin} {
+			if stray := strayKey(srv, named); stray != "" {
+				t.Fatalf("%s stores: op %d (%s %q) left key %s, which no op named", stores, i, op.verb, op.key, stray)
+			}
+			if out, lent := valuesOut(srv), countEntries(srv, lentSize); out != lent {
+				t.Fatalf("%s stores: op %d (%s %q) left %d value elements out for %d entries a GET would lend", stores, i, op.verb, op.key, out, lent)
+			}
+		}
+		for _, sc := range []*serverConn{txtConn, binConn} {
+			if n, v := sc.resp.Pool.Outstanding(), sc.resp.views.Outstanding(); n != 0 || v != 0 {
+				t.Fatalf("%s stores: op %d (%s %q) left %d response elements and %d views out", stores, i, op.verb, op.key, n, v)
+			}
+		}
+	}
 }
 
 // parityOp is one command in a form both wire formats carry: no replace
@@ -285,7 +310,8 @@ func describeEntry(e *Entry) string {
 
 // paritySeeds are the fuzz target's seed sequences: the op table of the
 // test it replaced, then expiry over virtual time, then counters and
-// concatenation, then every way a store lets a value a GET lends go.
+// concatenation, then every way a store lets a value a GET lends go, then
+// the cramped bounded store's evictions, re-inserts and refusals.
 var paritySeeds = [][]parityOp{
 	{
 		{verb: "set", key: "alpha", value: []byte("one"), flags: 1},
@@ -341,5 +367,30 @@ var paritySeeds = [][]parityOp{
 		{verb: "set", key: "gamma", value: bytes.Repeat([]byte("g"), 1024)},
 		{verb: "flush_all"},
 		{verb: "get", key: "gamma"},
+	},
+	{
+		// Four entries of one 4,096-byte page's slab class, then three
+		// of one a page each: the cramped store's four pages are taken.
+		{verb: "set", key: "alpha", value: bytes.Repeat([]byte("a"), 900)},
+		{verb: "set", key: "beta", value: bytes.Repeat([]byte("b"), 901)},
+		{verb: "set", key: "gamma", value: bytes.Repeat([]byte("c"), 902)},
+		{verb: "set", key: "n", value: bytes.Repeat([]byte("n"), 903)},
+		{verb: "set", key: "k-big-1", value: bytes.Repeat([]byte("1"), 3000)},
+		{verb: "set", key: "k-big-2", value: bytes.Repeat([]byte("2"), 3001)},
+		{verb: "set", key: "k-big-3", value: bytes.Repeat([]byte("3"), 3002)},
+		{verb: "set", key: "k-evicts", value: bytes.Repeat([]byte("e"), 904)}, // evicts alpha
+		{verb: "get", key: "alpha"},
+		{verb: "set", key: "alpha", value: bytes.Repeat([]byte("A"), 905)}, // re-inserted: evicts beta
+		{verb: "get", key: "alpha"},
+		{verb: "get", key: "beta"},
+		{verb: "append", key: "gamma", value: []byte("-tail")},
+		{verb: "set", key: "k-big-4", value: bytes.Repeat([]byte("4"), 3003)}, // evicts k-big-1
+		{verb: "set", key: "k-big-2", value: []byte("short")},                 // no page for its class: refused, and gone
+		{verb: "get", key: "k-big-2"},
+		{verb: "add", key: "k-big-1", value: bytes.Repeat([]byte("5"), 2500)}, // in the slot the refusal freed
+		{verb: "delete", key: "gamma"},
+		{verb: "set", key: "beta", value: bytes.Repeat([]byte("B"), 906)}, // in gamma's slot, with its buffers
+		{verb: "get", key: "beta"},
+		{verb: "get", key: "n"},
 	},
 }

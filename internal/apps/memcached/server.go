@@ -50,6 +50,11 @@ type Server struct {
 	// size class (valueClass), each made at its first use.
 	values [valueClasses]*iobuf.Pool
 
+	// short is the buffer a value under borrowMin is built in - a
+	// request's, a join, a counter's - and lent to the store, which
+	// copies what it keeps (Store borrows it).
+	short []byte
+
 	// stats are the live counters behind the `stats` command (stats.go
 	// renders them under their stock names). Both protocols feed the same
 	// counters, mostly from store and the shared apply* helpers.
@@ -207,12 +212,17 @@ func valueClass(n int) (idx, size int) {
 	return (shift-7)*8 + m - 8, m << shift
 }
 
-// newValue returns n bytes for the caller to fill with a value the store
-// will keep, and the element they lie in, with one holder, the caller: a
-// pool element for a value a GET may lend, nil and a plain slice for any
-// other, which a GET copies behind its header instead.
+// newValue returns n bytes for the caller to fill with a value to store,
+// and the element they lie in, with one holder, the caller: a pool
+// element for a value a GET may lend; nil for any other, which a GET
+// copies behind its header instead - the server's reused buffer for a
+// value under borrowMin, which the store copies (Entry.borrowed), and a
+// plain slice the store keeps for a join past the item limit.
 func (s *Server) newValue(n int) ([]byte, *iobuf.IOBuf) {
-	if n < borrowMin || n > MaxTextValue {
+	switch {
+	case n < borrowMin:
+		return s.shortValue()[:n], nil
+	case n > MaxTextValue:
 		return make([]byte, n), nil
 	}
 	i, size := valueClass(n)
@@ -223,6 +233,14 @@ func (s *Server) newValue(n int) ([]byte, *iobuf.IOBuf) {
 	}
 	e := p.Get(n)
 	return e.Append(n)[:n:n], e
+}
+
+// shortValue is the server's buffer for a value under borrowMin.
+func (s *Server) shortValue() []byte {
+	if s.short == nil {
+		s.short = make([]byte, borrowMin)
+	}
+	return s.short
 }
 
 // set stores e under key through the server's reused entry.
@@ -602,7 +620,7 @@ var binaryStoreModes = [256]storeMode{
 
 // store runs one storage command for either protocol and reports the
 // outcome as a binary status, with the stored entry's CAS on success.
-// value is the request's, copied (newValue) before the store keeps it. A
+// value is the request's, copied (newValue) before the store sees it. A
 // nonzero stamp is a version stamp the request carried, which set and add
 // store instead of minting one.
 func (s *Server) store(mode storeMode, key string, value []byte, flags uint32, expires sim.Time, stamp uint64, now sim.Time) (status uint16, cas uint64) {
@@ -661,7 +679,7 @@ func (s *Server) store(mode storeMode, key string, value []byte, flags uint32, e
 	}
 	v, elem := s.newValue(len(head) + len(tail))
 	copy(v[copy(v, head):], tail)
-	e := Entry{Value: v, Flags: flags, CAS: cas, Expires: expires, StoredAt: now, elem: elem}
+	e := Entry{Value: v, Flags: flags, CAS: cas, Expires: expires, StoredAt: now, borrowed: len(v) < borrowMin, elem: elem}
 	var stored bool
 	if mode == storeAdd {
 		stored = s.add(key, e)
@@ -703,8 +721,8 @@ func (s *Server) applyDelta(key string, delta, initial uint64, exptime uint32, i
 			return 0, 0, StatusKeyNotFound
 		}
 		cas = s.nextCAS()
-		if !s.set(key, Entry{Value: []byte(strconv.FormatUint(initial, 10)), CAS: cas,
-			Expires: AbsoluteExpiry(int64(exptime), now), StoredAt: now}) {
+		if !s.set(key, Entry{Value: strconv.AppendUint(s.shortValue()[:0], initial, 10), CAS: cas,
+			Expires: AbsoluteExpiry(int64(exptime), now), StoredAt: now, borrowed: true}) {
 			return 0, 0, StatusOutOfMemory
 		}
 		s.stats.totalItems++
@@ -722,8 +740,8 @@ func (s *Server) applyDelta(key string, delta, initial uint64, exptime uint32, i
 		v -= delta
 	}
 	cas = s.mintCAS(cur)
-	if !s.set(key, Entry{Value: []byte(strconv.FormatUint(v, 10)), Flags: cur.Flags, CAS: cas,
-		Expires: cur.Expires, StoredAt: now}) {
+	if !s.set(key, Entry{Value: strconv.AppendUint(s.shortValue()[:0], v, 10), Flags: cur.Flags, CAS: cas,
+		Expires: cur.Expires, StoredAt: now, borrowed: true}) {
 		return 0, 0, StatusOutOfMemory
 	}
 	if incr {

@@ -15,6 +15,11 @@ import (
 type Entry struct {
 	Value []byte
 	Flags uint32
+	// borrowed marks a value under borrowMin that the server built in
+	// the buffer it reuses (Server.newValue): a store copies it to keep
+	// it, and the copy it keeps carries the mark as the store's own. A
+	// value with neither the mark nor an element is the caller's.
+	borrowed bool
 	// CAS is the entry's version token, reported by the text protocol's
 	// `gets` and the binary GET response header. Plain stores mint it
 	// from the server-local counter (Server.nextCAS), as stock memcached
@@ -59,10 +64,13 @@ func (e *Entry) free() {
 	}
 }
 
-// keep copies a borrowed entry into one a store can keep, holding its
-// element.
+// keep copies a borrowed entry into one a store can keep, with a copy of
+// a short value and a hold on a lent one's element.
 func keep(e *Entry) *Entry {
 	c := *e
+	if c.borrowed {
+		c.Value = slices.Clone(c.Value)
+	}
 	c.retain()
 	return &c
 }
@@ -79,16 +87,20 @@ func keep(e *Entry) *Entry {
 // delete or an overwrite copies none.
 //
 // Set and Add borrow the *Entry too: a store keeps a copy of *e, never e,
-// so the server passes one Entry it reuses for every store. The value's
-// bytes are not copied, and nobody writes them once stored. A value the
-// server copied into one of its pool elements to lend (Server.newValue)
-// is counted: each copy of the entry a store keeps holds the element,
-// and so does each GET response lending it, until the peer acknowledges
-// it. A store frees its hold wherever it lets an entry go - an
-// overwrite, a delete, an eviction, a failed insert - and the element's
-// last holder sends it back to its pool. Any other value - one a caller
-// of Set owns, as Prepopulate's are - is the caller's, and the collector
-// reclaims it.
+// so the server passes one Entry it reuses for every store. A value under
+// borrowMin that the server stores is borrowed like the key: the server
+// builds it in a buffer it reuses and marks it (Entry.borrowed), and a
+// store copies what it keeps - the RCU and locked stores into a new
+// slice, the bounded store into a buffer that a value it let go left
+// behind. A value the server copied into one of its pool
+// elements to lend (Server.newValue) is not copied but counted: each copy
+// of the entry a store keeps holds the element, and so does each GET
+// response lending it, until the peer acknowledges it. A store frees its
+// hold wherever it lets an entry go - an overwrite, a delete, an
+// eviction, a failed insert - and the element's last holder sends it
+// back to its pool. Any other value - one a caller of Set owns, as
+// Prepopulate's are - is the caller's, and the collector reclaims it.
+// Nobody writes a stored value's bytes.
 type Store interface {
 	// Get returns the stored entry, valid until the store's next
 	// mutation: the bounded store writes an overwrite into the entry it
@@ -274,7 +286,7 @@ func (s *LockedStore) Len() int {
 // visited in key order, with fn unlocked so it may mutate the store.
 func (s *LockedStore) Scan(fn func(key string, e *Entry) bool) {
 	s.mu.Lock()
-	snap := sortedSnapshot(s.m, func(e *Entry) Entry { return *e })
+	snap := sortedSnapshot(s.m, func(k string, e *Entry) storePair { return storePair{k: k, v: *e} })
 	s.mu.Unlock()
 	visit(snap, fn)
 }
@@ -282,10 +294,11 @@ func (s *LockedStore) Scan(fn func(key string, e *Entry) bool) {
 // sortedSnapshot copies a map-backed store's pairs out in key order, so
 // a scan - a flush's deletions, a migration stream's chunks - never
 // depends on Go's randomised map iteration. Each pair holds its element.
-func sortedSnapshot[V any](m map[string]V, entry func(V) Entry) []storePair {
+func sortedSnapshot[V any](m map[string]V, pair func(k string, v V) storePair) []storePair {
 	snap := make([]storePair, 0, len(m))
+	// order-free: the pairs are sorted by key below.
 	for k, v := range m {
-		snap = append(snap, storePair{k: k, v: entry(v)})
+		snap = append(snap, pair(k, v))
 		snap[len(snap)-1].v.retain()
 	}
 	slices.SortFunc(snap, func(a, b storePair) int { return strings.Compare(a.k, b.k) })

@@ -35,8 +35,11 @@ import (
 // elements bring it to 4: the test's closure and the three value copies.
 // Servers that copy a value a GET may lend into an element of their value
 // pools, where the element of the value it overwrites goes back, bring it
-// to 1, the test's closure. The limit is the measured count plus 4, so one buffer per frame or per
-// copy coming back fails here, not only in the benchmark's cl_write.
+// to 1, the test's closure. A 100-byte Set over bounded stores makes 1
+// too: each replica's store copies the short value into a buffer the
+// value it overwrites left behind. The limit is the measured count plus
+// 4, so one buffer per frame or per copy coming back fails here, not only
+// in the benchmark's cl_write.
 // Under iobufdebug each event's own Ctx is allowed for, and so is every
 // record the free lists build instead of reusing.
 //
@@ -55,6 +58,7 @@ func TestQuorumWriteObjectBudget(t *testing.T) {
 		{"cold", HotKeyOptions{}, nil, 100, 10 + 4},
 		{"hot", HotKeyOptions{Enable: true}, nil, 100, 10 + 4},
 		{"bounded-long", HotKeyOptions{}, bounded, 3000, 1 + 4},
+		{"bounded-short", HotKeyOptions{}, bounded, 100, 1 + 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cl := NewCluster(3, Options{CoresPerBackend: 2, FrontendCores: 2, Replicas: 3, HotKey: tc.hot, Store: tc.store})

@@ -174,6 +174,7 @@ func (r *fsFrontendRep) execute(op byte, path string, data []byte) ([]byte, uint
 		return size[:], 0
 	case fsOpList:
 		var names []string
+		// order-free: the names are sorted below.
 		for name := range r.files {
 			names = append(names, name)
 		}

@@ -281,3 +281,24 @@ func TestSlabParallelPerCore(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// The buddy allocator hands out the lowest free address, so which block
+// an allocation gets follows from the allocator's history alone.
+func TestBuddyTakesLowestFreeAddress(t *testing.T) {
+	p := newTestPages()
+	var got []Addr
+	for range 3 {
+		a, _ := p.Alloc(0, 0)
+		got = append(got, a)
+	}
+	if got[0] != 0 || got[1] != PageSize || got[2] != 2*PageSize {
+		t.Fatalf("first three pages at %#x, want 0, %#x, %#x", got, PageSize, 2*PageSize)
+	}
+	p.Free(got[1], 0)
+	if a, _ := p.Alloc(0, 0); a != got[1] {
+		t.Fatalf("after freeing %#x the next page is %#x", got[1], a)
+	}
+	if a, _ := p.Alloc(1, 0); a != 4*PageSize {
+		t.Fatalf("the next two-page block is at %#x, want %#x", a, 4*PageSize)
+	}
+}

@@ -13,6 +13,7 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 )
 
@@ -97,50 +98,83 @@ func (p *PageAllocator) FreeBytes() uint64 {
 	return total
 }
 
-// buddy is one NUMA node's buddy allocator.
+// buddy is one NUMA node's buddy allocator. Each order's free blocks are
+// a bitmap, one bit per block of that order, and an allocation takes the
+// lowest free address: which block it gets depends only on the node's
+// history, never on Go's map iteration order.
 type buddy struct {
 	mu        sync.Mutex
 	base, end Addr
-	freeLists [MaxOrder + 1]map[Addr]struct{}
+	bitmap    [MaxOrder + 1][]uint64
+	nfree     [MaxOrder + 1]int
 	allocated map[Addr]int // addr -> order, for double-free detection
 	freeBytes uint64
 }
 
 func newBuddy(base Addr, bytes uint64) *buddy {
 	b := &buddy{base: base, end: base + Addr(bytes), allocated: map[Addr]int{}, freeBytes: bytes}
-	for i := range b.freeLists {
-		b.freeLists[i] = map[Addr]struct{}{}
+	for o := range b.bitmap {
+		blocks := bytes / uint64(orderBytes(o))
+		b.bitmap[o] = make([]uint64, (blocks+63)/64)
 	}
 	blockBytes := Addr(PageSize) << MaxOrder
 	for a := base; a < b.end; a += blockBytes {
-		b.freeLists[MaxOrder][a] = struct{}{}
+		b.mark(MaxOrder, a, true)
 	}
 	return b
 }
 
 func orderBytes(order int) Addr { return Addr(PageSize) << order }
 
+// bit locates the block of the given order at a in its order's bitmap.
+func (b *buddy) bit(order int, a Addr) (word int, mask uint64) {
+	i := uint64((a - b.base) / orderBytes(order))
+	return int(i / 64), 1 << (i % 64)
+}
+
+func (b *buddy) isFree(order int, a Addr) bool {
+	w, m := b.bit(order, a)
+	return b.bitmap[order][w]&m != 0
+}
+
+// mark records the block as free or taken in its order's bitmap.
+func (b *buddy) mark(order int, a Addr, free bool) {
+	w, m := b.bit(order, a)
+	if free {
+		b.bitmap[order][w] |= m
+		b.nfree[order]++
+	} else {
+		b.bitmap[order][w] &^= m
+		b.nfree[order]--
+	}
+}
+
+// lowest returns the lowest free block of a non-empty order.
+func (b *buddy) lowest(order int) Addr {
+	for w, word := range b.bitmap[order] {
+		if word != 0 {
+			return b.base + Addr(w*64+bits.TrailingZeros64(word))*orderBytes(order)
+		}
+	}
+	panic("mem: free block count out of step with its bitmap")
+}
+
 func (b *buddy) alloc(order int) (Addr, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	o := order
-	for o <= MaxOrder && len(b.freeLists[o]) == 0 {
+	for o <= MaxOrder && b.nfree[o] == 0 {
 		o++
 	}
 	if o > MaxOrder {
 		return 0, false
 	}
-	var a Addr
-	for cand := range b.freeLists[o] {
-		a = cand
-		break
-	}
-	delete(b.freeLists[o], a)
+	a := b.lowest(o)
+	b.mark(o, a, false)
 	// Split down to the requested order, returning the upper halves.
 	for o > order {
 		o--
-		buddyAddr := a + orderBytes(o)
-		b.freeLists[o][buddyAddr] = struct{}{}
+		b.mark(o, a+orderBytes(o), true)
 	}
 	b.allocated[a] = order
 	b.freeBytes -= uint64(orderBytes(order))
@@ -162,17 +196,14 @@ func (b *buddy) free(a Addr, order int) {
 	// Coalesce with the buddy while possible.
 	for order < MaxOrder {
 		buddyAddr := a ^ orderBytes(order)
-		if buddyAddr < b.base || buddyAddr >= b.end {
+		if buddyAddr < b.base || buddyAddr >= b.end || !b.isFree(order, buddyAddr) {
 			break
 		}
-		if _, free := b.freeLists[order][buddyAddr]; !free {
-			break
-		}
-		delete(b.freeLists[order], buddyAddr)
+		b.mark(order, buddyAddr, false)
 		if buddyAddr < a {
 			a = buddyAddr
 		}
 		order++
 	}
-	b.freeLists[order][a] = struct{}{}
+	b.mark(order, a, true)
 }

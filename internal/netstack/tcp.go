@@ -623,10 +623,12 @@ func (p *TcpPcb) teardown(c *event.Ctx, err error) {
 		p.inflight[i].frame.Free()
 	}
 	p.inflight = nil
-	for _, s := range p.ooo {
-		s.payload.Free()
+	// Out-of-order segments go back lowest start first, so which pool
+	// element is reused next does not depend on map iteration order.
+	for seq, ok := p.firstOoo(false); ok; seq, ok = p.firstOoo(false) {
+		p.ooo[seq].payload.Free()
+		delete(p.ooo, seq)
 	}
-	clear(p.ooo)
 	wasClosed := p.state == tcpClosed
 	p.setState(c, tcpClosed)
 	p.itf.tcp.conns.Delete(p.key)
@@ -950,13 +952,7 @@ func (p *TcpPcb) processData(c *event.Ctx, hdr TcpHeader, payload *iobuf.IOBuf) 
 // must not pick it.
 func (p *TcpPcb) drainReassembly(c *event.Ctx) {
 	for {
-		var seq uint32
-		found := false
-		for s := range p.ooo {
-			if seqLEQ(s, p.rcvNxt) && (!found || seqLT(s, seq)) {
-				seq, found = s, true
-			}
-		}
+		seq, found := p.firstOoo(true)
 		if !found {
 			return // whatever remains still has a hole in front of it
 		}
@@ -977,6 +973,19 @@ func (p *TcpPcb) drainReassembly(c *event.Ctx) {
 		p.deliver(c, next.payload, next.fin, next.seqLen-overlap)
 		next.payload.Free()
 	}
+}
+
+// firstOoo returns the start of the out-of-order segment that starts
+// lowest, among those the stream has reached (starting at or before
+// rcvNxt) if reached is set.
+func (p *TcpPcb) firstOoo(reached bool) (seq uint32, found bool) {
+	// order-free: the lowest start is the same in any iteration order.
+	for s := range p.ooo {
+		if (!reached || seqLEQ(s, p.rcvNxt)) && (!found || seqLT(s, seq)) {
+			seq, found = s, true
+		}
+	}
+	return seq, found
 }
 
 // deliver hands in-order payload to the application and advances rcvNxt.
