@@ -175,25 +175,31 @@ func (b *SendBuffer) drain(c *event.Ctx) {
 	if b.Closed || b.Pcb == nil {
 		return
 	}
-	for len(b.pending) > 0 {
-		head := b.pending[0]
+	sent := 0
+	for sent < len(b.pending) {
+		head := b.pending[sent]
 		w := b.Pcb.SendWindowRemaining()
 		if w == 0 {
-			return
+			break
 		}
 		_, views := b.Pcb.Pools()
 		rest := head.Split(w, views)
 		if err := b.Pcb.Send(c, head); err != nil {
 			head.AppendChain(rest)
-			return
+			break
 		}
 		if rest == nil {
-			b.pending = b.pending[1:]
+			sent++
 		} else {
-			b.pending[0] = rest
+			b.pending[sent] = rest
 		}
 	}
-	if b.closeRequested {
+	// What is left moves to the array's front, where the next Send
+	// appends behind it without allocating.
+	n := copy(b.pending, b.pending[sent:])
+	clear(b.pending[n:])
+	b.pending = b.pending[:n]
+	if n == 0 && b.closeRequested {
 		b.closeRequested = false
 		b.Pcb.Close(c)
 	}

@@ -2,6 +2,7 @@ package appnet_test
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"ebbrt/internal/apps/appnet"
@@ -259,5 +260,73 @@ func TestPooledResponseCutAndRetransmitted(t *testing.T) {
 	}
 	if payload.Outstanding() != 0 || views.Outstanding() != 0 {
 		t.Fatalf("%d payload elements and %d views out after the response was acknowledged", payload.Outstanding(), views.Outstanding())
+	}
+}
+
+// A send buffer that holds chains behind a closed window and drains them
+// as the peer acknowledges allocates nothing per cycle once warm: its
+// queue reuses one array, and the chains are pooled elements (under
+// iobufdebug, a Ctx per event).
+func TestBufferedSendAllocatesNothing(t *testing.T) {
+	pair := testbed.NewPair(testbed.EbbRT, 1, 1)
+	const chains, size = 3, 30_000 // 90,000 bytes: past the 65,535-byte window
+	var server appnet.Conn
+	if err := pair.Server.Listen(7, func(conn appnet.Conn) appnet.Callbacks {
+		server = conn
+		return appnet.Callbacks{}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	received := 0
+	pair.Client.Mgrs()[0].Spawn(func(c *event.Ctx) {
+		pair.Client.Dial(c, testbed.ServerIP, 7, appnet.Callbacks{
+			OnData: func(c *event.Ctx, conn appnet.Conn, p *iobuf.IOBuf) { received += p.ComputeChainDataLength() },
+		}, func(*event.Ctx, appnet.Conn) {})
+	})
+	pair.K.RunFor(10 * sim.Millisecond)
+	if server == nil {
+		t.Fatal("connection not accepted")
+	}
+	payload, _ := appnet.PoolsOf(server)
+	const fill = 1000 // what one payload element holds
+	send := func(c *event.Ctx) {
+		for range chains {
+			chain := payload.Get(fill)
+			chain.Append(fill)
+			for range size/fill - 1 {
+				e := payload.Get(fill)
+				e.Append(fill)
+				chain.AppendChain(e)
+			}
+			server.Send(c, chain)
+		}
+	}
+	mgrs := slices.Concat(pair.Server.Mgrs(), pair.Client.Mgrs())
+	dispatched := func() (n uint64) {
+		for _, m := range mgrs {
+			n += m.Dispatched
+		}
+		return n
+	}
+	step := func() {
+		received = 0
+		pair.Server.Mgrs()[0].Spawn(send)
+		pair.K.RunFor(10 * sim.Millisecond)
+	}
+	for range 500 { // warm: five seconds of virtual time, until the kernel's timer wheel slots stop growing at this load
+		step()
+	}
+	events := dispatched()
+	step()
+	events = dispatched() - events
+	if received != chains*size {
+		t.Fatalf("one cycle delivered %d of %d bytes", received, chains*size)
+	}
+	want := 0.0
+	if event.CheckedCtx {
+		want = float64(events)
+	}
+	if got := testing.AllocsPerRun(100, step); got != want {
+		t.Fatalf("a buffered send cycle allocated %.0f objects over %d events, want %.0f", got, events, want)
 	}
 }

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"ebbrt/internal/event"
@@ -18,11 +21,13 @@ import (
 // one server and a binary connection to another, each op reaching both in
 // the same event, at the same instant. After every op the two must hold
 // the same entries - value, flags, expiry and CAS per key - and the same
-// counters: the wire formats are two encodings of one storage path. Each
-// delivered buffer is scribbled over once its delivery returns, and every
-// key either server holds must be one the script named: a stored key that
-// still viewed a request's bytes would corrupt both servers alike, which
-// the comparison alone would pass. Each server's value pools must have out
+// counters: the wire formats are two encodings of one storage path. What
+// a GET of each key would answer on either server must also be a state a
+// model of the ops allows (parityModel), so a bug both servers share
+// fails too. Each delivered buffer is scribbled over once its delivery
+// returns, and every key either server holds must be one the script
+// named: a stored key that still viewed a request's bytes would corrupt
+// both servers alike, which the comparison alone would pass. Each server's value pools must have out
 // exactly one element per resident entry whose value a GET would lend,
 // and the responses' pools none once the op's replies are sent and freed:
 // no element leaks, and none is freed twice (which panics). Each sequence
@@ -66,7 +71,10 @@ func runParity(t *testing.T, ops []parityOp, stores string, newStore func(clock 
 	}
 	out := &fakeConn{}
 	named := map[string]bool{}
+	_, evicts := txt.Store.(*BoundedStore)
+	model := &parityModel{keys: map[string][]parityState{}, evicts: evicts}
 	for i, op := range ops {
+		model.apply(op, k.Now())
 		if op.verb == "wait" {
 			k.RunFor(op.wait)
 			continue
@@ -81,6 +89,11 @@ func runParity(t *testing.T, ops []parityOp, stores string, newStore func(clock 
 		})
 		k.RunFor(sim.Millisecond)
 		out.out = out.out[:0]
+		for _, srv := range []*Server{txt, bin} {
+			if wrong := model.check(srv, k.Now()); wrong != "" {
+				t.Fatalf("%s stores: op %d (%s %q) left a server outside the model: %s", stores, i, op.verb, op.key, wrong)
+			}
+		}
 		if diff := parityDiff(txt, bin); diff != "" {
 			t.Fatalf("%s stores: op %d (%s %q) left the servers apart: %s", stores, i, op.verb, op.key, diff)
 		}
@@ -98,6 +111,122 @@ func runParity(t *testing.T, ops []parityOp, stores string, newStore func(clock 
 			}
 		}
 	}
+}
+
+// parityState is a state the model allows a key after an op: absent, or
+// holding value with flags. A mortal state may die - its entry carries an
+// expiry, or a flush_all may reach it - so its key may be absent too.
+type parityState struct {
+	absent bool
+	value  string
+	flags  uint32
+	mortal bool
+}
+
+// parityModel is what the ops should leave: every state each key the ops
+// named may be in. A key has more than one where the model cannot know
+// which: the entry may have died (expiry, flush_all, or, in a bounded
+// store, an eviction or a refused store after any op), and an add or an
+// append then takes one branch or the other.
+type parityModel struct {
+	keys     map[string][]parityState
+	flushEnd sim.Time // a store up to here may die by a flush_all
+	evicts   bool
+}
+
+// apply moves the model over op, issued at now.
+func (m *parityModel) apply(op parityOp, now sim.Time) {
+	switch op.verb {
+	case "flush_all":
+		m.flushEnd = max(m.flushEnd, now+sim.Time(op.exptime)*sim.Second)
+		for _, states := range m.keys {
+			for i := range states {
+				states[i].mortal = !states[i].absent
+			}
+		}
+	case "wait", "get":
+	default:
+		states, ok := m.keys[op.key]
+		if !ok {
+			states = []parityState{{absent: true}}
+		}
+		for i := range states {
+			states[i] = m.step(states[i], op, now)
+		}
+		m.keys[op.key] = states
+	}
+	for key, states := range m.keys {
+		if m.evicts || slices.ContainsFunc(states, func(s parityState) bool { return s.mortal }) {
+			states = append(states, parityState{absent: true})
+		}
+		var distinct []parityState
+		for _, s := range states {
+			if !slices.Contains(distinct, s) {
+				distinct = append(distinct, s)
+			}
+		}
+		m.keys[key] = distinct
+	}
+}
+
+// step is one state of op's key after op.
+func (m *parityModel) step(s parityState, op parityOp, now sim.Time) parityState {
+	stored := parityState{value: string(op.value), flags: op.flags, mortal: op.exptime != 0 || (m.flushEnd != 0 && now <= m.flushEnd)}
+	switch {
+	case op.verb == "set", op.verb == "add" && s.absent:
+		return stored
+	case op.verb == "delete":
+		return parityState{absent: true}
+	case s.absent:
+		return s // nothing else creates an entry
+	}
+	switch op.verb {
+	case "append":
+		s.value += string(op.value)
+	case "prepend":
+		s.value = string(op.value) + s.value
+	case "incr", "decr":
+		v, err := parseCounterValue([]byte(s.value))
+		switch {
+		case err != nil:
+		case op.verb == "incr":
+			s.value = strconv.FormatUint(v+op.delta, 10)
+		default:
+			s.value = strconv.FormatUint(v-min(v, op.delta), 10)
+		}
+	case "touch":
+		s.mortal = s.mortal || op.exptime != 0
+	}
+	return s
+}
+
+// check says which key srv answers outside the model, "" if none.
+func (m *parityModel) check(srv *Server, now sim.Time) string {
+	held := entries(srv)
+	for _, key := range slices.Sorted(maps.Keys(m.keys)) {
+		got := parityState{absent: true}
+		if e := held[key]; e != nil && srv.EntryLive(e, now) {
+			got = parityState{value: string(e.Value), flags: e.Flags}
+		}
+		allowed := slices.ContainsFunc(m.keys[key], func(s parityState) bool {
+			return s.absent == got.absent && s.value == got.value && s.flags == got.flags
+		})
+		if !allowed {
+			var want []string
+			for _, s := range m.keys[key] {
+				want = append(want, describeState(s))
+			}
+			return fmt.Sprintf("key %q reads %s, want one of [%s]", key, describeState(got), strings.Join(want, "; "))
+		}
+	}
+	return ""
+}
+
+func describeState(s parityState) string {
+	if s.absent {
+		return "absent"
+	}
+	return fmt.Sprintf("%.40q (%d bytes), flags %d", s.value, len(s.value), s.flags)
 }
 
 // parityOp is one command in a form both wire formats carry: no replace
@@ -286,19 +415,30 @@ func parityDiff(txt, bin *Server) string {
 		return fmt.Sprintf("counters: text %+v, %d requests, %d reclaimed; binary %+v, %d, %d",
 			txt.stats, txt.Requests, txt.ExpiredReclaimed, bin.stats, bin.Requests, bin.ExpiredReclaimed)
 	}
-	if txt.Store.Len() != bin.Store.Len() {
-		return fmt.Sprintf("text holds %d entries, binary %d", txt.Store.Len(), bin.Store.Len())
+	te, be := entries(txt), entries(bin)
+	if len(te) != len(be) {
+		return fmt.Sprintf("text holds %d entries, binary %d", len(te), len(be))
 	}
-	diff := ""
-	txt.Store.Scan(func(key string, te *Entry) bool {
-		be, _ := bin.Store.Get(key)
-		if be == nil || !bytes.Equal(te.Value, be.Value) || te.Flags != be.Flags || te.Expires != be.Expires || te.CAS != be.CAS {
-			diff = fmt.Sprintf("entry %q: text %s, binary %s", key, describeEntry(te), describeEntry(be))
-			return false
+	for _, key := range slices.Sorted(maps.Keys(te)) {
+		t, b := te[key], be[key]
+		if b == nil || !bytes.Equal(t.Value, b.Value) || t.Flags != b.Flags || t.Expires != b.Expires || t.CAS != b.CAS {
+			return fmt.Sprintf("entry %q: text %s, binary %s", key, describeEntry(t), describeEntry(b))
 		}
+	}
+	return ""
+}
+
+// entries copies out what srv's store holds, by key. It reads through
+// Scan, not Get, which moves a bounded store's item to the front of its
+// LRU list: a check that did would change what the next op evicts on the
+// one server it looked up.
+func entries(srv *Server) map[string]*Entry {
+	m := map[string]*Entry{}
+	srv.Store.Scan(func(k string, e *Entry) bool {
+		m[k] = &Entry{Value: bytes.Clone(e.Value), Flags: e.Flags, CAS: e.CAS, Expires: e.Expires, StoredAt: e.StoredAt}
 		return true
 	})
-	return diff
+	return m
 }
 
 func describeEntry(e *Entry) string {

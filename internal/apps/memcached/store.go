@@ -66,13 +66,13 @@ func (e *Entry) free() {
 
 // keep copies a borrowed entry into one a store can keep, with a copy of
 // a short value and a hold on a lent one's element.
-func keep(e *Entry) *Entry {
+func keep(e *Entry) Entry {
 	c := *e
 	if c.borrowed {
 		c.Value = slices.Clone(c.Value)
 	}
 	c.retain()
-	return &c
+	return c
 }
 
 // Store abstracts the key-value backing so the harness can compare the RCU
@@ -135,21 +135,23 @@ type Store interface {
 }
 
 // RCUStore stores entries in the RCU hash table: reads are lock-free, so
-// the per-operation cost does not grow with core count.
+// the per-operation cost does not grow with core count. Each entry lives
+// in its table node, so an update makes one object, the node.
 type RCUStore struct {
-	t *rcu.Table[string, *Entry]
+	t *rcu.Table[string, Entry]
 }
 
 // NewRCUStore creates the default store.
 func NewRCUStore() *RCUStore {
-	return &RCUStore{t: rcu.NewTable[string, *Entry](rcu.StringHash, 1024)}
+	return &RCUStore{t: rcu.NewTable[string, Entry](rcu.StringHash, 1024)}
 }
 
-// Get implements Store.
-func (s *RCUStore) Get(key string) (*Entry, bool) { return s.t.Get(key) }
+// Get implements Store: the entry is the one in the table's node, which
+// no write changes (rcu.Table.Ref).
+func (s *RCUStore) Get(key string) (*Entry, bool) { return s.t.Ref(key) }
 
 // Set implements Store. Readers may hold the entry it replaces, so it
-// stores a new one; a GET lending the old value holds its element.
+// stores a new node; a GET lending the old value holds its element.
 func (s *RCUStore) Set(key string, e *Entry) bool {
 	if old, ok := s.t.Put(key, keep(e)); ok {
 		old.free()
@@ -194,10 +196,10 @@ type storePair struct {
 	v Entry
 }
 
-func snapshotTable(t *rcu.Table[string, *Entry]) []storePair {
+func snapshotTable(t *rcu.Table[string, Entry]) []storePair {
 	snap := make([]storePair, 0, t.Len())
-	t.ForEach(func(k string, v *Entry) bool {
-		snap = append(snap, storePair{k: k, v: *v})
+	t.ForEach(func(k string, v Entry) bool {
+		snap = append(snap, storePair{k: k, v: v})
 		v.retain()
 		return true
 	})
@@ -245,7 +247,8 @@ func (s *LockedStore) Set(key string, e *Entry) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	old, ok := s.m[key]
-	s.m[strings.Clone(key)] = keep(e)
+	c := keep(e)
+	s.m[strings.Clone(key)] = &c
 	if ok {
 		old.free()
 	}
@@ -259,7 +262,8 @@ func (s *LockedStore) Add(key string, e *Entry) bool {
 	if _, ok := s.m[key]; ok {
 		return false
 	}
-	s.m[strings.Clone(key)] = keep(e)
+	c := keep(e)
+	s.m[strings.Clone(key)] = &c
 	return true
 }
 

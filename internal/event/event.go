@@ -40,6 +40,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 
 	"ebbrt/internal/costs"
 	"ebbrt/internal/machine"
@@ -102,9 +103,12 @@ type Manager struct {
 
 	synth     []synthItem // the queue is synth[synthHead:]
 	synthHead int
-	// idle is replaced, never edited, by Add/RemoveIdleHandler, so a pass
-	// in progress keeps iterating the list it started with.
+	// idle is edited in place. During a pass (idlePasses > 0, more than
+	// one while a handler of a pass is blocked) Add appends past the
+	// length each pass visits and Remove only clears the handler's slot,
+	// so no handler moves under a pass; the last pass to end compacts.
 	idle       []*IdleHandler
+	idlePasses int
 	timerReady []Timer // latched by fire, run by the next VecTimer batch
 	timerSpare []Timer // the emptied array of the batch that finished last
 	processFn  func()  // m.process, made once instead of per event
@@ -117,11 +121,17 @@ type Manager struct {
 	Dispatched uint64
 }
 
-// IdleHandler is a registered idle callback; keep the pointer to remove it.
+// IdleHandler is an idle callback, made once by NewIdleHandler and
+// installed and removed as often as its owner switches to polling and
+// back.
 type IdleHandler struct {
-	fn      Handler
-	removed bool
+	fn        Handler
+	installed bool
 }
+
+// NewIdleHandler makes the idle handler that runs fn; AddIdleHandler
+// installs it.
+func NewIdleHandler(fn Handler) *IdleHandler { return &IdleHandler{fn: fn} }
 
 // NewManager creates the event manager for a core and installs itself as
 // the core's interrupt dispatcher. The core starts halted with interrupts
@@ -138,10 +148,16 @@ func NewManager(core *machine.Core, rc Costs) *Manager {
 	runtime.AddCleanup(m, (*activationPool).stopAll, m.pool)
 	m.processFn = m.process
 	m.idlePass = func(c *Ctx) {
-		for _, ih := range m.idle {
-			if !ih.removed {
+		m.idlePasses++
+		// Handlers added during the pass lie past n and wait for the
+		// next one; m.idle is read afresh, as an Add may move the array.
+		for i, n := 0, len(m.idle); i < n; i++ {
+			if ih := m.idle[i]; ih != nil {
 				ih.fn(c)
 			}
+		}
+		if m.idlePasses--; m.idlePasses == 0 {
+			m.idle = slices.DeleteFunc(m.idle, func(ih *IdleHandler) bool { return ih == nil })
 		}
 		if c.charge < m.costs.IdlePoll {
 			c.charge = m.costs.IdlePoll
@@ -265,29 +281,45 @@ func (t *timerRec) fire() {
 	m.core.RaiseIRQ(VecTimer)
 }
 
-// AddIdleHandler installs fn to be invoked on every pass of the event loop
-// when the core would otherwise halt - the polling building block.
-func (m *Manager) AddIdleHandler(fn Handler) *IdleHandler {
-	ih := &IdleHandler{fn: fn}
-	m.idle = append(m.idle[:len(m.idle):len(m.idle)], ih)
+// AddIdleHandler installs ih to be invoked, after the handlers installed
+// before it, on every pass of the event loop when the core would
+// otherwise halt - the polling building block. Installing an installed
+// handler panics.
+func (m *Manager) AddIdleHandler(ih *IdleHandler) {
+	if ih.installed {
+		panic("event: idle handler installed twice")
+	}
+	ih.installed = true
+	m.idle = append(m.idle, ih)
 	m.kick()
-	return ih
 }
 
-// RemoveIdleHandler uninstalls a previously added idle handler.
+// RemoveIdleHandler uninstalls ih; it does nothing if ih is not installed.
+// A pass in progress that has not reached ih skips it.
 func (m *Manager) RemoveIdleHandler(ih *IdleHandler) {
-	ih.removed = true
-	for i, cur := range m.idle {
-		if cur == ih {
-			m.idle = append(m.idle[:i:i], m.idle[i+1:]...)
-			return
+	if !ih.installed {
+		return
+	}
+	ih.installed = false
+	i := slices.Index(m.idle, ih)
+	if m.idlePasses > 0 {
+		m.idle[i] = nil
+		return
+	}
+	m.idle = slices.Delete(m.idle, i, i+1)
+}
+
+// IdleHandlerCount reports installed idle handlers: the loop runs a pass
+// while there is one, and tests read it.
+func (m *Manager) IdleHandlerCount() int {
+	n := 0
+	for _, ih := range m.idle {
+		if ih != nil {
+			n++
 		}
 	}
+	return n
 }
-
-// IdleHandlerCount reports installed idle handlers (drivers use it to tell
-// whether they are in polling mode; tests too).
-func (m *Manager) IdleHandlerCount() int { return len(m.idle) }
 
 // kick wakes a halted core so the loop notices queued synthetic work.
 func (m *Manager) kick() {
@@ -382,7 +414,7 @@ func (m *Manager) process() {
 		return
 	}
 	// (3) all idle handlers, as one pass.
-	if len(m.idle) > 0 {
+	if m.IdleHandlerCount() > 0 {
 		m.exec(m.idlePass, 0)
 		return
 	}

@@ -144,12 +144,13 @@ func TestIdleHandlerPolling(t *testing.T) {
 	m := mgrs[0]
 	polls := 0
 	var ih *IdleHandler
-	ih = m.AddIdleHandler(func(c *Ctx) {
+	ih = NewIdleHandler(func(c *Ctx) {
 		polls++
 		if polls == 10 {
 			m.RemoveIdleHandler(ih)
 		}
 	})
+	m.AddIdleHandler(ih)
 	k.RunUntil(1 * sim.Millisecond)
 	if polls != 10 {
 		t.Fatalf("idle handler polled %d times, want exactly 10 (then removed)", polls)
@@ -162,10 +163,55 @@ func TestIdleHandlerPolling(t *testing.T) {
 	}
 }
 
+// The idle list keeps registration order while handlers come and go
+// during a pass: A removing itself does not make the pass skip B, B and C
+// run in order in the next pass, and A, added again, runs after C - also
+// when it is added again in the pass that removed it.
+func TestIdleHandlerOrder(t *testing.T) {
+	for _, readdIn := range []int{1, 2} {
+		k, _, mgrs := newTestEnv(1)
+		m := mgrs[0]
+		var log []byte
+		var a, b, c *IdleHandler
+		passes, aRuns := 0, 0
+		a = NewIdleHandler(func(*Ctx) {
+			log = append(log, 'A')
+			if aRuns++; aRuns == 1 {
+				m.RemoveIdleHandler(a)
+			} else {
+				m.RemoveIdleHandler(a)
+				m.RemoveIdleHandler(b)
+				m.RemoveIdleHandler(c)
+			}
+		})
+		b = NewIdleHandler(func(*Ctx) {
+			passes++
+			log = append(log, 'B')
+		})
+		c = NewIdleHandler(func(*Ctx) {
+			log = append(log, 'C', ' ')
+			if passes == readdIn {
+				m.AddIdleHandler(a)
+			}
+		})
+		m.AddIdleHandler(a)
+		m.AddIdleHandler(b)
+		m.AddIdleHandler(c)
+		k.RunUntil(sim.Millisecond)
+		want := map[int]string{1: "ABC BC A", 2: "ABC BC BC A"}[readdIn]
+		if got := string(log); got != want {
+			t.Fatalf("A added again in pass %d: passes ran %q, want %q", readdIn, got, want)
+		}
+		if !m.Core().Halted() || m.IdleHandlerCount() != 0 {
+			t.Fatalf("A added again in pass %d: %d idle handlers left", readdIn, m.IdleHandlerCount())
+		}
+	}
+}
+
 func TestIdlePollConsumesVirtualTime(t *testing.T) {
 	k, _, mgrs := newTestEnv(1)
 	m := mgrs[0]
-	m.AddIdleHandler(func(*Ctx) {})
+	m.AddIdleHandler(NewIdleHandler(func(*Ctx) {}))
 	// If polling were free the kernel would loop forever at t=0.
 	k.RunUntil(10 * sim.Microsecond)
 	if k.Now() != 10*sim.Microsecond {
@@ -182,12 +228,12 @@ func TestIdleHandlerYieldsToInterrupt(t *testing.T) {
 	var order []string
 	vec := m.AllocateVector(func(*Ctx) { order = append(order, "irq") })
 	polls := 0
-	m.AddIdleHandler(func(*Ctx) {
+	m.AddIdleHandler(NewIdleHandler(func(*Ctx) {
 		polls++
 		if len(order) < 3 {
 			order = append(order, "poll")
 		}
-	})
+	}))
 	k.After(1*sim.Microsecond, func() { m.Core().RaiseIRQ(vec) })
 	k.RunUntil(5 * sim.Microsecond)
 	// The interrupt must have been dispatched even though idle handlers

@@ -39,7 +39,8 @@ type queueDriver struct {
 	itf        *Interface
 	q          *machine.RxQueue
 	mgr        *event.Manager
-	idle       *event.IdleHandler
+	idle       *event.IdleHandler // runs poll; made once, installed while polling
+	polling    bool
 	emptyPolls int
 }
 
@@ -47,11 +48,12 @@ type queueDriver struct {
 // polling.
 func (d *queueDriver) onIRQ(c *event.Ctx) {
 	n := d.drain(c)
-	if !d.itf.St.Cfg.NoPolling && n >= pollBatchThreshold && d.idle == nil {
+	if !d.itf.St.Cfg.NoPolling && n >= pollBatchThreshold && !d.polling {
 		// High interrupt rate: mask the queue and poll from the idle loop.
 		d.q.DisableIRQ()
 		d.emptyPolls = 0
-		d.idle = d.mgr.AddIdleHandler(d.poll)
+		d.polling = true
+		d.mgr.AddIdleHandler(d.idle)
 		d.itf.PollModeSwitches++
 	}
 }
@@ -64,7 +66,7 @@ func (d *queueDriver) poll(c *event.Ctx) {
 		if d.emptyPolls >= pollIdleRounds {
 			// Arrival rate dropped: return to interrupt-driven execution.
 			d.mgr.RemoveIdleHandler(d.idle)
-			d.idle = nil
+			d.polling = false
 			d.q.EnableIRQ()
 		}
 		return

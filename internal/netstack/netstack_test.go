@@ -445,6 +445,40 @@ func TestPollingDisabledAblation(t *testing.T) {
 	}
 }
 
+// A burst that switches B's queue into polling, and the empty polls that
+// switch it back, allocate nothing once warm: the driver installs the idle
+// handler it made once, and the manager's idle list keeps its array
+// (under iobufdebug, a Ctx per event).
+func TestPollingRoundTripAllocatesNothing(t *testing.T) {
+	n := newTestNet(t, 1, 1)
+	// IPv6 frames, which B drops on arrival: all that happens is the
+	// driver's.
+	frame := make([]byte, 64)
+	writeEth(frame, EthHeader{Dst: n.itfB.NIC.Mac, Src: macA, Type: 0x86dd})
+	views := iobuf.NewPool(0)
+	step := func() {
+		for range 2 * pollBatchThreshold {
+			n.itfB.NIC.Deliver(machine.Frame{Buf: views.View(frame)})
+		}
+		n.k.Run()
+	}
+	step()
+	switches, events := n.itfB.PollModeSwitches, n.a.Mgrs[0].Dispatched+n.b.Mgrs[0].Dispatched
+	step()
+	events = n.a.Mgrs[0].Dispatched + n.b.Mgrs[0].Dispatched - events
+	if n.itfB.PollModeSwitches != switches+1 || n.b.Mgrs[0].IdleHandlerCount() != 0 {
+		t.Fatalf("one burst made %d switches into polling and left %d idle handlers; want 1 and 0",
+			n.itfB.PollModeSwitches-switches, n.b.Mgrs[0].IdleHandlerCount())
+	}
+	want := 0.0
+	if event.CheckedCtx {
+		want = float64(events)
+	}
+	if got := testing.AllocsPerRun(100, step); got != want {
+		t.Fatalf("a round trip into polling and back allocated %.0f objects over %d events, want %.0f", got, events, want)
+	}
+}
+
 func TestChecksum(t *testing.T) {
 	// RFC 1071 example.
 	data := []byte{0x00, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7}

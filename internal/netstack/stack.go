@@ -114,6 +114,7 @@ func (s *Stack) AddInterface(nic *machine.NIC, addr, mask Ipv4Addr) *Interface {
 		coreID := s.queueCore(qi)
 		mgr := s.Mgrs[coreID]
 		drv := &queueDriver{itf: itf, q: q, mgr: mgr}
+		drv.idle = event.NewIdleHandler(drv.poll)
 		vec := mgr.AllocateVector(drv.onIRQ)
 		q.SetIRQ(mgr.Core(), vec)
 		itf.drivers = append(itf.drivers, drv)

@@ -41,6 +41,33 @@ func TestTableBasics(t *testing.T) {
 	}
 }
 
+// Ref points into the node it found: the value it shows stays what it
+// was at the lookup through a replacement, a delete and the resizes many
+// inserts bring, while Get sees each change.
+func TestTableRefIsStable(t *testing.T) {
+	tb := NewTable[string, [2]int](StringHash, 4)
+	tb.Put("a", [2]int{1, 1})
+	ref, ok := tb.Ref("a")
+	if !ok || *ref != [2]int{1, 1} {
+		t.Fatalf("Ref(a) = %v, %v", ref, ok)
+	}
+	tb.Put("a", [2]int{2, 2})
+	for i := range 1000 {
+		tb.Put(fmt.Sprint(i), [2]int{i, i})
+	}
+	if v, _ := tb.Get("a"); v != [2]int{2, 2} || *ref != [2]int{1, 1} {
+		t.Fatalf("after a replacement and resizes Get(a) = %v and the old Ref shows %v; want [2 2] and [1 1]", v, *ref)
+	}
+	ref, _ = tb.Ref("a")
+	tb.Delete("a")
+	if _, ok := tb.Ref("a"); ok || *ref != [2]int{2, 2} {
+		t.Fatalf("after a delete Ref(a) found %v and the old Ref shows %v; want nothing and [2 2]", ok, *ref)
+	}
+	if got := testing.AllocsPerRun(100, func() { tb.Ref("7") }); got != 0 {
+		t.Fatalf("a Ref allocated %.0f objects, want 0", got)
+	}
+}
+
 func TestTableResize(t *testing.T) {
 	tb := NewTable[string, int](StringHash, 4)
 	const n = 10000

@@ -68,15 +68,28 @@ func NewTable[K comparable, V any](hash func(K) uint64, hint int) *Table[K, V] {
 
 // Get looks up key without locks or shared-memory writes.
 func (t *Table[K, V]) Get(key K) (V, bool) {
+	if v, ok := t.Ref(key); ok {
+		return *v, true
+	}
+	var zero V
+	return zero, false
+}
+
+// Ref looks up key like Get but returns a pointer to the value in the
+// table's node rather than a copy. The pointer stays valid, and what it
+// points to unchanged, for as long as it is held: a node's value is never
+// written after the node is published - Put replaces the node, and a
+// resize copies it. It shows the value as of the lookup, not any later
+// Put's.
+func (t *Table[K, V]) Ref(key K) (*V, bool) {
 	b := t.bkts.Load()
 	h := t.hash(key)
 	for n := b.bins[h&b.mask].Load(); n != nil; n = n.next.Load() {
 		if n.key == key {
-			return n.val, true
+			return &n.val, true
 		}
 	}
-	var zero V
-	return zero, false
+	return nil, false
 }
 
 // Put inserts or replaces the value for key, returning the value it
