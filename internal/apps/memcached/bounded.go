@@ -343,16 +343,6 @@ func (s *BoundedStore) Set(key string, e *Entry) bool {
 	return true
 }
 
-// Add implements Store.
-func (s *BoundedStore) Add(key string, e *Entry) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.m[key]; ok {
-		return false
-	}
-	return s.insert(key, e)
-}
-
 // insert makes the entry resident under a key the store does not hold,
 // in a spare item if there is one: the backing comes first, so an item
 // its eviction let go is the one the entry takes.

@@ -225,13 +225,13 @@ func SetAbsExpiryRequest(key, value []byte, flags uint32, stamp uint64, expires 
 	return absRequest(OpSet, key, value, flags, stamp, expires)
 }
 
-// AddQAbsExpiryRequest is SetAbsExpiryRequest's quiet ADD twin. The
+// SetQAbsExpiryRequest is SetAbsExpiryRequest's quiet twin. The
 // migration stream uses it so a transferred entry arrives at its new
 // owner with both the stamp and the deadline the surviving replicas
-// hold, without displacing a fresher value and without a response per
-// key.
-func AddQAbsExpiryRequest(key, value []byte, flags uint32, stamp uint64, expires int64) Request {
-	return absRequest(OpAddQ, key, value, flags, stamp, expires)
+// hold, without a response per key; the stamped store rule makes it a
+// no-op against a newer value or tombstone there.
+func SetQAbsExpiryRequest(key, value []byte, flags uint32, stamp uint64, expires int64) Request {
+	return absRequest(OpSetQ, key, value, flags, stamp, expires)
 }
 
 func absRequest(op byte, key, value []byte, flags uint32, stamp uint64, expires int64) Request {

@@ -240,9 +240,7 @@ func TestQuietSemantics(t *testing.T) {
 
 // TestAddSemantics: ADD stores only when absent (KeyExists otherwise);
 // the quiet variant suppresses the success response but still reports
-// the conflict - so a migration stream of AddQs is silent except for
-// keys that lost to a fresher dual-written value, and its Noop fence
-// flushes last.
+// the conflict, as stock memcached does.
 func TestAddSemantics(t *testing.T) {
 	protoHarness(t, func(c *event.Ctx) {
 		srv := NewServer(NewRCUStore(), 1)

@@ -42,8 +42,8 @@ type Server struct {
 	// readers (migration, staleness probes) never see flushed entries.
 	flushAt sim.Time
 
-	// entry is the one Entry every store passes to Store.Set and Add,
-	// which keep a copy: a request's entry costs the server nothing.
+	// entry is the one Entry every store passes to Store.Set, which keeps
+	// a copy: a request's entry costs the server nothing.
 	entry Entry
 
 	// values are the pools a value a GET may lend is copied into, one per
@@ -108,9 +108,10 @@ func (s *Server) mintCAS(cur *Entry) uint64 {
 }
 
 // EntryLive reports whether the entry is visible at the given instant:
-// not past its expiry, and not behind a due flush_all deadline.
+// not a tombstone, not past its expiry, and not behind a due flush_all
+// deadline.
 func (s *Server) EntryLive(e *Entry, now sim.Time) bool {
-	if e.Expired(now) {
+	if e.tomb || e.Expired(now) {
 		return false
 	}
 	if s.flushAt != 0 && now >= s.flushAt && e.StoredAt < s.flushAt {
@@ -124,15 +125,26 @@ func (s *Server) EntryLive(e *Entry, now sim.Time) bool {
 // stock memcached does - nothing sweeps the store on a timer.
 func (s *Server) getLive(key string, now sim.Time) (*Entry, bool) {
 	e, ok := s.Store.Get(key)
-	if !ok {
+	if ok && !s.EntryLive(e, now) {
+		s.reclaim(key, e, now)
 		return nil, false
 	}
-	if !s.EntryLive(e, now) {
-		s.Store.Delete(key)
-		s.ExpiredReclaimed++
-		return nil, false
+	return e, ok
+}
+
+// reclaim deletes a dead entry a lookup found and reports whether it
+// counted as an expiry. A tombstone is kept until its deadline, and its
+// reclaim counts as none: to a client its key was absent all along.
+func (s *Server) reclaim(key string, e *Entry, now sim.Time) bool {
+	if e.tomb {
+		if e.Expired(now) {
+			s.Store.Delete(key)
+		}
+		return false
 	}
-	return e, true
+	s.Store.Delete(key)
+	s.ExpiredReclaimed++
+	return true
 }
 
 // getForRead is getLive plus the retrieval accounting: every key a get
@@ -141,9 +153,9 @@ func (s *Server) getLive(key string, now sim.Time) (*Entry, bool) {
 func (s *Server) getForRead(key string, now sim.Time) (*Entry, bool) {
 	e, ok := s.Store.Get(key)
 	if ok && !s.EntryLive(e, now) {
-		s.Store.Delete(key)
-		s.ExpiredReclaimed++
-		s.stats.getExpired++
+		if s.reclaim(key, e, now) {
+			s.stats.getExpired++
+		}
 		ok = false
 	}
 	if !ok {
@@ -154,15 +166,30 @@ func (s *Server) getForRead(key string, now sim.Time) (*Entry, bool) {
 	return e, true
 }
 
+// tombstoneHorizon is how long a stamped Delete's tombstone lasts: longer
+// than any stamped write it orders can stay in flight. The longest-lived
+// is a migration stream's copy - the migrator gives up after 6 attempts
+// of at most 25 ms and a 2 ms retry delay each (internal/cluster's
+// migrationMaxAttempts, migrationJobTimeout and migrationRetryDelay: 162
+// ms) - and a client's write lasts its request timeout (2 to 8 ms here).
+const tombstoneHorizon = sim.Second
+
 // applyDelete removes a live entry, shared by both protocols; the
 // outcome feeds delete_hits/delete_misses. A dead entry answers
 // NOT_FOUND, exactly as if it had already been reclaimed. A stamped
 // delete (the cluster client's, binary only) leaves an entry with a
 // newer stamp in place and still answers as a hit: under last-writer-
 // wins the delete is ordered before that entry's write, wherever it is
-// delivered.
+// delivered. Otherwise it leaves a tombstone, present key or not, so an
+// older stamped write landing within tombstoneHorizon is a no-op.
 func (s *Server) applyDelete(key string, stamp uint64, now sim.Time) bool {
-	if cur, ok := s.getLive(key, now); ok && (stamp != 0 && cur.CAS > stamp || s.Store.Delete(key)) {
+	_, hit := s.getLive(key, now)
+	if stamp == 0 {
+		hit = hit && s.Store.Delete(key)
+	} else if old, ok := s.Store.Get(key); !ok || old.CAS <= stamp {
+		s.set(key, Entry{CAS: stamp, Expires: now + tombstoneHorizon, StoredAt: now, tomb: true})
+	}
+	if hit {
 		s.stats.deleteHits++
 		return true
 	}
@@ -247,13 +274,6 @@ func (s *Server) shortValue() []byte {
 func (s *Server) set(key string, e Entry) bool {
 	s.entry = e
 	return s.Store.Set(key, &s.entry)
-}
-
-// add stores e under key, unless the key is resident, through the
-// server's reused entry.
-func (s *Server) add(key string, e Entry) bool {
-	s.entry = e
-	return s.Store.Add(key, &s.entry)
 }
 
 // NewServer creates a server over the given store.
@@ -629,6 +649,8 @@ func (s *Server) store(mode storeMode, key string, value []byte, flags uint32, e
 	case storeSet:
 		cur, ok := s.Store.Get(key)
 		switch {
+		case stamp == 0 && ok && cur.tomb:
+			cas = s.nextCAS() // an unstamped store sees the key absent
 		case stamp == 0:
 			cas = s.mintCAS(cur)
 		case ok && cur.CAS >= stamp:
@@ -640,19 +662,26 @@ func (s *Server) store(mode storeMode, key string, value []byte, flags uint32, e
 			// regardless of delivery order; echo the winning stamp so the
 			// coordinator can detect that its write was superseded. An
 			// expired loser does not block the stamp comparison: the dead
-			// entry's stamp still orders writes.
+			// entry's stamp still orders writes, a tombstone's included.
 			return StatusOK, cur.CAS
 		default:
 			cas = stamp
 		}
 	case storeAdd:
-		// A stamped ADD (migration stream) preserves the sender's version
-		// stamp; a plain ADD mints a local one, even if it then loses. An
-		// expired occupant does not defeat an ADD: getLive reclaims it
-		// first, as in stock memcached.
-		s.getLive(key, now)
+		// A stamped ADD preserves the sender's version stamp; a plain ADD
+		// mints a local one, even if it then loses. It stores over no live
+		// entry - an expired occupant does not defeat it: getLive reclaims
+		// it first, as in stock memcached - and over a tombstone unless it
+		// is stamped and no newer. The lookup and the store are atomic, as
+		// replace's below.
 		if cas = stamp; cas == 0 {
 			cas = s.nextCAS()
+		}
+		if cur, ok := s.Store.Get(key); ok && cur.tomb && stamp != 0 && cur.CAS >= stamp {
+			return StatusKeyExists, 0
+		}
+		if _, ok := s.getLive(key, now); ok {
+			return StatusKeyExists, 0
 		}
 	default:
 		// Replace, append and prepend store only over a live entry; stock
@@ -680,21 +709,13 @@ func (s *Server) store(mode storeMode, key string, value []byte, flags uint32, e
 	v, elem := s.newValue(len(head) + len(tail))
 	copy(v[copy(v, head):], tail)
 	e := Entry{Value: v, Flags: flags, CAS: cas, Expires: expires, StoredAt: now, borrowed: len(v) < borrowMin, elem: elem}
-	var stored bool
-	if mode == storeAdd {
-		stored = s.add(key, e)
-	} else {
-		stored = s.set(key, e)
-	}
+	stored := s.set(key, e)
 	e.free() // the store holds what it keeps
-	switch {
-	case stored:
-		s.stats.totalItems++
-		return StatusOK, cas
-	case mode == storeAdd:
-		return StatusKeyExists, 0
+	if !stored {
+		return StatusOutOfMemory, 0
 	}
-	return StatusOutOfMemory, 0
+	s.stats.totalItems++
+	return StatusOK, cas
 }
 
 // Counter statuses applyDelta reports (a subset of the binary response

@@ -20,6 +20,10 @@ type Entry struct {
 	// it, and the copy it keeps carries the mark as the store's own. A
 	// value with neither the mark nor an element is the caller's.
 	borrowed bool
+	// tomb marks a tombstone: the record a stamped Delete leaves, with
+	// the Delete's stamp as CAS and its deadline as Expires, and no
+	// value (Server.applyDelete).
+	tomb bool
 	// CAS is the entry's version token, reported by the text protocol's
 	// `gets` and the binary GET response header. Plain stores mint it
 	// from the server-local counter (Server.nextCAS), as stock memcached
@@ -45,6 +49,11 @@ type Entry struct {
 	// owns. Each copy of the entry a store keeps is one of its holders.
 	elem *iobuf.IOBuf
 }
+
+// Tombstone reports whether the entry is the tombstone a stamped Delete
+// left. No lookup serves it (Server.EntryLive), but until its deadline
+// its stamp orders writes like a stored value's.
+func (e *Entry) Tombstone() bool { return e.tomb }
 
 // retain adds a holder to the entry's element, if it has one: a store
 // keeping a copy of the entry.
@@ -86,7 +95,7 @@ func keep(e *Entry) Entry {
 // bytes are copied once, when the store first takes it, and a lookup, a
 // delete or an overwrite copies none.
 //
-// Set and Add borrow the *Entry too: a store keeps a copy of *e, never e,
+// Set borrows the *Entry too: a store keeps a copy of *e, never e,
 // so the server passes one Entry it reuses for every store. A value under
 // borrowMin that the server stores is borrowed like the key: the server
 // builds it in a buffer it reuses and marks it (Entry.borrowed), and a
@@ -112,11 +121,6 @@ type Store interface {
 	// unbounded stores always succeed, the bounded store reports false
 	// when the entry cannot fit its memory budget even after eviction.
 	Set(key string, e *Entry) bool
-	// Add stores the entry only if the key is absent, reporting whether it
-	// was stored. The migration stream applies transferred entries with Add
-	// so a fresher value dual-written during handoff is never clobbered by
-	// the source's older snapshot.
-	Add(key string, e *Entry) bool
 	Delete(key string) bool
 	Len() int
 	// Scan invokes fn over a point-in-time snapshot of the store taken
@@ -155,16 +159,6 @@ func (s *RCUStore) Get(key string) (*Entry, bool) { return s.t.Ref(key) }
 func (s *RCUStore) Set(key string, e *Entry) bool {
 	if old, ok := s.t.Put(key, keep(e)); ok {
 		old.free()
-	}
-	return true
-}
-
-// Add implements Store.
-func (s *RCUStore) Add(key string, e *Entry) bool {
-	c := keep(e)
-	if !s.t.PutIfAbsent(key, c) {
-		c.free()
-		return false
 	}
 	return true
 }
@@ -252,18 +246,6 @@ func (s *LockedStore) Set(key string, e *Entry) bool {
 	if ok {
 		old.free()
 	}
-	return true
-}
-
-// Add implements Store.
-func (s *LockedStore) Add(key string, e *Entry) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.m[key]; ok {
-		return false
-	}
-	c := keep(e)
-	s.m[strings.Clone(key)] = &c
 	return true
 }
 

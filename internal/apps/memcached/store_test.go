@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"ebbrt/internal/event"
 )
 
 func stores() map[string]func() Store {
@@ -198,34 +200,39 @@ func TestScanUnderConcurrentMutation(t *testing.T) {
 	}
 }
 
-// TestAddIfAbsent: Add stores only when the key is absent and reports
-// which happened - the semantics the migration stream relies on to
-// never clobber a dual-written fresher value.
+// TestAddIfAbsent: the server's ADD stores only when the key is absent
+// and reports which happened, over every store: the stores have no add
+// of their own, so ADD is a lookup and a Set, atomic because one event
+// runs at a time.
 func TestAddIfAbsent(t *testing.T) {
 	for name, mk := range stores() {
 		t.Run(name, func(t *testing.T) {
-			s := mk()
-			if !s.Add("k", &Entry{Value: []byte("old")}) {
-				t.Fatal("Add to empty store did not insert")
-			}
-			if s.Add("k", &Entry{Value: []byte("stale")}) {
-				t.Fatal("Add over an existing key reported insertion")
-			}
-			if e, _ := s.Get("k"); string(e.Value) != "old" {
-				t.Fatalf("Add overwrote existing value: %q", e.Value)
-			}
-			s.Delete("k")
-			if !s.Add("k", &Entry{Value: []byte("new")}) {
-				t.Fatal("Add after delete did not insert")
-			}
-			if s.Len() != 1 {
-				t.Fatalf("Len %d after add/delete/add", s.Len())
-			}
+			protoHarness(t, func(c *event.Ctx) {
+				srv := NewServer(mk(), 1)
+				add := func(value string, opaque uint32) []byte {
+					return storeRequest(OpAdd, []byte("k"), []byte(value), 0, 0).Build(opaque)
+				}
+				_, fc := feed(c, srv, add("old", 1), add("stale", 2),
+					Request{Opcode: OpDelete, Key: []byte("k")}.Build(3), add("new", 4))
+				hdrs, _ := parseResponses(t, fc.out)
+				want := []uint16{StatusOK, StatusKeyExists, StatusOK, StatusOK}
+				if len(hdrs) != len(want) {
+					t.Fatalf("%d responses, want %d", len(hdrs), len(want))
+				}
+				for i, w := range want {
+					if hdrs[i].Status != w {
+						t.Errorf("response %d: status %#x, want %#x", i, hdrs[i].Status, w)
+					}
+				}
+				if e, _ := srv.Store.Get("k"); srv.Store.Len() != 1 || string(e.Value) != "new" {
+					t.Fatalf("store holds %d keys, k=%q; want k=new alone", srv.Store.Len(), e.Value)
+				}
+			})
 		})
 	}
 }
 
-// TestStoresCopyBorrowedEntries: Set and Add borrow the caller's Entry,
+// TestStoresCopyBorrowedEntries: Set borrows the caller's Entry,
 // keeping a copy, so changing it after the call leaves the stored entry
 // as it was; and a Set inside Scan's fn - which the bounded store writes
 // into the entry its LRU item holds - does not change what a later visit
@@ -236,12 +243,9 @@ func TestStoresCopyBorrowedEntries(t *testing.T) {
 			s := mk()
 			e := &Entry{Value: []byte("v1"), Flags: 1, CAS: 7}
 			s.Set("set", e)
-			s.Add("add", e)
 			*e = Entry{Value: []byte("v2"), Flags: 2, CAS: 9}
-			for _, k := range []string{"set", "add"} {
-				if got, ok := s.Get(k); !ok || string(got.Value) != "v1" || got.Flags != 1 || got.CAS != 7 {
-					t.Fatalf("%s: the caller's later change reached the stored entry: %+v", k, got)
-				}
+			if got, ok := s.Get("set"); !ok || string(got.Value) != "v1" || got.Flags != 1 || got.CAS != 7 {
+				t.Fatalf("the caller's later change reached the stored entry: %+v", got)
 			}
 			// Over a resident key too: the bounded store copies into the
 			// item it already holds.

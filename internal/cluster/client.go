@@ -131,47 +131,49 @@ func NewClientWithOptions(cl *Cluster, node *hosted.Node, opt ClientOptions) *Cl
 	cli.ref = core.Attach(node.Domain, id, func(corei int) *clientRep {
 		return newClientRep(cli, mgrs[corei])
 	})
-	if opt.HotKey.Enable {
-		// A migration's dual-routing window must never serve a cached
-		// value that predates it: flush every core's entries covered by
-		// the moved ranges as the window opens (reads inside the window
-		// additionally bypass the cache, closing the spawn race).
-		cl.WatchHandoff(func(pending []MoveRange) {
-			ranges := append([]MoveRange(nil), pending...)
-			for corei := range mgrs {
-				corei := corei
-				mgrs[corei].Spawn(func(c *event.Ctx) {
-					rep, ok := cli.ref.GetIfPresent(corei)
-					if !ok || rep.hot == nil {
-						return
+	// As a migration's dual-routing window opens, each core forwards the
+	// hints it keeps for the moved ranges to their new owners (hint.go)
+	// and flushes the hot-key entries they cover: the window must never
+	// serve a cached value that predates it (reads inside the window
+	// additionally bypass the cache, closing the spawn race).
+	cl.WatchHandoff(func(pending []MoveRange) {
+		ranges := append([]MoveRange(nil), pending...)
+		covered := func(h uint64) bool {
+			for _, r := range ranges {
+				if r.Contains(h) {
+					return true
+				}
+			}
+			return false
+		}
+		for corei := range mgrs {
+			mgrs[corei].Spawn(func(c *event.Ctx) {
+				rep, ok := cli.ref.GetIfPresent(corei)
+				if !ok {
+					return
+				}
+				rep.forwardHints(c, ranges)
+				if rep.hot == nil {
+					return
+				}
+				n := rep.hot.cache.flushWhere(func(e *cacheEntry) bool {
+					if covered(e.hash) {
+						return true
 					}
-					n := rep.hot.cache.flushWhere(func(e *cacheEntry) bool {
-						covered := func(h uint64) bool {
-							for _, r := range ranges {
-								if r.Contains(h) {
-									return true
-								}
-							}
-							return false
-						}
-						if covered(e.hash) {
+					// A write-spread key's salted shards hash elsewhere
+					// than the entry itself; a moved shard also makes the
+					// cached copy unsafe across the cutover.
+					for s := 1; s < cli.cl.saltsOf(e.key); s++ {
+						if covered(ringHash(saltedKey(e.key, s))) {
 							return true
 						}
-						// A write-spread key's salted shards hash elsewhere
-						// than the entry itself; a moved shard also makes
-						// the cached copy unsafe across the cutover.
-						for s := 1; s < cli.cl.saltsOf(e.key); s++ {
-							if covered(ringHash(saltedKey(e.key, s))) {
-								return true
-							}
-						}
-						return false
-					})
-					rep.hot.stats.Flushes += uint64(n)
+					}
+					return false
 				})
-			}
-		})
-	}
+				rep.hot.stats.Flushes += uint64(n)
+			})
+		}
+	})
 	cl.Watch(func(backend int, up bool) {
 		if up {
 			return // pools to a restored backend re-dial lazily

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 
 	"ebbrt/internal/apps/memcached"
@@ -98,9 +97,12 @@ type Cluster struct {
 	salted      map[string]*saltState
 	hotWrite    HotWriteStats
 	// deletes counts the Deletes any client has issued, and deleteLog
-	// holds the ring hashes of the last of them: the one record of
-	// deletes (deletedSince). A hint replay (hint.go), a hot-key fill or
-	// a re-stamp issued before a Delete of its key stands down.
+	// holds the ring hashes of the last of them (deletedSince). A replica
+	// orders stamped writes against a Delete by its tombstone, but only
+	// for a while and only at the replica: a hint replay (hint.go), which
+	// may come later than any tombstone lasts, and a hot-key fill or
+	// re-stamp, which touch no replica, issued before a Delete of their
+	// key stand down by this log instead.
 	deletes   uint64
 	deleteLog [256]uint64
 
@@ -123,14 +125,6 @@ type Cluster struct {
 type handoffState struct {
 	prev    *Ring
 	pending []MoveRange
-	// deleted records keys quorum-deleted while inside a pending moved
-	// range, with each delete's stamp. The migration stream carries a
-	// snapshot taken before those deletes, so its add-if-absent
-	// application would resurrect them at the destination; the migrator
-	// scrubs this set there, with the same stamps, after the stream
-	// lands, before cutting the range over. A value written after a
-	// delete carries a newer stamp, so the scrub spares it.
-	deleted map[string]uint64
 }
 
 func (ho *handoffState) covers(h uint64) bool {
@@ -344,6 +338,8 @@ func (cl *Cluster) appendReadSet(dst []int, h uint64) []int {
 // acked write is then guaranteed to survive the cutover (a majority of
 // the future replica set holds it), while the old owners receive it
 // best-effort so pre-cutover reads - which try them first - stay fresh.
+// A write planned before the window opened re-sends itself to the new
+// owners (writeRecord.onAck).
 func (cl *Cluster) appendWritePlan(dst []int, h uint64) (targets []int, quorum int) {
 	start := len(dst)
 	dst = cl.Ring.appendOwners(dst, h, cl.Replicas)
@@ -469,24 +465,16 @@ func (cl *Cluster) beginHandoff(prev *Ring, plan []MoveRange) {
 	cl.handoff = &handoffState{
 		prev:    prev,
 		pending: append([]MoveRange(nil), plan...),
-		deleted: map[string]uint64{},
 	}
 	for _, fn := range cl.handoffWatchers {
 		fn(cl.handoff.pending)
 	}
 }
 
-// noteDelete counts a delete and records one issued during the handoff
-// window for a key still inside a pending moved range, with its stamp,
-// so the migrator can scrub a resurrected pre-delete snapshot copy at
-// the destination.
-func (cl *Cluster) noteDelete(key []byte, stamp uint64) {
-	h := ringHash(key)
-	cl.deleteLog[cl.deletes%uint64(len(cl.deleteLog))] = h
+// noteDelete enters a Delete of key into the delete log.
+func (cl *Cluster) noteDelete(key []byte) {
+	cl.deleteLog[cl.deletes%uint64(len(cl.deleteLog))] = ringHash(key)
 	cl.deletes++
-	if ho := cl.handoff; ho != nil && ho.covers(h) {
-		ho.deleted[string(key)] = stamp
-	}
 }
 
 // deletedSince reports whether a Delete of the key with ring hash h may
@@ -502,28 +490,6 @@ func (cl *Cluster) deletedSince(n, h uint64) bool {
 		}
 	}
 	return false
-}
-
-// peekDeleted returns the recorded deletes falling inside the given
-// ranges, sorted, because the scrub sends them in this order. They stay
-// recorded until the handoff closes: a scrub that fails is sent again
-// whole.
-func (cl *Cluster) peekDeleted(ranges []MoveRange) [][]byte {
-	ho := cl.handoff
-	if ho == nil || len(ho.deleted) == 0 {
-		return nil
-	}
-	var out [][]byte
-	for _, k := range slices.Sorted(maps.Keys(ho.deleted)) {
-		h := ringHash([]byte(k))
-		for _, r := range ranges {
-			if r.Contains(h) {
-				out = append(out, []byte(k))
-				break
-			}
-		}
-	}
-	return out
 }
 
 // completeRange cuts one moved range over: keys inside it now route

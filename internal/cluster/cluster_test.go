@@ -76,13 +76,19 @@ func TestClusterEndToEnd(t *testing.T) {
 		t.Errorf("delete path broken: deleted=%d missAfterDelete=%d", deleted, missAfterDelete)
 	}
 	// The keyspace must actually be sharded: every backend served
-	// requests, and the sum matches what the stores hold.
+	// requests, and the sum matches what the stores hold, a deleted key
+	// as the tombstone its stamped Delete left.
 	var totalHeld int
 	for i, b := range cl.Backends {
 		if b.Srv.Requests == 0 {
 			t.Errorf("backend %d served no requests - keys not sharded", i)
 		}
-		totalHeld += b.Srv.Store.Len()
+		b.Srv.Store.Scan(func(_ string, e *memcached.Entry) bool {
+			if !e.Tombstone() {
+				totalHeld++
+			}
+			return true
+		})
 	}
 	if want := nKeys - deleted; totalHeld != want {
 		t.Errorf("stores hold %d keys, want %d", totalHeld, want)

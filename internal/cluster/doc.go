@@ -34,8 +34,10 @@
 //     ring against the new one into exact MoveRanges; each range is
 //     streamed from a live replica to its gaining owner through the
 //     memcached binary protocol itself (snapshot Store.Scan, pipelined
-//     quiet ADDs, a Noop fence), with the client dual-routing reads and
-//     writes until the range cuts over. Join streams a newcomer's share
+//     stamped quiet SETs and tombstone Deletes, a Noop fence), with the
+//     client dual-routing reads and writes until the range cuts over,
+//     and writes issued before the window opened re-sent to the new
+//     owners. Join streams a newcomer's share
 //     so it arrives warm; Decommission drains a live backend or
 //     re-replicates a dead one back to R.
 //

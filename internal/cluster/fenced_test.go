@@ -91,12 +91,12 @@ func (r *roundRig) check(t *testing.T, wantFenced bool) {
 	}
 }
 
-// migrationRecords is n quiet ADDs of 1 KiB values: enough to span
+// migrationRecords is n stamped quiet SETs of 1 KiB values: enough to span
 // several migrationChunkBytes sends and several send windows.
 func migrationRecords(n int) []memcached.Request {
 	reqs := make([]memcached.Request, n)
 	for i := range reqs {
-		reqs[i] = memcached.AddQAbsExpiryRequest([]byte(fmt.Sprintf("key-%04d", i)), bytes.Repeat([]byte{byte(i)}, 1024), 7, uint64(i+1), 0)
+		reqs[i] = memcached.SetQAbsExpiryRequest([]byte(fmt.Sprintf("key-%04d", i)), bytes.Repeat([]byte{byte(i)}, 1024), 7, uint64(i+1), 0)
 	}
 	return reqs
 }
@@ -106,9 +106,8 @@ func serveStore(store memcached.Store) func(rt appnet.Runtime) error {
 }
 
 // TestFencedRoundAnswered: the fence answers once every record is
-// applied, a record the destination refuses (its key is taken) answers
-// on an opaque nobody waits for, and the round's connection closes with
-// its elements home.
+// applied, a record older than the destination's copy of its key is a
+// no-op there, and the round's connection closes with its elements home.
 func TestFencedRoundAnswered(t *testing.T) {
 	store := memcached.NewRCUStore()
 	store.Set("key-0000", &memcached.Entry{Value: []byte("fresher"), CAS: 1 << 40})
@@ -121,7 +120,7 @@ func TestFencedRoundAnswered(t *testing.T) {
 		t.Fatalf("destination holds %d keys, want %d", store.Len(), len(reqs))
 	}
 	if e, _ := store.Get("key-0000"); string(e.Value) != "fresher" {
-		t.Fatalf("a quiet ADD displaced the fresher value: %q", e.Value)
+		t.Fatalf("an older quiet SET displaced the fresher value: %q", e.Value)
 	}
 }
 

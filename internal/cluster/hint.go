@@ -21,12 +21,17 @@ import (
 // stragglers - the timed-out requests TCP still delivers once the
 // backend is back. A Set older than the replay is a no-op after it
 // (the stamped-store rule), and so is a Delete older than it (deletes
-// are stamped too). A Delete newer than the replayed Set would be undone
-// by it, since a replica keeps no tombstone: so a hint for a Set issued
-// before a Delete of its key, by any client, is dropped unsent. The
-// cluster's delete log answers that (Cluster.deletedSince), as it does
-// for the hot-key cache's fills and re-stamps. A Delete leaves no hint.
-// Fault-free writes make no hint.
+// are stamped too). A Delete newer than the replayed Set leaves a
+// tombstone that makes the replay a no-op too, but only until the
+// tombstone's horizon, and a hint may wait longer than that: so a hint
+// for a Set issued before a Delete of its key, by any client, is dropped
+// unsent, by the cluster's delete log (Cluster.deletedSince). A Delete
+// leaves no hint. Fault-free writes make no hint.
+//
+// When a handoff window opens, the core also sends each hint it keeps
+// for a key in a moved range to that range's new owner (forwardHints):
+// the migration stream may copy the key from the very backend that
+// missed the Set.
 
 // maxHints bounds the hints one core keeps, in flight included. A hint
 // that would pass it is dropped, with an audit event: the range re-sync
@@ -120,7 +125,27 @@ func (r *clientRep) replayHints(c *event.Ctx, backend int) {
 			r.hints.Put(h)
 			continue
 		}
-		r.submit(c, backend, memcached.SetAbsExpiryRequest(h.key, h.value, h.flags, h.stamp, int64(h.expires)), h.done)
+		r.submit(c, backend, h.request(), h.done)
+	}
+}
+
+// request is the Set the hint carries, stamped, with its absolute
+// deadline.
+func (h *hint) request() memcached.Request {
+	return memcached.SetAbsExpiryRequest(h.key, h.value, h.flags, h.stamp, int64(h.expires))
+}
+
+// forwardHints sends each hint the core keeps for a key in one of the
+// moved ranges to that range's new owner, with no callback, unless its
+// key was deleted after its Set. The hint stays kept for its own
+// backend.
+func (r *clientRep) forwardHints(c *event.Ctx, moved []MoveRange) {
+	for _, h := range r.kept {
+		for _, m := range moved {
+			if m.Contains(h.hash) && !r.cli.cl.deletedSince(h.deletes, h.hash) {
+				r.submit(c, m.Dest, h.request(), nil)
+			}
+		}
 	}
 }
 

@@ -207,11 +207,12 @@ func TestHintOverflowDrops(t *testing.T) {
 // and only those. Core 2's copy of a Set to the silent primary is lost
 // with its handshaking connection, which core 2 tears down, so core 2
 // keeps a hint. The primary comes back, and core 0 deletes the key, or
-// another key; then core 2 reads from the primary and its answer replays
-// the hint. Where the Delete was of the Set's key, a replay would store
-// the deleted value again, for good: a replica keeps no tombstone, and
-// reads, which ask the primary first, would return it and repair it onto
-// the other replicas. A Delete of another key leaves the hint to replay.
+// another key; then, past the Delete's tombstone horizon (a second),
+// core 2 reads from the primary and its answer replays the hint. Where
+// the Delete was of the Set's key, a replay would store the deleted value
+// again, for good: the tombstone that ordered it is gone, and reads,
+// which ask the primary first, would return it and repair it onto the
+// other replicas. A Delete of another key leaves the hint to replay.
 func TestDeleteRetiresOlderHints(t *testing.T) {
 	for _, tc := range []struct{ name, del, want string }{
 		{"same key", "hint-key", ""},
@@ -234,7 +235,7 @@ func TestDeleteRetiresOlderHints(t *testing.T) {
 			cli.mgrs[0].Spawn(func(c *event.Ctx) {
 				cli.Delete(c, []byte(tc.del), func(c *event.Ctx, r Response) { del = r })
 			})
-			k.RunFor(10 * sim.Millisecond)
+			k.RunFor(2 * sim.Second)
 			cli.mgrs[2].Spawn(func(c *event.Ctx) { cli.Get(c, key, func(*event.Ctx, Response) {}) })
 			k.RunFor(20 * sim.Millisecond)
 			if !set.OK() || !del.OK() {
@@ -245,7 +246,7 @@ func TestDeleteRetiresOlderHints(t *testing.T) {
 			switch {
 			case tc.want == "" && got.Status != memcached.StatusKeyNotFound:
 				t.Fatalf("read back %#x %q after an acknowledged Delete, want not found", got.Status, got.Value)
-			case tc.want == "" && ok:
+			case tc.want == "" && ok && !e.Tombstone():
 				t.Fatal("the primary holds the deleted key")
 			case tc.want != "" && (!ok || string(e.Value) != tc.want || string(got.Value) != tc.want):
 				t.Fatalf("read back %q, want the hinted %q on the primary", got.Value, tc.want)
@@ -316,4 +317,46 @@ func TestHintReplaysAfterEviction(t *testing.T) {
 	}
 	requireHome(t, cli)
 	requireNoHints(t, cli)
+}
+
+// A hint kept for a key in a moved range goes to the range's new owner as
+// the handoff opens, since the stream may copy the key from the very
+// backend that missed the Set. Core 1 Sets a key the join will move,
+// its first connections still handshaking, and tears down the one to the
+// key's primary before the Set leaves: the primary never gets it, core 1
+// keeps a hint, and no answer from the primary replays it. Then a backend
+// joins; the stream copies the key from the primary, the old value, and
+// only the forwarded hint brings the new owner the acknowledged one.
+func TestHintForwardedAtHandoff(t *testing.T) {
+	before := NewRing(DefaultVNodes)
+	for b := range 4 {
+		before.Add(b)
+	}
+	after := before.Clone()
+	after.Add(4)
+	var key []byte
+	for i := 0; key == nil; i++ {
+		if k := fmt.Appendf(nil, "moved-%d", i); slices.Contains(after.LookupN(k, 3), 4) {
+			key = k
+		}
+	}
+	cl, cli, primary := hintWorld(t, key, 2)
+	k := cl.Sys.K
+	var set Response
+	cli.mgrs[1].Spawn(func(c *event.Ctx) {
+		cli.Set(c, key, []byte("v-new"), 0, func(c *event.Ctx, r Response) { set = r })
+		cli.rep(c).dropBackend(c, primary)
+	})
+	k.RunFor(10 * sim.Millisecond)
+	if rep, _ := cli.ref.GetIfPresent(1); !set.OK() || len(rep.kept) != 1 {
+		t.Fatalf("Set answered %#x with %d hints kept, want acknowledged with one", set.Status, len(rep.kept))
+	}
+	m := NewMigrator(cl, cl.Sys.Frontend())
+	m.Join(1)
+	if mig := waitMigration(t, cl, m, 300*sim.Millisecond); mig.Aborted {
+		t.Fatal("the join aborted")
+	}
+	if e, ok := cl.Backends[4].Srv.Store.Get(string(key)); !ok || string(e.Value) != "v-new" || e.CAS != set.CAS {
+		t.Fatalf("the new owner holds %+v, want v-new at the Set's stamp %d", e, set.CAS)
+	}
 }

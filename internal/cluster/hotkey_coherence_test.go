@@ -411,6 +411,7 @@ func TestHotKeyCrossCoreDeleteVsRacingRestamp(t *testing.T) {
 			t.Fatalf("delay %dus: final read never completed", delayUs)
 		}
 		stored, inStore := cl.Backends[0].Srv.Store.Get(string(key))
+		inStore = inStore && !stored.Tombstone() // a Delete's tombstone holds no value
 		switch {
 		case inStore && (!got.OK() || string(got.Value) != string(stored.Value)):
 			t.Fatalf("delay %dus: store holds %q but core 1 read status %#x value %q",

@@ -225,8 +225,9 @@ func writeFuzzKeyName(i int) []byte { return []byte(fmt.Sprintf("fw-key-%d", i))
 // and the top three bits the kind (0-3 Set, 4-6 Get, 7 Delete). After
 // the run drains, every callback has fired exactly once; every OK Get
 // carried a value written to its own key; a key whose last write is an
-// acknowledged Set reads back that write's stamp or a newer one; and
-// every free list on both cores is back to Outstanding() == 0.
+// acknowledged Set reads back that write's stamp or a newer one, and one
+// whose last write is an acknowledged Delete reads as a miss; and every
+// free list on both cores is back to Outstanding() == 0.
 func FuzzWriteLifecycle(f *testing.F) {
 	// mix spells n operations cycling over keys 0-3 and both cores, their
 	// kinds cycling through kinds: with reads among them the keys are
@@ -292,6 +293,7 @@ type writeFuzzRun struct {
 	errs   []string
 	badKey int
 	issued []*writeFuzzOp
+	cl     *Cluster
 }
 
 // runWriteLifecycle runs one FuzzWriteLifecycle input on a fresh cluster
@@ -308,7 +310,7 @@ func runWriteLifecycle(t *testing.T, fault, victim int, at sim.Time, in []byte, 
 	}
 	populate(t, cl, cli, present, func(i int) []byte { return []byte(fmt.Sprintf("fw-%d-init", i)) })
 
-	run := writeFuzzRun{badKey: -1}
+	run := writeFuzzRun{badKey: -1, cl: cl}
 	fail := func(key int, format string, args ...any) {
 		if len(run.errs) == 0 {
 			run.badKey = key
@@ -389,8 +391,9 @@ func runWriteLifecycle(t *testing.T, fault, victim int, at sim.Time, in []byte, 
 			fail(o.key, "op %d (kind %d, key %d) fired %d times", i, o.kind, o.key, o.fired)
 		}
 	}
-	// Read back each key whose last write is an acknowledged Set, in key
-	// order, so that a re-run issues them alike.
+	// Read back each key whose last write was acknowledged, in key order,
+	// so that a re-run issues them alike. A Delete acknowledges with a
+	// miss as well as a hit.
 	var last [16]*writeFuzzOp
 	for _, o := range run.issued {
 		if o.kind != opGet {
@@ -401,7 +404,7 @@ func runWriteLifecycle(t *testing.T, fault, victim int, at sim.Time, in []byte, 
 	asked := [16]bool{}
 	front.Spawn(func(c *event.Ctx) {
 		for key, o := range last {
-			if o == nil || o.kind != opSet || !o.resp.OK() {
+			if o == nil || !o.resp.OK() && (o.kind != opDelete || o.resp.Status != memcached.StatusKeyNotFound) {
 				continue
 			}
 			asked[key] = true
@@ -415,6 +418,11 @@ func runWriteLifecycle(t *testing.T, fault, victim int, at sim.Time, in []byte, 
 		case !asked[key]:
 		case r == nil:
 			fail(key, "read-back of key %d never answered", key)
+		case acked.kind == opDelete:
+			if r.Status != memcached.StatusKeyNotFound {
+				fail(key, "key %d's Delete (op %d) acked, read back status %#x %q at %d",
+					key, acked.index, r.Status, r.Value, r.CAS)
+			}
 		case !r.OK() || r.CAS < acked.resp.CAS:
 			fail(key, "key %d acked %q at stamp %d, read back status %#x %q at %d",
 				key, acked.value, acked.resp.CAS, r.Status, r.Value, r.CAS)
@@ -426,6 +434,29 @@ func runWriteLifecycle(t *testing.T, fault, victim int, at sim.Time, in []byte, 
 		fail(-1, "%s", e)
 	}
 	return run
+}
+
+// TestJoinSetInFlightAtSnapshot pins FuzzWriteLifecycle's input
+// join-set-in-flight-at-snapshot without the fuzzer. Core 1 Sets key 2
+// to fw-2-0 and, 30 µs later, to fw-2-1; a backend joins 2 µs after
+// that, while the second Set is still on its way to the old owners, and
+// gains key 2. The stream's source takes its snapshot before fw-2-1
+// lands there, so the stream copies fw-2-0; the Set's first answer after
+// the window opened re-sends it to the new owner, which must end up
+// holding fw-2-1 - it is the key's primary after the cutover.
+func TestJoinSetInFlightAtSnapshot(t *testing.T) {
+	// '2' is a Set (top bits 001) of key 2 from core 1 (bit 4).
+	run := runWriteLifecycle(t, faultHandoff, 0, 32*sim.Microsecond, []byte("22"), nil)
+	if len(run.errs) > 0 {
+		t.Fatalf("%d violations, first %v", len(run.errs), run.errs[0])
+	}
+	key, joined := writeFuzzKeyName(2), len(run.cl.Backends)-1
+	if !slices.Contains(run.cl.ReplicaSet(key), joined) {
+		t.Fatal("key 2 did not move to the joined backend - test vacuous")
+	}
+	if e, ok := run.cl.Backends[joined].Srv.Store.Get(string(key)); !ok || string(e.Value) != "fw-2-1" {
+		t.Fatalf("the joined backend holds %+v for key 2, want the second Set's fw-2-1", e)
+	}
 }
 
 // writeFuzzHistory renders what a failing FuzzWriteLifecycle run did to

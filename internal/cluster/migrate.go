@@ -31,8 +31,8 @@ import (
 //   - Migrator executes a plan: a coordinator Ebb on the frontend asks
 //     a live source replica (over the messenger) to stream each moved
 //     range to its new owner over the memcached binary protocol
-//     (pipelined AddQ fenced by a Noop), retrying from surviving
-//     replicas on failure.
+//     (pipelined stamped SetQs and Deletes fenced by a Noop), retrying
+//     from surviving replicas on failure.
 //   - The Cluster's handoff state (cluster.go) dual-routes the client
 //     during the window: writes reach old and new owners, reads fall
 //     through old to new, and each range cuts over the moment its
@@ -208,14 +208,13 @@ type xferJob struct {
 
 // migrationRun is the coordinator's state for the active migration.
 type migrationRun struct {
-	mig       *Migration
-	jobs      []xferJob
-	done      []bool
-	attempt   []int
-	scrubbing []bool
-	timers    []event.Timer
-	left      int
-	drain     int // backend being drained (live decommission), -1 otherwise
+	mig     *Migration
+	jobs    []xferJob
+	done    []bool
+	attempt []int
+	timers  []event.Timer
+	left    int
+	drain   int // backend being drained (live decommission), -1 otherwise
 }
 
 // Migrator is the rebalancing coordinator Ebb, installed on the hosted
@@ -366,14 +365,13 @@ func (m *Migrator) start(kind string, prev *Ring, plan []MoveRange, drain int) {
 	}
 	m.cl.beginHandoff(prev, plan)
 	run := &migrationRun{
-		mig:       mig,
-		jobs:      jobs,
-		done:      make([]bool, len(jobs)),
-		attempt:   make([]int, len(jobs)),
-		scrubbing: make([]bool, len(jobs)),
-		timers:    make([]event.Timer, len(jobs)),
-		left:      len(jobs),
-		drain:     drain,
+		mig:     mig,
+		jobs:    jobs,
+		done:    make([]bool, len(jobs)),
+		attempt: make([]int, len(jobs)),
+		timers:  make([]event.Timer, len(jobs)),
+		left:    len(jobs),
+		drain:   drain,
 	}
 	m.cur = run
 	for j := range jobs {
@@ -467,18 +465,13 @@ func (m *Migrator) onAck(c *event.Ctx, payload []byte) {
 	switch kind {
 	case mgDone:
 		if attempt != run.attempt[j] {
-			// Only the live attempt may cut the job over: a stale
-			// attempt's fence returning while a newer (re-launched)
-			// stream is still unfenced must not trigger the cutover,
-			// or the newer stream's late adds could resurrect keys
-			// deleted after it. (A stale stream that never fences at
-			// all can in principle still trickle adds past the live
-			// attempt's cutover - closing that fully needs dest-side
-			// epochs, which the simulated failure model doesn't reach.)
+			// Only the live attempt's fence cuts the job over: the
+			// coordinator gave up on the older one. Copies any attempt
+			// delivers late are harmless - against a newer value or a
+			// tombstone at the destination the stamp rule makes each a
+			// no-op, and a tombstone outlasts every attempt
+			// (memcached's tombstoneHorizon).
 			return
-		}
-		if run.scrubbing[j] {
-			return // a scrub is already finishing this job
 		}
 		// The fence returned: every entry of this job's stream is applied
 		// at the destination.
@@ -486,13 +479,6 @@ func (m *Migrator) onAck(c *event.Ctx, payload []byte) {
 			a.Emit(c.Now(), int(m.node.Id), audit.MigrationFence, audit.Fields{
 				"id": run.mig.Id, "job": j, "moved": moved,
 			})
-		}
-		// Keys quorum-deleted while this job streamed may have been
-		// resurrected at the destination by the stream's pre-delete
-		// snapshot; scrub them there before cutting the ranges over.
-		if tombs := m.cl.peekDeleted(run.jobs[j].ranges); len(tombs) > 0 {
-			m.scrub(c, run, j, moved, tombs)
-			return
 		}
 		m.completeJob(j, moved, false)
 	case mgFail:
@@ -515,9 +501,8 @@ func (m *Migrator) onAck(c *event.Ctx, payload []byte) {
 // migrationChunkBytes. Exactly one of fenced and failed runs: the fence
 // is the one request registered, so its OK means every request before it
 // has been applied, and the network error a dying connection delivers to
-// it means failure. The requests' own responses (a quiet ADD losing to a
-// fresher dual-written value, a scrubbed key already absent) don't
-// matter: their opaques are registered to nobody.
+// it means failure. The requests' own responses (each Delete answers)
+// don't matter: their opaques are registered to nobody.
 func fencedRound(c *event.Ctx, rt appnet.Runtime, ip netstack.Ipv4Addr, reqs []memcached.Request, fenced, failed func(c *event.Ctx)) {
 	cc := dialConn(c, rt, ip, nil, 0)
 	if cc.closed { // the dial failed at once
@@ -544,32 +529,6 @@ func fencedRound(c *event.Ctx, rt appnet.Runtime, ip netstack.Ipv4Addr, reqs []m
 		cc.write(&memcached.Request{Opcode: memcached.OpNoop}, fence)
 		cc.transmit(c)
 	}
-}
-
-// scrub deletes, at a job's destination, keys that were quorum-deleted
-// while the stream was in flight: the stream's snapshot predates those
-// deletes and its add-if-absent application resurrected them. Each
-// Delete carries its original's stamp, so a value written after it -
-// by a client re-creating the key, and possibly already at the
-// destination - is spared. The job cuts over only once the fence
-// confirms the scrub applied. On failure the job's retry timer is still
-// armed: the re-streamed attempt re-acks and scrubs again.
-func (m *Migrator) scrub(c *event.Ctx, run *migrationRun, j, moved int, tombs [][]byte) {
-	run.scrubbing[j] = true
-	dest := m.cl.Backends[run.jobs[j].dest].Node
-	reqs := make([]memcached.Request, len(tombs))
-	for i, key := range tombs {
-		reqs[i] = memcached.Request{Opcode: memcached.OpDelete, Key: key, CAS: m.cl.handoff.deleted[string(key)]}
-	}
-	fencedRound(c, m.node.Runtime, dest.IP(), reqs, func(c *event.Ctx) {
-		if m.cur != run || run.done[j] {
-			return
-		}
-		run.scrubbing[j] = false
-		m.completeJob(j, moved, false)
-	}, func(c *event.Ctx) {
-		run.scrubbing[j] = false // let a retried stream's ack re-scrub
-	})
 }
 
 // completeJob cuts a finished job's ranges over and, when it was the
@@ -671,17 +630,20 @@ type xferReq struct {
 
 // stream executes one transfer on the source backend: snapshot-scan the
 // store for keys hashing into the requested ranges, pipeline them to
-// the destination shard as quiet ADDs (add-if-absent, so a fresher
-// value dual-written during the handoff is never clobbered), fence with
-// a Noop, and acknowledge the coordinator once the fence returns - at
-// which point every entry is applied at the destination.
+// the destination shard as stamped quiet SETs - and each tombstone as a
+// stamped Delete - fence with a Noop, and acknowledge the coordinator
+// once the fence returns, at which point every entry is applied at the
+// destination. The stamp rule orders each copy against whatever the
+// destination holds: a value or tombstone dual-written there during the
+// handoff is never clobbered by an older copy, a stale copy there is
+// repaired, and a repeated stream changes nothing.
 func (m *Migrator) stream(c *event.Ctx, b *Backend, coord hosted.NodeId, req xferReq) {
-	// The ADDs carry each entry's version stamp: the restored copy must
+	// Each copy carries its entry's version stamp: the restored copy must
 	// hold the SAME stamp as the surviving replicas, or later
 	// cross-replica CAS comparisons (hot-key revalidation, fan-in folds)
-	// would see the migrated copy as a different version. Likewise the
-	// absolute expiry travels verbatim so the entry keeps its exact
-	// deadline at the new owner.
+	// would see it as a different version. Likewise the absolute expiry
+	// travels verbatim so the entry keeps its exact deadline at the new
+	// owner.
 	var reqs []memcached.Request
 	now := c.Now()
 	b.Srv.Store.Scan(func(k string, e *memcached.Entry) bool {
@@ -689,18 +651,24 @@ func (m *Migrator) stream(c *event.Ctx, b *Backend, coord hosted.NodeId, req xfe
 		// whose deadline (or a flush_all cut) has passed. Filter them at
 		// stream time - copying one to the destination would resurrect it
 		// as live data under a fresh owner.
-		if !b.Srv.EntryLive(e, now) {
+		tomb := e.Tombstone() && !e.Expired(now)
+		if !tomb && !b.Srv.EntryLive(e, now) {
 			return true
 		}
 		h := ringHash([]byte(k))
 		for _, r := range req.ranges {
-			if r.Contains(h) {
+			switch {
+			case !r.Contains(h):
+				continue
+			case tomb:
+				reqs = append(reqs, memcached.Request{Opcode: memcached.OpDelete, Key: []byte(k), CAS: e.CAS})
+			default:
 				// The value is copied with the key: the requests are written
 				// once the connection is up, and by then the store may have
 				// let the entry go and its value's element been reused.
-				reqs = append(reqs, memcached.AddQAbsExpiryRequest([]byte(k), bytes.Clone(e.Value), e.Flags, e.CAS, int64(e.Expires)))
-				break
+				reqs = append(reqs, memcached.SetQAbsExpiryRequest([]byte(k), bytes.Clone(e.Value), e.Flags, e.CAS, int64(e.Expires)))
 			}
+			break
 		}
 		return true
 	})

@@ -298,9 +298,9 @@ func TestJoinStreamsKeyShare(t *testing.T) {
 // TestDeleteDuringHandoffNotResurrected: a key quorum-deleted while its
 // range is still streaming must stay deleted after the cutover, even
 // though the migration stream carries a pre-delete snapshot of it - the
-// migrator scrubs the destination before completing the range. A key
-// deleted and then re-set during the window must keep its new value
-// (the scrub must not undo the newer write).
+// Delete, dual-routed to the destination, left a tombstone there that
+// the stream's older copy cannot displace. A key deleted and then re-set
+// during the window must keep its new value.
 func TestDeleteDuringHandoffNotResurrected(t *testing.T) {
 	cl := NewCluster(3, Options{})
 	front := cl.Sys.Frontend()
@@ -343,8 +343,8 @@ func TestDeleteDuringHandoffNotResurrected(t *testing.T) {
 			for _, key := range deleted[:len(deleted)-1] {
 				cli.Delete(c, key, nil)
 			}
-			// One key is re-created once its delete has acked: the scrub
-			// must spare the newer value.
+			// One key is re-created once its delete has acked: the
+			// newer value must survive the stream.
 			cli.Delete(c, reset, func(c *event.Ctx, r Response) {
 				cli.Set(c, reset, []byte("fresh-after-delete"), 0, nil)
 			})
@@ -384,15 +384,59 @@ func TestDeleteDuringHandoffNotResurrected(t *testing.T) {
 		t.Errorf("%d of %d deleted keys read as missing", misses, len(gone))
 	}
 	if !freshOK {
-		t.Error("key re-set after its delete lost the new value (scrub undid a newer write)")
+		t.Error("key re-set after its delete lost the new value")
 	}
 	// The destination's store must not quietly hold the deleted keys
-	// either (a stale copy there would resurface on later ring changes).
+	// either (a stale copy there would resurface on later ring changes):
+	// at most the tombstone of their Delete.
 	dest := cl.Backends[len(cl.Backends)-1].Srv.Store
 	for key := range gone {
-		if _, ok := dest.Get(key); ok {
+		if e, ok := dest.Get(key); ok && !e.Tombstone() {
 			t.Errorf("deleted key %q still present in the destination store", key)
 		}
+	}
+}
+
+// TestStreamRepairsStaleCopy: a migration stream's copy replaces an
+// older copy at its destination. At R=1 a join moves a key from its
+// owner to the newcomer, and the old owner keeps its copy; a write then
+// makes that copy stale. Draining the newcomer moves the key back, and
+// the stream's stamped SET must replace the stale copy - an
+// add-if-absent stream would leave it, and reads would return it.
+func TestStreamRepairsStaleCopy(t *testing.T) {
+	cl := NewCluster(3, Options{})
+	front := cl.Sys.Frontend()
+	cli := NewClientWithOptions(cl, front, ClientOptions{RequestTimeout: 8 * sim.Millisecond})
+	m := NewMigrator(cl, front)
+	after := cl.Ring.Clone()
+	after.Add(3)
+	var key []byte
+	for i := 0; key == nil; i++ {
+		if k := fmt.Appendf(nil, "stale-%d", i); after.Lookup(k) == 3 {
+			key = k
+		}
+	}
+	populate(t, cl, cli, [][]byte{key}, func(int) []byte { return []byte("v-old") })
+	owner := cl.Ring.Lookup(key)
+	m.Join(1)
+	if mig := waitMigration(t, cl, m, 300*sim.Millisecond); mig.Aborted {
+		t.Fatal("the join aborted")
+	}
+	var set Response
+	front.Spawn(func(c *event.Ctx) {
+		cli.Set(c, key, []byte("v-new"), 0, func(c *event.Ctx, r Response) { set = r })
+	})
+	cl.Sys.K.RunFor(10 * sim.Millisecond)
+	if e, ok := cl.Backends[owner].Srv.Store.Get(string(key)); !set.OK() || !ok || string(e.Value) != "v-old" {
+		t.Fatalf("Set answered %#x and the old owner holds %+v; want acknowledged and v-old left behind", set.Status, e)
+	}
+	m.Decommission(3)
+	if mig := waitMigration(t, cl, m, 300*sim.Millisecond); mig.Aborted {
+		t.Fatal("the drain aborted")
+	}
+	ok, miss, netErr := readAll(cl, cli, [][]byte{key})
+	if e, _ := cl.Backends[owner].Srv.Store.Get(string(key)); ok != 1 || string(e.Value) != "v-new" {
+		t.Fatalf("after the drain: %d ok, %d misses, %d net errors; the owner holds %q, want v-new", ok, miss, netErr, e.Value)
 	}
 }
 

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"math/bits"
+	"slices"
 
 	"ebbrt/internal/apps/memcached"
 	"ebbrt/internal/audit"
@@ -16,8 +17,9 @@ import (
 // landed on a minority of replicas - the usual leaderless-write
 // semantics, converged by read repair. During a migration handoff the
 // write is delivered to the union of old and new owners but the quorum
-// is counted over the new owners, so an acked write is guaranteed to
-// survive the range's cutover.
+// is counted over the new owners, and a write issued before the handoff
+// opened re-sends itself to the new owners, so an acked write survives
+// the range's cutover.
 func (cli *Client) Set(c *event.Ctx, key, value []byte, flags uint32, cb Callback) {
 	cli.SetWithExpiry(c, key, value, flags, 0, cb)
 }
@@ -54,53 +56,44 @@ func (cli *Client) SetWithExpiry(c *event.Ctx, key, value []byte, flags uint32, 
 		rec.restamps = true
 	}
 	rec.value = append(rec.value[:0], value...)
-	rec.submit(c, memcached.SetAbsExpiryRequest(rec.key, value, flags, stamp, int64(expires)))
+	rec.submit(c)
 }
 
 // Delete removes key from every replica, acking on quorum. A replica
 // that never held the key counts as acknowledged - absence is the state
 // the operation establishes. The Delete carries a stamp, minted like a
 // Set's: a replica keeps an entry with a newer stamp, so a Delete that
-// lands after a Set issued later does not erase it.
+// lands after a Set issued later does not erase it, and otherwise leaves
+// a tombstone at that stamp, so a Set issued earlier that lands after it
+// is a no-op.
 //
-// Every Delete goes into the cluster's delete log (Cluster.deletedSince),
-// the one record of deletes: a hint replay, a hot-key fill or a
-// re-stamp issued before it stands down rather than bring the value
-// back, whichever client issued it. One landing inside a
-// still-migrating range is also kept, with its stamp, for the migrator
-// to scrub at the destination.
+// Every Delete also goes into the cluster's delete log
+// (Cluster.deletedSince) for what no tombstone orders - a hint replay,
+// which may come after the tombstone is gone, and a hot-key fill or
+// re-stamp, which reach no replica: issued before a Delete of their key,
+// by any client, they stand down.
 func (cli *Client) Delete(c *event.Ctx, key []byte, cb Callback) {
 	stamp := cli.cl.nextStamp()
 	rep := cli.rep(c)
-	rec := rep.newWrite(key, key, false)
-	rec.del = true
-	if cli.opt.HotKey.Enable {
-		rec.fanOut(c, false)
-	}
 	salts := cli.cl.saltsOf(key)
-	if salts <= 1 {
-		cli.cl.noteDelete(key, stamp)
-		rec.cb = cb
-		rec.submit(c, memcached.Request{Opcode: memcached.OpDelete, Key: rec.key, CAS: stamp})
-		return
+	if salts > 1 {
+		// A write-spread key lives under every salt: absence must be
+		// established at all of them, or a later fan-in read would fold
+		// the surviving salt's copy right back. The targeted-read record
+		// stands down too - there is no "latest written shard" to serve
+		// after a delete, so reads fan in until a new write acks.
+		cli.cl.noteSaltDelete(key)
+		cb = (&deleteFold{left: salts, cb: cb}).add
 	}
-	// A write-spread key lives under every salt: absence must be
-	// established at all of them, or a later fan-in read would fold the
-	// surviving salt's copy right back. The targeted-read record stands
-	// down too - there is no "latest written shard" to serve after a
-	// delete, so reads fan in until a new write acks. Salt 0 is the key
-	// itself, so its record is the one that invalidated.
-	cli.cl.noteSaltDelete(key)
-	fold := &deleteFold{left: salts, cb: cb}
-	for s := 0; s < salts; s++ {
-		if s > 0 {
-			sk := saltedKey(key, s)
-			rec = rep.newWrite(sk, sk, false)
-			rec.del = true
+	for s := range salts {
+		sk := saltedKey(key, s)
+		rec := rep.newWrite(sk, sk, false)
+		rec.del, rec.stamp, rec.cb = true, stamp, cb
+		if s == 0 && cli.opt.HotKey.Enable {
+			rec.fanOut(c, false) // salt 0 is the key itself
 		}
-		cli.cl.noteDelete(rec.key, stamp)
-		rec.cb = fold.add
-		rec.submit(c, memcached.Request{Opcode: memcached.OpDelete, Key: rec.key, CAS: stamp})
+		cli.cl.noteDelete(sk)
+		rec.submit(c)
 	}
 }
 
@@ -200,6 +193,12 @@ func (q *quorumFold) add(r Response, acked bool) (verdict Response, ok bool) {
 // order. Targets outside the quorum (a handoff's old owners) are sent
 // the write with no callback.
 //
+// A write planned before a handoff window opened went to the old owners
+// only, maybe after the migration stream's snapshot: at its first answer
+// while the window covers its key, it goes once more to the key's new
+// owners, with no callback (resend). A write answered in full before the
+// window opened landed before any snapshot.
+//
 // A quorum member whose copy fails in the network leaves a hint
 // (hint.go) once the Set is acknowledged: lost marks those members until
 // then.
@@ -231,15 +230,19 @@ type writeRecord struct {
 	userBuf []byte
 	uhash   uint64
 	// targets is the write plan (in owners unless a large R spills it);
-	// its first quorum members decide the verdict, through fold.
+	// its first quorum members decide the verdict, through fold. ho is
+	// the handoff window open when the plan was made or the write last
+	// re-sent, nil if none.
 	targets  []int
+	ho       *handoffState
 	owners   [8]int
 	fold     quorumFold
 	del      bool   // a Delete: a replica's "not found" acknowledges
 	setAcked bool   // a Set whose quorum acknowledged it
 	lost     uint64 // bit i: quorum member i's copy failed, no hint kept yet
-	// A Set's stamp, flags and deadline; salt is its shard when spread.
-	// deletes is the cluster's delete count when the Set was issued.
+	// The write's stamp, and a Set's flags and deadline; salt is its shard
+	// when spread. deletes is the cluster's delete count when the Set was
+	// issued.
 	stamp   uint64
 	deletes uint64
 	flags   uint32
@@ -279,18 +282,29 @@ func (r *clientRep) newWrite(key, skey []byte, spread bool) *writeRecord {
 	return rec
 }
 
-// submit sends req to every target of the record's write plan, quorum
-// members with the record's ack, then lets go of the submit's
+// request is the write as the wire carries it: a stamped Set with its
+// absolute deadline, or a stamped Delete.
+func (rec *writeRecord) request() memcached.Request {
+	if rec.del {
+		return memcached.Request{Opcode: memcached.OpDelete, Key: rec.key, CAS: rec.stamp}
+	}
+	return memcached.SetAbsExpiryRequest(rec.key, rec.value, rec.flags, rec.stamp, int64(rec.expires))
+}
+
+// submit sends the write to every target of the record's write plan,
+// quorum members with the record's ack, then lets go of the submit's
 // reference. An ack may arrive during the loop (a backend evicted since
 // the plan was made fails at once); the submit's reference keeps the
 // record live until the loop is done.
-func (rec *writeRecord) submit(c *event.Ctx, req memcached.Request) {
-	targets, quorum := rec.rep.cli.cl.appendWritePlan(rec.targets[:0], rec.hash)
-	rec.targets, rec.fold = targets, newQuorumFold(quorum)
+func (rec *writeRecord) submit(c *event.Ctx) {
+	cl := rec.rep.cli.cl
+	targets, quorum := cl.appendWritePlan(rec.targets[:0], rec.hash)
+	rec.targets, rec.fold, rec.ho = targets, newQuorumFold(quorum), cl.handoff
 	rec.refs += quorum
 	for i := len(rec.acks); i < quorum; i++ {
 		rec.acks = append(rec.acks, func(c *event.Ctx, r Response) { rec.onAck(c, i, r) })
 	}
+	req := rec.request()
 	for i, backend := range rec.targets {
 		var done Callback
 		if i < quorum {
@@ -301,12 +315,31 @@ func (rec *writeRecord) submit(c *event.Ctx, req memcached.Request) {
 	rec.release()
 }
 
-// onAck folds quorum member i's answer, keeps a hint for each member an
-// acknowledged Set missed, and at the verdict runs what the write owes:
-// the audit of a failed quorum, the re-stamp of the hot-key caches when
-// the fold is the write's own stamp, the salt note, and the caller.
+// resend sends the write, with no callback, to the owners of its key on
+// the live ring that its plan left out: the new owners of a handoff
+// window ho that opened after the plan was made.
+func (rec *writeRecord) resend(c *event.Ctx, ho *handoffState) {
+	rec.ho = ho
+	cl := rec.rep.cli.cl
+	var owners [8]int
+	for _, b := range cl.Ring.appendOwners(owners[:0], rec.hash, cl.Replicas) {
+		if !slices.Contains(rec.targets, b) {
+			rec.rep.submit(c, b, rec.request(), nil)
+		}
+	}
+}
+
+// onAck re-sends a write planned before the handoff window now open
+// over its key, folds quorum member i's answer, keeps a hint for each
+// member an acknowledged Set missed, and at the verdict runs what the
+// write owes: the audit of a failed quorum, the re-stamp of the hot-key
+// caches when the fold is the write's own stamp, the salt note, and the
+// caller.
 func (rec *writeRecord) onAck(c *event.Ctx, i int, r Response) {
 	rec.Live()
+	if ho := rec.rep.cli.cl.handoff; ho != rec.ho && ho != nil && ho.covers(rec.hash) {
+		rec.resend(c, ho)
+	}
 	acked := r.OK() || rec.del && r.Status == memcached.StatusKeyNotFound
 	if r.NetworkError() && !rec.del && i < 64 {
 		rec.lost |= 1 << i
@@ -417,7 +450,7 @@ func (rec *writeRecord) release() {
 		return
 	}
 	rec.key, rec.user, rec.userBuf = rec.key[:0], nil, rec.userBuf[:0]
-	rec.targets, rec.fold, rec.del = rec.targets[:0], quorumFold{}, false
+	rec.targets, rec.ho, rec.fold, rec.del = rec.targets[:0], nil, quorumFold{}, false
 	rec.setAcked, rec.lost = false, 0
 	rec.stamp, rec.flags, rec.expires, rec.spread, rec.salt = 0, 0, 0, false, 0
 	rec.deletes, rec.restamps, rec.value = 0, false, rec.value[:0]

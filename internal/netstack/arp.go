@@ -61,7 +61,9 @@ func (itf *Interface) sendArp(c *event.Ctx, op uint16, targetHW EthAddr, targetI
 		TargetHW: targetHW,
 		TargetIP: targetIP,
 	}
-	buf := iobuf.New(EthHeaderLen + ArpPacketLen)
+	// The frame fits a head element of the interface's pool, as
+	// newPacket's headers do: a reply allocates nothing.
+	buf := itf.hdrPool.Get(EthHeaderLen + ArpPacketLen)
 	dst := targetHW
 	if op == arpOpRequest {
 		dst = machine.Broadcast

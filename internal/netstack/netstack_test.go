@@ -479,6 +479,38 @@ func TestPollingRoundTripAllocatesNothing(t *testing.T) {
 	}
 }
 
+// A burst of ARP requests allocates nothing once warm: B writes each
+// reply into a head element from its interface's pool, which comes back
+// once A has taken the reply in.
+func TestArpRepliesAllocateNothing(t *testing.T) {
+	n := newTestNet(t, 1, 1)
+	req := make([]byte, EthHeaderLen+ArpPacketLen)
+	writeEth(req, EthHeader{Dst: machine.Broadcast, Src: macA, Type: EtherTypeARP})
+	writeArp(req[EthHeaderLen:], ArpPacket{Op: arpOpRequest, SenderHW: macA, SenderIP: ipA, TargetIP: ipB})
+	views := iobuf.NewPool(0)
+	const burst = 16
+	step := func() {
+		for range burst {
+			n.itfB.NIC.Deliver(machine.Frame{Buf: views.View(req)})
+		}
+		n.k.Run()
+	}
+	step()
+	replies, events := n.itfB.NIC.TxFrames.N, n.a.Mgrs[0].Dispatched+n.b.Mgrs[0].Dispatched
+	step()
+	events = n.a.Mgrs[0].Dispatched + n.b.Mgrs[0].Dispatched - events
+	if got := n.itfB.NIC.TxFrames.N - replies; got != burst {
+		t.Fatalf("B answered %d of %d ARP requests", got, burst)
+	}
+	want := 0.0
+	if event.CheckedCtx {
+		want = float64(events)
+	}
+	if got := testing.AllocsPerRun(100, step); got != want {
+		t.Fatalf("a burst of %d ARP requests allocated %.0f objects over %d events, want %.0f", burst, got, events, want)
+	}
+}
+
 func TestChecksum(t *testing.T) {
 	// RFC 1071 example.
 	data := []byte{0x00, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7}
