@@ -33,6 +33,8 @@ func TestBlockSpansRunForSlices(t *testing.T) {
 	}
 }
 
+// The first handler blocks on the loop coroutine's stack, the other two on
+// spares', and each resumes on its own stack, in an order of its own.
 func TestBlockedHandlersResumeOutOfOrder(t *testing.T) {
 	k, _, mgrs := newTestEnv(1)
 	var order []string
@@ -56,38 +58,107 @@ func TestBlockedHandlersResumeOutOfOrder(t *testing.T) {
 	}
 }
 
-// The bench probe's shape: one handler that blocks, resumes and blocks again.
-// Every round trip reuses the same coroutine, and run-to-completion handlers
-// in between reuse one pooled coroutine, so the goroutine count stays flat.
-func TestActivationsAreReused(t *testing.T) {
+// While the loop coroutine is itself blocked in a handler, a handler that
+// runs on a spare blocks too and resumes, more than once, and the one on
+// the loop coroutine finishes after it.
+func TestBlockOnASpareWhileTheLoopCoroutineIsBlocked(t *testing.T) {
 	k, _, mgrs := newTestEnv(1)
 	m := mgrs[0]
-	m.Spawn(func(*Ctx) {})
-	k.Run() // the first activation exists from here on
-	before := runtime.NumGoroutine()
-
-	const rounds = 10000
-	done := 0
+	var resumeFirst func()
+	var got []string
 	m.Spawn(func(c *Ctx) {
-		for i := 0; i < rounds; i++ {
-			c.Block(func(resume func()) { k.Post(sim.Microsecond, resume) })
-			done++
+		c.Block(func(r func()) { resumeFirst = r })
+		got = append(got, fmt.Sprint("first at ", c.Now()))
+	})
+	m.Spawn(func(c *Ctx) {
+		for i := 0; i < 3; i++ {
+			c.Block(func(r func()) { k.Post(10*sim.Microsecond, r) })
+			got = append(got, fmt.Sprint("second ", i))
 		}
+		k.Post(5*sim.Microsecond, resumeFirst)
 	})
 	k.Run()
-	if done != rounds {
-		t.Fatalf("%d of %d block/resume rounds", done, rounds)
+	if want := "second 0 second 1 second 2 first at "; !strings.HasPrefix(strings.Join(got, " "), want) {
+		t.Fatalf("ran %q, want it to start %q", strings.Join(got, " "), want)
 	}
+}
+
+// settledGoroutines lets the cleanups of worlds dropped by earlier tests
+// end their goroutines, and returns the count once it holds still.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for still := 0; still < 5; {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			still++
+		} else {
+			n, still = m, 0
+		}
+	}
+	return n
+}
+
+// A world's goroutines are the loop coroutine and one per handler blocked
+// at once, however many block and resume: the bench probe's shape - one
+// handler that blocks, resumes and blocks again - reuses one spare, and
+// run-to-completion handlers need none.
+func TestActivationsAreReused(t *testing.T) {
+	before := settledGoroutines()
+	k, _, mgrs := newTestEnv(1)
+	m := mgrs[0]
+	grew := func() int { return runtime.NumGoroutine() - before }
 	ran := 0
 	for i := 0; i < 1000; i++ {
 		m.Spawn(func(*Ctx) { ran++ })
 	}
 	k.Run()
-	if ran != 1000 {
-		t.Fatalf("ran %d of 1000 handlers", ran)
+	if ran != 1000 || grew() != 1 {
+		t.Fatalf("%d of 1000 handlers ran on %d new goroutines, want 1", ran, grew())
 	}
-	if grew := runtime.NumGoroutine() - before; grew > 1 {
-		t.Fatalf("goroutines grew by %d over %d block/resume rounds and 1000 handlers", grew, rounds)
+
+	const rounds = 10000
+	blocker := func(c *Ctx) {
+		for i := 0; i < rounds; i++ {
+			c.Block(func(resume func()) { k.Post(sim.Microsecond, resume) })
+			if i%1000 == 999 && grew() != 1+3 {
+				t.Errorf("round %d: %d new goroutines, want 4", i, grew())
+			}
+		}
+	}
+	var resume []func()
+	for i := 0; i < 3; i++ {
+		m.Spawn(func(c *Ctx) { c.Block(func(r func()) { resume = append(resume, r) }) })
+	}
+	k.Run()
+	if len(resume) != 3 || grew() != 1+3 {
+		t.Fatalf("%d handlers blocked at once on %d new goroutines, want 3 on 4", len(resume), grew())
+	}
+	for _, r := range resume {
+		r()
+	}
+	m.Spawn(blocker)
+	m.Spawn(blocker)
+	k.Run()
+	if grew() != 1+3 {
+		t.Fatalf("%d new goroutines after %d block/resume rounds of two handlers, want 4", grew(), rounds)
+	}
+}
+
+// A run-to-completion handler is a plain call on the kernel's loop.
+func TestHandlersRunOnTheLoopStack(t *testing.T) {
+	k, _, mgrs := newTestEnv(1)
+	var frames []string
+	mgrs[0].Spawn(func(*Ctx) {
+		pc := make([]uintptr, 64)
+		fs := runtime.CallersFrames(pc[:runtime.Callers(1, pc)])
+		for f, more := fs.Next(); more; f, more = fs.Next() {
+			frames = append(frames, f.Function)
+		}
+	})
+	k.Run()
+	if !slices.Contains(frames, "ebbrt/internal/sim.(*Kernel).fireNext") {
+		t.Fatalf("the handler's stack does not hold the kernel's loop:\n%s", strings.Join(frames, "\n"))
 	}
 }
 
@@ -106,8 +177,9 @@ func TestHandlerPanicReachesCallerWithItsStack(t *testing.T) {
 	t.Fatal("k.Run returned past a panicking handler")
 }
 
-// t.FailNow in a handler is runtime.Goexit on the activation's goroutine; it
-// must end the goroutine driving the kernel rather than leave it waiting.
+// t.FailNow in a handler is runtime.Goexit on the loop coroutine's
+// goroutine; it must end the goroutine driving the kernel rather than leave
+// it waiting.
 func TestGoexitInHandlerEndsTheCaller(t *testing.T) {
 	k, _, mgrs := newTestEnv(1)
 	mgrs[0].Spawn(func(*Ctx) { runtime.Goexit() })
@@ -140,4 +212,45 @@ func TestResumeTwicePanics(t *testing.T) {
 	}()
 	resume()
 	t.Fatal("second resume did not panic")
+}
+
+// A handler that panics or calls runtime.Goexit on a spare, while another
+// is blocked on the loop coroutine, ends the caller's run as it would on
+// the loop coroutine.
+func TestPanicAndGoexitOnASpareReachTheCaller(t *testing.T) {
+	blockedWorld := func() (*sim.Kernel, *Manager) {
+		k, _, mgrs := newTestEnv(1)
+		mgrs[0].Spawn(func(c *Ctx) { c.Block(func(func()) {}) })
+		k.Run()
+		return k, mgrs[0]
+	}
+	k, m := blockedWorld()
+	m.Spawn(explodingHandler)
+	func() {
+		defer func() {
+			msg := fmt.Sprint(recover())
+			if !strings.Contains(msg, "boom") || !strings.Contains(msg, "explodingHandler") {
+				t.Fatalf("recovered %q, want the panic value and the handler's frame", msg)
+			}
+		}()
+		k.Run()
+		t.Fatal("k.Run returned past a panicking handler")
+	}()
+
+	k, m = blockedWorld()
+	m.Spawn(func(*Ctx) { runtime.Goexit() })
+	exited := make(chan bool)
+	go func() {
+		defer func() { exited <- true }()
+		k.Run()
+		exited <- false
+	}()
+	select {
+	case byGoexit := <-exited:
+		if !byGoexit {
+			t.Fatal("k.Run returned normally past a handler that called Goexit")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the kernel's caller is stuck behind a handler that called Goexit")
+	}
 }

@@ -12,16 +12,15 @@
 // implement adaptive polling.
 //
 // Handlers account for the virtual CPU time they consume via Ctx.Charge;
-// the core is busy for that long before the loop continues. The paper's
-// save/restore event mechanism (used to give blocking semantics on top of
-// events) is a coroutine per activation: every handler runs on a pooled
-// iter.Pull coroutine that the loop switches to and that switches back when
-// the handler returns or calls Ctx.Block - a direct hand-off between two
-// goroutines, ~100 host ns each way, with no channel and no pass through
-// the Go scheduler. There is no second, inline path for handlers that run
-// to completion: Go cannot move a running call onto a goroutine at the
-// moment it first blocks, so callers would have to say in advance which
-// handlers may block.
+// the core is busy for that long before the loop continues. A handler is a
+// plain call on the stack of the kernel's loop, as an EbbRT event runs on
+// its core's event stack. The paper's save/restore event mechanism (used
+// to give blocking semantics on top of events) is the kernel's Park and
+// Resume: a handler that calls Ctx.Block keeps its stack and the loop goes
+// on in another goroutine, and when the event is reactivated the loop comes
+// back to that stack, which finishes the handler and runs the loop from
+// there. Only an event that blocks pays for goroutines; one that runs to
+// completion costs a call.
 //
 // Timers (Manager.After) are one-shot and pooled: a timer record owns one
 // re-armable sim.Event and goes back to its Manager's free list when its
@@ -98,8 +97,7 @@ type Manager struct {
 	k     *sim.Kernel
 	costs Costs
 
-	handlers map[int]Handler
-	nextVec  int
+	handlers []Handler // by vector; nil where none is bound
 
 	synth     []synthItem // the queue is synth[synthHead:]
 	synthHead int
@@ -114,8 +112,8 @@ type Manager struct {
 	processFn  func()  // m.process, made once instead of per event
 	idlePass   Handler // likewise the handler that runs one idle pass
 
-	pool   *activationPool
-	timers []*timerRec // free timer records
+	pool   []*activation // free activations
+	timers []*timerRec   // free timer records
 
 	// Dispatched counts handler invocations, for tests and stats.
 	Dispatched uint64
@@ -141,11 +139,8 @@ func NewManager(core *machine.Core, rc Costs) *Manager {
 		core:     core,
 		k:        core.M.K,
 		costs:    rc,
-		handlers: map[int]Handler{},
-		nextVec:  vecFirstAllocatable,
-		pool:     &activationPool{},
+		handlers: make([]Handler, vecFirstAllocatable),
 	}
-	runtime.AddCleanup(m, (*activationPool).stopAll, m.pool)
 	m.processFn = m.process
 	m.idlePass = func(c *Ctx) {
 		m.idlePasses++
@@ -196,10 +191,8 @@ func (m *Manager) Core() *machine.Core { return m.core }
 // AllocateVector allocates a fresh interrupt vector bound to h, the
 // interface device drivers use (paper §3.2).
 func (m *Manager) AllocateVector(h Handler) int {
-	v := m.nextVec
-	m.nextVec++
-	m.handlers[v] = h
-	return v
+	m.handlers = append(m.handlers, h)
+	return len(m.handlers) - 1
 }
 
 // Spawn queues fn to run as a synthetic event on this core. Spawned events
@@ -338,21 +331,27 @@ func (m *Manager) onIRQ(vec int) {
 // runHandler executes the handler for vec, charging base cost plus whatever
 // the handler itself charges, then continues the loop at completion time.
 func (m *Manager) runHandler(vec int, base sim.Time) {
-	h, ok := m.handlers[vec]
-	if !ok {
+	var h Handler
+	if uint(vec) < uint(len(m.handlers)) {
+		h = m.handlers[vec]
+	}
+	if h == nil {
 		panic(fmt.Sprintf("event: core %d received unbound vector %d", m.core.ID, vec))
 	}
 	m.exec(h, base+m.costs.EventDispatch)
 }
 
-// exec runs fn as an event on a pooled activation. The event's Ctx is the
-// one embedded in the activation, so dispatch allocates nothing. That is
-// sound because a Ctx is valid only during its event: nothing charges one
-// later - a continuation that outlives its event gets the Ctx of the event
-// that runs it (EthArpSend after an ARP miss re-enters through Spawn). A
-// Ctx kept past its event would bill whichever event holds the activation
-// next; under iobufdebug each event gets a fresh Ctx instead, so such a
-// use finds its own finished and panics.
+// exec runs fn as an event on a pooled activation, and schedules the next
+// loop step after what the event has charged. If fn blocks, exec returns
+// when it has finished, in the event that resumed it, whose charge it then
+// schedules. The event's Ctx is the one embedded in the activation, so
+// dispatch allocates nothing. That is sound because a Ctx is valid only
+// during its event: nothing charges one later - a continuation that
+// outlives its event gets the Ctx of the event that runs it (EthArpSend
+// after an ARP miss re-enters through Spawn). A Ctx kept past its event
+// would bill whichever event holds the activation next; under iobufdebug
+// each event gets a fresh Ctx instead, so such a use finds its own
+// finished and panics.
 func (m *Manager) exec(fn Handler, base sim.Time) {
 	act := m.getActivation()
 	c := &act.own
@@ -361,32 +360,21 @@ func (m *Manager) exec(fn Handler, base sim.Time) {
 	}
 	*c = Ctx{m: m, act: act, fn: fn, charge: base}
 	act.ctx = c
-	m.switchTo(act)
-}
-
-// resumeActivation continues a previously blocked activation as an event.
-func (m *Manager) resumeActivation(act *activation) {
-	act.ctx.charge = m.costs.EventDispatch + m.costs.ContextSave
-	m.switchTo(act)
-}
-
-// switchTo runs the activation until its handler finishes or blocks, then
-// schedules the next loop step after what the event has charged so far (a
-// blocked activation resumes later as an event of its own).
-func (m *Manager) switchTo(act *activation) {
 	m.Dispatched++
-	st, _ := act.next()
-	c := act.ctx
-	if st == actBlocked {
-		c.charge += m.costs.ContextSave
-		m.k.Post(c.charge, m.processFn)
-		return
-	}
+	fn(c)
 	charge := c.charge
 	c.end()
 	act.ctx = nil
-	m.pool.idle = append(m.pool.idle, act)
+	m.pool = append(m.pool, act)
 	m.k.Post(charge, m.processFn)
+}
+
+// resumeActivation continues a blocked activation as an event: its handler
+// goes on, on its own stack, once the calling loop step has returned.
+func (m *Manager) resumeActivation(act *activation) {
+	act.ctx.charge = m.costs.EventDispatch + m.costs.ContextSave
+	m.Dispatched++
+	m.k.Resume(&act.park)
 }
 
 // process is the event loop: it runs each time the core finishes an event.
@@ -511,5 +499,8 @@ func (c *Ctx) Block(register func(resume func())) {
 		c.m.synth = append(c.m.synth, synthItem{act: act})
 		c.m.kick()
 	})
-	act.yield(actBlocked)
+	m := c.m
+	c.charge += m.costs.ContextSave
+	m.k.Post(c.charge, m.processFn)
+	m.k.Park(&act.park)
 }

@@ -1,6 +1,7 @@
 package event
 
 import (
+	"fmt"
 	"runtime"
 	"sort"
 	"strings"
@@ -292,12 +293,13 @@ func TestLatchedTimerCanBeCancelled(t *testing.T) {
 	}
 }
 
-// A world that is dropped is collected, and then so are the goroutines of
-// its pooled activations. Their coroutines are parked between events, so
-// they are roots; a Ctx is cleared when its event ends, so none of them
-// leads back to its Manager, whose cleanup then ends them.
+// A world that is dropped is collected, and then so are its kernel's
+// goroutines: the loop coroutine, and the spare that went on with the loop
+// while a handler was blocked. Both wait between runs, so they are roots;
+// neither keeps anything of the kernel then, so the kernel's cleanup ends
+// them once it is collected.
 func TestDroppedWorldIsCollectable(t *testing.T) {
-	goroutines := runtime.NumGoroutine()
+	goroutines := settledGoroutines()
 	mgr := func() weak.Pointer[Manager] {
 		k, _, mgrs := newTestEnv(1)
 		m := mgrs[0]
@@ -315,23 +317,26 @@ func TestDroppedWorldIsCollectable(t *testing.T) {
 		m.After(2*sim.Microsecond, func(*Ctx) { ran++ })
 		m.After(3*sim.Microsecond, func(*Ctx) { ran += 100 }).Cancel()
 		k.Run()
-		if ran != 5 || len(m.pool.idle) < 2 {
-			t.Fatalf("%d handlers ran, %d activations pooled; want 5 and at least 2", ran, len(m.pool.idle))
+		if ran != 5 || len(m.pool) < 2 {
+			t.Fatalf("%d handlers ran, %d activations pooled; want 5 and at least 2", ran, len(m.pool))
+		}
+		if n := runtime.NumGoroutine() - goroutines; n != 2 {
+			t.Fatalf("the world runs on %d goroutines, want 2: the loop coroutine and a spare", n)
 		}
 		return weak.Make(m)
 	}()
 	runtime.GC()
 	if mgr.Value() != nil {
-		t.Fatal("a dropped Manager is still reachable: a pooled activation leads back to it")
+		t.Fatal("a dropped Manager is still reachable: a goroutine of its kernel leads back to it")
 	}
-	// The cleanup that ends the pooled coroutines runs after the Manager
+	// The cleanup that ends the kernel's goroutines runs after the kernel
 	// has been collected, on a goroutine of the runtime's.
 	for i := 0; i < 100 && runtime.NumGoroutine() > goroutines; i++ {
 		runtime.GC()
 		time.Sleep(time.Millisecond)
 	}
 	if n := runtime.NumGoroutine(); n > goroutines {
-		t.Fatalf("%d goroutines outlive the dropped Manager: its pooled activations' coroutines were never ended", n-goroutines)
+		t.Fatalf("%d goroutines outlive the dropped world: its kernel's loop coroutine and spares were never ended", n-goroutines)
 	}
 }
 
@@ -563,13 +568,19 @@ func TestManyEventsDeterministic(t *testing.T) {
 	}
 }
 
+// A vector past the table, and one inside it that nothing bound, panic.
 func TestUnboundVectorPanics(t *testing.T) {
-	k, _, mgrs := newTestEnv(1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unbound vector did not panic")
-		}
-	}()
-	mgrs[0].Core().RaiseIRQ(99)
-	k.Run()
+	for _, vec := range []int{5, 99} {
+		k, _, mgrs := newTestEnv(1)
+		mgrs[0].AllocateVector(func(*Ctx) {})
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, fmt.Sprint("unbound vector ", vec)) {
+					t.Fatalf("vector %d: recovered %q", vec, msg)
+				}
+			}()
+			mgrs[0].Core().RaiseIRQ(vec)
+			k.Run()
+		}()
+	}
 }

@@ -29,6 +29,11 @@
 // segment - is dropped there and never sifted. An entry keeps the sequence
 // number it was scheduled with wherever it waits, so the order stays
 // exactly (time, sequence).
+//
+// Callbacks run as plain calls on the kernel's loop, which Run, RunUntil and
+// Step enter once per call (loop.go). A callback that must wait without
+// returning parks (Park) and the loop goes on without it, on another
+// goroutine, until a later callback resumes it (Resume).
 package sim
 
 import (
@@ -135,8 +140,8 @@ func bucketOf(t Time) int64 { return int64(t) >> bucketShift }
 
 // Kernel is a single-threaded discrete-event executor. Events scheduled for
 // the same instant fire in scheduling order (FIFO), making every simulation
-// deterministic. Kernel is not safe for concurrent use; the event package
-// layers deterministic coroutine blocking on top of it.
+// deterministic. Kernel is not safe for concurrent use: its callbacks run one
+// at a time, and one that parks (loop.go) waits without holding the loop.
 type Kernel struct {
 	now Time
 	seq uint64
@@ -161,6 +166,8 @@ type Kernel struct {
 	fired uint64
 	// turns counts the horizon's moves, so tests can bound them.
 	turns uint64
+	// loop runs the callbacks (loop.go); the first run makes it.
+	loop *loop
 }
 
 // NewKernel returns an empty kernel at virtual time zero.
@@ -395,27 +402,3 @@ func (k *Kernel) fireNext(limit Time) bool {
 		return true
 	}
 }
-
-// Step executes the earliest pending event, advancing virtual time to its
-// timestamp. It reports false when no events remain.
-func (k *Kernel) Step() bool { return k.fireNext(math.MaxInt64) }
-
-// Run executes events until none remain.
-func (k *Kernel) Run() {
-	for k.Step() {
-	}
-}
-
-// RunUntil executes events with timestamps <= t, then advances the clock to
-// exactly t (even if the queue drained earlier).
-func (k *Kernel) RunUntil(t Time) {
-	for k.fireNext(t) {
-	}
-	if k.now < t {
-		k.now = t
-		k.raise(bucketOf(t) + nearBuckets)
-	}
-}
-
-// RunFor executes events for d nanoseconds of virtual time from now.
-func (k *Kernel) RunFor(d Time) { k.RunUntil(k.now + d) }

@@ -440,12 +440,16 @@ func TestIdleGapJumpsToTheNextDueBucket(t *testing.T) {
 // the least (time, sequence) first. Delays run from nanoseconds to seconds
 // and some land exactly on bucket and turn edges, so entries wait in the
 // heap, on the wheel and on the overflow list; some callbacks schedule
-// more, so an entry is pushed into the slot of the one firing. Firing
-// order, Now and Pending must agree after every operation.
+// more, so an entry is pushed into the slot of the one firing. Some
+// callbacks park and others resume a parked one: the parked callback's
+// continuation must run right after the callback that resumed it returns,
+// within the same Step or RunUntil slice, and schedules one more entry.
+// Firing order, Now and Pending must agree after every operation.
 func FuzzKernelOrder(f *testing.F) {
 	f.Add([]byte{0, 0, 5, 0})
 	f.Add([]byte{2, 0x47, 3, 0x9f, 3, 0xbf, 4, 1, 6, 0xff, 5, 0})
 	f.Add([]byte{1, 0x41, 1, 0x40, 1, 0x61, 1, 0x60, 0, 0xe5, 6, 0xff, 5, 0, 5, 0})
+	f.Add([]byte{8, 0, 9, 2, 16, 5, 5, 0, 17, 7, 6, 0x45, 8, 0x21, 16, 0x22, 6, 0xff, 5, 0})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		type arming struct {
 			at  Time
@@ -490,9 +494,18 @@ func FuzzKernelOrder(f *testing.F) {
 				return v * 997
 			}
 		}
+		type parkedCb struct {
+			id int
+			p  *Parker
+		}
+		var parked []parkedCb
+		cont := -1 // the parked callback whose continuation is due next
 		var fire func(id int) func()
 		fire = func(id int) func() {
 			return func() {
+				if cont != -1 {
+					t.Fatalf("arming %d fired before the continuation of %d", id, cont)
+				}
 				if len(live) == 0 {
 					t.Fatalf("arming %d fired with none pending", id)
 				}
@@ -515,6 +528,46 @@ func FuzzKernelOrder(f *testing.F) {
 				}
 			}
 		}
+		parks := func(id int) func() {
+			check := fire(id)
+			return func() {
+				check()
+				p := &Parker{}
+				parked = append(parked, parkedCb{id, p})
+				k.Park(p)
+				if cont != id {
+					t.Fatalf("arming %d went on after %d was resumed", id, cont)
+				}
+				cont = -1
+				d := delay(byte(id * 53))
+				live = append(live, arming{k.Now() + d, seq, id + 2<<20})
+				seq++
+				k.Post(d, fire(id+2<<20))
+			}
+		}
+		resumes := func(id int) func() {
+			check := fire(id)
+			return func() {
+				check()
+				if len(parked) == 0 {
+					return
+				}
+				i := id % len(parked)
+				cont = parked[i].id
+				k.Resume(parked[i].p)
+				parked = slices.Delete(parked, i, i+1)
+			}
+		}
+		// callback picks what an arming made by op does when it fires.
+		callback := func(op byte, id int) func() {
+			switch op >> 3 & 3 {
+			case 1:
+				return parks(id)
+			case 2:
+				return resumes(id)
+			}
+			return fire(id)
+		}
 		ownedFire := func(j int) func() {
 			return func() {
 				ownedSeq[j] = unarmed
@@ -529,11 +582,11 @@ func FuzzKernelOrder(f *testing.F) {
 			case 0:
 				live = append(live, arming{k.Now() + d, seq, id})
 				seq++
-				k.Post(d, fire(id))
+				k.Post(d, callback(op, id))
 			case 1:
 				live = append(live, arming{k.Now() + d, seq, id})
 				seq++
-				k.PostAt(k.Now()+d, fire(id))
+				k.PostAt(k.Now()+d, callback(op, id))
 			case 2:
 				live = append(live, arming{k.Now() + d, seq, id})
 				seq++
@@ -587,9 +640,15 @@ func FuzzKernelOrder(f *testing.F) {
 					t.Fatalf("op %d: Cancel of owned event %d = %v, want %v", i, j, !wantLive, wantLive)
 				}
 			}
-			if k.Pending() != len(live) {
-				t.Fatalf("op %d: Pending %d, want %d", i, k.Pending(), len(live))
+			if k.Pending() != len(live) || cont != -1 {
+				t.Fatalf("op %d: Pending %d, want %d; continuation of %d still due", i, k.Pending(), len(live), cont)
 			}
+		}
+		for len(parked) > 0 { // a parked callback's goroutine would outlive the input
+			live = append(live, arming{k.Now(), seq, 1 << 30})
+			seq++
+			k.Post(0, resumes(1<<30))
+			k.Run()
 		}
 		k.Run()
 		if len(live) != 0 || k.Pending() != 0 {
