@@ -40,32 +40,11 @@ func checkCallSites(t *testing.T, needle string, allow map[string]int, budget in
 	t.Helper()
 	re := regexp.MustCompile(needle)
 	found := map[string]int{}
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			path = filepath.ToSlash(path)
-			if path == "bench" || strings.HasPrefix(d.Name(), ".") && path != "." || slices.Contains(skip, path) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
+	forEachSource(t, skip, func(path string, src []byte) {
 		if n := len(re.FindAllIndex(src, -1)); n > 0 {
-			found[filepath.ToSlash(path)] = n
+			found[path] = n
 		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	total := 0
 	for path, n := range found {
 		total += n
@@ -80,5 +59,36 @@ func checkCallSites(t *testing.T, needle string, allow map[string]int, budget in
 	}
 	if total > budget {
 		t.Errorf("%d sites match %s, the budget is %d", total, needle, budget)
+	}
+}
+
+// forEachSource calls fn with the slash path and the contents of every
+// non-test Go file outside bench/, hidden directories and the skipped
+// ones.
+func forEachSource(t *testing.T, skip []string, fn func(path string, src []byte)) {
+	t.Helper()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		path = filepath.ToSlash(path)
+		if d.IsDir() {
+			if path == "bench" || strings.HasPrefix(d.Name(), ".") && path != "." || slices.Contains(skip, path) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		fn(path, src)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -33,8 +33,8 @@ func TestBlockSpansRunForSlices(t *testing.T) {
 	}
 }
 
-// The first handler blocks on the loop coroutine's stack, the other two on
-// spares', and each resumes on its own stack, in an order of its own.
+// Each handler blocks on its own runner's stack and resumes there, in an
+// order of its own.
 func TestBlockedHandlersResumeOutOfOrder(t *testing.T) {
 	k, _, mgrs := newTestEnv(1)
 	var order []string
@@ -58,10 +58,10 @@ func TestBlockedHandlersResumeOutOfOrder(t *testing.T) {
 	}
 }
 
-// While the loop coroutine is itself blocked in a handler, a handler that
-// runs on a spare blocks too and resumes, more than once, and the one on
-// the loop coroutine finishes after it.
-func TestBlockOnASpareWhileTheLoopCoroutineIsBlocked(t *testing.T) {
+// While a handler is blocked, a later handler blocks too and resumes,
+// more than once, each time on a runner the first one is not on, and the
+// first one finishes after it.
+func TestBlockWhileAnEarlierHandlerIsBlocked(t *testing.T) {
 	k, _, mgrs := newTestEnv(1)
 	m := mgrs[0]
 	var resumeFirst func()
@@ -99,10 +99,10 @@ func settledGoroutines() int {
 	return n
 }
 
-// A world's goroutines are the loop coroutine and one per handler blocked
-// at once, however many block and resume: the bench probe's shape - one
-// handler that blocks, resumes and blocks again - reuses one spare, and
-// run-to-completion handlers need none.
+// A world's goroutines are one runner for the loop and one per handler
+// blocked at once, however many block and resume: the bench probe's shape
+// - one handler that blocks, resumes and blocks again - reuses one idle
+// runner, and run-to-completion handlers need none but the first.
 func TestActivationsAreReused(t *testing.T) {
 	before := settledGoroutines()
 	k, _, mgrs := newTestEnv(1)
@@ -177,9 +177,9 @@ func TestHandlerPanicReachesCallerWithItsStack(t *testing.T) {
 	t.Fatal("k.Run returned past a panicking handler")
 }
 
-// t.FailNow in a handler is runtime.Goexit on the loop coroutine's
-// goroutine; it must end the goroutine driving the kernel rather than leave
-// it waiting.
+// t.FailNow in a handler is runtime.Goexit on the runner that holds the
+// loop; it must end the goroutine driving the kernel rather than leave it
+// waiting.
 func TestGoexitInHandlerEndsTheCaller(t *testing.T) {
 	k, _, mgrs := newTestEnv(1)
 	mgrs[0].Spawn(func(*Ctx) { runtime.Goexit() })
@@ -214,9 +214,8 @@ func TestResumeTwicePanics(t *testing.T) {
 	t.Fatal("second resume did not panic")
 }
 
-// A handler that panics or calls runtime.Goexit on a spare, while another
-// is blocked on the loop coroutine, ends the caller's run as it would on
-// the loop coroutine.
+// A handler that panics or calls runtime.Goexit while another is blocked
+// ends the caller's run as it would with none blocked.
 func TestPanicAndGoexitOnASpareReachTheCaller(t *testing.T) {
 	blockedWorld := func() (*sim.Kernel, *Manager) {
 		k, _, mgrs := newTestEnv(1)

@@ -294,8 +294,8 @@ func TestLatchedTimerCanBeCancelled(t *testing.T) {
 }
 
 // A world that is dropped is collected, and then so are its kernel's
-// goroutines: the loop coroutine, and the spare that went on with the loop
-// while a handler was blocked. Both wait between runs, so they are roots;
+// goroutines: the runner a handler blocked on, and the one that went on
+// with the loop meanwhile. Both wait idle between runs, so they are roots;
 // neither keeps anything of the kernel then, so the kernel's cleanup ends
 // them once it is collected.
 func TestDroppedWorldIsCollectable(t *testing.T) {
@@ -321,7 +321,7 @@ func TestDroppedWorldIsCollectable(t *testing.T) {
 			t.Fatalf("%d handlers ran, %d activations pooled; want 5 and at least 2", ran, len(m.pool))
 		}
 		if n := runtime.NumGoroutine() - goroutines; n != 2 {
-			t.Fatalf("the world runs on %d goroutines, want 2: the loop coroutine and a spare", n)
+			t.Fatalf("the world runs on %d goroutines, want 2: the runner a handler blocked on and the one that went on", n)
 		}
 		return weak.Make(m)
 	}()
@@ -336,7 +336,7 @@ func TestDroppedWorldIsCollectable(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	if n := runtime.NumGoroutine(); n > goroutines {
-		t.Fatalf("%d goroutines outlive the dropped world: its kernel's loop coroutine and spares were never ended", n-goroutines)
+		t.Fatalf("%d goroutines outlive the dropped world: its kernel's runners were never ended", n-goroutines)
 	}
 }
 

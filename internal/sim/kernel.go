@@ -31,9 +31,10 @@
 // exactly (time, sequence).
 //
 // Callbacks run as plain calls on the kernel's loop, which Run, RunUntil and
-// Step enter once per call (loop.go). A callback that must wait without
-// returning parks (Park) and the loop goes on without it, on another
-// goroutine, until a later callback resumes it (Resume).
+// Step hand once per call to a runner, a goroutine the kernel keeps
+// (loop.go). A callback that must wait without returning parks (Park) and
+// the loop goes on without it, on another runner, until a later callback
+// resumes it (Resume).
 package sim
 
 import (
@@ -141,7 +142,8 @@ func bucketOf(t Time) int64 { return int64(t) >> bucketShift }
 // Kernel is a single-threaded discrete-event executor. Events scheduled for
 // the same instant fire in scheduling order (FIFO), making every simulation
 // deterministic. Kernel is not safe for concurrent use: its callbacks run one
-// at a time, and one that parks (loop.go) waits without holding the loop.
+// at a time, each on the runner that holds the loop, and one that parks
+// (loop.go) keeps its runner and waits without holding the loop.
 type Kernel struct {
 	now Time
 	seq uint64

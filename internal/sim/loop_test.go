@@ -27,7 +27,7 @@ func settledGoroutines() int {
 }
 
 // A Step whose event parks has taken its step: it returns once the loop
-// has moved to a spare, without firing the next event.
+// has moved to another runner, without firing the next event.
 func TestStepThatParksCountsAsTheStep(t *testing.T) {
 	k := NewKernel()
 	var p Parker
@@ -99,9 +99,9 @@ func TestContinuationRunsRightAfterItsResumer(t *testing.T) {
 
 func explodingCallback() { panic("boom") }
 
-// A panic in a callback on a spare, while the loop coroutine is parked,
-// reaches the caller with the callback's stack; the kernel goes on after
-// it, and the parked callback still resumes.
+// A panic in a callback on one runner, while a callback is parked on
+// another, reaches the caller with the callback's stack; the kernel goes
+// on after it, and the parked callback still resumes.
 func TestPanicOnASpareReachesTheCaller(t *testing.T) {
 	k := NewKernel()
 	var p Parker
@@ -125,9 +125,10 @@ func TestPanicOnASpareReachesTheCaller(t *testing.T) {
 	}
 }
 
-// runtime.Goexit (t.FailNow) in a callback on a spare ends the goroutine
-// that called Run, which neither hangs nor returns normally; the kernel
-// goes on from another goroutine.
+// runtime.Goexit (t.FailNow) in a callback on one runner, while a
+// callback is parked on another, ends the goroutine that called Run, which
+// neither hangs nor returns normally; the kernel goes on from another
+// goroutine.
 func TestGoexitOnASpareEndsTheCaller(t *testing.T) {
 	k := NewKernel()
 	var p Parker
@@ -176,9 +177,9 @@ func TestParkAndResumeNeedAnOutermostRun(t *testing.T) {
 	mustPanic("Park in a nested Step", k.Run)
 }
 
-// A dropped kernel is collected even after a callback parked on it - the
-// loop coroutine and the spare it made keep nothing of it between runs -
-// and its cleanup then ends both.
+// A dropped kernel is collected even after a callback parked on it - its
+// two runners keep nothing of it between runs - and its cleanup then ends
+// both.
 func TestDroppedKernelEndsItsGoroutines(t *testing.T) {
 	goroutines := settledGoroutines()
 	kernel := func() weak.Pointer[Kernel] {
@@ -188,7 +189,7 @@ func TestDroppedKernelEndsItsGoroutines(t *testing.T) {
 		k.Post(2, func() { k.Resume(&p) })
 		k.Run()
 		if n := runtime.NumGoroutine() - goroutines; n != 2 {
-			t.Fatalf("a run with one parked callback left %d goroutines, want 2: the loop coroutine and a spare", n)
+			t.Fatalf("a run with one parked callback left %d goroutines, want 2: the runner that parked and the one that took the loop", n)
 		}
 		return weak.Make(k)
 	}()
@@ -234,5 +235,42 @@ func TestResumeMisusePanics(t *testing.T) {
 	k.Run() // the failed callback's Resume of a stands: a goes on first, then b
 	if k.Pending() != 0 || !slices.Equal(order, []string{"tie"}) {
 		t.Fatalf("%d pending, fired %v", k.Pending(), order)
+	}
+}
+
+// A runner whose callback panicked goes idle like any other, and the runs
+// after reuse it: 1,000 Steps after the recovered panic start no new
+// goroutine, and a park and resume still work.
+func TestRunnerLeftByAPanicIsReused(t *testing.T) {
+	before := settledGoroutines()
+	grew := func() int { return runtime.NumGoroutine() - before }
+	k := NewKernel()
+	k.Post(1, explodingCallback)
+	func() {
+		defer func() {
+			if msg := fmt.Sprint(recover()); !strings.Contains(msg, "boom") {
+				t.Fatalf("recovered %q, want the callback's panic", msg)
+			}
+		}()
+		k.Run()
+	}()
+	if grew() != 1 {
+		t.Fatalf("a run whose callback panicked left %d new goroutines, want 1", grew())
+	}
+	ran := 0
+	for i := 0; i < 1000; i++ {
+		k.Post(1, func() { ran++ })
+		k.Step()
+	}
+	if ran != 1000 || grew() != 1 {
+		t.Fatalf("%d of 1000 Steps ran, on %d new goroutines, want 1", ran, grew())
+	}
+	var p Parker
+	resumed := false
+	k.Post(1, func() { k.Park(&p); resumed = true })
+	k.Post(2, func() { k.Resume(&p) })
+	k.Run()
+	if !resumed || k.Pending() != 0 || grew() != 2 {
+		t.Fatalf("park and resume: resumed %v, %d pending, %d new goroutines, want 2", resumed, k.Pending(), grew())
 	}
 }
