@@ -227,7 +227,7 @@ func NewBoundedStore(budgetBytes uint64, policy EvictionPolicy, clock func() sim
 // charge reports the bytes an entry is accounted at before class
 // rounding.
 func chargeBytes(key string, e *Entry) int {
-	return len(key) + len(e.Value) + boundedOverhead
+	return len(key) + e.Len() + boundedOverhead
 }
 
 // classFor picks the slab class index for a charge, or -1 for a large

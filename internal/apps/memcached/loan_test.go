@@ -41,10 +41,10 @@ func boundedSlabCapacity() int {
 	}
 }
 
-// valuesOut is the elements a server's value pools have out.
+// valuesOut is the elements a server's value and chunk pools have out.
 func valuesOut(s *Server) int {
 	n := 0
-	for _, p := range s.values {
+	for _, p := range append(s.values[:], s.chunks) {
 		if p != nil {
 			n += p.Outstanding()
 		}
@@ -52,21 +52,24 @@ func valuesOut(s *Server) int {
 	return n
 }
 
-// countEntries is the entries a server's store holds that match.
-func countEntries(s *Server, match func(e *Entry) bool) int {
+// sumEntries sums f over the entries a server's store holds.
+func sumEntries(s *Server, f func(e *Entry) int) int {
 	n := 0
 	s.Store.Scan(func(_ string, e *Entry) bool {
-		if match(e) {
-			n++
-		}
+		n += f(e)
 		return true
 	})
 	return n
 }
 
-// inElement matches an entry whose value the server copied into an
-// element of its own.
-func inElement(e *Entry) bool { return e.elem != nil }
+// elements is how many elements of the server's own an entry's value
+// lies in.
+func elements(e *Entry) int {
+	if e.elem == nil {
+		return 0
+	}
+	return e.elem.CountChainElements()
+}
 
 // dialInto opens a client connection to the pair's server whose replies
 // are appended to *rx.
@@ -215,19 +218,21 @@ func TestLentValueOutlivesItsRelease(t *testing.T) {
 			if e, ok := srv.Store.Get(string(key)); ok != (tc.after != nil) || ok && !bytes.Equal(e.Value, tc.after) {
 				t.Fatalf("after the release the store holds k: %v, want %v, or not the value it should", ok, tc.after != nil)
 			}
-			if out, resident := valuesOut(srv), countEntries(srv, inElement); out != resident {
-				t.Fatalf("%d value elements out for %d resident entries that need one", out, resident)
+			if out, resident := valuesOut(srv), sumEntries(srv, elements); out != resident {
+				t.Fatalf("%d value elements out for %d that resident entries need", out, resident)
 			}
 		})
 	}
 }
 
-// Every length a GET may lend has one class, in order of length: the
+// Every length a GET may lend that is shorter than a chunk, and so every
+// rest of a chained value, has one class, in order of length: the
 // smallest element of at least that length among eight an octave, so an
-// element is never an eighth longer than its value or more.
+// element is never an eighth longer than its value or more. The last
+// class's element is a chunk long.
 func TestValueClasses(t *testing.T) {
 	prevIdx, prevSize := -1, borrowMin-1
-	for n := borrowMin; n <= MaxTextValue; n++ {
+	for n := borrowMin; n < valueChunk; n++ {
 		idx, size := valueClass(n)
 		switch {
 		case idx < 0 || idx >= valueClasses:
@@ -241,8 +246,8 @@ func TestValueClasses(t *testing.T) {
 		}
 		prevIdx, prevSize = idx, size
 	}
-	if prevIdx != valueClasses-1 {
-		t.Fatalf("the item limit's class is %d of %d", prevIdx, valueClasses)
+	if prevIdx != valueClasses-1 || prevSize != valueChunk {
+		t.Fatalf("the longest unchained value's class is %d of %d, of %d bytes", prevIdx, valueClasses, prevSize)
 	}
 }
 

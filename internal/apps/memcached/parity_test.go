@@ -101,7 +101,7 @@ func runParity(t *testing.T, ops []parityOp, stores string, newStore func(clock 
 			if stray := strayKey(srv, named); stray != "" {
 				t.Fatalf("%s stores: op %d (%s %q) left key %s, which no op named", stores, i, op.verb, op.key, stray)
 			}
-			if out, lent := valuesOut(srv), countEntries(srv, lentSize); out != lent {
+			if out, lent := valuesOut(srv), sumEntries(srv, lentElements); out != lent {
 				t.Fatalf("%s stores: op %d (%s %q) left %d value elements out for %d entries a GET would lend", stores, i, op.verb, op.key, out, lent)
 			}
 		}
@@ -206,7 +206,7 @@ func (m *parityModel) check(srv *Server, now sim.Time) string {
 	for _, key := range slices.Sorted(maps.Keys(m.keys)) {
 		got := parityState{absent: true}
 		if e := held[key]; e != nil && srv.EntryLive(e, now) {
-			got = parityState{value: string(e.Value), flags: e.Flags}
+			got = parityState{value: string(e.AppendValue(nil)), flags: e.Flags}
 		}
 		allowed := slices.ContainsFunc(m.keys[key], func(s parityState) bool {
 			return s.absent == got.absent && s.value == got.value && s.flags == got.flags
@@ -404,9 +404,20 @@ func (op parityOp) binary(opaque uint32) []byte {
 	return BuildGet(key, opaque)
 }
 
-// lentSize matches an entry whose value a GET would lend, which must lie
-// in an element of the server's own when the server stored it.
-func lentSize(e *Entry) bool { return len(e.Value) >= borrowMin && len(e.Value) <= MaxTextValue }
+// lentElements is how many elements of the server's own an entry's value
+// lies in when the server stored it: none for a value a GET copies, one
+// for a longer one under valueChunk bytes, else a chunk per valueChunk
+// bytes and one element for the rest.
+func lentElements(e *Entry) int {
+	switch n := e.Len(); {
+	case n < borrowMin:
+		return 0
+	case n < valueChunk:
+		return 1
+	default:
+		return (n + valueChunk - 1) / valueChunk
+	}
+}
 
 // parityDiff says how the text server's state differs from the binary
 // server's, "" if it does not.
@@ -435,7 +446,7 @@ func parityDiff(txt, bin *Server) string {
 func entries(srv *Server) map[string]*Entry {
 	m := map[string]*Entry{}
 	srv.Store.Scan(func(k string, e *Entry) bool {
-		m[k] = &Entry{Value: bytes.Clone(e.Value), Flags: e.Flags, CAS: e.CAS, Expires: e.Expires, StoredAt: e.StoredAt}
+		m[k] = &Entry{Value: e.AppendValue(nil), Flags: e.Flags, CAS: e.CAS, Expires: e.Expires, StoredAt: e.StoredAt}
 		return true
 	})
 	return m

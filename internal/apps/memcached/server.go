@@ -47,8 +47,10 @@ type Server struct {
 	entry Entry
 
 	// values are the pools a value a GET may lend is copied into, one per
-	// size class (valueClass), each made at its first use.
+	// size class (valueClass), and chunks the pool of the chunks of a
+	// value of valueChunk bytes or more, each made at its first use.
 	values [valueClasses]*iobuf.Pool
+	chunks *iobuf.Pool
 
 	// short is the buffer a value under borrowMin is built in - a
 	// request's, a join, a counter's - and lent to the store, which
@@ -215,51 +217,104 @@ func (s *Server) maybeApplyFlush(now sim.Time) {
 	})
 }
 
-// Stored values a GET may lend - borrowMin bytes up to the item limit -
-// live in elements from the server's value pools, so that the GET
-// responses lending one and the store that holds it share it by count,
-// and an overwrite's element goes back to be the next SET's (the paper's
-// IOBuf, §4.2). The classes run eight to an octave, so an element is at
-// most an eighth longer than the longest value of its class - about as
-// close as the Go allocator's own size classes fit a fresh slice. Each
-// class keeps at most valueSpareBytes of spare elements: values come in
-// every size, and a pool that kept each class's every element back would
-// keep a burst's worth of each for good.
+// Stored values a GET may lend - borrowMin bytes and more - live in
+// elements from the server's value pools, so that the GET responses
+// lending one and the store that holds it share it by count, and an
+// overwrite's elements go back to be the next SET's (the paper's IOBuf,
+// §4.2). A value under valueChunk bytes lies in one element of its size
+// class. The classes run eight to an octave, so an element is at most an
+// eighth longer than the longest value of its class - about as close as
+// the Go allocator's own size classes fit a fresh slice - and each keeps
+// at most valueSpareBytes of spares: a pool that kept each class's every
+// element back would keep a burst's worth of each for good. A longer
+// value is a chain of valueChunk-byte chunks from one pool, which carves
+// them chunkSlab at a time, plus one element of its class for the rest,
+// or of borrowMin's class if the rest is shorter (memcached's own
+// large-item chunking). Every chunk serves a value of any length, so the
+// chunks an overwrite frees are the next SET's whatever its length, and
+// the pool keeps at most chunkSpareBytes of them.
 const (
-	valueClasses    = 81 // valueClass(MaxTextValue) + 1
+	valueChunk      = 4 << 10
+	valueClasses    = 17 // valueClass(valueChunk-1) + 1
 	valueSpareBytes = 32 << 10
+	chunkSpareBytes = 1 << 20
+	chunkSlab       = 16
 )
 
 // valueClass returns the index and element size of the class a value of
-// n bytes (borrowMin <= n <= MaxTextValue) is stored in: n rounded up to
-// a multiple of an eighth of the power of two below it.
+// n bytes (borrowMin <= n < valueChunk) is stored in: n rounded up to a
+// multiple of an eighth of the power of two below it.
 func valueClass(n int) (idx, size int) {
 	shift := bits.Len(uint(n-1)) - 4
 	m := (n-1)>>shift + 1 // 9 to 16 eighths of 1<<(shift+3); 16 for borrowMin
 	return (shift-7)*8 + m - 8, m << shift
 }
 
-// newValue returns n bytes for the caller to fill with a value to store,
-// and the element they lie in, with one holder, the caller: a pool
-// element for a value a GET may lend; nil for any other, which a GET
-// copies behind its header instead - the server's reused buffer for a
-// value under borrowMin, which the store copies (Entry.borrowed), and a
-// plain slice the store keeps for a join past the item limit.
-func (s *Server) newValue(n int) ([]byte, *iobuf.IOBuf) {
+// newValue returns an entry holding room for a value of n bytes, for the
+// caller to fill (valueWriter), with one holder, the caller, of what it
+// lies in: a chain whose views cover n bytes for a value of valueChunk
+// bytes or more, one pool element for a shorter value a GET may lend,
+// and for any other, which a GET copies behind its header instead, the
+// server's reused buffer, which the store copies (Entry.borrowed).
+func (s *Server) newValue(n int) Entry {
 	switch {
 	case n < borrowMin:
-		return s.shortValue()[:n], nil
-	case n > MaxTextValue:
-		return make([]byte, n), nil
+		return Entry{Value: s.shortValue()[:n], borrowed: true}
+	case n >= valueChunk:
+		return Entry{elem: s.chunkedValue(n)}
 	}
+	e := s.element(n)
+	return Entry{Value: e.Append(n)[:n:n], elem: e}
+}
+
+// element returns an element of the class of n bytes (borrowMin <= n <
+// valueChunk), with an empty view.
+func (s *Server) element(n int) *iobuf.IOBuf {
 	i, size := valueClass(n)
 	p := s.values[i]
 	if p == nil {
 		p = iobuf.NewBoundedPool(size, max(1, valueSpareBytes/size))
 		s.values[i] = p
 	}
-	e := p.Get(n)
-	return e.Append(n)[:n:n], e
+	return p.Get(n)
+}
+
+// chunkedValue returns the chain a value of n >= valueChunk bytes lies
+// in: n/valueChunk chunks and an element for the rest, if there is one,
+// each element's view covering its part of the value.
+func (s *Server) chunkedValue(n int) *iobuf.IOBuf {
+	if s.chunks == nil {
+		s.chunks = iobuf.NewCarvedPool(valueChunk, chunkSpareBytes/valueChunk, chunkSlab)
+	}
+	var chain iobuf.Frames
+	for ; n > 0; n -= valueChunk {
+		var e *iobuf.IOBuf
+		if n >= valueChunk {
+			e = s.chunks.Get(valueChunk)
+		} else {
+			e = s.element(max(n, borrowMin))
+		}
+		e.Append(min(n, valueChunk))
+		chain.Link(e)
+	}
+	return chain.Take()
+}
+
+// valueWriter fills what newValue made, flat or chained, from the front.
+type valueWriter struct {
+	dst  []byte       // what is left of the piece being filled
+	next *iobuf.IOBuf // the element after it
+}
+
+// write copies src to the value's next bytes.
+func (w *valueWriter) write(src []byte) {
+	for len(src) > 0 {
+		if len(w.dst) == 0 {
+			w.dst, w.next = w.next.Data(), w.next.Next()
+		}
+		n := copy(w.dst, src)
+		w.dst, src = w.dst[n:], src[n:]
+	}
 }
 
 // shortValue is the server's buffer for a value under borrowMin.
@@ -417,24 +472,28 @@ type response struct {
 }
 
 // record writes one response record: head bytes, which the caller fills
-// in through the returned slice, then value, then tail. A value of
+// in through the returned slice, then e's value, then tail. A value of
 // borrowMin bytes or more - only a GET's stored value is that long, and
-// Entry.Value is never written once stored - is lent rather than copied:
-// the head announces it and a view of it follows. elem, if not nil, is
-// the element the value lies in (Entry.elem), which the view holds until
-// the stack has no more use for it, however the store fares meanwhile;
-// bytes in no element are only lent.
-func (r *response) record(head int, value []byte, elem *iobuf.IOBuf, tail string) []byte {
-	if len(value) < borrowMin {
-		f := r.Next(head + len(value) + len(tail))
-		copy(f[head+copy(f[head:], value):], tail)
+// no stored value is written once stored - is lent rather than copied:
+// the head announces it and a view of each element it lies in follows
+// (Entry.elem, a chain for a value of valueChunk bytes or more), which
+// holds the element until the stack has no more use for it, however the
+// store fares meanwhile; bytes in no element are only lent.
+func (r *response) record(head int, e *Entry, tail string) []byte {
+	if e.elem == nil && len(e.Value) < borrowMin {
+		f := r.Next(head + len(e.Value) + len(tail))
+		copy(f[head+copy(f[head:], e.Value):], tail)
 		return f[:head]
 	}
 	f := r.Next(head)
-	if elem != nil {
-		r.Link(r.views.ViewOf(elem))
-	} else {
-		r.Link(r.views.View(value))
+	if e.elem == nil {
+		r.Link(r.views.View(e.Value))
+	}
+	for el := e.elem; el != nil; {
+		r.Link(r.views.ViewOf(el))
+		if el = el.Next(); el == e.elem {
+			break
+		}
 	}
 	if tail != "" {
 		r.text(tail)
@@ -442,22 +501,24 @@ func (r *response) record(head int, value []byte, elem *iobuf.IOBuf, tail string
 	return f
 }
 
-// add writes one binary response frame.
+// add writes one binary response frame, whose value, if any, is under
+// borrowMin bytes.
 func (r *response) add(req Header, status uint16, extras, value []byte, cas uint64) {
-	r.addLent(req, status, extras, value, nil, cas)
+	r.addLent(req, status, extras, &Entry{Value: value, CAS: cas})
 }
 
-// addLent is add for a value that lies in elem (record).
-func (r *response) addLent(req Header, status uint16, extras, value []byte, elem *iobuf.IOBuf, cas uint64) {
-	f := r.record(HeaderLen+len(extras), value, elem, "")
+// addLent is add for a stored entry's value, which it lends (record), and
+// CAS.
+func (r *response) addLent(req Header, status uint16, extras []byte, e *Entry) {
+	f := r.record(HeaderLen+len(extras), e, "")
 	WriteHeader(f, Header{
 		Magic:     MagicResponse,
 		Opcode:    req.Opcode,
 		ExtrasLen: byte(len(extras)),
 		Status:    status,
-		BodyLen:   uint32(len(extras) + len(value)),
+		BodyLen:   uint32(len(extras) + e.Len()),
 		Opaque:    req.Opaque,
-		CAS:       cas,
+		CAS:       e.CAS,
 	})
 	copy(f[HeaderLen:], extras)
 }
@@ -533,7 +594,7 @@ func (s *Server) handle(c *event.Ctx, hdr Header, body []byte, r *response) {
 		var extras [GetResponseExtrasLen]byte
 		binary.BigEndian.PutUint32(extras[:4], e.Flags)
 		binary.BigEndian.PutUint64(extras[4:], uint64(int64(e.Expires)))
-		r.addLent(hdr, StatusOK, extras[:], e.Value, e.elem, e.CAS)
+		r.addLent(hdr, StatusOK, extras[:], e)
 
 	case OpSet, OpSetQ, OpAdd, OpAddQ, OpAppend, OpPrepend:
 		s.stats.cmdSet++
@@ -644,7 +705,8 @@ var binaryStoreModes = [256]storeMode{
 // nonzero stamp is a version stamp the request carried, which set and add
 // store instead of minting one.
 func (s *Server) store(mode storeMode, key string, value []byte, flags uint32, expires sim.Time, stamp uint64, now sim.Time) (status uint16, cas uint64) {
-	head, tail := value, []byte(nil)
+	req := Entry{Value: value}
+	head, tail := &req, &Entry{}
 	switch mode {
 	case storeSet:
 		cur, ok := s.Store.Get(key)
@@ -700,15 +762,21 @@ func (s *Server) store(mode storeMode, key string, value []byte, flags uint32, e
 		// memcached ignores the request's) but takes a fresh CAS: the
 		// value changed, and the hot-key cache's newest-wins rule needs
 		// to see that.
-		head, tail = cur.Value, value
+		head, tail = cur, &req
 		if mode == storePrepend {
-			head, tail = value, cur.Value
+			head, tail = &req, cur
 		}
 		flags, expires = cur.Flags, cur.Expires
 	}
-	v, elem := s.newValue(len(head) + len(tail))
-	copy(v[copy(v, head):], tail)
-	e := Entry{Value: v, Flags: flags, CAS: cas, Expires: expires, StoredAt: now, borrowed: len(v) < borrowMin, elem: elem}
+	e := s.newValue(head.Len() + tail.Len())
+	e.Flags, e.CAS, e.Expires, e.StoredAt = flags, cas, expires, now
+	w := valueWriter{dst: e.Value, next: e.elem}
+	for b := range head.pieces {
+		w.write(b)
+	}
+	for b := range tail.pieces {
+		w.write(b)
+	}
 	stored := s.set(key, e)
 	e.free() // the store holds what it keeps
 	if !stored {
@@ -749,6 +817,8 @@ func (s *Server) applyDelta(key string, delta, initial uint64, exptime uint32, i
 		s.stats.totalItems++
 		return initial, cas, StatusOK
 	}
+	// A chained value, valueChunk bytes or more, is no counter: its Value
+	// is nil, which parses as none.
 	v, err := parseCounterValue(cur.Value)
 	if err != nil {
 		return 0, 0, StatusDeltaBadval

@@ -13,6 +13,8 @@ import (
 
 // Entry is one stored key-value pair.
 type Entry struct {
+	// Value is the value's bytes, nil for a chained one (elem): read a
+	// value through Len and AppendValue.
 	Value []byte
 	Flags uint32
 	// borrowed marks a value under borrowMin that the server built in
@@ -45,9 +47,47 @@ type Entry struct {
 	StoredAt sim.Time
 
 	// elem is the pool element Value lies in, for a value the server
-	// copied in to lend (Server.newValue); nil for a slice someone else
-	// owns. Each copy of the entry a store keeps is one of its holders.
+	// copied in to lend (Server.newValue); for a chained value - one of
+	// valueChunk bytes or more, which the server stores in chunks - the
+	// chain, which the entry holds in place of Value and which knows its
+	// length; nil for a slice someone else owns. Each copy of the entry a
+	// store keeps is one of its every element's holders.
 	elem *iobuf.IOBuf
+}
+
+// chained reports whether the value is a chain of chunks.
+func (e *Entry) chained() bool { return e.Value == nil && e.elem != nil }
+
+// Len reports the length of the entry's value.
+func (e *Entry) Len() int {
+	if e.chained() {
+		return e.elem.ComputeChainDataLength()
+	}
+	return len(e.Value)
+}
+
+// pieces yields the entry's value in order: Value, or each element of a
+// chained value's chain.
+func (e *Entry) pieces(yield func([]byte) bool) {
+	if !e.chained() {
+		yield(e.Value)
+		return
+	}
+	for el := e.elem; yield(el.Data()); {
+		if el = el.Next(); el == e.elem {
+			return
+		}
+	}
+}
+
+// AppendValue appends the entry's value to dst and returns the extended
+// slice: how a caller that keeps a stored value past the store's next
+// mutation copies it, a chained one included.
+func (e *Entry) AppendValue(dst []byte) []byte {
+	for b := range e.pieces {
+		dst = append(dst, b...)
+	}
+	return dst
 }
 
 // Tombstone reports whether the entry is the tombstone a stamped Delete
@@ -102,13 +142,14 @@ func keep(e *Entry) Entry {
 // store copies what it keeps - the RCU and locked stores into a new
 // slice, the bounded store into a buffer that a value it let go left
 // behind. A value the server copied into one of its pool
-// elements to lend (Server.newValue) is not copied but counted: each copy
-// of the entry a store keeps holds the element, and so does each GET
-// response lending it, until the peer acknowledges it. A store frees its
-// hold wherever it lets an entry go - an overwrite, a delete, an
-// eviction, a failed insert - and the element's last holder sends it
-// back to its pool. Any other value - one a caller of Set owns, as
-// Prepopulate's are - is the caller's, and the collector reclaims it.
+// elements to lend (Server.newValue), or into a chain of them, is not
+// copied but counted: each copy of the entry a store keeps holds every
+// element, and so does each GET response lending it, until the peer
+// acknowledges it. A store frees its hold wherever it lets an entry go -
+// an overwrite, a delete, an eviction, a failed insert - and an element's
+// last holder sends it back to its pool. Any other value - one a caller
+// of Set owns, as Prepopulate's are - is the caller's, and the collector
+// reclaims it.
 // Nobody writes a stored value's bytes.
 type Store interface {
 	// Get returns the stored entry, valid until the store's next

@@ -436,12 +436,12 @@ func (r *response) addValue(key []byte, e *Entry, withCAS bool) {
 	var buf [MaxTextKey + 64]byte
 	h := append(append(buf[:0], "VALUE "...), key...)
 	h = strconv.AppendUint(append(h, ' '), uint64(e.Flags), 10)
-	h = strconv.AppendInt(append(h, ' '), int64(len(e.Value)), 10)
+	h = strconv.AppendInt(append(h, ' '), int64(e.Len()), 10)
 	if withCAS {
 		h = strconv.AppendUint(append(h, ' '), e.CAS, 10)
 	}
 	h = append(h, '\r', '\n')
-	copy(r.record(len(h), e.Value, e.elem, "\r\n"), h)
+	copy(r.record(len(h), e, "\r\n"), h)
 }
 
 // splitTextTokens appends a command line's tokens to toks, splitting on

@@ -237,10 +237,10 @@ func TestSmallGetObjectBudget(t *testing.T) {
 
 // A 32KiB SET arrives as two dozen segments. The partial request is
 // accumulated into a buffer reserved once from the announced length and
-// kept by the connection, and the value is copied into an element of the
-// server's value pools, where the element of the value it overwrites goes
+// kept by the connection, and the value is copied into chunks of the
+// server's chunk pool, where the chunks of the value it overwrites go
 // back. So a warm overwrite - after an insert and a first overwrite, whose
-// element is taken before the old one is freed - allocates the test's
+// chunks are taken before the old ones are freed - allocates the test's
 // request, which the allocator rounds up to 40KiB, and no value: 1.29
 // times the value (2.26 while every SET allocated the stored value; 2.35
 // while the response was a fresh slice; 3.66 while the NIC's receive copy

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -666,7 +665,7 @@ func (m *Migrator) stream(c *event.Ctx, b *Backend, coord hosted.NodeId, req xfe
 				// The value is copied with the key: the requests are written
 				// once the connection is up, and by then the store may have
 				// let the entry go and its value's element been reused.
-				reqs = append(reqs, memcached.SetQAbsExpiryRequest([]byte(k), bytes.Clone(e.Value), e.Flags, e.CAS, int64(e.Expires)))
+				reqs = append(reqs, memcached.SetQAbsExpiryRequest([]byte(k), e.AppendValue(nil), e.Flags, e.CAS, int64(e.Expires)))
 			}
 			break
 		}

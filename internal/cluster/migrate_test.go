@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"testing"
@@ -292,6 +293,45 @@ func TestJoinStreamsKeyShare(t *testing.T) {
 		if !owned && has {
 			t.Fatalf("key %q streamed to the newcomer without ownership", key)
 		}
+	}
+}
+
+// TestJoinStreamsChainedValues: the migration stream copies out values of
+// a chunk's length and more, which a backend stores as chains of chunks,
+// and the newcomer holds each byte for byte.
+func TestJoinStreamsChainedValues(t *testing.T) {
+	cl := NewCluster(3, Options{})
+	front := cl.Sys.Frontend()
+	cli := NewClientWithOptions(cl, front, ClientOptions{RequestTimeout: 8 * sim.Millisecond})
+	m := NewMigrator(cl, front)
+	sizes := []int{4095, 4096, 4097, 70000}
+	keys := make([][]byte, 48)
+	value := func(i int) []byte {
+		v := make([]byte, sizes[i%len(sizes)])
+		for j := range v {
+			v[j] = byte(i + j*7)
+		}
+		return v
+	}
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("chain-key-%d", i))
+	}
+	populate(t, cl, cli, keys, value)
+	m.Join(1)
+	if mig := waitMigration(t, cl, m, 200*sim.Millisecond); mig.Aborted || mig.Moved == 0 {
+		t.Fatalf("migration %+v streamed nothing", mig)
+	}
+	store, streamed := cl.Backends[len(cl.Backends)-1].Srv.Store, 0
+	for i, key := range keys {
+		if e, ok := store.Get(string(key)); ok {
+			if got := e.AppendValue(nil); e.Len() != len(got) || !bytes.Equal(got, value(i)) {
+				t.Fatalf("key %q: the newcomer holds %d bytes, not the %d-byte value", key, e.Len(), len(value(i)))
+			}
+			streamed++
+		}
+	}
+	if streamed == 0 {
+		t.Fatal("no value reached the newcomer")
 	}
 }
 

@@ -199,6 +199,79 @@ func TestGoexitInHandlerEndsTheCaller(t *testing.T) {
 	}
 }
 
+// A handler that panics leaves its core with no next loop step. A caller
+// that recovers and goes on must hear so from the next Spawn, timer or
+// interrupt on that core, which would otherwise never run: the panic
+// names the core and the handler that left it. A handler that panics
+// after it blocked and was resumed leaves the core the same way.
+func TestWorkOnACoreAHandlerPanickedOnPanics(t *testing.T) {
+	spawn := func(k *sim.Kernel, m *Manager) { m.Spawn(func(*Ctx) {}); k.Run() }
+	for _, tc := range []struct {
+		name  string
+		block bool // the handler panics once resumed
+		queue func(k *sim.Kernel, m *Manager)
+	}{
+		{name: "spawn", queue: spawn},
+		{name: "timer", queue: func(k *sim.Kernel, m *Manager) { m.After(sim.Microsecond, func(*Ctx) {}); k.Run() }},
+		{name: "interrupt", queue: func(k *sim.Kernel, m *Manager) {
+			m.Core().RaiseIRQ(m.AllocateVector(func(*Ctx) {}))
+			k.Run()
+		}},
+		{name: "spawn after a resumed handler", block: true, queue: spawn},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k, _, mgrs := newTestEnv(1)
+			if tc.block {
+				var resume func()
+				mgrs[0].Spawn(func(c *Ctx) {
+					c.Block(func(r func()) { resume = r })
+					explodingHandler(c)
+				})
+				k.Run()
+				resume()
+			} else {
+				mgrs[0].Spawn(explodingHandler)
+			}
+			func() {
+				defer func() { recover() }()
+				k.Run()
+			}()
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, "core 0 has no event loop") || !tc.block && !strings.Contains(msg, "explodingHandler") {
+					t.Fatalf("recovered %q, want the core and the handler that panicked", msg)
+				}
+			}()
+			tc.queue(k, mgrs[0])
+			t.Fatal("work queued on the core a handler panicked on was silently lost")
+		})
+	}
+}
+
+// Blocking is no panic: a timer that latches while a handler saves its
+// context to block, work queued while it is blocked, and work queued after
+// it has resumed and finished all run.
+func TestWorkBesideABlockedHandlerRuns(t *testing.T) {
+	k, _, mgrs := newTestEnv(1)
+	m := mgrs[0]
+	var resume func()
+	ran := 0
+	m.Spawn(func(c *Ctx) {
+		m.After(sim.Nanosecond, func(*Ctx) { ran++ }) // due before the context is saved
+		c.Block(func(r func()) { resume = r })
+	})
+	k.Run()
+	m.Spawn(func(*Ctx) { ran++ })
+	k.Run()
+	resume()
+	k.Run()
+	m.Spawn(func(*Ctx) { ran++ })
+	k.Run()
+	if ran != 3 {
+		t.Fatalf("%d of 3 handlers ran beside a blocked one", ran)
+	}
+}
+
 func TestResumeTwicePanics(t *testing.T) {
 	k, _, mgrs := newTestEnv(1)
 	var resume func()

@@ -115,6 +115,13 @@ type Manager struct {
 	pool   []*activation // free activations
 	timers []*timerRec   // free timer records
 
+	// running is the handler whose event holds the core, from exec until
+	// it returns or blocks, and runningAt the kernel callback it runs in
+	// (sim.Kernel.Fired). A handler that panics leaves the mark, and its
+	// core no next loop step: see checkWedged.
+	running   Handler
+	runningAt uint64
+
 	// Dispatched counts handler invocations, for tests and stats.
 	Dispatched uint64
 }
@@ -180,6 +187,7 @@ func NewManager(core *machine.Core, rc Costs) *Manager {
 		m.timerSpare = ready[:0]
 	}
 	core.SetDispatcher(m.onIRQ)
+	core.SetLatchCheck(m.checkWedged)
 	core.EnableInterrupts()
 	core.Halt()
 	return m
@@ -318,7 +326,25 @@ func (m *Manager) IdleHandlerCount() int {
 func (m *Manager) kick() {
 	if m.core.Halted() {
 		m.core.RaiseIRQ(VecIPI)
+		return
 	}
+	m.checkWedged()
+}
+
+// checkWedged panics, as a Spawn, timer or interrupt is queued, if a
+// handler's event never ended: its mark is from an earlier callback or a
+// run that is over, so it panicked and a caller recovered and went on,
+// and the core would never run the work.
+func (m *Manager) checkWedged() {
+	if m.running != nil && (m.runningAt != m.k.Fired() || !m.k.Running()) {
+		panic(fmt.Sprintf("event: core %d has no event loop: handler %s panicked and its caller went on",
+			m.core.ID, handlerName(m.running)))
+	}
+}
+
+// handlerName is the name of fn's function, for a panic's message.
+func handlerName(fn Handler) string {
+	return runtime.FuncForPC(reflect.ValueOf(fn).Pointer()).Name()
 }
 
 // onIRQ is the interrupt entry point: the core was halted with interrupts
@@ -361,7 +387,9 @@ func (m *Manager) exec(fn Handler, base sim.Time) {
 	*c = Ctx{m: m, act: act, fn: fn, charge: base}
 	act.ctx = c
 	m.Dispatched++
+	m.running, m.runningAt = fn, m.k.Fired()
 	fn(c)
+	m.running = nil
 	charge := c.charge
 	c.end()
 	act.ctx = nil
@@ -442,8 +470,7 @@ func (c *Ctx) end() {
 // it then is lost, or billed to an unrelated event.
 func (c *Ctx) live() {
 	if CheckedCtx && c.m == nil {
-		panic(fmt.Sprintf("event: Ctx of %s used after its event ended",
-			runtime.FuncForPC(reflect.ValueOf(c.fn).Pointer()).Name()))
+		panic(fmt.Sprintf("event: Ctx of %s used after its event ended", handlerName(c.fn)))
 	}
 }
 
@@ -502,5 +529,7 @@ func (c *Ctx) Block(register func(resume func())) {
 	m := c.m
 	c.charge += m.costs.ContextSave
 	m.k.Post(c.charge, m.processFn)
+	m.running = nil // the core goes on: a parked event is no wedge
 	m.k.Park(&act.park)
+	m.running, m.runningAt = c.fn, m.k.Fired()
 }

@@ -25,7 +25,7 @@
 //	header element   the interface's Pool, Get       the element's, recycled with it
 //	payload element  the interface's Pool, Get/Copy  the element's, recycled with it
 //	view descriptor  the interface's Pool, View      a pool-born element's, held; others' lent, left alone
-//	stored value     a server's bounded Pool, Get    the element's, recycled with it
+//	stored value     a server's bounded Pool, Get    the element's (a slab's, if carved), recycled with it
 //
 // Get or View hands an element to its first holder, Retain adds one and
 // Free drops one - on every element of the chain - and an element's last

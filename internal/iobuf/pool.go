@@ -18,6 +18,9 @@ import (
 type Pool struct {
 	class int      // capacity of every element the pool makes
 	keep  int      // the most elements free may hold
+	slab  int      // elements made at once when none is back (cut)
+	rest  []IOBuf  // the descriptors of the slab being cut not yet cut
+	mem   []byte   // and its bytes
 	free  []*IOBuf // elements with no holder
 	out   int      // handed out and not yet back
 	self  home     // the home of every element that owns its bytes
@@ -32,10 +35,30 @@ func NewPool(class int) *Pool { return NewBoundedPool(class, math.MaxInt) }
 // collector. For memory whose use comes in bursts of many sizes - stored
 // values - where a pool that kept every element would keep a burst's
 // worth of each size for good.
-func NewBoundedPool(class, keep int) *Pool {
-	p := &Pool{class: class, keep: keep}
+func NewBoundedPool(class, keep int) *Pool { return NewCarvedPool(class, keep, 1) }
+
+// NewCarvedPool is NewBoundedPool for a pool of class above 0 that makes
+// its elements slab at a time, when a Get finds none back: their bytes
+// cut from one allocation and their descriptors from another, as a slab
+// allocator carves its pages. A burst of Gets - the chunks of a stored
+// value - then costs two allocations a slab instead of two an element,
+// and an element's bytes stay allocated while any element of its slab is
+// reachable.
+func NewCarvedPool(class, keep, slab int) *Pool {
+	p := &Pool{class: class, keep: keep, slab: slab}
 	p.self.pool = p
 	return p
+}
+
+// cut makes a new element out of the slab being cut, or a new slab.
+func (p *Pool) cut() *IOBuf {
+	if len(p.rest) == 0 {
+		p.rest, p.mem = make([]IOBuf, p.slab), make([]byte, p.slab*p.class)
+	}
+	b := &p.rest[0]
+	b.buf, b.next, b.prev, b.home = p.mem[:p.class:p.class], b, b, &p.self
+	p.rest, p.mem = p.rest[1:], p.mem[p.class:]
+	return b
 }
 
 // take hands out an element with one holder, recycled if one is back.
@@ -46,6 +69,8 @@ func (p *Pool) take() *IOBuf {
 		if debugFree {
 			checkPoison(b.buf)
 		}
+	} else if p.slab > 1 {
+		b = p.cut()
 	} else {
 		b = New(p.class)
 		b.home = &p.self

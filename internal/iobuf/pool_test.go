@@ -309,3 +309,40 @@ func TestDescriptorSizeAndWarmPool(t *testing.T) {
 		t.Fatalf("Get/View/Split/Retain/Free on warm pools allocated %.0f objects, want 0", n)
 	}
 }
+
+// A carved pool makes its elements a slab at a time, with one allocation
+// of bytes and one of descriptors: each element's bytes are its own class
+// long and no Append reaches a neighbour's, and a freed element comes
+// back as any other does, before the slab's next is cut.
+func TestCarvedPoolMakesASlabAtATime(t *testing.T) {
+	var p *Pool
+	got := make([]*IOBuf, 4)
+	if allocs := testing.AllocsPerRun(10, func() {
+		p = NewCarvedPool(64, 8, 4)
+		for i := range got {
+			got[i] = p.Get(64)
+		}
+	}); allocs > 3 {
+		t.Fatalf("a pool and a slab's worth of Gets allocated %.0f objects, want 3: the pool, the slab's bytes and its descriptors", allocs)
+	}
+	if p.Outstanding() != 4 || len(p.free) != 0 {
+		t.Fatalf("after a slab's worth of Gets: %d out, %d free", p.Outstanding(), len(p.free))
+	}
+	for i, b := range got {
+		if b.Capacity() != 64 || b.Tailroom() != 64 || cap(b.buf) != 64 {
+			t.Fatalf("element %d: capacity %d, room to %d", i, b.Capacity(), cap(b.buf))
+		}
+		for j := range b.Append(64) {
+			b.Data()[j] = byte(i)
+		}
+	}
+	for i, b := range got {
+		if strings.Count(string(b.Data()), string(rune(i))) != 64 {
+			t.Fatalf("element %d's bytes were written through another", i)
+		}
+		b.Free()
+	}
+	if p.Outstanding() != 0 || len(p.free) != 4 || p.Get(10) != got[3] {
+		t.Fatalf("after every Free: %d out, %d free, and the last freed not handed out next", p.Outstanding(), len(p.free))
+	}
+}

@@ -110,6 +110,7 @@ type Core struct {
 	Node int
 
 	dispatcher func(vec int)
+	latchCheck func()
 	// pending is the FIFO of latched vectors: pending[head:], in arrival
 	// order.
 	pending     []int
@@ -120,6 +121,10 @@ type Core struct {
 
 // SetDispatcher installs the runtime's interrupt entry point.
 func (c *Core) SetDispatcher(f func(vec int)) { c.dispatcher = f }
+
+// SetLatchCheck installs f to run whenever a vector is latched: the
+// runtime's check that its loop will collect it.
+func (c *Core) SetLatchCheck(f func()) { c.latchCheck = f }
 
 // RaiseIRQ delivers vector vec to the core. Devices call this from kernel
 // events; delivery is synchronous when the core is halted with interrupts
@@ -134,6 +139,9 @@ func (c *Core) RaiseIRQ(vec int) {
 		return
 	}
 	c.pending = append(c.pending, vec)
+	if c.latchCheck != nil {
+		c.latchCheck()
+	}
 }
 
 // EnableInterrupts sets the interrupt flag (does not drain latched vectors;

@@ -198,6 +198,11 @@ func (k *Kernel) Step() bool {
 	return k.fired != fired
 }
 
+// Running reports whether a run - Run, RunUntil, Step or one a callback
+// runs inline - is in progress, so that the caller is one of its
+// callbacks.
+func (k *Kernel) Running() bool { return k.loop != nil && k.loop.k != nil }
+
 // Run executes events until none remain.
 func (k *Kernel) Run() { k.run(math.MaxInt64, math.MaxUint64) }
 
