@@ -1,6 +1,8 @@
 package ebbrt_test
 
 import (
+	"cmp"
+	"encoding/json"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -33,7 +35,7 @@ func TestAppendToCallSitesAreAllowlisted(t *testing.T) {
 }
 
 // checkCallSites fails unless every non-test Go file outside bench/ and
-// the skipped directories matches the regular expression needle exactly
+// the skipped files and directories matches the regular expression needle exactly
 // as often as allow says - more is a new site to argue for, fewer a line
 // to shrink - and the total stays within budget.
 func checkCallSites(t *testing.T, needle string, allow map[string]int, budget int, skip ...string) {
@@ -64,9 +66,10 @@ func checkCallSites(t *testing.T, needle string, allow map[string]int, budget in
 
 // forEachSource calls fn with the slash path and the contents of every
 // non-test Go file outside bench/, hidden directories and the skipped
-// ones.
+// files and directories.
 func forEachSource(t *testing.T, skip []string, fn func(path string, src []byte)) {
 	t.Helper()
+	overlay := buildOverlay(t)
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -78,10 +81,17 @@ func forEachSource(t *testing.T, skip []string, fn func(path string, src []byte)
 			}
 			return nil
 		}
+		if slices.Contains(skip, path) {
+			return nil
+		}
 		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
-		src, err := os.ReadFile(path)
+		abs, err := filepath.Abs(path)
+		if err != nil {
+			return err
+		}
+		src, err := os.ReadFile(cmp.Or(overlay[abs], path))
 		if err != nil {
 			return err
 		}
@@ -91,4 +101,29 @@ func forEachSource(t *testing.T, skip []string, fn func(path string, src []byte)
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// buildOverlay returns the file replacements of an -overlay flag in
+// GOFLAGS, by absolute path, so a source check reads the files the build
+// compiles. scripts/mutants.sh applies its mutants that way.
+func buildOverlay(t *testing.T) map[string]string {
+	t.Helper()
+	var file string
+	for _, f := range strings.Fields(os.Getenv("GOFLAGS")) {
+		if v, ok := strings.CutPrefix(f, "-overlay="); ok {
+			file = v
+		}
+	}
+	if file == "" {
+		return nil
+	}
+	data, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var o struct{ Replace map[string]string }
+	if err := json.Unmarshal(data, &o); err != nil {
+		t.Fatal(err)
+	}
+	return o.Replace
 }

@@ -193,43 +193,6 @@ func NewClientWithOptions(cl *Cluster, node *hosted.Node, opt ClientOptions) *Cl
 // Id returns the Ebb id the client occupies in the shared namespace.
 func (cli *Client) Id() core.Id { return cli.ref.Id() }
 
-// probeStaleness compares a served cache hit against the owner stores
-// directly - simulation-level introspection (like Cluster.LiveHolders),
-// recording how stale served values actually get so experiments can
-// verify the TTL bound. It peeks every live replica of every salted
-// shard: stamps are replica-wide, so the newest stamp any live owner
-// holds is the latest durable version, and a served hit is stale
-// exactly when that stamp is newer than the cached one (or the key was
-// deleted everywhere).
-func (cli *Client) probeStaleness(c *event.Ctx, hk *hotKeyRep, key []byte, e *cacheEntry) {
-	var newest uint64
-	found := false
-	for s := 0; s < cli.cl.saltsOf(key); s++ {
-		sk := saltedKey(key, s)
-		for _, bi := range cli.cl.ReplicaSet(sk) {
-			b := cli.cl.Backends[bi]
-			if !cli.cl.Live(bi) || !b.Node.Alive() {
-				continue
-			}
-			// An entry past its expiry (or behind a due flush) is not a
-			// durable version: a hit matching only a dead copy is stale.
-			if cur, ok := b.Srv.Store.Get(string(sk)); ok && b.Srv.EntryLive(cur, c.Now()) {
-				found = true
-				if cur.CAS > newest {
-					newest = cur.CAS
-				}
-			}
-		}
-	}
-	if found && newest <= e.cas {
-		return
-	}
-	hk.stats.StaleServes++
-	if age := c.Now() - e.storedAt; age > hk.stats.MaxStaleAge {
-		hk.stats.MaxStaleAge = age
-	}
-}
-
 // maybeRevalidate samples one in revalidateEvery cache hits for an
 // asynchronous CAS check against the replica set: if the owner's stamp
 // moved, the cached copy is re-stamped with the fresh value (or dropped

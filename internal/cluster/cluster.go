@@ -299,28 +299,12 @@ func (cl *Cluster) LiveBackends() int {
 	return n
 }
 
-// Route returns the backend owning key's primary.
-func (cl *Cluster) Route(key []byte) *Backend {
-	return cl.Backends[cl.Ring.Lookup(key)]
-}
-
-// ReplicaSet returns the backends holding key, primary first. The set
-// shrinks below R only when fewer than R backends remain on the ring.
-func (cl *Cluster) ReplicaSet(key []byte) []int {
-	return cl.Ring.LookupN(key, cl.Replicas)
-}
-
-// ReadSet returns the backends a read should try, in preference order.
-// Outside a handoff it is the replica set. For a key inside a pending
-// moved range it is the old owners (who certainly hold warm data)
-// followed by the new owners, deduplicated - the read falls through
-// old to new, so the key is served wherever it currently lives.
-func (cl *Cluster) ReadSet(key []byte) []int {
-	return cl.appendReadSet(nil, ringHash(key))
-}
-
-// appendReadSet appends the read set of hash h to dst: what the read
-// path's record fills its own array with.
+// appendReadSet appends to dst the backends a read of hash h should
+// try, in preference order: what the read path's record fills its own
+// array with. Outside a handoff it is the replica set. For a key inside
+// a pending moved range it is the old owners (who certainly hold warm
+// data) followed by the new owners, deduplicated - the read falls
+// through old to new, so the key is served wherever it currently lives.
 func (cl *Cluster) appendReadSet(dst []int, h uint64) []int {
 	if ho := cl.handoff; ho != nil && ho.covers(h) {
 		start := len(dst)
@@ -457,9 +441,6 @@ func (cl *Cluster) HotWriteStats() HotWriteStats {
 	return s
 }
 
-// Migrating reports whether a handoff window is open.
-func (cl *Cluster) Migrating() bool { return cl.handoff != nil }
-
 // beginHandoff opens the dual-routing window for a migration.
 func (cl *Cluster) beginHandoff(prev *Ring, plan []MoveRange) {
 	cl.handoff = &handoffState{
@@ -557,24 +538,16 @@ func (cl *Cluster) markDecommissioned(i int) {
 	}
 }
 
-// LiveHolders counts the live, reachable backends whose store currently
-// holds key - the key's actual replica count, as distinct from the
-// ring's intended one. It peeks at the stores directly (a simulation-
-// level introspection for experiments and tests, not a data-path
-// operation).
-func (cl *Cluster) LiveHolders(key []byte) int {
-	n := 0
-	for i, b := range cl.Backends {
-		if !cl.Live(i) || !b.Node.Alive() {
-			continue
-		}
-		// A dead copy (expired, or behind a due flush) does not hold the
-		// key: no request path would serve it.
-		if e, ok := b.Srv.Store.Get(string(key)); ok && b.Srv.EntryLive(e, cl.Sys.K.Now()) {
-			n++
-		}
-	}
-	return n
+// ShardOwners is the ring's owners query for one storage shard of key,
+// for checkers that look at the stores from outside: it appends the
+// shard's storage key to kbuf and its replica set, primary first, to
+// obuf, and reports how many shards a read of key fans in over (1
+// unless the key is write-spread; shard 0 is the key itself). It reads
+// the ring and the spread-key set and changes nothing.
+func (cl *Cluster) ShardOwners(kbuf []byte, obuf []int, key []byte, shard int) (skey []byte, owners []int, shards int) {
+	start := len(kbuf)
+	kbuf = appendSaltedKey(kbuf, key, shard)
+	return kbuf, cl.Ring.appendOwners(obuf, ringHash(kbuf[start:]), cl.Replicas), cl.saltsOf(key)
 }
 
 // dedupAfter drops, in place, every backend in s[start:] that appeared

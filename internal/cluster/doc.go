@@ -41,6 +41,14 @@
 //     so it arrives warm; Decommission drains a live backend or
 //     re-replicates a dead one back to R.
 //
+// Each piece knows its own node's state and what arrives over the
+// network, as EbbRT's frontend and backends do: no non-test code here
+// reads another node's store or liveness (the root
+// TestSystemSeesOnlyItsMessages holds that). Only a checker outside the
+// system, a Spec or a test, looks at every node; Cluster.ShardOwners
+// tells it which stores own a key, and HotKeyOptions.OnHit which hits
+// to judge.
+//
 // docs/ARCHITECTURE.md diagrams the replication, failure-detection, and
 // migration flows end to end; docs/PROTOCOL.md specifies the wire
 // protocol the data path and migration stream speak.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 
+	"ebbrt/internal/event"
 	"ebbrt/internal/iobuf"
 	"ebbrt/internal/sim"
 )
@@ -52,7 +53,7 @@ import (
 // a key the cluster's write sketch promotes is split across K salted
 // storage keys, writes round-robin the salts, and reads fan in across
 // them, folding by stamp. Replica-wide stamps are what make the fan-in
-// fold (and the staleness probe's all-owner peek) well defined.
+// fold (and a checker's comparison across every owner) well defined.
 
 // The hot-key cache's sizes and bounds. Experiments print them, so they
 // are exported; sketchWidth x sketchDepth sizes both the client's read
@@ -88,11 +89,11 @@ type HotKeyOptions struct {
 	// PromoteMin is the sketch estimate at which a key qualifies as hot
 	// and its next read fills the cache (default 8).
 	PromoteMin uint32
-	// StalenessProbe, for experiments and tests, compares every served
-	// hit against the owning shard's store directly (a simulation-level
-	// peek, not a data-path operation) and records how stale served
-	// values actually get. See HotKeyStats.StaleServes/MaxStaleAge.
-	StalenessProbe bool
+	// OnHit, when set, is told of every hit the cache serves, at the
+	// hit's instant: the key, the stamp served and when the entry was
+	// filled (or last confirmed fresh). The client only reports; a
+	// checker outside it, which may see every node, judges the hit.
+	OnHit func(c *event.Ctx, key []byte, cas uint64, storedAt sim.Time)
 
 	// capacity, ttl and revalidateEvery override DefaultHotKeyCapacity,
 	// DefaultHotKeyTTL and defaultRevalidateEvery (tests); a negative
@@ -137,12 +138,6 @@ type HotKeyStats struct {
 	// HandoffBypass counts reads that skipped the cache because their
 	// key's range was mid-migration.
 	HandoffBypass uint64
-	// StaleServes and MaxStaleAge are filled only under StalenessProbe:
-	// hits whose served CAS no longer matched the owner's store, and
-	// the oldest age at which any such hit was served. The TTL is the
-	// hard bound: MaxStaleAge <= TTL always holds.
-	StaleServes uint64
-	MaxStaleAge sim.Time
 }
 
 func (s *HotKeyStats) accumulate(o HotKeyStats) {
@@ -157,10 +152,6 @@ func (s *HotKeyStats) accumulate(o HotKeyStats) {
 	s.Expired += o.Expired
 	s.OriginExpired += o.OriginExpired
 	s.HandoffBypass += o.HandoffBypass
-	s.StaleServes += o.StaleServes
-	if o.MaxStaleAge > s.MaxStaleAge {
-		s.MaxStaleAge = o.MaxStaleAge
-	}
 }
 
 // HitRate is served hits over cache-eligible lookups.
@@ -268,8 +259,6 @@ type hotCache struct {
 func newHotCache(cap int, ttl sim.Time, stats *HotKeyStats) *hotCache {
 	return &hotCache{cap: cap, ttl: ttl, m: make(map[uint64]*cacheEntry, cap), stats: stats}
 }
-
-func (hc *hotCache) len() int { return hc.n }
 
 // lookup returns key's entry, whose ring hash is hash, or nil.
 func (hc *hotCache) lookup(key []byte, hash uint64) *cacheEntry {
@@ -429,16 +418,6 @@ func (hc *hotCache) bump(e *cacheEntry) {
 	hc.pushFront(e)
 }
 
-// keysMRU returns the cached keys in LRU order (most recent first) -
-// determinism tests compare two runs' exact cache states.
-func (hc *hotCache) keysMRU() []string {
-	out := make([]string, 0, hc.n)
-	for e := hc.head; e != nil; e = e.next {
-		out = append(out, string(e.key))
-	}
-	return out
-}
-
 // hotKeyRep is one core's hot-key machinery: its own sketch, its own
 // LRU, its own counters. Created lazily with the clientRep it belongs
 // to.
@@ -508,5 +487,14 @@ func saltedKey(key []byte, salt int) []byte {
 	if salt == 0 {
 		return key
 	}
-	return append(append(append([]byte(nil), key...), 0, '#'), byte('0'+salt))
+	return appendSaltedKey(nil, key, salt)
+}
+
+// appendSaltedKey appends shard salt's storage key of key to dst.
+func appendSaltedKey(dst, key []byte, salt int) []byte {
+	dst = append(dst, key...)
+	if salt == 0 {
+		return dst
+	}
+	return append(dst, 0, '#', byte('0'+salt))
 }

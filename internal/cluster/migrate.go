@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 
 	"ebbrt/internal/apps/appnet"
@@ -147,9 +148,9 @@ func equalBackends(a, b []int) bool {
 // The rebalancer's protocol constants.
 const (
 	// migrationJobTimeout bounds one transfer attempt before the
-	// coordinator retries from the next live source: generously above a
-	// stream of a full key share, well below the netstack giving up on a
-	// dead peer.
+	// coordinator gives up on its source and asks the next: generously
+	// above a stream of a full key share, well below the netstack giving
+	// up on a dead peer.
 	migrationJobTimeout = 25 * sim.Millisecond
 	// migrationRetryDelay spaces retries after an explicitly reported
 	// transfer failure.
@@ -198,11 +199,14 @@ const (
 const mgAckLen = 1 + 8 + 4 + 4 + 4
 
 // xferJob is one transfer unit: every moved range sharing a destination
-// and source set, streamed over a single connection.
+// and source set, streamed over a single connection. silent holds the
+// sources that let one of the job's attempts time out: the coordinator
+// cannot tell a dead node from a slow one, so it asks neither again.
 type xferJob struct {
 	dest    int
 	sources []int
 	ranges  []MoveRange
+	silent  []int
 }
 
 // migrationRun is the coordinator's state for the active migration.
@@ -397,8 +401,11 @@ func buildJobs(plan []MoveRange) []xferJob {
 	return jobs
 }
 
-// launch starts (or retries) one transfer job: pick the next live
-// source, send it the transfer request, and arm the retry timer.
+// launch starts (or retries) one transfer job: pick the next source on
+// the ring that has not gone silent on the job, send it the transfer
+// request, and arm the retry timer. The coordinator knows only the
+// ring and what arrives: a source that is dead but not yet evicted
+// costs the job one timeout.
 func (m *Migrator) launch(j int) {
 	run := m.cur
 	if run == nil || run.done[j] {
@@ -410,17 +417,17 @@ func (m *Migrator) launch(j int) {
 	}
 	run.timers[j].Cancel()
 	run.attempt[j]++
-	job := run.jobs[j]
+	job := &run.jobs[j]
 	src := -1
 	for k := 0; k < len(job.sources); k++ {
 		cand := job.sources[(run.attempt[j]-1+k)%len(job.sources)]
-		if m.cl.Backends[cand].Node.Alive() {
+		if m.cl.Live(cand) && !slices.Contains(job.silent, cand) {
 			src = cand
 			break
 		}
 	}
 	if src < 0 {
-		// No live source holds the data (permanent loss at R=1). Cut the
+		// No source is left to ask (permanent loss at R=1). Cut the
 		// ranges over empty - the keys fault in as misses, which is the
 		// pre-migration behavior - and record the loss.
 		m.completeJob(j, 0, true)
@@ -442,6 +449,7 @@ func (m *Migrator) launch(j int) {
 			if m.cur != run || run.done[j] {
 				return
 			}
+			job.silent = append(job.silent, src)
 			m.launch(j)
 		})
 	})

@@ -504,7 +504,7 @@ func TestDecommissionRestoresReplicas(t *testing.T) {
 	cl.EvictBackend(0)
 	degraded := 0
 	for _, key := range keys {
-		if n := cl.LiveHolders(key); n < replicas {
+		if n := liveHolders(cl, key); n < replicas {
 			degraded++
 		}
 	}
@@ -523,7 +523,7 @@ func TestDecommissionRestoresReplicas(t *testing.T) {
 
 	// Every key is back to exactly R live replicas...
 	for _, key := range keys {
-		if n := cl.LiveHolders(key); n != replicas {
+		if n := liveHolders(cl, key); n != replicas {
 			t.Fatalf("key %q has %d live replicas after re-replication, want %d", key, n, replicas)
 		}
 	}
@@ -585,8 +585,54 @@ func TestLiveDecommissionDrains(t *testing.T) {
 		t.Fatalf("post-drain reads: %d ok, %d misses, %d net errors - drained keys lost", ok, miss, netErr)
 	}
 	for _, key := range keys {
-		if n := cl.LiveHolders(key); n != 1 {
+		if n := liveHolders(cl, key); n != 1 {
 			t.Fatalf("key %q has %d live replicas after drain, want 1", key, n)
+		}
+	}
+}
+
+// TestSilentSourceCostsOneTimeout: the migrator knows the ring and what
+// arrives, not which nodes are up. Decommissioning a backend that died
+// but is still on the ring (no health monitor evicted it) drains it
+// like a live one, and a job that asks it first waits out its timer.
+// The dead source is then silent for that job: at R=2 the job moves on
+// to the surviving replica and every key is back at R; at R=1 no source
+// is left and the job's ranges cut over as lost, instead of the dead
+// node being asked again until the migration aborts.
+func TestSilentSourceCostsOneTimeout(t *testing.T) {
+	for _, replicas := range []int{2, 1} {
+		cl := NewCluster(4, Options{Replicas: replicas})
+		front := cl.Sys.Frontend()
+		cli := NewClientWithOptions(cl, front, ClientOptions{RequestTimeout: 8 * sim.Millisecond})
+		m := NewMigrator(cl, front)
+		keys := make([][]byte, 400)
+		for i := range keys {
+			keys[i] = []byte(fmt.Sprintf("silent-key-%d-%d", i, i*2654435761))
+		}
+		populate(t, cl, cli, keys, func(i int) []byte { return []byte(fmt.Sprintf("sv-%d", i)) })
+
+		cl.Backends[0].Node.Kill()
+		m.Decommission(0)
+		mig := waitMigration(t, cl, m, 300*sim.Millisecond)
+		if mig.Aborted {
+			t.Fatalf("R=%d: migration aborted: %+v", replicas, mig)
+		}
+		if took := mig.DoneAt - mig.StartedAt; took < m.jobTimeout {
+			t.Fatalf("R=%d: done in %v, under one %v timeout: the dead source was never asked", replicas, took, m.jobTimeout)
+		}
+		if replicas == 1 {
+			if mig.Lost == 0 {
+				t.Fatalf("R=1: the dead backend's ranges were not cut over as lost: %+v", mig)
+			}
+			continue
+		}
+		if mig.Lost != 0 {
+			t.Fatalf("R=2: %d ranges lost despite a surviving replica", mig.Lost)
+		}
+		for _, key := range keys {
+			if n := liveHolders(cl, key); n != replicas {
+				t.Fatalf("R=2: key %q has %d live replicas, want %d", key, n, replicas)
+			}
 		}
 	}
 }
@@ -631,4 +677,23 @@ func TestAbortedLiveDrainRestoresBackend(t *testing.T) {
 	if ok != nKeys || miss != 0 || netErr != 0 {
 		t.Fatalf("after the aborted drain: %d ok, %d misses, %d net errors", ok, miss, netErr)
 	}
+}
+
+// liveHolders counts the live, reachable backends whose store holds key
+// live: the key's actual replica count, as distinct from the ring's
+// intended one. A test reads the stores directly; no node of the
+// system can.
+func liveHolders(cl *Cluster, key []byte) int {
+	n := 0
+	for i, b := range cl.Backends {
+		if !cl.Live(i) || !b.Node.Alive() {
+			continue
+		}
+		// A dead copy (expired, or behind a due flush) does not hold the
+		// key: no request path would serve it.
+		if e, ok := b.Srv.Store.Get(string(key)); ok && b.Srv.EntryLive(e, cl.Sys.K.Now()) {
+			n++
+		}
+	}
+	return n
 }

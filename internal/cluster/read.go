@@ -177,8 +177,8 @@ func (cli *Client) getOne(c *event.Ctx, rec *readRecord) {
 		}
 		if e, ok := hk.cache.get(rec.key, rec.hash, c.Now()); ok {
 			hk.stats.Hits++
-			if hk.opt.StalenessProbe {
-				cli.probeStaleness(c, hk, rec.key, e)
+			if hk.opt.OnHit != nil {
+				hk.opt.OnHit(c, rec.key, e.cas, e.storedAt)
 			}
 			cli.maybeRevalidate(c, rec.rep, rec.key)
 			// A hit lends the entry's own value buffer. Nothing fills,

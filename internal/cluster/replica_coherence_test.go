@@ -25,8 +25,8 @@ func newReplicatedHotCluster(backends, replicas int, hot HotKeyOptions) (*Cluste
 
 // TestReplicaStampsUniform: every replica of a written key must hold the
 // identical coordinator-assigned version stamp - the invariant that makes
-// cross-replica CAS comparisons (cache revalidation, fan-in folds, the
-// staleness probe) meaningful at R>1.
+// cross-replica CAS comparisons (cache revalidation, fan-in folds, a
+// staleness check) meaningful at R>1.
 func TestReplicaStampsUniform(t *testing.T) {
 	cl := NewCluster(5, Options{Replicas: 3, FrontendCores: 2})
 	cli := NewClientWithOptions(cl, cl.Sys.Frontend(), ClientOptions{})
@@ -365,20 +365,58 @@ func TestReadYourAckedWriteReplicated(t *testing.T) {
 	requireHome(t, cli)
 }
 
+// staleObserver judges every hit a cached client reports (OnHit): a hit
+// is stale when some live owner of some salted shard of its key holds a
+// newer live stamp at the hit's instant, or no live owner holds the key
+// at all. Stamps are replica-wide, so the newest is the latest durable
+// version. maxAge is the oldest fill any stale hit was served from.
+type staleObserver struct {
+	cl     *Cluster
+	serves uint64
+	maxAge sim.Time
+	skey   []byte
+	owners []int
+}
+
+func (o *staleObserver) onHit(c *event.Ctx, key []byte, cas uint64, storedAt sim.Time) {
+	var newest uint64
+	found := false
+	for shard, shards := 0, 1; shard < shards; shard++ {
+		o.skey, o.owners, shards = o.cl.ShardOwners(o.skey[:0], o.owners[:0], key, shard)
+		for _, bi := range o.owners {
+			b := o.cl.Backends[bi]
+			if !o.cl.Live(bi) || !b.Node.Alive() {
+				continue
+			}
+			if e, ok := b.Srv.Store.Get(string(o.skey)); ok && b.Srv.EntryLive(e, c.Now()) {
+				found = true
+				newest = max(newest, e.CAS)
+			}
+		}
+	}
+	if found && newest <= cas {
+		return
+	}
+	o.serves++
+	o.maxAge = max(o.maxAge, c.Now()-storedAt)
+}
+
 // TestReplicaCoherentNoStaleHit: a rogue (uncached) writer hammers the
-// hot keys at R=3 while a cached client reads them under the staleness
-// probe, which peeks every live owner of every shard. Replica-wide
-// stamps make that peek exact, and the TTL stays the hard bound: no hit
-// may be served from an entry older than TTL, however hard the rogue
-// writes.
+// hot keys at R=3 while a cached client reads them, and a test-local
+// observer compares each hit with every live owner of every shard.
+// Replica-wide stamps make that comparison exact, and the TTL stays the
+// hard bound: no hit may be served from an entry older than TTL,
+// however hard the rogue writes.
 func TestReplicaCoherentNoStaleHit(t *testing.T) {
 	const ttl = 2 * sim.Millisecond
+	stale := &staleObserver{}
 	cl, cli := newReplicatedHotCluster(6, 3, HotKeyOptions{
 		PromoteMin:      1,
 		ttl:             ttl,
 		revalidateEvery: 8,
-		StalenessProbe:  true,
+		OnHit:           stale.onHit,
 	})
+	stale.cl = cl
 	front := cl.Sys.Frontend()
 	rogue := NewClientWithOptions(cl, front, ClientOptions{HotKey: HotKeyOptions{Disable: true}})
 	k := cl.Sys.K
@@ -433,9 +471,9 @@ func TestReplicaCoherentNoStaleHit(t *testing.T) {
 	if st.Hits == 0 {
 		t.Fatalf("cache never engaged under contention at R=3: %+v", st)
 	}
-	if st.MaxStaleAge > ttl {
+	if stale.maxAge > ttl {
 		t.Fatalf("hit served %v past its fill - beyond the TTL staleness bound %v (%d stale serves)",
-			st.MaxStaleAge, ttl, st.StaleServes)
+			stale.maxAge, ttl, stale.serves)
 	}
 	if st.Revalidations == 0 {
 		t.Fatalf("sampled revalidation never ran: %+v", st)
@@ -458,7 +496,7 @@ func TestReplicaCoherentNoStaleHit(t *testing.T) {
 		t.Fatalf("own acked write not read back: %+v", final)
 	}
 	t.Logf("hits=%d misses=%d staleServes=%d maxStaleAge=%v revalidations=%d refreshes=%d",
-		st.Hits, st.Misses, st.StaleServes, st.MaxStaleAge, st.Revalidations, st.Refreshes)
+		st.Hits, st.Misses, stale.serves, stale.maxAge, st.Revalidations, st.Refreshes)
 	requireHome(t, cli)
 	requireHome(t, rogue)
 }

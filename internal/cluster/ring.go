@@ -175,17 +175,3 @@ func (r *Ring) appendOwners(dst []int, h uint64, n int) []int {
 	}
 	return dst
 }
-
-// Members returns the distinct backends currently on the ring, sorted.
-func (r *Ring) Members() []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, p := range r.points {
-		if !seen[p.backend] {
-			seen[p.backend] = true
-			out = append(out, p.backend)
-		}
-	}
-	sort.Ints(out)
-	return out
-}

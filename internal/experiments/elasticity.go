@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"ebbrt/internal/apps/memcached"
 	"ebbrt/internal/audit"
 	"ebbrt/internal/cluster"
 	"ebbrt/internal/load"
@@ -146,11 +147,36 @@ func (o elasticity) run(stream bool) elasticRun {
 	// any key ended the run with.
 	out.minLive = -1
 	for _, key := range load.NewWorkload(etc, 42).Keys {
-		if n := cl.LiveHolders(key); out.minLive < 0 || n < out.minLive {
+		if n := liveHolders(cl, key); out.minLive < 0 || n < out.minLive {
 			out.minLive = n
 		}
 	}
 	return out
+}
+
+// liveHolders counts the backends that hold key live: its actual
+// replica count, as distinct from the ring's intended one.
+func liveHolders(cl *cluster.Cluster, key []byte) int {
+	n := 0
+	for i := range cl.Backends {
+		if _, ok := liveEntry(cl, i, string(key)); ok {
+			n++
+		}
+	}
+	return n
+}
+
+// liveEntry reads backend bi's entry for key straight from its store,
+// as only a checker can: none if the backend is off the ring or its
+// node is down, or if the entry is expired or behind a due flush, which
+// no request path would serve.
+func liveEntry(cl *cluster.Cluster, bi int, key string) (*memcached.Entry, bool) {
+	b := cl.Backends[bi]
+	if !cl.Live(bi) || !b.Node.Alive() {
+		return nil, false
+	}
+	e, ok := b.Srv.Store.Get(key)
+	return e, ok && b.Srv.EntryLive(e, cl.Sys.K.Now())
 }
 
 // format renders one run.

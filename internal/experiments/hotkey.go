@@ -33,6 +33,52 @@ type hotRun struct {
 	cl    *cluster.Cluster
 }
 
+// staleness is the hot-key Specs' staleness check. The client reports
+// each hit it serves (HotKeyOptions.OnHit); the check reads every live
+// owner of every salted shard of the key at the hit's instant. Stamps
+// are replica-wide, so a hit is stale when some owner holds a newer
+// live stamp, or none holds the key live. maxAge, from the entry's
+// fill, must stay within the TTL.
+type staleness struct {
+	cl     *cluster.Cluster
+	serves uint64
+	maxAge sim.Time
+	skey   []byte
+	owners []int
+}
+
+func (s *staleness) onHit(c *event.Ctx, key []byte, cas uint64, storedAt sim.Time) {
+	var newest uint64
+	found := false
+	for shard, shards := 0, 1; shard < shards; shard++ {
+		s.skey, s.owners, shards = s.cl.ShardOwners(s.skey[:0], s.owners[:0], key, shard)
+		skey := string(s.skey)
+		for _, bi := range s.owners {
+			if e, ok := liveEntry(s.cl, bi, skey); ok {
+				found, newest = true, max(newest, e.CAS)
+			}
+		}
+	}
+	if !found || newest > cas {
+		s.serves++
+		s.maxAge = max(s.maxAge, c.Now()-storedAt)
+	}
+}
+
+// report adds the check's outcome to rep, under label: a line of text,
+// three metrics and two conditions.
+func (s *staleness) report(rep *Report, label string) {
+	ttl := cluster.DefaultHotKeyTTL
+	bounded := s.maxAge <= ttl
+	rep.Text += fmt.Sprintf("%s: %d stale serves, max stale age %.3fms <= TTL %.3fms: %s\n",
+		label, s.serves, float64(s.maxAge)/1e6, float64(ttl)/1e6, verdict(bounded))
+	rep.metric("max_stale_age_ms", float64(s.maxAge)/1e6)
+	rep.metric("ttl_ms", float64(ttl)/1e6)
+	rep.metric("ttl_bounded", bounded)
+	rep.require(bounded, "stale serve exceeded the TTL: max age %v > %v", s.maxAge, ttl)
+	rep.require(s.serves > 0, "staleness probe never fired despite the rogue writer")
+}
+
 // skewedPoint boots the skewed deployment at the given size and
 // replication with the given hot-key cache and write-spreading knobs
 // (zero = off), and measures the ETC workload through the frontend's
@@ -40,8 +86,12 @@ type hotRun struct {
 // timeout: these runs drive healthy backends into saturation, where a
 // timeout would turn honest queueing into bursts of failed operations
 // instead of letting the uncached curve cap at the hot shard's service
-// rate. A run with the cache on also runs the rogue writer.
-func skewedPoint(backends, replicas int, window sim.Time, keys int, cache cluster.HotKeyOptions, spread cluster.HotWriteOptions) hotRun {
+// rate. A run with the cache on also runs the rogue writer, and the
+// staleness check judges its hits.
+func skewedPoint(backends, replicas int, window sim.Time, keys int, cache cluster.HotKeyOptions, spread cluster.HotWriteOptions, stale *staleness) hotRun {
+	if cache.Enable {
+		cache.OnHit = stale.onHit
+	}
 	cl := cluster.NewCluster(backends, cluster.Options{
 		CoresPerBackend: 1,
 		Replicas:        replicas,
@@ -49,6 +99,7 @@ func skewedPoint(backends, replicas int, window sim.Time, keys int, cache cluste
 		HotKey:          cache,
 		HotWrite:        spread,
 	})
+	stale.cl = cl
 	front := cl.Sys.Frontend()
 	cli := cluster.NewClientWithOptions(cl, front, cluster.ClientOptions{})
 
@@ -77,7 +128,7 @@ func skewedPoint(backends, replicas int, window sim.Time, keys int, cache cluste
 // coordinator-stamped like any other, so they move every live owner's
 // stamp behind the cached client's back, and every cached copy of a hot
 // key goes stale until TTL expiry or sampled revalidation catches it -
-// exactly the window the staleness probe measures.
+// exactly the window the staleness check measures.
 func rogueWriter(cl *cluster.Cluster, etc load.ETCConfig, window sim.Time) load.ChaosEvent {
 	const seed = 42
 	front := cl.Sys.Frontend()
@@ -110,9 +161,9 @@ func rogueWriter(cl *cluster.Cluster, etc load.ETCConfig, window sim.Time) load.
 
 // fixedCache is the cache-on configuration both Specs run: promotion at
 // 4 sketch hits (the windows are short, so promotion must not eat most
-// of the run) and the staleness probe on.
+// of the run). skewedPoint adds the staleness check's hit observer.
 func fixedCache() cluster.HotKeyOptions {
-	return cluster.HotKeyOptions{Enable: true, StalenessProbe: true, PromoteMin: 4}
+	return cluster.HotKeyOptions{Enable: true, PromoteMin: 4}
 }
 
 // minHotKeyImprovement is the floor for how much of the skewed tail the
@@ -125,7 +176,7 @@ const minHotKeyImprovement = 1.3
 // saturates (the Zipf-aware-placement blocker); the cached curve shows
 // the client Ebb absorbing those reads before they reach the owner.
 // The rogue writer hammers the hottest keys during the cache-on runs so
-// the staleness probe exercises - and verifies - the TTL bound. Full
+// the staleness check exercises - and verifies - the TTL bound. Full
 // sweeps 1/2/4/8 backends at 60ms over 6000 keys; Smoke 1 and 8 at 40ms
 // over 4000.
 func specHotKey(s Scale, _ *audit.Log) Report {
@@ -139,13 +190,10 @@ func specHotKey(s Scale, _ *audit.Log) Report {
 		offSpeedup, onSpeed float64
 	}
 	rows := make([]row, len(counts))
-	var staleServes uint64
-	var maxStale sim.Time
+	stale := &staleness{} // over every cache-on run
 	for i, n := range counts {
-		rows[i].off = skewedPoint(n, 1, window, keys, cluster.HotKeyOptions{}, cluster.HotWriteOptions{})
-		rows[i].on = skewedPoint(n, 1, window, keys, cache, cluster.HotWriteOptions{})
-		staleServes += rows[i].on.cache.StaleServes
-		maxStale = max(maxStale, rows[i].on.cache.MaxStaleAge)
+		rows[i].off = skewedPoint(n, 1, window, keys, cluster.HotKeyOptions{}, cluster.HotWriteOptions{}, stale)
+		rows[i].on = skewedPoint(n, 1, window, keys, cache, cluster.HotWriteOptions{}, stale)
 	}
 	// Each mode's achieved RPS over its own single-backend baseline: the
 	// scaling curves being compared.
@@ -156,7 +204,6 @@ func specHotKey(s Scale, _ *audit.Log) Report {
 	tail := rows[len(rows)-1]
 	improvement := ratio(tail.onSpeed, tail.offSpeedup)
 	hotShare := tail.on.load.Keys.TopShare
-	ttlBounded := maxStale <= cluster.DefaultHotKeyTTL
 	tailBackends := counts[len(counts)-1]
 
 	text := fmt.Sprintf("HotKey: skew %.2f over %d keys, %.0f RPS/backend, hot-key cache %d entries/core, TTL %.1fms\n",
@@ -171,8 +218,6 @@ func specHotKey(s Scale, _ *audit.Log) Report {
 	}
 	text += fmt.Sprintf("hot-key share (top %d keys): %.1f%% of offered ops\n", len(tail.on.load.Keys.TopK), 100*hotShare)
 	text += fmt.Sprintf("skewed-tail improvement at %d backends: %.2fx\n", tailBackends, improvement)
-	text += fmt.Sprintf("staleness probe: %d stale serves, max stale age %.3fms <= TTL %.3fms: %s\n",
-		staleServes, float64(maxStale)/1e6, float64(cluster.DefaultHotKeyTTL)/1e6, verdict(ttlBounded))
 
 	rep := Report{Text: text}
 	rep.metric("hotkey_backends", tailBackends)
@@ -181,12 +226,8 @@ func specHotKey(s Scale, _ *audit.Log) Report {
 	rep.metric("hotkey_improvement", improvement)
 	rep.metric("hotkey_cache_hit_rate", tail.on.cache.HitRate())
 	rep.metric("hot_key_share_top10", hotShare)
-	rep.metric("max_stale_age_ms", float64(maxStale)/1e6)
-	rep.metric("ttl_ms", float64(cluster.DefaultHotKeyTTL)/1e6)
-	rep.metric("ttl_bounded", ttlBounded)
+	stale.report(&rep, "staleness probe")
 	rep.metric("floor_hotkey_improvement", minHotKeyImprovement)
-	rep.require(ttlBounded, "stale serve exceeded the TTL: max age %v > %v", maxStale, cluster.DefaultHotKeyTTL)
-	rep.require(staleServes > 0, "staleness probe never fired despite the rogue writer")
 	rep.require(improvement >= minHotKeyImprovement, "hot-key improvement %.2fx at %d backends below floor %.2fx", improvement, tailBackends, minHotKeyImprovement)
 	rep.require(tail.onSpeed > tail.offSpeedup, "cache-on speedup %.2fx not above cache-off %.2fx", tail.onSpeed, tail.offSpeedup)
 	rep.require(tail.on.cache.HitRate() >= 0.3, "cache hit rate %.2f below 0.3 under skew %.2f", tail.on.cache.HitRate(), hotZipfSkew)
@@ -222,7 +263,7 @@ func hottestShare(cl *cluster.Cluster) float64 {
 // experiment reproduces closed: one cache-off, spread-off baseline run
 // and one run with replica-coherent caching plus salted hot-write
 // spreading, under the same skewed workload. The rogue writer hammers
-// the hottest keys during the fixed run, so the staleness probe - which
+// the hottest keys during the fixed run, so the staleness check - which
 // peeks every live replica of every salted shard, meaningful now that
 // stamps are replica-wide - verifies the TTL bound under adversarial
 // writes at R=3. Full runs 60ms over 6000 keys, Smoke 40ms over 4000.
@@ -231,12 +272,12 @@ func specReplicatedHotKey(s Scale, _ *audit.Log) Report {
 	window := pick(s, 40*sim.Millisecond, 60*sim.Millisecond)
 	keys := pick(s, 4000, 6000)
 	cache := fixedCache()
-	off := skewedPoint(backends, replicas, window, keys, cluster.HotKeyOptions{}, cluster.HotWriteOptions{})
-	on := skewedPoint(backends, replicas, window, keys, cache, cluster.HotWriteOptions{Enable: true})
+	stale := &staleness{}
+	off := skewedPoint(backends, replicas, window, keys, cluster.HotKeyOptions{}, cluster.HotWriteOptions{}, stale)
+	on := skewedPoint(backends, replicas, window, keys, cache, cluster.HotWriteOptions{Enable: true}, stale)
 	improvement := ratio(on.load.AchievedRPS, off.load.AchievedRPS)
 	offShare, onShare := hottestShare(off.cl), hottestShare(on.cl)
 	hw := on.cl.HotWriteStats()
-	ttlBounded := on.cache.MaxStaleAge <= cluster.DefaultHotKeyTTL
 
 	text := fmt.Sprintf("ReplicatedHotKey: %d backends, R=%d, skew %.2f over %d keys, %.0f RPS/backend\n",
 		backends, replicas, hotZipfSkew, keys, hotRPSPerBackend)
@@ -249,8 +290,6 @@ func specReplicatedHotKey(s Scale, _ *audit.Log) Report {
 		backends, replicas, improvement, 100*on.cache.HitRate(), 100*on.load.Keys.TopShare)
 	text += fmt.Sprintf("write spreading: %d keys promoted, %d salted writes, %d targeted reads (%d fan-in fallbacks)\n",
 		hw.Promoted, hw.SaltedWrites, hw.SaltedReads, hw.SaltedFanIns)
-	text += fmt.Sprintf("staleness probe (all owners, all shards): %d stale serves, max stale age %.3fms <= TTL %.3fms: %s\n",
-		on.cache.StaleServes, float64(on.cache.MaxStaleAge)/1e6, float64(cluster.DefaultHotKeyTTL)/1e6, verdict(ttlBounded))
 
 	rep := Report{Text: text}
 	rep.metric("backends", backends)
@@ -265,12 +304,8 @@ func specReplicatedHotKey(s Scale, _ *audit.Log) Report {
 	rep.metric("salted_fanin_fallbacks", hw.SaltedFanIns)
 	rep.metric("baseline_hottest_node_share", offShare)
 	rep.metric("fixed_hottest_node_share", onShare)
-	rep.metric("max_stale_age_ms", float64(on.cache.MaxStaleAge)/1e6)
-	rep.metric("ttl_ms", float64(cluster.DefaultHotKeyTTL)/1e6)
-	rep.metric("ttl_bounded", ttlBounded)
+	stale.report(&rep, "staleness probe (all owners, all shards)")
 	rep.metric("floor_improvement", minR3Improvement)
-	rep.require(ttlBounded, "stale serve exceeded the TTL on some replica: max age %v > %v", on.cache.MaxStaleAge, cluster.DefaultHotKeyTTL)
-	rep.require(on.cache.StaleServes > 0, "staleness probe never fired despite the rogue writer")
 	rep.require(improvement >= minR3Improvement, "R=%d improvement %.2fx below floor %.2fx", replicas, improvement, minR3Improvement)
 	rep.require(on.cache.HitRate() >= 0.3, "cache hit rate %.2f below 0.3 under skew %.2f", on.cache.HitRate(), hotZipfSkew)
 	rep.require(hw.Promoted > 0 && hw.SaltedWrites > 0, "write spreading never engaged: %d promoted, %d salted writes", hw.Promoted, hw.SaltedWrites)
